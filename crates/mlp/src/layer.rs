@@ -95,55 +95,49 @@ impl DenseLayer {
         z
     }
 
-    /// Backward pass.
+    /// Parameter-gradient step of the backward pass.
     ///
     /// Given the layer input `x`, the *activated* output `y` from the
     /// forward pass, and the upstream gradient `d_out` (w.r.t. `y`),
-    /// returns the gradient w.r.t. `x` plus this layer's parameter
-    /// gradients.
+    /// returns the pre-activation gradient `dZ` (what
+    /// [`DenseLayer::backward_input`] consumes) plus this layer's
+    /// parameter gradients.
     ///
     /// # Panics
     ///
     /// Panics if the shapes are inconsistent with the forward pass.
-    pub fn backward(&self, x: &Matrix, y: &Matrix, d_out: &Matrix) -> (Matrix, LayerGrads) {
+    pub fn backward_params(&self, x: &Matrix, y: &Matrix, d_out: &Matrix) -> (Matrix, LayerGrads) {
         // dZ = dY * act'(y), elementwise.
         let act = self.activation;
         let dz = d_out
             .zip_with(y, "backward", |g, yv| g * act.derivative_from_output(yv))
             .expect("forward/backward shape mismatch");
-        // dW = X^T dZ ; db = col_sums(dZ) ; dX = dZ W^T.
-        let d_weights = gemm::matmul_at_b(x, &dz);
-        let d_bias = if self.use_bias {
+        // dW = X^T dZ ; db = col_sums(dZ).
+        let weights = gemm::matmul_at_b(x, &dz);
+        let bias = if self.use_bias {
             ops::col_sums(&dz)
         } else {
             Vec::new()
         };
-        let d_input = gemm::matmul_a_bt(&dz, &self.weights);
-        (
-            d_input,
-            LayerGrads {
-                weights: d_weights,
-                bias: d_bias,
-            },
-        )
+        (dz, LayerGrads { weights, bias })
     }
 
-    /// Applies a parameter update: `w -= step_w`, `b -= step_b`.
-    ///
-    /// The optimizer computes the step (which already includes the
-    /// learning rate and any momentum/Adam scaling).
+    /// Input-gradient step of the backward pass: `dX = dZ Wᵀ`, the
+    /// upstream gradient for the layer below. The first layer's `dX`
+    /// is never needed, so [`crate::Mlp::backprop`] skips this step
+    /// there.
     ///
     /// # Panics
     ///
-    /// Panics if shapes do not match the layer's parameters.
-    pub fn apply_update(&mut self, step_w: &Matrix, step_b: &[f32]) {
-        self.weights
-            .axpy_inplace(-1.0, step_w)
-            .expect("weight update shape mismatch");
-        assert_eq!(step_b.len(), self.bias.len(), "bias update shape mismatch");
-        for (b, s) in self.bias.iter_mut().zip(step_b) {
-            *b -= s;
-        }
+    /// Panics if `dz.cols() != fan_out()`.
+    pub fn backward_input(&self, dz: &Matrix) -> Matrix {
+        gemm::matmul_a_bt(dz, &self.weights)
+    }
+
+    /// Mutably borrows the weights (row-major) and bias, for the
+    /// optimizer's in-place update.
+    pub(crate) fn params_mut(&mut self) -> (&mut [f32], &mut [f32]) {
+        (self.weights.as_mut_slice(), &mut self.bias)
     }
 }
 
@@ -193,23 +187,18 @@ mod tests {
             // Loss = sum(y); then dL/dy = ones.
             let y = l.forward(&x);
             let d_out = Matrix::filled(3, 3, 1.0);
-            let (_, grads) = l.backward(&x, &y, &d_out);
+            let (_, grads) = l.backward_params(&x, &y, &d_out);
 
             let eps = 1e-3f32;
             for r in 0..4 {
                 for c in 0..3 {
-                    let orig = l.weights()[(r, c)];
-                    let mut bump = Matrix::zeros(4, 3);
-                    bump[(r, c)] = -eps; // apply_update subtracts
-                    l.apply_update(&bump, &[0.0; 3]);
+                    let j = r * 3 + c;
+                    let orig = l.weights().as_slice()[j];
+                    l.params_mut().0[j] = orig + eps;
                     let up: f32 = l.forward(&x).as_slice().iter().sum();
-                    bump[(r, c)] = 2.0 * eps;
-                    l.apply_update(&bump, &[0.0; 3]);
+                    l.params_mut().0[j] = orig - eps;
                     let down: f32 = l.forward(&x).as_slice().iter().sum();
-                    // restore
-                    bump[(r, c)] = -eps;
-                    l.apply_update(&bump, &[0.0; 3]);
-                    assert!((l.weights()[(r, c)] - orig).abs() < 1e-5);
+                    l.params_mut().0[j] = orig;
 
                     let numeric = (up - down) / (2.0 * eps);
                     let analytic = grads.weights[(r, c)];
@@ -228,7 +217,7 @@ mod tests {
         let x = Matrix::filled(4, 4, 0.5);
         let y = l.forward(&x);
         let d_out = Matrix::filled(4, 3, 1.0);
-        let (_, grads) = l.backward(&x, &y, &d_out);
+        let (_, grads) = l.backward_params(&x, &y, &d_out);
         // Identity activation: db = sum over the 4 rows of ones = 4.
         assert_eq!(grads.bias, vec![4.0, 4.0, 4.0]);
     }
@@ -238,7 +227,7 @@ mod tests {
         let l = layer(Activation::Relu, false);
         let x = Matrix::zeros(2, 4);
         let y = l.forward(&x);
-        let (_, grads) = l.backward(&x, &y, &Matrix::zeros(2, 3));
+        let (_, grads) = l.backward_params(&x, &y, &Matrix::zeros(2, 3));
         assert!(grads.bias.is_empty());
         assert!(l.bias().is_empty());
     }
@@ -248,7 +237,8 @@ mod tests {
         let l = layer(Activation::Tanh, true);
         let x = Matrix::zeros(6, 4);
         let y = l.forward(&x);
-        let (dx, _) = l.backward(&x, &y, &Matrix::zeros(6, 3));
-        assert_eq!(dx.shape(), x.shape());
+        let (dz, _) = l.backward_params(&x, &y, &Matrix::zeros(6, 3));
+        assert_eq!(dz.shape(), y.shape());
+        assert_eq!(l.backward_input(&dz).shape(), x.shape());
     }
 }

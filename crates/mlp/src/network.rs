@@ -108,7 +108,11 @@ impl Mlp {
     /// Backpropagates softmax-cross-entropy loss for a minibatch.
     ///
     /// Returns per-layer gradients (aligned with [`Mlp::layers`]) and the
-    /// batch's mean loss. Gradients are already divided by the batch size.
+    /// batch's mean loss. Gradients are already divided by the batch size
+    /// and exclude weight decay, which the optimizer folds into its
+    /// update. Each layer runs [`DenseLayer::backward_params`]; every
+    /// layer but the first also runs [`DenseLayer::backward_input`] to
+    /// feed the layer below — the gradient w.r.t. `x` is never formed.
     pub fn backprop(&self, x: &Matrix, targets_one_hot: &Matrix) -> (Vec<LayerGrads>, f32) {
         let forward_prof = rt::prof_span!("forward");
         let acts = self.forward_trace(x);
@@ -126,15 +130,14 @@ impl Mlp {
         delta.scale_inplace(1.0 / batch);
 
         let mut grads: Vec<LayerGrads> = Vec::with_capacity(self.layers.len());
-        // The output head has Identity activation, so its backward's
-        // activation-derivative factor is 1 and `delta` passes through
-        // unchanged; hidden layers apply their own derivative.
+        // The output head has Identity activation, so its dZ equals
+        // `delta`; hidden layers apply their own derivative.
         for (i, layer) in self.layers.iter().enumerate().rev() {
-            let input = &acts[i];
-            let output = &acts[i + 1];
-            let (d_in, g) = layer.backward(input, output, &delta);
+            let (dz, g) = layer.backward_params(&acts[i], &acts[i + 1], &delta);
             grads.push(g);
-            delta = d_in;
+            if i > 0 {
+                delta = layer.backward_input(&dz);
+            }
         }
         grads.reverse();
         (grads, loss)
@@ -152,7 +155,7 @@ impl Mlp {
             .all(|l| l.weights().all_finite() && l.bias().iter().all(|b| b.is_finite()))
     }
 
-    /// Mutably borrows the layers (used by the optimizer to apply steps).
+    /// Mutably borrows the layers (used by the optimizer's in-place update).
     pub(crate) fn layers_mut(&mut self) -> &mut [DenseLayer] {
         &mut self.layers
     }
@@ -161,6 +164,7 @@ impl Mlp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rt::prof::{ClockKind, Profiler};
     use rt::rand::rngs::StdRng;
     use rt::rand::SeedableRng;
 
@@ -236,13 +240,11 @@ mod tests {
         // Check a sample of weight coordinates in the first layer.
         for (r, c) in [(0, 0), (1, 2), (2, 3)] {
             let loss_at = |nudge: f32, net: &mut Mlp| {
-                let mut bump = Matrix::zeros(3, 4);
-                bump[(r, c)] = -nudge;
-                net.layers_mut()[0].apply_update(&bump, &[0.0; 4]);
-                let probs = net.predict_proba(&x);
-                let loss = ops::cross_entropy(&probs, &t);
-                bump[(r, c)] = nudge;
-                net.layers_mut()[0].apply_update(&bump, &[0.0; 4]);
+                let w = &mut net.layers_mut()[0].params_mut().0[r * 4 + c];
+                let orig = *w;
+                *w += nudge;
+                let loss = ops::cross_entropy(&net.predict_proba(&x), &t);
+                net.layers_mut()[0].params_mut().0[r * 4 + c] = orig;
                 loss
             };
             let up = loss_at(eps, &mut net);
@@ -254,6 +256,25 @@ mod tests {
                 "w[{r},{c}]: numeric {numeric} analytic {analytic}"
             );
         }
+    }
+
+    /// Work-count pin: one backprop through L layers runs L
+    /// weight-gradient GEMMs but only L − 1 input-gradient GEMMs.
+    #[test]
+    fn backprop_skips_the_first_layers_input_gradient() {
+        let gemm_calls = |net: &Mlp| {
+            let prof = Profiler::new(ClockKind::Ticks);
+            let installed = prof.install();
+            net.backprop(&Matrix::zeros(4, 4), &ops::one_hot(&[0, 1, 2, 0], 3));
+            drop(installed);
+            let root = prof.report();
+            let calls = |name| root.find(name).map_or(0, |n| n.calls);
+            (calls("gemm_at_b"), calls("gemm_a_bt"))
+        };
+        assert_eq!(gemm_calls(&net()), (3, 2));
+        let head_only = MlpTopology::builder(4, 3).build();
+        let head_only = Mlp::from_topology(&head_only, &mut StdRng::seed_from_u64(0));
+        assert_eq!(gemm_calls(&head_only), (1, 0));
     }
 
     #[test]

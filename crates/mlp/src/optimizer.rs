@@ -3,8 +3,11 @@
 //! Two optimizers cover the candidates' needs: classic SGD with momentum
 //! (robust, cheap) and Adam (fast convergence on the small, noisy
 //! tabular benchmarks). Both keep per-parameter state aligned with the
-//! network's layers and produce *steps* that
-//! [`crate::DenseLayer::apply_update`] subtracts from the parameters.
+//! network's layers and update each parameter tensor in one in-place
+//! pass that also folds in L2 weight decay. Per element, that pass
+//! evaluates the same IEEE expressions in the same order as separate
+//! decay, state and subtract passes would, so fusing it changes no bits
+//! (DESIGN.md §20).
 
 use ecad_tensor::Matrix;
 
@@ -64,11 +67,23 @@ impl OptimizerState {
         }
     }
 
-    pub(crate) fn step(&mut self, net: &mut Mlp, grads: &[LayerGrads]) {
+    pub(crate) fn step(&mut self, net: &mut Mlp, grads: &[LayerGrads], weight_decay: f32) {
         match self {
-            OptimizerState::Sgd(s) => s.step(net, grads),
-            OptimizerState::Adam(a) => a.step(net, grads),
+            OptimizerState::Sgd(s) => s.step(net, grads, weight_decay),
+            OptimizerState::Adam(a) => a.step(net, grads, weight_decay),
         }
+    }
+}
+
+/// The L2-decayed gradient `g + decay * w`; biases pass `decay = 0`.
+/// The `> 0` guard matters for bits: `g + 0 * w` would turn `-0.0`
+/// into `+0.0` and a non-finite weight into NaN.
+#[inline]
+fn decayed(g: f32, w: f32, decay: f32) -> f32 {
+    if decay > 0.0 {
+        g + decay * w
+    } else {
+        g
     }
 }
 
@@ -100,33 +115,32 @@ impl Sgd {
         }
     }
 
-    /// Applies one update step.
+    /// Applies one update step. `weight_decay` adds `weight_decay * w`
+    /// to every weight gradient first (biases are not decayed).
     ///
     /// # Panics
     ///
     /// Panics if `grads` is not aligned with the network's layers.
-    pub fn step(&mut self, net: &mut Mlp, grads: &[LayerGrads]) {
+    pub fn step(&mut self, net: &mut Mlp, grads: &[LayerGrads], weight_decay: f32) {
         assert_eq!(
             grads.len(),
             self.vel_w.len(),
             "gradient/layer count mismatch"
         );
-        for (i, layer) in net.layers_mut().iter_mut().enumerate() {
-            let g = &grads[i];
-            let vw = &mut self.vel_w[i];
-            vw.scale_inplace(self.momentum);
-            vw.axpy_inplace(1.0, &g.weights).expect("gradient shape");
-            let step_w = {
-                let mut s = vw.clone();
-                s.scale_inplace(self.lr);
-                s
-            };
-            let vb = &mut self.vel_b[i];
-            for (v, &gb) in vb.iter_mut().zip(&g.bias) {
-                *v = self.momentum * *v + gb;
+        let (lr, mu) = (self.lr, self.momentum);
+        let update = |params: &mut [f32], grads: &[f32], vel: &mut [f32], decay: f32| {
+            assert_eq!(params.len(), grads.len(), "gradient shape mismatch");
+            for ((w, &g), v) in params.iter_mut().zip(grads).zip(vel) {
+                let g = decayed(g, *w, decay);
+                *v = *v * mu + g;
+                *w -= *v * lr;
             }
-            let step_b: Vec<f32> = vb.iter().map(|&v| self.lr * v).collect();
-            layer.apply_update(&step_w, &step_b);
+        };
+        for (i, layer) in net.layers_mut().iter_mut().enumerate() {
+            let (w, b) = layer.params_mut();
+            let vel_w = self.vel_w[i].as_mut_slice();
+            update(w, grads[i].weights.as_slice(), vel_w, weight_decay);
+            update(b, &grads[i].bias, &mut self.vel_b[i], 0.0);
         }
     }
 }
@@ -173,41 +187,34 @@ impl Adam {
         }
     }
 
-    /// Applies one update step.
+    /// Applies one update step. `weight_decay` adds `weight_decay * w`
+    /// to every weight gradient first (biases are not decayed).
     ///
     /// # Panics
     ///
     /// Panics if `grads` is not aligned with the network's layers.
-    pub fn step(&mut self, net: &mut Mlp, grads: &[LayerGrads]) {
+    pub fn step(&mut self, net: &mut Mlp, grads: &[LayerGrads], weight_decay: f32) {
         assert_eq!(grads.len(), self.m_w.len(), "gradient/layer count mismatch");
         self.t += 1;
         let bc1 = 1.0 - self.beta1.powi(self.t as i32);
         let bc2 = 1.0 - self.beta2.powi(self.t as i32);
+        let (lr, beta1, beta2, eps) = (self.lr, self.beta1, self.beta2, self.eps);
+        let update = |params: &mut [f32], grads: &[f32], m: &mut [f32], v: &mut [f32], decay| {
+            assert_eq!(params.len(), grads.len(), "gradient shape mismatch");
+            for (((w, &g), m), v) in params.iter_mut().zip(grads).zip(m).zip(v) {
+                let g = decayed(g, *w, decay);
+                *m = beta1 * *m + (1.0 - beta1) * g;
+                *v = beta2 * *v + (1.0 - beta2) * g * g;
+                let m_hat = *m / bc1;
+                let v_hat = *v / bc2;
+                *w -= lr * m_hat / (v_hat.sqrt() + eps);
+            }
+        };
         for (i, layer) in net.layers_mut().iter_mut().enumerate() {
-            let g = &grads[i];
-            let (m, v) = (&mut self.m_w[i], &mut self.v_w[i]);
-            let mut step_w = Matrix::zeros(g.weights.rows(), g.weights.cols());
-            for j in 0..g.weights.len() {
-                let gw = g.weights.as_slice()[j];
-                let mj = self.beta1 * m.as_slice()[j] + (1.0 - self.beta1) * gw;
-                let vj = self.beta2 * v.as_slice()[j] + (1.0 - self.beta2) * gw * gw;
-                m.as_mut_slice()[j] = mj;
-                v.as_mut_slice()[j] = vj;
-                let m_hat = mj / bc1;
-                let v_hat = vj / bc2;
-                step_w.as_mut_slice()[j] = self.lr * m_hat / (v_hat.sqrt() + self.eps);
-            }
-            let (mb, vb) = (&mut self.m_b[i], &mut self.v_b[i]);
-            let mut step_b = vec![0.0f32; g.bias.len()];
-            for j in 0..g.bias.len() {
-                let gb = g.bias[j];
-                mb[j] = self.beta1 * mb[j] + (1.0 - self.beta1) * gb;
-                vb[j] = self.beta2 * vb[j] + (1.0 - self.beta2) * gb * gb;
-                let m_hat = mb[j] / bc1;
-                let v_hat = vb[j] / bc2;
-                step_b[j] = self.lr * m_hat / (v_hat.sqrt() + self.eps);
-            }
-            layer.apply_update(&step_w, &step_b);
+            let (w, b) = layer.params_mut();
+            let (m_w, v_w) = (self.m_w[i].as_mut_slice(), self.v_w[i].as_mut_slice());
+            update(w, grads[i].weights.as_slice(), m_w, v_w, weight_decay);
+            update(b, &grads[i].bias, &mut self.m_b[i], &mut self.v_b[i], 0.0);
         }
     }
 }
@@ -240,7 +247,7 @@ mod tests {
         let before = loss_of(&net, &x, &t);
         for _ in 0..50 {
             let (grads, _) = net.backprop(&x, &t);
-            opt.step(&mut net, &grads);
+            opt.step(&mut net, &grads, 0.0);
         }
         let after = loss_of(&net, &x, &t);
         assert!(after < before * 0.5, "before {before} after {after}");
@@ -254,7 +261,7 @@ mod tests {
             let mut opt = Sgd::new(0.05, momentum, &net);
             for _ in 0..30 {
                 let (grads, _) = net.backprop(&x, &t);
-                opt.step(&mut net, &grads);
+                opt.step(&mut net, &grads, 0.0);
             }
             loss_of(&net, &x, &t)
         };
@@ -268,7 +275,7 @@ mod tests {
         let before = loss_of(&net, &x, &t);
         for _ in 0..100 {
             let (grads, _) = net.backprop(&x, &t);
-            opt.step(&mut net, &grads);
+            opt.step(&mut net, &grads, 0.0);
         }
         let after = loss_of(&net, &x, &t);
         assert!(after < before * 0.3, "before {before} after {after}");
@@ -280,9 +287,20 @@ mod tests {
         let mut opt = Adam::new(0.5, &net);
         for _ in 0..200 {
             let (grads, _) = net.backprop(&x, &t);
-            opt.step(&mut net, &grads);
+            opt.step(&mut net, &grads, 0.0);
         }
         assert!(net.is_finite());
+    }
+
+    /// `weight_decay = 0` skips the decay term rather than adding
+    /// `0 * w`, which would turn an infinite weight's gradient into NaN.
+    #[test]
+    fn zero_weight_decay_adds_no_decay_term() {
+        let (mut net, x, t) = quadratic_setup();
+        let (grads, _) = net.backprop(&x, &t);
+        net.layers_mut()[0].params_mut().0[0] = f32::INFINITY;
+        Sgd::new(0.1, 0.9, &net).step(&mut net, &grads, 0.0);
+        assert_eq!(net.layers()[0].weights().as_slice()[0], f32::INFINITY);
     }
 
     #[test]
@@ -302,7 +320,7 @@ mod tests {
         let before = loss_of(&net, &x, &t);
         for _ in 0..30 {
             let (grads, _) = net.backprop(&x, &t);
-            st.step(&mut net, &grads);
+            st.step(&mut net, &grads, 0.0);
         }
         assert!(loss_of(&net, &x, &t) < before);
     }
@@ -320,7 +338,7 @@ mod tests {
         let before = loss_of(&net, &x, &t);
         for _ in 0..100 {
             let (grads, _) = net.backprop(&x, &t);
-            opt.step(&mut net, &grads);
+            opt.step(&mut net, &grads, 0.0);
         }
         assert!(loss_of(&net, &x, &t) < before);
     }

@@ -80,9 +80,10 @@ pub struct TrainConfig {
     pub patience: usize,
     /// Minimum loss improvement that counts as progress.
     pub min_delta: f32,
-    /// L2 weight-decay strength added to every weight gradient
-    /// (sklearn `MLPClassifier`'s `alpha`; biases are not decayed).
-    /// `0.0` disables regularization.
+    /// L2 weight-decay strength (sklearn `MLPClassifier`'s `alpha`):
+    /// the optimizer adds `weight_decay * w` to every weight gradient in
+    /// its update pass; biases are not decayed. `0.0` disables
+    /// regularization.
     pub weight_decay: f32,
     /// GEMM lane count applied via [`ecad_tensor::gemm::set_threads`]
     /// before training. `0` (the default) leaves the process-wide
@@ -228,15 +229,8 @@ impl Trainer {
             for chunk in order.chunks(batch) {
                 let xb = train.features().select_rows(chunk);
                 let tb = targets.select_rows(chunk);
-                let (mut grads, loss) = net.backprop(&xb, &tb);
-                if self.config.weight_decay > 0.0 {
-                    for (g, layer) in grads.iter_mut().zip(net.layers()) {
-                        g.weights
-                            .axpy_inplace(self.config.weight_decay, layer.weights())
-                            .expect("gradient/weight shapes match");
-                    }
-                }
-                opt.step(&mut net, &grads);
+                let (grads, loss) = net.backprop(&xb, &tb);
+                opt.step(&mut net, &grads, self.config.weight_decay);
                 epoch_loss += loss as f64;
                 batches += 1;
             }

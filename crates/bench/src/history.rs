@@ -75,6 +75,9 @@ pub struct Report {
     pub created_utc: String,
     /// Git revision of the measured tree.
     pub git_rev: String,
+    /// Host core count, when the report records one (reports written
+    /// before the header carried `nproc` do not).
+    pub nproc: Option<usize>,
     /// Benchmarks, sorted by `(suite, id)`.
     pub entries: Vec<Entry>,
 }
@@ -186,6 +189,15 @@ pub fn parse_report(path: &str, text: &str) -> Result<Report, HistoryError> {
     let date = string_field("date")?;
     let created_utc = string_field("created_utc")?;
     let git_rev = string_field("git_rev")?;
+    let nproc = match doc.get("nproc") {
+        None => None,
+        Some(n) => Some(
+            n.as_f64()
+                .filter(|n| *n >= 1.0 && n.fract() == 0.0)
+                .ok_or_else(|| schema("nproc", "not a positive integer".to_string()))?
+                as usize,
+        ),
+    };
     let raw = doc
         .get("benchmarks")
         .and_then(Json::as_array)
@@ -249,6 +261,7 @@ pub fn parse_report(path: &str, text: &str) -> Result<Report, HistoryError> {
         date,
         created_utc,
         git_rev,
+        nproc,
         entries,
     })
 }
@@ -707,6 +720,7 @@ mod tests {
                 date: date.to_string(),
                 created_utc: format!("{date}T00:00:00Z"),
                 git_rev: "test".to_string(),
+                nproc: None,
                 entries: entries
                     .iter()
                     .map(|(suite, id, p95)| Entry {

@@ -198,3 +198,23 @@ fn gate_output_is_deterministic() {
     let ids: Vec<&str> = first.checks.iter().map(|c| c.id.as_str()).collect();
     assert_eq!(ids, ["a", "b"]);
 }
+
+/// Reports committed before the header carried `nproc` still load;
+/// freshly captured metadata records the host's core count.
+#[test]
+fn reports_without_nproc_still_load() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let files = history::load_history(&root).unwrap();
+    assert!(
+        !files.is_empty(),
+        "no committed BENCH_*.json under {}",
+        root.display()
+    );
+    assert!(files.iter().any(|f| f.report.nproc.is_none()));
+
+    let meta = ReportMeta::capture(&root);
+    let nproc = meta.nproc.expect("available_parallelism on this host");
+    let path = tmp_dir("nproc").join(rt::bench::bench_file_name(&meta.date));
+    write_report_merged(&path, "kernels", &[result("gemm/x", 10.0)], &meta).unwrap();
+    assert_eq!(history::load_report(&path).unwrap().nproc, Some(nproc));
+}

@@ -22,7 +22,10 @@ fn golden_path() -> PathBuf {
 /// fractional nanosecond values, single and multi-sample entries,
 /// deliberately registered out of sorted order.
 fn golden_report() -> String {
-    let meta = ReportMeta::at(1_786_233_600, "0123456789abcdef"); // 2026-08-09T00:00:00Z
+    let meta = ReportMeta {
+        nproc: Some(2),
+        ..ReportMeta::at(1_786_233_600, "0123456789abcdef") // 2026-08-09T00:00:00Z
+    };
     let result = |id: &str, p50: f64, p95: f64, samples: usize, iters: u64| BenchResult {
         id: id.to_string(),
         summary: Summary {
@@ -85,6 +88,7 @@ fn history_round_trips_golden_report() {
     let report = history::parse_report("golden", &text).unwrap();
     assert_eq!(report.date, "2026-08-09");
     assert_eq!(report.git_rev, "0123456789abcdef");
+    assert_eq!(report.nproc, Some(2));
     assert_eq!(report.entries.len(), 3);
     // Entries come back sorted by (suite, id) even though they were
     // registered out of order.
@@ -93,7 +97,10 @@ fn history_round_trips_golden_report() {
     sorted.sort();
     assert_eq!(keys, sorted);
 
-    let meta = ReportMeta::at(1_786_233_600, report.git_rev.clone());
+    let meta = ReportMeta {
+        nproc: report.nproc,
+        ..ReportMeta::at(1_786_233_600, report.git_rev.clone())
+    };
     let entries: Vec<Json> = report
         .entries
         .iter()

@@ -177,6 +177,17 @@ fn build_obs(
     Ok(builder.build())
 }
 
+/// `--name N` as a positive count, or `default` when absent.
+fn positive_flag(p: &Parsed, name: &str, default: usize) -> Result<usize, CliError> {
+    match p.get_parse(name, default)? {
+        0 => Err(CliError::Args(ArgError::BadValue {
+            flag: format!("--{name}"),
+            value: "0".to_string(),
+        })),
+        n => Ok(n),
+    }
+}
+
 fn cmd_search(p: &Parsed) -> Result<String, CliError> {
     p.check_allowed(&[
         "data",
@@ -288,12 +299,13 @@ fn cmd_search(p: &Parsed) -> Result<String, CliError> {
         None => FlowConfig::default(),
     };
     config.evolution.seed = p.get_parse("seed", config.evolution.seed)?;
-    config.evolution.threads = p.get_parse("threads", config.evolution.threads)?;
+    config.evolution.threads = positive_flag(p, "threads", config.evolution.threads)?;
     // GEMM lanes inside each candidate's training; bit-identical
     // results at any value per the tensor kernels' determinism
     // contract, so this only affects wall clock.
     config.trainer.gemm_threads = p.get_parse("gemm-threads", config.trainer.gemm_threads)?;
-    config.evolution.evaluations = p.get_parse("evaluations", config.evolution.evaluations)?;
+    config.evolution.evaluations =
+        positive_flag(p, "evaluations", config.evolution.evaluations)?;
     if let Some(secs) = p.get("eval-timeout") {
         let secs = secs.parse::<f64>().ok().filter(|s| s.is_finite() && *s >= 0.0).ok_or_else(|| {
             CliError::Args(ArgError::BadValue {
@@ -318,13 +330,7 @@ fn cmd_search(p: &Parsed) -> Result<String, CliError> {
     }
     let checkpoint_path = p.get("checkpoint").map(std::path::PathBuf::from);
     if let Some(path) = &checkpoint_path {
-        let every: usize = p.get_parse("checkpoint-every", 25usize)?;
-        if every == 0 {
-            return Err(CliError::Args(ArgError::BadValue {
-                flag: "--checkpoint-every".to_string(),
-                value: "0".to_string(),
-            }));
-        }
+        let every = positive_flag(p, "checkpoint-every", 25)?;
         search = search.checkpoint(CheckpointPolicy::new(path.clone(), every));
     }
     if p.is_set("resume") {
@@ -1424,6 +1430,28 @@ mod tests {
     fn search_resume_without_checkpoint_is_error() {
         let err = run(argv("search --data x.csv --resume")).unwrap_err();
         assert!(err.to_string().contains("--resume requires --checkpoint"));
+    }
+
+    /// Zero worker threads or a zero budget is a usage error naming
+    /// the flag, not an engine assertion.
+    #[test]
+    fn search_rejects_zero_threads_and_evaluations() {
+        let dir = std::env::temp_dir().join("ecad_cli_zero_flags");
+        std::fs::create_dir_all(&dir).unwrap();
+        let data = dir.join("toy.csv");
+        let ds = ecad_dataset::synth::SyntheticSpec::new("toy", 40, 4, 2)
+            .with_seed(1)
+            .generate();
+        csv::write_dataset_file(&ds, &data).unwrap();
+        for flag in ["--threads", "--evaluations"] {
+            let err = run(argv(&format!("search --data {} {flag} 0", data.display())))
+                .unwrap_err();
+            assert!(
+                matches!(&err, CliError::Args(ArgError::BadValue { flag: f, .. }) if f == flag),
+                "{flag}: {err}"
+            );
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

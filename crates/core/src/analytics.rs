@@ -37,6 +37,7 @@ use std::time::Instant;
 use rt::json::{Json, ToJson};
 use rt::obs::Obs;
 
+use crate::checkpoint::RunCounters;
 use crate::engine::Evaluated;
 use crate::genome::{CandidateGenome, HwGenome};
 use crate::pareto::dominates;
@@ -698,6 +699,58 @@ impl EpochTracker {
     }
 }
 
+/// A gauge name and the snapshot field it shows.
+type EpochGauge = (&'static str, fn(&PopulationSnapshot) -> f64);
+
+/// The `search.*` gauges an epoch snapshot refreshes.
+const EPOCH_GAUGES: [EpochGauge; 8] = [
+    ("search.epoch", |s| s.epoch as f64),
+    ("search.best_fitness", |s| s.best_fitness),
+    ("search.hypervolume", |s| s.hypervolume),
+    ("search.archive_size", |s| s.archive_size as f64),
+    ("search.gene_entropy_bits", |s| s.gene_entropy_bits),
+    ("search.mean_distance", |s| s.mean_distance),
+    ("search.cache_hit_rate", |s| s.cache_hit_rate),
+    ("search.fitness_p50", |s| s.fitness.p50),
+];
+
+fn operator_gauge(obs: &Obs, op: OperatorKind) -> rt::obs::Gauge {
+    obs.gauge(&format!("search.op_{}_rate", op.name()))
+}
+
+/// Registers the epoch gauges and the per-epoch hypervolume histogram
+/// when a run starts, so `/metrics` lists them from the first scrape.
+pub(crate) fn register_epoch_metrics(obs: &Obs) {
+    for (name, _) in EPOCH_GAUGES {
+        obs.gauge(name);
+    }
+    for op in OperatorKind::ALL {
+        operator_gauge(obs, op);
+    }
+    obs.histogram("search.epoch_hypervolume");
+}
+
+impl PopulationSnapshot {
+    /// Refreshes the epoch metrics from this snapshot. Also mirrors
+    /// per-phase profile seconds (top-level spans of the attached
+    /// profiler) into gauges, so the `/metrics` exposition carries the
+    /// time breakdown of a live search.
+    pub(crate) fn publish(&self, obs: &Obs) {
+        for (name, field) in EPOCH_GAUGES {
+            obs.gauge(name).set(field(self));
+        }
+        for op in OperatorKind::ALL {
+            operator_gauge(obs, op).set(self.operators.rate(op));
+        }
+        obs.histogram("search.epoch_hypervolume").record(self.hypervolume);
+        if let Some(profiler) = obs.profiler() {
+            for (phase, secs) in profiler.phase_seconds() {
+                obs.gauge(&format!("profile.phase.{phase}_s")).set(secs);
+            }
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Live status
 // ---------------------------------------------------------------------------
@@ -708,11 +761,7 @@ struct StatusInner {
     done: bool,
     snapshot: Option<PopulationSnapshot>,
     models_evaluated: usize,
-    cache_hits: usize,
-    infeasible: usize,
-    retries: usize,
-    timeouts: usize,
-    respawns: usize,
+    counters: RunCounters,
     last_checkpoint: Option<Instant>,
 }
 
@@ -744,23 +793,11 @@ impl StatusCell {
         self.inner.lock().expect("status cell").snapshot = Some(snapshot);
     }
 
-    /// Publishes the engine's running counters.
-    pub fn note_counters(
-        &self,
-        models_evaluated: usize,
-        cache_hits: usize,
-        infeasible: usize,
-        retries: usize,
-        timeouts: usize,
-        respawns: usize,
-    ) {
+    /// Publishes the engine's running counters and trace length.
+    pub fn note_counters(&self, models_evaluated: usize, counters: RunCounters) {
         let mut s = self.inner.lock().expect("status cell");
         s.models_evaluated = models_evaluated;
-        s.cache_hits = cache_hits;
-        s.infeasible = infeasible;
-        s.retries = retries;
-        s.timeouts = timeouts;
-        s.respawns = respawns;
+        s.counters = counters;
     }
 
     /// Records that a checkpoint was just written.
@@ -777,36 +814,20 @@ impl StatusCell {
     pub fn to_json(&self) -> Json {
         let s = self.inner.lock().expect("status cell");
         let now = Instant::now();
+        let age =
+            |t: Option<Instant>| t.map_or(Json::Null, |t| Json::Number((now - t).as_secs_f64()));
         Json::object()
             .insert("running", s.started.is_some() && !s.done)
             .insert("done", s.done)
-            .insert(
-                "uptime_s",
-                match s.started {
-                    Some(t) => Json::Number(now.duration_since(t).as_secs_f64()),
-                    None => Json::Null,
-                },
-            )
-            .insert(
-                "checkpoint_age_s",
-                match s.last_checkpoint {
-                    Some(t) => Json::Number(now.duration_since(t).as_secs_f64()),
-                    None => Json::Null,
-                },
-            )
+            .insert("uptime_s", age(s.started))
+            .insert("checkpoint_age_s", age(s.last_checkpoint))
             .insert("models_evaluated", s.models_evaluated)
-            .insert("cache_hits", s.cache_hits)
-            .insert("infeasible", s.infeasible)
-            .insert("retries", s.retries)
-            .insert("timeouts", s.timeouts)
-            .insert("respawns", s.respawns)
-            .insert(
-                "epoch",
-                match &s.snapshot {
-                    Some(snap) => snap.to_json(),
-                    None => Json::Null,
-                },
-            )
+            .insert("cache_hits", s.counters.cache_hits)
+            .insert("infeasible", s.counters.infeasible_count)
+            .insert("retries", s.counters.retry_count)
+            .insert("timeouts", s.counters.timeout_count)
+            .insert("respawns", s.counters.respawn_count)
+            .insert("epoch", s.snapshot.as_ref().map_or(Json::Null, ToJson::to_json))
     }
 }
 
@@ -845,13 +866,7 @@ pub fn workers_json(obs: &Obs, health: &crate::cluster::ClusterHealth) -> Json {
             Json::object()
                 .insert("addr", w.addr.as_str())
                 .insert("state", w.state.as_str())
-                .insert(
-                    "last_seen_s",
-                    match w.last_seen_s {
-                        Some(s) => Json::Number(s),
-                        None => Json::Null,
-                    },
-                )
+                .insert("last_seen_s", w.last_seen_s.map_or(Json::Null, Json::Number))
                 .insert("jobs", w.jobs)
                 .insert("train_s", w.train_s)
                 .insert("hw_s", w.hw_s)
@@ -1218,7 +1233,12 @@ mod tests {
         assert_eq!(idle.get("epoch"), Some(&Json::Null));
 
         cell.note_started();
-        cell.note_counters(10, 2, 1, 0, 0, 0);
+        let counters = RunCounters {
+            cache_hits: 2,
+            infeasible_count: 1,
+            ..RunCounters::default()
+        };
+        cell.note_counters(10, counters);
         cell.note_checkpoint();
         let mut t = EpochTracker::new(AnalyticsConfig::default(), 2);
         let pop = vec![evaluated(64, 0.5), evaluated(128, 0.7)];
@@ -1250,7 +1270,7 @@ mod tests {
         obs.gauge("search.hypervolume").set(0.25);
         let cell = StatusCell::new();
         cell.note_started();
-        cell.note_counters(5, 0, 0, 0, 0, 0);
+        cell.note_counters(5, RunCounters::default());
 
         let handle = observatory(&obs, &cell)
             .bind("127.0.0.1:0")

@@ -70,6 +70,35 @@ impl CheckpointPolicy {
     }
 }
 
+/// The master loop's running counters. The engine mutates this struct
+/// in place, checkpoints carry it, and `/status` publishes it.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct RunCounters {
+    /// Unique candidates submitted so far (including pending ones).
+    pub submitted_unique: usize,
+    /// Candidate-generation attempts consumed (the duplicate-breeding
+    /// safety valve's counter).
+    pub attempts: usize,
+    /// Next dispatch id.
+    pub next_id: usize,
+    /// Dedup-cache hits so far.
+    pub cache_hits: usize,
+    /// Final infeasible verdicts so far.
+    pub infeasible_count: usize,
+    /// Transient-failure retries dispatched so far.
+    pub retry_count: usize,
+    /// Evaluations abandoned at their deadline so far.
+    pub timeout_count: usize,
+    /// Worker slots respawned so far.
+    pub respawn_count: usize,
+    /// Accumulated per-evaluation seconds.
+    pub total_eval_time_s: f64,
+    /// Accumulated training-stage seconds.
+    pub train_time_s: f64,
+    /// Accumulated hardware-model seconds.
+    pub hw_time_s: f64,
+}
+
 /// A unit of work that was dispatched (or scheduled for retry) but not
 /// yet finally admitted when the checkpoint was written. Its unique
 /// budget is already consumed, so resume re-dispatches it without
@@ -102,32 +131,11 @@ pub struct CheckpointState {
     pub rng_state: u128,
     /// Master RNG raw stream selector (PCG64 `inc`, always odd).
     pub rng_inc: u128,
-    /// Unique candidates submitted so far (including pending ones).
-    pub submitted_unique: usize,
-    /// Candidate-generation attempts consumed (the duplicate-breeding
-    /// safety valve's counter).
-    pub attempts: usize,
-    /// Next dispatch id.
-    pub next_id: usize,
-    /// Dedup-cache hits so far.
-    pub cache_hits: usize,
-    /// Final infeasible verdicts so far.
-    pub infeasible_count: usize,
-    /// Transient-failure retries dispatched so far.
-    pub retry_count: usize,
-    /// Evaluations abandoned at their deadline so far.
-    pub timeout_count: usize,
-    /// Worker slots respawned so far.
-    pub respawn_count: usize,
+    /// The run counters behind `EngineStats`, as the loop left them.
+    pub counters: RunCounters,
     /// Per-operator `(produced, entered population)` admission
     /// counters, in [`OperatorKind::ALL`] order.
     pub op_counters: [(u64, u64); 4],
-    /// Accumulated per-evaluation seconds.
-    pub total_eval_time_s: f64,
-    /// Accumulated training-stage seconds.
-    pub train_time_s: f64,
-    /// Accumulated hardware-model seconds.
-    pub hw_time_s: f64,
     /// Wall-clock seconds consumed before this checkpoint.
     pub wall_time_s: f64,
     /// Unsampled initial seed genomes, in pop order (next-to-submit
@@ -295,6 +303,9 @@ fn pair_to_json(pair: &(CandidateGenome, Measurement)) -> Json {
 
 impl ToJson for CheckpointState {
     fn to_json(&self) -> Json {
+        // Format version 2 fixes the counter keys' order, `operators`
+        // included; the bytes of a checkpoint depend on it.
+        let c = &self.counters;
         Json::object()
             .insert("version", self.version)
             .insert("seed", format!("{:016x}", self.seed))
@@ -302,14 +313,14 @@ impl ToJson for CheckpointState {
             .insert("population_cap", self.population_cap)
             .insert("rng_state", format!("{:032x}", self.rng_state))
             .insert("rng_inc", format!("{:032x}", self.rng_inc))
-            .insert("submitted_unique", self.submitted_unique)
-            .insert("attempts", self.attempts)
-            .insert("next_id", self.next_id)
-            .insert("cache_hits", self.cache_hits)
-            .insert("infeasible_count", self.infeasible_count)
-            .insert("retry_count", self.retry_count)
-            .insert("timeout_count", self.timeout_count)
-            .insert("respawn_count", self.respawn_count)
+            .insert("submitted_unique", c.submitted_unique)
+            .insert("attempts", c.attempts)
+            .insert("next_id", c.next_id)
+            .insert("cache_hits", c.cache_hits)
+            .insert("infeasible_count", c.infeasible_count)
+            .insert("retry_count", c.retry_count)
+            .insert("timeout_count", c.timeout_count)
+            .insert("respawn_count", c.respawn_count)
             .insert("operators", {
                 let mut ops = Json::object();
                 for (op, (total, entered)) in
@@ -324,9 +335,9 @@ impl ToJson for CheckpointState {
                 }
                 ops
             })
-            .insert("total_eval_time_s", self.total_eval_time_s)
-            .insert("train_time_s", self.train_time_s)
-            .insert("hw_time_s", self.hw_time_s)
+            .insert("total_eval_time_s", c.total_eval_time_s)
+            .insert("train_time_s", c.train_time_s)
+            .insert("hw_time_s", c.hw_time_s)
             .insert("wall_time_s", self.wall_time_s)
             .insert(
                 "seeds_remaining",
@@ -567,14 +578,19 @@ impl CheckpointState {
             population_cap: get_usize(j, "population_cap")?,
             rng_state: hex_u128(j, "rng_state")?,
             rng_inc,
-            submitted_unique: get_usize(j, "submitted_unique")?,
-            attempts: get_usize(j, "attempts")?,
-            next_id: get_usize(j, "next_id")?,
-            cache_hits: get_usize(j, "cache_hits")?,
-            infeasible_count: get_usize(j, "infeasible_count")?,
-            retry_count: get_usize(j, "retry_count")?,
-            timeout_count: get_usize(j, "timeout_count")?,
-            respawn_count: get_usize(j, "respawn_count")?,
+            counters: RunCounters {
+                submitted_unique: get_usize(j, "submitted_unique")?,
+                attempts: get_usize(j, "attempts")?,
+                next_id: get_usize(j, "next_id")?,
+                cache_hits: get_usize(j, "cache_hits")?,
+                infeasible_count: get_usize(j, "infeasible_count")?,
+                retry_count: get_usize(j, "retry_count")?,
+                timeout_count: get_usize(j, "timeout_count")?,
+                respawn_count: get_usize(j, "respawn_count")?,
+                total_eval_time_s: get_f64(j, "total_eval_time_s")?,
+                train_time_s: get_f64(j, "train_time_s")?,
+                hw_time_s: get_f64(j, "hw_time_s")?,
+            },
             op_counters: {
                 let ops = j
                     .get("operators")
@@ -591,9 +607,6 @@ impl CheckpointState {
                 }
                 counters
             },
-            total_eval_time_s: get_f64(j, "total_eval_time_s")?,
-            train_time_s: get_f64(j, "train_time_s")?,
-            hw_time_s: get_f64(j, "hw_time_s")?,
             wall_time_s: get_f64(j, "wall_time_s")?,
             seeds_remaining: get_array(j, "seeds_remaining")?
                 .iter()
@@ -771,18 +784,20 @@ mod tests {
             population_cap: 16,
             rng_state: 0x0123_4567_89ab_cdef_fedc_ba98_7654_3210,
             rng_inc: 0x1111_2222_3333_4444_5555_6666_7777_8889,
-            submitted_unique: 40,
-            attempts: 55,
-            next_id: 42,
-            cache_hits: 15,
-            infeasible_count: 3,
-            retry_count: 2,
-            timeout_count: 1,
-            respawn_count: 1,
+            counters: RunCounters {
+                submitted_unique: 40,
+                attempts: 55,
+                next_id: 42,
+                cache_hits: 15,
+                infeasible_count: 3,
+                retry_count: 2,
+                timeout_count: 1,
+                respawn_count: 1,
+                total_eval_time_s: 31.25,
+                train_time_s: 28.5,
+                hw_time_s: 2.5,
+            },
             op_counters: [(12, 12), (3, 2), (10, 4), (15, 7)],
-            total_eval_time_s: 31.25,
-            train_time_s: 28.5,
-            hw_time_s: 2.5,
             wall_time_s: 35.0,
             seeds_remaining: vec![genome()],
             population: vec![(genome(), measurement())],
@@ -842,9 +857,9 @@ mod tests {
         assert!(!path.with_extension("tmp").exists());
         // Overwriting is atomic: a second save replaces the first.
         let mut s2 = s.clone();
-        s2.next_id = 99;
+        s2.counters.next_id = 99;
         s2.save(&path).unwrap();
-        assert_eq!(CheckpointState::load(&path).unwrap().next_id, 99);
+        assert_eq!(CheckpointState::load(&path).unwrap().counters.next_id, 99);
         std::fs::remove_file(&path).unwrap();
     }
 

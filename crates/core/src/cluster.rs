@@ -55,7 +55,6 @@
 //! `migration` trace events.
 
 use std::io;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -71,13 +70,15 @@ use rt::net::{Conn, Listener, NetError};
 use rt::obs::{CaptureSink, Event, Level, Obs};
 use rt::rand::rngs::StdRng;
 use rt::rand::{Rng, SeedableRng};
+use rt::sync::channel::Sender;
 
+use crate::engine::WorkerLatency;
 use crate::checkpoint::{genome_from_json, genome_to_json, measurement_from_json, measurement_to_json};
 use crate::fitness::{Objective, ObjectiveSet};
 use crate::genome::CandidateGenome;
 use crate::measurement::{InfeasibleReason, Measurement};
 use crate::space::{HwFamily, SearchSpace};
-use crate::workers::{CodesignEvaluator, Evaluator, HwTarget};
+use crate::workers::{evaluate_caught, CodesignEvaluator, HwTarget};
 
 /// Role string the coordinator announces in its hello.
 pub const COORDINATOR_ROLE: &str = "coordinator";
@@ -137,6 +138,26 @@ pub struct ClusterPlan {
     pub setup: SetupPayload,
 }
 
+impl ClusterPlan {
+    /// Coordinator-observed latency per worker, read from the labeled
+    /// histograms its remote slots record into.
+    pub(crate) fn worker_latency(&self, obs: &Obs) -> Vec<WorkerLatency> {
+        self.options
+            .workers
+            .iter()
+            .map(|addr| {
+                let h = obs.histogram_with("cluster.worker_eval_s", &[("worker", addr.as_str())]);
+                WorkerLatency {
+                    addr: addr.clone(),
+                    jobs: h.count(),
+                    p50_s: h.quantile(0.5),
+                    p95_s: h.quantile(0.95),
+                }
+            })
+            .collect()
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Cluster health
 // ---------------------------------------------------------------------------
@@ -190,16 +211,12 @@ pub struct WorkerHealthSnapshot {
     pub migrants: u64,
 }
 
+/// One worker's live view: its snapshot fields, plus the instant its
+/// last frame arrived (the snapshot reports that as an age).
 #[derive(Debug)]
 struct WorkerHealthCell {
-    addr: String,
-    state: WorkerState,
+    view: WorkerHealthSnapshot,
     last_seen: Option<Instant>,
-    jobs: u64,
-    train_s: f64,
-    hw_s: f64,
-    panics: u64,
-    migrants: u64,
 }
 
 /// Shared per-worker health registry: the engine's remote slots write
@@ -220,14 +237,17 @@ impl ClusterHealth {
                 addrs
                     .iter()
                     .map(|addr| WorkerHealthCell {
-                        addr: addr.clone(),
-                        state: WorkerState::Connecting,
+                        view: WorkerHealthSnapshot {
+                            addr: addr.clone(),
+                            state: WorkerState::Connecting,
+                            last_seen_s: None,
+                            jobs: 0,
+                            train_s: 0.0,
+                            hw_s: 0.0,
+                            panics: 0,
+                            migrants: 0,
+                        },
                         last_seen: None,
-                        jobs: 0,
-                        train_s: 0.0,
-                        hw_s: 0.0,
-                        panics: 0,
-                        migrants: 0,
                     })
                     .collect(),
             ),
@@ -235,19 +255,19 @@ impl ClusterHealth {
         }
     }
 
+    fn cells(&self) -> std::sync::MutexGuard<'_, Vec<WorkerHealthCell>> {
+        self.cells.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
     fn with_cell(&self, slot: usize, f: impl FnOnce(&mut WorkerHealthCell)) {
-        let mut cells = self
-            .cells
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if let Some(cell) = cells.get_mut(slot) {
+        if let Some(cell) = self.cells().get_mut(slot) {
             f(cell);
         }
     }
 
     /// Records a state transition for `slot`.
     pub fn set_state(&self, slot: usize, state: WorkerState) {
-        self.with_cell(slot, |c| c.state = state);
+        self.with_cell(slot, |c| c.view.state = state);
     }
 
     /// Marks a frame received from `slot` now.
@@ -266,11 +286,11 @@ impl ClusterHealth {
         migrants: u64,
     ) {
         self.with_cell(slot, |c| {
-            c.jobs = jobs;
-            c.train_s = train_s;
-            c.hw_s = hw_s;
-            c.panics = panics;
-            c.migrants = migrants;
+            c.view.jobs = jobs;
+            c.view.train_s = train_s;
+            c.view.hw_s = hw_s;
+            c.view.panics = panics;
+            c.view.migrants = migrants;
         });
     }
 
@@ -287,21 +307,11 @@ impl ClusterHealth {
 
     /// Snapshots every worker cell.
     pub fn snapshot(&self) -> Vec<WorkerHealthSnapshot> {
-        let cells = self
-            .cells
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        cells
+        self.cells()
             .iter()
             .map(|c| WorkerHealthSnapshot {
-                addr: c.addr.clone(),
-                state: c.state,
                 last_seen_s: c.last_seen.map(|t| t.elapsed().as_secs_f64()),
-                jobs: c.jobs,
-                train_s: c.train_s,
-                hw_s: c.hw_s,
-                panics: c.panics,
-                migrants: c.migrants,
+                ..c.view.clone()
             })
             .collect()
     }
@@ -467,10 +477,7 @@ fn trainer_from_json(j: &Json) -> Result<TrainConfig, NetError> {
         weight_decay: get_f64(j, "weight_decay")? as f32,
         // Optional for wire compatibility with pre-PR-10 peers; 0
         // leaves the worker's process-wide GEMM setting untouched.
-        gemm_threads: match j.get("gemm_threads") {
-            Some(_) => get_usize(j, "gemm_threads")?,
-            None => 0,
-        },
+        gemm_threads: j.get("gemm_threads").map_or(Ok(0), |_| get_usize(j, "gemm_threads"))?,
     })
 }
 
@@ -689,11 +696,7 @@ impl SetupPayload {
                 .get("profile_clock")
                 .and_then(Json::as_str)
                 .map(str::to_string),
-            stats_every: if j.get("stats_every").is_some() {
-                get_usize(j, "stats_every")?
-            } else {
-                0
-            },
+            stats_every: j.get("stats_every").map_or(Ok(0), |_| get_usize(j, "stats_every"))?,
         };
         Ok((payload, get_u64_hex(j, "stamp")?))
     }
@@ -941,6 +944,357 @@ impl WorkerResponse {
 }
 
 // ---------------------------------------------------------------------------
+// Coordinator side
+// ---------------------------------------------------------------------------
+
+/// An established coordinator-side session with one remote worker.
+struct RemoteSession {
+    conn: Conn,
+    stamp: u64,
+}
+
+/// Out-of-band telemetry context for one remote slot: labeled metric
+/// handles, the shared health registry, and the coordinator profiler
+/// that worker subtrees graft into. Everything absorbed here lands in
+/// read-only side channels (metrics registry, health cells, profile
+/// grafts) — never the trace, the RNG streams, or the ledger — so the
+/// byte-identity contracts are untouched.
+struct SlotTelemetry {
+    addr: String,
+    index: usize,
+    health: Option<Arc<ClusterHealth>>,
+    profiler: Option<rt::prof::Profiler>,
+    /// `cluster.worker_{jobs,train_s,hw_s,panics,migrants}`, in `Stats`
+    /// field order.
+    gauges: [rt::obs::Gauge; 5],
+    latency: rt::obs::HistogramHandle,
+}
+
+impl SlotTelemetry {
+    fn new(addr: String, index: usize, health: Option<Arc<ClusterHealth>>, obs: &Obs) -> Self {
+        let labels: &[(&str, &str)] = &[("worker", addr.as_str())];
+        Self {
+            gauges: ["jobs", "train_s", "hw_s", "panics", "migrants"]
+                .map(|field| obs.gauge_with(&format!("cluster.worker_{field}"), labels)),
+            latency: obs.histogram_with("cluster.worker_eval_s", labels),
+            profiler: obs.profiler(),
+            addr,
+            index,
+            health,
+        }
+    }
+
+    fn set_state(&self, state: WorkerState) {
+        if let Some(h) = &self.health {
+            h.set_state(self.index, state);
+        }
+    }
+
+    fn mark_seen(&self) {
+        if let Some(h) = &self.health {
+            h.mark_seen(self.index);
+        }
+    }
+
+    /// Folds one absorbed `Stats` frame into the telemetry plane:
+    /// labeled gauges, the health cell, and (when both sides profile)
+    /// a replace-by-name graft of the worker's subtree under
+    /// `worker:<addr>` in the master tree.
+    fn absorb(&self, resp: &WorkerResponse) {
+        let WorkerResponse::Stats {
+            jobs,
+            train_s,
+            hw_s,
+            panics,
+            migrants,
+            profile,
+        } = resp
+        else {
+            return;
+        };
+        let values = [*jobs as f64, *train_s, *hw_s, *panics as f64, *migrants as f64];
+        for (gauge, value) in self.gauges.iter().zip(values) {
+            gauge.set(value);
+        }
+        if let Some(h) = &self.health {
+            h.record_stats(self.index, *jobs, *train_s, *hw_s, *panics, *migrants);
+        }
+        self.mark_seen();
+        if let (Some(profiler), Some(p)) = (&self.profiler, profile) {
+            if let Some(node) = rt::prof::ProfileNode::from_json(p) {
+                profiler.attach_subtree(&format!("worker:{}", self.addr), node);
+            }
+        }
+    }
+}
+
+/// How a remote exchange failed, after classification.
+enum RemoteFailure {
+    /// Environment trouble (disconnect, deadline, stale response): the
+    /// job retries through the ledger, the slot reconnects.
+    Transient(String),
+    /// Protocol/version trouble: the worker is unusable; its slot
+    /// retires after reporting the current job transient.
+    Permanent(String),
+}
+
+impl From<NetError> for RemoteFailure {
+    fn from(e: NetError) -> Self {
+        if e.is_transient() {
+            RemoteFailure::Transient(e.to_string())
+        } else {
+            RemoteFailure::Permanent(e.to_string())
+        }
+    }
+}
+
+/// Connects, handshakes, and opens a session with a `setup` frame.
+fn connect_session(
+    addr: &str,
+    plan: &ClusterPlan,
+    stamp: u64,
+) -> Result<RemoteSession, NetError> {
+    let opts = &plan.options;
+    let mut conn = Conn::connect(addr, opts.net_timeout, opts.max_frame)?;
+    conn.set_io_timeout(Some(opts.net_timeout))?;
+    conn.handshake_client(COORDINATOR_ROLE, Some(WORKER_ROLE))?;
+    conn.send(&CoordinatorRequest::Setup(Box::new(plan.setup.clone()), stamp).to_json()?)?;
+    match WorkerResponse::from_json(&conn.recv()?)? {
+        WorkerResponse::Ready { stamp: s } if s == stamp => Ok(RemoteSession { conn, stamp }),
+        other => Err(NetError::Protocol(format!(
+            "expected ready({stamp:016x}), got {other:?}"
+        ))),
+    }
+}
+
+/// The coordinator's end of one remote evaluation slot: a session with
+/// one worker, (re)connected on demand with seeded backoff, and the
+/// evaluate step the engine's slot loop runs. The evaluation crosses a
+/// framed TCP session, the worker's captured evaluation events are
+/// replayed on the coordinator, and network failures come back as
+/// transient verdicts for the ledger's retry machinery.
+pub(crate) struct RemoteSlot<'a> {
+    plan: &'a ClusterPlan,
+    obs: &'a Obs,
+    migrants: &'a Sender<Migrant>,
+    telemetry: SlotTelemetry,
+    session: Option<RemoteSession>,
+    connects: u64,
+    jitter: StdRng,
+}
+
+impl<'a> RemoteSlot<'a> {
+    /// A disconnected slot for worker `index` of `plan`.
+    pub(crate) fn new(
+        plan: &'a ClusterPlan,
+        index: usize,
+        seed: u64,
+        health: Option<Arc<ClusterHealth>>,
+        migrants: &'a Sender<Migrant>,
+        obs: &'a Obs,
+    ) -> Self {
+        let addr = plan.options.workers[index].clone();
+        Self {
+            // Seeded jitter so a cluster's reconnect storms de-correlate
+            // deterministically, per worker (same scheme as the engine's
+            // retry backoff).
+            jitter: StdRng::seed_from_u64(seed ^ addr_salt(&addr) ^ 0xBAC_0FF),
+            telemetry: SlotTelemetry::new(addr, index, health, obs),
+            plan,
+            obs,
+            migrants,
+            session: None,
+            connects: 0,
+        }
+    }
+
+    /// (Re)connects with seeded backoff, bounded by the reconnect
+    /// budget.
+    fn connect(&mut self, slot: usize) -> Result<(), RemoteFailure> {
+        let opts = &self.plan.options;
+        let addr = self.telemetry.addr.as_str();
+        let mut attempt = 0usize;
+        while self.session.is_none() {
+            let stamp = ((slot as u64) << 32) | self.connects;
+            match connect_session(addr, self.plan, stamp) {
+                Ok(s) => {
+                    self.connects += 1;
+                    rt::trace!(
+                        self.obs,
+                        "worker_connected",
+                        addr = addr,
+                        slot = slot,
+                        stamp = format!("{stamp:016x}"),
+                    );
+                    self.telemetry.set_state(WorkerState::Connected);
+                    self.telemetry.mark_seen();
+                    self.session = Some(s);
+                }
+                Err(e) => {
+                    attempt += 1;
+                    rt::warn!(
+                        self.obs,
+                        "worker_connect_failed",
+                        addr = addr,
+                        attempt = attempt,
+                        error = e.to_string(),
+                    );
+                    self.telemetry.set_state(WorkerState::Reconnecting);
+                    if !e.is_transient() || attempt >= opts.connect_retries.max(1) {
+                        return Err(RemoteFailure::Permanent(e.to_string()));
+                    }
+                    let base = opts.reconnect_backoff.as_millis() as u64;
+                    let ceiling = (base << attempt.min(6)).max(1);
+                    std::thread::sleep(Duration::from_millis(
+                        self.jitter.gen_range(base..=base + ceiling),
+                    ));
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// One evaluate/evaluated exchange, (re)connecting first if needed;
+    /// returns the verdict and whether it panicked worker-side.
+    /// Responses whose id or stamp does not match the outstanding job
+    /// are *stale* — fenced here (below the ledger's own id fencing) and
+    /// classified transient so the connection resyncs.
+    fn exchange(
+        &mut self,
+        slot: usize,
+        id: usize,
+        genome: &CandidateGenome,
+    ) -> Result<(Measurement, bool), RemoteFailure> {
+        self.connect(slot)?;
+        let session = self.session.as_mut().expect("connected");
+        let request = CoordinatorRequest::Evaluate {
+            id: id as u64,
+            stamp: session.stamp,
+            genome: genome.clone(),
+        };
+        session.conn.send(&request.to_json()?)?;
+        // Workers piggyback cumulative `Stats` frames on the session;
+        // absorb any that precede the answer (telemetry is out-of-band, so
+        // this never changes what the ledger sees).
+        let frame = loop {
+            let frame = session.conn.recv()?;
+            if let Ok(stats @ WorkerResponse::Stats { .. }) = WorkerResponse::from_json(&frame) {
+                self.telemetry.absorb(&stats);
+                continue;
+            }
+            break frame;
+        };
+        match WorkerResponse::from_json(&frame)? {
+            WorkerResponse::Evaluated {
+                id: rid,
+                stamp,
+                measurement,
+                panicked,
+                events,
+                migrants,
+            } => {
+                if rid != id as u64 || stamp != session.stamp {
+                    rt::warn!(
+                        self.obs,
+                        "stale_remote_result",
+                        id = rid as usize,
+                        expected = id,
+                        stamp = format!("{stamp:016x}"),
+                    );
+                    return Err(RemoteFailure::Transient(format!(
+                        "stale response for job {rid} (wanted {id})"
+                    )));
+                }
+                self.telemetry.mark_seen();
+                // Replay the worker's captured evaluation events inside
+                // the slot's span, so the coordinator's JSONL is
+                // byte-identical to a local run's.
+                for event in events {
+                    self.obs.emit_event(event);
+                }
+                for (genome, measurement) in migrants {
+                    let _ = self.migrants.send(Migrant {
+                        slot,
+                        genome,
+                        measurement,
+                    });
+                }
+                Ok((measurement, panicked))
+            }
+            other => Err(RemoteFailure::Transient(format!(
+                "expected evaluated, got {other:?}"
+            ))),
+        }
+    }
+
+    /// Evaluates job `id` on the worker from supervisor slot `slot`.
+    /// Returns the verdict, whether it panicked worker-side, and whether
+    /// the worker is gone for good: its reconnect budget ran out, or it
+    /// spoke a protocol this coordinator cannot.
+    pub(crate) fn evaluate(
+        &mut self,
+        slot: usize,
+        id: usize,
+        genome: &CandidateGenome,
+    ) -> (Measurement, bool, bool) {
+        let started = Instant::now();
+        let outcome = self.exchange(slot, id, genome);
+        let addr = self.telemetry.addr.as_str();
+        let (reason, lost) = match outcome {
+            Ok((m, panicked)) => {
+                self.telemetry.latency.record(started.elapsed().as_secs_f64());
+                return (m, panicked, false);
+            }
+            Err(RemoteFailure::Transient(reason)) => {
+                rt::trace!(
+                    self.obs,
+                    "worker_disconnected",
+                    addr = addr,
+                    error = reason.as_str(),
+                );
+                self.telemetry.set_state(WorkerState::Reconnecting);
+                (format!("net: {reason}"), false)
+            }
+            Err(RemoteFailure::Permanent(reason)) => {
+                rt::warn!(self.obs, "worker_lost", addr = addr, error = reason.as_str());
+                self.telemetry.set_state(WorkerState::Lost);
+                (format!("worker lost: {reason}"), true)
+            }
+        };
+        self.session = None;
+        let mut m = Measurement::infeasible(InfeasibleReason::Transient(reason));
+        m.eval_time_s = started.elapsed().as_secs_f64();
+        (m, false, lost)
+    }
+
+    /// Best-effort `kill_all` on the open session, if any: the worker's
+    /// listen loop exits once the coordinator is done with it. The
+    /// worker sends a final cumulative `Stats` frame (its complete
+    /// profile subtree) before `Bye`; absorb it so short runs still
+    /// graft every worker's tree into the master profile.
+    pub(crate) fn close(&mut self) {
+        let Some(mut session) = self.session.take() else {
+            return;
+        };
+        let Ok(request) = CoordinatorRequest::KillAll.to_json() else {
+            return;
+        };
+        if session.conn.send(&request).is_err() {
+            return;
+        }
+        // Bounded drain: Bye, or a dead peer — either way done.
+        for _ in 0..8 {
+            let Ok(frame) = session.conn.recv() else { break };
+            match WorkerResponse::from_json(&frame) {
+                Ok(stats @ WorkerResponse::Stats { .. }) => self.telemetry.absorb(&stats),
+                Ok(WorkerResponse::Bye) | Err(_) => break,
+                Ok(_) => {} // stale frame; keep draining
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Worker server
 // ---------------------------------------------------------------------------
 
@@ -1036,8 +1390,7 @@ impl Island {
         let mut migrants = Vec::new();
         for _ in 0..self.k {
             let child = self.breed();
-            let m = catch_unwind(AssertUnwindSafe(|| evaluator.evaluate(&child)))
-                .unwrap_or_else(|_| Measurement::infeasible(InfeasibleReason::WorkerPanic));
+            let (m, _) = evaluate_caught(evaluator, &child);
             self.observe(&child, &m);
             if m.hw.is_feasible() {
                 migrants.push((child, m));
@@ -1112,20 +1465,11 @@ impl WorkerSession {
     }
 
     fn evaluate(&mut self, id: u64, stamp: u64, genome: &CandidateGenome) -> WorkerResponse {
-        let started = Instant::now();
         // Ambient install: kernel/model `prof_span!`s inside the
         // evaluator nest under an `evaluate` phase of the session tree.
         let install = self.profiler.as_ref().map(rt::prof::Profiler::install);
         let eval_span = self.profiler.as_ref().map(|p| p.enter("evaluate"));
-        let (measurement, panicked) =
-            match catch_unwind(AssertUnwindSafe(|| self.evaluator.evaluate(genome))) {
-                Ok(m) => (m, false),
-                Err(_) => {
-                    let mut m = Measurement::infeasible(InfeasibleReason::WorkerPanic);
-                    m.eval_time_s = started.elapsed().as_secs_f64();
-                    (m, true)
-                }
-            };
+        let (measurement, panicked) = evaluate_caught(&self.evaluator, genome);
         drop(eval_span);
         // The job's own events, drained before any island work so
         // island-local evaluations never leak into the replay stream.
@@ -1251,11 +1595,7 @@ impl WorkerServer {
             };
             rt::info!(self.obs, "session_accept", peer = peer.to_string());
             let end = Conn::from_stream(stream, self.options.max_frame, Some(self.options.io_timeout))
-                .map_err(|e| (e, SessionEnd::Disconnected))
-                .and_then(|mut conn| match self.serve_session(&mut conn) {
-                    Ok(end) => Ok(end),
-                    Err(e) => Err((e, SessionEnd::Disconnected)),
-                });
+                .and_then(|mut conn| self.serve_session(&mut conn));
             match end {
                 Ok(SessionEnd::Killed) => {
                     rt::info!(self.obs, "worker_killed");
@@ -1264,7 +1604,7 @@ impl WorkerServer {
                 Ok(SessionEnd::Disconnected) => {
                     rt::info!(self.obs, "session_end", reason = "disconnect");
                 }
-                Err((e, _)) => {
+                Err(e) => {
                     rt::warn!(
                         self.obs,
                         "session_error",
@@ -1344,11 +1684,9 @@ impl WorkerServer {
                     }
                 }
                 CoordinatorRequest::Purge => {
-                    if let Some(s) = session.as_mut() {
-                        if let Some(island) = s.island.as_mut() {
-                            island.elites.clear();
-                            island.jobs_since = 0;
-                        }
+                    if let Some(island) = session.as_mut().and_then(|s| s.island.as_mut()) {
+                        island.elites.clear();
+                        island.jobs_since = 0;
                     }
                     rt::info!(self.obs, "session_purge");
                     conn.send(&WorkerResponse::Purged.to_json())?;
@@ -1380,7 +1718,7 @@ pub fn run_worker(addr: &str, options: WorkerOptions, obs: Obs) -> io::Result<()
 
 /// FNV-1a over an address string — the per-worker salt for seeded
 /// reconnect backoff jitter.
-pub(crate) fn addr_salt(addr: &str) -> u64 {
+fn addr_salt(addr: &str) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for b in addr.as_bytes() {
         h ^= *b as u64;
@@ -1393,6 +1731,7 @@ pub(crate) fn addr_salt(addr: &str) -> u64 {
 mod tests {
     use super::*;
     use crate::space::SearchSpace;
+    use crate::workers::Evaluator;
     use ecad_dataset::synth::SyntheticSpec;
 
     fn tiny_dataset(seed: u64) -> Dataset {

@@ -210,13 +210,56 @@ fn get_parse<T: std::str::FromStr>(
     }
 }
 
+/// Like [`get_parse`], but also rejects a file value `ok` refuses.
+fn get_checked<T: std::str::FromStr>(
+    section: &SpannedSection,
+    key: &str,
+    default: T,
+    ok: impl Fn(&T) -> bool,
+) -> Result<T, ConfigError> {
+    let value = get_parse(section, key, default)?;
+    match section.get(key) {
+        Some((raw, line)) if !ok(&value) => Err(ConfigError::BadValue {
+            key: key.to_string(),
+            value: raw.clone(),
+            line: *line,
+        }),
+        _ => Ok(value),
+    }
+}
+
+/// Rejects a `(min, max)` bound pair with `min > max`, naming whichever
+/// of the two keys the file set last (the defaults are ordered, so a
+/// disordered pair always has one key set).
+fn check_bounds(
+    section: &SpannedSection,
+    (lo_key, lo): (&str, usize),
+    (hi_key, hi): (&str, usize),
+) -> Result<(), ConfigError> {
+    if lo <= hi {
+        return Ok(());
+    }
+    let (key, (value, line)) = [lo_key, hi_key]
+        .into_iter()
+        .filter_map(|k| section.get(k).map(|v| (k, v)))
+        .max_by_key(|(_, (_, line))| *line)
+        .expect("default bounds are ordered");
+    Err(ConfigError::BadValue {
+        key: key.to_string(),
+        value: value.clone(),
+        line: *line,
+    })
+}
+
 impl FlowConfig {
     /// Parses a configuration file's text.
     ///
     /// # Errors
     ///
-    /// Returns [`ConfigError`] on syntax errors, unparseable values,
-    /// unknown devices, or mismatched objective/weight lists.
+    /// Returns [`ConfigError`] on syntax errors, unparseable or
+    /// out-of-range values, unknown devices, or mismatched
+    /// objective/weight lists. Every accepted configuration can build
+    /// an engine and sample its search space.
     pub fn from_ini(text: &str) -> Result<Self, ConfigError> {
         let ini = parse_ini_spanned(text)?;
         let empty = SpannedSection::new();
@@ -265,18 +308,23 @@ impl FlowConfig {
             HwFamily::Fpga => SearchSpace::fpga_default(),
             HwFamily::Gpu => SearchSpace::gpu_default(),
         };
+        let positive = |n: &usize| *n > 0;
         space.min_layers = get_parse(nna, "min_layers", space.min_layers)?;
-        space.max_layers = get_parse(nna, "max_layers", space.max_layers)?;
-        space.min_neurons = get_parse(nna, "min_neurons", space.min_neurons)?;
+        space.max_layers = get_checked(nna, "max_layers", space.max_layers, positive)?;
+        space.min_neurons = get_checked(nna, "min_neurons", space.min_neurons, positive)?;
         space.max_neurons = get_parse(nna, "max_neurons", space.max_neurons)?;
+        check_bounds(nna, ("min_layers", space.min_layers), ("max_layers", space.max_layers))?;
+        check_bounds(nna, ("min_neurons", space.min_neurons), ("max_neurons", space.max_neurons))?;
 
         let mut evolution = EvolutionConfig::small();
-        evolution.population = get_parse(opt, "population", evolution.population)?;
-        evolution.evaluations = get_parse(opt, "evaluations", evolution.evaluations)?;
-        evolution.tournament = get_parse(opt, "tournament", evolution.tournament)?;
-        evolution.crossover_rate = get_parse(opt, "crossover_rate", evolution.crossover_rate)?;
+        evolution.population = get_checked(opt, "population", evolution.population, positive)?;
+        evolution.evaluations = get_checked(opt, "evaluations", evolution.evaluations, positive)?;
+        evolution.tournament = get_checked(opt, "tournament", evolution.tournament, positive)?;
+        evolution.crossover_rate = get_checked(opt, "crossover_rate", evolution.crossover_rate, |r| {
+            (0.0..=1.0).contains(r)
+        })?;
         evolution.seed = get_parse(opt, "seed", evolution.seed)?;
-        evolution.threads = get_parse(opt, "threads", evolution.threads)?;
+        evolution.threads = get_checked(opt, "threads", evolution.threads, positive)?;
         if let Some((sel, line)) = opt.get("selection") {
             evolution.selection = match sel.as_str() {
                 "scalar" | "weighted" => crate::engine::SelectionMode::WeightedScalar,
@@ -294,25 +342,9 @@ impl FlowConfig {
         // Fault tolerance: a per-evaluation deadline (seconds; 0 or
         // absent disables it), the transient-failure retry budget, and
         // the base backoff between retries.
-        if let Some((v, line)) = opt.get("eval_timeout_s") {
-            let secs: f64 = v.parse().map_err(|_| ConfigError::BadValue {
-                key: "eval_timeout_s".to_string(),
-                value: v.clone(),
-                line: *line,
-            })?;
-            if !secs.is_finite() || secs < 0.0 {
-                return Err(ConfigError::BadValue {
-                    key: "eval_timeout_s".to_string(),
-                    value: v.clone(),
-                    line: *line,
-                });
-            }
-            evolution.eval_timeout = if secs > 0.0 {
-                Some(std::time::Duration::from_secs_f64(secs))
-            } else {
-                None
-            };
-        }
+        let non_negative = |x: &f64| x.is_finite() && *x >= 0.0;
+        let secs = get_checked(opt, "eval_timeout_s", 0.0, non_negative)?;
+        evolution.eval_timeout = (secs > 0.0).then(|| std::time::Duration::from_secs_f64(secs));
         evolution.max_retries = get_parse(opt, "max_retries", evolution.max_retries)?;
 
         // Search-observatory analytics: the epoch cadence (evaluations
@@ -322,21 +354,12 @@ impl FlowConfig {
             get_parse(opt, "epoch_size", evolution.analytics.epoch_size)?;
         evolution.analytics.stall_window =
             get_parse(opt, "stall_window", evolution.analytics.stall_window)?;
-        if let Some((v, line)) = opt.get("stall_epsilon") {
-            let eps: f64 = v.parse().map_err(|_| ConfigError::BadValue {
-                key: "stall_epsilon".to_string(),
-                value: v.clone(),
-                line: *line,
-            })?;
-            if !eps.is_finite() || eps < 0.0 {
-                return Err(ConfigError::BadValue {
-                    key: "stall_epsilon".to_string(),
-                    value: v.clone(),
-                    line: *line,
-                });
-            }
-            evolution.analytics.stall_epsilon = eps;
-        }
+        evolution.analytics.stall_epsilon = get_checked(
+            opt,
+            "stall_epsilon",
+            evolution.analytics.stall_epsilon,
+            non_negative,
+        )?;
         let backoff_ms: u64 = get_parse(
             opt,
             "retry_backoff_ms",
@@ -596,6 +619,42 @@ gemm_threads = 4
         assert!(
             matches!(err, ConfigError::BadValue { ref key, line: 2, .. } if key == "stall_epsilon")
         );
+    }
+
+    #[test]
+    fn out_of_range_values_are_rejected_with_key_and_line() {
+        // (file text, the key the error must name, that key's line)
+        let cases = [
+            ("[optimization]\ncrossover_rate = 1.5\n", "crossover_rate", 2),
+            ("[optimization]\ncrossover_rate = nan\n", "crossover_rate", 2),
+            ("[optimization]\ncrossover_rate = -0.5\n", "crossover_rate", 2),
+            ("[optimization]\npopulation = 0\n", "population", 2),
+            ("[optimization]\nevaluations = 0\n", "evaluations", 2),
+            ("[optimization]\ntournament = 0\n", "tournament", 2),
+            ("[optimization]\nthreads = 0\n", "threads", 2),
+            ("[nna]\nmin_layers = 3\nmax_layers = 1\n", "max_layers", 3),
+            ("[nna]\nmax_layers = 1\nmin_layers = 3\n", "min_layers", 3),
+            ("[nna]\nmin_neurons = 50\nmax_neurons = 4\n", "max_neurons", 3),
+            ("[nna]\nmin_neurons = 600\n", "min_neurons", 2),
+            ("[nna]\nmax_layers = 0\n", "max_layers", 2),
+            ("[nna]\nmin_neurons = 0\n", "min_neurons", 2),
+        ];
+        for (text, key, line) in cases {
+            match FlowConfig::from_ini(text) {
+                Err(ConfigError::BadValue { key: k, line: l, .. }) => {
+                    assert_eq!((k.as_str(), l), (key, line), "{text:?}")
+                }
+                other => panic!("{text:?} was not rejected: {other:?}"),
+            }
+        }
+        // The boundaries themselves stay valid.
+        let edge = FlowConfig::from_ini(
+            "[nna]\nmin_layers = 2\nmax_layers = 2\nmin_neurons = 8\nmax_neurons = 8\n\
+             [optimization]\ncrossover_rate = 1\npopulation = 1\ntournament = 1\n",
+        )
+        .unwrap();
+        assert_eq!((edge.space.max_layers, edge.space.min_neurons), (2, 8));
+        assert_eq!(edge.evolution.crossover_rate, 1.0);
     }
 
     #[test]

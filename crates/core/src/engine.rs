@@ -36,30 +36,29 @@
 //! arrival order feeds back into breeding).
 
 use std::collections::{HashMap, VecDeque};
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use rt::net::{Conn, NetError};
-use rt::obs::Obs;
+use rt::obs::{Counter, HistogramHandle, Obs};
 use rt::rand::rngs::StdRng;
 use rt::rand::{Rng, RngCore, SeedableRng};
-use rt::supervise::{ShutdownFlag, Supervisor};
-use rt::sync::channel::{self, Receiver, RecvTimeoutError, Sender};
+use rt::supervise::{ShutdownFlag, SlotCtx, Supervisor};
+use rt::sync::channel::{self, Receiver, Sender};
 
-use crate::analytics::{AnalyticsConfig, EpochTracker, OperatorKind, StatusCell};
-use crate::checkpoint::{CheckpointError, CheckpointPolicy, CheckpointState, PendingJob};
-use crate::cluster::{
-    addr_salt, ClusterHealth, ClusterPlan, CoordinatorRequest, Migrant, WorkerResponse,
-    WorkerState, COORDINATOR_ROLE, WORKER_ROLE,
+use crate::analytics::{
+    register_epoch_metrics, AnalyticsConfig, EpochTracker, OperatorKind, StatusCell,
 };
+use crate::checkpoint::{
+    CheckpointError, CheckpointPolicy, CheckpointState, PendingJob, RunCounters,
+};
+use crate::cluster::{ClusterHealth, ClusterPlan, Migrant, RemoteSlot};
 use crate::fitness::ObjectiveSet;
 use crate::genome::CandidateGenome;
 use crate::measurement::{FailureKind, InfeasibleReason, Measurement};
 use crate::protocol::{DispatchLedger, ResultClass};
 use crate::space::SearchSpace;
-use crate::workers::Evaluator;
+use crate::workers::{evaluate_caught, Evaluator};
 
 /// How the steady-state loop selects survivors.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -221,12 +220,17 @@ pub struct EngineOutcome {
 impl EngineOutcome {
     /// The member with the highest scalar fitness.
     pub fn best(&self) -> Option<&Evaluated> {
-        self.trace.iter().max_by(|a, b| {
-            a.fitness
-                .partial_cmp(&b.fitness)
-                .unwrap_or(std::cmp::Ordering::Equal)
-        })
+        self.trace.iter().max_by(|a, b| by_fitness(a, b))
     }
+}
+
+/// Orders candidates by scalar fitness, treating incomparable values as
+/// equal (so `max_by` keeps the last of tied picks and `min_by` the
+/// first).
+fn by_fitness(a: &Evaluated, b: &Evaluated) -> std::cmp::Ordering {
+    a.fitness
+        .partial_cmp(&b.fitness)
+        .unwrap_or(std::cmp::Ordering::Equal)
 }
 
 /// The steady-state evolutionary engine.
@@ -253,22 +257,12 @@ type JobPayload = (CandidateGenome, OperatorKind);
 /// with virtual-time ticks).
 type EngineLedger = DispatchLedger<JobPayload, Instant>;
 
-/// The master loop's mutable scalars, grouped so checkpoints can
-/// snapshot them in one place.
-#[derive(Default, Clone, Copy)]
-struct Counters {
-    submitted_unique: usize,
-    attempts: usize,
-    next_id: usize,
-    cache_hits: usize,
-    infeasible_count: usize,
-    retry_count: usize,
-    timeout_count: usize,
-    respawn_count: usize,
-    total_eval_time: f64,
-    train_time: f64,
-    hw_time: f64,
-}
+/// A job on a slot queue: dispatch id and candidate.
+type Job = (usize, CandidateGenome);
+
+/// A slot's answer: dispatch id and verdict (the ledger holds the
+/// candidate).
+type Reply = (usize, Measurement);
 
 /// Deterministic jittered exponential backoff: base × 2^(attempt−1),
 /// scaled by a factor in [0.5, 1.5) drawn from an RNG seeded by the
@@ -285,580 +279,753 @@ fn backoff_delay(cfg: &EvolutionConfig, key: u64, attempt: usize) -> Duration {
     base.mul_f64(factor)
 }
 
-/// Snapshots the master loop into a serializable [`CheckpointState`].
-/// In-flight and retry-queued work lands in `pending` so nothing is
-/// lost; with one thread both are empty at every admit boundary.
-#[allow(clippy::too_many_arguments)]
-fn build_checkpoint(
-    cfg: &EvolutionConfig,
-    rng: &StdRng,
-    c: &Counters,
-    op_counters: [(u64, u64); 4],
-    wall_time_s: f64,
-    seeds: &[CandidateGenome],
-    population: &[Evaluated],
-    trace: &[Evaluated],
-    cache: &HashMap<u64, Measurement>,
-    ledger: &EngineLedger,
-    pending_restore: &VecDeque<PendingJob>,
-) -> CheckpointState {
-    let (rng_state, rng_inc) = rng.raw_state();
-    let pairs = |v: &[Evaluated]| {
-        v.iter()
-            .map(|e| (e.genome.clone(), e.measurement.clone()))
-            .collect()
-    };
-    let mut cache_entries: Vec<(u64, Measurement)> =
-        cache.iter().map(|(&k, m)| (k, m.clone())).collect();
-    cache_entries.sort_by_key(|&(k, _)| k);
-    // The ledger yields in-flight jobs in id order, then queued
-    // retries in FIFO order — the same deterministic layout the
-    // hand-rolled snapshot produced.
-    let pending = ledger
-        .pending_jobs()
-        .into_iter()
-        .map(|(attempt, (genome, op))| PendingJob {
-            attempt,
-            genome: genome.clone(),
-            op: *op,
-        })
-        .chain(pending_restore.iter().cloned())
-        .collect();
-    CheckpointState {
-        version: crate::checkpoint::FORMAT_VERSION,
-        seed: cfg.seed,
-        evaluations: cfg.evaluations,
-        population_cap: cfg.population,
-        rng_state,
-        rng_inc,
-        submitted_unique: c.submitted_unique,
-        attempts: c.attempts,
-        next_id: c.next_id,
-        cache_hits: c.cache_hits,
-        infeasible_count: c.infeasible_count,
-        retry_count: c.retry_count,
-        timeout_count: c.timeout_count,
-        respawn_count: c.respawn_count,
-        op_counters,
-        total_eval_time_s: c.total_eval_time,
-        train_time_s: c.train_time,
-        hw_time_s: c.hw_time,
-        wall_time_s,
-        seeds_remaining: seeds.to_vec(),
-        population: pairs(population),
-        trace: pairs(trace),
-        cache: cache_entries,
-        pending,
-    }
-}
-
-/// Writes a checkpoint, downgrading failure to a warning event — a
-/// full disk must not kill a search that is otherwise healthy. The
-/// status cell learns about successful writes so `/status` can report
-/// checkpoint age.
-fn save_checkpoint(
-    policy: &CheckpointPolicy,
-    state: &CheckpointState,
+/// The job loop every evaluation slot runs, local or remote: receive,
+/// claim, evaluate inside an `evaluate` span, release, send. `evaluate`
+/// returns the verdict, whether the evaluation panicked, and whether
+/// the slot must retire once the verdict is sent. A `detached` span
+/// never enters the profiler (see [`Obs::span_detached`]). Returns
+/// `true` when the slot retired; `false` when its queue closed, the
+/// master hung up, or its generation went stale.
+fn slot_loop(
+    ctx: &SlotCtx,
+    jobs: &Receiver<Job>,
+    results: &Sender<Reply>,
     obs: &Obs,
-    status: &StatusCell,
-) {
-    match state.save(&policy.path) {
-        Ok(()) => {
-            status.note_checkpoint();
-            rt::trace!(
-                obs,
-                "checkpoint",
-                evaluations_done = state.trace.len(),
-                path = policy.path.display().to_string(),
-            );
-        }
-        Err(e) => rt::warn!(obs, "checkpoint_error", error = e.to_string()),
-    }
-}
-
-/// Spawns one local in-process evaluation slot. Used for every slot of
-/// a non-cluster run, and again mid-run when a cluster run loses its
-/// last remote worker and degrades to local evaluation.
-fn spawn_local_slot(
-    supervisor: &mut Supervisor,
-    req_rx: Receiver<(usize, CandidateGenome)>,
-    res_tx: Sender<(usize, CandidateGenome, Measurement)>,
-    evaluator: Arc<dyn Evaluator>,
-    obs: Obs,
-) {
-    supervisor.spawn(move |ctx| {
-        // Kernel-level prof_span! sites (gemm, activation, …)
-        // inside the evaluator record under the engine's tree.
-        let _prof_install = obs.profiler().map(|p| p.install());
-        loop {
-            let (id, genome) = match req_rx.recv() {
-                Ok(job) => job,
-                Err(_) => return,
-            };
-            ctx.claim(id as u64);
-            let started = Instant::now();
-            let m = {
-                let _span = rt::span!(obs, "evaluate", worker = ctx.slot(), id = id);
-                catch_unwind(AssertUnwindSafe(|| evaluator.evaluate(&genome))).unwrap_or_else(
-                    |_| {
-                        rt::warn!(
-                            obs,
-                            "infeasible",
-                            stage = "worker",
-                            reason = InfeasibleReason::WorkerPanic.kind(),
-                        );
-                        let mut m = Measurement::infeasible(InfeasibleReason::WorkerPanic);
-                        // The failed attempt consumed real wall
-                        // clock; Table III's totals must include it.
-                        m.eval_time_s = started.elapsed().as_secs_f64();
-                        m
-                    },
-                )
-            };
-            ctx.release(id as u64);
-            if res_tx.send((id, genome, m)).is_err() || !ctx.is_current() {
-                return;
-            }
-        }
-    });
-}
-
-/// An established coordinator-side session with one remote worker.
-struct RemoteSession {
-    conn: Conn,
-    stamp: u64,
-}
-
-impl RemoteSession {
-    /// Best-effort `kill_all` on shutdown: the worker's listen loop
-    /// exits once the coordinator is done with it. The worker sends a
-    /// final cumulative `Stats` frame (its complete profile subtree)
-    /// before `Bye`; absorb it so short runs still graft every
-    /// worker's tree into the master profile.
-    fn kill(mut self, telemetry: &SlotTelemetry) {
-        if let Ok(req) = CoordinatorRequest::KillAll.to_json() {
-            if self.conn.send(&req).is_ok() {
-                // Bounded drain: Bye, or a dead peer — either way done.
-                for _ in 0..8 {
-                    let Ok(frame) = self.conn.recv() else { break };
-                    match WorkerResponse::from_json(&frame) {
-                        Ok(stats @ WorkerResponse::Stats { .. }) => telemetry.absorb(&stats),
-                        Ok(WorkerResponse::Bye) | Err(_) => break,
-                        Ok(_) => {} // stale frame; keep draining
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Out-of-band telemetry context for one remote slot: labeled metric
-/// handles, the shared health registry, and the coordinator profiler
-/// that worker subtrees graft into. Everything absorbed here lands in
-/// read-only side channels (metrics registry, health cells, profile
-/// grafts) — never the trace, the RNG streams, or the ledger — so the
-/// byte-identity contracts are untouched.
-struct SlotTelemetry {
-    addr: String,
-    index: usize,
-    health: Option<Arc<ClusterHealth>>,
-    profiler: Option<rt::prof::Profiler>,
-    jobs: rt::obs::Gauge,
-    train_s: rt::obs::Gauge,
-    hw_s: rt::obs::Gauge,
-    panics: rt::obs::Gauge,
-    migrants: rt::obs::Gauge,
-    latency: rt::obs::HistogramHandle,
-}
-
-impl SlotTelemetry {
-    fn new(addr: String, index: usize, health: Option<Arc<ClusterHealth>>, obs: &Obs) -> Self {
-        let labels: &[(&str, &str)] = &[("worker", addr.as_str())];
-        Self {
-            jobs: obs.gauge_with("cluster.worker_jobs", labels),
-            train_s: obs.gauge_with("cluster.worker_train_s", labels),
-            hw_s: obs.gauge_with("cluster.worker_hw_s", labels),
-            panics: obs.gauge_with("cluster.worker_panics", labels),
-            migrants: obs.gauge_with("cluster.worker_migrants", labels),
-            latency: obs.histogram_with("cluster.worker_eval_s", labels),
-            profiler: obs.profiler(),
-            addr,
-            index,
-            health,
-        }
-    }
-
-    fn set_state(&self, state: WorkerState) {
-        if let Some(h) = &self.health {
-            h.set_state(self.index, state);
-        }
-    }
-
-    fn mark_seen(&self) {
-        if let Some(h) = &self.health {
-            h.mark_seen(self.index);
-        }
-    }
-
-    /// Folds one absorbed `Stats` frame into the telemetry plane:
-    /// labeled gauges, the health cell, and (when both sides profile)
-    /// a replace-by-name graft of the worker's subtree under
-    /// `worker:<addr>` in the master tree.
-    fn absorb(&self, resp: &WorkerResponse) {
-        let WorkerResponse::Stats {
-            jobs,
-            train_s,
-            hw_s,
-            panics,
-            migrants,
-            profile,
-        } = resp
-        else {
-            return;
-        };
-        self.jobs.set(*jobs as f64);
-        self.train_s.set(*train_s);
-        self.hw_s.set(*hw_s);
-        self.panics.set(*panics as f64);
-        self.migrants.set(*migrants as f64);
-        if let Some(h) = &self.health {
-            h.record_stats(self.index, *jobs, *train_s, *hw_s, *panics, *migrants);
-        }
-        self.mark_seen();
-        if let (Some(profiler), Some(p)) = (&self.profiler, profile) {
-            if let Some(node) = rt::prof::ProfileNode::from_json(p) {
-                profiler.attach_subtree(&format!("worker:{}", self.addr), node);
-            }
-        }
-    }
-}
-
-/// How a remote exchange failed, after classification.
-enum RemoteFailure {
-    /// Environment trouble (disconnect, deadline, stale response): the
-    /// job retries through the ledger, the slot reconnects.
-    Transient(String),
-    /// Protocol/version trouble: the worker is unusable; its slot
-    /// retires after reporting the current job transient.
-    Permanent(String),
-}
-
-impl From<NetError> for RemoteFailure {
-    fn from(e: NetError) -> Self {
-        if e.is_transient() {
-            RemoteFailure::Transient(e.to_string())
+    detached: bool,
+    mut evaluate: impl FnMut(usize, &CandidateGenome) -> (Measurement, bool, bool),
+) -> bool {
+    while let Ok((id, genome)) = jobs.recv() {
+        ctx.claim(id as u64);
+        let span = if detached {
+            rt::span_detached!(obs, "evaluate", worker = ctx.slot(), id = id)
         } else {
-            RemoteFailure::Permanent(e.to_string())
+            rt::span!(obs, "evaluate", worker = ctx.slot(), id = id)
+        };
+        let (m, panicked, retire) = evaluate(id, &genome);
+        if panicked {
+            let reason = InfeasibleReason::WorkerPanic.kind();
+            rt::warn!(obs, "infeasible", stage = "worker", reason = reason);
+        }
+        drop(span);
+        ctx.release(id as u64);
+        if results.send((id, m)).is_err() || !ctx.is_current() {
+            return false;
+        }
+        if retire {
+            return true;
         }
     }
+    false
 }
 
-/// Connects, handshakes, and opens a session with a `setup` frame.
-fn connect_session(
-    addr: &str,
-    plan: &ClusterPlan,
-    stamp: u64,
-) -> Result<RemoteSession, NetError> {
-    let opts = &plan.options;
-    let mut conn = Conn::connect(addr, opts.net_timeout, opts.max_frame)?;
-    conn.set_io_timeout(Some(opts.net_timeout))?;
-    conn.handshake_client(COORDINATOR_ROLE, Some(WORKER_ROLE))?;
-    conn.send(&CoordinatorRequest::Setup(Box::new(plan.setup.clone()), stamp).to_json()?)?;
-    match WorkerResponse::from_json(&conn.recv()?)? {
-        WorkerResponse::Ready { stamp: s } if s == stamp => Ok(RemoteSession { conn, stamp }),
-        other => Err(NetError::Protocol(format!(
-            "expected ready({stamp:016x}), got {other:?}"
-        ))),
-    }
-}
-
-/// One evaluate/evaluated exchange on an open session. Responses whose
-/// id or stamp does not match the outstanding job are *stale* — fenced
-/// here (below the ledger's own id fencing) and classified transient so
-/// the connection resyncs.
-#[allow(clippy::type_complexity)]
-fn remote_exchange(
-    session: &mut RemoteSession,
-    id: usize,
-    genome: &CandidateGenome,
-    obs: &Obs,
-    telemetry: &SlotTelemetry,
-) -> Result<
-    (
-        Measurement,
-        bool,
-        Vec<rt::obs::Event>,
-        Vec<(CandidateGenome, Measurement)>,
-    ),
-    RemoteFailure,
-> {
-    session.conn.send(
-        &CoordinatorRequest::Evaluate {
-            id: id as u64,
-            stamp: session.stamp,
-            genome: genome.clone(),
-        }
-        .to_json()
-        .map_err(RemoteFailure::from)?,
-    )
-    .map_err(RemoteFailure::from)?;
-    // Workers piggyback cumulative `Stats` frames on the session;
-    // absorb any that precede the answer (telemetry is out-of-band, so
-    // this never changes what the ledger sees).
-    let frame = loop {
-        let frame = session.conn.recv().map_err(RemoteFailure::from)?;
-        if let Ok(stats @ WorkerResponse::Stats { .. }) = WorkerResponse::from_json(&frame) {
-            telemetry.absorb(&stats);
-            continue;
-        }
-        break frame;
-    };
-    match WorkerResponse::from_json(&frame).map_err(RemoteFailure::from)? {
-        WorkerResponse::Evaluated {
-            id: rid,
-            stamp,
-            measurement,
-            panicked,
-            events,
-            migrants,
-        } => {
-            if rid != id as u64 || stamp != session.stamp {
-                rt::warn!(
-                    obs,
-                    "stale_remote_result",
-                    id = rid as usize,
-                    expected = id,
-                    stamp = format!("{stamp:016x}"),
-                );
-                return Err(RemoteFailure::Transient(format!(
-                    "stale response for job {rid} (wanted {id})"
-                )));
-            }
-            Ok((measurement, panicked, events, migrants))
-        }
-        other => Err(RemoteFailure::Transient(format!(
-            "expected evaluated, got {other:?}"
-        ))),
-    }
-}
-
-/// Spawns a remote evaluation slot bound to one worker address. The
-/// slot mirrors the local body exactly — same claim/span/release/send
-/// choreography, same `ecad_core::engine` event target — but the
-/// evaluation crosses a framed TCP session, the worker's captured
-/// evaluation events are replayed inside the coordinator's own
-/// `evaluate` span, and network failures surface as transient
-/// measurements for the ledger's retry machinery.
-#[allow(clippy::too_many_arguments)]
-fn spawn_remote_slot(
-    supervisor: &mut Supervisor,
-    addr: String,
-    plan: ClusterPlan,
-    seed: u64,
-    index: usize,
-    req_rx: Receiver<(usize, CandidateGenome)>,
-    forward: Sender<(usize, CandidateGenome)>,
-    res_tx: Sender<(usize, CandidateGenome, Measurement)>,
-    mig_tx: Sender<Migrant>,
-    live: Arc<AtomicUsize>,
+/// The evaluation slots and the channels the master drives them
+/// through. Slots live in `rt::supervise` slots on detached threads: a
+/// hung evaluation can be abandoned (scoped threads would force a join
+/// that never returns). A local run has `threads` slots on one shared
+/// queue. A cluster run has one remote slot per worker, each on its
+/// own queue so jobs route deterministically (`id % workers`), giving
+/// every worker a reproducible job stream — the property that makes
+/// cross-wire profile subtrees byte-stable under the ticks clock. It
+/// falls back to local slots on the shared queue once every remote is
+/// lost.
+struct Pool {
+    supervisor: Supervisor,
+    shared_tx: Sender<Job>,
+    shared_rx: Receiver<Job>,
+    results_tx: Sender<Reply>,
+    results: Receiver<Reply>,
+    migrants: Receiver<Migrant>,
+    acks: Receiver<()>,
+    remotes: Vec<Sender<Job>>,
+    /// Per-remote routing flags; a slot clears its own when its worker
+    /// is lost.
     alive: Arc<Vec<AtomicBool>>,
-    health: Option<Arc<ClusterHealth>>,
-    done: Sender<()>,
-    obs: Obs,
-) {
-    supervisor.spawn(move |ctx| {
-        let opts = &plan.options;
-        let telemetry = SlotTelemetry::new(addr.clone(), index, health.clone(), &obs);
-        let mut session: Option<RemoteSession> = None;
-        let mut connects: u64 = 0;
-        // Seeded jitter so a cluster's reconnect storms de-correlate
-        // deterministically, per worker (same scheme as the engine's
-        // retry backoff).
-        let mut jitter = StdRng::seed_from_u64(seed ^ addr_salt(&addr) ^ 0xBAC_0FF);
-        let mut lost = false;
-        loop {
-            let (id, genome) = match req_rx.recv() {
-                Ok(job) => job,
-                Err(_) => {
-                    if let Some(s) = session.take() {
-                        s.kill(&telemetry);
-                    }
-                    let _ = done.send(());
-                    return;
+    /// Dispatches the fill phase keeps in flight: one per slot.
+    depth: usize,
+    degraded: bool,
+}
+
+impl Pool {
+    fn new(engine: &Engine) -> Self {
+        let (shared_tx, shared_rx) = channel::unbounded();
+        let (results_tx, results) = channel::unbounded();
+        let (migrants_tx, migrants) = channel::unbounded();
+        let (acks_tx, acks) = channel::unbounded();
+        let workers = engine.cluster.as_ref().map_or(0, |p| p.options.workers.len());
+        let mut pool = Self {
+            supervisor: Supervisor::new(),
+            shared_tx,
+            shared_rx,
+            results_tx,
+            results,
+            migrants,
+            acks,
+            remotes: Vec::new(),
+            alive: Arc::new((0..workers).map(|_| AtomicBool::new(true)).collect()),
+            depth: workers,
+            degraded: false,
+        };
+        match &engine.cluster {
+            Some(plan) => {
+                for index in 0..workers {
+                    pool.spawn_remote(engine, plan, index, &migrants_tx, &acks_tx);
                 }
-            };
-            ctx.claim(id as u64);
-            let started = Instant::now();
-            let m = {
-                // Detached: never consults an ambient profiler, so the
-                // worker's own tick domain (grafted via `Stats`) stays
-                // the only profile this slot contributes, and the close
-                // event stays byte-identical to a local slot's.
-                let _span = rt::span_detached!(obs, "evaluate", worker = ctx.slot(), id = id);
-                // (Re)connect with seeded backoff, bounded by the
-                // reconnect budget.
-                let mut failure: Option<RemoteFailure> = None;
-                let mut attempt = 0usize;
-                while session.is_none() {
-                    let stamp = ((ctx.slot() as u64) << 32) | connects;
-                    match connect_session(&addr, &plan, stamp) {
-                        Ok(s) => {
-                            connects += 1;
-                            rt::trace!(
-                                obs,
-                                "worker_connected",
-                                addr = addr.as_str(),
-                                slot = ctx.slot(),
-                                stamp = format!("{stamp:016x}"),
-                            );
-                            telemetry.set_state(WorkerState::Connected);
-                            telemetry.mark_seen();
-                            session = Some(s);
-                        }
-                        Err(e) => {
-                            attempt += 1;
-                            rt::warn!(
-                                obs,
-                                "worker_connect_failed",
-                                addr = addr.as_str(),
-                                attempt = attempt,
-                                error = e.to_string(),
-                            );
-                            telemetry.set_state(WorkerState::Reconnecting);
-                            if !e.is_transient() || attempt >= opts.connect_retries.max(1) {
-                                failure = Some(RemoteFailure::Permanent(e.to_string()));
-                                break;
-                            }
-                            let base = opts.reconnect_backoff.as_millis() as u64;
-                            let ceiling = (base << attempt.min(6)).max(1);
-                            std::thread::sleep(Duration::from_millis(
-                                jitter.gen_range(base..=base + ceiling),
-                            ));
-                        }
-                    }
-                }
-                let outcome = match (&mut session, failure) {
-                    (_, Some(f)) => Err(f),
-                    (Some(s), None) => remote_exchange(s, id, &genome, &obs, &telemetry),
-                    (None, None) => unreachable!("no session and no failure"),
-                };
-                match outcome {
-                    Ok((m, panicked, events, migrants)) => {
-                        telemetry.mark_seen();
-                        telemetry.latency.record(started.elapsed().as_secs_f64());
-                        // Replay the worker's captured evaluation events
-                        // inside this span, so the coordinator's JSONL is
-                        // byte-identical to a local run's.
-                        for event in events {
-                            obs.emit_event(event);
-                        }
-                        if panicked {
-                            rt::warn!(
-                                obs,
-                                "infeasible",
-                                stage = "worker",
-                                reason = InfeasibleReason::WorkerPanic.kind(),
-                            );
-                        }
-                        for (g, mm) in migrants {
-                            let _ = mig_tx.send(Migrant {
-                                slot: ctx.slot(),
-                                genome: g,
-                                measurement: mm,
-                            });
-                        }
-                        m
-                    }
-                    Err(RemoteFailure::Transient(reason)) => {
-                        rt::trace!(
-                            obs,
-                            "worker_disconnected",
-                            addr = addr.as_str(),
-                            error = reason.as_str(),
-                        );
-                        telemetry.set_state(WorkerState::Reconnecting);
-                        session = None;
-                        let mut m = Measurement::infeasible(InfeasibleReason::Transient(
-                            format!("net: {reason}"),
-                        ));
-                        m.eval_time_s = started.elapsed().as_secs_f64();
-                        m
-                    }
-                    Err(RemoteFailure::Permanent(reason)) => {
-                        lost = true;
-                        rt::warn!(
-                            obs,
-                            "worker_lost",
-                            addr = addr.as_str(),
-                            error = reason.as_str(),
-                        );
-                        telemetry.set_state(WorkerState::Lost);
-                        // Retire the routing flag *before* the transient
-                        // result reaches the master: the retry it
-                        // triggers must route to a surviving slot (or
-                        // the shared queue), never back here, or it
-                        // would burn a third strike of the retry budget.
-                        alive[index].store(false, Ordering::Release);
-                        live.fetch_sub(1, Ordering::AcqRel);
-                        session = None;
-                        let mut m = Measurement::infeasible(InfeasibleReason::Transient(
-                            format!("worker lost: {reason}"),
-                        ));
-                        m.eval_time_s = started.elapsed().as_secs_f64();
-                        m
-                    }
-                }
-            };
-            ctx.release(id as u64);
-            if res_tx.send((id, genome, m)).is_err() || !ctx.is_current() {
-                if let Some(s) = session.take() {
-                    s.kill(&telemetry);
-                }
-                let _ = done.send(());
-                return;
             }
-            if lost {
-                // The routing flag flipped before the transient result
-                // went out, so new jobs avoid this queue; forward any
-                // that raced the flip to the shared queue, where the
-                // degradation path's local slots (or surviving remote
-                // fallback) evaluate them properly. The done ack waits
-                // for the master to drop this slot's queue.
-                while let Ok(job) = req_rx.recv() {
+            None => pool.spawn_local(engine),
+        }
+        pool
+    }
+
+    fn is_cluster(&self) -> bool {
+        !self.alive.is_empty()
+    }
+
+    fn any_alive(&self) -> bool {
+        self.alive.iter().any(|a| a.load(Ordering::Acquire))
+    }
+
+    /// Spawns `threads` local in-process slots on the shared queue: a
+    /// local run's whole pool, or a cluster run's fallback once its last
+    /// remote worker is lost.
+    fn spawn_local(&mut self, engine: &Engine) {
+        for _ in 0..engine.config.threads {
+            let (jobs, results) = (self.shared_rx.clone(), self.results_tx.clone());
+            let (evaluator, obs) = (Arc::clone(&engine.evaluator), engine.obs.clone());
+            self.supervisor.spawn(move |ctx| {
+                // Kernel-level prof_span! sites (gemm, activation, …)
+                // inside the evaluator record under the engine's tree.
+                let _prof_install = obs.profiler().map(|p| p.install());
+                slot_loop(ctx, &jobs, &results, &obs, false, |_, genome| {
+                    let (m, panicked) = evaluate_caught(&*evaluator, genome);
+                    (m, panicked, false)
+                });
+            });
+        }
+        self.depth = engine.config.threads;
+    }
+
+    /// Spawns the remote slot for worker `index`. Its span is detached:
+    /// it never consults an ambient profiler, so the worker's own tick
+    /// domain (grafted via `Stats` frames) stays the only profile this
+    /// slot contributes, and the close event stays byte-identical to a
+    /// local slot's.
+    fn spawn_remote(
+        &mut self,
+        engine: &Engine,
+        plan: &ClusterPlan,
+        index: usize,
+        migrants: &Sender<Migrant>,
+        acks: &Sender<()>,
+    ) {
+        let (tx, jobs) = channel::unbounded::<Job>();
+        self.remotes.push(tx);
+        let (results, forward) = (self.results_tx.clone(), self.shared_tx.clone());
+        let (migrants, acks) = (migrants.clone(), acks.clone());
+        let alive = Arc::clone(&self.alive);
+        let (plan, seed) = (plan.clone(), engine.config.seed);
+        let (health, obs) = (engine.cluster_health.clone(), engine.obs.clone());
+        self.supervisor.spawn(move |ctx| {
+            let mut remote = RemoteSlot::new(&plan, index, seed, health.clone(), &migrants, &obs);
+            let retired = slot_loop(ctx, &jobs, &results, &obs, true, |id, genome| {
+                let (m, panicked, lost) = remote.evaluate(ctx.slot(), id, genome);
+                if lost {
+                    // Retire the routing flag *before* the transient
+                    // result reaches the master: the retry it triggers
+                    // must route to a surviving slot (or the shared
+                    // queue), never back here, or it would burn a third
+                    // strike of the retry budget.
+                    alive[index].store(false, Ordering::Release);
+                }
+                (m, panicked, lost)
+            });
+            if retired {
+                // New jobs avoid this queue since the flag flipped;
+                // forward any that raced the flip to the shared queue,
+                // where the degradation path's local slots (or
+                // surviving remote fallback) evaluate them properly.
+                while let Ok(job) = jobs.recv() {
                     let _ = forward.send(job);
                 }
-                let _ = done.send(());
+            }
+            // The ack waits for the master to drop this slot's queue.
+            remote.close();
+            let _ = acks.send(());
+        });
+    }
+
+    /// Routes one dispatched job. Cluster jobs go to slot `id % n`,
+    /// falling back to the next alive slot once one retires. Retired
+    /// slots keep draining their queue and forward jobs back to the
+    /// shared queue, so nothing is lost in the race between routing and
+    /// retirement. Jobs fall through to the shared queue when no remote
+    /// slot remains (the degradation path's local slots consume it).
+    fn route(&self, id: usize, genome: CandidateGenome) {
+        let n = self.remotes.len();
+        for k in 0..n {
+            let slot = (id + k) % n;
+            if self.alive[slot].load(Ordering::Acquire)
+                && self.remotes[slot].send((id, genome.clone())).is_ok()
+            {
                 return;
             }
         }
-    });
-}
+        self.shared_tx.send((id, genome)).expect("workers alive");
+    }
 
-/// Routes one dispatched job. Cluster jobs go to slot `id % n` — a
-/// deterministic assignment, so each worker's job stream (and hence
-/// its ticks-clock profile subtree) is reproducible — falling back to
-/// the next alive slot once one retires. Retired slots keep draining
-/// their queue and bounce jobs back as transients, so nothing is lost
-/// in the race between routing and retirement. Jobs fall through to
-/// the shared local queue when no remote slot remains (the
-/// degradation path's local slots consume it).
-fn route_job(
-    remote_txs: &[Sender<(usize, CandidateGenome)>],
-    alive: &[AtomicBool],
-    local_tx: &Sender<(usize, CandidateGenome)>,
-    id: usize,
-    genome: CandidateGenome,
-) {
-    let n = remote_txs.len();
-    for k in 0..n {
-        let slot = (id + k) % n;
-        if alive[slot].load(Ordering::Acquire)
-            && remote_txs[slot].send((id, genome.clone())).is_ok()
-        {
-            return;
+    /// Drops every remote queue and waits (briefly, bounded) for each
+    /// remote slot's acknowledgement: slots answer the drain by killing
+    /// their sessions — a best-effort `kill_all` so workers wind down
+    /// now instead of waiting out their idle timeout — and without the
+    /// wait a coordinator process can exit before that reaches the wire.
+    /// Slots retired earlier (lost workers, stale generations) have
+    /// already acknowledged. Idle local slots exit once the pool, and
+    /// with it the shared queue, drops.
+    fn hang_up(&mut self) {
+        self.remotes.clear();
+        let grace = Instant::now() + Duration::from_secs(2);
+        for _ in 0..self.alive.len() {
+            if self.acks.recv_deadline(grace).is_err() {
+                break;
+            }
         }
     }
-    local_tx.send((id, genome)).expect("workers alive");
+}
+
+/// Engine counters and the per-evaluation time histogram, registered
+/// (with the epoch metrics) when the run starts so `/metrics` lists
+/// them from the first scrape.
+struct Meters {
+    evaluated: Counter,
+    cache_hits: Counter,
+    infeasible: Counter,
+    retries: Counter,
+    timeouts: Counter,
+    respawns: Counter,
+    migrants: Counter,
+    eval_time: HistogramHandle,
+}
+
+impl Meters {
+    fn register(obs: &Obs) -> Self {
+        register_epoch_metrics(obs);
+        Self {
+            evaluated: obs.counter("engine.models_evaluated"),
+            cache_hits: obs.counter("engine.cache_hits"),
+            infeasible: obs.counter("engine.infeasible"),
+            retries: obs.counter("engine.retries"),
+            timeouts: obs.counter("engine.timeouts"),
+            respawns: obs.counter("engine.respawns"),
+            migrants: obs.counter("engine.migrants"),
+            eval_time: obs.histogram("engine.eval_time_s"),
+        }
+    }
+}
+
+/// One run of the master loop. Its methods are the loop's phases:
+/// [`Run::tend_cluster`], [`Run::fill`], [`Run::wait`],
+/// [`Run::on_result`], [`Run::on_deadline`] and [`Run::finish`].
+struct Run<'e> {
+    engine: &'e Engine,
+    start: Instant,
+    /// Wall-clock seconds a restored checkpoint had already used.
+    prior_wall: f64,
+    rng: StdRng,
+    population: Vec<Evaluated>,
+    trace: Vec<Evaluated>,
+    cache: HashMap<u64, Measurement>,
+    /// Initial-population genomes not yet submitted, next one last.
+    seeds: Vec<CandidateGenome>,
+    counters: RunCounters,
+    tracker: EpochTracker,
+    ledger: EngineLedger,
+    /// Jobs a checkpoint held in flight or awaiting retry, re-dispatched
+    /// before any fresh candidate (their unique budget is already
+    /// counted).
+    restored: VecDeque<PendingJob>,
+    meters: Meters,
+    pool: Pool,
+    halted: bool,
+}
+
+impl<'e> Run<'e> {
+    fn start(engine: &'e Engine, restored: Option<CheckpointState>) -> Self {
+        let cfg = engine.config;
+        engine.status.note_started();
+        let mut run = Run {
+            engine,
+            start: Instant::now(),
+            prior_wall: 0.0,
+            rng: StdRng::seed_from_u64(cfg.seed),
+            population: Vec::with_capacity(cfg.population),
+            trace: Vec::new(),
+            cache: HashMap::new(),
+            seeds: Vec::new(),
+            counters: RunCounters::default(),
+            tracker: EpochTracker::new(cfg.analytics, cfg.population),
+            ledger: EngineLedger::new(),
+            restored: VecDeque::new(),
+            meters: Meters::register(&engine.obs),
+            pool: Pool::new(engine),
+            halted: false,
+        };
+        match restored {
+            Some(state) => run.restore(state),
+            None => {
+                rt::info!(
+                    engine.obs,
+                    "search_start",
+                    target = engine.evaluator.target_name(),
+                    population = cfg.population,
+                    evaluations = cfg.evaluations,
+                    tournament = cfg.tournament,
+                    seed = cfg.seed,
+                    threads = cfg.threads,
+                    selection = match cfg.selection {
+                        SelectionMode::WeightedScalar => "weighted-scalar",
+                        SelectionMode::Nsga2 => "nsga2",
+                    },
+                );
+                run.seeds = (0..cfg.population.min(cfg.evaluations))
+                    .map(|_| engine.space.sample(&mut run.rng))
+                    .collect();
+                run.seeds.reverse(); // pop() takes them in creation order
+            }
+        }
+        run
+    }
+
+    fn restore(&mut self, state: CheckpointState) {
+        let engine = self.engine;
+        // Fitness is recomputed rather than serialized: infeasible
+        // candidates carry -inf, which JSON cannot represent.
+        let revive = |(genome, measurement)| engine.score(genome, measurement);
+        self.rng = StdRng::from_raw_state(state.rng_state, state.rng_inc);
+        self.population = state.population.into_iter().map(revive).collect();
+        self.trace = state.trace.into_iter().map(revive).collect();
+        // Rebuild the epoch tracker by silently replaying the restored
+        // trace in epoch-sized chunks: archive, best, and stall history
+        // end up exactly as the uninterrupted run's, so the next epoch
+        // event is bit-identical.
+        self.tracker.set_operator_totals(state.op_counters);
+        self.tracker.replay(self.trace.iter().map(|e| engine.tracker_point(e)));
+        self.cache = state.cache.into_iter().collect();
+        self.seeds = state.seeds_remaining;
+        self.counters = state.counters;
+        self.prior_wall = state.wall_time_s;
+        self.restored = state.pending.into();
+        // Trace level on purpose: the resumed run's Debug-level JSONL
+        // must continue the interrupted file byte-for-byte, so no extra
+        // Debug+ event may appear here (and no second search_start).
+        rt::trace!(engine.obs, "resume", evaluations_done = self.trace.len());
+    }
+
+    /// Cluster phase: folds island migrants into the population, hands
+    /// jobs a retired slot forwarded back to routing, and degrades to
+    /// local slots once the last remote worker is lost.
+    fn tend_cluster(&mut self) {
+        while let Ok(migrant) = self.pool.migrants.try_recv() {
+            self.fold_migrant(migrant);
+        }
+        // Forwarded jobs land on the shared queue; while remotes
+        // survive, route them again (once none do, the degradation
+        // path's local slots consume the queue instead).
+        while self.pool.any_alive() {
+            let Ok((id, genome)) = self.pool.shared_rx.try_recv() else {
+                break;
+            };
+            self.pool.route(id, genome);
+        }
+        // Graceful degradation: warn and fall back to local in-process
+        // evaluation rather than dying with jobs in flight.
+        if !self.pool.degraded && !self.pool.any_alive() {
+            let engine = self.engine;
+            self.pool.degraded = true;
+            rt::warn!(engine.obs, "cluster_degraded", local_slots = engine.config.threads);
+            if let Some(health) = &engine.cluster_health {
+                health.set_degraded();
+            }
+            self.pool.spawn_local(engine);
+        }
+    }
+
+    /// Folds one island migrant into the population. Deliberately
+    /// outside the trace/budget/rng streams: migrants spend worker-side
+    /// compute only, replace the current worst member
+    /// deterministically, and seed the dedup cache so the coordinator
+    /// never re-evaluates one.
+    fn fold_migrant(&mut self, migrant: Migrant) {
+        let key = migrant.genome.cache_key();
+        if self.cache.contains_key(&key) {
+            return;
+        }
+        self.cache.insert(key, migrant.measurement.clone());
+        let eval = self.engine.score(migrant.genome, migrant.measurement);
+        self.meters.migrants.inc();
+        rt::info!(
+            self.engine.obs,
+            "migration",
+            slot = migrant.slot,
+            key = format!("{key:016x}"),
+            fitness = eval.fitness,
+            accuracy = eval.measurement.accuracy,
+        );
+        if !eval.fitness.is_finite() {
+            return;
+        }
+        let population = &mut self.population;
+        if population.len() < self.engine.config.population {
+            population.push(eval);
+        } else if let Some(worst) =
+            (0..population.len()).min_by(|&a, &b| by_fitness(&population[a], &population[b]))
+        {
+            if population[worst].fitness < eval.fitness {
+                population[worst] = eval;
+            }
+        }
+    }
+
+    /// Fill phase: keeps one dispatch in flight per slot, taking retries
+    /// whose backoff has elapsed first, then work restored from a
+    /// checkpoint, then fresh candidates.
+    fn fill(&mut self) {
+        let now = Instant::now();
+        while self.ledger.in_flight_len() < self.pool.depth {
+            let job = match self.ledger.pop_ready_retry(now) {
+                Some((attempt, (genome, op))) => PendingJob { attempt, genome, op },
+                None => match self.restored.pop_front() {
+                    Some(job) => job,
+                    None => break,
+                },
+            };
+            self.dispatch(job);
+        }
+        let cfg = &self.engine.config;
+        while self.ledger.in_flight_len() < self.pool.depth
+            && self.counters.submitted_unique < cfg.evaluations
+            && self.counters.attempts < cfg.evaluations * Engine::MAX_ATTEMPT_FACTOR
+        {
+            let (genome, op) = {
+                // Scoped to candidate selection only: the span must
+                // close before the job is handed to the pool, so
+                // master-side clock reads never overlap a running worker
+                // (which would make ticks-clock profiles depend on thread
+                // interleaving).
+                let _prof = rt::prof_span!("dispatch");
+                match self.seeds.pop() {
+                    Some(g) => (g, OperatorKind::Seed),
+                    None => self.engine.breed(&self.population, &mut self.rng),
+                }
+            };
+            self.counters.attempts += 1;
+            let key = genome.cache_key();
+            if let Some(cached) = self.cache.get(&key) {
+                // Duplicate: serve from cache, no budget, no worker
+                // round-trip. Cached repeats are not re-appended to the
+                // trace (Table III counts unique models), but still say
+                // something about their operator's usefulness.
+                self.counters.cache_hits += 1;
+                self.meters.cache_hits.inc();
+                rt::debug!(self.engine.obs, "cache_hit", key = format!("{key:016x}"));
+                let m = cached.clone();
+                let (_, entered) =
+                    self.engine.admit(genome, m, &mut self.population, &mut self.rng);
+                self.tracker.record_op(op, entered);
+                continue;
+            }
+            self.counters.submitted_unique += 1;
+            self.dispatch(PendingJob { attempt: 0, genome, op });
+        }
+    }
+
+    /// Hands one job to the pool under the next dispatch id. The
+    /// `submit` (or `retry`) event goes out before the genome does: with
+    /// one thread the master then blocks on the result, so the worker's
+    /// own events always land after it — the property that makes seeded
+    /// traces replayable.
+    fn dispatch(&mut self, PendingJob { attempt, genome, op }: PendingJob) {
+        let id = self.counters.next_id;
+        self.counters.next_id += 1;
+        let key = genome.cache_key();
+        if attempt == 0 {
+            rt::debug!(self.engine.obs, "submit", id = id, key = format!("{key:016x}"));
+        } else {
+            rt::warn!(
+                self.engine.obs,
+                "retry",
+                id = id,
+                attempt = attempt,
+                key = format!("{key:016x}"),
+            );
+        }
+        let deadline = self.engine.config.eval_timeout.map(|t| Instant::now() + t);
+        self.ledger.dispatch(id as u64, (genome.clone(), op), attempt, deadline);
+        self.pool.route(id, genome);
+    }
+
+    /// Wait phase: sleeps until a result arrives (`Some`) or the
+    /// earliest deadline or retry-ready time passes (`None`). Before a
+    /// cluster run has degraded the sleep is capped, so the master
+    /// observes migrants and lost workers even when no result will ever
+    /// arrive (e.g. every remote unreachable from the start).
+    fn wait(&self) -> Option<Reply> {
+        let mut wake = self.ledger.next_wake();
+        if self.pool.is_cluster() && !self.pool.degraded {
+            let poll = Instant::now() + Duration::from_millis(100);
+            wake = Some(wake.map_or(poll, |w| w.min(poll)));
+        }
+        // The pool holds a result sender, so neither call can see a
+        // disconnected channel: `None` always means a timeout.
+        match wake {
+            None => self.pool.results.recv().ok(),
+            Some(deadline) => self.pool.results.recv_deadline(deadline).ok(),
+        }
+    }
+
+    /// Result phase: accounts the attempt's time, then retries a
+    /// transient failure or admits the final verdict.
+    fn on_result(&mut self, (id, m): Reply) {
+        let job = match self.ledger.take_result(id as u64) {
+            ResultClass::Fresh(job) => job,
+            ResultClass::Stale => {
+                // A timed-out dispatch finally reported; its verdict was
+                // already decided.
+                rt::trace!(self.engine.obs, "late_result", id = id);
+                return;
+            }
+            ResultClass::Unknown => unreachable!("result for in-flight id"),
+        };
+        let c = &mut self.counters;
+        c.total_eval_time_s += m.eval_time_s;
+        c.train_time_s += m.train_time_s;
+        c.hw_time_s += m.hw_time_s;
+        self.meters.eval_time.record(m.eval_time_s);
+        let transient = m.failure_kind() == Some(FailureKind::Transient);
+        let now = Instant::now();
+        if let Some((genome, op)) = self.retry(transient, (job.payload, job.attempt), now) {
+            self.finalize(id, genome, m, op);
+        }
+    }
+
+    /// Deadline phase: abandons every overdue dispatch. The ledger marks
+    /// each id stale so its late result (if one ever arrives) drops on
+    /// receipt. A timeout is transient, so it retries like any other
+    /// until the budget runs out.
+    fn on_deadline(&mut self) {
+        let engine = self.engine;
+        let now = Instant::now();
+        for (id, job) in self.ledger.expire(now) {
+            let id = id as usize;
+            self.counters.timeout_count += 1;
+            self.meters.timeouts.inc();
+            rt::warn!(engine.obs, "eval_timeout", id = id, attempt = job.attempt);
+            let supervisor = &self.pool.supervisor;
+            if let Some(slot) = supervisor.claimed_slot(id as u64) {
+                // The slot is wedged inside this job: abandon its thread
+                // and start a fresh one.
+                supervisor.record_stall();
+                supervisor.respawn(slot);
+                self.counters.respawn_count += 1;
+                self.meters.respawns.inc();
+                rt::warn!(engine.obs, "worker_respawn", slot = slot, id = id);
+            }
+            if let Some((genome, op)) = self.retry(true, (job.payload, job.attempt), now) {
+                let mut m = Measurement::infeasible(InfeasibleReason::EvalTimeout);
+                // The wait itself is wall clock spent on this candidate.
+                m.eval_time_s = engine.config.eval_timeout.map_or(0.0, |t| t.as_secs_f64());
+                self.counters.total_eval_time_s += m.eval_time_s;
+                self.finalize(id, genome, m, op);
+            }
+        }
+    }
+
+    /// Retry or final verdict, for both the result and the deadline
+    /// path: a transient failure goes back on the ledger's retry queue,
+    /// ready after its backoff, while attempts remain. Otherwise the
+    /// job comes back for its final verdict.
+    fn retry(
+        &mut self,
+        transient: bool,
+        ((genome, op), attempt): (JobPayload, usize),
+        now: Instant,
+    ) -> Option<JobPayload> {
+        let cfg = &self.engine.config;
+        if !transient || attempt >= cfg.max_retries {
+            return Some((genome, op));
+        }
+        let attempt = attempt + 1;
+        self.counters.retry_count += 1;
+        self.meters.retries.inc();
+        let ready = now + backoff_delay(cfg, genome.cache_key(), attempt);
+        self.ledger.schedule_retry(ready, attempt, (genome, op));
+        None
+    }
+
+    /// Admits a final verdict: counts it, caches it, scores and admits
+    /// it, appends it to the trace, then publishes epoch analytics,
+    /// status and the periodic checkpoint.
+    fn finalize(&mut self, id: usize, genome: CandidateGenome, m: Measurement, op: OperatorKind) {
+        let engine = self.engine;
+        self.meters.evaluated.inc();
+        if !m.hw.is_feasible() {
+            self.counters.infeasible_count += 1;
+            self.meters.infeasible.inc();
+        }
+        // Transient verdicts (an exhausted retry budget) stay out of the
+        // cache: a duplicate later gets a fresh chance instead of
+        // inheriting a flaky failure.
+        if m.failure_kind() != Some(FailureKind::Transient) {
+            self.cache.insert(genome.cache_key(), m.clone());
+        }
+        let (eval, entered) = engine.admit(genome, m, &mut self.population, &mut self.rng);
+        self.tracker.record_op(op, entered);
+        let (oriented, fitness) = engine.tracker_point(&eval);
+        self.tracker.observe(&oriented, fitness);
+        rt::info!(
+            engine.obs,
+            "evaluated",
+            id = id,
+            accuracy = eval.measurement.accuracy,
+            fitness = eval.fitness,
+            feasible = eval.measurement.hw.is_feasible(),
+        );
+        self.trace.push(eval);
+        let done = self.trace.len();
+        if self.tracker.should_snapshot(done) {
+            let (snap, stall_fired) =
+                self.tracker.snapshot(done, &self.population, self.counters.cache_hits);
+            engine.emit_epoch(&snap, stall_fired);
+            snap.publish(&engine.obs);
+            engine.status.note_snapshot(snap);
+        }
+        engine.status.note_counters(done, self.counters);
+        if engine.checkpoint.as_ref().is_some_and(|p| done.is_multiple_of(p.every)) {
+            self.save_checkpoint();
+        }
+    }
+
+    fn wall_time_s(&self) -> f64 {
+        self.prior_wall + self.start.elapsed().as_secs_f64()
+    }
+
+    /// The run as a serializable [`CheckpointState`]. In-flight and
+    /// retry-queued work, and restored jobs not yet re-dispatched, land
+    /// in `pending`, so nothing is lost. At `threads = 1` nothing is in
+    /// flight at an admit boundary, but a retry can be pending there: a
+    /// fresh candidate may finish while the retry waits out a nonzero
+    /// backoff.
+    fn snapshot(&self) -> CheckpointState {
+        let cfg = &self.engine.config;
+        let (rng_state, rng_inc) = self.rng.raw_state();
+        let pairs = |v: &[Evaluated]| {
+            v.iter()
+                .map(|e| (e.genome.clone(), e.measurement.clone()))
+                .collect()
+        };
+        let mut cache: Vec<(u64, Measurement)> =
+            self.cache.iter().map(|(&k, m)| (k, m.clone())).collect();
+        cache.sort_by_key(|&(k, _)| k);
+        // The ledger yields in-flight jobs in id order, then queued
+        // retries in FIFO order.
+        let pending = self
+            .ledger
+            .pending_jobs()
+            .into_iter()
+            .map(|(attempt, (genome, op))| PendingJob {
+                attempt,
+                genome: genome.clone(),
+                op: *op,
+            })
+            .chain(self.restored.iter().cloned())
+            .collect();
+        CheckpointState {
+            version: crate::checkpoint::FORMAT_VERSION,
+            seed: cfg.seed,
+            evaluations: cfg.evaluations,
+            population_cap: cfg.population,
+            rng_state,
+            rng_inc,
+            counters: self.counters,
+            op_counters: self.tracker.operator_totals(),
+            wall_time_s: self.wall_time_s(),
+            seeds_remaining: self.seeds.clone(),
+            population: pairs(&self.population),
+            trace: pairs(&self.trace),
+            cache,
+            pending,
+        }
+    }
+
+    /// Writes a checkpoint when a policy is attached, downgrading
+    /// failure to a warning event — a full disk must not kill a search
+    /// that is otherwise healthy. The status cell learns about
+    /// successful writes so `/status` can report checkpoint age.
+    fn save_checkpoint(&self) {
+        let Some(policy) = &self.engine.checkpoint else {
+            return;
+        };
+        let obs = &self.engine.obs;
+        let state = self.snapshot();
+        match state.save(&policy.path) {
+            Ok(()) => {
+                self.engine.status.note_checkpoint();
+                rt::trace!(
+                    obs,
+                    "checkpoint",
+                    evaluations_done = state.trace.len(),
+                    path = policy.path.display().to_string(),
+                );
+            }
+            Err(e) => rt::warn!(obs, "checkpoint_error", error = e.to_string()),
+        }
+    }
+
+    /// Finish phase: winds the pool down, then reports the run.
+    fn finish(mut self) -> EngineOutcome {
+        self.pool.hang_up();
+        let engine = self.engine;
+        let c = self.counters;
+        let models_evaluated = self.trace.len();
+        if !self.halted {
+            rt::info!(
+                engine.obs,
+                "search_end",
+                models_evaluated = models_evaluated,
+                cache_hits = c.cache_hits,
+                infeasible = c.infeasible_count,
+            );
+            self.save_checkpoint();
+        }
+        engine.status.note_counters(models_evaluated, c);
+        engine.status.note_done();
+        engine.obs.flush();
+        let stats = EngineStats {
+            models_evaluated,
+            cache_hits: c.cache_hits,
+            total_eval_time_s: c.total_eval_time_s,
+            avg_eval_time_s: if models_evaluated > 0 {
+                c.total_eval_time_s / models_evaluated as f64
+            } else {
+                0.0
+            },
+            wall_time_s: self.wall_time_s(),
+            infeasible_count: c.infeasible_count,
+            train_time_s: c.train_time_s,
+            hw_time_s: c.hw_time_s,
+            retry_count: c.retry_count,
+            timeout_count: c.timeout_count,
+            respawn_count: c.respawn_count,
+            worker_latency: engine
+                .cluster
+                .as_ref()
+                .map_or_else(Vec::new, |plan| plan.worker_latency(&engine.obs)),
+        };
+        EngineOutcome {
+            population: self.population,
+            trace: self.trace,
+            stats,
+            halted: self.halted,
+        }
+    }
 }
 
 impl Engine {
@@ -986,689 +1153,38 @@ impl Engine {
         Ok(self.run_inner(Some(state)))
     }
 
+    /// The master loop (§III-A) as a sequence of named phases over the
+    /// dispatch ledger; [`Run`] holds its state.
     fn run_inner(&self, restored: Option<CheckpointState>) -> EngineOutcome {
-        let start = Instant::now();
         // Master-side prof_span! sites (dispatch/breed/replace) record
         // under the engine's profile tree when one is attached.
         let _prof_install = self.obs.profiler().map(|p| p.install());
-        let cfg = self.config;
-        self.status.note_started();
-        let mut tracker = EpochTracker::new(cfg.analytics, cfg.population);
-
-        let mut rng;
-        let mut population: Vec<Evaluated>;
-        let mut trace: Vec<Evaluated>;
-        let mut cache: HashMap<u64, Measurement>;
-        let mut seeds: Vec<CandidateGenome>;
-        let mut c = Counters::default();
-        let prior_wall: f64;
-        let mut pending_restore: VecDeque<PendingJob>;
-
-        match restored {
-            Some(state) => {
-                let revive = |(genome, measurement): (CandidateGenome, Measurement)| {
-                    // Fitness is recomputed rather than serialized:
-                    // infeasible candidates carry -inf, which JSON
-                    // cannot represent.
-                    let fitness = self.objectives.scalar(&measurement);
-                    Evaluated {
-                        genome,
-                        measurement,
-                        fitness,
-                    }
-                };
-                rng = StdRng::from_raw_state(state.rng_state, state.rng_inc);
-                population = state.population.into_iter().map(revive).collect();
-                trace = state.trace.into_iter().map(revive).collect();
-                // Rebuild the epoch tracker by silently replaying the
-                // restored trace in epoch-sized chunks: archive, best,
-                // and stall history end up exactly as the uninterrupted
-                // run's, so the next epoch event is bit-identical.
-                tracker.set_operator_totals(state.op_counters);
-                tracker.replay(trace.iter().map(|e| {
-                    let oriented = if e.fitness.is_finite() {
-                        self.objectives.oriented_values(&e.measurement)
-                    } else {
-                        Vec::new()
-                    };
-                    (oriented, e.fitness)
-                }));
-                cache = state.cache.into_iter().collect();
-                seeds = state.seeds_remaining;
-                c.submitted_unique = state.submitted_unique;
-                c.attempts = state.attempts;
-                c.next_id = state.next_id;
-                c.cache_hits = state.cache_hits;
-                c.infeasible_count = state.infeasible_count;
-                c.retry_count = state.retry_count;
-                c.timeout_count = state.timeout_count;
-                c.respawn_count = state.respawn_count;
-                c.total_eval_time = state.total_eval_time_s;
-                c.train_time = state.train_time_s;
-                c.hw_time = state.hw_time_s;
-                prior_wall = state.wall_time_s;
-                pending_restore = state.pending.into();
-                // Trace level on purpose: the resumed run's Debug-level
-                // JSONL must continue the interrupted file byte-for-byte,
-                // so no extra Debug+ event may appear here (and no second
-                // search_start).
-                rt::trace!(self.obs, "resume", evaluations_done = trace.len());
-            }
-            None => {
-                rng = StdRng::seed_from_u64(cfg.seed);
-                rt::info!(
-                    self.obs,
-                    "search_start",
-                    target = self.evaluator.target_name(),
-                    population = cfg.population,
-                    evaluations = cfg.evaluations,
-                    tournament = cfg.tournament,
-                    seed = cfg.seed,
-                    threads = cfg.threads,
-                    selection = match cfg.selection {
-                        SelectionMode::WeightedScalar => "weighted-scalar",
-                        SelectionMode::Nsga2 => "nsga2",
-                    },
-                );
-                population = Vec::with_capacity(cfg.population);
-                trace = Vec::new();
-                cache = HashMap::new();
-                // Seed genomes for the initial population.
-                seeds = (0..cfg.population.min(cfg.evaluations))
-                    .map(|_| self.space.sample(&mut rng))
-                    .collect();
-                seeds.reverse(); // pop() takes them in creation order
-                prior_wall = 0.0;
-                pending_restore = VecDeque::new();
-            }
-        }
-
-        let evaluated_counter = self.obs.counter("engine.models_evaluated");
-        let cache_hit_counter = self.obs.counter("engine.cache_hits");
-        let infeasible_counter = self.obs.counter("engine.infeasible");
-        let retry_counter = self.obs.counter("engine.retries");
-        let timeout_counter = self.obs.counter("engine.timeouts");
-        let respawn_counter = self.obs.counter("engine.respawns");
-        let migrant_counter = self.obs.counter("engine.migrants");
-        let eval_hist = self.obs.histogram("engine.eval_time_s");
-
-        // Epoch analytics instruments: gauges refreshed at each epoch
-        // boundary, plus a histogram of the per-epoch hypervolume so
-        // the convergence curve's distribution survives scraping gaps.
-        let epoch_gauge = self.obs.gauge("search.epoch");
-        let best_gauge = self.obs.gauge("search.best_fitness");
-        let hv_gauge = self.obs.gauge("search.hypervolume");
-        let archive_gauge = self.obs.gauge("search.archive_size");
-        let entropy_gauge = self.obs.gauge("search.gene_entropy_bits");
-        let distance_gauge = self.obs.gauge("search.mean_distance");
-        let cache_rate_gauge = self.obs.gauge("search.cache_hit_rate");
-        let fitness_p50_gauge = self.obs.gauge("search.fitness_p50");
-        let hv_hist = self.obs.histogram("search.epoch_hypervolume");
-        let op_gauges: Vec<_> = OperatorKind::ALL
-            .iter()
-            .map(|op| self.obs.gauge(&format!("search.op_{}_rate", op.name())))
-            .collect();
-
-        let (req_tx, req_rx) = channel::unbounded::<(usize, CandidateGenome)>();
-        let (res_tx, res_rx) = channel::unbounded::<(usize, CandidateGenome, Measurement)>();
-        let (mig_tx, mig_rx) = channel::unbounded::<Migrant>();
-        let (done_tx, done_rx) = channel::unbounded::<()>();
-
-        // Workers live in supervised slots on detached threads: a hung
-        // evaluation can be abandoned (scoped threads would force a
-        // join that never returns). They exit when `req_tx` drops or
-        // when their generation goes stale after a respawn. In cluster
-        // mode each slot instead proxies one remote worker; the
-        // pipeline depth follows the slot count so the fill loops keep
-        // every slot busy either way.
-        let remote_workers = self.cluster.as_ref().map_or(0, |p| p.options.workers.len());
-        let mut pipeline_depth = if remote_workers > 0 {
-            remote_workers
-        } else {
-            cfg.threads
-        };
-        let live_remotes = Arc::new(AtomicUsize::new(remote_workers));
-        let mut degraded = false;
-        let mut supervisor = Supervisor::new();
-        // Per-slot queues so cluster jobs route deterministically
-        // (`id % workers`), giving every worker a reproducible job
-        // stream — the property that makes cross-wire profile
-        // subtrees byte-stable under the ticks clock. The shared
-        // `req_tx` queue stays as the local/degradation path.
-        let slot_alive: Arc<Vec<AtomicBool>> =
-            Arc::new((0..remote_workers).map(|_| AtomicBool::new(true)).collect());
-        let mut remote_txs: Vec<Sender<(usize, CandidateGenome)>> = Vec::new();
-        if let Some(plan) = &self.cluster {
-            for (index, addr) in plan.options.workers.iter().enumerate() {
-                let (slot_tx, slot_rx) = channel::unbounded::<(usize, CandidateGenome)>();
-                remote_txs.push(slot_tx);
-                spawn_remote_slot(
-                    &mut supervisor,
-                    addr.clone(),
-                    plan.clone(),
-                    cfg.seed,
-                    index,
-                    slot_rx,
-                    req_tx.clone(),
-                    res_tx.clone(),
-                    mig_tx.clone(),
-                    Arc::clone(&live_remotes),
-                    Arc::clone(&slot_alive),
-                    self.cluster_health.clone(),
-                    done_tx.clone(),
-                    self.obs.clone(),
-                );
-            }
-        } else {
-            for _ in 0..cfg.threads {
-                spawn_local_slot(
-                    &mut supervisor,
-                    req_rx.clone(),
-                    res_tx.clone(),
-                    Arc::clone(&self.evaluator),
-                    self.obs.clone(),
-                );
-            }
-        }
-        // Kept only for cluster degradation, which spawns local slots
-        // mid-run; otherwise workers (via the supervisor) hold the
-        // clones and the master never sends results.
-        let degrade_res_tx = (remote_workers > 0).then(|| res_tx.clone());
-        drop(res_tx);
-        drop(mig_tx); // remote slots hold the clones
-        drop(done_tx);
-
-        let max_attempts = cfg.evaluations * Self::MAX_ATTEMPT_FACTOR;
-        let mut ledger = EngineLedger::new();
-        let mut halted = false;
-
-        macro_rules! dispatch {
-            ($genome:expr, $attempt:expr, $op:expr) => {{
-                let genome: CandidateGenome = $genome;
-                let attempt: usize = $attempt;
-                let id = c.next_id;
-                c.next_id += 1;
-                ledger.dispatch(
-                    id as u64,
-                    (genome.clone(), $op),
-                    attempt,
-                    cfg.eval_timeout.map(|t| Instant::now() + t),
-                );
-                route_job(&remote_txs, &slot_alive, &req_tx, id, genome);
-                id
-            }};
-        }
-
-        macro_rules! finalize {
-            ($id:expr, $genome:expr, $measurement:expr, $op:expr) => {{
-                let measurement: Measurement = $measurement;
-                evaluated_counter.inc();
-                if !measurement.hw.is_feasible() {
-                    c.infeasible_count += 1;
-                    infeasible_counter.inc();
-                }
-                // Transient verdicts (an exhausted retry budget) stay
-                // out of the cache: a duplicate later gets a fresh
-                // chance instead of inheriting a flaky failure.
-                if measurement.failure_kind() != Some(FailureKind::Transient) {
-                    cache.insert($genome.cache_key(), measurement.clone());
-                }
-                let (eval, entered) = self.admit($genome, measurement, &mut population, &mut rng);
-                tracker.record_op($op, entered);
-                if eval.fitness.is_finite() {
-                    tracker.observe(
-                        &self.objectives.oriented_values(&eval.measurement),
-                        eval.fitness,
-                    );
-                }
-                rt::info!(
-                    self.obs,
-                    "evaluated",
-                    id = $id,
-                    accuracy = eval.measurement.accuracy,
-                    fitness = eval.fitness,
-                    feasible = eval.measurement.hw.is_feasible(),
-                );
-                trace.push(eval);
-                if tracker.should_snapshot(trace.len()) {
-                    let (snap, stall_fired) =
-                        tracker.snapshot(trace.len(), &population, c.cache_hits);
-                    self.emit_epoch(&snap, stall_fired);
-                    epoch_gauge.set(snap.epoch as f64);
-                    best_gauge.set(snap.best_fitness);
-                    hv_gauge.set(snap.hypervolume);
-                    hv_hist.record(snap.hypervolume);
-                    archive_gauge.set(snap.archive_size as f64);
-                    entropy_gauge.set(snap.gene_entropy_bits);
-                    distance_gauge.set(snap.mean_distance);
-                    cache_rate_gauge.set(snap.cache_hit_rate);
-                    fitness_p50_gauge.set(snap.fitness.p50);
-                    for (gauge, op) in op_gauges.iter().zip(OperatorKind::ALL) {
-                        gauge.set(snap.operators.rate(op));
-                    }
-                    // Mirror per-phase profile seconds (top-level spans
-                    // of the attached profiler) into gauges, so the
-                    // /metrics Prometheus exposition carries the time
-                    // breakdown of a live search.
-                    if let Some(profiler) = self.obs.profiler() {
-                        for (phase, secs) in profiler.phase_seconds() {
-                            self.obs
-                                .gauge(&format!("profile.phase.{phase}_s"))
-                                .set(secs);
-                        }
-                    }
-                    self.status.note_snapshot(snap);
-                }
-                self.status.note_counters(
-                    trace.len(),
-                    c.cache_hits,
-                    c.infeasible_count,
-                    c.retry_count,
-                    c.timeout_count,
-                    c.respawn_count,
-                );
-                if let Some(policy) = &self.checkpoint {
-                    if trace.len() % policy.every == 0 {
-                        let state = build_checkpoint(
-                            &cfg, &rng, &c, tracker.operator_totals(),
-                            prior_wall + start.elapsed().as_secs_f64(),
-                            &seeds, &population, &trace, &cache,
-                            &ledger, &pending_restore,
-                        );
-                        save_checkpoint(policy, &state, &self.obs, &self.status);
-                    }
-                }
-            }};
-        }
-
+        let mut run = Run::start(self, restored);
         loop {
-            let halt_requested = self.shutdown.is_requested()
-                || self.halt_after.is_some_and(|n| trace.len() >= n);
-
-            if remote_workers > 0 {
-                // Fold island migrants into the population. Deliberately
-                // outside the trace/budget/rng streams: migrants spend
-                // worker-side compute only, replace the current worst
-                // member deterministically, and seed the dedup cache so
-                // the coordinator never re-evaluates one.
-                while let Ok(migrant) = mig_rx.try_recv() {
-                    let key = migrant.genome.cache_key();
-                    if cache.contains_key(&key) {
-                        continue;
-                    }
-                    cache.insert(key, migrant.measurement.clone());
-                    let fitness = self.objectives.scalar(&migrant.measurement);
-                    migrant_counter.inc();
-                    rt::info!(
-                        self.obs,
-                        "migration",
-                        slot = migrant.slot,
-                        key = format!("{key:016x}"),
-                        fitness = fitness,
-                        accuracy = migrant.measurement.accuracy,
-                    );
-                    if !fitness.is_finite() {
-                        continue;
-                    }
-                    let eval = Evaluated {
-                        genome: migrant.genome,
-                        measurement: migrant.measurement,
-                        fitness,
-                    };
-                    if population.len() < cfg.population {
-                        population.push(eval);
-                    } else if let Some(worst) = (0..population.len()).min_by(|&a, &b| {
-                        population[a]
-                            .fitness
-                            .partial_cmp(&population[b].fitness)
-                            .unwrap_or(std::cmp::Ordering::Equal)
-                    }) {
-                        if population[worst].fitness < eval.fitness {
-                            population[worst] = eval;
-                        }
-                    }
-                }
-                // Jobs a retired slot forwarded off its queue land on
-                // the shared queue; while remotes survive, hand them
-                // back to `route_job` (once none do, the degradation
-                // path's local slots consume the queue instead).
-                while !degraded
-                    && slot_alive.iter().any(|a| a.load(Ordering::Acquire))
-                {
-                    let Ok((id, genome)) = req_rx.try_recv() else {
-                        break;
-                    };
-                    route_job(&remote_txs, &slot_alive, &req_tx, id, genome);
-                }
-                // Graceful degradation: when the last remote slot has
-                // retired, warn and fall back to local in-process
-                // evaluation rather than dying with jobs in flight.
-                if !degraded && live_remotes.load(Ordering::Acquire) == 0 {
-                    degraded = true;
-                    rt::warn!(
-                        self.obs,
-                        "cluster_degraded",
-                        local_slots = cfg.threads,
-                    );
-                    if let Some(health) = &self.cluster_health {
-                        health.set_degraded();
-                    }
-                    let res_tx = degrade_res_tx
-                        .clone()
-                        .expect("degrade sender retained in cluster mode");
-                    for _ in 0..cfg.threads {
-                        spawn_local_slot(
-                            &mut supervisor,
-                            req_rx.clone(),
-                            res_tx.clone(),
-                            Arc::clone(&self.evaluator),
-                            self.obs.clone(),
-                        );
-                    }
-                    pipeline_depth = cfg.threads;
-                }
+            let halt = self.shutdown.is_requested()
+                || self.halt_after.is_some_and(|n| run.trace.len() >= n);
+            if run.pool.is_cluster() {
+                run.tend_cluster();
             }
-
-            if !halt_requested {
-                // Re-dispatch retries whose backoff has elapsed, then
-                // work restored from a checkpoint (its unique budget is
-                // already counted), then fresh candidates.
-                let now = Instant::now();
-                while ledger.in_flight_len() < pipeline_depth {
-                    let Some((attempt, (genome, op))) = ledger.pop_ready_retry(now) else {
-                        break;
-                    };
-                    let key = genome.cache_key();
-                    let id = dispatch!(genome, attempt, op);
-                    rt::warn!(
-                        self.obs,
-                        "retry",
-                        id = id,
-                        attempt = attempt,
-                        key = format!("{key:016x}"),
-                    );
-                }
-                while ledger.in_flight_len() < pipeline_depth && !pending_restore.is_empty() {
-                    let job = pending_restore.pop_front().expect("nonempty");
-                    let key = job.genome.cache_key();
-                    let attempt = job.attempt;
-                    let id = dispatch!(job.genome, attempt, job.op);
-                    if attempt == 0 {
-                        rt::debug!(self.obs, "submit", id = id, key = format!("{key:016x}"));
-                    } else {
-                        rt::warn!(
-                            self.obs,
-                            "retry",
-                            id = id,
-                            attempt = attempt,
-                            key = format!("{key:016x}"),
-                        );
-                    }
-                }
-                while ledger.in_flight_len() < pipeline_depth
-                    && c.submitted_unique < cfg.evaluations
-                    && c.attempts < max_attempts
-                {
-                    let (genome, op) = {
-                        // Scoped to candidate selection only: the span
-                        // must close before the job is handed to the
-                        // pool, so master-side clock reads never overlap
-                        // a running worker (which would make ticks-clock
-                        // profiles depend on thread interleaving).
-                        let _prof = rt::prof_span!("dispatch");
-                        match seeds.pop() {
-                            Some(g) => (g, OperatorKind::Seed),
-                            None => self.breed(&population, &mut rng),
-                        }
-                    };
-                    c.attempts += 1;
-                    let key = genome.cache_key();
-                    if let Some(cached) = cache.get(&key) {
-                        // Duplicate: serve from cache, no budget, no
-                        // worker round-trip.
-                        c.cache_hits += 1;
-                        cache_hit_counter.inc();
-                        rt::debug!(self.obs, "cache_hit", key = format!("{key:016x}"));
-                        let (eval, entered) =
-                            self.admit(genome, cached.clone(), &mut population, &mut rng);
-                        // A cached duplicate still says something about
-                        // its operator's usefulness.
-                        tracker.record_op(op, entered);
-                        // Cached repeats are not re-appended to the
-                        // trace; Table III counts unique models.
-                        let _ = eval;
-                        continue;
-                    }
-                    // Emit before handing the genome to the pool: with
-                    // one thread the master then blocks on recv, so the
-                    // worker's own events always land after this line —
-                    // the property that makes seeded traces replayable.
-                    rt::debug!(
-                        self.obs,
-                        "submit",
-                        id = c.next_id,
-                        key = format!("{key:016x}"),
-                    );
-                    c.submitted_unique += 1;
-                    dispatch!(genome, 0, op);
-                }
-            }
-
-            let drained = ledger.quiescent() && pending_restore.is_empty();
-            if halt_requested || drained {
-                if halt_requested {
-                    halted = true;
-                    // Trace level for the same reason as "resume": the
-                    // halted file must be a byte-prefix of the
-                    // uninterrupted run's Debug-level JSONL.
-                    rt::trace!(self.obs, "halt", evaluations_done = trace.len());
-                    if let Some(policy) = &self.checkpoint {
-                        let state = build_checkpoint(
-                            &cfg, &rng, &c, tracker.operator_totals(),
-                            prior_wall + start.elapsed().as_secs_f64(),
-                            &seeds, &population, &trace, &cache,
-                            &ledger, &pending_restore,
-                        );
-                        save_checkpoint(policy, &state, &self.obs, &self.status);
-                    }
-                }
+            if halt {
+                // Trace level for the same reason as `resume`: the halted
+                // file must be a byte-prefix of the uninterrupted run's
+                // Debug-level JSONL.
+                rt::trace!(self.obs, "halt", evaluations_done = run.trace.len());
+                run.halted = true;
+                run.save_checkpoint();
                 break;
             }
-
-            // Sleep until a result arrives — or the earliest deadline /
-            // retry-ready time, whichever comes first. Before a cluster
-            // run has degraded, cap the sleep so the master observes
-            // migrants and lost workers even when no result will ever
-            // arrive (e.g. every remote unreachable from the start).
-            let wake = ledger.next_wake();
-            let wake = if remote_workers > 0 && !degraded {
-                let poll = Instant::now() + Duration::from_millis(100);
-                Some(wake.map_or(poll, |w| w.min(poll)))
-            } else {
-                wake
-            };
-            let received = match wake {
-                None => Some(res_rx.recv().expect("worker pool alive")),
-                Some(deadline) => match res_rx.recv_deadline(deadline) {
-                    Ok(msg) => Some(msg),
-                    Err(RecvTimeoutError::Timeout) => None,
-                    Err(RecvTimeoutError::Disconnected) => {
-                        unreachable!("supervisor retains worker senders")
-                    }
-                },
-            };
-
-            match received {
-                Some((id, genome, measurement)) => {
-                    let job = match ledger.take_result(id as u64) {
-                        ResultClass::Stale => {
-                            // A timed-out dispatch finally reported;
-                            // its verdict was already decided.
-                            rt::trace!(self.obs, "late_result", id = id);
-                            continue;
-                        }
-                        ResultClass::Fresh(job) => job,
-                        ResultClass::Unknown => unreachable!("result for in-flight id"),
-                    };
-                    let op = job.payload.1;
-                    c.total_eval_time += measurement.eval_time_s;
-                    c.train_time += measurement.train_time_s;
-                    c.hw_time += measurement.hw_time_s;
-                    eval_hist.record(measurement.eval_time_s);
-                    if measurement.failure_kind() == Some(FailureKind::Transient)
-                        && job.attempt < cfg.max_retries
-                    {
-                        let key = genome.cache_key();
-                        let attempt = job.attempt + 1;
-                        c.retry_count += 1;
-                        retry_counter.inc();
-                        ledger.schedule_retry(
-                            Instant::now() + backoff_delay(&cfg, key, attempt),
-                            attempt,
-                            (genome, op),
-                        );
-                    } else {
-                        finalize!(id, genome, measurement, op);
-                    }
-                }
-                None => {
-                    // Deadline pass: abandon every overdue dispatch.
-                    // The ledger marks each id stale so its late
-                    // result (if one ever arrives) drops on receipt.
-                    let now = Instant::now();
-                    for (id, job) in ledger.expire(now) {
-                        let id = id as usize;
-                        let (genome, op) = job.payload;
-                        c.timeout_count += 1;
-                        timeout_counter.inc();
-                        rt::warn!(
-                            self.obs,
-                            "eval_timeout",
-                            id = id,
-                            attempt = job.attempt,
-                        );
-                        if let Some(slot) = supervisor.claimed_slot(id as u64) {
-                            // The slot is wedged inside this job:
-                            // abandon its thread and start a fresh one.
-                            supervisor.record_stall();
-                            supervisor.respawn(slot);
-                            c.respawn_count += 1;
-                            respawn_counter.inc();
-                            rt::warn!(self.obs, "worker_respawn", slot = slot, id = id);
-                        }
-                        let key = genome.cache_key();
-                        if job.attempt < cfg.max_retries {
-                            let attempt = job.attempt + 1;
-                            c.retry_count += 1;
-                            retry_counter.inc();
-                            ledger.schedule_retry(
-                                now + backoff_delay(&cfg, key, attempt),
-                                attempt,
-                                (genome, op),
-                            );
-                        } else {
-                            let mut m =
-                                Measurement::infeasible(InfeasibleReason::EvalTimeout);
-                            // The wait itself is wall clock spent on
-                            // this candidate.
-                            m.eval_time_s =
-                                cfg.eval_timeout.map_or(0.0, |t| t.as_secs_f64());
-                            c.total_eval_time += m.eval_time_s;
-                            finalize!(id, genome, m, op);
-                        }
-                    }
-                }
+            run.fill();
+            if run.ledger.quiescent() && run.restored.is_empty() {
+                break;
+            }
+            match run.wait() {
+                Some(reply) => run.on_result(reply),
+                None => run.on_deadline(),
             }
         }
-        drop(req_tx); // idle workers drain and exit
-        drop(remote_txs); // retired slots stop bouncing and acknowledge
-
-        // Remote slots answer the drain by killing their sessions — a
-        // best-effort `kill_all` so workers wind down now instead of
-        // waiting out their idle timeout. Slots are detached threads,
-        // so wait (briefly, bounded) for each one's acknowledgement;
-        // without this a coordinator process can exit before the
-        // handshake reaches the wire. Slots retired earlier (lost
-        // workers, stale generations) have already acknowledged.
-        if remote_workers > 0 {
-            let grace = Instant::now() + Duration::from_secs(2);
-            for _ in 0..remote_workers {
-                let now = Instant::now();
-                if now >= grace || done_rx.recv_timeout(grace - now).is_err() {
-                    break;
-                }
-            }
-        }
-
-        let models_evaluated = trace.len();
-        if !halted {
-            rt::info!(
-                self.obs,
-                "search_end",
-                models_evaluated = models_evaluated,
-                cache_hits = c.cache_hits,
-                infeasible = c.infeasible_count,
-            );
-            if let Some(policy) = &self.checkpoint {
-                let state = build_checkpoint(
-                    &cfg, &rng, &c, tracker.operator_totals(),
-                    prior_wall + start.elapsed().as_secs_f64(),
-                    &seeds, &population, &trace, &cache,
-                    &ledger, &pending_restore,
-                );
-                save_checkpoint(policy, &state, &self.obs, &self.status);
-            }
-        }
-        self.status.note_counters(
-            trace.len(),
-            c.cache_hits,
-            c.infeasible_count,
-            c.retry_count,
-            c.timeout_count,
-            c.respawn_count,
-        );
-        self.status.note_done();
-        self.obs.flush();
-        let stats = EngineStats {
-            models_evaluated,
-            cache_hits: c.cache_hits,
-            total_eval_time_s: c.total_eval_time,
-            avg_eval_time_s: if models_evaluated > 0 {
-                c.total_eval_time / models_evaluated as f64
-            } else {
-                0.0
-            },
-            wall_time_s: prior_wall + start.elapsed().as_secs_f64(),
-            infeasible_count: c.infeasible_count,
-            train_time_s: c.train_time,
-            hw_time_s: c.hw_time,
-            retry_count: c.retry_count,
-            timeout_count: c.timeout_count,
-            respawn_count: c.respawn_count,
-            worker_latency: self.cluster.as_ref().map_or_else(Vec::new, |plan| {
-                plan.options
-                    .workers
-                    .iter()
-                    .map(|addr| {
-                        let h = self
-                            .obs
-                            .histogram_with("cluster.worker_eval_s", &[("worker", addr.as_str())]);
-                        WorkerLatency {
-                            addr: addr.clone(),
-                            jobs: h.count(),
-                            p50_s: h.quantile(0.5),
-                            p95_s: h.quantile(0.95),
-                        }
-                    })
-                    .collect()
-            }),
-        };
-        EngineOutcome {
-            population,
-            trace,
-            stats,
-            halted,
-        }
+        run.finish()
     }
 
     /// Emits the structured `epoch` trace event (and the `stall`
@@ -1717,6 +1233,26 @@ impl Engine {
         }
     }
 
+    /// What the epoch tracker observes of `e`: its oriented objectives
+    /// (left empty, and ignored, when it is infeasible) and fitness.
+    fn tracker_point(&self, e: &Evaluated) -> (Vec<f64>, f64) {
+        let oriented = if e.fitness.is_finite() {
+            self.objectives.oriented_values(&e.measurement)
+        } else {
+            Vec::new()
+        };
+        (oriented, e.fitness)
+    }
+
+    fn score(&self, genome: CandidateGenome, measurement: Measurement) -> Evaluated {
+        let fitness = self.objectives.scalar(&measurement);
+        Evaluated {
+            genome,
+            measurement,
+            fitness,
+        }
+    }
+
     /// Scores a measured candidate and inserts it into the population
     /// (steady-state replacement). Returns the evaluated record plus
     /// whether it actually entered the population (filled a slot or
@@ -1729,12 +1265,7 @@ impl Engine {
         rng: &mut StdRng,
     ) -> (Evaluated, bool) {
         let _prof = rt::prof_span!("replace");
-        let fitness = self.objectives.scalar(&measurement);
-        let eval = Evaluated {
-            genome,
-            measurement,
-            fitness,
-        };
+        let eval = self.score(genome, measurement);
         if population.len() < self.config.population {
             population.push(eval.clone());
             return (eval, true);
@@ -1746,12 +1277,7 @@ impl Engine {
                 // beats them.
                 let worst_idx = (0..self.config.tournament)
                     .map(|_| rng.gen_range(0..population.len()))
-                    .min_by(|&a, &b| {
-                        population[a]
-                            .fitness
-                            .partial_cmp(&population[b].fitness)
-                            .unwrap_or(std::cmp::Ordering::Equal)
-                    })
+                    .min_by(|&a, &b| by_fitness(&population[a], &population[b]))
                     .expect("tournament >= 1");
                 let replaced = eval.fitness > population[worst_idx].fitness;
                 rt::trace!(
@@ -1771,7 +1297,7 @@ impl Engine {
                 // is evicted. The child "entered" unless it was itself
                 // the evicted member (it sat at the last index).
                 population.push(eval.clone());
-                let evict = Self::nsga2_worst(&self.rank_keys(population));
+                let evict = Self::nsga2_worst(&self.rank_keys(population.iter()));
                 rt::trace!(self.obs, "replace", victim = evict, replaced = true);
                 let entered = evict != population.len() - 1;
                 population.swap_remove(evict);
@@ -1782,9 +1308,8 @@ impl Engine {
 
     /// Oriented objective vectors for ranking; infeasible candidates map
     /// to `-inf` everywhere so they always land in the last front.
-    fn rank_keys(&self, population: &[Evaluated]) -> Vec<Vec<f64>> {
-        population
-            .iter()
+    fn rank_keys<'a>(&self, members: impl Iterator<Item = &'a Evaluated>) -> Vec<Vec<f64>> {
+        members
             .map(|e| {
                 if e.measurement.hw.is_feasible() {
                     self.objectives.oriented_values(&e.measurement)
@@ -1845,18 +1370,12 @@ impl Engine {
         let winner = match self.config.selection {
             SelectionMode::WeightedScalar => picks
                 .into_iter()
-                .max_by(|a, b| {
-                    a.fitness
-                        .partial_cmp(&b.fitness)
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                })
+                .max_by(|a, b| by_fitness(a, b))
                 .expect("tournament >= 1"),
             SelectionMode::Nsga2 => {
                 // Crowded tournament: a non-dominated pick wins.
-                let cloned: Vec<Evaluated> = picks.iter().map(|e| (*e).clone()).collect();
-                let keys = self.rank_keys(&cloned);
-                let fronts = crate::pareto::non_dominated_sort(&keys);
-                picks[fronts[0][0]]
+                let keys = self.rank_keys(picks.iter().copied());
+                picks[crate::pareto::non_dominated_sort(&keys)[0][0]]
             }
         };
         rt::trace!(

@@ -71,6 +71,25 @@ pub trait Evaluator: Send + Sync {
     fn target_name(&self) -> String;
 }
 
+/// Runs one evaluation, turning a panic into a
+/// [`InfeasibleReason::WorkerPanic`] verdict. The failed attempt
+/// consumed real wall clock, so the verdict carries it (Table III's
+/// totals must include it). The flag reports whether it panicked.
+pub(crate) fn evaluate_caught(
+    evaluator: &dyn Evaluator,
+    genome: &CandidateGenome,
+) -> (Measurement, bool) {
+    let started = Instant::now();
+    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| evaluator.evaluate(genome))) {
+        Ok(m) => (m, false),
+        Err(_) => {
+            let mut m = Measurement::infeasible(InfeasibleReason::WorkerPanic);
+            m.eval_time_s = started.elapsed().as_secs_f64();
+            (m, true)
+        }
+    }
+}
+
 /// The production evaluator: trains the candidate topology on the
 /// dataset (simulation worker) and scores its hardware genes on the
 /// configured target (hardware database / physical / simulation worker).

@@ -3,8 +3,30 @@
 //! on malformed input — never panic — whatever bytes a user's editor,
 //! a truncated download, or a hostile file hands them.
 
+use std::sync::Arc;
+
 use ecad_core::config::{parse_ini, FlowConfig};
+use ecad_core::engine::Engine;
+use ecad_core::fitness::ObjectiveSet;
+use ecad_core::genome::CandidateGenome;
+use ecad_core::measurement::Measurement;
+use ecad_core::workers::Evaluator;
 use rt::check::{select, vec};
+use rt::rand::rngs::StdRng;
+use rt::rand::{Rng, SeedableRng};
+
+/// Stands in for a real evaluator: building an engine never evaluates.
+struct Unused;
+
+impl Evaluator for Unused {
+    fn evaluate(&self, _: &CandidateGenome) -> Measurement {
+        unreachable!("the fuzz only builds engines")
+    }
+
+    fn target_name(&self) -> String {
+        "unused".to_string()
+    }
+}
 
 rt::prop! {
     #![cases(256)]
@@ -18,7 +40,9 @@ rt::prop! {
     /// INI-shaped line soup: section headers, half-headers, comments,
     /// bare keys, duplicate sections, and values the typed getters
     /// must refuse gracefully (bad numbers, unknown devices,
-    /// mismatched objective/weight lists).
+    /// mismatched objective/weight lists, out-of-range settings). Every
+    /// configuration it accepts must build an engine, sample its space
+    /// into trainable genomes, and breed from them.
     fn ini_parser_survives_line_soup(lines in vec(select(std::vec::Vec::from([
         "[nna]", "[hardware]", "[optimization]", "[", "]", "[]", "[nna",
         "layers = 3", "layers = banana", "layers =", "= 3", "layers",
@@ -26,10 +50,35 @@ rt::prop! {
         "objectives = accuracy, throughput", "weights = 0.5",
         "weights = not,numbers", "; comment", "# comment", "", " ",
         "max_neurons = 99999999999999999999", "seed = -1", "\u{0}=\u{0}",
+        "crossover_rate = 1.5", "crossover_rate = nan", "crossover_rate = 1",
+        "population = 0", "evaluations = 0", "tournament = 0", "threads = 0",
+        "min_layers = 3", "max_layers = 1", "max_layers = 0",
+        "min_neurons = 50", "max_neurons = 4", "min_neurons = 0",
     ])), 0..16)) {
         let text = lines.join("\n");
         let _ = parse_ini(&text);
-        let _ = FlowConfig::from_ini(&text);
+        if let Ok(config) = FlowConfig::from_ini(&text) {
+            let (space, evolution) = (config.space, config.evolution);
+            let engine = Engine::new(
+                Arc::new(Unused),
+                space.clone(),
+                ObjectiveSet::accuracy_only(),
+                evolution,
+            );
+            drop(engine);
+            let mut rng = StdRng::seed_from_u64(evolution.seed);
+            let (a, b) = (space.sample(&mut rng), space.sample(&mut rng));
+            let child = if rng.gen_bool(evolution.crossover_rate) {
+                space.crossover(&a, &b, &mut rng)
+            } else {
+                a.clone()
+            };
+            let child = space.mutate(&child, &mut rng);
+            for genome in [&a, &b, &child] {
+                rt::prop_assert!(space.contains(genome));
+                rt::prop_assert!(genome.nna.layers.iter().all(|l| l.neurons > 0));
+            }
+        }
     }
 
     /// Whatever `parse_ini` accepts must be internally consistent:

@@ -440,7 +440,7 @@ fn checker_catches_checkpoint_that_drops_retries() {
 /// and the late reply eventually surfaces on the old wire.
 ///
 /// The `fence` knob is the protocol under test, mirroring
-/// `remote_exchange` in the engine: the shipped slot drops any reply
+/// `RemoteSlot::exchange` in `cluster.rs`: the shipped slot drops any reply
 /// whose `(id, stamp)` does not match the request it just sent and
 /// reports the exchange transient; the mutant forwards whatever reply
 /// arrives first.

@@ -538,7 +538,8 @@ fn format_ns(ns: f64) -> String {
 
 /// Version stamp for the `BENCH_*.json` schema; bump on any field
 /// rename or semantic change (the golden test in `crates/bench` pins
-/// the layout).
+/// the layout). Additive fields (`nproc`, an entry's `profile`) need no
+/// bump: readers ignore fields they do not know.
 pub const BENCH_SCHEMA_VERSION: u64 = 1;
 
 /// Run metadata stamped into every report.
@@ -552,12 +553,16 @@ pub struct ReportMeta {
     /// `git rev-parse HEAD` of the repository the report lands in, or
     /// `"unknown"` outside a checkout.
     pub git_rev: String,
+    /// Cores available to the measuring process
+    /// (`std::thread::available_parallelism`), so threaded numbers
+    /// carry their host's core count. `None` omits the header field.
+    pub nproc: Option<usize>,
 }
 
 impl ReportMeta {
     /// Captures the current time (honoring the `SOURCE_DATE_EPOCH`
-    /// reproducible-builds convention) and the git revision resolved
-    /// from `repo_dir`.
+    /// reproducible-builds convention), the git revision resolved from
+    /// `repo_dir`, and the host's available parallelism.
     pub fn capture(repo_dir: &Path) -> ReportMeta {
         let secs = std::env::var("SOURCE_DATE_EPOCH")
             .ok()
@@ -568,17 +573,21 @@ impl ReportMeta {
                     .map(|d| d.as_secs())
                     .unwrap_or(0)
             });
-        ReportMeta::at(secs, git_rev(repo_dir))
+        ReportMeta {
+            nproc: std::thread::available_parallelism().ok().map(usize::from),
+            ..ReportMeta::at(secs, git_rev(repo_dir))
+        }
     }
 
-    /// Builds metadata for an explicit unix time and revision
-    /// (testable).
+    /// Builds metadata for an explicit unix time and revision, without
+    /// a core count (testable).
     pub fn at(unix_secs: u64, git_rev: impl Into<String>) -> ReportMeta {
         let (date, created_utc) = utc_date_time(unix_secs);
         ReportMeta {
             date,
             created_utc,
             git_rev: git_rev.into(),
+            nproc: None,
         }
     }
 }
@@ -657,12 +666,16 @@ pub fn result_to_json(suite: &str, r: &BenchResult) -> Json {
 pub fn report_to_json(meta: &ReportMeta, entries: Vec<Json>) -> Json {
     let mut entries = entries;
     entries.sort_by(|a, b| entry_sort_key(a).cmp(&entry_sort_key(b)));
-    Json::object()
+    let header = Json::object()
         .insert("schema_version", BENCH_SCHEMA_VERSION)
         .insert("date", meta.date.as_str())
         .insert("created_utc", meta.created_utc.as_str())
-        .insert("git_rev", meta.git_rev.as_str())
-        .insert("benchmarks", Json::Array(entries))
+        .insert("git_rev", meta.git_rev.as_str());
+    match meta.nproc {
+        Some(n) => header.insert("nproc", n),
+        None => header,
+    }
+    .insert("benchmarks", Json::Array(entries))
 }
 
 fn entry_sort_key(e: &Json) -> (String, String) {

@@ -43,13 +43,12 @@
 //!
 //! `crates/tensor/tests/gemm_oracle.rs` pins the first property over an
 //! exhaustive shape grid and `tests/gemm_determinism.rs` pins the rest,
-//! including a seeded broken-accumulation-order mutant that must be
-//! caught.
+//! including a test-local reversed-`k` mutant that the bitwise check
+//! must catch.
 
 use crate::Matrix;
 use std::ops::Range;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::OnceLock;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Microkernel tile height: rows of `C` carried per register tile.
 pub const MR: usize = 4;
@@ -60,12 +59,8 @@ pub const NR: usize = 8;
 /// single-threaded; pool dispatch costs more than it saves there.
 const PAR_MIN_MACS: usize = 128 * 1024;
 
-/// Requested lane count; 0 means "unset", which falls back to the
-/// `ECAD_GEMM_THREADS` environment variable and then to 1.
-static THREADS: AtomicUsize = AtomicUsize::new(0);
-
-/// Test-only sabotage switch; see [`_set_broken_accumulation_order`].
-static BROKEN_ORDER: AtomicBool = AtomicBool::new(false);
+/// Requested lane count.
+static THREADS: AtomicUsize = AtomicUsize::new(1);
 
 /// Sets the process-wide GEMM lane count (clamped to at least 1).
 ///
@@ -77,31 +72,9 @@ pub fn set_threads(n: usize) {
     THREADS.store(n.max(1), Ordering::SeqCst);
 }
 
-/// The effective GEMM lane count: the last [`set_threads`] value, else
-/// `ECAD_GEMM_THREADS`, else 1.
+/// The effective GEMM lane count: the last [`set_threads`] value, or 1.
 pub fn threads() -> usize {
-    let t = THREADS.load(Ordering::Relaxed);
-    if t != 0 {
-        return t;
-    }
-    static ENV: OnceLock<usize> = OnceLock::new();
-    *ENV.get_or_init(|| {
-        std::env::var("ECAD_GEMM_THREADS")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&n| n >= 1)
-            .unwrap_or(1)
-    })
-}
-
-/// Test hook: when enabled, the microkernel walks the `k` reduction in
-/// *descending* order — numerically plausible, bitwise wrong. The
-/// determinism suite flips this on to prove the bit-identity oracle
-/// actually detects accumulation-order drift. Never enable outside
-/// tests.
-#[doc(hidden)]
-pub fn _set_broken_accumulation_order(on: bool) {
-    BROKEN_ORDER.store(on, Ordering::SeqCst);
+    THREADS.load(Ordering::Relaxed)
 }
 
 /// Multiplies `a * b` with the textbook triple loop.
@@ -272,7 +245,6 @@ fn gemm_driver(
         return c;
     }
 
-    let reverse = BROKEN_ORDER.load(Ordering::Relaxed);
     let mp = m.div_ceil(MR);
     let np = n.div_ceil(NR);
 
@@ -286,7 +258,7 @@ fn gemm_driver(
     let lanes = lane_count(m, k, n, mp);
     let out = SharedOut(c.as_mut_slice().as_mut_ptr());
     if lanes <= 1 {
-        compute_panels(0..mp, a, a_trans, &bpack, bias, out, m, k, n, reverse);
+        compute_panels(0..mp, a, a_trans, &bpack, bias, out, m, k, n);
     } else {
         // Lane L owns the contiguous panel range [L*mp/lanes,
         // (L+1)*mp/lanes): which lane computes a panel never affects
@@ -294,7 +266,7 @@ fn gemm_driver(
         rt::pool::global().run(lanes, |lane| {
             let lo = lane * mp / lanes;
             let hi = (lane + 1) * mp / lanes;
-            compute_panels(lo..hi, a, a_trans, &bpack, bias, out, m, k, n, reverse);
+            compute_panels(lo..hi, a, a_trans, &bpack, bias, out, m, k, n);
         });
     }
     c
@@ -328,7 +300,6 @@ fn compute_panels(
     m: usize,
     k: usize,
     n: usize,
-    reverse: bool,
 ) {
     let np = n.div_ceil(NR);
     let mut apack = vec![0.0f32; k * MR];
@@ -341,7 +312,7 @@ fn compute_panels(
             let j0 = jp * NR;
             let w = NR.min(n - j0);
             let bp = &bpack[jp * k * NR..(jp + 1) * k * NR];
-            microkernel(&apack, bp, &mut acc, reverse);
+            microkernel(&apack, bp, &mut acc);
             for i in 0..h {
                 // SAFETY: rows i0..i0+h belong exclusively to this
                 // panel, and panel ranges are disjoint across lanes.
@@ -406,33 +377,20 @@ fn pack_b(b: &Matrix, b_trans: bool, k: usize, n: usize, jp: usize, dst: &mut [f
 }
 
 /// One `MR×NR` register tile: `acc[i][j] = Σ_p apack[p][i] * bpack[p][j]`
-/// with `p` strictly ascending (descending only under the test-only
-/// broken-order mutant). Each `acc[i][j]` is a single dependency chain;
-/// the compiler vectorizes *across* the 64 independent chains, which
-/// cannot reorder any one of them.
+/// with `p` strictly ascending. Each `acc[i][j]` is a single dependency
+/// chain; the compiler vectorizes *across* the 64 independent chains,
+/// which cannot reorder any one of them.
 #[inline(always)]
-fn microkernel(apack: &[f32], bpack: &[f32], acc: &mut [[f32; NR]; MR], reverse: bool) {
+fn microkernel(apack: &[f32], bpack: &[f32], acc: &mut [[f32; NR]; MR]) {
     *acc = [[0.0; NR]; MR];
-    let steps = apack.chunks_exact(MR).zip(bpack.chunks_exact(NR));
-    if reverse {
-        for (av, bv) in steps.rev() {
-            microkernel_step(av, bv, acc);
-        }
-    } else {
-        for (av, bv) in steps {
-            microkernel_step(av, bv, acc);
-        }
-    }
-}
-
-#[inline(always)]
-fn microkernel_step(av: &[f32], bv: &[f32], acc: &mut [[f32; NR]; MR]) {
-    let av: &[f32; MR] = av.try_into().expect("packed A stride");
-    let bv: &[f32; NR] = bv.try_into().expect("packed B stride");
-    for i in 0..MR {
-        let ai = av[i];
-        for j in 0..NR {
-            acc[i][j] += ai * bv[j];
+    for (av, bv) in apack.chunks_exact(MR).zip(bpack.chunks_exact(NR)) {
+        let av: &[f32; MR] = av.try_into().expect("packed A stride");
+        let bv: &[f32; NR] = bv.try_into().expect("packed B stride");
+        for i in 0..MR {
+            let ai = av[i];
+            for j in 0..NR {
+                acc[i][j] += ai * bv[j];
+            }
         }
     }
 }

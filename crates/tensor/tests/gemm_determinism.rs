@@ -4,7 +4,7 @@
 //! output element is one f32 accumulator updated over `p` ascending, so
 //! results are bit-identical to the strict naive oracle, across
 //! repeated in-process runs, and across *any* thread count — lanes
-//! partition rows of `C`, never the `k` reduction. A seeded
+//! partition rows of `C`, never the `k` reduction. A test-local
 //! broken-accumulation-order mutant proves the bitwise oracle has
 //! teeth, and an `rt::prop!` fuzz sweeps random shapes (including
 //! 0-dims) and special values (NaN/±inf must propagate exactly like the
@@ -16,9 +16,9 @@ use rt::rand::{Rng, SeedableRng};
 use rt::prop_assert;
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
-/// `gemm::set_threads` and the mutant switch are process globals; every
-/// test in this binary serializes on this lock so the harness' default
-/// test parallelism cannot interleave settings.
+/// `gemm::set_threads` is a process global; every test in this binary
+/// serializes on this lock so the harness' default test parallelism
+/// cannot interleave settings.
 fn kernel_globals() -> MutexGuard<'static, ()> {
     static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
     LOCK.get_or_init(|| Mutex::new(()))
@@ -135,11 +135,20 @@ fn bit_identity_across_repeated_runs() {
     gemm::set_threads(1);
 }
 
-/// The seeded broken-accumulation-order mutant (reversed `k` walk —
-/// numerically plausible, bitwise wrong) must be caught by the
-/// bit-identity-vs-naive check, and switching it off must restore exact
-/// agreement. This proves the oracle detects accumulation-order drift
-/// rather than vacuously passing.
+/// The broken-accumulation-order mutant: `a * b` with the `k`
+/// reduction walked in descending order — numerically plausible,
+/// bitwise wrong.
+fn matmul_reversed_k(a: &Matrix, b: &Matrix) -> Matrix {
+    Matrix::from_fn(a.rows(), b.cols(), |i, j| {
+        (0..a.cols())
+            .rev()
+            .fold(0.0f32, |acc, p| acc + a[(i, p)] * b[(p, j)])
+    })
+}
+
+/// The reversed-`k` mutant must be caught by the bit-identity-vs-naive
+/// check that the packed kernel passes. This proves the oracle detects
+/// accumulation-order drift rather than vacuously passing.
 #[test]
 fn broken_accumulation_order_mutant_is_caught() {
     let _g = kernel_globals();
@@ -148,10 +157,7 @@ fn broken_accumulation_order_mutant_is_caught() {
     let a = init::uniform(&mut rng, 64, 64, 1.0);
     let b = init::uniform(&mut rng, 64, 64, 1.0);
     let naive = gemm::matmul_naive(&a, &b);
-
-    gemm::_set_broken_accumulation_order(true);
-    let mutant = gemm::matmul(&a, &b);
-    gemm::_set_broken_accumulation_order(false);
+    let mutant = matmul_reversed_k(&a, &b);
 
     let drifted = mutant
         .as_slice()
@@ -168,7 +174,7 @@ fn broken_accumulation_order_mutant_is_caught() {
     for (x, y) in mutant.as_slice().iter().zip(naive.as_slice()) {
         assert!((x - y).abs() <= 1e-4 * (1.0 + x.abs().max(y.abs())));
     }
-    assert_bits("mutant off", &gemm::matmul(&a, &b), &naive);
+    assert_bits("packed kernel", &gemm::matmul(&a, &b), &naive);
 }
 
 rt::prop! {

@@ -78,6 +78,10 @@ pub struct Report {
     /// Host core count, when the report records one (reports written
     /// before the header carried `nproc` do not).
     pub nproc: Option<usize>,
+    /// GEMM register tile the kernels ran (`avx2-8x8`,
+    /// `portable-4x8`), when the report records one (reports written
+    /// before the header carried `gemm_kernel` do not).
+    pub gemm_kernel: Option<String>,
     /// Benchmarks, sorted by `(suite, id)`.
     pub entries: Vec<Entry>,
 }
@@ -198,6 +202,10 @@ pub fn parse_report(path: &str, text: &str) -> Result<Report, HistoryError> {
                 as usize,
         ),
     };
+    let gemm_kernel = match doc.get("gemm_kernel") {
+        None => None,
+        Some(_) => Some(string_field("gemm_kernel")?),
+    };
     let raw = doc
         .get("benchmarks")
         .and_then(Json::as_array)
@@ -262,6 +270,7 @@ pub fn parse_report(path: &str, text: &str) -> Result<Report, HistoryError> {
         created_utc,
         git_rev,
         nproc,
+        gemm_kernel,
         entries,
     })
 }
@@ -721,6 +730,7 @@ mod tests {
                 created_utc: format!("{date}T00:00:00Z"),
                 git_rev: "test".to_string(),
                 nproc: None,
+                gemm_kernel: None,
                 entries: entries
                     .iter()
                     .map(|(suite, id, p95)| Entry {

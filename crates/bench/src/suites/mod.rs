@@ -98,14 +98,18 @@ pub fn bench_main(suite: &str) {
 }
 
 /// Merges `results` for `suite` into the report at `path`, stamping
-/// fresh metadata resolved from the report's directory.
+/// fresh metadata resolved from the report's directory, plus the GEMM
+/// tile this host runs.
 ///
 /// # Errors
 ///
 /// Propagates the filesystem write error.
 pub fn write_report(path: &Path, suite: &str, results: &[BenchResult]) -> std::io::Result<()> {
     let repo = path.parent().filter(|p| !p.as_os_str().is_empty());
-    let meta = ReportMeta::capture(repo.unwrap_or_else(|| Path::new(".")));
+    let meta = ReportMeta {
+        gemm_kernel: Some(ecad_tensor::gemm::kernel().to_string()),
+        ..ReportMeta::capture(repo.unwrap_or_else(|| Path::new(".")))
+    };
     rt::bench::write_report_merged(path, suite, results, &meta)
 }
 

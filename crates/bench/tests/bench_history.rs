@@ -218,3 +218,30 @@ fn reports_without_nproc_still_load() {
     write_report_merged(&path, "kernels", &[result("gemm/x", 10.0)], &meta).unwrap();
     assert_eq!(history::load_report(&path).unwrap().nproc, Some(nproc));
 }
+
+/// `ecad bench run` stamps the GEMM tile the host runs into the
+/// header, and committed reports written before the field existed
+/// still load without it.
+#[test]
+fn reports_record_the_gemm_kernel() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let files = history::load_history(&root).unwrap();
+    assert!(files.iter().any(|f| f.report.gemm_kernel.is_none()));
+
+    let kernel = ecad_tensor::gemm::kernel();
+    assert!(["avx2-8x8", "portable-4x8"].contains(&kernel));
+    let path = tmp_dir("gemm_kernel").join("BENCH_kernel.json");
+    ecad_bench::suites::write_report(&path, "kernels", &[result("gemm/x", 10.0)]).unwrap();
+    let report = history::load_report(&path).unwrap();
+    assert_eq!(report.gemm_kernel.as_deref(), Some(kernel));
+
+    let text = std::fs::read_to_string(&path).unwrap();
+    let bad = text.replacen(
+        &format!("\"gemm_kernel\": \"{kernel}\""),
+        "\"gemm_kernel\": 8",
+        1,
+    );
+    assert_ne!(bad, text);
+    let err = history::parse_report("bad", &bad).unwrap_err();
+    assert!(err.to_string().contains("gemm_kernel"), "{err}");
+}

@@ -24,6 +24,7 @@ fn golden_path() -> PathBuf {
 fn golden_report() -> String {
     let meta = ReportMeta {
         nproc: Some(2),
+        gemm_kernel: Some("avx2-8x8".to_string()),
         ..ReportMeta::at(1_786_233_600, "0123456789abcdef") // 2026-08-09T00:00:00Z
     };
     let result = |id: &str, p50: f64, p95: f64, samples: usize, iters: u64| BenchResult {
@@ -89,6 +90,7 @@ fn history_round_trips_golden_report() {
     assert_eq!(report.date, "2026-08-09");
     assert_eq!(report.git_rev, "0123456789abcdef");
     assert_eq!(report.nproc, Some(2));
+    assert_eq!(report.gemm_kernel.as_deref(), Some("avx2-8x8"));
     assert_eq!(report.entries.len(), 3);
     // Entries come back sorted by (suite, id) even though they were
     // registered out of order.
@@ -99,6 +101,7 @@ fn history_round_trips_golden_report() {
 
     let meta = ReportMeta {
         nproc: report.nproc,
+        gemm_kernel: report.gemm_kernel.clone(),
         ..ReportMeta::at(1_786_233_600, report.git_rev.clone())
     };
     let entries: Vec<Json> = report

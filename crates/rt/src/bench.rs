@@ -538,8 +538,8 @@ fn format_ns(ns: f64) -> String {
 
 /// Version stamp for the `BENCH_*.json` schema; bump on any field
 /// rename or semantic change (the golden test in `crates/bench` pins
-/// the layout). Additive fields (`nproc`, an entry's `profile`) need no
-/// bump: readers ignore fields they do not know.
+/// the layout). Additive fields (`nproc`, `gemm_kernel`, an entry's
+/// `profile`) need no bump: readers ignore fields they do not know.
 pub const BENCH_SCHEMA_VERSION: u64 = 1;
 
 /// Run metadata stamped into every report.
@@ -557,6 +557,10 @@ pub struct ReportMeta {
     /// (`std::thread::available_parallelism`), so threaded numbers
     /// carry their host's core count. `None` omits the header field.
     pub nproc: Option<usize>,
+    /// The GEMM register tile the measured kernels ran
+    /// (`ecad_tensor::gemm::kernel()`), so kernel numbers carry the
+    /// instruction set they depend on. `None` omits the header field.
+    pub gemm_kernel: Option<String>,
 }
 
 impl ReportMeta {
@@ -580,7 +584,7 @@ impl ReportMeta {
     }
 
     /// Builds metadata for an explicit unix time and revision, without
-    /// a core count (testable).
+    /// a core count or GEMM tile (testable).
     pub fn at(unix_secs: u64, git_rev: impl Into<String>) -> ReportMeta {
         let (date, created_utc) = utc_date_time(unix_secs);
         ReportMeta {
@@ -588,6 +592,7 @@ impl ReportMeta {
             created_utc,
             git_rev: git_rev.into(),
             nproc: None,
+            gemm_kernel: None,
         }
     }
 }
@@ -671,8 +676,12 @@ pub fn report_to_json(meta: &ReportMeta, entries: Vec<Json>) -> Json {
         .insert("date", meta.date.as_str())
         .insert("created_utc", meta.created_utc.as_str())
         .insert("git_rev", meta.git_rev.as_str());
-    match meta.nproc {
+    let header = match meta.nproc {
         Some(n) => header.insert("nproc", n),
+        None => header,
+    };
+    match &meta.gemm_kernel {
+        Some(kernel) => header.insert("gemm_kernel", kernel.as_str()),
         None => header,
     }
     .insert("benchmarks", Json::Array(entries))

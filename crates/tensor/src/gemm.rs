@@ -13,19 +13,33 @@
 //! # Kernel layout
 //!
 //! Each call packs the operands once: logical `A` (`m×k`) into row
-//! panels of [`MR`] rows stored k-major (`apack[p*MR + i] = A[i0+i, p]`)
+//! panels of `MR` rows stored k-major (`apack[p*MR + i] = A[i0+i, p]`)
 //! and logical `B` (`k×n`) into column panels of [`NR`] columns stored
-//! k-major (`bpack[p*NR + j] = B[p, j0+j]`). A 4×8 microkernel then
-//! walks both panels contiguously, carrying the full `MR×NR` tile of
-//! `C` in a register accumulator array. The fixed-shape inner loops are
-//! plain mul/add chains over independent accumulators, which LLVM
+//! k-major (`bpack[p*NR + j] = B[p, j0+j]`). An `MR×NR` microkernel then
+//! walks both panels contiguously, carrying the full tile of `C` in a
+//! register accumulator array. The fixed-shape inner loops are plain
+//! mul/add chains over independent accumulators, which LLVM
 //! auto-vectorizes without reordering any single chain (no fast-math is
-//! enabled anywhere in the workspace); the 4×8 tile keeps the whole
-//! accumulator block plus operand temporaries inside the baseline
-//! x86-64 (SSE2) register file, which 8×8 overflows. Edge tiles are
-//! zero-padded in
+//! enabled anywhere in the workspace). Edge tiles are zero-padded in
 //! the packed buffers and only the valid `h×w` region is copied out, so
 //! padding lanes never touch a real output element.
+//!
+//! # Tile per instruction set
+//!
+//! The driver is generic over the tile height and compiled twice; each
+//! call picks one with a single CPU check (see [`kernel`]):
+//!
+//! * `avx2-8x8` — on x86-64 hosts with AVX2, an 8×8 tile: eight 8-wide
+//!   YMM accumulators, leaving room in the 16-register file for one row
+//!   of `B` and the broadcasts of `A`. Only the `avx2` target feature is
+//!   enabled, never `fma`, so every multiply and add still rounds
+//!   separately.
+//! * `portable-4x8` — everywhere else, a 4×8 tile ([`MR`] rows) that
+//!   fits the baseline x86-64 (SSE2) register file, which 8×8
+//!   overflows.
+//!
+//! Both tiles produce the same bits (see below), so the choice moves
+//! only time.
 //!
 //! # Determinism contract
 //!
@@ -39,21 +53,30 @@
 //! * to [`matmul_naive`] (and the transposed-naive references for the
 //!   fused variants),
 //! * across repeated runs in one process,
-//! * across any thread count (1 vs N), on hosts with any core count.
+//! * across any thread count (1 vs N), on hosts with any core count,
+//! * across the two tiles, so on hosts with and without AVX2.
 //!
 //! `crates/tensor/tests/gemm_oracle.rs` pins the first property over an
 //! exhaustive shape grid and `tests/gemm_determinism.rs` pins the rest,
 //! including a test-local reversed-`k` mutant that the bitwise check
-//! must catch.
+//! must catch; a unit test here runs both tiles against the oracle
+//! directly, so the portable tile stays covered on AVX2 hosts.
 
 use crate::Matrix;
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Microkernel tile height: rows of `C` carried per register tile.
+/// Tile height of the portable microkernel: rows of `C` carried per
+/// register tile on hosts without AVX2. The AVX2 tile carries 8 rows;
+/// [`kernel`] names the tile this host runs.
 pub const MR: usize = 4;
-/// Microkernel tile width: columns of `C` carried per register tile.
+/// Microkernel tile width: columns of `C` carried per register tile,
+/// shared by both tiles (and so is the packed-`B` layout).
 pub const NR: usize = 8;
+
+/// Tile height of the AVX2 microkernel.
+#[cfg(target_arch = "x86_64")]
+const MR_AVX2: usize = 8;
 
 /// Calls below this many multiply-accumulates (`m*k*n`) always run
 /// single-threaded; pool dispatch costs more than it saves there.
@@ -75,6 +98,31 @@ pub fn set_threads(n: usize) {
 /// The effective GEMM lane count: the last [`set_threads`] value, or 1.
 pub fn threads() -> usize {
     THREADS.load(Ordering::Relaxed)
+}
+
+/// Names the register tile this host's GEMM calls run: `"avx2-8x8"`
+/// on x86-64 CPUs with AVX2, else `"portable-4x8"`. Kernel timings
+/// depend on it, so benchmark reports record it; the output bits do
+/// not.
+pub fn kernel() -> &'static str {
+    if avx2() {
+        "avx2-8x8"
+    } else {
+        "portable-4x8"
+    }
+}
+
+/// Whether this CPU runs the AVX2 tile: the one check each GEMM call
+/// makes (the standard library caches the CPUID result).
+fn avx2() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        std::arch::is_x86_feature_detected!("avx2")
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
+    }
 }
 
 /// Multiplies `a * b` with the textbook triple loop.
@@ -138,7 +186,7 @@ pub fn matmul(a: &Matrix, b: &Matrix) -> Matrix {
         a.cols(),
         b.rows()
     );
-    gemm_driver(a, false, b, false, None)
+    dispatch(a, false, b, false, None)
 }
 
 /// Computes `a * b + bias` where `bias` is a length-`n` vector broadcast
@@ -159,7 +207,7 @@ pub fn matmul_bias(a: &Matrix, b: &Matrix, bias: &[f32]) -> Matrix {
         b.rows()
     );
     assert_eq!(bias.len(), b.cols(), "bias length must equal output width");
-    gemm_driver(a, false, b, false, Some(bias))
+    dispatch(a, false, b, false, Some(bias))
 }
 
 /// Computes `a^T * b` without materializing `a^T`.
@@ -180,7 +228,7 @@ pub fn matmul_at_b(a: &Matrix, b: &Matrix) -> Matrix {
         a.rows(),
         b.rows()
     );
-    gemm_driver(a, true, b, false, None)
+    dispatch(a, true, b, false, None)
 }
 
 /// Computes `a * b^T` without materializing `b^T`.
@@ -201,27 +249,84 @@ pub fn matmul_a_bt(a: &Matrix, b: &Matrix) -> Matrix {
         a.cols(),
         b.cols()
     );
-    gemm_driver(a, false, b, true, None)
+    dispatch(a, false, b, true, None)
 }
 
-/// Raw output pointer shared across lanes. Sound because each lane
-/// writes a disjoint range of row panels (lane assignment is static)
-/// and `gemm_driver` does not touch the matrix again until the pool
-/// barrier has passed.
+/// Raw output pointer shared across lanes.
 #[derive(Clone, Copy)]
 struct SharedOut(*mut f32);
+// SAFETY: the one field points into the `C` that `gemm_driver`
+// allocated and holds mutably for the whole call. Lanes only write
+// through it, each to the rows of its own panel range (disjoint by the
+// static lane split), and `gemm_driver` touches `C` again only after the
+// pool barrier, so no element is accessed from two threads at once.
 unsafe impl Send for SharedOut {}
+// SAFETY: as for `Send`: sharing the pointer gives no lane access to
+// another lane's rows.
 unsafe impl Sync for SharedOut {}
 
-/// The one driver behind all four public kernels. `a_trans` /
-/// `b_trans` select which operand layout gets packed; dimension
-/// agreement is asserted by the callers.
-fn gemm_driver(
+/// What every lane of one call reads: the logical `A`, the packed `B`,
+/// the bias, and where the `m×n` output goes.
+struct Operands<'a> {
+    a: &'a Matrix,
+    a_trans: bool,
+    bpack: &'a [f32],
+    bias: Option<&'a [f32]>,
+    out: SharedOut,
+    m: usize,
+    k: usize,
+    n: usize,
+}
+
+/// Runs one call on the tile [`kernel`] names. `a_trans` / `b_trans`
+/// select which operand layout gets packed; dimension agreement is
+/// asserted by the callers.
+fn dispatch(a: &Matrix, a_trans: bool, b: &Matrix, b_trans: bool, bias: Option<&[f32]>) -> Matrix {
+    #[cfg(target_arch = "x86_64")]
+    if avx2() {
+        // SAFETY: `avx2()` just confirmed that this CPU supports AVX2,
+        // the only target feature `gemm_avx2` enables.
+        return unsafe { gemm_avx2(a, a_trans, b, b_trans, bias) };
+    }
+    gemm_driver::<MR>(a, a_trans, b, b_trans, bias, compute_panels::<MR>)
+}
+
+/// The 8×8 instantiation of [`gemm_driver`], compiled for AVX2.
+/// Calling it is `unsafe` outside AVX2 code: check first that the CPU
+/// has AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn gemm_avx2(a: &Matrix, a_trans: bool, b: &Matrix, b_trans: bool, bias: Option<&[f32]>) -> Matrix {
+    // A closure takes its target features from the function it is
+    // written in, so the pool closure inside `gemm_driver` is compiled
+    // without AVX2 even when inlined here; computing the tile there
+    // gives the spilling SSE2 8×8 tile (DESIGN.md §19). Every lane
+    // therefore enters the tile through `panels_avx2`.
+    gemm_driver::<MR_AVX2>(a, a_trans, b, b_trans, bias, |ops, panels| {
+        panels_avx2(ops, panels)
+    })
+}
+
+/// [`compute_panels`] with the 8×8 tile, compiled for AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn panels_avx2(ops: &Operands<'_>, panels: Range<usize>) {
+    compute_panels::<MR_AVX2>(ops, panels);
+}
+
+/// The one driver behind all four public kernels, generic over the
+/// tile height `MR`: it packs `B`, splits the `MR`-row panels of `C`
+/// across lanes, and has `lane` compute each lane's panel range.
+/// Inlined into its two callers, so `gemm_avx2` packs `B` with AVX2
+/// code too.
+#[inline(always)]
+fn gemm_driver<const MR: usize>(
     a: &Matrix,
     a_trans: bool,
     b: &Matrix,
     b_trans: bool,
     bias: Option<&[f32]>,
+    lane: impl Fn(&Operands<'_>, Range<usize>) + Sync,
 ) -> Matrix {
     let (m, k) = if a_trans {
         let (k, m) = a.shape();
@@ -252,21 +357,35 @@ fn gemm_driver(
     // ragged final panel keeps zero padding in lanes >= w.
     let mut bpack = vec![0.0f32; np * k * NR];
     for jp in 0..np {
-        pack_b(b, b_trans, k, n, jp, &mut bpack[jp * k * NR..(jp + 1) * k * NR]);
+        pack_b(
+            b,
+            b_trans,
+            k,
+            n,
+            jp,
+            &mut bpack[jp * k * NR..(jp + 1) * k * NR],
+        );
     }
 
     let lanes = lane_count(m, k, n, mp);
-    let out = SharedOut(c.as_mut_slice().as_mut_ptr());
+    let ops = Operands {
+        a,
+        a_trans,
+        bpack: &bpack,
+        bias,
+        out: SharedOut(c.as_mut_slice().as_mut_ptr()),
+        m,
+        k,
+        n,
+    };
     if lanes <= 1 {
-        compute_panels(0..mp, a, a_trans, &bpack, bias, out, m, k, n);
+        lane(&ops, 0..mp);
     } else {
         // Lane L owns the contiguous panel range [L*mp/lanes,
         // (L+1)*mp/lanes): which lane computes a panel never affects
         // what the panel computes, only where.
-        rt::pool::global().run(lanes, |lane| {
-            let lo = lane * mp / lanes;
-            let hi = (lane + 1) * mp / lanes;
-            compute_panels(lo..hi, a, a_trans, &bpack, bias, out, m, k, n);
+        rt::pool::global().run(lanes, |l| {
+            lane(&ops, l * mp / lanes..(l + 1) * mp / lanes);
         });
     }
     c
@@ -287,27 +406,28 @@ fn lane_count(m: usize, k: usize, n: usize, mp: usize) -> usize {
     requested.min(mp).min(rt::pool::global().threads())
 }
 
-/// Computes the given range of row panels against every column panel.
-/// Each lane runs this once over its own disjoint range.
-#[allow(clippy::too_many_arguments)]
-fn compute_panels(
-    panels: Range<usize>,
-    a: &Matrix,
-    a_trans: bool,
-    bpack: &[f32],
-    bias: Option<&[f32]>,
-    out: SharedOut,
-    m: usize,
-    k: usize,
-    n: usize,
-) {
+/// Computes the given range of `MR`-row panels against every column
+/// panel. Each lane runs this once over its own disjoint range; it is
+/// inlined so the AVX2 lane compiles the tile with AVX2.
+#[inline(always)]
+fn compute_panels<const MR: usize>(ops: &Operands<'_>, panels: Range<usize>) {
+    let &Operands {
+        a,
+        a_trans,
+        bpack,
+        bias,
+        out,
+        m,
+        k,
+        n,
+    } = ops;
     let np = n.div_ceil(NR);
     let mut apack = vec![0.0f32; k * MR];
     let mut acc = [[0.0f32; NR]; MR];
     for ip in panels {
         let i0 = ip * MR;
         let h = MR.min(m - i0);
-        pack_a(a, a_trans, k, i0, h, &mut apack);
+        pack_a::<MR>(a, a_trans, k, i0, h, &mut apack);
         for jp in 0..np {
             let j0 = jp * NR;
             let w = NR.min(n - j0);
@@ -316,9 +436,8 @@ fn compute_panels(
             for i in 0..h {
                 // SAFETY: rows i0..i0+h belong exclusively to this
                 // panel, and panel ranges are disjoint across lanes.
-                let row = unsafe {
-                    std::slice::from_raw_parts_mut(out.0.add((i0 + i) * n + j0), w)
-                };
+                let row =
+                    unsafe { std::slice::from_raw_parts_mut(out.0.add((i0 + i) * n + j0), w) };
                 match bias {
                     Some(bv) => {
                         for j in 0..w {
@@ -334,7 +453,17 @@ fn compute_panels(
 
 /// Packs `MR` logical rows of `A` starting at `i0`, k-major:
 /// `apack[p*MR + i] = A[i0+i, p]`. Rows past `h` are zero padding.
-fn pack_a(a: &Matrix, a_trans: bool, k: usize, i0: usize, h: usize, apack: &mut [f32]) {
+/// Inlined, like the microkernel, so the AVX2 lane packs with AVX2
+/// code.
+#[inline(always)]
+fn pack_a<const MR: usize>(
+    a: &Matrix,
+    a_trans: bool,
+    k: usize,
+    i0: usize,
+    h: usize,
+    apack: &mut [f32],
+) {
     if h < MR {
         apack.fill(0.0);
     }
@@ -378,10 +507,10 @@ fn pack_b(b: &Matrix, b_trans: bool, k: usize, n: usize, jp: usize, dst: &mut [f
 
 /// One `MR×NR` register tile: `acc[i][j] = Σ_p apack[p][i] * bpack[p][j]`
 /// with `p` strictly ascending. Each `acc[i][j]` is a single dependency
-/// chain; the compiler vectorizes *across* the 64 independent chains,
+/// chain; the compiler vectorizes *across* the independent chains,
 /// which cannot reorder any one of them.
 #[inline(always)]
-fn microkernel(apack: &[f32], bpack: &[f32], acc: &mut [[f32; NR]; MR]) {
+fn microkernel<const MR: usize>(apack: &[f32], bpack: &[f32], acc: &mut [[f32; NR]; MR]) {
     *acc = [[0.0; NR]; MR];
     for (av, bv) in apack.chunks_exact(MR).zip(bpack.chunks_exact(NR)) {
         let av: &[f32; MR] = av.try_into().expect("packed A stride");
@@ -559,5 +688,93 @@ mod tests {
     fn flops_count() {
         assert_eq!(gemm_flops(2, 3, 4), 48);
         assert_eq!(gemm_flops(0, 3, 4), 0);
+    }
+
+    type Tile = fn(&Matrix, bool, &Matrix, bool, Option<&[f32]>) -> Matrix;
+
+    fn portable(a: &Matrix, at: bool, b: &Matrix, bt: bool, bias: Option<&[f32]>) -> Matrix {
+        gemm_driver::<MR>(a, at, b, bt, bias, compute_panels::<MR>)
+    }
+
+    /// Every tile this host can run, by its [`kernel`] name.
+    fn tiles() -> Vec<(&'static str, Tile)> {
+        #[cfg(target_arch = "x86_64")]
+        if avx2() {
+            fn avx2_tile(
+                a: &Matrix,
+                at: bool,
+                b: &Matrix,
+                bt: bool,
+                bias: Option<&[f32]>,
+            ) -> Matrix {
+                // SAFETY: `tiles` lists this function only after
+                // `avx2()` confirmed that the CPU supports AVX2.
+                unsafe { gemm_avx2(a, at, b, bt, bias) }
+            }
+            return vec![("portable-4x8", portable), ("avx2-8x8", avx2_tile)];
+        }
+        vec![("portable-4x8", portable)]
+    }
+
+    /// Both tiles, driven directly rather than through the dispatch
+    /// (which on AVX2 hosts never runs the portable one), against the
+    /// naive oracle bitwise: all four kernel shapes over the oracle's
+    /// `{0,1,2,3,5,7,8,9}³` grid and its 64/128 boundary shapes.
+    #[test]
+    fn every_tile_matches_naive_bitwise() {
+        const DIMS: [usize; 8] = [0, 1, 2, 3, 5, 7, 8, 9];
+        let mut shapes: Vec<(usize, usize, usize)> = Vec::new();
+        for m in DIMS {
+            for k in DIMS {
+                shapes.extend(DIMS.map(|n| (m, k, n)));
+            }
+        }
+        for (x, y, z) in [(63, 64, 65), (127, 128, 129)] {
+            shapes.extend([(x, y, z), (y, z, x), (z, x, y), (y, y, y)]);
+        }
+        let tiles = tiles();
+        assert_eq!(tiles.last().map(|t| t.0), Some(kernel()));
+        for (m, k, n) in shapes {
+            let mut rng = StdRng::seed_from_u64((m as u64) << 32 | (k as u64) << 16 | n as u64);
+            let a = init::uniform(&mut rng, m, k, 1.0);
+            let b = init::uniform(&mut rng, k, n, 1.0);
+            let at = init::uniform(&mut rng, k, m, 1.0);
+            let bt = init::uniform(&mut rng, n, k, 1.0);
+            let bias: Vec<f32> = (0..n).map(|j| j as f32 * 0.25 - 1.0).collect();
+            let naive = matmul_naive(&a, &b);
+            let mut naive_bias = naive.clone();
+            for r in 0..m {
+                for (x, &bv) in naive_bias.row_mut(r).iter_mut().zip(&bias) {
+                    *x += bv;
+                }
+            }
+            let want = [
+                naive,
+                naive_bias,
+                matmul_naive(&at.transposed(), &b),
+                matmul_naive(&a, &bt.transposed()),
+            ];
+            for &(name, tile) in &tiles {
+                let got = [
+                    tile(&a, false, &b, false, None),
+                    tile(&a, false, &b, false, Some(&bias)),
+                    tile(&at, true, &b, false, None),
+                    tile(&a, false, &bt, true, None),
+                ];
+                let ops = ["matmul", "matmul_bias", "matmul_at_b", "matmul_a_bt"];
+                for ((op, got), want) in ops.iter().zip(&got).zip(&want) {
+                    let ctx = format!("{name} {op} m={m} k={k} n={n}");
+                    assert_eq!(got.shape(), want.shape(), "{ctx}");
+                    for (e, (x, y)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
+                        let (i, j) = (e / n, e % n);
+                        assert_eq!(
+                            x.to_bits(),
+                            y.to_bits(),
+                            "{ctx} i={i} j={j}: {x:?} vs {y:?}"
+                        );
+                    }
+                }
+            }
+        }
     }
 }

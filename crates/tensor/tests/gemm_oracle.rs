@@ -17,9 +17,10 @@ use rt::rand::SeedableRng;
 /// register tile edges.
 const DIMS: [usize; 8] = [0, 1, 2, 3, 5, 7, 8, 9];
 
-/// Shapes straddling the MR/NR=8 register tiles and multi-panel row
-/// ranges; cyclic permutations keep the count debug-build friendly
-/// while still hitting every dimension at every boundary value.
+/// Shapes straddling the register tiles (4 or 8 rows, 8 columns) and
+/// multi-panel row ranges; cyclic permutations keep the count
+/// debug-build friendly while still hitting every dimension at every
+/// boundary value.
 const BOUNDARY: [(usize, usize, usize); 8] = [
     (63, 64, 65),
     (64, 65, 63),

@@ -24,7 +24,7 @@ use std::fmt;
 use std::path::{Path, PathBuf};
 
 use rt::bench::BENCH_SCHEMA_VERSION;
-use rt::json::Json;
+use rt::json::{Cursor, DecodeError, FromJson, Json};
 
 use crate::report::TextTable;
 
@@ -107,11 +107,13 @@ pub enum HistoryError {
         /// Parser message.
         message: String,
     },
-    /// The JSON parses but violates the report schema.
+    /// The JSON parses but violates the report schema; `at` and
+    /// `message` are the [`DecodeError`]'s.
     Schema {
         /// Offending path.
         path: String,
-        /// Where in the document (`benchmarks[3]`, `date`, ...).
+        /// Where in the document (`benchmarks[3]`, `gemm_kernel`, ...;
+        /// empty for the top-level object).
         at: String,
         /// What is wrong.
         message: String,
@@ -128,6 +130,9 @@ impl fmt::Display for HistoryError {
                 column,
                 message,
             } => write!(f, "{path}:{line}:{column}: {message}"),
+            HistoryError::Schema { path, at, message } if at.is_empty() => {
+                write!(f, "{path}: {message}")
+            }
             HistoryError::Schema { path, at, message } => {
                 write!(f, "{path}: {at}: {message}")
             }
@@ -136,14 +141,6 @@ impl fmt::Display for HistoryError {
 }
 
 impl std::error::Error for HistoryError {}
-
-/// Converts a byte offset into 1-based (line, column).
-fn line_col(text: &str, offset: usize) -> (usize, usize) {
-    let upto = &text.as_bytes()[..offset.min(text.len())];
-    let line = upto.iter().filter(|&&b| b == b'\n').count() + 1;
-    let column = upto.iter().rev().take_while(|&&b| b != b'\n').count() + 1;
-    (line, column)
-}
 
 /// Whether a file name is a history report (`BENCH_*.json`).
 pub fn is_bench_file(name: &str) -> bool {
@@ -160,119 +157,84 @@ pub fn is_bench_file(name: &str) -> bool {
 /// (wrong/missing fields, non-finite or misordered statistics,
 /// duplicate benchmark keys, unsupported `schema_version`).
 pub fn parse_report(path: &str, text: &str) -> Result<Report, HistoryError> {
-    let doc = Json::parse(text).map_err(|e| {
-        let (line, column) = line_col(text, e.offset);
-        HistoryError::Parse {
-            path: path.to_string(),
-            line,
-            column,
-            message: e.message,
-        }
-    })?;
-    let schema = |at: &str, message: String| HistoryError::Schema {
+    let doc = Json::parse(text).map_err(|e| HistoryError::Parse {
         path: path.to_string(),
-        at: at.to_string(),
-        message,
-    };
-    let string_field = |key: &str| {
-        doc.get(key)
-            .and_then(Json::as_str)
-            .map(str::to_string)
-            .ok_or_else(|| schema(key, "missing or non-string field".to_string()))
-    };
-    let version = doc
-        .get("schema_version")
-        .and_then(Json::as_f64)
-        .ok_or_else(|| schema("schema_version", "missing or non-numeric".to_string()))?;
-    if version != BENCH_SCHEMA_VERSION as f64 {
-        return Err(schema(
-            "schema_version",
-            format!("unsupported version {version} (expected {BENCH_SCHEMA_VERSION})"),
-        ));
-    }
-    let date = string_field("date")?;
-    let created_utc = string_field("created_utc")?;
-    let git_rev = string_field("git_rev")?;
-    let nproc = match doc.get("nproc") {
-        None => None,
-        Some(n) => Some(
-            n.as_f64()
-                .filter(|n| *n >= 1.0 && n.fract() == 0.0)
-                .ok_or_else(|| schema("nproc", "not a positive integer".to_string()))?
-                as usize,
-        ),
-    };
-    let gemm_kernel = match doc.get("gemm_kernel") {
-        None => None,
-        Some(_) => Some(string_field("gemm_kernel")?),
-    };
-    let raw = doc
-        .get("benchmarks")
-        .and_then(Json::as_array)
-        .ok_or_else(|| schema("benchmarks", "missing or non-array field".to_string()))?;
+        line: e.line,
+        column: e.column,
+        message: e.message,
+    })?;
+    Report::from_json(&doc).map_err(|e| HistoryError::Schema {
+        path: path.to_string(),
+        at: e.path,
+        message: e.message,
+    })
+}
 
-    let mut entries = Vec::with_capacity(raw.len());
-    for (i, item) in raw.iter().enumerate() {
-        let at = format!("benchmarks[{i}]");
-        let text_of = |key: &str| {
-            item.get(key)
-                .and_then(Json::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| schema(&at, format!("missing or non-string field {key:?}")))
-        };
-        let num_of = |key: &str| {
-            item.get(key)
-                .and_then(Json::as_f64)
-                .filter(|x| x.is_finite() && *x >= 0.0)
-                .ok_or_else(|| {
-                    schema(
-                        &at,
-                        format!("missing, non-numeric, or negative field {key:?}"),
-                    )
-                })
+impl FromJson for Report {
+    fn decode(j: Cursor<'_>) -> Result<Report, DecodeError> {
+        let version: u64 = j.get("schema_version")?;
+        if version != BENCH_SCHEMA_VERSION {
+            return Err(j.field("schema_version")?.error(format!(
+                "unsupported version {version} (expected {BENCH_SCHEMA_VERSION})"
+            )));
+        }
+        let (date, created_utc, git_rev) =
+            (j.get("date")?, j.get("created_utc")?, j.get("git_rev")?);
+        let nproc = j.opt("nproc")?;
+        if nproc == Some(0) {
+            return Err(j.field("nproc")?.expected("a positive integer"));
+        }
+        let gemm_kernel = j.opt("gemm_kernel")?;
+        let benchmarks = j.field("benchmarks")?;
+        let mut entries: Vec<Entry> = benchmarks.list(Entry::decode)?;
+        entries.sort_by(|a, b| (&a.suite, &a.id).cmp(&(&b.suite, &b.id)));
+        for pair in entries.windows(2) {
+            if pair[0].suite == pair[1].suite && pair[0].id == pair[1].id {
+                return Err(benchmarks.error(format!("duplicate benchmark {}", pair[0].key())));
+            }
+        }
+        Ok(Report {
+            date,
+            created_utc,
+            git_rev,
+            nproc,
+            gemm_kernel,
+            entries,
+        })
+    }
+}
+
+impl FromJson for Entry {
+    fn decode(j: Cursor<'_>) -> Result<Entry, DecodeError> {
+        let ns = |key: &str| {
+            let at = j.field(key)?;
+            match f64::decode(at)? {
+                x if x < 0.0 => Err(at.expected("a non-negative number")),
+                x => Ok(x),
+            }
         };
         let entry = Entry {
-            suite: text_of("suite")?,
-            id: text_of("id")?,
-            ns_p50: num_of("ns_per_iter_p50")?,
-            ns_p95: num_of("ns_per_iter_p95")?,
-            ns_min: num_of("ns_per_iter_min")?,
-            ns_max: num_of("ns_per_iter_max")?,
-            ns_mean: num_of("ns_per_iter_mean")?,
-            throughput_per_s: num_of("throughput_per_s")?,
-            samples: num_of("samples")? as u64,
-            iters_per_sample: num_of("iters_per_sample")? as u64,
+            suite: j.get("suite")?,
+            id: j.get("id")?,
+            ns_p50: ns("ns_per_iter_p50")?,
+            ns_p95: ns("ns_per_iter_p95")?,
+            ns_min: ns("ns_per_iter_min")?,
+            ns_max: ns("ns_per_iter_max")?,
+            ns_mean: ns("ns_per_iter_mean")?,
+            throughput_per_s: ns("throughput_per_s")?,
+            samples: j.get("samples")?,
+            iters_per_sample: j.get("iters_per_sample")?,
         };
         if entry.ns_p50 > entry.ns_p95 {
-            return Err(schema(
-                &at,
-                format!(
-                    "corrupt summary: p50 {} > p95 {} for {}",
-                    entry.ns_p50,
-                    entry.ns_p95,
-                    entry.key()
-                ),
-            ));
+            return Err(j.error(format!(
+                "corrupt summary: p50 {} > p95 {} for {}",
+                entry.ns_p50,
+                entry.ns_p95,
+                entry.key()
+            )));
         }
-        entries.push(entry);
+        Ok(entry)
     }
-    entries.sort_by(|a, b| (&a.suite, &a.id).cmp(&(&b.suite, &b.id)));
-    for pair in entries.windows(2) {
-        if pair[0].suite == pair[1].suite && pair[0].id == pair[1].id {
-            return Err(schema(
-                "benchmarks",
-                format!("duplicate benchmark {}", pair[0].key()),
-            ));
-        }
-    }
-    Ok(Report {
-        date,
-        created_utc,
-        git_rev,
-        nproc,
-        gemm_kernel,
-        entries,
-    })
 }
 
 /// Loads and validates one report file.
@@ -748,14 +710,6 @@ mod tests {
                     .collect(),
             },
         }
-    }
-
-    #[test]
-    fn line_col_counts_from_one() {
-        let text = "ab\ncd\nef";
-        assert_eq!(line_col(text, 0), (1, 1));
-        assert_eq!(line_col(text, 4), (2, 2));
-        assert_eq!(line_col(text, 7), (3, 2));
     }
 
     #[test]

@@ -43,7 +43,7 @@ fn history_dir(p: &Parsed) -> PathBuf {
         .unwrap_or_else(history::default_dir)
 }
 
-fn get_f64(p: &Parsed, flag: &str) -> Result<Option<f64>, CliError> {
+fn non_negative_flag(p: &Parsed, flag: &str) -> Result<Option<f64>, CliError> {
     match p.get(flag) {
         None => Ok(None),
         Some(text) => text
@@ -246,8 +246,8 @@ fn bench_gate(p: &Parsed) -> Result<String, CliError> {
     let config = GateConfig {
         suite: p.get("suite").map(str::to_string),
         filter: p.get("filter").map(str::to_string),
-        threshold_p95_ms: get_f64(p, "threshold-p95-ms")?,
-        max_p95_regression_pct: get_f64(p, "max-p95-regression-pct")?,
+        threshold_p95_ms: non_negative_flag(p, "threshold-p95-ms")?,
+        max_p95_regression_pct: non_negative_flag(p, "max-p95-regression-pct")?,
         window_size: p.get_parse("window-size", GateConfig::default().window_size)?,
         required_passes: p.get_parse("required-passes", GateConfig::default().required_passes)?,
     };

@@ -10,6 +10,7 @@ use ecad_dataset::csv;
 use ecad_hw::cpu::{CpuDevice, CpuModel};
 use ecad_hw::fpga::{FpgaDevice, FpgaModel, GridConfig, PhysicalModel};
 use ecad_hw::gpu::{GpuDevice, GpuModel};
+use rt::json::{Cursor, DecodeError, FromJson, Json};
 
 use crate::args::{parse_grid, parse_usize_list, ArgError, Parsed};
 
@@ -566,36 +567,25 @@ fn cmd_trace(p: &Parsed) -> Result<String, CliError> {
     let mut counts: Vec<(String, usize)> = Vec::new();
     let mut lines = 0usize;
     for (i, line) in text.lines().enumerate() {
-        let json = rt::json::Json::parse(line).map_err(|e| {
-            CliError::Domain(format!("{path}:{}: not valid JSON: {e}", i + 1))
-        })?;
-        let field = |key: &str| {
-            json.get(key)
-                .ok_or_else(|| CliError::Domain(format!("{path}:{}: missing {key:?}", i + 1)))
+        let located = |e: String| CliError::Domain(format!("{path}:{}: {e}", i + 1));
+        let json = Json::parse(line).map_err(|e| located(format!("not valid JSON: {e}")))?;
+        let j = Cursor::root(&json);
+        let event = || -> Result<String, DecodeError> {
+            let seq = j.field("seq")?;
+            let n = u64::decode(seq)?;
+            if n != i as u64 {
+                return Err(seq.error(format!("{n} out of order (expected {i})")));
+            }
+            let level = j.field("level")?;
+            let name = level.str()?;
+            if rt::obs::Level::parse(name).is_none() {
+                return Err(level.error(format!("unknown level {name:?}")));
+            }
+            j.field("target")?;
+            j.field("fields")?;
+            j.get("event")
         };
-        let seq = field("seq")?.as_f64().unwrap_or(-1.0);
-        if seq != i as f64 {
-            return Err(CliError::Domain(format!(
-                "{path}:{}: seq {seq} out of order (expected {i})",
-                i + 1
-            )));
-        }
-        let level = field("level")?
-            .as_str()
-            .map(str::to_string)
-            .unwrap_or_default();
-        if rt::obs::Level::parse(&level).is_none() {
-            return Err(CliError::Domain(format!(
-                "{path}:{}: unknown level {level:?}",
-                i + 1
-            )));
-        }
-        field("target")?;
-        field("fields")?;
-        let event = field("event")?
-            .as_str()
-            .map(str::to_string)
-            .unwrap_or_default();
+        let event = event().map_err(|e| located(e.to_string()))?;
         match counts.iter_mut().find(|(name, _)| *name == event) {
             Some((_, n)) => *n += 1,
             None => counts.push((event, 1)),
@@ -745,13 +735,13 @@ fn cmd_estimate(p: &Parsed) -> Result<String, CliError> {
         shapes.len(),
         ecad_hw::total_flops(&shapes) / 1e6
     );
-    match device {
-        "arria10" | "stratix10" => {
-            let dev = if device == "arria10" {
-                FpgaDevice::arria10_gx1150(banks)
-            } else {
-                FpgaDevice::stratix10_2800(banks)
-            };
+    let target = HwTarget::catalog(device, banks).ok_or_else(|| {
+        CliError::Domain(format!(
+            "unknown device {device:?}; run `ecad devices` for the catalog"
+        ))
+    })?;
+    match target {
+        HwTarget::Fpga(dev) => {
             let (r, c, v, im, inn) = parse_grid(p.get("grid").unwrap_or("8x8x4"))?;
             let grid =
                 GridConfig::new(r, c, im, inn, v).map_err(|e| CliError::Domain(e.to_string()))?;
@@ -779,12 +769,7 @@ fn cmd_estimate(p: &Parsed) -> Result<String, CliError> {
                 100.0 * phys.resources.alm_util,
             ));
         }
-        "m5000" | "titanx" | "radeonvii" => {
-            let dev = match device {
-                "m5000" => GpuDevice::quadro_m5000(),
-                "titanx" => GpuDevice::titan_x(),
-                _ => GpuDevice::radeon_vii(),
-            };
+        HwTarget::Gpu(dev) => {
             let perf = GpuModel::new(dev.clone()).evaluate(&shapes, &biases);
             out.push_str(&format!(
                 "{}\n  outputs/s   {:.3e}\n  latency     {:.2e} s\n  effective   {:.1} GFLOP/s (efficiency {:.2}%)\n  kernels     {}\n",
@@ -796,12 +781,7 @@ fn cmd_estimate(p: &Parsed) -> Result<String, CliError> {
                 perf.kernels,
             ));
         }
-        "xeon" | "desktop" => {
-            let dev = if device == "xeon" {
-                CpuDevice::xeon_22c()
-            } else {
-                CpuDevice::desktop_8c()
-            };
+        HwTarget::Cpu(dev) => {
             let perf = CpuModel::new(dev.clone()).evaluate(&shapes, &biases);
             out.push_str(&format!(
                 "{}\n  outputs/s   {:.3e}\n  latency     {:.2e} s\n  effective   {:.1} GFLOP/s (efficiency {:.2}%)\n  BLAS calls  {}\n",
@@ -812,11 +792,6 @@ fn cmd_estimate(p: &Parsed) -> Result<String, CliError> {
                 100.0 * perf.efficiency,
                 perf.calls,
             ));
-        }
-        other => {
-            return Err(CliError::Domain(format!(
-                "unknown device {other:?}; run `ecad devices` for the catalog"
-            )))
         }
     }
     Ok(out)

@@ -29,8 +29,7 @@ pub fn cmd_profile(p: &Parsed) -> Result<String, CliError> {
     p.check_allowed(&["file", "format"])?;
     let path = p.require("file")?;
     let text = std::fs::read_to_string(path).map_err(|e| CliError::Io(format!("{path}: {e}")))?;
-    let json = Json::parse(&text)
-        .map_err(|e| CliError::Domain(format!("{path}: not valid JSON: {e}")))?;
+    let json = Json::parse(&text).map_err(|e| CliError::Domain(format!("{path}:{e}")))?;
     let (clock, root) =
         profile_from_json(&json).map_err(|e| CliError::Domain(format!("{path}: {e}")))?;
     match p.get("format").unwrap_or("text") {

@@ -30,13 +30,12 @@
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
-use ecad_mlp::Activation;
-use rt::json::{Json, ToJson};
+use rt::json::{Cursor, DecodeError, Json, ToJson};
 
 use crate::analytics::OperatorKind;
 use crate::engine::EvolutionConfig;
-use crate::genome::{CandidateGenome, HwGenome, LayerGene, NnaGenome};
-use crate::measurement::{HwMetrics, InfeasibleReason, Measurement};
+use crate::genome::{pair_from_json, pair_to_json, CandidateGenome};
+use crate::measurement::Measurement;
 
 /// Schema version stamped into every checkpoint file; bump on any
 /// incompatible layout change. Version 2 added the per-operator
@@ -157,10 +156,10 @@ pub struct CheckpointState {
 pub enum CheckpointError {
     /// File-system failure, stringified.
     Io(String),
-    /// The file is not valid JSON.
+    /// The file is not valid JSON: `line:column: message`.
     Parse(String),
     /// The JSON does not match the checkpoint schema.
-    Schema(String),
+    Schema(DecodeError),
     /// The checkpoint disagrees with the run configuration.
     Mismatch(String),
 }
@@ -177,129 +176,6 @@ impl std::fmt::Display for CheckpointError {
 }
 
 impl std::error::Error for CheckpointError {}
-
-// ---------------------------------------------------------------------------
-// JSON encoding
-// ---------------------------------------------------------------------------
-
-pub(crate) fn genome_to_json(g: &CandidateGenome) -> Json {
-    let layers: Vec<Json> = g
-        .nna
-        .layers
-        .iter()
-        .map(|l| {
-            Json::object()
-                .insert("neurons", l.neurons)
-                .insert("activation", l.activation.name())
-                .insert("bias", l.bias)
-        })
-        .collect();
-    let hw = match g.hw {
-        HwGenome::FpgaGrid {
-            rows,
-            cols,
-            interleave_m,
-            interleave_n,
-            vec,
-            batch,
-        } => Json::object()
-            .insert("kind", "fpga")
-            .insert("rows", rows)
-            .insert("cols", cols)
-            .insert("interleave_m", interleave_m)
-            .insert("interleave_n", interleave_n)
-            .insert("vec", vec)
-            .insert("batch", batch),
-        HwGenome::GpuBatch { batch } => {
-            Json::object().insert("kind", "gpu").insert("batch", batch)
-        }
-    };
-    Json::object().insert("layers", layers).insert("hw", hw)
-}
-
-fn reason_to_json(r: &InfeasibleReason) -> Json {
-    let j = Json::object().insert("kind", r.kind());
-    match r {
-        InfeasibleReason::Transient(text) | InfeasibleReason::Other(text) => {
-            j.insert("text", text.as_str())
-        }
-        _ => j,
-    }
-}
-
-fn hw_metrics_to_json(hw: &HwMetrics) -> Json {
-    match hw {
-        HwMetrics::Fpga {
-            outputs_per_s,
-            efficiency,
-            latency_s,
-            potential_gflops,
-            effective_gflops,
-            bandwidth_bound,
-            power_w,
-            fmax_mhz,
-            dsp_util,
-        } => Json::object()
-            .insert("kind", "fpga")
-            .insert("outputs_per_s", *outputs_per_s)
-            .insert("efficiency", *efficiency)
-            .insert("latency_s", *latency_s)
-            .insert("potential_gflops", *potential_gflops)
-            .insert("effective_gflops", *effective_gflops)
-            .insert("bandwidth_bound", *bandwidth_bound)
-            .insert("power_w", *power_w)
-            .insert("fmax_mhz", *fmax_mhz)
-            .insert("dsp_util", *dsp_util),
-        HwMetrics::Gpu {
-            outputs_per_s,
-            efficiency,
-            latency_s,
-            effective_gflops,
-            power_w,
-        } => Json::object()
-            .insert("kind", "gpu")
-            .insert("outputs_per_s", *outputs_per_s)
-            .insert("efficiency", *efficiency)
-            .insert("latency_s", *latency_s)
-            .insert("effective_gflops", *effective_gflops)
-            .insert("power_w", *power_w),
-        HwMetrics::Cpu {
-            outputs_per_s,
-            efficiency,
-            latency_s,
-            effective_gflops,
-            power_w,
-        } => Json::object()
-            .insert("kind", "cpu")
-            .insert("outputs_per_s", *outputs_per_s)
-            .insert("efficiency", *efficiency)
-            .insert("latency_s", *latency_s)
-            .insert("effective_gflops", *effective_gflops)
-            .insert("power_w", *power_w),
-        HwMetrics::Infeasible { reason } => Json::object()
-            .insert("kind", "infeasible")
-            .insert("reason", reason_to_json(reason)),
-    }
-}
-
-pub(crate) fn measurement_to_json(m: &Measurement) -> Json {
-    Json::object()
-        // f32 -> f64 widening is exact, so accuracy round-trips.
-        .insert("accuracy", m.accuracy as f64)
-        .insert("train_accuracy", m.train_accuracy as f64)
-        .insert("params", m.params)
-        .insert("neurons", m.neurons)
-        .insert("eval_time_s", m.eval_time_s)
-        .insert("train_time_s", m.train_time_s)
-        .insert("hw_time_s", m.hw_time_s)
-        .insert("hw", hw_metrics_to_json(&m.hw))
-}
-
-fn pair_to_json(pair: &(CandidateGenome, Measurement)) -> Json {
-    Json::object()
-        .insert("genome", genome_to_json(&pair.0))
-        .insert("measurement", measurement_to_json(&pair.1))
-}
 
 impl ToJson for CheckpointState {
     fn to_json(&self) -> Json {
@@ -339,13 +215,7 @@ impl ToJson for CheckpointState {
             .insert("train_time_s", c.train_time_s)
             .insert("hw_time_s", c.hw_time_s)
             .insert("wall_time_s", self.wall_time_s)
-            .insert(
-                "seeds_remaining",
-                self.seeds_remaining
-                    .iter()
-                    .map(genome_to_json)
-                    .collect::<Vec<_>>(),
-            )
+            .insert("seeds_remaining", &self.seeds_remaining)
             .insert(
                 "population",
                 self.population.iter().map(pair_to_json).collect::<Vec<_>>(),
@@ -361,7 +231,7 @@ impl ToJson for CheckpointState {
                     .map(|(k, m)| {
                         Json::object()
                             .insert("key", format!("{k:016x}"))
-                            .insert("measurement", measurement_to_json(m))
+                            .insert("measurement", m)
                     })
                     .collect::<Vec<_>>(),
             )
@@ -373,184 +243,11 @@ impl ToJson for CheckpointState {
                         Json::object()
                             .insert("attempt", p.attempt)
                             .insert("op", p.op.name())
-                            .insert("genome", genome_to_json(&p.genome))
+                            .insert("genome", &p.genome)
                     })
                     .collect::<Vec<_>>(),
             )
     }
-}
-
-// ---------------------------------------------------------------------------
-// JSON decoding
-// ---------------------------------------------------------------------------
-
-fn schema(msg: impl Into<String>) -> CheckpointError {
-    CheckpointError::Schema(msg.into())
-}
-
-fn get_f64(j: &Json, key: &str) -> Result<f64, CheckpointError> {
-    j.get(key)
-        .and_then(Json::as_f64)
-        .ok_or_else(|| schema(format!("missing or non-numeric field {key:?}")))
-}
-
-fn get_usize(j: &Json, key: &str) -> Result<usize, CheckpointError> {
-    let v = get_f64(j, key)?;
-    if v < 0.0 || v.fract() != 0.0 {
-        return Err(schema(format!("field {key:?} is not a non-negative integer")));
-    }
-    Ok(v as usize)
-}
-
-fn get_str<'a>(j: &'a Json, key: &str) -> Result<&'a str, CheckpointError> {
-    j.get(key)
-        .and_then(Json::as_str)
-        .ok_or_else(|| schema(format!("missing or non-string field {key:?}")))
-}
-
-fn get_bool(j: &Json, key: &str) -> Result<bool, CheckpointError> {
-    match j.get(key) {
-        Some(Json::Bool(b)) => Ok(*b),
-        _ => Err(schema(format!("missing or non-boolean field {key:?}"))),
-    }
-}
-
-fn get_array<'a>(j: &'a Json, key: &str) -> Result<&'a [Json], CheckpointError> {
-    j.get(key)
-        .and_then(Json::as_array)
-        .ok_or_else(|| schema(format!("missing or non-array field {key:?}")))
-}
-
-fn hex_u64(j: &Json, key: &str) -> Result<u64, CheckpointError> {
-    u64::from_str_radix(get_str(j, key)?, 16)
-        .map_err(|_| schema(format!("field {key:?} is not a 64-bit hex string")))
-}
-
-fn hex_u128(j: &Json, key: &str) -> Result<u128, CheckpointError> {
-    u128::from_str_radix(get_str(j, key)?, 16)
-        .map_err(|_| schema(format!("field {key:?} is not a 128-bit hex string")))
-}
-
-pub(crate) fn genome_from_json(j: &Json) -> Result<CandidateGenome, CheckpointError> {
-    let layers = get_array(j, "layers")?
-        .iter()
-        .map(|l| {
-            let name = get_str(l, "activation")?;
-            let activation = Activation::from_name(name)
-                .ok_or_else(|| schema(format!("unknown activation {name:?}")))?;
-            Ok(LayerGene {
-                neurons: get_usize(l, "neurons")?,
-                activation,
-                bias: get_bool(l, "bias")?,
-            })
-        })
-        .collect::<Result<Vec<_>, CheckpointError>>()?;
-    let hw = j
-        .get("hw")
-        .ok_or_else(|| schema("genome missing hw genes"))?;
-    let hw = match get_str(hw, "kind")? {
-        "fpga" => HwGenome::FpgaGrid {
-            rows: get_usize(hw, "rows")? as u32,
-            cols: get_usize(hw, "cols")? as u32,
-            interleave_m: get_usize(hw, "interleave_m")? as u32,
-            interleave_n: get_usize(hw, "interleave_n")? as u32,
-            vec: get_usize(hw, "vec")? as u32,
-            batch: get_usize(hw, "batch")? as u32,
-        },
-        "gpu" => HwGenome::GpuBatch {
-            batch: get_usize(hw, "batch")? as u32,
-        },
-        other => return Err(schema(format!("unknown hw genome kind {other:?}"))),
-    };
-    Ok(CandidateGenome {
-        nna: NnaGenome { layers },
-        hw,
-    })
-}
-
-fn reason_from_json(j: &Json) -> Result<InfeasibleReason, CheckpointError> {
-    let text = || {
-        j.get("text")
-            .and_then(Json::as_str)
-            .unwrap_or_default()
-            .to_string()
-    };
-    Ok(match get_str(j, "kind")? {
-        "device-fit" => InfeasibleReason::DeviceFit,
-        "training-failure" => InfeasibleReason::TrainingFailure,
-        "target-mismatch" => InfeasibleReason::TargetMismatch,
-        "worker-panic" => InfeasibleReason::WorkerPanic,
-        "eval-timeout" => InfeasibleReason::EvalTimeout,
-        "transient" => InfeasibleReason::Transient(text()),
-        "other" => InfeasibleReason::Other(text()),
-        other => return Err(schema(format!("unknown infeasible reason {other:?}"))),
-    })
-}
-
-fn hw_metrics_from_json(j: &Json) -> Result<HwMetrics, CheckpointError> {
-    Ok(match get_str(j, "kind")? {
-        "fpga" => HwMetrics::Fpga {
-            outputs_per_s: get_f64(j, "outputs_per_s")?,
-            efficiency: get_f64(j, "efficiency")?,
-            latency_s: get_f64(j, "latency_s")?,
-            potential_gflops: get_f64(j, "potential_gflops")?,
-            effective_gflops: get_f64(j, "effective_gflops")?,
-            bandwidth_bound: get_bool(j, "bandwidth_bound")?,
-            power_w: get_f64(j, "power_w")?,
-            fmax_mhz: get_f64(j, "fmax_mhz")?,
-            dsp_util: get_f64(j, "dsp_util")?,
-        },
-        "gpu" => HwMetrics::Gpu {
-            outputs_per_s: get_f64(j, "outputs_per_s")?,
-            efficiency: get_f64(j, "efficiency")?,
-            latency_s: get_f64(j, "latency_s")?,
-            effective_gflops: get_f64(j, "effective_gflops")?,
-            power_w: get_f64(j, "power_w")?,
-        },
-        "cpu" => HwMetrics::Cpu {
-            outputs_per_s: get_f64(j, "outputs_per_s")?,
-            efficiency: get_f64(j, "efficiency")?,
-            latency_s: get_f64(j, "latency_s")?,
-            effective_gflops: get_f64(j, "effective_gflops")?,
-            power_w: get_f64(j, "power_w")?,
-        },
-        "infeasible" => HwMetrics::Infeasible {
-            reason: reason_from_json(
-                j.get("reason")
-                    .ok_or_else(|| schema("infeasible metrics missing reason"))?,
-            )?,
-        },
-        other => return Err(schema(format!("unknown hw metrics kind {other:?}"))),
-    })
-}
-
-pub(crate) fn measurement_from_json(j: &Json) -> Result<Measurement, CheckpointError> {
-    Ok(Measurement {
-        // f64 -> f32 narrowing undoes the exact widening done on save.
-        accuracy: get_f64(j, "accuracy")? as f32,
-        train_accuracy: get_f64(j, "train_accuracy")? as f32,
-        params: get_usize(j, "params")?,
-        neurons: get_usize(j, "neurons")?,
-        hw: hw_metrics_from_json(
-            j.get("hw").ok_or_else(|| schema("measurement missing hw"))?,
-        )?,
-        eval_time_s: get_f64(j, "eval_time_s")?,
-        train_time_s: get_f64(j, "train_time_s")?,
-        hw_time_s: get_f64(j, "hw_time_s")?,
-    })
-}
-
-fn pair_from_json(j: &Json) -> Result<(CandidateGenome, Measurement), CheckpointError> {
-    Ok((
-        genome_from_json(
-            j.get("genome")
-                .ok_or_else(|| schema("entry missing genome"))?,
-        )?,
-        measurement_from_json(
-            j.get("measurement")
-                .ok_or_else(|| schema("entry missing measurement"))?,
-        )?,
-    ))
 }
 
 impl CheckpointState {
@@ -559,95 +256,68 @@ impl CheckpointState {
     /// # Errors
     ///
     /// Returns [`CheckpointError::Schema`] when a field is missing,
-    /// mistyped, or from an unsupported format version.
+    /// mistyped or out of range, or the format version is unsupported.
     pub fn from_json(j: &Json) -> Result<Self, CheckpointError> {
-        let version = get_usize(j, "version")? as u64;
+        Self::decode(Cursor::root(j)).map_err(CheckpointError::Schema)
+    }
+
+    fn decode(j: Cursor<'_>) -> Result<Self, DecodeError> {
+        let version = j.get("version")?;
         if version != FORMAT_VERSION {
-            return Err(schema(format!(
+            return Err(j.field("version")?.error(format!(
                 "unsupported checkpoint version {version} (expected {FORMAT_VERSION})"
             )));
         }
-        let rng_inc = hex_u128(j, "rng_inc")?;
+        let rng_inc: u128 = j.hex("rng_inc")?;
         if rng_inc & 1 == 0 {
-            return Err(schema("rng_inc must be odd (corrupted checkpoint?)"));
+            return Err(j
+                .field("rng_inc")?
+                .error("must be odd (corrupted checkpoint?)"));
+        }
+        let ops = j.field("operators")?;
+        let mut op_counters = [(0, 0); 4];
+        for (op, slot) in OperatorKind::ALL.into_iter().zip(&mut op_counters) {
+            let entry = ops.field(op.name())?;
+            *slot = (entry.get("total")?, entry.get("entered")?);
         }
         Ok(Self {
             version,
-            seed: hex_u64(j, "seed")?,
-            evaluations: get_usize(j, "evaluations")?,
-            population_cap: get_usize(j, "population_cap")?,
-            rng_state: hex_u128(j, "rng_state")?,
+            seed: j.hex("seed")?,
+            evaluations: j.get("evaluations")?,
+            population_cap: j.get("population_cap")?,
+            rng_state: j.hex("rng_state")?,
             rng_inc,
             counters: RunCounters {
-                submitted_unique: get_usize(j, "submitted_unique")?,
-                attempts: get_usize(j, "attempts")?,
-                next_id: get_usize(j, "next_id")?,
-                cache_hits: get_usize(j, "cache_hits")?,
-                infeasible_count: get_usize(j, "infeasible_count")?,
-                retry_count: get_usize(j, "retry_count")?,
-                timeout_count: get_usize(j, "timeout_count")?,
-                respawn_count: get_usize(j, "respawn_count")?,
-                total_eval_time_s: get_f64(j, "total_eval_time_s")?,
-                train_time_s: get_f64(j, "train_time_s")?,
-                hw_time_s: get_f64(j, "hw_time_s")?,
+                submitted_unique: j.get("submitted_unique")?,
+                attempts: j.get("attempts")?,
+                next_id: j.get("next_id")?,
+                cache_hits: j.get("cache_hits")?,
+                infeasible_count: j.get("infeasible_count")?,
+                retry_count: j.get("retry_count")?,
+                timeout_count: j.get("timeout_count")?,
+                respawn_count: j.get("respawn_count")?,
+                total_eval_time_s: j.get("total_eval_time_s")?,
+                train_time_s: j.get("train_time_s")?,
+                hw_time_s: j.get("hw_time_s")?,
             },
-            op_counters: {
-                let ops = j
-                    .get("operators")
-                    .ok_or_else(|| schema("missing field \"operators\""))?;
-                let mut counters = [(0u64, 0u64); 4];
-                for (op, slot) in OperatorKind::ALL.into_iter().zip(&mut counters) {
-                    let entry = ops.get(op.name()).ok_or_else(|| {
-                        schema(format!("operators missing entry {:?}", op.name()))
-                    })?;
-                    *slot = (
-                        get_usize(entry, "total")? as u64,
-                        get_usize(entry, "entered")? as u64,
-                    );
-                }
-                counters
-            },
-            wall_time_s: get_f64(j, "wall_time_s")?,
-            seeds_remaining: get_array(j, "seeds_remaining")?
-                .iter()
-                .map(genome_from_json)
-                .collect::<Result<_, _>>()?,
-            population: get_array(j, "population")?
-                .iter()
-                .map(pair_from_json)
-                .collect::<Result<_, _>>()?,
-            trace: get_array(j, "trace")?
-                .iter()
-                .map(pair_from_json)
-                .collect::<Result<_, _>>()?,
-            cache: get_array(j, "cache")?
-                .iter()
-                .map(|e| {
-                    Ok((
-                        hex_u64(e, "key")?,
-                        measurement_from_json(e.get("measurement").ok_or_else(|| {
-                            schema("cache entry missing measurement")
-                        })?)?,
-                    ))
+            op_counters,
+            wall_time_s: j.get("wall_time_s")?,
+            seeds_remaining: j.get("seeds_remaining")?,
+            population: j.field("population")?.list(pair_from_json)?,
+            trace: j.field("trace")?.list(pair_from_json)?,
+            cache: j
+                .field("cache")?
+                .list(|e| Ok((e.hex("key")?, e.get("measurement")?)))?,
+            pending: j.field("pending")?.list(|p| {
+                let op = p.field("op")?;
+                let name = op.str()?;
+                Ok(PendingJob {
+                    attempt: p.get("attempt")?,
+                    op: OperatorKind::parse(name)
+                        .ok_or_else(|| op.error(format!("unknown operator {name:?}")))?,
+                    genome: p.get("genome")?,
                 })
-                .collect::<Result<_, _>>()?,
-            pending: get_array(j, "pending")?
-                .iter()
-                .map(|p| {
-                    Ok(PendingJob {
-                        attempt: get_usize(p, "attempt")?,
-                        op: OperatorKind::parse(get_str(p, "op")?).ok_or_else(|| {
-                            schema(format!(
-                                "pending entry has unknown operator {:?}",
-                                get_str(p, "op").unwrap_or_default()
-                            ))
-                        })?,
-                        genome: genome_from_json(p.get("genome").ok_or_else(|| {
-                            schema("pending entry missing genome")
-                        })?)?,
-                    })
-                })
-                .collect::<Result<_, _>>()?,
+            })?,
         })
     }
 
@@ -680,8 +350,7 @@ impl CheckpointState {
     pub fn load(path: &Path) -> Result<Self, CheckpointError> {
         let text =
             std::fs::read_to_string(path).map_err(|e| CheckpointError::Io(e.to_string()))?;
-        let json =
-            Json::parse(&text).map_err(|e| CheckpointError::Parse(format!("{e:?}")))?;
+        let json = Json::parse(&text).map_err(|e| CheckpointError::Parse(e.to_string()))?;
         Self::from_json(&json)
     }
 
@@ -725,6 +394,9 @@ impl CheckpointState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::genome::{HwGenome, LayerGene, NnaGenome};
+    use crate::measurement::{HwMetrics, InfeasibleReason};
+    use ecad_mlp::Activation;
 
     fn genome() -> CandidateGenome {
         CandidateGenome {
@@ -896,6 +568,57 @@ mod tests {
         let err = CheckpointState::from_json(&json).unwrap_err();
         assert!(matches!(err, CheckpointError::Schema(_)));
         assert!(err.to_string().contains("rng_inc"));
+    }
+
+    /// Decodes `state()` with the first `from` in its compact text
+    /// replaced by `to`.
+    fn decode_edited(
+        state: &CheckpointState,
+        from: &str,
+        to: &str,
+    ) -> Result<CheckpointState, CheckpointError> {
+        let text = state.to_json().to_string();
+        assert!(text.contains(from), "{from} not in {text}");
+        CheckpointState::from_json(&Json::parse(&text.replacen(from, to, 1)).unwrap())
+    }
+
+    #[test]
+    fn out_of_range_genome_gene_is_rejected_at_its_path() {
+        let mut s = state();
+        s.seeds_remaining.clear();
+        let err = decode_edited(&s, "\"rows\":8,", "\"rows\":4294967297,").unwrap_err();
+        assert!(
+            err.to_string()
+                .contains("population[0].genome.hw.rows: expected an integer"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn accuracy_beyond_f32_range_is_rejected_at_its_path() {
+        let from = format!("\"accuracy\":{}", measurement().accuracy as f64);
+        let err = decode_edited(&state(), &from, "\"accuracy\":1e300").unwrap_err();
+        assert!(
+            err.to_string()
+                .contains("population[0].measurement.accuracy"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn mistyped_optional_reason_text_is_rejected_at_its_path() {
+        let err = decode_edited(&state(), "\"text\":\"io\"", "\"text\":5").unwrap_err();
+        assert!(
+            err.to_string()
+                .contains("trace[2].measurement.hw.reason.text"),
+            "{err}"
+        );
+        // Absent, it still reads as empty.
+        let back = decode_edited(&state(), ",\"text\":\"io\"", "").unwrap();
+        assert_eq!(
+            back.trace[2].1.infeasible_reason(),
+            Some(&InfeasibleReason::Transient(String::new()))
+        );
     }
 
     #[test]

@@ -60,12 +60,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use ecad_dataset::Dataset;
-use ecad_hw::cpu::CpuDevice;
-use ecad_hw::fpga::FpgaDevice;
-use ecad_hw::gpu::GpuDevice;
-use ecad_mlp::{Activation, OptimizerKind, TrainConfig};
-use ecad_tensor::Matrix;
-use rt::json::Json;
+use ecad_mlp::TrainConfig;
+use rt::json::{Cursor, DecodeError, FromJson, Json};
 use rt::net::{Conn, Listener, NetError};
 use rt::obs::{CaptureSink, Event, Level, Obs};
 use rt::rand::rngs::StdRng;
@@ -73,11 +69,10 @@ use rt::rand::{Rng, SeedableRng};
 use rt::sync::channel::Sender;
 
 use crate::engine::WorkerLatency;
-use crate::checkpoint::{genome_from_json, genome_to_json, measurement_from_json, measurement_to_json};
-use crate::fitness::{Objective, ObjectiveSet};
-use crate::genome::CandidateGenome;
+use crate::fitness::ObjectiveSet;
+use crate::genome::{pair_from_json, pair_to_json, CandidateGenome};
 use crate::measurement::{InfeasibleReason, Measurement};
-use crate::space::{HwFamily, SearchSpace};
+use crate::space::SearchSpace;
 use crate::workers::{evaluate_caught, CodesignEvaluator, HwTarget};
 
 /// Role string the coordinator announces in its hello.
@@ -332,290 +327,6 @@ pub struct Migrant {
 // Wire codecs
 // ---------------------------------------------------------------------------
 
-fn wire_err(msg: impl Into<String>) -> NetError {
-    NetError::Protocol(msg.into())
-}
-
-fn get_str<'a>(j: &'a Json, key: &str) -> Result<&'a str, NetError> {
-    j.get(key)
-        .and_then(Json::as_str)
-        .ok_or_else(|| wire_err(format!("missing or non-string field {key:?}")))
-}
-
-fn get_f64(j: &Json, key: &str) -> Result<f64, NetError> {
-    j.get(key)
-        .and_then(Json::as_f64)
-        .ok_or_else(|| wire_err(format!("missing or non-numeric field {key:?}")))
-}
-
-fn get_usize(j: &Json, key: &str) -> Result<usize, NetError> {
-    let x = get_f64(j, key)?;
-    if x < 0.0 || x.fract() != 0.0 {
-        return Err(wire_err(format!("field {key:?} is not a non-negative integer")));
-    }
-    Ok(x as usize)
-}
-
-fn get_u64_hex(j: &Json, key: &str) -> Result<u64, NetError> {
-    u64::from_str_radix(get_str(j, key)?, 16)
-        .map_err(|_| wire_err(format!("field {key:?} is not a 64-bit hex string")))
-}
-
-fn get_array<'a>(j: &'a Json, key: &str) -> Result<&'a [Json], NetError> {
-    j.get(key)
-        .and_then(Json::as_array)
-        .ok_or_else(|| wire_err(format!("missing or non-array field {key:?}")))
-}
-
-fn u32s_to_json(xs: &[u32]) -> Json {
-    Json::Array(xs.iter().map(|&x| Json::Number(x as f64)).collect())
-}
-
-fn u32s_from_json(j: &Json, key: &str) -> Result<Vec<u32>, NetError> {
-    get_array(j, key)?
-        .iter()
-        .map(|x| {
-            x.as_f64()
-                .filter(|v| *v >= 0.0 && v.fract() == 0.0 && *v <= u32::MAX as f64)
-                .map(|v| v as u32)
-                .ok_or_else(|| wire_err(format!("field {key:?} holds a non-u32 element")))
-        })
-        .collect()
-}
-
-fn dataset_to_json(d: &Dataset) -> Json {
-    // f32 → f64 widening is exact, and rt::json renders f64 with
-    // Rust's shortest round-trip formatting, so features survive the
-    // wire bit-exactly.
-    let features: Vec<Json> = d
-        .features()
-        .as_slice()
-        .iter()
-        .map(|&x| Json::Number(x as f64))
-        .collect();
-    let labels: Vec<Json> = d.labels().iter().map(|&l| Json::Number(l as f64)).collect();
-    Json::object()
-        .insert("name", d.name())
-        .insert("rows", d.len())
-        .insert("cols", d.n_features())
-        .insert("n_classes", d.n_classes())
-        .insert("features", Json::Array(features))
-        .insert("labels", Json::Array(labels))
-}
-
-fn dataset_from_json(j: &Json) -> Result<Dataset, NetError> {
-    let rows = get_usize(j, "rows")?;
-    let cols = get_usize(j, "cols")?;
-    let features = get_array(j, "features")?
-        .iter()
-        .map(|x| {
-            x.as_f64()
-                .map(|v| v as f32)
-                .ok_or_else(|| wire_err("non-numeric feature"))
-        })
-        .collect::<Result<Vec<f32>, NetError>>()?;
-    if features.len() != rows * cols {
-        return Err(wire_err(format!(
-            "feature count {} does not match {rows}x{cols}",
-            features.len()
-        )));
-    }
-    let labels = get_array(j, "labels")?
-        .iter()
-        .map(|x| {
-            x.as_f64()
-                .filter(|v| *v >= 0.0 && v.fract() == 0.0)
-                .map(|v| v as usize)
-                .ok_or_else(|| wire_err("non-integer label"))
-        })
-        .collect::<Result<Vec<usize>, NetError>>()?;
-    let matrix = Matrix::from_vec(rows, cols, features);
-    Dataset::new(get_str(j, "name")?.to_string(), matrix, labels, get_usize(j, "n_classes")?)
-        .map_err(|e| wire_err(format!("bad dataset payload: {e}")))
-}
-
-fn trainer_to_json(t: &TrainConfig) -> Json {
-    let optimizer = match t.optimizer {
-        OptimizerKind::Sgd { lr, momentum } => Json::object()
-            .insert("kind", "sgd")
-            .insert("lr", lr as f64)
-            .insert("momentum", momentum as f64),
-        OptimizerKind::Adam { lr } => {
-            Json::object().insert("kind", "adam").insert("lr", lr as f64)
-        }
-    };
-    Json::object()
-        .insert("epochs", t.epochs)
-        .insert("batch_size", t.batch_size)
-        .insert("optimizer", optimizer)
-        .insert("patience", t.patience)
-        .insert("min_delta", t.min_delta as f64)
-        .insert("weight_decay", t.weight_decay as f64)
-        .insert("gemm_threads", t.gemm_threads)
-}
-
-fn trainer_from_json(j: &Json) -> Result<TrainConfig, NetError> {
-    let opt = j
-        .get("optimizer")
-        .ok_or_else(|| wire_err("trainer missing optimizer"))?;
-    let optimizer = match get_str(opt, "kind")? {
-        "sgd" => OptimizerKind::Sgd {
-            lr: get_f64(opt, "lr")? as f32,
-            momentum: get_f64(opt, "momentum")? as f32,
-        },
-        "adam" => OptimizerKind::Adam {
-            lr: get_f64(opt, "lr")? as f32,
-        },
-        other => return Err(wire_err(format!("unknown optimizer kind {other:?}"))),
-    };
-    Ok(TrainConfig {
-        epochs: get_usize(j, "epochs")?,
-        batch_size: get_usize(j, "batch_size")?,
-        optimizer,
-        patience: get_usize(j, "patience")?,
-        min_delta: get_f64(j, "min_delta")? as f32,
-        weight_decay: get_f64(j, "weight_decay")? as f32,
-        // Optional for wire compatibility with pre-PR-10 peers; 0
-        // leaves the worker's process-wide GEMM setting untouched.
-        gemm_threads: j.get("gemm_threads").map_or(Ok(0), |_| get_usize(j, "gemm_threads"))?,
-    })
-}
-
-/// Serializes a catalog hardware target as its configuration-file name
-/// (`arria10`, `stratix10`, `m5000`, `titanx`, `radeonvii`, `xeon`,
-/// `desktop`) plus FPGA DDR bank count.
-///
-/// # Errors
-///
-/// [`NetError::Protocol`] for a non-catalog device: the wire format
-/// identifies devices by name, so a custom device cannot cross it.
-pub fn target_to_json(t: &HwTarget) -> Result<Json, NetError> {
-    let (name, banks) = match t {
-        HwTarget::Fpga(d) if d.name == "Arria 10 GX 1150" => ("arria10", d.ddr.banks),
-        HwTarget::Fpga(d) if d.name == "Stratix 10 2800" => ("stratix10", d.ddr.banks),
-        HwTarget::Gpu(d) if d.name == "Quadro M5000" => ("m5000", 0),
-        HwTarget::Gpu(d) if d.name == "Titan X" => ("titanx", 0),
-        HwTarget::Gpu(d) if d.name == "Radeon VII" => ("radeonvii", 0),
-        HwTarget::Cpu(d) if d.name == "Xeon 22-core" => ("xeon", 0),
-        HwTarget::Cpu(d) if d.name == "Desktop 8-core" => ("desktop", 0),
-        other => {
-            return Err(wire_err(format!(
-                "cluster mode only ships catalog devices, not {:?}",
-                other.device_name()
-            )))
-        }
-    };
-    Ok(Json::object().insert("device", name).insert("ddr_banks", banks))
-}
-
-/// Reconstructs a catalog hardware target from its wire form.
-///
-/// # Errors
-///
-/// [`NetError::Protocol`] for an unknown device name.
-pub fn target_from_json(j: &Json) -> Result<HwTarget, NetError> {
-    let banks = get_usize(j, "ddr_banks")?.max(1) as u32;
-    Ok(match get_str(j, "device")? {
-        "arria10" => HwTarget::Fpga(FpgaDevice::arria10_gx1150(banks)),
-        "stratix10" => HwTarget::Fpga(FpgaDevice::stratix10_2800(banks)),
-        "m5000" => HwTarget::Gpu(GpuDevice::quadro_m5000()),
-        "titanx" => HwTarget::Gpu(GpuDevice::titan_x()),
-        "radeonvii" => HwTarget::Gpu(GpuDevice::radeon_vii()),
-        "xeon" => HwTarget::Cpu(CpuDevice::xeon_22c()),
-        "desktop" => HwTarget::Cpu(CpuDevice::desktop_8c()),
-        other => return Err(wire_err(format!("unknown device {other:?}"))),
-    })
-}
-
-fn space_to_json(s: &SearchSpace) -> Json {
-    Json::object()
-        .insert(
-            "family",
-            match s.family {
-                HwFamily::Fpga => "fpga",
-                HwFamily::Gpu => "gpu",
-            },
-        )
-        .insert("min_layers", s.min_layers)
-        .insert("max_layers", s.max_layers)
-        .insert("min_neurons", s.min_neurons)
-        .insert("max_neurons", s.max_neurons)
-        .insert(
-            "activations",
-            Json::Array(
-                s.activations
-                    .iter()
-                    .map(|a| Json::String(a.name().to_string()))
-                    .collect(),
-            ),
-        )
-        .insert("grid_dims", u32s_to_json(&s.grid_dims))
-        .insert("interleaves", u32s_to_json(&s.interleaves))
-        .insert("vec_widths", u32s_to_json(&s.vec_widths))
-        .insert("batches", u32s_to_json(&s.batches))
-}
-
-fn space_from_json(j: &Json) -> Result<SearchSpace, NetError> {
-    let family = match get_str(j, "family")? {
-        "fpga" => HwFamily::Fpga,
-        "gpu" => HwFamily::Gpu,
-        other => return Err(wire_err(format!("unknown hw family {other:?}"))),
-    };
-    let activations = get_array(j, "activations")?
-        .iter()
-        .map(|a| {
-            a.as_str()
-                .and_then(Activation::from_name)
-                .ok_or_else(|| wire_err("unknown activation in space"))
-        })
-        .collect::<Result<Vec<_>, NetError>>()?;
-    Ok(SearchSpace {
-        family,
-        min_layers: get_usize(j, "min_layers")?,
-        max_layers: get_usize(j, "max_layers")?,
-        min_neurons: get_usize(j, "min_neurons")?,
-        max_neurons: get_usize(j, "max_neurons")?,
-        activations,
-        grid_dims: u32s_from_json(j, "grid_dims")?,
-        interleaves: u32s_from_json(j, "interleaves")?,
-        vec_widths: u32s_from_json(j, "vec_widths")?,
-        batches: u32s_from_json(j, "batches")?,
-    })
-}
-
-fn objectives_to_json(set: &ObjectiveSet) -> Json {
-    Json::Array(
-        set.objectives()
-            .iter()
-            .map(|o| {
-                Json::object()
-                    .insert("name", o.name.as_str())
-                    .insert("weight", o.weight)
-                    .insert("maximize", o.maximize)
-            })
-            .collect(),
-    )
-}
-
-fn objectives_from_json(j: &Json, key: &str) -> Result<ObjectiveSet, NetError> {
-    let objectives = get_array(j, key)?
-        .iter()
-        .map(|o| {
-            Ok(Objective {
-                name: get_str(o, "name")?.to_string(),
-                weight: get_f64(o, "weight")?,
-                maximize: o
-                    .get("maximize")
-                    .and_then(Json::as_bool)
-                    .ok_or_else(|| wire_err("objective missing maximize"))?,
-            })
-        })
-        .collect::<Result<Vec<_>, NetError>>()?;
-    // Workers rebuild with the builtin registry: custom registered
-    // fitness functions cannot cross the wire.
-    Ok(ObjectiveSet::new(objectives))
-}
-
 /// The session-opening payload: everything a worker needs to evaluate
 /// genomes for this search, shipped so the worker process carries no
 /// configuration of its own.
@@ -654,12 +365,12 @@ impl SetupPayload {
         let j = Json::object()
             .insert("seed", format!("{:016x}", self.seed))
             .insert("stamp", format!("{stamp:016x}"))
-            .insert("train", dataset_to_json(&self.train))
-            .insert("test", dataset_to_json(&self.test))
-            .insert("trainer", trainer_to_json(&self.trainer))
-            .insert("target", target_to_json(&self.target)?)
-            .insert("space", space_to_json(&self.space))
-            .insert("objectives", objectives_to_json(&self.objectives))
+            .insert("train", &self.train)
+            .insert("test", &self.test)
+            .insert("trainer", self.trainer)
+            .insert("target", self.target.to_json().map_err(NetError::Protocol)?)
+            .insert("space", &self.space)
+            .insert("objectives", &self.objectives)
             .insert("island_every", self.island_every)
             .insert("island_k", self.island_k)
             .insert("stats_every", self.stats_every);
@@ -669,36 +380,24 @@ impl SetupPayload {
         })
     }
 
-    fn from_json(j: &Json) -> Result<(Self, u64), NetError> {
+    /// The payload and the session stamp of a `setup` frame.
+    fn decode(j: Cursor<'_>) -> Result<(Self, u64), DecodeError> {
         let payload = Self {
-            seed: get_u64_hex(j, "seed")?,
-            train: dataset_from_json(
-                j.get("train").ok_or_else(|| wire_err("setup missing train"))?,
-            )?,
-            test: dataset_from_json(
-                j.get("test").ok_or_else(|| wire_err("setup missing test"))?,
-            )?,
-            trainer: trainer_from_json(
-                j.get("trainer").ok_or_else(|| wire_err("setup missing trainer"))?,
-            )?,
-            target: target_from_json(
-                j.get("target").ok_or_else(|| wire_err("setup missing target"))?,
-            )?,
-            space: space_from_json(
-                j.get("space").ok_or_else(|| wire_err("setup missing space"))?,
-            )?,
-            objectives: objectives_from_json(j, "objectives")?,
-            island_every: get_usize(j, "island_every")?,
-            island_k: get_usize(j, "island_k")?,
+            seed: j.hex("seed")?,
+            train: j.get("train")?,
+            test: j.get("test")?,
+            trainer: j.get("trainer")?,
+            target: j.get("target")?,
+            space: j.get("space")?,
+            objectives: j.get("objectives")?,
+            island_every: j.get("island_every")?,
+            island_k: j.get("island_k")?,
             // Optional so a newer worker accepts an older coordinator's
             // setup frame (absent = telemetry off).
-            profile_clock: j
-                .get("profile_clock")
-                .and_then(Json::as_str)
-                .map(str::to_string),
-            stats_every: j.get("stats_every").map_or(Ok(0), |_| get_usize(j, "stats_every"))?,
+            profile_clock: j.opt("profile_clock")?,
+            stats_every: j.opt("stats_every")?.unwrap_or(0),
         };
-        Ok((payload, get_u64_hex(j, "stamp")?))
+        Ok((payload, j.hex("stamp")?))
     }
 }
 
@@ -741,34 +440,29 @@ impl CoordinatorRequest {
                 .insert("req", "evaluate")
                 .insert("id", *id)
                 .insert("stamp", format!("{stamp:016x}"))
-                .insert("genome", genome_to_json(genome)),
+                .insert("genome", genome),
             CoordinatorRequest::Purge => Json::object().insert("req", "purge"),
             CoordinatorRequest::KillAll => Json::object().insert("req", "kill_all"),
         })
     }
+}
 
-    /// Parses a received request frame.
-    ///
-    /// # Errors
-    ///
-    /// [`NetError::Protocol`] on structural problems.
-    pub fn from_json(j: &Json) -> Result<Self, NetError> {
-        Ok(match get_str(j, "req")? {
+impl FromJson for CoordinatorRequest {
+    fn decode(j: Cursor<'_>) -> Result<Self, DecodeError> {
+        let req = j.field("req")?;
+        Ok(match req.str()? {
             "setup" => {
-                let (payload, stamp) = SetupPayload::from_json(j)?;
+                let (payload, stamp) = SetupPayload::decode(j)?;
                 CoordinatorRequest::Setup(Box::new(payload), stamp)
             }
             "evaluate" => CoordinatorRequest::Evaluate {
-                id: get_usize(j, "id")? as u64,
-                stamp: get_u64_hex(j, "stamp")?,
-                genome: genome_from_json(
-                    j.get("genome").ok_or_else(|| wire_err("evaluate missing genome"))?,
-                )
-                .map_err(|e| wire_err(format!("bad genome: {e}")))?,
+                id: j.get("id")?,
+                stamp: j.hex("stamp")?,
+                genome: j.get("genome")?,
             },
             "purge" => CoordinatorRequest::Purge,
             "kill_all" => CoordinatorRequest::KillAll,
-            other => return Err(wire_err(format!("unknown request {other:?}"))),
+            other => return Err(req.error(format!("unknown request {other:?}"))),
         })
     }
 }
@@ -843,7 +537,7 @@ impl WorkerResponse {
                 .insert("resp", "evaluated")
                 .insert("id", *id)
                 .insert("stamp", format!("{stamp:016x}"))
-                .insert("measurement", measurement_to_json(measurement))
+                .insert("measurement", measurement)
                 .insert("panicked", *panicked)
                 .insert(
                     "events",
@@ -851,16 +545,7 @@ impl WorkerResponse {
                 )
                 .insert(
                     "migrants",
-                    Json::Array(
-                        migrants
-                            .iter()
-                            .map(|(g, m)| {
-                                Json::object()
-                                    .insert("genome", genome_to_json(g))
-                                    .insert("measurement", measurement_to_json(m))
-                            })
-                            .collect(),
-                    ),
+                    Json::Array(migrants.iter().map(pair_to_json).collect()),
                 ),
             WorkerResponse::Purged => Json::object().insert("resp", "purged"),
             WorkerResponse::Stats {
@@ -886,59 +571,34 @@ impl WorkerResponse {
             WorkerResponse::Bye => Json::object().insert("resp", "bye"),
         }
     }
+}
 
-    /// Parses a received response frame.
-    ///
-    /// # Errors
-    ///
-    /// [`NetError::Protocol`] on structural problems.
-    pub fn from_json(j: &Json) -> Result<Self, NetError> {
-        Ok(match get_str(j, "resp")? {
+impl FromJson for WorkerResponse {
+    fn decode(j: Cursor<'_>) -> Result<Self, DecodeError> {
+        let resp = j.field("resp")?;
+        Ok(match resp.str()? {
             "ready" => WorkerResponse::Ready {
-                stamp: get_u64_hex(j, "stamp")?,
+                stamp: j.hex("stamp")?,
             },
             "evaluated" => WorkerResponse::Evaluated {
-                id: get_usize(j, "id")? as u64,
-                stamp: get_u64_hex(j, "stamp")?,
-                measurement: measurement_from_json(
-                    j.get("measurement")
-                        .ok_or_else(|| wire_err("evaluated missing measurement"))?,
-                )
-                .map_err(|e| wire_err(format!("bad measurement: {e}")))?,
-                panicked: j.get("panicked").and_then(Json::as_bool).unwrap_or(false),
-                events: get_array(j, "events")?
-                    .iter()
-                    .map(|e| Event::from_wire_json(e).map_err(wire_err))
-                    .collect::<Result<Vec<_>, NetError>>()?,
-                migrants: get_array(j, "migrants")?
-                    .iter()
-                    .map(|p| {
-                        Ok((
-                            genome_from_json(
-                                p.get("genome")
-                                    .ok_or_else(|| wire_err("migrant missing genome"))?,
-                            )
-                            .map_err(|e| wire_err(format!("bad migrant genome: {e}")))?,
-                            measurement_from_json(
-                                p.get("measurement")
-                                    .ok_or_else(|| wire_err("migrant missing measurement"))?,
-                            )
-                            .map_err(|e| wire_err(format!("bad migrant measurement: {e}")))?,
-                        ))
-                    })
-                    .collect::<Result<Vec<_>, NetError>>()?,
+                id: j.get("id")?,
+                stamp: j.hex("stamp")?,
+                measurement: j.get("measurement")?,
+                panicked: j.opt("panicked")?.unwrap_or(false),
+                events: j.get("events")?,
+                migrants: j.field("migrants")?.list(pair_from_json)?,
             },
             "purged" => WorkerResponse::Purged,
             "stats" => WorkerResponse::Stats {
-                jobs: get_usize(j, "jobs")? as u64,
-                train_s: get_f64(j, "train_s")?,
-                hw_s: get_f64(j, "hw_s")?,
-                panics: get_usize(j, "panics")? as u64,
-                migrants: get_usize(j, "migrants")? as u64,
-                profile: j.get("profile").cloned(),
+                jobs: j.get("jobs")?,
+                train_s: j.get("train_s")?,
+                hw_s: j.get("hw_s")?,
+                panics: j.get("panics")?,
+                migrants: j.get("migrants")?,
+                profile: j.json().get("profile").cloned(),
             },
             "bye" => WorkerResponse::Bye,
-            other => return Err(wire_err(format!("unknown response {other:?}"))),
+            other => return Err(resp.error(format!("unknown response {other:?}"))),
         })
     }
 }
@@ -1021,7 +681,7 @@ impl SlotTelemetry {
         }
         self.mark_seen();
         if let (Some(profiler), Some(p)) = (&self.profiler, profile) {
-            if let Some(node) = rt::prof::ProfileNode::from_json(p) {
+            if let Ok(node) = rt::prof::ProfileNode::from_json(p) {
                 profiler.attach_subtree(&format!("worker:{}", self.addr), node);
             }
         }
@@ -1176,15 +836,13 @@ impl<'a> RemoteSlot<'a> {
         // Workers piggyback cumulative `Stats` frames on the session;
         // absorb any that precede the answer (telemetry is out-of-band, so
         // this never changes what the ledger sees).
-        let frame = loop {
-            let frame = session.conn.recv()?;
-            if let Ok(stats @ WorkerResponse::Stats { .. }) = WorkerResponse::from_json(&frame) {
-                self.telemetry.absorb(&stats);
-                continue;
+        let response = loop {
+            match WorkerResponse::from_json(&session.conn.recv()?).map_err(NetError::from)? {
+                stats @ WorkerResponse::Stats { .. } => self.telemetry.absorb(&stats),
+                other => break other,
             }
-            break frame;
         };
-        match WorkerResponse::from_json(&frame)? {
+        match response {
             WorkerResponse::Evaluated {
                 id: rid,
                 stamp,
@@ -1649,9 +1307,9 @@ impl WorkerServer {
                 CoordinatorRequest::Evaluate { id, stamp, genome } => {
                     let s = session
                         .as_mut()
-                        .ok_or_else(|| wire_err("evaluate before setup"))?;
+                        .ok_or_else(|| NetError::Protocol("evaluate before setup".into()))?;
                     if stamp != s.stamp {
-                        return Err(wire_err(format!(
+                        return Err(NetError::Protocol(format!(
                             "job stamp {stamp:016x} does not match session {:016x}",
                             s.stamp
                         )));
@@ -1733,6 +1391,10 @@ mod tests {
     use crate::space::SearchSpace;
     use crate::workers::Evaluator;
     use ecad_dataset::synth::SyntheticSpec;
+    use ecad_hw::cpu::CpuDevice;
+    use ecad_hw::fpga::FpgaDevice;
+    use ecad_hw::gpu::GpuDevice;
+    use rt::json::ToJson;
 
     fn tiny_dataset(seed: u64) -> Dataset {
         SyntheticSpec::new("tiny", 24, 4, 3).with_seed(seed).generate()
@@ -1757,9 +1419,9 @@ mod tests {
     #[test]
     fn dataset_round_trips_bit_exactly() {
         let d = tiny_dataset(42);
-        let wire = dataset_to_json(&d);
+        let wire = d.to_json();
         let reparsed = Json::parse(&wire.to_string()).unwrap();
-        let back = dataset_from_json(&reparsed).unwrap();
+        let back = Dataset::from_json(&reparsed).unwrap();
         assert_eq!(back.name(), d.name());
         assert_eq!(back.n_classes(), d.n_classes());
         assert_eq!(back.labels(), d.labels());
@@ -1773,7 +1435,7 @@ mod tests {
         setup.stats_every = 5;
         let wire = setup.to_json(0xDEAD_BEEF).unwrap();
         let reparsed = Json::parse(&wire.to_string()).unwrap();
-        let (back, stamp) = SetupPayload::from_json(&reparsed).unwrap();
+        let (back, stamp) = SetupPayload::decode(Cursor::root(&reparsed)).unwrap();
         assert_eq!(stamp, 0xDEAD_BEEF);
         assert_eq!(back.seed, setup.seed);
         assert_eq!(back.trainer, setup.trainer);
@@ -1792,7 +1454,8 @@ mod tests {
         let stripped = setup_payload(0).to_json(0x1).unwrap();
         let text = stripped.to_string().replace(",\"stats_every\":0", "");
         assert!(!text.contains("stats_every"), "field stripped: {text}");
-        let (legacy, _) = SetupPayload::from_json(&Json::parse(&text).unwrap()).unwrap();
+        let legacy_frame = Json::parse(&text).unwrap();
+        let (legacy, _) = SetupPayload::decode(Cursor::root(&legacy_frame)).unwrap();
         assert_eq!(legacy.profile_clock, None);
         assert_eq!(legacy.stats_every, 0);
     }
@@ -1924,6 +1587,93 @@ mod tests {
         }
     }
 
+    /// Decodes `request`'s compact frame with the first `from`
+    /// replaced by `to`, returning the error text.
+    fn request_error(request: CoordinatorRequest, from: &str, to: &str) -> String {
+        let text = request.to_json().unwrap().to_string();
+        assert!(text.contains(from), "{from} not in {text}");
+        let frame = Json::parse(&text.replacen(from, to, 1)).unwrap();
+        CoordinatorRequest::from_json(&frame)
+            .unwrap_err()
+            .to_string()
+    }
+
+    fn evaluate_request() -> CoordinatorRequest {
+        let mut genome = SearchSpace::fpga_default().sample(&mut StdRng::seed_from_u64(3));
+        genome.hw = crate::genome::HwGenome::FpgaGrid {
+            rows: 8,
+            cols: 16,
+            interleave_m: 4,
+            interleave_n: 2,
+            vec: 8,
+            batch: 16,
+        };
+        CoordinatorRequest::Evaluate {
+            id: 12,
+            stamp: 0xABC,
+            genome,
+        }
+    }
+
+    #[test]
+    fn setup_frame_with_huge_row_count_is_rejected_at_its_path() {
+        let setup = CoordinatorRequest::Setup(Box::new(setup_payload(0)), 1);
+        let err = request_error(setup, "\"rows\":24,", "\"rows\":1e300,");
+        assert!(err.contains("train.rows: expected an integer"), "{err}");
+        assert!(!err.contains("checkpoint"), "{err}");
+    }
+
+    #[test]
+    fn setup_frame_whose_shape_overflows_is_rejected_at_its_path() {
+        let setup = CoordinatorRequest::Setup(Box::new(setup_payload(0)), 1);
+        let shape = "\"rows\":8589934592,\"cols\":8589934592,";
+        let err = request_error(setup, "\"rows\":24,\"cols\":4,", shape);
+        assert!(err.contains("train.features: holds 96 values"), "{err}");
+    }
+
+    #[test]
+    fn evaluate_frame_with_out_of_range_gene_is_rejected_at_its_path() {
+        let err = request_error(evaluate_request(), "\"rows\":8,", "\"rows\":4294967297,");
+        assert!(
+            err.contains("genome.hw.rows: expected an integer in 0..=4294967295"),
+            "{err}"
+        );
+        assert!(!err.contains("checkpoint"), "{err}");
+    }
+
+    #[test]
+    fn evaluate_frame_with_huge_id_is_rejected_at_its_path() {
+        let err = request_error(evaluate_request(), "\"id\":12,", "\"id\":1e300,");
+        assert!(err.contains("id: expected an integer"), "{err}");
+    }
+
+    #[test]
+    fn mistyped_optional_fields_are_rejected_at_their_path() {
+        let mut setup = setup_payload(0);
+        setup.profile_clock = Some("ticks".to_string());
+        let setup = CoordinatorRequest::Setup(Box::new(setup), 1);
+        let err = request_error(setup, "\"profile_clock\":\"ticks\"", "\"profile_clock\":7");
+        assert!(err.contains("profile_clock: expected a string"), "{err}");
+
+        let evaluated = WorkerResponse::Evaluated {
+            id: 1,
+            stamp: 2,
+            measurement: Measurement::infeasible(InfeasibleReason::DeviceFit),
+            panicked: true,
+            events: Vec::new(),
+            migrants: Vec::new(),
+        };
+        let text = evaluated
+            .to_json()
+            .to_string()
+            .replace("\"panicked\":true", "\"panicked\":1");
+        let err = WorkerResponse::from_json(&Json::parse(&text).unwrap()).unwrap_err();
+        assert!(
+            err.to_string().contains("panicked: expected a boolean"),
+            "{err}"
+        );
+    }
+
     #[test]
     fn target_codec_covers_the_catalog() {
         for t in [
@@ -1935,8 +1685,8 @@ mod tests {
             HwTarget::Cpu(CpuDevice::xeon_22c()),
             HwTarget::Cpu(CpuDevice::desktop_8c()),
         ] {
-            let wire = target_to_json(&t).unwrap();
-            let back = target_from_json(&wire).unwrap();
+            let wire = t.to_json().unwrap();
+            let back = HwTarget::from_json(&wire).unwrap();
             assert_eq!(back.device_name(), t.device_name());
             if let (HwTarget::Fpga(a), HwTarget::Fpga(b)) = (&t, &back) {
                 assert_eq!(a.ddr.banks, b.ddr.banks);
@@ -1946,7 +1696,7 @@ mod tests {
             name: "Bespoke".to_string(),
             ..FpgaDevice::arria10_gx1150(1)
         });
-        assert!(target_to_json(&custom).is_err());
+        assert!(custom.to_json().is_err());
     }
 
     #[test]

@@ -35,7 +35,6 @@ use std::error::Error;
 use std::fmt;
 
 use ecad_hw::fpga::FpgaDevice;
-use ecad_hw::gpu::GpuDevice;
 use ecad_mlp::{OptimizerKind, TrainConfig};
 
 use crate::engine::EvolutionConfig;
@@ -290,16 +289,8 @@ impl FlowConfig {
                 "cpu" => "xeon",
                 _ => "arria10",
             });
-        let target = match device_name {
-            "arria10" => HwTarget::Fpga(FpgaDevice::arria10_gx1150(ddr_banks)),
-            "stratix10" => HwTarget::Fpga(FpgaDevice::stratix10_2800(ddr_banks)),
-            "m5000" => HwTarget::Gpu(GpuDevice::quadro_m5000()),
-            "titanx" => HwTarget::Gpu(GpuDevice::titan_x()),
-            "radeonvii" => HwTarget::Gpu(GpuDevice::radeon_vii()),
-            "xeon" => HwTarget::Cpu(ecad_hw::cpu::CpuDevice::xeon_22c()),
-            "desktop" => HwTarget::Cpu(ecad_hw::cpu::CpuDevice::desktop_8c()),
-            other => return Err(ConfigError::UnknownDevice(other.to_string())),
-        };
+        let target = HwTarget::catalog(device_name, ddr_banks)
+            .ok_or_else(|| ConfigError::UnknownDevice(device_name.to_string()))?;
         let family = match target {
             HwTarget::Fpga(_) => HwFamily::Fpga,
             HwTarget::Gpu(_) | HwTarget::Cpu(_) => HwFamily::Gpu,

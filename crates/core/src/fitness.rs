@@ -16,6 +16,8 @@ use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
+use rt::json::{Cursor, DecodeError, FromJson, Json, ToJson};
+
 use crate::measurement::Measurement;
 
 /// Extracts one scalar from a measurement.
@@ -237,6 +239,47 @@ impl ObjectiveSet {
     }
 }
 
+impl ToJson for ObjectiveSet {
+    fn to_json(&self) -> Json {
+        Json::Array(
+            self.objectives
+                .iter()
+                .map(|o| {
+                    Json::object()
+                        .insert("name", o.name.as_str())
+                        .insert("weight", o.weight)
+                        .insert("maximize", o.maximize)
+                })
+                .collect(),
+        )
+    }
+}
+
+impl FromJson for ObjectiveSet {
+    /// Rebuilds the set over the built-in registry: custom registered
+    /// fitness functions cannot cross a process boundary. Checks what
+    /// [`ObjectiveSet::with_registry`] would otherwise panic on.
+    fn decode(at: Cursor<'_>) -> Result<ObjectiveSet, DecodeError> {
+        let registry = FitnessRegistry::with_builtins();
+        let objectives = at.list(|o| {
+            let name = o.field("name")?;
+            let text = name.str()?;
+            if registry.get(text).is_none() {
+                return Err(name.error(format!("unknown fitness metric {text:?}")));
+            }
+            Ok(Objective {
+                name: text.to_string(),
+                weight: o.get("weight")?,
+                maximize: o.get("maximize")?,
+            })
+        })?;
+        if objectives.is_empty() {
+            return Err(at.expected("at least one objective"));
+        }
+        Ok(ObjectiveSet::with_registry(objectives, registry))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -335,6 +378,21 @@ mod tests {
         assert!((r.get("outputs_per_joule").unwrap()(&m) - 2e4).abs() < 1e-6);
         let set = ObjectiveSet::new(vec![Objective::maximize("log_outputs_per_joule")]);
         assert!(set.scalar(&m) > 0.0);
+    }
+
+    #[test]
+    fn decoding_refuses_what_the_constructor_would_panic_on() {
+        let set = ObjectiveSet::accuracy_and_throughput();
+        let back = ObjectiveSet::from_json(&set.to_json()).unwrap();
+        assert_eq!(back.objectives().len(), set.objectives().len());
+        let err = ObjectiveSet::from_json(&Json::Array(Vec::new())).unwrap_err();
+        assert_eq!(err.message, "expected at least one objective, got an array");
+        let unknown = Json::Array(vec![Json::object()
+            .insert("name", "zz")
+            .insert("weight", 1.0)
+            .insert("maximize", true)]);
+        let err = ObjectiveSet::from_json(&unknown).unwrap_err();
+        assert_eq!(err.to_string(), "[0].name: unknown fitness metric \"zz\"");
     }
 
     #[test]

@@ -8,6 +8,9 @@
 //! bias." (§III-A)
 
 use ecad_mlp::{Activation, LayerSpec, MlpTopology};
+use rt::json::{Cursor, DecodeError, FromJson, Json, ToJson};
+
+use crate::measurement::Measurement;
 
 /// The network half of a candidate: an ordered list of hidden-layer
 /// genes. Input width and class count come from the dataset, so they are
@@ -155,6 +158,95 @@ impl std::fmt::Display for CandidateGenome {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(&self.describe())
     }
+}
+
+impl ToJson for HwGenome {
+    fn to_json(&self) -> Json {
+        match *self {
+            HwGenome::FpgaGrid {
+                rows,
+                cols,
+                interleave_m,
+                interleave_n,
+                vec,
+                batch,
+            } => Json::object()
+                .insert("kind", "fpga")
+                .insert("rows", rows)
+                .insert("cols", cols)
+                .insert("interleave_m", interleave_m)
+                .insert("interleave_n", interleave_n)
+                .insert("vec", vec)
+                .insert("batch", batch),
+            HwGenome::GpuBatch { batch } => {
+                Json::object().insert("kind", "gpu").insert("batch", batch)
+            }
+        }
+    }
+}
+
+impl FromJson for HwGenome {
+    fn decode(j: Cursor<'_>) -> Result<HwGenome, DecodeError> {
+        let kind = j.field("kind")?;
+        Ok(match kind.str()? {
+            "fpga" => HwGenome::FpgaGrid {
+                rows: j.get("rows")?,
+                cols: j.get("cols")?,
+                interleave_m: j.get("interleave_m")?,
+                interleave_n: j.get("interleave_n")?,
+                vec: j.get("vec")?,
+                batch: j.get("batch")?,
+            },
+            "gpu" => HwGenome::GpuBatch {
+                batch: j.get("batch")?,
+            },
+            other => return Err(kind.error(format!("unknown hw genome kind {other:?}"))),
+        })
+    }
+}
+
+impl ToJson for CandidateGenome {
+    fn to_json(&self) -> Json {
+        let layers: Vec<Json> = (self.nna.layers.iter())
+            .map(|l| {
+                Json::object()
+                    .insert("neurons", l.neurons)
+                    .insert("activation", l.activation)
+                    .insert("bias", l.bias)
+            })
+            .collect();
+        Json::object()
+            .insert("layers", layers)
+            .insert("hw", self.hw)
+    }
+}
+
+impl FromJson for CandidateGenome {
+    fn decode(j: Cursor<'_>) -> Result<CandidateGenome, DecodeError> {
+        let layers = j.field("layers")?.list(|l| {
+            Ok(LayerGene {
+                neurons: l.get("neurons")?,
+                activation: l.get("activation")?,
+                bias: l.get("bias")?,
+            })
+        })?;
+        Ok(CandidateGenome {
+            nna: NnaGenome { layers },
+            hw: j.get("hw")?,
+        })
+    }
+}
+
+/// A genome with its measurement, as populations, traces and island
+/// migrants carry them: `{"genome": .., "measurement": ..}`.
+pub(crate) fn pair_to_json(pair: &(CandidateGenome, Measurement)) -> Json {
+    Json::object()
+        .insert("genome", &pair.0)
+        .insert("measurement", &pair.1)
+}
+
+pub(crate) fn pair_from_json(j: Cursor<'_>) -> Result<(CandidateGenome, Measurement), DecodeError> {
+    Ok((j.get("genome")?, j.get("measurement")?))
 }
 
 #[cfg(test)]

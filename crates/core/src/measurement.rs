@@ -7,6 +7,8 @@
 
 use std::fmt;
 
+use rt::json::{Cursor, DecodeError, FromJson, Json, ToJson};
+
 /// Why a candidate could not be scored.
 ///
 /// Infeasible candidates are common in a co-design search — the paper's
@@ -292,6 +294,157 @@ impl Measurement {
     /// a feasible result, otherwise the reason's [`FailureKind`].
     pub fn failure_kind(&self) -> Option<FailureKind> {
         self.infeasible_reason().map(InfeasibleReason::failure_kind)
+    }
+}
+
+impl ToJson for InfeasibleReason {
+    fn to_json(&self) -> Json {
+        let j = Json::object().insert("kind", self.kind());
+        match self {
+            InfeasibleReason::Transient(text) | InfeasibleReason::Other(text) => {
+                j.insert("text", text.as_str())
+            }
+            _ => j,
+        }
+    }
+}
+
+impl FromJson for InfeasibleReason {
+    fn decode(j: Cursor<'_>) -> Result<InfeasibleReason, DecodeError> {
+        // An absent `text` reads as empty.
+        let text = || Ok(j.opt("text")?.unwrap_or_default());
+        let kind = j.field("kind")?;
+        Ok(match kind.str()? {
+            "device-fit" => InfeasibleReason::DeviceFit,
+            "training-failure" => InfeasibleReason::TrainingFailure,
+            "target-mismatch" => InfeasibleReason::TargetMismatch,
+            "worker-panic" => InfeasibleReason::WorkerPanic,
+            "eval-timeout" => InfeasibleReason::EvalTimeout,
+            "transient" => InfeasibleReason::Transient(text()?),
+            "other" => InfeasibleReason::Other(text()?),
+            other => return Err(kind.error(format!("unknown infeasible reason {other:?}"))),
+        })
+    }
+}
+
+impl ToJson for HwMetrics {
+    fn to_json(&self) -> Json {
+        let kind = match self {
+            HwMetrics::Fpga { .. } => "fpga",
+            HwMetrics::Gpu { .. } => "gpu",
+            HwMetrics::Cpu { .. } => "cpu",
+            HwMetrics::Infeasible { .. } => "infeasible",
+        };
+        let j = Json::object().insert("kind", kind);
+        match self {
+            HwMetrics::Fpga {
+                outputs_per_s,
+                efficiency,
+                latency_s,
+                potential_gflops,
+                effective_gflops,
+                bandwidth_bound,
+                power_w,
+                fmax_mhz,
+                dsp_util,
+            } => j
+                .insert("outputs_per_s", *outputs_per_s)
+                .insert("efficiency", *efficiency)
+                .insert("latency_s", *latency_s)
+                .insert("potential_gflops", *potential_gflops)
+                .insert("effective_gflops", *effective_gflops)
+                .insert("bandwidth_bound", *bandwidth_bound)
+                .insert("power_w", *power_w)
+                .insert("fmax_mhz", *fmax_mhz)
+                .insert("dsp_util", *dsp_util),
+            HwMetrics::Gpu {
+                outputs_per_s,
+                efficiency,
+                latency_s,
+                effective_gflops,
+                power_w,
+            }
+            | HwMetrics::Cpu {
+                outputs_per_s,
+                efficiency,
+                latency_s,
+                effective_gflops,
+                power_w,
+            } => j
+                .insert("outputs_per_s", *outputs_per_s)
+                .insert("efficiency", *efficiency)
+                .insert("latency_s", *latency_s)
+                .insert("effective_gflops", *effective_gflops)
+                .insert("power_w", *power_w),
+            HwMetrics::Infeasible { reason } => j.insert("reason", reason),
+        }
+    }
+}
+
+impl FromJson for HwMetrics {
+    fn decode(j: Cursor<'_>) -> Result<HwMetrics, DecodeError> {
+        let kind = j.field("kind")?;
+        Ok(match kind.str()? {
+            "fpga" => HwMetrics::Fpga {
+                outputs_per_s: j.get("outputs_per_s")?,
+                efficiency: j.get("efficiency")?,
+                latency_s: j.get("latency_s")?,
+                potential_gflops: j.get("potential_gflops")?,
+                effective_gflops: j.get("effective_gflops")?,
+                bandwidth_bound: j.get("bandwidth_bound")?,
+                power_w: j.get("power_w")?,
+                fmax_mhz: j.get("fmax_mhz")?,
+                dsp_util: j.get("dsp_util")?,
+            },
+            "gpu" => HwMetrics::Gpu {
+                outputs_per_s: j.get("outputs_per_s")?,
+                efficiency: j.get("efficiency")?,
+                latency_s: j.get("latency_s")?,
+                effective_gflops: j.get("effective_gflops")?,
+                power_w: j.get("power_w")?,
+            },
+            "cpu" => HwMetrics::Cpu {
+                outputs_per_s: j.get("outputs_per_s")?,
+                efficiency: j.get("efficiency")?,
+                latency_s: j.get("latency_s")?,
+                effective_gflops: j.get("effective_gflops")?,
+                power_w: j.get("power_w")?,
+            },
+            "infeasible" => HwMetrics::Infeasible {
+                reason: j.get("reason")?,
+            },
+            other => return Err(kind.error(format!("unknown hw metrics kind {other:?}"))),
+        })
+    }
+}
+
+impl ToJson for Measurement {
+    fn to_json(&self) -> Json {
+        Json::object()
+            // f32 -> f64 widening is exact, so accuracy round-trips.
+            .insert("accuracy", self.accuracy)
+            .insert("train_accuracy", self.train_accuracy)
+            .insert("params", self.params)
+            .insert("neurons", self.neurons)
+            .insert("eval_time_s", self.eval_time_s)
+            .insert("train_time_s", self.train_time_s)
+            .insert("hw_time_s", self.hw_time_s)
+            .insert("hw", &self.hw)
+    }
+}
+
+impl FromJson for Measurement {
+    fn decode(j: Cursor<'_>) -> Result<Measurement, DecodeError> {
+        Ok(Measurement {
+            accuracy: j.get("accuracy")?,
+            train_accuracy: j.get("train_accuracy")?,
+            params: j.get("params")?,
+            neurons: j.get("neurons")?,
+            hw: j.get("hw")?,
+            eval_time_s: j.get("eval_time_s")?,
+            train_time_s: j.get("train_time_s")?,
+            hw_time_s: j.get("hw_time_s")?,
+        })
     }
 }
 

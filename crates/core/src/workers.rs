@@ -17,6 +17,7 @@
 //! [`Measurement::infeasible`] rather than an error — the engine scores
 //! them at zero fitness and moves on.
 
+use std::mem::discriminant;
 use std::time::Instant;
 
 use ecad_dataset::Dataset;
@@ -24,6 +25,7 @@ use ecad_hw::cpu::{CpuDevice, CpuModel};
 use ecad_hw::fpga::{FpgaDevice, FpgaModel, GridConfig, PhysicalModel};
 use ecad_hw::gpu::{GpuDevice, GpuModel};
 use ecad_mlp::{TrainConfig, Trainer};
+use rt::json::{Cursor, DecodeError, FromJson, Json};
 use rt::rand::rngs::StdRng;
 use rt::rand::SeedableRng;
 
@@ -47,6 +49,25 @@ pub enum HwTarget {
     Cpu(CpuDevice),
 }
 
+/// Builds a catalog device from a DDR bank count, which only FPGAs use.
+type MakeTarget = fn(u32) -> HwTarget;
+
+/// The device catalog, by the short name INI configs (`device =`),
+/// `ecad estimate --device` and the cluster wire use.
+pub const CATALOG: [(&str, MakeTarget); 7] = [
+    ("arria10", |banks| {
+        HwTarget::Fpga(FpgaDevice::arria10_gx1150(banks))
+    }),
+    ("stratix10", |banks| {
+        HwTarget::Fpga(FpgaDevice::stratix10_2800(banks))
+    }),
+    ("m5000", |_| HwTarget::Gpu(GpuDevice::quadro_m5000())),
+    ("titanx", |_| HwTarget::Gpu(GpuDevice::titan_x())),
+    ("radeonvii", |_| HwTarget::Gpu(GpuDevice::radeon_vii())),
+    ("xeon", |_| HwTarget::Cpu(CpuDevice::xeon_22c())),
+    ("desktop", |_| HwTarget::Cpu(CpuDevice::desktop_8c())),
+];
+
 impl HwTarget {
     /// Display name of the underlying device.
     pub fn device_name(&self) -> &str {
@@ -55,6 +76,54 @@ impl HwTarget {
             HwTarget::Gpu(d) => &d.name,
             HwTarget::Cpu(d) => &d.name,
         }
+    }
+
+    /// The [`CATALOG`] device called `name`, with `ddr_banks` DDR banks
+    /// if it is an FPGA; `None` for a name outside the catalog.
+    pub fn catalog(name: &str, ddr_banks: u32) -> Option<HwTarget> {
+        CATALOG
+            .iter()
+            .find(|(n, _)| *n == name)
+            .map(|(_, make)| make(ddr_banks))
+    }
+
+    /// The wire form `{"device": <catalog name>, "ddr_banks": n}`, `n`
+    /// being 0 off an FPGA.
+    ///
+    /// # Errors
+    ///
+    /// A device outside the [`CATALOG`] (matched by kind and display
+    /// name) cannot cross the wire, which names devices.
+    pub fn to_json(&self) -> Result<Json, String> {
+        let same = |t: HwTarget| {
+            discriminant(&t) == discriminant(self) && t.device_name() == self.device_name()
+        };
+        let Some((name, _)) = CATALOG.iter().find(|(_, make)| same(make(1))) else {
+            return Err(format!("not a catalog device: {:?}", self.device_name()));
+        };
+        let banks = match self {
+            HwTarget::Fpga(d) => d.ddr.banks,
+            HwTarget::Gpu(_) | HwTarget::Cpu(_) => 0,
+        };
+        Ok(Json::object()
+            .insert("device", *name)
+            .insert("ddr_banks", banks))
+    }
+}
+
+impl FromJson for HwTarget {
+    fn decode(j: Cursor<'_>) -> Result<HwTarget, DecodeError> {
+        let device = j.field("device")?;
+        let name = device.str()?;
+        let banks = j.field("ddr_banks")?;
+        let n = u32::decode(banks)?;
+        let target = HwTarget::catalog(name, n)
+            .ok_or_else(|| device.error(format!("unknown device {name:?}")))?;
+        // As the encoder writes them: an FPGA has DDR banks, nothing else.
+        if matches!(target, HwTarget::Fpga(_)) != (n > 0) {
+            return Err(banks.expected("at least 1 for an FPGA, 0 for other devices"));
+        }
+        Ok(target)
     }
 }
 

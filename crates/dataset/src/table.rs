@@ -2,6 +2,7 @@ use std::error::Error;
 use std::fmt;
 
 use ecad_tensor::Matrix;
+use rt::json::{Cursor, DecodeError, FromJson, Json, ToJson};
 use rt::rand::seq::SliceRandom;
 use rt::rand::Rng;
 
@@ -222,6 +223,40 @@ impl Dataset {
             labels: self.labels.clone(),
             n_classes: self.n_classes,
         }
+    }
+}
+
+impl ToJson for Dataset {
+    /// `f32 → f64` widening is exact and `rt::json` prints the shortest
+    /// round-trip form, so features survive encoding bit-exactly.
+    fn to_json(&self) -> Json {
+        Json::object()
+            .insert("name", self.name.as_str())
+            .insert("rows", self.len())
+            .insert("cols", self.n_features())
+            .insert("n_classes", self.n_classes)
+            .insert("features", self.features.as_slice())
+            .insert("labels", &self.labels)
+    }
+}
+
+impl FromJson for Dataset {
+    fn decode(j: Cursor<'_>) -> Result<Dataset, DecodeError> {
+        let (rows, cols): (usize, usize) = (j.get("rows")?, j.get("cols")?);
+        let at = j.field("features")?;
+        let features: Vec<f32> = Vec::decode(at)?;
+        if rows.checked_mul(cols) != Some(features.len()) {
+            let n = features.len();
+            return Err(at.error(format!("holds {n} values, not {rows} x {cols}")));
+        }
+        let features = Matrix::from_vec(rows, cols, features);
+        Dataset::new(
+            j.get::<String>("name")?,
+            features,
+            j.get("labels")?,
+            j.get("n_classes")?,
+        )
+        .map_err(|e| j.error(e.to_string()))
     }
 }
 

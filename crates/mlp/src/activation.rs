@@ -5,6 +5,7 @@
 //! and bias"). The output layer always applies softmax, handled by the
 //! trainer, so `Activation` covers hidden layers only.
 
+use rt::json::{Cursor, DecodeError, FromJson, Json, ToJson};
 
 /// A hidden-layer activation function.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -74,6 +75,20 @@ impl Activation {
     /// Parses a name produced by [`Activation::name`].
     pub fn from_name(s: &str) -> Option<Activation> {
         Activation::ALL.iter().copied().find(|a| a.name() == s)
+    }
+}
+
+impl ToJson for Activation {
+    /// The [`name`](Activation::name).
+    fn to_json(&self) -> Json {
+        self.name().to_json()
+    }
+}
+
+impl FromJson for Activation {
+    fn decode(at: Cursor<'_>) -> Result<Activation, DecodeError> {
+        let name = at.str()?;
+        Activation::from_name(name).ok_or_else(|| at.error(format!("unknown activation {name:?}")))
     }
 }
 

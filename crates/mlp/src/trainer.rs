@@ -12,6 +12,7 @@ use std::fmt;
 
 use ecad_dataset::Dataset;
 use ecad_tensor::ops;
+use rt::json::{Cursor, DecodeError, FromJson, Json, ToJson};
 use rt::rand::seq::SliceRandom;
 use rt::rand::Rng;
 
@@ -122,6 +123,52 @@ impl TrainConfig {
             weight_decay: 1e-4,
             gemm_threads: 0,
         }
+    }
+}
+
+impl ToJson for TrainConfig {
+    fn to_json(&self) -> Json {
+        let optimizer = match self.optimizer {
+            OptimizerKind::Sgd { lr, momentum } => Json::object()
+                .insert("kind", "sgd")
+                .insert("lr", lr)
+                .insert("momentum", momentum),
+            OptimizerKind::Adam { lr } => Json::object().insert("kind", "adam").insert("lr", lr),
+        };
+        Json::object()
+            .insert("epochs", self.epochs)
+            .insert("batch_size", self.batch_size)
+            .insert("optimizer", optimizer)
+            .insert("patience", self.patience)
+            .insert("min_delta", self.min_delta)
+            .insert("weight_decay", self.weight_decay)
+            .insert("gemm_threads", self.gemm_threads)
+    }
+}
+
+impl FromJson for TrainConfig {
+    fn decode(j: Cursor<'_>) -> Result<TrainConfig, DecodeError> {
+        let opt = j.field("optimizer")?;
+        let kind = opt.field("kind")?;
+        let optimizer = match kind.str()? {
+            "sgd" => OptimizerKind::Sgd {
+                lr: opt.get("lr")?,
+                momentum: opt.get("momentum")?,
+            },
+            "adam" => OptimizerKind::Adam { lr: opt.get("lr")? },
+            other => return Err(kind.error(format!("unknown optimizer kind {other:?}"))),
+        };
+        Ok(TrainConfig {
+            epochs: j.get("epochs")?,
+            batch_size: j.get("batch_size")?,
+            optimizer,
+            patience: j.get("patience")?,
+            min_delta: j.get("min_delta")?,
+            weight_decay: j.get("weight_decay")?,
+            // Optional for peers that predate it; 0 leaves the GEMM
+            // thread setting untouched.
+            gemm_threads: j.opt("gemm_threads")?.unwrap_or(0),
+        })
     }
 }
 

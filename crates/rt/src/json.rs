@@ -1,5 +1,5 @@
 //! A small JSON value type with parser, serializers, and the [`ToJson`]
-//! conversion trait.
+//! / [`FromJson`] conversion traits.
 //!
 //! This replaces `serde_json` for the bench harness's report emission.
 //! The design goals, in order: (1) the serializer output is a fixpoint
@@ -11,6 +11,12 @@
 //!
 //! Numbers are stored as `f64`. Non-finite values (NaN, ±inf) serialize
 //! as `null`, mirroring `serde_json`'s lossy float handling.
+//!
+//! Decoding goes through a [`Cursor`]: a value plus the document path
+//! that leads to it. Its accessors check each value's type and range
+//! and report a failure as one [`DecodeError`] naming that path
+//! (`population[3].measurement.hw.kind`), so every reader built on
+//! [`FromJson`] locates its errors the same way.
 
 use std::fmt;
 
@@ -198,6 +204,10 @@ impl fmt::Display for Json {
     }
 }
 
+/// 2^53: every integer up to here has an exact `f64`, and none much
+/// past it does.
+pub(crate) const EXACT: f64 = 9_007_199_254_740_992.0;
+
 fn push_indent(out: &mut String, indent: usize) {
     for _ in 0..indent {
         out.push_str("  ");
@@ -212,7 +222,6 @@ fn format_number(x: f64) -> String {
     if !x.is_finite() {
         return "null".to_string();
     }
-    const EXACT: f64 = 9_007_199_254_740_992.0; // 2^53
     if x.fract() == 0.0 && x.abs() <= EXACT {
         format!("{}", x as i64)
     } else {
@@ -241,22 +250,36 @@ fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
 }
 
-/// A parse failure with byte offset and description.
+/// A parse failure with its location and description.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseError {
     /// Byte offset into the input where parsing failed.
     pub offset: usize,
+    /// 1-based line of `offset`.
+    pub line: usize,
+    /// 1-based column of `offset`, counted in bytes.
+    pub column: usize,
     /// What went wrong.
     pub message: String,
 }
 
 impl fmt::Display for ParseError {
+    /// `line:column: message`; callers that read a file prefix its
+    /// name.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "JSON parse error at byte {}: {}", self.offset, self.message)
+        write!(f, "{}:{}: {}", self.line, self.column, self.message)
     }
 }
 
 impl std::error::Error for ParseError {}
+
+/// Converts a byte offset into 1-based (line, column).
+fn line_col(text: &[u8], offset: usize) -> (usize, usize) {
+    let upto = &text[..offset.min(text.len())];
+    let line = upto.iter().filter(|&&b| b == b'\n').count() + 1;
+    let column = upto.iter().rev().take_while(|&&b| b != b'\n').count() + 1;
+    (line, column)
+}
 
 const MAX_DEPTH: usize = 128;
 
@@ -268,8 +291,11 @@ struct Parser<'a> {
 
 impl<'a> Parser<'a> {
     fn error(&self, message: &str) -> ParseError {
+        let (line, column) = line_col(self.bytes, self.pos);
         ParseError {
             offset: self.pos,
+            line,
+            column,
             message: message.to_string(),
         }
     }
@@ -589,9 +615,284 @@ tuple_to_json! {
     (A/0, B/1, C/2, D/3)
 }
 
+/// A decode failure: where in the document, and what is wrong there.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct DecodeError {
+    /// Path of the offending value, e.g.
+    /// `population[3].measurement.hw.kind`; empty for the document root.
+    /// A missing key is reported at the object that lacks it.
+    pub path: String,
+    /// What is wrong with the value.
+    pub message: String,
+}
+
+impl fmt::Display for DecodeError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.path.as_str() {
+            "" => f.write_str(&self.message),
+            path => write!(f, "{path}: {}", self.message),
+        }
+    }
+}
+
+impl std::error::Error for DecodeError {}
+
+/// Decoding from a [`Json`] value — the twin of [`ToJson`]. Types
+/// implement [`decode`](FromJson::decode) next to their encoder.
+pub trait FromJson: Sized {
+    /// Decodes the value under `at`; errors name paths below `at`.
+    fn decode(at: Cursor<'_>) -> Result<Self, DecodeError>;
+
+    /// Decodes a whole document.
+    fn from_json(doc: &Json) -> Result<Self, DecodeError> {
+        Self::decode(Cursor::root(doc))
+    }
+}
+
+/// A value inside a document being decoded, plus the path that leads to
+/// it. The path is a chain of borrowed steps back to the root, turned
+/// into text only when an error is built, so decoding a valid document
+/// allocates nothing for it.
+#[derive(Clone, Copy)]
+pub struct Cursor<'a> {
+    value: &'a Json,
+    up: Option<(&'a Cursor<'a>, Step<'a>)>,
+}
+
+#[derive(Clone, Copy)]
+enum Step<'a> {
+    Key(&'a str),
+    Index(usize),
+}
+
+impl<'a> Cursor<'a> {
+    /// The root of `doc`; its path is empty.
+    pub fn root(doc: &'a Json) -> Cursor<'a> {
+        Cursor {
+            value: doc,
+            up: None,
+        }
+    }
+
+    /// The raw value under the cursor.
+    pub fn json(&self) -> &'a Json {
+        self.value
+    }
+
+    /// An error at this cursor's path.
+    pub fn error(&self, message: impl Into<String>) -> DecodeError {
+        let mut path = String::new();
+        self.write_path(&mut path);
+        DecodeError {
+            path,
+            message: message.into(),
+        }
+    }
+
+    fn write_path(&self, path: &mut String) {
+        use fmt::Write;
+        let Some((parent, step)) = self.up else {
+            return;
+        };
+        parent.write_path(path);
+        let _ = match step {
+            Step::Key(key) if path.is_empty() => write!(path, "{key}"),
+            Step::Key(key) => write!(path, ".{key}"),
+            Step::Index(i) => write!(path, "[{i}]"),
+        };
+    }
+
+    /// An error saying the value under the cursor is not `what`.
+    pub fn expected(&self, what: &str) -> DecodeError {
+        let got = match self.value {
+            Json::Number(x) if x.abs() >= 1e16 => format!("{x:e}"),
+            Json::String(_) => "a string".to_string(),
+            Json::Array(_) => "an array".to_string(),
+            Json::Object(_) => "an object".to_string(),
+            other => other.to_string(),
+        };
+        self.error(format!("expected {what}, got {got}"))
+    }
+
+    /// The string under the cursor.
+    pub fn str(&self) -> Result<&'a str, DecodeError> {
+        self.value.as_str().ok_or_else(|| self.expected("a string"))
+    }
+
+    /// The object field `key`, or `None` when the object lacks it.
+    fn opt_field<'b>(&'b self, key: &'b str) -> Result<Option<Cursor<'b>>, DecodeError> {
+        match self.value {
+            Json::Object(pairs) => Ok(pairs
+                .iter()
+                .find(|(k, _)| k == key)
+                .map(|(_, value)| self.child(Step::Key(key), value))),
+            _ => Err(self.expected("an object")),
+        }
+    }
+
+    /// The object field `key`; a missing key is reported at this object.
+    pub fn field<'b>(&'b self, key: &'b str) -> Result<Cursor<'b>, DecodeError> {
+        self.opt_field(key)?
+            .ok_or_else(|| self.error(format!("missing field {key:?}")))
+    }
+
+    /// Decodes the object field `key`.
+    pub fn get<T: FromJson>(&self, key: &str) -> Result<T, DecodeError> {
+        T::decode(self.field(key)?)
+    }
+
+    /// Decodes the object field `key` if present. An optional field that
+    /// is present must still decode: only absence means `None`.
+    pub fn opt<T: FromJson>(&self, key: &str) -> Result<Option<T>, DecodeError> {
+        self.opt_field(key)?.map(T::decode).transpose()
+    }
+
+    /// Decodes the object field `key`, a hex string: the form integers
+    /// wider than an `f64` mantissa (RNG state, cache keys) travel in.
+    pub fn hex<T: TryFrom<u128>>(&self, key: &str) -> Result<T, DecodeError> {
+        let at = self.field(key)?;
+        u128::from_str_radix(at.str()?, 16)
+            .ok()
+            .and_then(|x| T::try_from(x).ok())
+            .ok_or_else(|| at.expected(&format!("a {}-bit hex string", 8 * size_of::<T>())))
+    }
+
+    /// Decodes every item of the array under the cursor with `item`.
+    pub fn list<T>(
+        &self,
+        mut item: impl FnMut(Cursor<'_>) -> Result<T, DecodeError>,
+    ) -> Result<Vec<T>, DecodeError> {
+        let items = self
+            .value
+            .as_array()
+            .ok_or_else(|| self.expected("an array"))?;
+        items
+            .iter()
+            .enumerate()
+            .map(|(i, value)| item(self.child(Step::Index(i), value)))
+            .collect()
+    }
+
+    fn child<'b>(&'b self, step: Step<'b>, value: &'b Json) -> Cursor<'b> {
+        Cursor {
+            value,
+            up: Some((self, step)),
+        }
+    }
+}
+
+impl FromJson for bool {
+    fn decode(at: Cursor<'_>) -> Result<bool, DecodeError> {
+        at.value.as_bool().ok_or_else(|| at.expected("a boolean"))
+    }
+}
+
+impl FromJson for String {
+    fn decode(at: Cursor<'_>) -> Result<String, DecodeError> {
+        at.str().map(str::to_string)
+    }
+}
+
+impl FromJson for f64 {
+    /// Any finite number: the encoder writes non-finite values as
+    /// `null`, so a finite value is all a document can hold.
+    fn decode(at: Cursor<'_>) -> Result<f64, DecodeError> {
+        match at.value {
+            Json::Number(x) if x.is_finite() => Ok(*x),
+            _ => Err(at.expected("a finite number")),
+        }
+    }
+}
+
+impl FromJson for f32 {
+    /// A number that stays finite when narrowed to `f32`.
+    fn decode(at: Cursor<'_>) -> Result<f32, DecodeError> {
+        Some(f64::decode(at)? as f32)
+            .filter(|x| x.is_finite())
+            .ok_or_else(|| at.expected("a number in f32 range"))
+    }
+}
+
+macro_rules! integer_from_json {
+    ($($t:ty => $max:expr),*) => {$(
+        impl FromJson for $t {
+            /// An exact, non-negative integer that fits the type.
+            fn decode(at: Cursor<'_>) -> Result<$t, DecodeError> {
+                const MAX: f64 = $max;
+                match at.value {
+                    Json::Number(x) if x.fract() == 0.0 && (0.0..=MAX).contains(x) => {
+                        Ok(*x as $t)
+                    }
+                    _ => Err(at.expected(&format!("an integer in 0..={MAX}"))),
+                }
+            }
+        }
+    )*};
+}
+
+integer_from_json!(
+    u32 => u32::MAX as f64,
+    u64 => EXACT,
+    usize => if (usize::MAX as f64) < EXACT { usize::MAX as f64 } else { EXACT }
+);
+
+impl<T: FromJson> FromJson for Vec<T> {
+    fn decode(at: Cursor<'_>) -> Result<Vec<T>, DecodeError> {
+        at.list(T::decode)
+    }
+}
+
 #[cfg(test)]
 mod tests {
-    use super::{Json, ToJson};
+    use super::{line_col, Cursor, FromJson, Json, ToJson};
+
+    #[test]
+    fn line_col_counts_from_one() {
+        let text = "ab\ncd\nef".as_bytes();
+        assert_eq!(line_col(text, 0), (1, 1));
+        assert_eq!(line_col(text, 4), (2, 2));
+        assert_eq!(line_col(text, 7), (3, 2));
+    }
+
+    #[test]
+    fn parse_errors_report_line_and_column() {
+        let err = Json::parse("{\n  \"a\": oops\n}").unwrap_err();
+        assert_eq!((err.offset, err.line, err.column), (9, 2, 8));
+        assert_eq!(err.to_string(), "2:8: unexpected character");
+    }
+
+    #[test]
+    fn decode_errors_name_the_path() {
+        let doc = Json::parse(r#"{"a":[{"b":1},{"b":"x"},{}],"n":4294967297,"f":1e300}"#).unwrap();
+        let root = Cursor::root(&doc);
+        let a = root.field("a").unwrap();
+        let b = |x: Cursor<'_>| x.get::<u32>("b");
+        let err = a.list(b).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "a[1].b: expected an integer in 0..=4294967295, got a string"
+        );
+        // A missing key is reported at the object that lacks it.
+        let err = a
+            .list(|x| x.opt::<u32>("b").map(Option::unwrap_or_default))
+            .unwrap_err();
+        assert_eq!(err.path, "a[1].b", "a present optional field must decode");
+        let err = Json::parse(r#"[{"b":1},{}]"#).map(|d| Cursor::root(&d).list(b).unwrap_err());
+        assert_eq!(err.unwrap().to_string(), "[1]: missing field \"b\"");
+        assert_eq!(root.get::<u64>("n"), Ok(4_294_967_297));
+        assert_eq!(
+            root.get::<u32>("n").unwrap_err().to_string(),
+            "n: expected an integer in 0..=4294967295, got 4294967297"
+        );
+        assert_eq!(root.get::<f64>("f"), Ok(1e300));
+        assert_eq!(root.get::<f32>("f").unwrap_err().path, "f");
+        assert!(root.get::<usize>("f").is_err());
+        assert_eq!(root.opt::<bool>("missing"), Ok(None));
+        assert_eq!(
+            u32::decode(root).unwrap_err().message,
+            "expected an integer in 0..=4294967295, got an object"
+        );
+    }
 
     #[test]
     fn scalars_round_trip() {

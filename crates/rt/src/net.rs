@@ -101,6 +101,14 @@ impl From<io::Error> for NetError {
     }
 }
 
+/// A frame that parses but does not decode is a protocol error,
+/// permanent like any other.
+impl From<json::DecodeError> for NetError {
+    fn from(e: json::DecodeError) -> Self {
+        NetError::Protocol(e.to_string())
+    }
+}
+
 impl NetError {
     /// Whether a retry (reconnect, backoff, re-dispatch) may plausibly
     /// succeed. Environmental failures — resets, refusals, timeouts, a

@@ -68,7 +68,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
-use crate::json::Json;
+use crate::json::{Cursor, DecodeError, FromJson, Json, EXACT};
 use crate::prof::{ProfGuard, Profiler};
 
 // ---------------------------------------------------------------------------
@@ -298,63 +298,51 @@ impl Event {
     ///
     /// # Errors
     ///
-    /// A description of the first structural problem found.
-    pub fn from_wire_json(doc: &Json) -> Result<Event, String> {
-        let level_s = doc
-            .get("level")
-            .and_then(Json::as_str)
-            .ok_or("wire event has no level")?;
-        let level = Level::parse(level_s).ok_or_else(|| format!("bad level {level_s:?}"))?;
-        let target = intern(
-            doc.get("target")
-                .and_then(Json::as_str)
-                .ok_or("wire event has no target")?,
-        );
-        let name = intern(
-            doc.get("event")
-                .and_then(Json::as_str)
-                .ok_or("wire event has no event name")?,
-        );
-        let raw_fields = doc
-            .get("fields")
-            .and_then(Json::as_array)
-            .ok_or("wire event has no fields list")?;
-        let mut fields = Vec::with_capacity(raw_fields.len());
-        for pair in raw_fields {
-            let kv = pair.as_array().ok_or("wire field is not a [key, value] pair")?;
-            if kv.len() != 2 {
-                return Err("wire field is not a [key, value] pair".to_string());
+    /// A [`DecodeError`] naming the first malformed field.
+    pub fn from_wire_json(doc: &Json) -> Result<Event, DecodeError> {
+        Event::from_json(doc)
+    }
+}
+
+impl FromJson for Event {
+    /// The wire form; see [`Event::from_wire_json`].
+    fn decode(j: Cursor<'_>) -> Result<Event, DecodeError> {
+        let level = j.field("level")?;
+        let level_name = level.str()?;
+        let fields = j.field("fields")?.list(|pair| {
+            match <[Value; 2]>::try_from(Vec::<Value>::decode(pair)?) {
+                Ok([Value::Str(key), value]) => Ok((intern(&key), value)),
+                _ => Err(pair.expected("a [key, value] pair")),
             }
-            let key = intern(kv[0].as_str().ok_or("wire field key is not a string")?);
-            fields.push((key, value_from_wire(&kv[1])?));
-        }
-        let elapsed_s = doc.get("elapsed_s").and_then(Json::as_f64);
+        })?;
         Ok(Event {
-            level,
-            target,
-            name,
+            level: Level::parse(level_name)
+                .ok_or_else(|| level.error(format!("unknown level {level_name:?}")))?,
+            target: intern(j.field("target")?.str()?),
+            name: intern(j.field("event")?.str()?),
             fields,
-            elapsed_s,
+            elapsed_s: j.opt("elapsed_s")?,
         })
     }
 }
 
-/// Decodes one wire field value; see [`Event::from_wire_json`] for the
-/// canonicalization rules.
-fn value_from_wire(v: &Json) -> Result<Value, String> {
-    const EXACT: f64 = 9_007_199_254_740_992.0; // 2^53
-    match v {
-        Json::Bool(b) => Ok(Value::Bool(*b)),
-        Json::String(s) => Ok(Value::Str(s.clone())),
-        Json::Number(x) if x.fract() == 0.0 && x.abs() <= EXACT => {
-            if *x < 0.0 {
-                Ok(Value::I64(*x as i64))
-            } else {
-                Ok(Value::U64(*x as u64))
+impl FromJson for Value {
+    /// A wire field value; see [`Event::from_wire_json`] for the
+    /// canonicalization rules.
+    fn decode(at: Cursor<'_>) -> Result<Value, DecodeError> {
+        match at.json() {
+            Json::Bool(b) => Ok(Value::Bool(*b)),
+            Json::String(s) => Ok(Value::Str(s.clone())),
+            Json::Number(x) if x.fract() == 0.0 && x.abs() <= EXACT => {
+                if *x < 0.0 {
+                    Ok(Value::I64(*x as i64))
+                } else {
+                    Ok(Value::U64(*x as u64))
+                }
             }
+            Json::Number(x) => Ok(Value::F64(*x)),
+            _ => Err(at.expected("a boolean, number or string")),
         }
-        Json::Number(x) => Ok(Value::F64(*x)),
-        other => Err(format!("wire field value {other} is not a scalar")),
     }
 }
 

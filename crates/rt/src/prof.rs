@@ -41,7 +41,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use crate::json::Json;
+use crate::json::{Cursor, DecodeError, FromJson, Json};
 
 /// Schema version stamped into exported profile JSON documents.
 pub const PROFILE_SCHEMA_VERSION: u64 = 1;
@@ -534,23 +534,6 @@ impl ProfileNode {
             )
     }
 
-    /// Parses a node serialized by [`to_json`](Self::to_json).
-    pub fn from_json(j: &Json) -> Option<ProfileNode> {
-        let num = |k: &str| j.get(k).and_then(Json::as_f64).map(|v| v as u64);
-        Some(ProfileNode {
-            name: j.get("name")?.as_str()?.to_string(),
-            total_ns: num("total_ns")?,
-            self_ns: num("self_ns")?,
-            calls: num("calls")?,
-            children: j
-                .get("children")?
-                .as_array()?
-                .iter()
-                .map(ProfileNode::from_json)
-                .collect::<Option<Vec<_>>>()?,
-        })
-    }
-
     /// Collapsed-stack text: one `path;to;node self_ns` line per node
     /// with nonzero self time, in name-sorted depth-first order — the
     /// input format of standard flamegraph tooling.
@@ -635,26 +618,36 @@ pub fn profile_to_json(clock: ClockKind, root: &ProfileNode) -> Json {
 
 /// Parses a profile document produced by [`profile_to_json`], checking
 /// the schema version. Returns `(clock, root)`.
-pub fn profile_from_json(j: &Json) -> Result<(String, ProfileNode), String> {
-    let version = j
-        .get("schema_version")
-        .and_then(Json::as_f64)
-        .ok_or("missing schema_version")?;
-    if version != PROFILE_SCHEMA_VERSION as f64 {
-        return Err(format!(
+///
+/// # Errors
+///
+/// A [`DecodeError`] naming the first malformed field.
+pub fn profile_from_json(j: &Json) -> Result<(String, ProfileNode), DecodeError> {
+    let j = Cursor::root(j);
+    let version: u64 = j.get("schema_version")?;
+    if version != PROFILE_SCHEMA_VERSION {
+        return Err(j.field("schema_version")?.error(format!(
             "unsupported profile schema_version {version} (expected {PROFILE_SCHEMA_VERSION})"
-        ));
+        )));
     }
-    let clock = j
-        .get("clock")
-        .and_then(Json::as_str)
-        .ok_or("missing clock")?
-        .to_string();
-    let root = j
-        .get("root")
-        .and_then(ProfileNode::from_json)
-        .ok_or("missing or malformed root")?;
-    Ok((clock, root))
+    Ok((j.get("clock")?, j.get("root")?))
+}
+
+impl FromJson for ProfileNode {
+    fn decode(j: Cursor<'_>) -> Result<ProfileNode, DecodeError> {
+        let node = ProfileNode {
+            name: j.get("name")?,
+            total_ns: j.get("total_ns")?,
+            self_ns: j.get("self_ns")?,
+            calls: j.get("calls")?,
+            children: j.get("children")?,
+        };
+        if node.self_ns > node.total_ns {
+            let at = j.field("self_ns")?;
+            return Err(at.error(format!("exceeds total_ns {}", node.total_ns)));
+        }
+        Ok(node)
+    }
 }
 
 fn fmt_ns(ns: u64) -> String {
@@ -915,6 +908,21 @@ mod tests {
         for c in &node.children {
             check_invariants(c);
         }
+    }
+
+    #[test]
+    fn from_json_rejects_negative_fractional_and_inconsistent_counts() {
+        let node = |total: &str, self_ns: &str, calls: &str| {
+            let text = format!(
+                r#"{{"name":"n","total_ns":{total},"self_ns":{self_ns},"calls":{calls},"children":[]}}"#
+            );
+            ProfileNode::from_json(&Json::parse(&text).unwrap())
+        };
+        assert_eq!(node("5", "3", "1").map(|n| n.self_ns), Ok(3));
+        assert_eq!(node("-5", "0", "1").unwrap_err().path, "total_ns");
+        assert_eq!(node("5", "3", "1.5").unwrap_err().path, "calls");
+        let err = node("5", "6", "1").unwrap_err();
+        assert_eq!(err.to_string(), "self_ns: exceeds total_ns 5");
     }
 
     #[test]

@@ -10,7 +10,7 @@
 
 use std::path::PathBuf;
 
-use rt::json::Json;
+use rt::json::{FromJson, Json};
 use rt::prof::{profile_from_json, profile_to_json, ClockKind, ProfileNode, Profiler};
 
 fn golden_path() -> PathBuf {

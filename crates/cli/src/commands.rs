@@ -982,14 +982,34 @@ mod tests {
     }
 
     /// Picks a loopback port by binding an ephemeral listener and
-    /// releasing it for the CLI worker to claim. The coordinator's
-    /// connect-retry budget absorbs the handover window.
+    /// releasing it for the CLI worker to claim.
     fn free_port() -> u16 {
         std::net::TcpListener::bind("127.0.0.1:0")
             .unwrap()
             .local_addr()
             .unwrap()
             .port()
+    }
+
+    /// Starts `ecad cluster worker` on a free port and returns once it
+    /// accepts connections. A coordinator that dials earlier is refused:
+    /// its connect-retry budget absorbs the refusal, but the
+    /// `worker_connect_failed` warning lands in the trace, which a
+    /// byte-identity comparison then fails on.
+    fn spawn_cli_worker() -> (u16, std::thread::JoinHandle<Result<String, CliError>>) {
+        let port = free_port();
+        let worker = std::thread::spawn(move || {
+            run(argv(&format!("cluster worker --listen 127.0.0.1:{port}")))
+        });
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+        while std::net::TcpStream::connect(("127.0.0.1", port)).is_err() {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "cluster worker never accepted connections on port {port}"
+            );
+            std::thread::yield_now();
+        }
+        (port, worker)
     }
 
     /// End-to-end cluster path through the CLI: `ecad cluster worker`
@@ -1025,9 +1045,7 @@ mod tests {
         )))
         .unwrap();
 
-        let port = free_port();
-        let worker =
-            std::thread::spawn(move || run(argv(&format!("cluster worker --listen 127.0.0.1:{port}"))));
+        let (port, worker) = spawn_cli_worker();
         let cluster_jsonl = dir.join("cluster.jsonl");
         let out = run(argv(&format!(
             "cluster search {base} --workers 127.0.0.1:{port} --connect-retries 6 --trace-out {}",
@@ -1053,9 +1071,7 @@ mod tests {
 
         // Islands on: elite migrants fold into the coordinator and the
         // validator sees the `migration` kind.
-        let port = free_port();
-        let worker =
-            std::thread::spawn(move || run(argv(&format!("cluster worker --listen 127.0.0.1:{port}"))));
+        let (port, worker) = spawn_cli_worker();
         let island_jsonl = dir.join("island.jsonl");
         run(argv(&format!(
             "cluster search {base} --workers 127.0.0.1:{port} --connect-retries 6 \

@@ -852,26 +852,29 @@ pub fn observatory(obs: &Obs, status: &StatusCell) -> rt::http::Server {
 }
 
 /// The `/workers` JSON document: one entry per remote worker with its
-/// lifecycle state, freshness, the counters absorbed from its latest
-/// `Stats` frame, and the coordinator-side exchange-latency quantiles
-/// from that worker's labeled histogram. Reads only side-channel
-/// registries (health cells, metrics), so scraping never perturbs a
-/// seeded run.
+/// lifecycle state and freshness (health cells), the counters absorbed
+/// from its latest `Stats` frame (its labeled gauges), and the
+/// coordinator-side exchange-latency quantiles from its labeled
+/// histogram. Reads only side-channel registries (health cells,
+/// metrics), so scraping never perturbs a seeded run.
 pub fn workers_json(obs: &Obs, health: &crate::cluster::ClusterHealth) -> Json {
     let workers: Vec<Json> = health
         .snapshot()
         .into_iter()
         .map(|w| {
             let lat = obs.histogram_with("cluster.worker_eval_s", &[("worker", w.addr.as_str())]);
-            Json::object()
+            let mut entry = Json::object()
                 .insert("addr", w.addr.as_str())
                 .insert("state", w.state.as_str())
-                .insert("last_seen_s", w.last_seen_s.map_or(Json::Null, Json::Number))
-                .insert("jobs", w.jobs)
-                .insert("train_s", w.train_s)
-                .insert("hw_s", w.hw_s)
-                .insert("panics", w.panics)
-                .insert("migrants", w.migrants)
+                .insert(
+                    "last_seen_s",
+                    w.last_seen_s.map_or(Json::Null, Json::Number),
+                );
+            let counters = crate::cluster::stats_gauges(obs, &w.addr);
+            for (field, gauge) in crate::cluster::STATS_COUNTERS.into_iter().zip(counters) {
+                entry = entry.insert(field, gauge.get());
+            }
+            entry
                 .insert("eval_count", lat.count())
                 .insert("eval_p50_s", lat.quantile(0.5))
                 .insert("eval_p95_s", lat.quantile(0.95))
@@ -1318,7 +1321,10 @@ mod tests {
         ]));
         health.set_state(0, WorkerState::Connected);
         health.mark_seen(0);
-        health.record_stats(0, 7, 1.5, 0.5, 1, 2);
+        let counters = crate::cluster::stats_gauges(&obs, "10.0.0.1:7000");
+        for (gauge, value) in counters.iter().zip([7.0, 1.5, 0.5, 1.0, 2.0]) {
+            gauge.set(value);
+        }
         health.set_state(1, WorkerState::Lost);
         health.set_degraded();
         obs.histogram_with("cluster.worker_eval_s", &[("worker", "10.0.0.1:7000")])

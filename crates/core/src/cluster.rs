@@ -183,7 +183,9 @@ impl WorkerState {
     }
 }
 
-/// A point-in-time view of one worker, as served by `/workers`.
+/// A point-in-time view of one worker's lifecycle, as served by
+/// `/workers` (which reads the worker's absorbed `Stats` counters from
+/// the labeled `cluster.worker_*` gauges).
 #[derive(Debug, Clone)]
 pub struct WorkerHealthSnapshot {
     /// Worker address (`host:port`).
@@ -193,17 +195,6 @@ pub struct WorkerHealthSnapshot {
     /// Seconds since the last frame arrived from this worker (`None`
     /// before the first).
     pub last_seen_s: Option<f64>,
-    /// Jobs this worker has completed (from its latest `Stats` frame,
-    /// so it trails the live count by up to the stats cadence).
-    pub jobs: u64,
-    /// Cumulative training wall seconds (latest `Stats`).
-    pub train_s: f64,
-    /// Cumulative hardware-model wall seconds (latest `Stats`).
-    pub hw_s: f64,
-    /// Worker-side panics (latest `Stats`).
-    pub panics: u64,
-    /// Island migrants shipped (latest `Stats`).
-    pub migrants: u64,
 }
 
 /// One worker's live view: its snapshot fields, plus the instant its
@@ -215,8 +206,8 @@ struct WorkerHealthCell {
 }
 
 /// Shared per-worker health registry: the engine's remote slots write
-/// state transitions and absorbed `Stats` counters; the `/workers`
-/// endpoint reads snapshots. Read-only on the serving side, so `--serve`
+/// state transitions and frame arrivals; the `/workers` endpoint reads
+/// snapshots. Read-only on the serving side, so `--serve`
 /// keeps the byte-identity trace contract.
 #[derive(Debug)]
 pub struct ClusterHealth {
@@ -236,11 +227,6 @@ impl ClusterHealth {
                             addr: addr.clone(),
                             state: WorkerState::Connecting,
                             last_seen_s: None,
-                            jobs: 0,
-                            train_s: 0.0,
-                            hw_s: 0.0,
-                            panics: 0,
-                            migrants: 0,
                         },
                         last_seen: None,
                     })
@@ -268,25 +254,6 @@ impl ClusterHealth {
     /// Marks a frame received from `slot` now.
     pub fn mark_seen(&self, slot: usize) {
         self.with_cell(slot, |c| c.last_seen = Some(Instant::now()));
-    }
-
-    /// Folds an absorbed `Stats` frame's counters into `slot`.
-    pub fn record_stats(
-        &self,
-        slot: usize,
-        jobs: u64,
-        train_s: f64,
-        hw_s: f64,
-        panics: u64,
-        migrants: u64,
-    ) {
-        self.with_cell(slot, |c| {
-            c.view.jobs = jobs;
-            c.view.train_s = train_s;
-            c.view.hw_s = hw_s;
-            c.view.panics = panics;
-            c.view.migrants = migrants;
-        });
     }
 
     /// Flags that every remote is gone and the engine fell back to
@@ -624,19 +591,27 @@ struct SlotTelemetry {
     index: usize,
     health: Option<Arc<ClusterHealth>>,
     profiler: Option<rt::prof::Profiler>,
-    /// `cluster.worker_{jobs,train_s,hw_s,panics,migrants}`, in `Stats`
-    /// field order.
+    /// [`stats_gauges`], in `Stats` field order.
     gauges: [rt::obs::Gauge; 5],
     latency: rt::obs::HistogramHandle,
 }
 
+/// The counters of a `Stats` frame, in field order.
+pub(crate) const STATS_COUNTERS: [&str; 5] = ["jobs", "train_s", "hw_s", "panics", "migrants"];
+
+/// The labeled gauges `cluster.worker_<counter>{worker="<addr>"}` —
+/// the one store of a worker's absorbed [`STATS_COUNTERS`], which the
+/// coordinator's slot writes and `/workers` reads.
+pub(crate) fn stats_gauges(obs: &Obs, addr: &str) -> [rt::obs::Gauge; 5] {
+    STATS_COUNTERS
+        .map(|field| obs.gauge_with(&format!("cluster.worker_{field}"), &[("worker", addr)]))
+}
+
 impl SlotTelemetry {
     fn new(addr: String, index: usize, health: Option<Arc<ClusterHealth>>, obs: &Obs) -> Self {
-        let labels: &[(&str, &str)] = &[("worker", addr.as_str())];
         Self {
-            gauges: ["jobs", "train_s", "hw_s", "panics", "migrants"]
-                .map(|field| obs.gauge_with(&format!("cluster.worker_{field}"), labels)),
-            latency: obs.histogram_with("cluster.worker_eval_s", labels),
+            gauges: stats_gauges(obs, &addr),
+            latency: obs.histogram_with("cluster.worker_eval_s", &[("worker", addr.as_str())]),
             profiler: obs.profiler(),
             addr,
             index,
@@ -657,8 +632,9 @@ impl SlotTelemetry {
     }
 
     /// Folds one absorbed `Stats` frame into the telemetry plane:
-    /// labeled gauges, the health cell, and (when both sides profile)
-    /// a replace-by-name graft of the worker's subtree under
+    /// labeled gauges (the only store of its counters), the health
+    /// cell's freshness, and (when both sides profile) a
+    /// replace-by-name graft of the worker's subtree under
     /// `worker:<addr>` in the master tree.
     fn absorb(&self, resp: &WorkerResponse) {
         let WorkerResponse::Stats {
@@ -675,9 +651,6 @@ impl SlotTelemetry {
         let values = [*jobs as f64, *train_s, *hw_s, *panics as f64, *migrants as f64];
         for (gauge, value) in self.gauges.iter().zip(values) {
             gauge.set(value);
-        }
-        if let Some(h) = &self.health {
-            h.record_stats(self.index, *jobs, *train_s, *hw_s, *panics, *migrants);
         }
         self.mark_seen();
         if let (Some(profiler), Some(p)) = (&self.profiler, profile) {
@@ -1126,7 +1099,7 @@ impl WorkerSession {
         // Ambient install: kernel/model `prof_span!`s inside the
         // evaluator nest under an `evaluate` phase of the session tree.
         let install = self.profiler.as_ref().map(rt::prof::Profiler::install);
-        let eval_span = self.profiler.as_ref().map(|p| p.enter("evaluate"));
+        let eval_span = rt::prof_span!("evaluate");
         let (measurement, panicked) = evaluate_caught(&self.evaluator, genome);
         drop(eval_span);
         // The job's own events, drained before any island work so
@@ -1134,7 +1107,7 @@ impl WorkerSession {
         let events = self.capture.take();
         let migrants = match &mut self.island {
             Some(island) => {
-                let island_span = self.profiler.as_ref().map(|p| p.enter("island"));
+                let island_span = rt::prof_span!("island");
                 island.observe(genome, &measurement);
                 let migrants = island.step(&self.evaluator);
                 drop(island_span);
@@ -1362,16 +1335,6 @@ impl WorkerServer {
             }
         }
     }
-}
-
-/// Convenience: bind and serve in one call (the CLI worker entry
-/// point).
-///
-/// # Errors
-///
-/// Bind or accept-loop failures.
-pub fn run_worker(addr: &str, options: WorkerOptions, obs: Obs) -> io::Result<()> {
-    WorkerServer::bind(addr, options, obs)?.run()
 }
 
 /// FNV-1a over an address string — the per-worker salt for seeded

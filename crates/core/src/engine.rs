@@ -282,8 +282,8 @@ fn backoff_delay(cfg: &EvolutionConfig, key: u64, attempt: usize) -> Duration {
 /// The job loop every evaluation slot runs, local or remote: receive,
 /// claim, evaluate inside an `evaluate` span, release, send. `evaluate`
 /// returns the verdict, whether the evaluation panicked, and whether
-/// the slot must retire once the verdict is sent. A `detached` span
-/// never enters the profiler (see [`Obs::span_detached`]). Returns
+/// the slot must retire once the verdict is sent. The span enters the
+/// profile only on a thread that installed the profiler. Returns
 /// `true` when the slot retired; `false` when its queue closed, the
 /// master hung up, or its generation went stale.
 fn slot_loop(
@@ -291,16 +291,11 @@ fn slot_loop(
     jobs: &Receiver<Job>,
     results: &Sender<Reply>,
     obs: &Obs,
-    detached: bool,
     mut evaluate: impl FnMut(usize, &CandidateGenome) -> (Measurement, bool, bool),
 ) -> bool {
     while let Ok((id, genome)) = jobs.recv() {
         ctx.claim(id as u64);
-        let span = if detached {
-            rt::span_detached!(obs, "evaluate", worker = ctx.slot(), id = id)
-        } else {
-            rt::span!(obs, "evaluate", worker = ctx.slot(), id = id)
-        };
+        let span = rt::span!(obs, "evaluate", worker = ctx.slot(), id = id);
         let (m, panicked, retire) = evaluate(id, &genome);
         if panicked {
             let reason = InfeasibleReason::WorkerPanic.kind();
@@ -392,10 +387,11 @@ impl Pool {
             let (jobs, results) = (self.shared_rx.clone(), self.results_tx.clone());
             let (evaluator, obs) = (Arc::clone(&engine.evaluator), engine.obs.clone());
             self.supervisor.spawn(move |ctx| {
-                // Kernel-level prof_span! sites (gemm, activation, …)
-                // inside the evaluator record under the engine's tree.
+                // The slot's `evaluate` span and the evaluator's spans
+                // and kernel-level prof_span! sites (gemm, activation,
+                // …) record under the engine's tree.
                 let _prof_install = obs.profiler().map(|p| p.install());
-                slot_loop(ctx, &jobs, &results, &obs, false, |_, genome| {
+                slot_loop(ctx, &jobs, &results, &obs, |_, genome| {
                     let (m, panicked) = evaluate_caught(&*evaluator, genome);
                     (m, panicked, false)
                 });
@@ -404,11 +400,11 @@ impl Pool {
         self.depth = engine.config.threads;
     }
 
-    /// Spawns the remote slot for worker `index`. Its span is detached:
-    /// it never consults an ambient profiler, so the worker's own tick
-    /// domain (grafted via `Stats` frames) stays the only profile this
-    /// slot contributes, and the close event stays byte-identical to a
-    /// local slot's.
+    /// Spawns the remote slot for worker `index`. Its thread never
+    /// installs the profiler, so its `evaluate` span records no frame:
+    /// the worker's own tick domain (grafted via `Stats` frames) stays
+    /// the only profile this slot contributes, and the close event
+    /// stays byte-identical to a local slot's.
     fn spawn_remote(
         &mut self,
         engine: &Engine,
@@ -426,7 +422,7 @@ impl Pool {
         let (health, obs) = (engine.cluster_health.clone(), engine.obs.clone());
         self.supervisor.spawn(move |ctx| {
             let mut remote = RemoteSlot::new(&plan, index, seed, health.clone(), &migrants, &obs);
-            let retired = slot_loop(ctx, &jobs, &results, &obs, true, |id, genome| {
+            let retired = slot_loop(ctx, &jobs, &results, &obs, |id, genome| {
                 let (m, panicked, lost) = remote.evaluate(ctx.slot(), id, genome);
                 if lost {
                     // Retire the routing flag *before* the transient
@@ -1588,8 +1584,8 @@ mod tests {
 
     #[test]
     fn observed_run_emits_lifecycle_events_and_counters() {
-        let ring = rt::obs::RingSink::new(rt::obs::Level::Trace, 8192);
-        let obs = rt::obs::Obs::builder().sink(Arc::clone(&ring)).build();
+        let sink = rt::obs::CaptureSink::new(rt::obs::Level::Trace);
+        let obs = rt::obs::Obs::builder().sink(Arc::clone(&sink)).build();
         let space = SearchSpace::gpu_default()
             .with_layers(1, 1)
             .with_neurons(4, 6); // tiny space forces cache hits
@@ -1614,7 +1610,7 @@ mod tests {
         .with_obs(obs.clone())
         .run();
 
-        let events = ring.snapshot();
+        let events = sink.take();
         let has = |name: &str| events.iter().any(|e| e.name == name);
         for required in [
             "search_start",
@@ -1665,11 +1661,11 @@ mod tests {
 
     #[test]
     fn epoch_events_fire_with_monotone_hypervolume() {
-        let ring = rt::obs::RingSink::new(rt::obs::Level::Trace, 8192);
-        let obs = rt::obs::Obs::builder().sink(Arc::clone(&ring)).build();
+        let sink = rt::obs::CaptureSink::new(rt::obs::Level::Trace);
+        let obs = rt::obs::Obs::builder().sink(Arc::clone(&sink)).build();
         let out = engine(60, 7, 1).with_obs(obs.clone()).run();
 
-        let events = ring.snapshot();
+        let events = sink.take();
         let epochs: Vec<_> = events.iter().filter(|e| e.name == "epoch").collect();
         // population 12, 60 evaluations => one epoch per population.
         assert_eq!(epochs.len(), 5);
@@ -1719,15 +1715,17 @@ mod tests {
                 .collect()
         };
 
-        let full_ring = rt::obs::RingSink::new(rt::obs::Level::Trace, 8192);
-        let full_obs = rt::obs::Obs::builder().sink(Arc::clone(&full_ring)).build();
+        let full_sink = rt::obs::CaptureSink::new(rt::obs::Level::Trace);
+        let full_obs = rt::obs::Obs::builder().sink(Arc::clone(&full_sink)).build();
         let _ = engine(40, 47, 1).with_obs(full_obs).run();
-        let full = epoch_lines(&full_ring.snapshot());
+        let full = epoch_lines(&full_sink.take());
         assert_eq!(full.len(), 3); // epochs at 12, 24, 36
 
         let path = tmp_path("epoch-resume.json");
-        let first_ring = rt::obs::RingSink::new(rt::obs::Level::Trace, 8192);
-        let first_obs = rt::obs::Obs::builder().sink(Arc::clone(&first_ring)).build();
+        let first_sink = rt::obs::CaptureSink::new(rt::obs::Level::Trace);
+        let first_obs = rt::obs::Obs::builder()
+            .sink(Arc::clone(&first_sink))
+            .build();
         // Halt at 20: mid-epoch, so the tracker state to rebuild is a
         // partial chunk — the hardest restore case.
         let _ = engine(40, 47, 1)
@@ -1736,15 +1734,17 @@ mod tests {
             .with_halt_after(20)
             .run();
         let state = CheckpointState::load(&path).unwrap();
-        let resumed_ring = rt::obs::RingSink::new(rt::obs::Level::Trace, 8192);
-        let resumed_obs = rt::obs::Obs::builder().sink(Arc::clone(&resumed_ring)).build();
+        let resumed_sink = rt::obs::CaptureSink::new(rt::obs::Level::Trace);
+        let resumed_obs = rt::obs::Obs::builder()
+            .sink(Arc::clone(&resumed_sink))
+            .build();
         let _ = engine(40, 47, 1)
             .with_obs(resumed_obs)
             .resume(state)
             .unwrap();
 
-        let mut stitched = epoch_lines(&first_ring.snapshot());
-        stitched.extend(epoch_lines(&resumed_ring.snapshot()));
+        let mut stitched = epoch_lines(&first_sink.take());
+        stitched.extend(epoch_lines(&resumed_sink.take()));
         assert_eq!(stitched, full, "resumed epoch events must be bit-identical");
         std::fs::remove_file(&path).unwrap();
     }

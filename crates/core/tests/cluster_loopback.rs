@@ -327,6 +327,56 @@ fn two_worker_profiles_graft_deterministically_under_ticks() {
     );
 }
 
+/// A span is profiled only on a thread that installed the profiler. The
+/// remote slot's proxy thread never does, so in a ticks-profiled
+/// single-worker search the coordinator's tree holds `evaluate` only
+/// inside the grafted `worker:<addr>` subtree, and no trace line
+/// carries a `path` field.
+#[test]
+fn profiled_cluster_run_keeps_evaluate_frames_under_the_worker_graft() {
+    fn evaluate_paths(node: &rt::prof::ProfileNode, prefix: &str, out: &mut Vec<String>) {
+        let path = format!("{prefix}{}", node.name);
+        if node.name == "evaluate" {
+            out.push(path.clone());
+        }
+        for child in &node.children {
+            evaluate_paths(child, &format!("{path};"), out);
+        }
+    }
+
+    let ds = dataset();
+    let (addr, worker, _stop) = spawn_worker();
+    let profiler = rt::prof::Profiler::new(rt::prof::ClockKind::Ticks);
+    let buf = SharedBuf::default();
+    let obs = Obs::builder()
+        .sink(JsonlSink::to_writer(Level::Debug, Box::new(buf.clone())))
+        .profiler(profiler.clone())
+        .build();
+    let result = base_search(&ds, obs.clone())
+        .cluster(ClusterOptions {
+            workers: vec![addr.clone()],
+            net_timeout: Duration::from_secs(30),
+            ..ClusterOptions::default()
+        })
+        .run();
+    obs.flush();
+    worker.join().expect("worker exits after kill_all");
+    assert_eq!(result.stats().models_evaluated, 14);
+
+    let mut paths = Vec::new();
+    evaluate_paths(&profiler.report(), "", &mut paths);
+    assert_eq!(paths, vec![format!("engine;worker:{addr};evaluate")]);
+    let trace = buf.contents();
+    assert!(trace.contains("\"event\":\"evaluate\""));
+    for line in trace.lines() {
+        let json = rt::json::Json::parse(line).expect("trace line parses");
+        assert!(
+            json.get("fields").and_then(|f| f.get("path")).is_none(),
+            "no trace line may carry a path field: {line}"
+        );
+    }
+}
+
 #[test]
 fn coordinator_degrades_to_local_when_no_worker_is_reachable() {
     let ds = dataset();

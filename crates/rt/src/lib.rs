@@ -1,7 +1,7 @@
 //! # ecad-rt
 //!
 //! The workspace's self-contained runtime substrate. Every other crate
-//! builds on the five modules here instead of crates.io packages, so the
+//! builds on the modules here instead of crates.io packages, so the
 //! whole reproduction compiles with `cargo build --offline` against an
 //! empty registry — the same spirit in which `ecad_core::config` hand-
 //! rolls its INI parser.
@@ -19,14 +19,17 @@
 //!   so any failure replays exactly.
 //! * [`bench`] — a minimal wall-clock benchmark runner with the
 //!   `criterion_group!` / `criterion_main!` shape the bench targets use.
-//! * [`prof`] — a hierarchical profiler: thread-local span stacks
+//! * [`prof`] — a hierarchical profiler: spans open under the profiler
+//!   installed on their thread, and thread-local span stacks
 //!   accumulate a call tree with total/self time and call counts, merge
 //!   across threads, and export schema-pinned JSON, collapsed-stack
 //!   flamegraph text, and an attribution table.
 //! * [`obs`] — structured tracing and metrics: leveled events with
-//!   key=value fields routed to pluggable sinks (stderr, JSONL, ring
-//!   buffer), spans with monotonic timing, and an atomic registry of
-//!   counters/gauges/histograms for the engine's worker pool.
+//!   key=value fields routed to pluggable sinks (stderr, JSONL,
+//!   in-memory capture), spans with monotonic timing that also enter
+//!   the thread's installed profiler when their handle carries one,
+//!   and an atomic registry of counters/gauges/histograms for the
+//!   engine's worker pool.
 //! * [`supervise`] — restartable worker slots with panic/stall/respawn
 //!   accounting and a cooperative shutdown flag, so a hung or crashed
 //!   evaluation cannot take down the search.

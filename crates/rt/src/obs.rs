@@ -14,11 +14,11 @@
 //!   [`crate::trace!`] / [`crate::debug!`] / [`crate::info!`] /
 //!   [`crate::warn!`] macros and routed to pluggable [`Sink`]s: a
 //!   stderr pretty-printer ([`StderrSink`]), a JSONL writer built on
-//!   [`crate::json`] ([`JsonlSink`]), an in-memory ring buffer for
-//!   tests ([`RingSink`]), and a drainable capture buffer
-//!   ([`CaptureSink`]) the cluster mode uses to ship evaluation-time
-//!   events across the wire ([`Event::to_wire_json`]) for replay on
-//!   the coordinator ([`Obs::emit_event`]).
+//!   [`crate::json`] ([`JsonlSink`]), and a drainable in-memory buffer
+//!   ([`CaptureSink`]) that tests read and the cluster mode uses to
+//!   ship evaluation-time events across the wire
+//!   ([`Event::to_wire_json`]) for replay on the coordinator
+//!   ([`Obs::emit_event`]).
 //! * **Spans** — [`crate::span!`] returns a guard that measures the
 //!   enclosed scope with a monotonic clock; on drop it records the
 //!   duration into a log-scale histogram named `span.<name>_s` and
@@ -52,24 +52,31 @@
 //! ## Profiling
 //!
 //! Attaching a [`crate::prof::Profiler`] via [`ObsBuilder::profiler`]
-//! upgrades spans from flat histograms to a hierarchical call tree:
-//! every [`Obs::span`] enters the profiler, and close events gain a
-//! deterministic `path` field (the semicolon-joined ancestry, e.g.
-//! `engine;evaluate;train`). Under the deterministic `ticks` clock
-//! they also gain `span_us` (integer microseconds, byte-stable); the
-//! wall clock keeps durations out of the trace — for the same reason
-//! `elapsed_us` is opt-in — so profiled runs stay reproducible.
-//! Without an attached profiler, spans behave exactly as before.
+//! upgrades spans from flat histograms to a hierarchical call tree.
+//! One rule decides which spans enter it: a span opens a profile frame
+//! when its handle carries a profiler *and* its thread has one
+//! [installed](crate::prof::Profiler::install). The handle decides
+//! whether, the thread decides which tree: the frame opens through
+//! [`crate::prof::span`], the same primitive kernel
+//! [`crate::prof_span!`] sites use. Threads that only wait on remote
+//! work never install a profiler, so their spans stay out of the tree.
+//!
+//! A profiled span's close event gains a deterministic `path` field
+//! (the semicolon-joined ancestry, e.g. `engine;evaluate;train`). When
+//! the frame's profiler reads the deterministic `ticks` clock it also
+//! gains `span_us` (integer microseconds, byte-stable); the wall clock
+//! keeps durations out of the trace — for the same reason `elapsed_us`
+//! is opt-in — so profiled runs stay reproducible.
 
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::io::Write;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 use crate::json::{Cursor, DecodeError, FromJson, Json, EXACT};
-use crate::prof::{ProfGuard, Profiler};
+use crate::prof::{ClockKind, ProfGuard, Profiler};
 
 // ---------------------------------------------------------------------------
 // Levels
@@ -517,75 +524,8 @@ impl Drop for JsonlSink {
     }
 }
 
-/// A fixed-capacity in-memory ring buffer of events, built for tests
-/// and post-mortem inspection. Slot reservation is a single wait-free
-/// `fetch_add`; each slot carries its own lock, contended only when
-/// the buffer wraps onto a slot mid-write.
-pub struct RingSink {
-    min: Level,
-    slots: Vec<Mutex<Option<Event>>>,
-    cursor: AtomicUsize,
-}
-
-impl RingSink {
-    /// A ring of `capacity` slots recording `min` and above.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn new(min: Level, capacity: usize) -> Arc<Self> {
-        assert!(capacity > 0, "ring buffer needs at least one slot");
-        Arc::new(Self {
-            min,
-            slots: (0..capacity).map(|_| Mutex::new(None)).collect(),
-            cursor: AtomicUsize::new(0),
-        })
-    }
-
-    /// Events recorded so far (saturating at capacity once wrapped).
-    pub fn len(&self) -> usize {
-        self.cursor.load(Ordering::Acquire).min(self.slots.len())
-    }
-
-    /// Whether no events have been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.cursor.load(Ordering::Acquire) == 0
-    }
-
-    /// The buffered events, oldest first. After a wrap, only the most
-    /// recent `capacity` events survive.
-    pub fn snapshot(&self) -> Vec<Event> {
-        let total = self.cursor.load(Ordering::Acquire);
-        let cap = self.slots.len();
-        let start = total.saturating_sub(cap);
-        (start..total)
-            .filter_map(|i| self.slots[i % cap].lock().expect("ring slot").clone())
-            .collect()
-    }
-}
-
-impl Sink for RingSink {
-    fn min_level(&self) -> Level {
-        self.min
-    }
-
-    fn record(&self, event: &Event) {
-        let i = self.cursor.fetch_add(1, Ordering::AcqRel) % self.slots.len();
-        *self.slots[i].lock().expect("ring slot") = Some(event.clone());
-    }
-}
-
-impl Sink for Arc<RingSink> {
-    fn min_level(&self) -> Level {
-        self.as_ref().min_level()
-    }
-
-    fn record(&self, event: &Event) {
-        self.as_ref().record(event);
-    }
-}
-
-/// An unbounded drainable buffer of events. The cluster worker runs
+/// An unbounded drainable buffer of events — the in-memory sink. Tests
+/// read a run's events back through it, and the cluster worker runs
 /// each evaluation under an [`Obs`] carrying one of these, then
 /// [`CaptureSink::take`]s what the evaluation emitted and ships it to
 /// the coordinator for replay — so a remote evaluation's trace lines
@@ -1086,42 +1026,16 @@ impl Obs {
 
     /// Opens a span: the returned guard measures until drop, records
     /// the duration into the histogram `span.<name>_s`, and emits a
-    /// close event at `level`. Prefer the [`crate::span!`] macro.
+    /// close event at `level`. When this handle carries a profiler, the
+    /// span also opens a frame under the profiler installed on the
+    /// calling thread, if any (see the module docs' Profiling section).
+    /// Prefer the [`crate::span!`] macro.
     pub fn span(
         &self,
         level: Level,
         target: &'static str,
         name: &'static str,
         fields: Vec<(&'static str, Value)>,
-    ) -> Span {
-        self.span_inner(level, target, name, fields, true)
-    }
-
-    /// Opens a span that never enters the attached profiler, even when
-    /// one is installed. Proxy threads that merely *wait* on remote
-    /// work use this: letting them read the deterministic ticks clock
-    /// would interleave racily with the master thread's reads and break
-    /// profile byte-identity, and their wall time is network wait, not
-    /// attribution-worthy work. Histogram recording and close events
-    /// behave exactly like [`Obs::span`] (minus the `path`/`span_us`
-    /// fields only profiled spans carry).
-    pub fn span_detached(
-        &self,
-        level: Level,
-        target: &'static str,
-        name: &'static str,
-        fields: Vec<(&'static str, Value)>,
-    ) -> Span {
-        self.span_inner(level, target, name, fields, false)
-    }
-
-    fn span_inner(
-        &self,
-        level: Level,
-        target: &'static str,
-        name: &'static str,
-        fields: Vec<(&'static str, Value)>,
-        profiled: bool,
     ) -> Span {
         let Some(inner) = &self.inner else {
             return Span { state: None };
@@ -1135,11 +1049,15 @@ impl Obs {
                 })
                 .clone()
         };
-        let prof = if profiled {
-            inner.profiler.as_ref().map(|p| p.enter(name))
-        } else {
-            None
-        };
+        // Proxy threads that only wait on remote work install no
+        // profiler, so their spans stay out of the tree: their ticks
+        // reads would interleave racily with the master thread's and
+        // break profile byte-identity, and network wait is not
+        // attribution-worthy work.
+        let prof = inner
+            .profiler
+            .as_ref()
+            .and_then(|_| crate::prof::span(name));
         Span {
             state: Some(SpanState {
                 obs: self.clone(),
@@ -1154,9 +1072,11 @@ impl Obs {
         }
     }
 
-    /// The attached profiler, if any — worker threads install it so
-    /// kernel-level [`crate::prof_span!`] sites record under the same
-    /// tree as the `Obs` spans above them.
+    /// The attached profiler, if any. Attaching one makes this handle's
+    /// spans profiled, but only on threads that
+    /// [install](Profiler::install) it: the engine installs it on its
+    /// master and local-slot threads, so those spans and the kernel
+    /// [`crate::prof_span!`] sites below them share one tree.
     pub fn profiler(&self) -> Option<Profiler> {
         self.inner.as_ref().and_then(|i| i.profiler.clone())
     }
@@ -1250,10 +1170,10 @@ impl ObsBuilder {
         self
     }
 
-    /// Attaches a hierarchical profiler: every span enters it, and
-    /// close events carry a `path` field (plus `span_us` under the
-    /// deterministic ticks clock — see the module docs' Profiling
-    /// section).
+    /// Attaches a hierarchical profiler: spans on threads that install
+    /// it enter it, and their close events carry a `path` field (plus
+    /// `span_us` under the deterministic ticks clock — see the module
+    /// docs' Profiling section).
     pub fn profiler(mut self, profiler: Profiler) -> Self {
         self.profiler = Some(profiler);
         self
@@ -1306,22 +1226,22 @@ impl Drop for Span {
             // Close the profiler span either way; build the path only
             // when a close event will carry it.
             let prof_close = match state.prof {
-                Some(guard) if enabled => guard.finish(),
+                Some(guard) if enabled => {
+                    let clock = guard.clock();
+                    guard.finish().map(|close| (clock, close))
+                }
                 _ => None,
             };
             if enabled {
                 let mut fields = state.fields;
-                if let Some((ns, path)) = prof_close {
+                if let Some((clock, (ns, path))) = prof_close {
                     fields.push(("path", Value::Str(path)));
                     // Wall-clock durations would make the JSONL trace
                     // non-reproducible (the sink strips `elapsed_us`
                     // for the same reason), so only the deterministic
-                    // ticks clock puts timings into the trace.
-                    let deterministic = state
-                        .obs
-                        .profiler()
-                        .is_some_and(|p| p.clock() == crate::prof::ClockKind::Ticks);
-                    if deterministic {
+                    // ticks clock of the frame's profiler puts timings
+                    // into the trace.
+                    if clock == ClockKind::Ticks {
                         fields.push(("span_us", Value::U64(ns / 1_000)));
                     }
                 }
@@ -1483,21 +1403,6 @@ macro_rules! span {
     };
 }
 
-/// Like [`span!`] but never enters the attached profiler — see
-/// [`Obs::span_detached`](crate::obs::Obs::span_detached) for when a
-/// proxy thread needs this.
-#[macro_export]
-macro_rules! span_detached {
-    ($obs:expr, $name:expr $(, $k:ident = $v:expr)* $(,)?) => {
-        $obs.span_detached(
-            $crate::obs::Level::Debug,
-            module_path!(),
-            $name,
-            vec![$((stringify!($k), $crate::obs::Value::from($v))),*],
-        )
-    };
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1615,12 +1520,12 @@ mod tests {
         assert_eq!(events[0].name, "first");
         assert_eq!(events[1].name, "second");
         // Replaying through another Obs reaches its sinks verbatim.
-        let ring = RingSink::new(Level::Trace, 8);
-        let replay = Obs::builder().sink(Arc::clone(&ring)).build();
+        let sink = CaptureSink::new(Level::Trace);
+        let replay = Obs::builder().sink(Arc::clone(&sink)).build();
         for ev in events {
             replay.emit_event(ev);
         }
-        let seen = ring.snapshot();
+        let seen = sink.take();
         assert_eq!(seen.len(), 2);
         assert_eq!(seen[0].name, "first");
         assert_eq!(seen[1].fields[0].1, Value::Str("x".to_string()));
@@ -1708,17 +1613,18 @@ mod tests {
     #[test]
     fn span_with_profiler_emits_path_and_builds_tree() {
         use crate::prof::{ClockKind, TICK_NS};
-        let ring = RingSink::new(Level::Debug, 16);
+        let sink = CaptureSink::new(Level::Debug);
         let p = Profiler::new(ClockKind::Ticks);
         let obs = Obs::builder()
-            .sink(Arc::clone(&ring))
+            .sink(Arc::clone(&sink))
             .profiler(p.clone())
             .build();
         {
+            let _install = p.install();
             let _outer = crate::span!(obs, "evaluate");
             let _inner = crate::span!(obs, "train");
         }
-        let events = ring.snapshot();
+        let events = sink.take();
         let close = events.iter().find(|e| e.name == "train").unwrap();
         let field = |k: &str| {
             close
@@ -1741,16 +1647,17 @@ mod tests {
     #[test]
     fn wall_clock_profiler_emits_path_but_no_span_us() {
         use crate::prof::ClockKind;
-        let ring = RingSink::new(Level::Debug, 16);
+        let sink = CaptureSink::new(Level::Debug);
         let p = Profiler::new(ClockKind::Wall);
         let obs = Obs::builder()
-            .sink(Arc::clone(&ring))
+            .sink(Arc::clone(&sink))
             .profiler(p.clone())
             .build();
         {
+            let _install = p.install();
             let _s = crate::span!(obs, "train");
         }
-        let close = ring.snapshot().pop().unwrap();
+        let close = sink.take().pop().unwrap();
         assert!(close.fields.iter().any(|(k, _)| *k == "path"));
         // Wall durations must not leak into the trace; the profile
         // report still carries them.
@@ -1760,14 +1667,56 @@ mod tests {
 
     #[test]
     fn span_without_profiler_has_no_path_field() {
-        let ring = RingSink::new(Level::Debug, 16);
-        let obs = Obs::builder().sink(Arc::clone(&ring)).build();
+        let sink = CaptureSink::new(Level::Debug);
+        let obs = Obs::builder().sink(Arc::clone(&sink)).build();
         {
             let _s = crate::span!(obs, "train");
         }
-        let close = ring.snapshot().pop().unwrap();
+        let close = sink.take().pop().unwrap();
         assert!(close.fields.iter().all(|(k, _)| *k != "path"));
         assert!(close.fields.iter().all(|(k, _)| *k != "span_us"));
+    }
+
+    /// The one profiling rule: a span opens a frame when its handle
+    /// carries a profiler *and* its thread has one installed.
+    #[test]
+    fn span_is_profiled_only_when_handle_and_thread_both_have_a_profiler() {
+        use crate::prof::ClockKind;
+        let has_path = |sink: &CaptureSink| {
+            sink.take()
+                .iter()
+                .any(|e| e.fields.iter().any(|(k, _)| *k == "path"))
+        };
+        let p = Profiler::new(ClockKind::Ticks);
+        let sink = CaptureSink::new(Level::Debug);
+        let obs = Obs::builder()
+            .sink(Arc::clone(&sink))
+            .profiler(p.clone())
+            .build();
+        // Handle with a profiler, thread with none installed (a remote
+        // slot's proxy thread): no frame, no path.
+        {
+            let _s = crate::span!(obs, "evaluate");
+        }
+        assert!(!has_path(&sink));
+        assert!(p.report().find("evaluate").is_none());
+        // The same handle on the same thread after `install()`.
+        {
+            let _install = p.install();
+            let _s = crate::span!(obs, "evaluate");
+        }
+        assert!(has_path(&sink));
+        assert_eq!(p.report().find("evaluate").map(|n| n.calls), Some(1));
+        // Handle without a profiler, thread with one installed (the
+        // cluster worker's capture handle): no frame, no path.
+        let capture = CaptureSink::new(Level::Debug);
+        let plain = Obs::builder().sink(Arc::clone(&capture)).build();
+        {
+            let _install = p.install();
+            let _s = crate::span!(plain, "train");
+        }
+        assert!(!has_path(&capture));
+        assert!(p.report().find("train").is_none());
     }
 
     #[test]

@@ -17,16 +17,18 @@
 //! a seeded single-thread run produces byte-identical profile JSON —
 //! the same determinism bar the JSONL traces meet.
 //!
-//! Two ways into the tree:
+//! Spans reach the tree through the innermost profiler
+//! [`install`](Profiler::install)ed on the calling thread, opened by
+//! [`span`]. When none is installed the cost is one thread-local `Cell`
+//! read. Two forms share that primitive:
 //!
-//! * [`span`] / [`prof_span!`] — leaf kernels (GEMM, activations) that
-//!   have no `Obs` handle record under the innermost profiler
-//!   [`install`](Profiler::install)ed on the calling thread. When none
-//!   is installed the cost is one thread-local `Cell` read.
+//! * [`prof_span!`](crate::prof_span!) — leaf kernels (GEMM,
+//!   activations) that hold no `Obs` handle.
 //! * `Obs` spans — when a profiler is attached to an `Obs` (see
-//!   `ObsBuilder::profiler`), every `Obs::span` enters it directly, so
-//!   the engine's existing `train`/`evaluate` spans become interior
-//!   nodes above the kernel spans.
+//!   `ObsBuilder::profiler`), `Obs::span` opens its frame through
+//!   [`span`] too, so on threads that install the profiler the
+//!   engine's `train`/`evaluate` spans become interior nodes above the
+//!   kernel spans. The handle decides whether, the thread which tree.
 //!
 //! Out-of-order closes are tolerated: closing a span also closes any
 //! younger spans still open above it (they are charged up to the same
@@ -165,8 +167,11 @@ impl Profiler {
         }
     }
 
-    /// Opens a span in this profiler on the calling thread (used by
-    /// `Obs` spans; kernels use the ambient [`span`] instead).
+    /// Opens a span in this profiler on the calling thread without
+    /// installing it — for a caller that holds the profiler and wants
+    /// one frame of its own around work that installs it (a benchmark
+    /// harness timing a whole search). Instrumented code uses the
+    /// installed profiler through [`span`] instead.
     pub fn enter(&self, name: &'static str) -> ProfGuard {
         enter_in(&self.shared, name)
     }
@@ -462,6 +467,15 @@ pub struct ProfGuard {
 }
 
 impl ProfGuard {
+    /// The clock of the profiler this span was opened in.
+    pub fn clock(&self) -> ClockKind {
+        // Only `finish` and `drop`, which consume the guard, take it.
+        self.shared
+            .as_ref()
+            .expect("a live guard holds its profiler")
+            .clock
+    }
+
     /// Closes the span now, returning its elapsed nanoseconds and its
     /// semicolon-joined path from the root — `None` if an enclosing
     /// span already closed it.
@@ -983,8 +997,8 @@ mod tests {
 
     #[test]
     fn obs_enter_without_install_still_records() {
-        // Obs spans enter a profiler directly, without it being
-        // installed on the thread.
+        // `enter` opens a frame in a profiler directly, without it
+        // being installed on the thread.
         let p = ticks();
         let g = p.enter("train");
         let (ns, path) = g.finish().unwrap();

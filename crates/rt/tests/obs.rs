@@ -1,12 +1,11 @@
 //! Integration tests for `rt::obs`: level filtering, sink routing,
-//! histogram quantiles, ring-buffer wrap-around, JSONL round-trips,
-//! and hot-path thread safety.
+//! histogram quantiles, JSONL round-trips, and hot-path thread safety.
 
 use std::io::Write;
 use std::sync::{Arc, Mutex};
 
 use rt::json::Json;
-use rt::obs::{Event, JsonlSink, Level, Obs, RingSink, Sink, StderrSink, Value};
+use rt::obs::{CaptureSink, Event, JsonlSink, Level, Obs, Sink, StderrSink, Value};
 
 /// An `impl Write` handle over a shared byte buffer, so a test can
 /// hand the writer to a `JsonlSink` and still read the bytes back.
@@ -34,15 +33,15 @@ impl Write for SharedBuf {
     }
 }
 
-fn ring_obs(min: Level, capacity: usize) -> (Obs, Arc<RingSink>) {
-    let ring = RingSink::new(min, capacity);
-    let obs = Obs::builder().sink(Arc::clone(&ring)).build();
-    (obs, ring)
+fn capture_obs(min: Level) -> (Obs, Arc<CaptureSink>) {
+    let sink = CaptureSink::new(min);
+    let obs = Obs::builder().sink(Arc::clone(&sink)).build();
+    (obs, sink)
 }
 
 #[test]
 fn events_below_sink_level_are_filtered() {
-    let (obs, ring) = ring_obs(Level::Info, 16);
+    let (obs, sink) = capture_obs(Level::Info);
     assert!(!obs.is_enabled(Level::Trace));
     assert!(!obs.is_enabled(Level::Debug));
     assert!(obs.is_enabled(Level::Info));
@@ -53,7 +52,7 @@ fn events_below_sink_level_are_filtered() {
     rt::info!(obs, "heard", n = 1u64);
     rt::warn!(obs, "also_heard");
 
-    let events = ring.snapshot();
+    let events = sink.take();
     let names: Vec<&str> = events.iter().map(|e| e.name).collect();
     assert_eq!(names, vec!["heard", "also_heard"]);
     assert_eq!(events[0].fields, vec![("n", Value::U64(1))]);
@@ -62,8 +61,8 @@ fn events_below_sink_level_are_filtered() {
 
 #[test]
 fn multiple_sinks_each_apply_their_own_level() {
-    let fine = RingSink::new(Level::Trace, 16);
-    let coarse = RingSink::new(Level::Warn, 16);
+    let fine = CaptureSink::new(Level::Trace);
+    let coarse = CaptureSink::new(Level::Warn);
     let obs = Obs::builder()
         .sink(Arc::clone(&fine))
         .sink(Arc::clone(&coarse))
@@ -72,27 +71,9 @@ fn multiple_sinks_each_apply_their_own_level() {
     rt::debug!(obs, "detail");
     rt::warn!(obs, "problem");
 
-    assert_eq!(fine.snapshot().len(), 2);
-    let coarse_names: Vec<&str> = coarse.snapshot().iter().map(|e| e.name).collect();
+    assert_eq!(fine.take().len(), 2);
+    let coarse_names: Vec<&str> = coarse.take().iter().map(|e| e.name).collect();
     assert_eq!(coarse_names, vec!["problem"]);
-}
-
-#[test]
-fn ring_buffer_wraps_keeping_newest() {
-    let (obs, ring) = ring_obs(Level::Trace, 4);
-    for i in 0..10u64 {
-        rt::info!(obs, "tick", i = i);
-    }
-    assert_eq!(ring.len(), 4);
-    let kept: Vec<Value> = ring
-        .snapshot()
-        .iter()
-        .map(|e| e.fields[0].1.clone())
-        .collect();
-    assert_eq!(
-        kept,
-        vec![Value::U64(6), Value::U64(7), Value::U64(8), Value::U64(9)]
-    );
 }
 
 #[test]
@@ -226,8 +207,8 @@ fn counters_are_race_free_across_scoped_threads() {
 }
 
 #[test]
-fn ring_sink_is_race_free_across_scoped_threads() {
-    let (obs, ring) = ring_obs(Level::Trace, 64);
+fn capture_sink_is_race_free_across_scoped_threads() {
+    let (obs, sink) = capture_obs(Level::Trace);
     std::thread::scope(|scope| {
         for worker in 0..4usize {
             let obs = obs.clone();
@@ -238,13 +219,19 @@ fn ring_sink_is_race_free_across_scoped_threads() {
             });
         }
     });
-    // The ring kept the most recent 64 of 4000 events, all intact.
-    let events = ring.snapshot();
-    assert_eq!(events.len(), 64);
+    // All 4000 events arrive, each intact, each thread's in order.
+    let events = sink.take();
+    assert_eq!(events.len(), 4000);
+    let mut next = [0u64; 4];
     for e in events {
         assert_eq!(e.name, "tick");
-        assert_eq!(e.fields.len(), 2);
+        let [("worker", Value::U64(w)), ("i", Value::U64(i))] = e.fields[..] else {
+            panic!("mangled fields {:?}", e.fields);
+        };
+        assert_eq!(i, next[w as usize]);
+        next[w as usize] += 1;
     }
+    assert_eq!(next, [1000; 4]);
 }
 
 #[test]

@@ -19,6 +19,7 @@ pub fn register(c: &mut Criterion) {
     bench_gemm_mlp_shapes(c);
     bench_backprop_kernels(c);
     bench_softmax_and_loss(c);
+    bench_tanh_layer(c);
     bench_mlp_train_step(c);
     bench_matrix_ops(c);
 }
@@ -118,6 +119,21 @@ fn bench_softmax_and_loss(c: &mut Criterion) {
     let probs = ops::softmax_rows(&logits);
     c.bench_function("ops/cross_entropy_256x10", |b| {
         b.iter(|| ops::cross_entropy(black_box(&probs), black_box(&targets)))
+    });
+}
+
+/// One tanh layer pass at batch 32 and `creditg-fpga`'s widest hidden
+/// width (64 neurons), on pre-activations in [-3, 3]. The copy of the
+/// input each iteration keeps every pass on the same values.
+fn bench_tanh_layer(c: &mut Criterion) {
+    let mut rng = StdRng::seed_from_u64(5);
+    let z = init::uniform(&mut rng, 32, 64, 3.0);
+    c.bench_function("ops/tanh_32x64", |b| {
+        b.iter(|| {
+            let mut a = black_box(&z).clone();
+            ops::tanh_inplace(a.as_mut_slice());
+            a
+        })
     });
 }
 

@@ -20,7 +20,7 @@
 //!    `1 - label_noise` — this is the knob that matches each benchmark's
 //!    published accuracy band.
 
-use ecad_tensor::{init, Matrix};
+use ecad_tensor::{init, ops, Matrix};
 use rt::rand::rngs::StdRng;
 use rt::rand::{Rng, SeedableRng};
 
@@ -204,6 +204,7 @@ impl SyntheticSpec {
         let mut features = Matrix::zeros(self.n_samples, self.n_features);
         let mut labels = Vec::with_capacity(self.n_samples);
         let mut z = vec![0.0f32; d];
+        let mut nl = vec![0.0f32; self.n_features];
         for s in 0..self.n_samples {
             let class = s % self.n_classes; // balanced classes
             let cluster = rng.gen_range(0..self.clusters_per_class);
@@ -211,16 +212,23 @@ impl SyntheticSpec {
             for (zi, &ci) in z.iter_mut().zip(centroid) {
                 *zi = ci + self.cluster_spread * init::standard_normal(&mut rng);
             }
+            // The linear part goes into the row and the nonlinear part
+            // into `nl`, whose tanh then runs as one slice pass.
             let row = features.row_mut(s);
-            for (j, x) in row.iter_mut().enumerate() {
+            for (j, (x, n)) in row.iter_mut().zip(&mut nl).enumerate() {
                 let mut lin = 0.0f32;
-                let mut nl = 0.0f32;
+                let mut acc = 0.0f32;
                 for (i, &zi) in z.iter().enumerate() {
                     lin += zi * lift_a[(i, j)];
-                    nl += zi * lift_b[(i, j)];
+                    acc += zi * lift_b[(i, j)];
                 }
-                *x = lin
-                    + self.nonlinearity * nl.tanh()
+                *x = lin;
+                *n = acc;
+            }
+            ops::tanh_inplace(&mut nl);
+            for (x, &t) in row.iter_mut().zip(&nl) {
+                *x = *x
+                    + self.nonlinearity * t
                     + self.feature_noise * init::standard_normal(&mut rng);
             }
             // Label-flip noise: move to a uniformly random *other* class.

@@ -5,6 +5,7 @@
 //! and bias"). The output layer always applies softmax, handled by the
 //! trainer, so `Activation` covers hidden layers only.
 
+use ecad_tensor::ops;
 use rt::json::{Cursor, DecodeError, FromJson, Json, ToJson};
 
 /// A hidden-layer activation function.
@@ -30,13 +31,33 @@ impl Activation {
     ];
 
     /// Applies the activation to a single value.
+    ///
+    /// `Tanh` is [`ops::tanh`], the workspace's port of fdlibm's
+    /// `tanhf`, so the result does not depend on the host's libm.
     #[inline]
     pub fn apply(self, x: f32) -> f32 {
         match self {
             Activation::Relu => x.max(0.0),
             Activation::Sigmoid => 1.0 / (1.0 + (-x).exp()),
-            Activation::Tanh => x.tanh(),
+            Activation::Tanh => ops::tanh(x),
             Activation::Identity => x,
+        }
+    }
+
+    /// Applies the activation to every element of `xs`, bit for bit as
+    /// [`apply`](Activation::apply) would: the forward pass of a layer.
+    ///
+    /// The variant is matched once per slice, not per element, so each
+    /// loop is plain enough to vectorize; `Tanh` runs
+    /// [`ops::tanh_inplace`].
+    pub fn apply_inplace(self, xs: &mut [f32]) {
+        match self {
+            Activation::Relu => xs.iter_mut().for_each(|x| *x = Activation::Relu.apply(*x)),
+            Activation::Sigmoid => xs
+                .iter_mut()
+                .for_each(|x| *x = Activation::Sigmoid.apply(*x)),
+            Activation::Tanh => ops::tanh_inplace(xs),
+            Activation::Identity => {}
         }
     }
 
@@ -58,6 +79,39 @@ impl Activation {
             Activation::Sigmoid => y * (1.0 - y),
             Activation::Tanh => 1.0 - y * y,
             Activation::Identity => 1.0,
+        }
+    }
+
+    /// The pre-activation gradient of a layer, given the upstream
+    /// gradient `grad` (w.r.t. the activated outputs `y`): element `i`
+    /// is `grad[i] * derivative_from_output(y[i])`, bit for bit.
+    ///
+    /// As in [`apply_inplace`](Activation::apply_inplace), the variant is
+    /// matched once per slice. The product is kept even where the
+    /// derivative is 0 or 1, so ReLU still gives `-0.0` for a negative
+    /// gradient and NaN for an infinite or NaN one.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `grad.len() != y.len()`.
+    pub fn backward(self, grad: &[f32], y: &[f32]) -> Vec<f32> {
+        assert_eq!(grad.len(), y.len(), "forward/backward shape mismatch");
+        // One instance per variant, each with its derivative inlined.
+        fn chain(grad: &[f32], y: &[f32], derivative: impl Fn(f32) -> f32) -> Vec<f32> {
+            grad.iter()
+                .zip(y)
+                .map(|(&g, &y)| g * derivative(y))
+                .collect()
+        }
+        match self {
+            Activation::Relu => chain(grad, y, |y| Activation::Relu.derivative_from_output(y)),
+            Activation::Sigmoid => {
+                chain(grad, y, |y| Activation::Sigmoid.derivative_from_output(y))
+            }
+            Activation::Tanh => chain(grad, y, |y| Activation::Tanh.derivative_from_output(y)),
+            Activation::Identity => {
+                chain(grad, y, |y| Activation::Identity.derivative_from_output(y))
+            }
         }
     }
 
@@ -134,6 +188,43 @@ mod tests {
                     (numeric - analytic).abs() < 1e-2,
                     "{act} at {x}: numeric {numeric} vs analytic {analytic}"
                 );
+            }
+        }
+    }
+
+    /// The slice passes give the per-element forms' bits for every
+    /// activation. The gradients include ±0, ±inf and NaN, which pin
+    /// ReLU's `g * 0.0` (`-0.0` for a negative gradient, NaN for an
+    /// infinite or NaN one). No case multiplies two NaNs, whose result
+    /// payload Rust leaves unspecified.
+    #[test]
+    fn slice_passes_match_the_per_element_forms_bitwise() {
+        let specials = [
+            0.0,
+            -0.0,
+            1.0,
+            -2.5,
+            f32::MIN_POSITIVE,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+        ];
+        let nans = [f32::NAN, f32::from_bits(0xffc0_1234)];
+        let spread = (0..200).map(|i| (i as f32 - 100.0) * 0.173);
+        let xs: Vec<f32> = specials.iter().copied().chain(spread).collect();
+        for act in Activation::ALL {
+            let mut ys = xs.clone();
+            ys.extend(nans);
+            act.apply_inplace(&mut ys);
+            for (x, y) in xs.iter().chain(&nans).zip(&ys) {
+                assert_eq!(y.to_bits(), act.apply(*x).to_bits(), "{act} forward at {x}");
+            }
+            ys.truncate(xs.len());
+            for g in specials.iter().chain(&nans) {
+                let dz = act.backward(&vec![*g; ys.len()], &ys);
+                for (d, y) in dz.iter().zip(&ys) {
+                    let want = g * act.derivative_from_output(*y);
+                    assert_eq!(d.to_bits(), want.to_bits(), "{act} backward g={g} y={y}");
+                }
             }
         }
     }

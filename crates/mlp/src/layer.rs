@@ -90,8 +90,7 @@ impl DenseLayer {
             gemm::matmul(x, &self.weights)
         };
         let _prof = rt::prof_span!("activation");
-        let act = self.activation;
-        z.map_inplace(|v| act.apply(v));
+        self.activation.apply_inplace(z.as_mut_slice());
         z
     }
 
@@ -108,10 +107,10 @@ impl DenseLayer {
     /// Panics if the shapes are inconsistent with the forward pass.
     pub fn backward_params(&self, x: &Matrix, y: &Matrix, d_out: &Matrix) -> (Matrix, LayerGrads) {
         // dZ = dY * act'(y), elementwise.
-        let act = self.activation;
-        let dz = d_out
-            .zip_with(y, "backward", |g, yv| g * act.derivative_from_output(yv))
-            .expect("forward/backward shape mismatch");
+        assert_eq!(d_out.shape(), y.shape(), "forward/backward shape mismatch");
+        let (rows, cols) = d_out.shape();
+        let dz = self.activation.backward(d_out.as_slice(), y.as_slice());
+        let dz = Matrix::from_vec(rows, cols, dz);
         // dW = X^T dZ ; db = col_sums(dZ).
         let weights = gemm::matmul_at_b(x, &dz);
         let bias = if self.use_bias {

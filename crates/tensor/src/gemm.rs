@@ -62,7 +62,7 @@
 //! must catch; a unit test here runs both tiles against the oracle
 //! directly, so the portable tile stays covered on AVX2 hosts.
 
-use crate::Matrix;
+use crate::{avx2, Matrix};
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -109,19 +109,6 @@ pub fn kernel() -> &'static str {
         "avx2-8x8"
     } else {
         "portable-4x8"
-    }
-}
-
-/// Whether this CPU runs the AVX2 tile: the one check each GEMM call
-/// makes (the standard library caches the CPUID result).
-fn avx2() -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        std::arch::is_x86_feature_detected!("avx2")
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        false
     }
 }
 

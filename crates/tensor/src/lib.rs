@@ -6,7 +6,8 @@
 //! (GEMM); production deployments call a vendor BLAS. This crate is the
 //! BLAS stand-in: a row-major [`Matrix`] type over `f32`, a cache-blocked
 //! GEMM kernel, and the small vector routines (bias broadcast, softmax,
-//! reductions) needed by the MLP trainer and the classical baselines.
+//! tanh, reductions) needed by the MLP trainer and the classical
+//! baselines.
 //!
 //! Everything is deterministic given a seeded RNG, which the evolutionary
 //! engine relies on for reproducible searches.
@@ -34,3 +35,17 @@ pub mod stats;
 
 pub use error::ShapeError;
 pub use matrix::Matrix;
+
+/// Whether this CPU runs the AVX2 kernels: the one CPU check behind
+/// both [`gemm`]'s tile choice and [`ops::tanh_inplace`] (the standard
+/// library caches the CPUID result, so each call costs a load).
+pub(crate) fn avx2() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        std::arch::is_x86_feature_detected!("avx2")
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
+    }
+}

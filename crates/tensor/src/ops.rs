@@ -2,6 +2,9 @@
 
 use crate::Matrix;
 
+mod tanh;
+pub use self::tanh::{tanh, tanh_inplace};
+
 /// Row-wise softmax with the max-subtraction trick for numerical stability.
 ///
 /// Each row of the result sums to 1 (up to rounding) and contains only

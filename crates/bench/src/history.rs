@@ -1,10 +1,14 @@
-//! Performance trajectory and the regression gate.
+//! The `BENCH_<date>.json` report, the performance trajectory, and the
+//! regression gate.
 //!
-//! `rt::bench` suites persist their measurements as `BENCH_<date>.json`
-//! reports at the repo root (schema in `rt::bench`, pinned by a golden
-//! test). This module is the read side: it loads and validates the
-//! trailing window of reports, computes per-benchmark trends, and
-//! implements the gate semantics behind `ecad bench gate`:
+//! This module is the one owner of the report format. [`Report`] and
+//! [`Entry`] encode it ([`ToJson`], field order pinned by a golden
+//! test) and decode it strictly ([`FromJson`]); `ecad bench run` turns
+//! the `rt::bench` runner's measurements into entries and merges them
+//! into a report with [`Report::merge_into`]. On top of the decoder it
+//! loads and validates the trailing window of reports, computes
+//! per-benchmark trends, and implements the gate semantics behind
+//! `ecad bench gate`:
 //!
 //! * `threshold_p95_ms` — an absolute ceiling on a benchmark's p95;
 //! * `max_p95_regression_pct` — the latest p95 may exceed the median
@@ -18,15 +22,22 @@
 //! Missing history is a documented **pass with warning** — a fresh
 //! checkout must not fail CI — while a malformed history file is a hard
 //! error with a line-numbered location, because silently skipping a
-//! corrupt baseline would let regressions through unnoticed.
+//! corrupt baseline would let regressions through unnoticed. A merge
+//! refuses such a file the same way and leaves it untouched.
 
 use std::fmt;
 use std::path::{Path, PathBuf};
 
-use rt::bench::BENCH_SCHEMA_VERSION;
-use rt::json::{Cursor, DecodeError, FromJson, Json};
+use rt::bench::BenchResult;
+use rt::json::{Cursor, DecodeError, FromJson, Json, ToJson};
+use rt::prof::ProfileNode;
 
 use crate::report::TextTable;
+
+/// Version stamp for the `BENCH_*.json` schema; bump on any field
+/// rename or semantic change. Additive fields (`nproc`, `gemm_kernel`,
+/// an entry's `profile`) need no bump: they are optional on read.
+pub const BENCH_SCHEMA_VERSION: u64 = 1;
 
 /// One benchmark's row in a report (the `benchmarks` array entries).
 #[derive(Debug, Clone, PartialEq)]
@@ -51,9 +62,29 @@ pub struct Entry {
     pub samples: u64,
     /// Iterations per batch.
     pub iters_per_sample: u64,
+    /// Span-attribution tree of the measurement loop, when the run was
+    /// profiled (`ecad bench run --profile`).
+    pub profile: Option<ProfileNode>,
 }
 
 impl Entry {
+    /// The report entry for one measurement of `suite`.
+    pub fn from_result(suite: &str, r: BenchResult) -> Entry {
+        Entry {
+            suite: suite.to_string(),
+            id: r.id,
+            ns_p50: r.summary.p50_ns,
+            ns_p95: r.summary.p95_ns,
+            ns_min: r.summary.min_ns,
+            ns_max: r.summary.max_ns,
+            ns_mean: r.summary.mean_ns,
+            throughput_per_s: r.summary.throughput_per_s(),
+            samples: r.samples as u64,
+            iters_per_sample: r.iters_per_sample,
+            profile: r.profile,
+        }
+    }
+
     /// Whether this entry survives the `--suite` / `--filter`
     /// selectors.
     pub fn matches(&self, suite: Option<&str>, filter: Option<&str>) -> bool {
@@ -63,6 +94,10 @@ impl Entry {
     /// The `suite/id` display key.
     pub fn key(&self) -> String {
         format!("{}/{}", self.suite, self.id)
+    }
+
+    fn sort_key(&self) -> (&str, &str) {
+        (&self.suite, &self.id)
     }
 }
 
@@ -82,8 +117,111 @@ pub struct Report {
     /// `portable-4x8`), when the report records one (reports written
     /// before the header carried `gemm_kernel` do not).
     pub gemm_kernel: Option<String>,
-    /// Benchmarks, sorted by `(suite, id)`.
+    /// Benchmarks; decoded reports hold them sorted by `(suite, id)`,
+    /// and the encoder writes them in that order.
     pub entries: Vec<Entry>,
+}
+
+impl Report {
+    /// An empty report stamped for a run recorded now: the UTC time
+    /// (honoring the `SOURCE_DATE_EPOCH` reproducible-builds
+    /// convention), the git revision checked out at `repo` (`"unknown"`
+    /// outside a checkout), the host's core count, and the GEMM tile it
+    /// runs.
+    pub fn stamp(repo: &Path) -> Report {
+        let secs = std::env::var("SOURCE_DATE_EPOCH")
+            .ok()
+            .and_then(|v| v.parse::<u64>().ok())
+            .unwrap_or_else(|| {
+                std::time::SystemTime::now()
+                    .duration_since(std::time::UNIX_EPOCH)
+                    .map(|d| d.as_secs())
+                    .unwrap_or(0)
+            });
+        Report {
+            nproc: std::thread::available_parallelism().ok().map(usize::from),
+            gemm_kernel: Some(ecad_tensor::gemm::kernel().to_string()),
+            ..Report::at(secs, git_rev(repo))
+        }
+    }
+
+    /// An empty report stamped at `unix_secs` with `git_rev`, without a
+    /// core count or GEMM tile.
+    pub fn at(unix_secs: u64, git_rev: impl Into<String>) -> Report {
+        let (date, created_utc) = utc_date_time(unix_secs);
+        Report {
+            date,
+            created_utc,
+            git_rev: git_rev.into(),
+            nproc: None,
+            gemm_kernel: None,
+            entries: Vec::new(),
+        }
+    }
+
+    /// The canonical file name, `BENCH_<date>.json`.
+    pub fn file_name(&self) -> String {
+        format!("BENCH_{}.json", self.date)
+    }
+
+    /// Writes this report — one run of `suite` — to `path`, merged with
+    /// the report already there: that report's entries of other suites
+    /// are kept, its `suite` entries are replaced, and its header gives
+    /// way to this one. So all suites can share one file per day.
+    ///
+    /// # Errors
+    ///
+    /// An existing file that does not load (as [`load_report`]) is
+    /// refused with its location and left untouched; a failed write is
+    /// [`HistoryError::Io`].
+    pub fn merge_into(mut self, path: &Path, suite: &str) -> Result<(), HistoryError> {
+        if path.exists() {
+            let existing = load_report(path)?;
+            let kept = existing.entries.into_iter().filter(|e| e.suite != suite);
+            self.entries.extend(kept);
+        }
+        std::fs::write(path, self.to_json().pretty() + "\n").map_err(|e| HistoryError::Io {
+            path: path.display().to_string(),
+            message: e.to_string(),
+        })
+    }
+}
+
+/// Resolves `git rev-parse HEAD` in `dir`; `"unknown"` when git or the
+/// repository is unavailable.
+fn git_rev(dir: &Path) -> String {
+    std::process::Command::new("git")
+        .args(["rev-parse", "HEAD"])
+        .current_dir(dir)
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .and_then(|o| String::from_utf8(o.stdout).ok())
+        .map(|s| s.trim().to_string())
+        .filter(|s| !s.is_empty())
+        .unwrap_or_else(|| "unknown".to_string())
+}
+
+/// Splits a unix timestamp into (`YYYY-MM-DD`, `YYYY-MM-DDTHH:MM:SSZ`)
+/// UTC strings, via the standard days-to-civil conversion.
+fn utc_date_time(unix_secs: u64) -> (String, String) {
+    let days = unix_secs / 86_400;
+    let rem = unix_secs % 86_400;
+    let (h, m, s) = (rem / 3600, (rem % 3600) / 60, rem % 60);
+    // civil_from_days (Howard Hinnant), valid for the unix era.
+    let z = days as i64 + 719_468;
+    let era = z.div_euclid(146_097);
+    let doe = z.rem_euclid(146_097);
+    let yoe = (doe - doe / 1460 + doe / 36_524 - doe / 146_096) / 365;
+    let y = yoe + era * 400;
+    let doy = doe - (365 * yoe + yoe / 4 - yoe / 100);
+    let mp = (5 * doy + 2) / 153;
+    let d = doy - (153 * mp + 2) / 5 + 1;
+    let mo = if mp < 10 { mp + 3 } else { mp - 9 };
+    let y = if mo <= 2 { y + 1 } else { y };
+    let date = format!("{y:04}-{mo:02}-{d:02}");
+    let stamp = format!("{date}T{h:02}:{m:02}:{s:02}Z");
+    (date, stamp)
 }
 
 /// Error from loading or validating history files.
@@ -187,7 +325,7 @@ impl FromJson for Report {
         let gemm_kernel = j.opt("gemm_kernel")?;
         let benchmarks = j.field("benchmarks")?;
         let mut entries: Vec<Entry> = benchmarks.list(Entry::decode)?;
-        entries.sort_by(|a, b| (&a.suite, &a.id).cmp(&(&b.suite, &b.id)));
+        entries.sort_by(|a, b| a.sort_key().cmp(&b.sort_key()));
         for pair in entries.windows(2) {
             if pair[0].suite == pair[1].suite && pair[0].id == pair[1].id {
                 return Err(benchmarks.error(format!("duplicate benchmark {}", pair[0].key())));
@@ -224,6 +362,7 @@ impl FromJson for Entry {
             throughput_per_s: ns("throughput_per_s")?,
             samples: j.get("samples")?,
             iters_per_sample: j.get("iters_per_sample")?,
+            profile: j.opt("profile")?,
         };
         if entry.ns_p50 > entry.ns_p95 {
             return Err(j.error(format!(
@@ -234,6 +373,49 @@ impl FromJson for Entry {
             )));
         }
         Ok(entry)
+    }
+}
+
+impl ToJson for Report {
+    /// Entries are written sorted by `(suite, id)`, so the same
+    /// measurements serialize to the same bytes in any execution order.
+    fn to_json(&self) -> Json {
+        let mut entries: Vec<&Entry> = self.entries.iter().collect();
+        entries.sort_by(|a, b| a.sort_key().cmp(&b.sort_key()));
+        let mut header = Json::object()
+            .insert("schema_version", BENCH_SCHEMA_VERSION)
+            .insert("date", self.date.as_str())
+            .insert("created_utc", self.created_utc.as_str())
+            .insert("git_rev", self.git_rev.as_str());
+        if let Some(n) = self.nproc {
+            header = header.insert("nproc", n);
+        }
+        if let Some(kernel) = &self.gemm_kernel {
+            header = header.insert("gemm_kernel", kernel.as_str());
+        }
+        header.insert("benchmarks", entries)
+    }
+}
+
+impl ToJson for Entry {
+    /// Field order is part of the schema; `profile` is written only
+    /// when present.
+    fn to_json(&self) -> Json {
+        let entry = Json::object()
+            .insert("suite", self.suite.as_str())
+            .insert("id", self.id.as_str())
+            .insert("ns_per_iter_p50", self.ns_p50)
+            .insert("ns_per_iter_p95", self.ns_p95)
+            .insert("ns_per_iter_min", self.ns_min)
+            .insert("ns_per_iter_max", self.ns_max)
+            .insert("ns_per_iter_mean", self.ns_mean)
+            .insert("throughput_per_s", self.throughput_per_s)
+            .insert("samples", self.samples)
+            .insert("iters_per_sample", self.iters_per_sample);
+        match &self.profile {
+            Some(node) => entry.insert("profile", node.to_json()),
+            None => entry,
+        }
     }
 }
 
@@ -706,10 +888,25 @@ mod tests {
                         throughput_per_s: 1e9 / (*p95 * 0.8),
                         samples: 10,
                         iters_per_sample: 100,
+                        profile: None,
                     })
                     .collect(),
             },
         }
+    }
+
+    #[test]
+    fn utc_date_time_matches_known_instants() {
+        assert_eq!(
+            utc_date_time(0),
+            ("1970-01-01".to_string(), "1970-01-01T00:00:00Z".to_string())
+        );
+        // Leap-year boundary: 2000-02-29.
+        assert_eq!(utc_date_time(951_782_400).0, "2000-02-29");
+        // End of day wraps correctly.
+        assert_eq!(utc_date_time(86_399).1, "1970-01-01T23:59:59Z");
+        assert_eq!(utc_date_time(86_400).0, "1970-01-02");
+        assert_eq!(Report::at(86_400, "r").file_name(), "BENCH_1970-01-02.json");
     }
 
     #[test]

@@ -36,8 +36,8 @@ pub fn register(c: &mut Criterion) {
 fn bench_artifact(c: &mut Criterion, id: &str, mut run: impl FnMut(&ExperimentContext)) {
     let mut g = c.benchmark_group("paper");
     g.sample_size(10);
-    // The context is rebuilt per iteration, exactly as the original
-    // bench targets did — its cost is part of the harness path.
+    // The context is rebuilt per iteration: its cost is part of the
+    // harness path.
     g.bench_function(id, |b| b.iter(|| run(&ExperimentContext::smoke())));
     g.finish();
 }

@@ -4,8 +4,9 @@
 
 use std::path::{Path, PathBuf};
 
-use ecad_bench::history::{self, GateConfig, HistoryError};
-use rt::bench::{write_report_merged, BenchResult, ReportMeta, Summary};
+use ecad_bench::history::{self, Entry, GateConfig, HistoryError, Report};
+use rt::bench::{BenchResult, Summary};
+use rt::prof::ProfileNode;
 
 fn tmp_dir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join("ecad_bench_history").join(name);
@@ -30,11 +31,22 @@ fn result(id: &str, p95: f64) -> BenchResult {
     }
 }
 
+/// The report of one run of `suite` on synthetic day `day`, spaced
+/// well apart from the others.
+fn day_report(day: u64, suite: &str, results: &[BenchResult]) -> Report {
+    Report {
+        entries: results
+            .iter()
+            .map(|r| Entry::from_result(suite, r.clone()))
+            .collect(),
+        ..Report::at(1_700_000_000 + day * 86_400, format!("rev{day}"))
+    }
+}
+
 fn write_day(dir: &Path, day: u64, suite: &str, results: &[BenchResult]) -> PathBuf {
-    // One synthetic day per index, spaced well apart.
-    let meta = ReportMeta::at(1_700_000_000 + day * 86_400, format!("rev{day}"));
-    let path = dir.join(rt::bench::bench_file_name(&meta.date));
-    write_report_merged(&path, suite, results, &meta).unwrap();
+    let report = day_report(day, suite, results);
+    let path = dir.join(report.file_name());
+    report.merge_into(&path, suite).unwrap();
     path
 }
 
@@ -200,7 +212,7 @@ fn gate_output_is_deterministic() {
 }
 
 /// Reports committed before the header carried `nproc` still load;
-/// freshly captured metadata records the host's core count.
+/// a freshly stamped report records the host's core count.
 #[test]
 fn reports_without_nproc_still_load() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
@@ -212,14 +224,17 @@ fn reports_without_nproc_still_load() {
     );
     assert!(files.iter().any(|f| f.report.nproc.is_none()));
 
-    let meta = ReportMeta::capture(&root);
-    let nproc = meta.nproc.expect("available_parallelism on this host");
-    let path = tmp_dir("nproc").join(rt::bench::bench_file_name(&meta.date));
-    write_report_merged(&path, "kernels", &[result("gemm/x", 10.0)], &meta).unwrap();
+    let report = Report {
+        entries: vec![Entry::from_result("kernels", result("gemm/x", 10.0))],
+        ..Report::stamp(&root)
+    };
+    let nproc = report.nproc.expect("available_parallelism on this host");
+    let path = tmp_dir("nproc").join(report.file_name());
+    report.merge_into(&path, "kernels").unwrap();
     assert_eq!(history::load_report(&path).unwrap().nproc, Some(nproc));
 }
 
-/// `ecad bench run` stamps the GEMM tile the host runs into the
+/// A stamped report records the GEMM tile the host runs in the
 /// header, and committed reports written before the field existed
 /// still load without it.
 #[test]
@@ -230,8 +245,14 @@ fn reports_record_the_gemm_kernel() {
 
     let kernel = ecad_tensor::gemm::kernel();
     assert!(["avx2-8x8", "portable-4x8"].contains(&kernel));
-    let path = tmp_dir("gemm_kernel").join("BENCH_kernel.json");
-    ecad_bench::suites::write_report(&path, "kernels", &[result("gemm/x", 10.0)]).unwrap();
+    let dir = tmp_dir("gemm_kernel");
+    let path = dir.join("BENCH_kernel.json");
+    Report {
+        entries: vec![Entry::from_result("kernels", result("gemm/x", 10.0))],
+        ..Report::stamp(&dir)
+    }
+    .merge_into(&path, "kernels")
+    .unwrap();
     let report = history::load_report(&path).unwrap();
     assert_eq!(report.gemm_kernel.as_deref(), Some(kernel));
 
@@ -244,4 +265,92 @@ fn reports_record_the_gemm_kernel() {
     assert_ne!(bad, text);
     let err = history::parse_report("bad", &bad).unwrap_err();
     assert!(err.to_string().contains("gemm_kernel"), "{err}");
+}
+
+/// A merge into an existing report that does not load — a syntax
+/// error, or a schema version this reader does not know — is refused
+/// with the file's name and the error's location, and leaves the file
+/// byte-identical instead of overwriting the other suites' entries.
+#[test]
+fn merge_refuses_a_report_that_does_not_load() {
+    let dir = tmp_dir("merge_refuses");
+    let path = write_day(&dir, 0, "models", &[result("mlp/forward", 500.0)]);
+    let good = std::fs::read_to_string(&path).unwrap();
+    let label = path.display().to_string();
+    let merge = || day_report(0, "kernels", &[result("gemm", 100.0)]).merge_into(&path, "kernels");
+
+    let broken = good.replacen("\"suite\": \"models\",", "\"suite\": \"models\"", 1);
+    assert_ne!(broken, good);
+    std::fs::write(&path, &broken).unwrap();
+    let err = merge().unwrap_err();
+    assert!(
+        matches!(err, HistoryError::Parse { line: 9, .. }),
+        "{err:?}"
+    );
+    assert!(err.to_string().starts_with(&format!("{label}:9:")), "{err}");
+    assert_eq!(std::fs::read_to_string(&path).unwrap(), broken);
+
+    let future = good.replacen("\"schema_version\": 1,", "\"schema_version\": 2,", 1);
+    assert_ne!(future, good);
+    std::fs::write(&path, &future).unwrap();
+    let err = merge().unwrap_err();
+    assert_eq!(
+        err.to_string(),
+        format!("{label}: schema_version: unsupported version 2 (expected 1)")
+    );
+    assert_eq!(std::fs::read_to_string(&path).unwrap(), future);
+}
+
+/// Merging a second suite into a report keeps the first suite's
+/// entries — profile trees included — byte for byte.
+#[test]
+fn merging_a_second_suite_keeps_the_first_byte_identical() {
+    let dir = tmp_dir("merge_keeps");
+    let leaf = |name: &str, ns: u64| ProfileNode {
+        name: name.to_string(),
+        total_ns: ns,
+        self_ns: ns,
+        calls: 3,
+        children: Vec::new(),
+    };
+    let profiled = |id: &str, p95: f64| BenchResult {
+        profile: Some(ProfileNode {
+            name: "bench".to_string(),
+            total_ns: 900,
+            self_ns: 100,
+            calls: 1,
+            children: vec![leaf("gemm", 500), leaf("pack_b", 300)],
+        }),
+        ..result(id, p95)
+    };
+    let path = write_day(
+        &dir,
+        0,
+        "kernels",
+        &[
+            profiled("gemm/blocked/64", 100.0),
+            profiled("ops/tanh", 7.5),
+        ],
+    );
+    let first = std::fs::read_to_string(&path).unwrap();
+    // The kernels entries: everything inside the `benchmarks` array.
+    let start = first.find("\"benchmarks\": [").unwrap();
+    let end = first.rfind("\n  ]").unwrap();
+    let kernels = &first[start..end];
+    assert!(kernels.contains("\"profile\""));
+
+    write_day(&dir, 0, "models", &[result("mlp/forward", 500.0)]);
+    let merged = std::fs::read_to_string(&path).unwrap();
+    assert!(merged.contains(&format!("{kernels},\n")), "{merged}");
+    let report = history::load_report(&path).unwrap();
+    let keys: Vec<String> = report.entries.iter().map(Entry::key).collect();
+    assert_eq!(
+        keys,
+        [
+            "kernels/gemm/blocked/64",
+            "kernels/ops/tanh",
+            "models/mlp/forward"
+        ]
+    );
+    assert_eq!(report.entries[0].profile, profiled("x", 0.0).profile);
 }

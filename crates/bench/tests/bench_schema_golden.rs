@@ -1,18 +1,19 @@
 //! Golden + fixpoint tests pinning the `BENCH_*.json` schema.
 //!
 //! The golden file (`tests/golden/BENCH_golden.json`) is the schema's
-//! contract: producing it from code must be byte-identical to the
-//! checked-in copy, re-serializing the parsed document must be
-//! byte-identical (the `rt::json` fixpoint property), and the
-//! `bench::history` consumer must round-trip it back to the same
-//! bytes. Regenerate intentionally with
+//! contract: encoding a fixed [`history::Report`] must be
+//! byte-identical to the checked-in copy, re-serializing the parsed
+//! document must be byte-identical (the `rt::json` fixpoint property),
+//! and decoding the golden file — or any report committed at the repo
+//! root — then encoding it again must reproduce its exact bytes.
+//! Regenerate intentionally with
 //! `UPDATE_GOLDEN=1 cargo test -p ecad-bench --test bench_schema_golden`.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
-use ecad_bench::history;
-use rt::bench::{report_to_json, result_to_json, BenchResult, ReportMeta, Summary};
-use rt::json::Json;
+use ecad_bench::history::{self, Entry, Report};
+use rt::bench::{BenchResult, Summary};
+use rt::json::{Json, ToJson};
 
 fn golden_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/BENCH_golden.json")
@@ -22,11 +23,6 @@ fn golden_path() -> PathBuf {
 /// fractional nanosecond values, single and multi-sample entries,
 /// deliberately registered out of sorted order.
 fn golden_report() -> String {
-    let meta = ReportMeta {
-        nproc: Some(2),
-        gemm_kernel: Some("avx2-8x8".to_string()),
-        ..ReportMeta::at(1_786_233_600, "0123456789abcdef") // 2026-08-09T00:00:00Z
-    };
     let result = |id: &str, p50: f64, p95: f64, samples: usize, iters: u64| BenchResult {
         id: id.to_string(),
         summary: Summary {
@@ -40,12 +36,23 @@ fn golden_report() -> String {
         iters_per_sample: iters,
         profile: None,
     };
-    let entries = vec![
-        result_to_json("models", &result("mlp/forward/credit_g", 125.5, 150.25, 10, 1000)),
-        result_to_json("kernels", &result("matrix/argmax_rows_512", 2048.0, 4096.0, 1, 1)),
-        result_to_json("kernels", &result("gemm/blocked/64", 100.0, 300.0, 25, 7)),
-    ];
-    report_to_json(&meta, entries).pretty() + "\n"
+    let report = Report {
+        nproc: Some(2),
+        gemm_kernel: Some("avx2-8x8".to_string()),
+        entries: vec![
+            Entry::from_result(
+                "models",
+                result("mlp/forward/credit_g", 125.5, 150.25, 10, 1000),
+            ),
+            Entry::from_result(
+                "kernels",
+                result("matrix/argmax_rows_512", 2048.0, 4096.0, 1, 1),
+            ),
+            Entry::from_result("kernels", result("gemm/blocked/64", 100.0, 300.0, 25, 7)),
+        ],
+        ..Report::at(1_786_233_600, "0123456789abcdef") // 2026-08-09T00:00:00Z
+    };
+    report.to_json().pretty() + "\n"
 }
 
 /// Producing the report from code matches the checked-in golden file
@@ -80,9 +87,9 @@ fn golden_file_is_a_serializer_fixpoint() {
     assert_eq!(text, reparsed);
 }
 
-/// The `bench::history` consumer parses the golden report, and
-/// re-emitting its entries through the producer reproduces the exact
-/// bytes — producer and consumer agree on every field.
+/// The decoder reads every field of the golden report, and encoding
+/// what it read reproduces the exact bytes — one model for both
+/// directions.
 #[test]
 fn history_round_trips_golden_report() {
     let text = golden_report();
@@ -94,38 +101,32 @@ fn history_round_trips_golden_report() {
     assert_eq!(report.entries.len(), 3);
     // Entries come back sorted by (suite, id) even though they were
     // registered out of order.
-    let keys: Vec<String> = report.entries.iter().map(history::Entry::key).collect();
+    let keys: Vec<String> = report.entries.iter().map(Entry::key).collect();
     let mut sorted = keys.clone();
     sorted.sort();
     assert_eq!(keys, sorted);
+    assert_eq!(report.to_json().pretty() + "\n", text);
+}
 
-    let meta = ReportMeta {
-        nproc: report.nproc,
-        gemm_kernel: report.gemm_kernel.clone(),
-        ..ReportMeta::at(1_786_233_600, report.git_rev.clone())
-    };
-    let entries: Vec<Json> = report
-        .entries
-        .iter()
-        .map(|e| {
-            result_to_json(
-                &e.suite,
-                &BenchResult {
-                    id: e.id.clone(),
-                    summary: Summary {
-                        min_ns: e.ns_min,
-                        p50_ns: e.ns_p50,
-                        p95_ns: e.ns_p95,
-                        max_ns: e.ns_max,
-                        mean_ns: e.ns_mean,
-                    },
-                    samples: e.samples as usize,
-                    iters_per_sample: e.iters_per_sample,
-                    profile: None,
-                },
-            )
-        })
-        .collect();
-    let re_emitted = report_to_json(&meta, entries).pretty() + "\n";
-    assert_eq!(text, re_emitted);
+/// Every report committed at the repo root decodes and re-encodes to
+/// its exact bytes, so merging a run into one of them rewrites nothing
+/// but the header and the merged suite.
+#[test]
+fn committed_reports_round_trip_to_their_bytes() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let files = history::load_history(&root).unwrap();
+    assert!(
+        !files.is_empty(),
+        "no committed BENCH_*.json under {}",
+        root.display()
+    );
+    for file in files {
+        let text = std::fs::read_to_string(root.join(&file.name)).unwrap();
+        assert_eq!(
+            file.report.to_json().pretty() + "\n",
+            text,
+            "{} does not re-encode to its bytes",
+            file.name
+        );
+    }
 }

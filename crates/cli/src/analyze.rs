@@ -9,7 +9,7 @@
 //! independent runs (sequence restarts) are tolerated too — `analyze`
 //! never enforces ordering, that is `ecad trace`'s job.
 
-use rt::json::Json;
+use rt::json::{Cursor, DecodeError, FromJson, Json};
 
 use crate::args::Parsed;
 use crate::commands::CliError;
@@ -25,29 +25,44 @@ pub struct TraceEvent {
     pub fields: Json,
 }
 
+impl FromJson for TraceEvent {
+    /// The stable line schema: an integer `seq`, a known `level`, a
+    /// string `target` and `event`, and a `fields` object.
+    fn decode(j: Cursor<'_>) -> Result<TraceEvent, DecodeError> {
+        let seq = j.get("seq")?;
+        let level = j.field("level")?;
+        let name = level.str()?;
+        if rt::obs::Level::parse(name).is_none() {
+            return Err(level.error(format!("unknown level {name:?}")));
+        }
+        j.field("target")?.str()?;
+        let fields = j.field("fields")?;
+        if !matches!(fields.json(), Json::Object(_)) {
+            return Err(fields.expected("an object"));
+        }
+        Ok(TraceEvent {
+            event: j.get("event")?,
+            seq,
+            fields: fields.json().clone(),
+        })
+    }
+}
+
 /// Parses every line of a JSONL trace into [`TraceEvent`]s.
 ///
 /// # Errors
 ///
-/// Returns [`CliError::Domain`] for unparseable lines or lines missing
-/// the `event`/`seq`/`fields` keys.
+/// Returns [`CliError::Domain`], located `path:line:`, for the first
+/// line that is not JSON or does not decode as a [`TraceEvent`].
 pub fn parse_events(path: &str, text: &str) -> Result<Vec<TraceEvent>, CliError> {
-    let mut events = Vec::new();
-    for (i, line) in text.lines().enumerate() {
-        let json = Json::parse(line)
-            .map_err(|e| CliError::Domain(format!("{path}:{}: not valid JSON: {e}", i + 1)))?;
-        let field = |key: &str| {
-            json.get(key)
-                .cloned()
-                .ok_or_else(|| CliError::Domain(format!("{path}:{}: missing {key:?}", i + 1)))
-        };
-        events.push(TraceEvent {
-            event: field("event")?.as_str().unwrap_or_default().to_string(),
-            seq: field("seq")?.as_f64().unwrap_or(0.0) as u64,
-            fields: field("fields")?,
-        });
-    }
-    Ok(events)
+    text.lines()
+        .enumerate()
+        .map(|(i, line)| {
+            let located = |e: String| CliError::Domain(format!("{path}:{}: {e}", i + 1));
+            let json = Json::parse(line).map_err(|e| located(format!("not valid JSON: {e}")))?;
+            TraceEvent::from_json(&json).map_err(|e| located(e.to_string()))
+        })
+        .collect()
 }
 
 /// One row of the per-epoch convergence table, extracted from an

@@ -1,9 +1,9 @@
 //! `ecad bench` — run the benchmark suites and interrogate the
 //! `BENCH_*.json` performance history (run / list / trend / gate).
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
-use ecad_bench::history::{self, GateConfig};
+use ecad_bench::history::{self, Entry, GateConfig, Report};
 use ecad_bench::suites;
 use rt::bench::Criterion;
 use rt::json::Json;
@@ -76,7 +76,8 @@ fn load(p: &Parsed) -> Result<Vec<history::HistoryFile>, CliError> {
 }
 
 /// `ecad bench run --suite NAME|all`: executes the suite in-process
-/// and merges the measurements into `BENCH_<date>.json`.
+/// and merges the measurements into `BENCH_<date>.json` (or `--out`).
+/// An existing report that does not load is refused, not overwritten.
 fn bench_run(p: &Parsed) -> Result<String, CliError> {
     p.check_allowed(&[
         "suite",
@@ -98,16 +99,17 @@ fn bench_run(p: &Parsed) -> Result<String, CliError> {
     let dir = history_dir(p);
     let out = match p.get("out") {
         Some(path) => PathBuf::from(path),
-        None => {
-            let meta = rt::bench::ReportMeta::capture(&dir);
-            dir.join(rt::bench::bench_file_name(&meta.date))
-        }
+        None => dir.join(Report::stamp(&dir).file_name()),
     };
+    // The report records the revision of the tree it lands in.
+    let repo = out
+        .parent()
+        .filter(|d| !d.as_os_str().is_empty())
+        .unwrap_or(Path::new("."));
 
     let mut text = String::new();
     for name in selected {
         let mut c = Criterion::default();
-        c.quiet();
         if p.is_set("quick") {
             c.quick();
         }
@@ -131,12 +133,20 @@ fn bench_run(p: &Parsed) -> Result<String, CliError> {
                 r.id, r.summary.p50_ns, r.summary.p95_ns, r.samples, r.iters_per_sample
             ));
         }
-        suites::write_report(&out, name, &results)
-            .map_err(|e| CliError::Io(format!("{}: {e}", out.display())))?;
+        let count = results.len();
+        let entries = results
+            .into_iter()
+            .map(|r| Entry::from_result(name, r))
+            .collect();
+        Report {
+            entries,
+            ..Report::stamp(repo)
+        }
+        .merge_into(&out, name)
+        .map_err(|e| CliError::Domain(e.to_string()))?;
         text.push_str(&format!(
-            "wrote {} ({} benchmark(s), suite {name})\n",
-            out.display(),
-            results.len()
+            "wrote {} ({count} benchmark(s), suite {name})\n",
+            out.display()
         ));
     }
     Ok(text)

@@ -10,7 +10,6 @@ use ecad_dataset::csv;
 use ecad_hw::cpu::{CpuDevice, CpuModel};
 use ecad_hw::fpga::{FpgaDevice, FpgaModel, GridConfig, PhysicalModel};
 use ecad_hw::gpu::{GpuDevice, GpuModel};
-use rt::json::{Cursor, DecodeError, FromJson, Json};
 
 use crate::args::{parse_grid, parse_usize_list, ArgError, Parsed};
 
@@ -555,47 +554,35 @@ fn cmd_cluster_worker(p: &Parsed) -> Result<String, CliError> {
 }
 
 /// `ecad trace`: validates a JSONL event trace written by
-/// `--trace-out`. Every line must parse via `rt::json` with the stable
-/// schema (`seq`/`level`/`target`/`event`/`fields`) and consecutive
-/// sequence numbers; prints a per-event-kind census. With `--summary`,
-/// appends the per-kind sequence-span table from the analyze machinery.
+/// `--trace-out`. Every line must decode as a
+/// [`crate::analyze::TraceEvent`] (the `ecad analyze` reader) and the
+/// sequence numbers must be consecutive; prints a per-event-kind
+/// census. With `--summary`, appends the per-kind sequence-span table
+/// from the analyze machinery.
 fn cmd_trace(p: &Parsed) -> Result<String, CliError> {
     p.check_allowed(&["file", "require", "summary"])?;
     let path = p.require("file")?;
     let text = std::fs::read_to_string(path).map_err(|e| CliError::Io(format!("{path}: {e}")))?;
 
-    let mut counts: Vec<(String, usize)> = Vec::new();
-    let mut lines = 0usize;
-    for (i, line) in text.lines().enumerate() {
-        let located = |e: String| CliError::Domain(format!("{path}:{}: {e}", i + 1));
-        let json = Json::parse(line).map_err(|e| located(format!("not valid JSON: {e}")))?;
-        let j = Cursor::root(&json);
-        let event = || -> Result<String, DecodeError> {
-            let seq = j.field("seq")?;
-            let n = u64::decode(seq)?;
-            if n != i as u64 {
-                return Err(seq.error(format!("{n} out of order (expected {i})")));
-            }
-            let level = j.field("level")?;
-            let name = level.str()?;
-            if rt::obs::Level::parse(name).is_none() {
-                return Err(level.error(format!("unknown level {name:?}")));
-            }
-            j.field("target")?;
-            j.field("fields")?;
-            j.get("event")
-        };
-        let event = event().map_err(|e| located(e.to_string()))?;
-        match counts.iter_mut().find(|(name, _)| *name == event) {
-            Some((_, n)) => *n += 1,
-            None => counts.push((event, 1)),
+    let events = crate::analyze::parse_events(path, &text)?;
+    let mut counts: Vec<(&str, usize)> = Vec::new();
+    for (i, e) in events.iter().enumerate() {
+        if e.seq != i as u64 {
+            return Err(CliError::Domain(format!(
+                "{path}:{}: seq: {} out of order (expected {i})",
+                i + 1,
+                e.seq
+            )));
         }
-        lines += 1;
+        match counts.iter_mut().find(|(name, _)| *name == e.event) {
+            Some((_, n)) => *n += 1,
+            None => counts.push((&e.event, 1)),
+        }
     }
 
     if let Some(required) = p.get("require") {
         for want in required.split(',').map(str::trim).filter(|w| !w.is_empty()) {
-            if !counts.iter().any(|(name, _)| name == want) {
+            if !counts.iter().any(|(name, _)| *name == want) {
                 return Err(CliError::Domain(format!(
                     "{path}: required event kind {want:?} never occurs"
                 )));
@@ -603,13 +590,12 @@ fn cmd_trace(p: &Parsed) -> Result<String, CliError> {
         }
     }
 
-    let mut out = format!("{path}: {lines} events, all lines parse\n\n");
-    counts.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+    let mut out = format!("{path}: {} events, all lines parse\n\n", events.len());
+    counts.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(b.0)));
     for (name, n) in &counts {
         out.push_str(&format!("  {n:>6}  {name}\n"));
     }
     if p.is_set("summary") {
-        let events = crate::analyze::parse_events(path, &text)?;
         out.push('\n');
         out.push_str(&crate::analyze::kind_summary(&events));
         // Traces recorded with a tick-clock profiler attached carry
@@ -1124,6 +1110,37 @@ mod tests {
         .unwrap();
         let err = run(argv(&format!("trace --file {}", gap.display()))).unwrap_err();
         assert!(err.to_string().contains("out of order"));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// `ecad analyze` and `ecad trace` read trace lines with one strict
+    /// decoder: a non-integer `seq` or a non-string `event` is refused
+    /// with its line and field, even after a valid epoch line.
+    #[test]
+    fn analyze_refuses_lines_trace_refuses() {
+        let dir = std::env::temp_dir().join("ecad_cli_analyze_strict");
+        std::fs::create_dir_all(&dir).unwrap();
+        let bad = dir.join("bad.jsonl");
+        let epoch = "{\"seq\":0,\"level\":\"info\",\"target\":\"t\",\"event\":\"epoch\",\
+                     \"fields\":{\"epoch\":1,\"hypervolume\":0.5}}";
+        let line = "{\"seq\":\"x\",\"level\":\"info\",\"target\":\"t\",\"event\":7,\"fields\":{}}";
+        std::fs::write(&bad, format!("{epoch}\n{line}\n")).unwrap();
+        let want = format!(
+            "{}:2: seq: expected an integer in 0..=9007199254740992, got a string",
+            bad.display()
+        );
+        for cmd in ["analyze", "trace"] {
+            let err = run(argv(&format!("{cmd} --file {}", bad.display()))).unwrap_err();
+            assert_eq!(err.to_string(), want, "{cmd}");
+        }
+        let event = line.replace("\"x\"", "1");
+        std::fs::write(&bad, format!("{epoch}\n{event}\n")).unwrap();
+        let err = run(argv(&format!("analyze --file {}", bad.display()))).unwrap_err();
+        assert!(
+            err.to_string()
+                .ends_with(":2: event: expected a string, got 7"),
+            "{err}"
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -818,7 +818,6 @@ impl<'e> Run<'e> {
             if let Some(slot) = supervisor.claimed_slot(id as u64) {
                 // The slot is wedged inside this job: abandon its thread
                 // and start a fresh one.
-                supervisor.record_stall();
                 supervisor.respawn(slot);
                 self.counters.respawn_count += 1;
                 self.meters.respawns.inc();

@@ -15,10 +15,9 @@
 //!   drive it under virtual-time ticks (`u64`) while the engine uses
 //!   [`std::time::Instant`] — the exact same transition code in both.
 //!
-//! [`ProtocolFaults`] deliberately re-introduces two historical bug
-//! classes (accepting stale results, dropping queued retries from
-//! checkpoints) so the model-check suites can assert the checker
-//! *finds* them; production paths always run with faults disabled.
+//! The model checks' deliberately broken variants (a stale result read
+//! as unknown, a checkpoint that drops queued retries) live in the
+//! tests, applied at the call site: the ledger itself has one behavior.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
@@ -46,22 +45,6 @@ pub enum ResultClass<P> {
     Unknown,
 }
 
-/// Deliberate protocol mutations for the model-check mutation harness.
-/// All-false (the [`Default`]) is the shipped behavior; each flag
-/// re-creates a specific bug class the checker must be able to find.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ProtocolFaults {
-    /// Skip the stale-set check in [`DispatchLedger::take_result`]:
-    /// a late result for a timed-out dispatch classifies as
-    /// [`ResultClass::Unknown`] instead of [`ResultClass::Stale`],
-    /// modeling an engine that lost track of abandoned work.
-    pub ignore_stale_results: bool,
-    /// Omit the retry queue from [`DispatchLedger::pending_jobs`]:
-    /// a checkpoint taken while a retry waits out its backoff silently
-    /// loses that job.
-    pub drop_retry_queue_from_pending: bool,
-}
-
 struct Entry<P, T> {
     payload: P,
     attempt: usize,
@@ -82,23 +65,15 @@ pub struct DispatchLedger<P, T> {
     in_flight: BTreeMap<u64, Entry<P, T>>,
     stale: BTreeSet<u64>,
     retry_q: VecDeque<(T, usize, P)>,
-    faults: ProtocolFaults,
 }
 
 impl<P, T: Ord + Copy> DispatchLedger<P, T> {
-    /// An empty ledger with shipped (fault-free) behavior.
+    /// An empty ledger.
     pub fn new() -> Self {
-        Self::with_faults(ProtocolFaults::default())
-    }
-
-    /// An empty ledger with the given fault mutations — test-only in
-    /// spirit, but kept callable so integration suites can reach it.
-    pub fn with_faults(faults: ProtocolFaults) -> Self {
         DispatchLedger {
             in_flight: BTreeMap::new(),
             stale: BTreeSet::new(),
             retry_q: VecDeque::new(),
-            faults,
         }
     }
 
@@ -125,7 +100,7 @@ impl<P, T: Ord + Copy> DispatchLedger<P, T> {
     /// Classifies an arriving result for `id` and removes the
     /// corresponding bookkeeping.
     pub fn take_result(&mut self, id: u64) -> ResultClass<P> {
-        if !self.faults.ignore_stale_results && self.stale.remove(&id) {
+        if self.stale.remove(&id) {
             return ResultClass::Stale;
         }
         match self.in_flight.remove(&id) {
@@ -207,15 +182,11 @@ impl<P, T: Ord + Copy> DispatchLedger<P, T> {
     /// ascending id order, then queued retries in FIFO order, as
     /// `(attempt, payload)` pairs.
     pub fn pending_jobs(&self) -> Vec<(usize, &P)> {
-        let mut out: Vec<(usize, &P)> = self
-            .in_flight
+        self.in_flight
             .values()
             .map(|e| (e.attempt, &e.payload))
-            .collect();
-        if !self.faults.drop_retry_queue_from_pending {
-            out.extend(self.retry_q.iter().map(|(_, attempt, p)| (*attempt, p)));
-        }
-        out
+            .chain(self.retry_q.iter().map(|(_, attempt, p)| (*attempt, p)))
+            .collect()
     }
 }
 
@@ -296,29 +267,6 @@ mod tests {
             .map(|(attempt, p)| (attempt, *p))
             .collect();
         assert_eq!(pending, vec![(1, "a"), (0, "b"), (2, "r")]);
-    }
-
-    #[test]
-    fn fault_ignore_stale_misclassifies_late_result() {
-        let mut ledger: DispatchLedger<&str, u64> = DispatchLedger::with_faults(ProtocolFaults {
-            ignore_stale_results: true,
-            ..Default::default()
-        });
-        ledger.dispatch(1, "slow", 0, Some(5));
-        ledger.expire(5);
-        // Shipped behavior would say Stale; the mutant loses track.
-        assert_eq!(ledger.take_result(1), ResultClass::Unknown);
-    }
-
-    #[test]
-    fn fault_drop_retry_queue_loses_pending_work() {
-        let mut ledger: DispatchLedger<&str, u64> = DispatchLedger::with_faults(ProtocolFaults {
-            drop_retry_queue_from_pending: true,
-            ..Default::default()
-        });
-        ledger.schedule_retry(10, 1, "r");
-        assert!(ledger.pending_jobs().is_empty());
-        assert!(!ledger.quiescent());
     }
 
     #[test]

@@ -14,7 +14,9 @@
 //! * a **deliberately broken** variant (a seeded mutation: a dropped
 //!   stale-check, a skipped generation fence, a lossy checkpoint),
 //!   which the checker must *catch* within the same budget — proof
-//!   that a pass over the shipped protocol means something.
+//!   that a pass over the shipped protocol means something. Each
+//!   mutant is a flag of its model, applied where the model calls the
+//!   shipped code, so the shipped code carries no test-only switches.
 //!
 //! A found failure prints a schedule token; feeding that token back
 //! through [`rt::sched::replay`] reproduces the identical failure,
@@ -24,7 +26,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use ecad_core::protocol::{DispatchLedger, ProtocolFaults, ResultClass};
+use ecad_core::protocol::{DispatchLedger, ResultClass};
 use rt::sched::{self, CheckOptions};
 use rt::supervise::{ShutdownFlag, SlotState};
 use rt::sync::channel::{self, RecvTimeoutError};
@@ -54,8 +56,10 @@ fn budget() -> CheckOptions {
 ///
 /// Invariants: a worker result is never [`ResultClass::Unknown`], and
 /// the job receives exactly one final verdict no matter how dispatch,
-/// stall, timeout, retry, and late delivery interleave.
-fn dispatch_protocol_model(faults: ProtocolFaults) {
+/// stall, timeout, retry, and late delivery interleave. The
+/// `lose_stale` mutant reads a [`ResultClass::Stale`] as `Unknown`,
+/// modeling an engine that lost track of abandoned work.
+fn dispatch_protocol_model(lose_stale: bool) {
     const DEADLINE_TICKS: u64 = 1_000;
     const BACKOFF_TICKS: u64 = 100;
     const MAX_RETRIES: usize = 1;
@@ -76,7 +80,11 @@ fn dispatch_protocol_model(faults: ProtocolFaults) {
         }
     });
 
-    let mut ledger: DispatchLedger<u32, u64> = DispatchLedger::with_faults(faults);
+    let mut ledger: DispatchLedger<u32, u64> = DispatchLedger::new();
+    let take_result = |ledger: &mut DispatchLedger<u32, u64>, id| match ledger.take_result(id) {
+        ResultClass::Stale if lose_stale => ResultClass::Unknown,
+        class => class,
+    };
     let mut to_submit = vec![7u32];
     let mut next_id = 0u64;
     let mut verdicts: Vec<(u32, &str)> = Vec::new();
@@ -112,7 +120,7 @@ fn dispatch_protocol_model(faults: ProtocolFaults) {
             }
         };
         match received {
-            Some((id, job)) => match ledger.take_result(id) {
+            Some((id, job)) => match take_result(&mut ledger, id) {
                 ResultClass::Fresh(done) => {
                     assert_eq!(done.payload, job, "result paired with wrong job");
                     verdicts.push((job, "ok"));
@@ -143,7 +151,7 @@ fn dispatch_protocol_model(faults: ProtocolFaults) {
     // Any result still buffered belongs to an abandoned dispatch and
     // must classify as stale — never unknown, never a second verdict.
     while let Ok((id, _job)) = res_rx.try_recv() {
-        match ledger.take_result(id) {
+        match take_result(&mut ledger, id) {
             ResultClass::Stale => {}
             other => panic!("late result for id {id} misclassified as {other:?}"),
         }
@@ -157,20 +165,14 @@ fn dispatch_protocol_model(faults: ProtocolFaults) {
 
 #[test]
 fn dispatch_protocol_holds_across_interleavings() {
-    let report = sched::check(budget(), || {
-        dispatch_protocol_model(ProtocolFaults::default())
-    });
+    let report = sched::check(budget(), || dispatch_protocol_model(false));
     report.assert_pass();
     assert!(report.exhausted, "model grew past the exhaustive budget");
 }
 
 #[test]
 fn checker_catches_dropped_stale_tracking() {
-    let faults = ProtocolFaults {
-        ignore_stale_results: true,
-        ..ProtocolFaults::default()
-    };
-    let report = sched::check(budget(), move || dispatch_protocol_model(faults));
+    let report = sched::check(budget(), || dispatch_protocol_model(true));
     let failure = report
         .failure
         .expect("mutant that loses stale ids must be caught");
@@ -184,11 +186,7 @@ fn checker_catches_dropped_stale_tracking() {
 
 #[test]
 fn failing_schedule_replays_byte_identically() {
-    let faults = ProtocolFaults {
-        ignore_stale_results: true,
-        ..ProtocolFaults::default()
-    };
-    let report = sched::check(budget(), move || dispatch_protocol_model(faults));
+    let report = sched::check(budget(), || dispatch_protocol_model(true));
     let failure = report.failure.expect("mutant must be caught");
 
     // Round-trip the schedule through its printed token, as a user
@@ -196,7 +194,7 @@ fn failing_schedule_replays_byte_identically() {
     let token = failure.schedule.to_string();
     let parsed: sched::Schedule = token.parse().expect("token parses");
     let replayed =
-        sched::replay(&parsed, move || dispatch_protocol_model(faults)).expect("failure replays");
+        sched::replay(&parsed, || dispatch_protocol_model(true)).expect("failure replays");
     assert_eq!(replayed.message, failure.message);
     assert_eq!(replayed.schedule, failure.schedule);
 }
@@ -308,9 +306,10 @@ fn checker_catches_missing_generation_fence() {
 ///
 /// Invariant: wherever the shutdown lands — before submission, mid
 /// flight, or during a retry backoff — the checkpoint covers every
-/// job exactly once. The [`ProtocolFaults::drop_retry_queue_from_pending`]
-/// mutant loses jobs waiting out a backoff.
-fn shutdown_checkpoint_model(faults: ProtocolFaults) {
+/// job exactly once. The `drop_retries` mutant truncates the ledger's
+/// pending jobs to the in-flight ones, losing jobs waiting out a
+/// backoff.
+fn shutdown_checkpoint_model(drop_retries: bool) {
     const BACKOFF_TICKS: u64 = 500;
     const MAX_RETRIES: usize = 1;
 
@@ -331,7 +330,7 @@ fn shutdown_checkpoint_model(faults: ProtocolFaults) {
         move || shutdown.request()
     });
 
-    let mut ledger: DispatchLedger<u32, u64> = DispatchLedger::with_faults(faults);
+    let mut ledger: DispatchLedger<u32, u64> = DispatchLedger::new();
     let mut to_submit = vec![8u32, 7u32];
     let mut next_id = 0u64;
     let mut completed: Vec<u32> = Vec::new();
@@ -390,7 +389,11 @@ fn shutdown_checkpoint_model(faults: ProtocolFaults) {
 
     // The halt-time checkpoint. No job may be lost or duplicated.
     let mut snapshot: Vec<u32> = completed.clone();
-    snapshot.extend(ledger.pending_jobs().into_iter().map(|(_, &job)| job));
+    let mut pending = ledger.pending_jobs();
+    if drop_retries {
+        pending.truncate(ledger.in_flight_len());
+    }
+    snapshot.extend(pending.into_iter().map(|(_, &job)| job));
     snapshot.extend(to_submit.iter().copied());
     snapshot.sort_unstable();
     assert_eq!(snapshot, vec![7, 8], "checkpoint lost or duplicated work");
@@ -402,19 +405,12 @@ fn shutdown_checkpoint_model(faults: ProtocolFaults) {
 
 #[test]
 fn shutdown_checkpoint_quiescence_holds_across_interleavings() {
-    sched::check(budget(), || {
-        shutdown_checkpoint_model(ProtocolFaults::default())
-    })
-    .assert_pass();
+    sched::check(budget(), || shutdown_checkpoint_model(false)).assert_pass();
 }
 
 #[test]
 fn checker_catches_checkpoint_that_drops_retries() {
-    let faults = ProtocolFaults {
-        drop_retry_queue_from_pending: true,
-        ..ProtocolFaults::default()
-    };
-    let report = sched::check(budget(), move || shutdown_checkpoint_model(faults));
+    let report = sched::check(budget(), || shutdown_checkpoint_model(true));
     let failure = report
         .failure
         .expect("checkpoint-losing mutant must be caught");
@@ -506,7 +502,7 @@ fn remote_dispatch_model(fence: bool) {
     }
     drop(res_tx);
 
-    let mut ledger: DispatchLedger<u32, u64> = DispatchLedger::with_faults(ProtocolFaults::default());
+    let mut ledger: DispatchLedger<u32, u64> = DispatchLedger::new();
     let mut to_submit = vec![8u32, 7u32];
     let mut next_id = 0u64;
     let mut busy = [false; SLOTS];

@@ -9,16 +9,18 @@
 //! * [`rand`] — a deterministic PCG64 generator behind the familiar
 //!   `Rng` / `SeedableRng` / `SliceRandom` surface, so genome mutation,
 //!   tournament selection, and dataset synthesis stay seed-reproducible.
-//! * [`sync`] — MPMC channels (bounded and unbounded) for the engine's
-//!   master/worker pool, plus re-exports of the std locks.
+//! * [`sync`] — unbounded MPMC channels for the engine's master/worker
+//!   pool and a scheduler-aware `Mutex`, both blocking through a
+//!   backend the model checker can drive.
 //! * [`json`] — a JSON value type with parser, compact and pretty
-//!   serializers, and the [`json::ToJson`] trait the bench harness uses
-//!   for report emission.
+//!   serializers, and the [`json::ToJson`] / [`json::FromJson`] codec
+//!   traits every document type implements.
 //! * [`check`] — a property-testing harness: the [`prop!`] macro runs a
 //!   body over generated inputs, shrinks failures, and prints the seed
 //!   so any failure replays exactly.
 //! * [`bench`] — a minimal wall-clock benchmark runner with the
-//!   `criterion_group!` / `criterion_main!` shape the bench targets use.
+//!   criterion surface the benchmark suites register against; it
+//!   measures and summarizes, and writes no report.
 //! * [`prof`] — a hierarchical profiler: spans open under the profiler
 //!   installed on their thread, and thread-local span stacks
 //!   accumulate a call tree with total/self time and call counts, merge
@@ -30,9 +32,9 @@
 //!   the thread's installed profiler when their handle carries one,
 //!   and an atomic registry of counters/gauges/histograms for the
 //!   engine's worker pool.
-//! * [`supervise`] — restartable worker slots with panic/stall/respawn
-//!   accounting and a cooperative shutdown flag, so a hung or crashed
-//!   evaluation cannot take down the search.
+//! * [`supervise`] — restartable worker slots (restart in place after a
+//!   panic, respawn past a stall) and a cooperative shutdown flag, so a
+//!   hung or crashed evaluation cannot take down the search.
 //! * [`http`] — a minimal GET-only HTTP/1.1 server plus a Prometheus
 //!   text-exposition writer/parser, so a live search can expose
 //!   `/metrics`, `/status`, and `/healthz` without a web framework.

@@ -32,7 +32,7 @@
 //! scheduling decisions the explorer can drive both ways.
 //!
 //! The blocking primitives in [`crate::sync`] (channels, `Mutex`,
-//! `Condvar`, [`crate::sync::backend::Signal`]) detect an active
+//! [`crate::sync::backend::Signal`]) detect an active
 //! scheduler via [`active`] and route their waits through it, so model
 //! code uses the very same types the production engine uses.
 //!
@@ -210,20 +210,6 @@ fn wake_key_locked(st: &mut ExecState, key: WaitKey) {
     }
 }
 
-fn wake_one_locked(st: &mut ExecState, key: WaitKey) {
-    if let Some(q) = st.queues.get_mut(&key) {
-        if !q.is_empty() {
-            let tid = q.remove(0);
-            if q.is_empty() {
-                st.queues.remove(&key);
-            }
-            if st.blocked.remove(&tid).is_some() {
-                st.runnable.push(tid);
-            }
-        }
-    }
-}
-
 /// Picks the next `current` thread, advancing virtual time past blocked
 /// deadlines when nothing is runnable and declaring deadlock when there
 /// is no deadline to advance to.
@@ -376,8 +362,8 @@ pub fn sleep(ticks: u64) {
 
 /// Blocks the calling virtual thread on the wait queue for `addr`,
 /// optionally with an absolute virtual-time deadline. Returns `false`
-/// if the wake was a timeout rather than a [`wake_addr`] /
-/// [`wake_one_addr`]. Used by the `rt::sync` backend.
+/// if the wake was a timeout rather than a [`wake_addr`]. Used by the
+/// `rt::sync` backend.
 pub fn block_on_addr(addr: usize, deadline: Option<u64>) -> bool {
     let c = ctx();
     let key = WaitKey(ADDR_TAG, addr);
@@ -390,13 +376,6 @@ pub fn wake_addr(addr: usize) {
     let c = ctx();
     let mut st = c.exec.state.lock().expect("sched state");
     wake_key_locked(&mut st, WaitKey(ADDR_TAG, addr));
-}
-
-/// Wakes the longest-waiting virtual thread blocked on `addr`, if any.
-pub fn wake_one_addr(addr: usize) {
-    let c = ctx();
-    let mut st = c.exec.state.lock().expect("sched state");
-    wake_one_locked(&mut st, WaitKey(ADDR_TAG, addr));
 }
 
 /// Owned handle to a spawned virtual thread; see [`spawn`].

@@ -1,5 +1,5 @@
-//! Worker supervision: restartable worker slots with panic, stall, and
-//! respawn accounting, plus a cooperative [`ShutdownFlag`].
+//! Worker supervision: restartable worker slots, plus a cooperative
+//! [`ShutdownFlag`].
 //!
 //! The engine's master/worker pool needs three guarantees a plain
 //! `thread::scope` cannot give:
@@ -18,6 +18,10 @@
 //! must therefore terminate on their own when their input channel
 //! disconnects — exactly how the engine's workers already behave.
 //!
+//! The supervisor keeps no counters: the driver that decides on a
+//! respawn counts it (the engine's `RunCounters` count timeouts and
+//! respawns).
+//!
 //! ```
 //! use rt::supervise::Supervisor;
 //! use std::sync::atomic::{AtomicU64, Ordering};
@@ -32,7 +36,7 @@
 //! while ran.load(Ordering::SeqCst) == 0 {
 //!     std::thread::yield_now();
 //! }
-//! assert_eq!(sup.stats().panics, 0);
+//! assert_eq!(sup.slots(), 1);
 //! ```
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -124,18 +128,6 @@ mod signal {
     pub fn install() {}
 }
 
-/// Counters describing everything the supervisor has seen.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SupervisorStats {
-    /// Panics that escaped a slot body and were absorbed by the
-    /// restart wrapper.
-    pub panics: u64,
-    /// Stalls reported by the driver via [`Supervisor::record_stall`].
-    pub stalls: u64,
-    /// Replacement threads launched via [`Supervisor::respawn`].
-    pub respawns: u64,
-}
-
 /// Per-slot state shared between the supervisor and the slot's threads
 /// (current plus any abandoned predecessors): the generation fence and
 /// the claim table for one worker slot.
@@ -218,12 +210,6 @@ impl SlotState {
     }
 }
 
-struct StatsInner {
-    panics: AtomicU64,
-    stalls: AtomicU64,
-    respawns: AtomicU64,
-}
-
 type SlotBody = Arc<dyn Fn(&SlotCtx) + Send + Sync + 'static>;
 
 struct SlotEntry {
@@ -237,17 +223,6 @@ struct SlotEntry {
 #[derive(Default)]
 pub struct Supervisor {
     slots: Vec<SlotEntry>,
-    stats: Arc<StatsInner>,
-}
-
-impl Default for StatsInner {
-    fn default() -> Self {
-        Self {
-            panics: AtomicU64::new(0),
-            stalls: AtomicU64::new(0),
-            respawns: AtomicU64::new(0),
-        }
-    }
 }
 
 /// Handle a slot body receives: identifies the slot and generation the
@@ -305,9 +280,8 @@ impl Supervisor {
 
     /// Creates a new slot running `body` on a detached thread and
     /// returns its index. The body is retained so the slot can be
-    /// respawned; if it panics it is restarted in the same thread (and
-    /// the panic counted), and when it returns normally the thread
-    /// ends.
+    /// respawned; if it panics it is restarted in the same thread, and
+    /// when it returns normally the thread ends.
     pub fn spawn<F>(&mut self, body: F) -> usize
     where
         F: Fn(&SlotCtx) + Send + Sync + 'static,
@@ -330,14 +304,7 @@ impl Supervisor {
         let entry = &self.slots[slot];
         entry.shared.bump_generation();
         entry.shared.clear_claim();
-        self.stats.respawns.fetch_add(1, Ordering::Relaxed);
         self.launch(slot);
-    }
-
-    /// Records a stall observed by the driver (a job deadline expired
-    /// while a slot held its claim).
-    pub fn record_stall(&self) {
-        self.stats.stalls.fetch_add(1, Ordering::Relaxed);
     }
 
     /// The slot currently claiming `job`, if any. `None` means the job
@@ -348,19 +315,9 @@ impl Supervisor {
             .position(|s| s.shared.claimed_job() == Some(job))
     }
 
-    /// A snapshot of the panic/stall/respawn counters.
-    pub fn stats(&self) -> SupervisorStats {
-        SupervisorStats {
-            panics: self.stats.panics.load(Ordering::Relaxed),
-            stalls: self.stats.stalls.load(Ordering::Relaxed),
-            respawns: self.stats.respawns.load(Ordering::Relaxed),
-        }
-    }
-
     fn launch(&self, idx: usize) {
         let shared = Arc::clone(&self.slots[idx].shared);
         let body = Arc::clone(&self.slots[idx].body);
-        let stats = Arc::clone(&self.stats);
         let generation = shared.generation();
         let builder = thread::Builder::new().name(format!("rt-worker-{idx}"));
         let handle = builder.spawn(move || {
@@ -374,7 +331,6 @@ impl Supervisor {
                     // Normal return: the body drained its input; done.
                     Ok(()) => break,
                     Err(_) => {
-                        stats.panics.fetch_add(1, Ordering::Relaxed);
                         // Restart in place — unless this thread was
                         // already abandoned by a respawn.
                         if !ctx.is_current() {
@@ -420,7 +376,6 @@ mod tests {
         tx.send(4).unwrap();
         drop(tx);
         assert_eq!(out_rx.recv(), Ok(40));
-        assert_eq!(sup.stats(), SupervisorStats::default());
         // The supervisor retains the body (and its captured sender) for
         // respawns; dropping it lets the disconnect become observable.
         drop(sup);
@@ -447,8 +402,6 @@ mod tests {
         let mut got = vec![out_rx.recv().unwrap(), out_rx.recv().unwrap()];
         got.sort_unstable();
         assert_eq!(got, vec![1, 2], "messages around the panic survive");
-        assert_eq!(sup.stats().panics, 1);
-        assert_eq!(sup.stats().respawns, 0);
     }
 
     #[test]
@@ -476,8 +429,7 @@ mod tests {
         wait_until(|| sup.claimed_slot(7).is_some());
         assert_eq!(sup.claimed_slot(7), Some(0));
 
-        // Master notices the stall: record it and respawn the slot.
-        sup.record_stall();
+        // Master notices the stall and respawns the slot.
         sup.respawn(0);
         assert_eq!(sup.claimed_slot(7), None, "respawn clears the claim");
 
@@ -488,8 +440,6 @@ mod tests {
         // Release the stalled thread; it exits without emitting its job.
         stall_tx.send(()).unwrap();
         drop(tx);
-        let stats = sup.stats();
-        assert_eq!((stats.stalls, stats.respawns), (1, 1));
         drop(sup);
         assert_eq!(out_rx.recv().ok(), None, "stale thread exits silently");
     }

@@ -1,11 +1,11 @@
-//! Thread-communication primitives: MPMC channels, scheduler-aware
-//! locks, and the pluggable blocking [`backend`].
+//! Thread-communication primitives: MPMC channels, a scheduler-aware
+//! lock, and the pluggable blocking [`backend`].
 //!
-//! [`channel::unbounded`] and [`channel::bounded`] replace the one
-//! `crossbeam::channel` use in the engine's master/worker pool. Both
-//! sides are cloneable (multi-producer **and** multi-consumer — plain
-//! `std::sync::mpsc` receivers cannot be shared across a worker pool),
-//! and disconnection semantics match crossbeam's:
+//! [`channel::unbounded`] replaces the one `crossbeam::channel` use in
+//! the engine's master/worker pool. Both sides are cloneable
+//! (multi-producer **and** multi-consumer — plain `std::sync::mpsc`
+//! receivers cannot be shared across a worker pool), and disconnection
+//! semantics match crossbeam's:
 //!
 //! * `send` fails only when every receiver is gone;
 //! * `recv` drains remaining messages, then fails once every sender is
@@ -23,13 +23,10 @@
 //! operation entry into an explorable scheduling point. Production
 //! code and model code therefore share these exact types.
 //!
-//! [`Mutex`] and [`Condvar`] mirror the `std::sync` surface (including
-//! poisoning) but cooperate with the scheduler the same way, so a
-//! guard held across a yield point still excludes — and deadlocks
-//! still get *detected* rather than hanging the test. [`RwLock`] stays
-//! a std re-export: nothing on the engine's hot path blocks on it.
-
-pub use std::sync::RwLock;
+//! [`Mutex`] mirrors the `std::sync` surface (including poisoning)
+//! but cooperates with the scheduler the same way, so a guard held
+//! across a yield point still excludes — and deadlocks still get
+//! *detected* rather than hanging the test.
 
 use std::sync::{LockResult, PoisonError, TryLockError, TryLockResult};
 
@@ -333,126 +330,6 @@ impl<T: ?Sized> Drop for MutexGuard<'_, T> {
     }
 }
 
-/// Outcome of a [`Condvar::wait_timeout`]; mirrors
-/// `std::sync::WaitTimeoutResult` (which cannot be constructed outside
-/// std).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct WaitTimeoutResult {
-    timed_out: bool,
-}
-
-impl WaitTimeoutResult {
-    /// Whether the wait ended because the timeout elapsed.
-    pub fn timed_out(&self) -> bool {
-        self.timed_out
-    }
-}
-
-/// A condition variable paired with [`Mutex`], scheduler-aware the
-/// same way: under a model execution, waits park the virtual thread
-/// and timeouts elapse in virtual time.
-pub struct Condvar {
-    inner: std::sync::Condvar,
-}
-
-impl Condvar {
-    /// Creates the condition variable.
-    pub const fn new() -> Self {
-        Condvar {
-            inner: std::sync::Condvar::new(),
-        }
-    }
-
-    fn addr(&self) -> usize {
-        self as *const Condvar as usize
-    }
-
-    /// Atomically releases `guard` and waits for a notification.
-    pub fn wait<'a, T>(&self, guard: MutexGuard<'a, T>) -> LockResult<MutexGuard<'a, T>> {
-        if sched::active() {
-            let mx = guard.mx;
-            // Dropping the guard releases the lock without yielding;
-            // the park below is the next scheduling point, so no
-            // notification can be lost in between.
-            drop(guard);
-            sched::block_on_addr(self.addr(), None);
-            mx.lock()
-        } else {
-            let mut guard = guard;
-            let std_g = guard.inner.take().expect("guard present");
-            let mx = guard.mx;
-            drop(guard);
-            match self.inner.wait(std_g) {
-                Ok(g) => Ok(mx.wrap(g)),
-                Err(e) => Err(PoisonError::new(mx.wrap(e.into_inner()))),
-            }
-        }
-    }
-
-    /// [`Condvar::wait`] with a timeout.
-    pub fn wait_timeout<'a, T>(
-        &self,
-        guard: MutexGuard<'a, T>,
-        timeout: std::time::Duration,
-    ) -> LockResult<(MutexGuard<'a, T>, WaitTimeoutResult)> {
-        if sched::active() {
-            let mx = guard.mx;
-            drop(guard);
-            let deadline = backend::deadline_after(timeout);
-            let woken = sched::block_on_addr(self.addr(), Some(deadline));
-            let res = WaitTimeoutResult { timed_out: !woken };
-            match mx.lock() {
-                Ok(g) => Ok((g, res)),
-                Err(e) => Err(PoisonError::new((e.into_inner(), res))),
-            }
-        } else {
-            let mut guard = guard;
-            let std_g = guard.inner.take().expect("guard present");
-            let mx = guard.mx;
-            drop(guard);
-            match self.inner.wait_timeout(std_g, timeout) {
-                Ok((g, r)) => Ok((
-                    mx.wrap(g),
-                    WaitTimeoutResult {
-                        timed_out: r.timed_out(),
-                    },
-                )),
-                Err(e) => {
-                    let (g, r) = e.into_inner();
-                    Err(PoisonError::new((
-                        mx.wrap(g),
-                        WaitTimeoutResult {
-                            timed_out: r.timed_out(),
-                        },
-                    )))
-                }
-            }
-        }
-    }
-
-    /// Wakes one waiter.
-    pub fn notify_one(&self) {
-        self.inner.notify_one();
-        if sched::active() {
-            sched::wake_one_addr(self.addr());
-        }
-    }
-
-    /// Wakes every waiter.
-    pub fn notify_all(&self) {
-        self.inner.notify_all();
-        if sched::active() {
-            sched::wake_addr(self.addr());
-        }
-    }
-}
-
-impl Default for Condvar {
-    fn default() -> Self {
-        Condvar::new()
-    }
-}
-
 /// Multi-producer multi-consumer FIFO channels.
 pub mod channel {
     use super::backend::{self, Signal};
@@ -469,8 +346,6 @@ pub mod channel {
     struct Shared<T> {
         state: Mutex<State<T>>,
         not_empty: Signal,
-        not_full: Signal,
-        cap: Option<usize>,
     }
 
     /// The sending half; cloneable.
@@ -518,21 +393,6 @@ pub mod channel {
 
     /// Creates a channel with unlimited buffering.
     pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
-        with_capacity(None)
-    }
-
-    /// Creates a channel that holds at most `cap` queued messages;
-    /// `send` blocks while the buffer is full.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cap` is zero (rendezvous channels are not supported).
-    pub fn bounded<T>(cap: usize) -> (Sender<T>, Receiver<T>) {
-        assert!(cap > 0, "bounded channel capacity must be at least 1");
-        with_capacity(Some(cap))
-    }
-
-    fn with_capacity<T>(cap: Option<usize>) -> (Sender<T>, Receiver<T>) {
         let shared = Arc::new(Shared {
             state: Mutex::new(State {
                 queue: VecDeque::new(),
@@ -540,8 +400,6 @@ pub mod channel {
                 receivers: 1,
             }),
             not_empty: Signal::new(),
-            not_full: Signal::new(),
-            cap,
         });
         (
             Sender {
@@ -552,31 +410,18 @@ pub mod channel {
     }
 
     impl<T> Sender<T> {
-        /// Enqueues a message, blocking while a bounded buffer is full.
-        /// Fails (returning the message) once every receiver is gone.
+        /// Enqueues a message; never blocks. Fails (returning the
+        /// message) once every receiver is gone.
         pub fn send(&self, value: T) -> Result<(), SendError<T>> {
             backend::current().preempt();
-            let mut slot = Some(value);
-            loop {
-                let epoch = self.shared.not_full.prepare();
-                {
-                    let mut state = self.shared.state.lock().expect("channel lock");
-                    if state.receivers == 0 {
-                        return Err(SendError(slot.take().expect("unsent value")));
-                    }
-                    let full = self
-                        .shared
-                        .cap
-                        .is_some_and(|cap| state.queue.len() >= cap);
-                    if !full {
-                        state.queue.push_back(slot.take().expect("unsent value"));
-                        drop(state);
-                        self.shared.not_empty.notify_all();
-                        return Ok(());
-                    }
-                }
-                self.shared.not_full.wait(epoch, None);
+            let mut state = self.shared.state.lock().expect("channel lock");
+            if state.receivers == 0 {
+                return Err(SendError(value));
             }
+            state.queue.push_back(value);
+            drop(state);
+            self.shared.not_empty.notify_all();
+            Ok(())
         }
     }
 
@@ -618,8 +463,6 @@ pub mod channel {
                 {
                     let mut state = self.shared.state.lock().expect("channel lock");
                     if let Some(value) = state.queue.pop_front() {
-                        drop(state);
-                        self.shared.not_full.notify_all();
                         return Ok(value);
                     }
                     if state.senders == 0 {
@@ -663,8 +506,6 @@ pub mod channel {
                 {
                     let mut state = self.shared.state.lock().expect("channel lock");
                     if let Some(value) = state.queue.pop_front() {
-                        drop(state);
-                        self.shared.not_full.notify_all();
                         return Ok(value);
                     }
                     if state.senders == 0 {
@@ -686,8 +527,6 @@ pub mod channel {
             backend::current().preempt();
             let mut state = self.shared.state.lock().expect("channel lock");
             if let Some(value) = state.queue.pop_front() {
-                drop(state);
-                self.shared.not_full.notify_all();
                 return Ok(value);
             }
             if state.senders == 0 {
@@ -725,14 +564,7 @@ pub mod channel {
 
     impl<T> Drop for Receiver<T> {
         fn drop(&mut self) {
-            let mut state = self.shared.state.lock().expect("channel lock");
-            state.receivers -= 1;
-            if state.receivers == 0 {
-                drop(state);
-                // Wake senders blocked on a full buffer so they can
-                // observe the disconnect.
-                self.shared.not_full.notify_all();
-            }
+            self.shared.state.lock().expect("channel lock").receivers -= 1;
         }
     }
 
@@ -768,7 +600,7 @@ pub mod channel {
 #[cfg(test)]
 mod tests {
     use super::channel::{self, RecvTimeoutError, TryRecvError};
-    use super::{Condvar, Mutex};
+    use super::Mutex;
     use crate::sched::{self, CheckOptions};
     use std::sync::atomic::{AtomicU32, Ordering};
     use std::sync::Arc;
@@ -850,28 +682,6 @@ mod tests {
     }
 
     #[test]
-    fn bounded_channel_blocks_then_unblocks() {
-        let (tx, rx) = channel::bounded::<u8>(2);
-        tx.send(1).unwrap();
-        tx.send(2).unwrap();
-        let handle = thread::spawn(move || {
-            // This send must block until the main thread drains one slot.
-            tx.send(3).unwrap();
-        });
-        thread::sleep(Duration::from_millis(20));
-        assert_eq!(rx.recv(), Ok(1));
-        handle.join().unwrap();
-        assert_eq!(rx.recv(), Ok(2));
-        assert_eq!(rx.recv(), Ok(3));
-    }
-
-    #[test]
-    #[should_panic(expected = "capacity must be at least 1")]
-    fn zero_capacity_rejected() {
-        let _ = channel::bounded::<u8>(0);
-    }
-
-    #[test]
     fn recv_timeout_returns_queued_message_immediately() {
         let (tx, rx) = channel::unbounded();
         tx.send(5u8).unwrap();
@@ -935,27 +745,13 @@ mod tests {
     }
 
     #[test]
-    fn mutex_and_condvar_work_under_std_backend() {
-        let pair = Arc::new((Mutex::new(false), Condvar::new()));
-        let pair2 = Arc::clone(&pair);
-        let handle = thread::spawn(move || {
-            let (m, cv) = &*pair2;
-            let mut ready = m.lock().unwrap();
-            *ready = true;
-            cv.notify_all();
-            drop(ready);
-        });
-        let (m, cv) = &*pair;
-        let mut ready = m.lock().unwrap();
-        while !*ready {
-            ready = cv.wait(ready).unwrap();
-        }
+    fn mutex_works_under_std_backend() {
+        let m = Arc::new(Mutex::new(0u32));
+        let m2 = Arc::clone(&m);
+        let handle = thread::spawn(move || *m2.lock().unwrap() += 1);
+        *m.lock().unwrap() += 1;
         handle.join().unwrap();
-        let (g, res) = cv
-            .wait_timeout(ready, Duration::from_millis(5))
-            .unwrap();
-        assert!(res.timed_out());
-        assert!(*g);
+        assert_eq!(*m.lock().unwrap(), 2);
     }
 
     #[test]

@@ -9,43 +9,56 @@
 //! independent runs (sequence restarts) are tolerated too — `analyze`
 //! never enforces ordering, that is `ecad trace`'s job.
 
+use std::fmt::Display;
+
 use rt::json::{Cursor, DecodeError, FromJson, Json};
+use rt::obs::Event;
 
 use crate::args::Parsed;
 use crate::commands::CliError;
 
-/// One parsed line of a JSONL event trace: the event kind, its
-/// sequence number, and the structured fields.
+/// One line of a JSONL event trace: its sequence number and event kind,
+/// checked by the trace line's one decoder ([`Event`]'s `FromJson`), and
+/// the line itself, for [`TraceEvent::fields`].
 pub struct TraceEvent {
     /// Event kind (the `event` key).
-    pub event: String,
+    pub event: &'static str,
     /// Sequence number (the `seq` key).
     pub seq: u64,
-    /// The `fields` object.
-    pub fields: Json,
+    line: Json,
+}
+
+impl TraceEvent {
+    /// Decodes the line's `fields` object with `decode`; errors name
+    /// the field as `fields.<key>`.
+    ///
+    /// # Errors
+    ///
+    /// The first field that does not decode.
+    pub(crate) fn fields<T>(
+        &self,
+        decode: impl FnOnce(Cursor<'_>) -> Result<T, DecodeError>,
+    ) -> Result<T, DecodeError> {
+        decode(Cursor::root(&self.line).field("fields")?)
+    }
 }
 
 impl FromJson for TraceEvent {
-    /// The stable line schema: an integer `seq`, a known `level`, a
-    /// string `target` and `event`, and a `fields` object.
+    /// An integer `seq`, then the rest of the line as an [`Event`].
     fn decode(j: Cursor<'_>) -> Result<TraceEvent, DecodeError> {
         let seq = j.get("seq")?;
-        let level = j.field("level")?;
-        let name = level.str()?;
-        if rt::obs::Level::parse(name).is_none() {
-            return Err(level.error(format!("unknown level {name:?}")));
-        }
-        j.field("target")?.str()?;
-        let fields = j.field("fields")?;
-        if !matches!(fields.json(), Json::Object(_)) {
-            return Err(fields.expected("an object"));
-        }
         Ok(TraceEvent {
-            event: j.get("event")?,
+            event: Event::decode(j)?.name,
             seq,
-            fields: fields.json().clone(),
+            line: j.json().clone(),
         })
     }
+}
+
+/// A [`CliError::Domain`] located at line `index + 1` of the trace at
+/// `path`.
+pub(crate) fn at_line(path: &str, index: usize, e: impl Display) -> CliError {
+    CliError::Domain(format!("{path}:{}: {e}", index + 1))
 }
 
 /// Parses every line of a JSONL trace into [`TraceEvent`]s.
@@ -58,9 +71,9 @@ pub fn parse_events(path: &str, text: &str) -> Result<Vec<TraceEvent>, CliError>
     text.lines()
         .enumerate()
         .map(|(i, line)| {
-            let located = |e: String| CliError::Domain(format!("{path}:{}: {e}", i + 1));
-            let json = Json::parse(line).map_err(|e| located(format!("not valid JSON: {e}")))?;
-            TraceEvent::from_json(&json).map_err(|e| located(e.to_string()))
+            let json =
+                Json::parse(line).map_err(|e| at_line(path, i, format!("not valid JSON: {e}")))?;
+            TraceEvent::from_json(&json).map_err(|e| at_line(path, i, e))
         })
         .collect()
 }
@@ -90,26 +103,26 @@ pub struct EpochRow {
     pub stalled: bool,
 }
 
-fn num(fields: &Json, key: &str) -> f64 {
-    fields.get(key).and_then(Json::as_f64).unwrap_or(f64::NAN)
+impl FromJson for EpochRow {
+    /// An `epoch` event's fields: integer `epoch`, `evaluations` and
+    /// `archive_size`, a boolean `stalled`, the rest numbers.
+    fn decode(j: Cursor<'_>) -> Result<EpochRow, DecodeError> {
+        Ok(EpochRow {
+            epoch: j.get("epoch")?,
+            evaluations: j.get("evaluations")?,
+            best_fitness: j.get("best_fitness")?,
+            fitness_p50: j.get("fitness_p50")?,
+            hypervolume: j.get("hypervolume")?,
+            archive_size: j.get("archive_size")?,
+            gene_entropy_bits: j.get("gene_entropy_bits")?,
+            mean_distance: j.get("mean_distance")?,
+            cache_hit_rate: j.get("cache_hit_rate")?,
+            stalled: j.get("stalled")?,
+        })
+    }
 }
 
 impl EpochRow {
-    fn from_fields(fields: &Json) -> Self {
-        Self {
-            epoch: num(fields, "epoch") as u64,
-            evaluations: num(fields, "evaluations") as u64,
-            best_fitness: num(fields, "best_fitness"),
-            fitness_p50: num(fields, "fitness_p50"),
-            hypervolume: num(fields, "hypervolume"),
-            archive_size: num(fields, "archive_size") as u64,
-            gene_entropy_bits: num(fields, "gene_entropy_bits"),
-            mean_distance: num(fields, "mean_distance"),
-            cache_hit_rate: num(fields, "cache_hit_rate"),
-            stalled: matches!(fields.get("stalled"), Some(Json::Bool(true))),
-        }
-    }
-
     fn to_json(&self) -> Json {
         Json::object()
             .insert("epoch", self.epoch)
@@ -157,7 +170,7 @@ impl FaultSummary {
     fn count(events: &[TraceEvent]) -> Self {
         let mut s = Self::default();
         for e in events {
-            match e.event.as_str() {
+            match e.event {
                 "stall" => s.stalls += 1,
                 "retry" => s.retries += 1,
                 "eval_timeout" => s.timeouts += 1,
@@ -299,11 +312,15 @@ pub fn cmd_analyze(p: &Parsed) -> Result<String, CliError> {
     let path = p.require("file")?;
     let text = std::fs::read_to_string(path).map_err(|e| CliError::Io(format!("{path}: {e}")))?;
     let events = parse_events(path, &text)?;
-    let rows: Vec<EpochRow> = events
+    let rows = events
         .iter()
-        .filter(|e| e.event == "epoch")
-        .map(|e| EpochRow::from_fields(&e.fields))
-        .collect();
+        .enumerate()
+        .filter(|(_, e)| e.event == "epoch")
+        .map(|(i, e)| {
+            e.fields(EpochRow::decode)
+                .map_err(|err| at_line(path, i, err))
+        })
+        .collect::<Result<Vec<_>, _>>()?;
     if rows.is_empty() {
         return Err(CliError::Domain(format!(
             "{path}: no epoch events — run long enough for one population \
@@ -326,17 +343,17 @@ pub fn cmd_analyze(p: &Parsed) -> Result<String, CliError> {
 /// --summary`: for each event kind, the count and the first/last
 /// sequence number it occurs at, plus the overall span.
 pub fn kind_summary(events: &[TraceEvent]) -> String {
-    let mut kinds: Vec<(String, usize, u64, u64)> = Vec::new();
+    let mut kinds: Vec<(&str, usize, u64, u64)> = Vec::new();
     for e in events {
         match kinds.iter_mut().find(|(name, ..)| *name == e.event) {
             Some((_, n, _, last)) => {
                 *n += 1;
                 *last = e.seq;
             }
-            None => kinds.push((e.event.clone(), 1, e.seq, e.seq)),
+            None => kinds.push((e.event, 1, e.seq, e.seq)),
         }
     }
-    kinds.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+    kinds.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(b.0)));
     let mut out = String::new();
     match (events.first(), events.last()) {
         (Some(first), Some(last)) => out.push_str(&format!(
@@ -363,14 +380,25 @@ pub fn kind_summary(events: &[TraceEvent]) -> String {
 mod tests {
     use super::*;
 
-    fn epoch_line(seq: u64, epoch: u64, hv: f64, stalled: bool) -> String {
+    /// A full `epoch` field set.
+    fn epoch_fields(epoch: u64, hv: f64, stalled: bool) -> String {
         format!(
-            "{{\"seq\":{seq},\"level\":\"info\",\"target\":\"t\",\"event\":\"epoch\",\"fields\":{{\
-             \"epoch\":{epoch},\"evaluations\":{},\"best_fitness\":0.5,\"fitness_p50\":0.4,\
+            "{{\"epoch\":{epoch},\"evaluations\":{},\"best_fitness\":0.5,\"fitness_p50\":0.4,\
              \"hypervolume\":{hv},\"archive_size\":2,\"gene_entropy_bits\":1.5,\
-             \"mean_distance\":0.3,\"cache_hit_rate\":0.1,\"stalled\":{stalled}}}}}",
+             \"mean_distance\":0.3,\"cache_hit_rate\":0.1,\"stalled\":{stalled}}}",
             epoch * 8
         )
+    }
+
+    fn epoch_line(seq: u64, epoch: u64, hv: f64, stalled: bool) -> String {
+        format!(
+            "{{\"seq\":{seq},\"level\":\"info\",\"target\":\"t\",\"event\":\"epoch\",\"fields\":{}}}",
+            epoch_fields(epoch, hv, stalled)
+        )
+    }
+
+    fn row(epoch: u64, hv: f64) -> EpochRow {
+        EpochRow::from_json(&Json::parse(&epoch_fields(epoch, hv, false)).unwrap()).unwrap()
     }
 
     fn warn_line(seq: u64, event: &str) -> String {
@@ -393,7 +421,7 @@ mod tests {
         let rows: Vec<EpochRow> = events
             .iter()
             .filter(|e| e.event == "epoch")
-            .map(|e| EpochRow::from_fields(&e.fields))
+            .map(|e| e.fields(EpochRow::decode).unwrap())
             .collect();
         assert_eq!(rows.len(), 2);
         assert_eq!(rows[0].evaluations, 8);
@@ -442,27 +470,17 @@ mod tests {
 
     #[test]
     fn text_report_flags_non_monotone_hypervolume() {
-        let good = vec![
-            EpochRow::from_fields(&Json::parse("{\"epoch\":1,\"hypervolume\":0.1}").unwrap()),
-            EpochRow::from_fields(&Json::parse("{\"epoch\":2,\"hypervolume\":0.2}").unwrap()),
-        ];
+        let good = vec![row(1, 0.1), row(2, 0.2)];
         let report = render_text("t", &good, &FaultSummary::default());
         assert!(!report.contains("WARNING"));
-        let bad = vec![
-            EpochRow::from_fields(&Json::parse("{\"epoch\":1,\"hypervolume\":0.2}").unwrap()),
-            EpochRow::from_fields(&Json::parse("{\"epoch\":2,\"hypervolume\":0.1}").unwrap()),
-        ];
+        let bad = vec![row(1, 0.2), row(2, 0.1)];
         let report = render_text("t", &bad, &FaultSummary::default());
         assert!(report.contains("WARNING"));
     }
 
     #[test]
     fn json_report_round_trips() {
-        let rows = vec![
-            EpochRow::from_fields(
-                &Json::parse("{\"epoch\":1,\"evaluations\":8,\"hypervolume\":0.25}").unwrap(),
-            ),
-        ];
+        let rows = vec![row(1, 0.25)];
         let text = render_json(&rows, &FaultSummary::default());
         let parsed = Json::parse(&text).unwrap();
         let epochs = parsed.get("epochs").and_then(Json::as_array).unwrap();
@@ -476,10 +494,7 @@ mod tests {
 
     #[test]
     fn csv_report_has_one_row_per_epoch() {
-        let rows = vec![
-            EpochRow::from_fields(&Json::parse("{\"epoch\":1,\"hypervolume\":0.1}").unwrap()),
-            EpochRow::from_fields(&Json::parse("{\"epoch\":2,\"hypervolume\":0.2}").unwrap()),
-        ];
+        let rows = vec![row(1, 0.1), row(2, 0.2)];
         let csv = render_csv(&rows);
         assert_eq!(csv.lines().count(), 3);
         assert!(csv.starts_with("epoch,evaluations,best_fitness"));
@@ -501,9 +516,7 @@ mod tests {
 
     #[test]
     fn curve_handles_flat_zero() {
-        let rows = vec![EpochRow::from_fields(
-            &Json::parse("{\"epoch\":1,\"hypervolume\":0}").unwrap(),
-        )];
+        let rows = vec![row(1, 0.0)];
         assert!(hypervolume_curve(&rows).contains("zero"));
     }
 }

@@ -96,16 +96,13 @@ fn bench_run(p: &Parsed) -> Result<String, CliError> {
         vec![suite]
     };
 
-    let dir = history_dir(p);
+    // The report records the revision of the tree that was built and
+    // measured: the one the command runs in, wherever the file lands.
+    let repo = Path::new(".");
     let out = match p.get("out") {
         Some(path) => PathBuf::from(path),
-        None => dir.join(Report::stamp(&dir).file_name()),
+        None => history_dir(p).join(Report::stamp(repo).file_name()),
     };
-    // The report records the revision of the tree it lands in.
-    let repo = out
-        .parent()
-        .filter(|d| !d.as_os_str().is_empty())
-        .unwrap_or(Path::new("."));
 
     let mut text = String::new();
     for name in selected {
@@ -358,6 +355,32 @@ mod tests {
         )))
         .unwrap();
         assert!(gated.contains("PASS"), "got: {gated}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A report written outside the checkout still records the
+    /// revision the command ran in.
+    #[test]
+    fn run_stamps_the_revision_it_measured_wherever_the_report_lands() {
+        let dir = std::env::temp_dir().join("ecad_cli_bench_rev");
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).unwrap();
+        let out = dir.join("r.json");
+        crate::run(argv(&format!(
+            "bench run --suite kernels --filter argmax --iters 1 --sample-size 2 --out {}",
+            out.display()
+        )))
+        .unwrap();
+        let head = std::process::Command::new("git")
+            .args(["rev-parse", "HEAD"])
+            .output()
+            .ok()
+            .filter(|o| o.status.success())
+            .map_or("unknown".to_string(), |o| {
+                String::from_utf8(o.stdout).unwrap().trim().to_string()
+            });
+        let report = ecad_bench::history::load_report(&out).unwrap();
+        assert_eq!(report.git_rev, head);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -576,7 +576,7 @@ fn cmd_trace(p: &Parsed) -> Result<String, CliError> {
         }
         match counts.iter_mut().find(|(name, _)| *name == e.event) {
             Some((_, n)) => *n += 1,
-            None => counts.push((&e.event, 1)),
+            None => counts.push((e.event, 1)),
         }
     }
 
@@ -600,7 +600,7 @@ fn cmd_trace(p: &Parsed) -> Result<String, CliError> {
         out.push_str(&crate::analyze::kind_summary(&events));
         // Traces recorded with a tick-clock profiler attached carry
         // path/span_us on span closes; rebuild the attribution tree.
-        if let Some(tree) = crate::profile::tree_from_events(&events) {
+        if let Some(tree) = crate::profile::tree_from_events(path, &events)? {
             out.push_str("\nspan attribution (rebuilt from profiled span closes):\n");
             out.push_str(&tree.render_table());
         }
@@ -1141,6 +1141,37 @@ mod tests {
                 .ends_with(":2: event: expected a string, got 7"),
             "{err}"
         );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Event fields are read strictly too: a mistyped epoch field fails
+    /// `ecad analyze` instead of printing a row of NaNs, and a mistyped
+    /// `span_us` fails `ecad trace --summary` instead of dropping the
+    /// span from its profile table; both name the line and the field.
+    #[test]
+    fn analyze_and_trace_summary_refuse_mistyped_fields() {
+        let dir = std::env::temp_dir().join("ecad_cli_fields_strict");
+        std::fs::create_dir_all(&dir).unwrap();
+        let bad = dir.join("bad.jsonl");
+        let epoch = "{\"seq\":0,\"level\":\"info\",\"target\":\"x\",\"event\":\"epoch\",\
+                     \"fields\":{\"epoch\":\"one\",\"hypervolume\":0.1}}";
+        std::fs::write(&bad, format!("{epoch}\n")).unwrap();
+        let integer = "expected an integer in 0..=9007199254740992, got a string";
+        for format in ["text", "json"] {
+            let cmd = format!("analyze --file {} --format {format}", bad.display());
+            let err = run(argv(&cmd)).unwrap_err();
+            let want = format!("{}:1: fields.epoch: {integer}", bad.display());
+            assert_eq!(err.to_string(), want, "{format}");
+        }
+        let close = "{\"seq\":0,\"level\":\"debug\",\"target\":\"t\",\"event\":\"train\",\
+                     \"fields\":{\"path\":\"engine;train\",\"span_us\":12}}";
+        let mistyped = close
+            .replace("\"seq\":0", "\"seq\":1")
+            .replace(":12}", ":\"12\"}");
+        std::fs::write(&bad, format!("{close}\n{mistyped}\n")).unwrap();
+        let err = run(argv(&format!("trace --file {} --summary", bad.display()))).unwrap_err();
+        let want = format!("{}:2: fields.span_us: {integer}", bad.display());
+        assert_eq!(err.to_string(), want);
         std::fs::remove_dir_all(&dir).ok();
     }
 

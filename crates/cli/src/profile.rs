@@ -15,7 +15,7 @@
 use rt::json::Json;
 use rt::prof::{profile_from_json, ProfileNode};
 
-use crate::analyze::TraceEvent;
+use crate::analyze::{at_line, TraceEvent};
 use crate::args::{ArgError, Parsed};
 use crate::commands::CliError;
 
@@ -49,21 +49,29 @@ pub fn cmd_profile(p: &Parsed) -> Result<String, CliError> {
 }
 
 /// Rebuilds a span-attribution tree from the `path`/`span_us` fields of
-/// profiled span-close events. `None` when the trace carries no such
-/// events (recorded without a profiler, or with the wall clock, which
-/// omits `span_us`).
+/// profiled span-close events in the trace at `file`. `None` when the
+/// trace carries no such events (recorded without a profiler, or with
+/// the wall clock, which omits `span_us`).
 ///
 /// Totals come from each close's own `span_us`, so a parent that never
 /// closes in the trace (the synthetic profiler root) gets the sum of
 /// its children; self time is total minus child totals, exactly as in
 /// the live profiler's export.
-pub fn tree_from_events(events: &[TraceEvent]) -> Option<ProfileNode> {
+///
+/// # Errors
+///
+/// [`CliError::Domain`], located `file:line: fields.<key>:`, for a
+/// `path` that is not a string or a `span_us` that is not an integer.
+pub fn tree_from_events(
+    file: &str,
+    events: &[TraceEvent],
+) -> Result<Option<ProfileNode>, CliError> {
     let mut root: Option<ProfileNode> = None;
-    for e in events {
-        let Some(path) = e.fields.get("path").and_then(Json::as_str) else {
-            continue;
-        };
-        let Some(us) = e.fields.get("span_us").and_then(Json::as_f64) else {
+    for (i, e) in events.iter().enumerate() {
+        // Other events carry neither field (a `checkpoint` event's
+        // `path` is a file path, without `span_us`).
+        let close = e.fields(|j| Ok((j.opt::<String>("path")?, j.opt::<u64>("span_us")?)));
+        let (Some(path), Some(us)) = close.map_err(|err| at_line(file, i, err))? else {
             continue;
         };
         let parts: Vec<&str> = path.split(';').filter(|s| !s.is_empty()).collect();
@@ -86,12 +94,13 @@ pub fn tree_from_events(events: &[TraceEvent]) -> Option<ProfileNode> {
             };
             node = &mut node.children[idx];
         }
-        node.total_ns += (us as u64).saturating_mul(1_000);
+        node.total_ns += us.saturating_mul(1_000);
         node.calls += 1;
     }
-    let mut root = root?;
-    finalize(&mut root);
-    Some(root)
+    Ok(root.map(|mut root| {
+        finalize(&mut root);
+        root
+    }))
 }
 
 fn leaf(name: &str, calls: u64) -> ProfileNode {
@@ -139,7 +148,7 @@ mod tests {
         ]
         .join("\n");
         let events = parse_events("t.jsonl", &text).unwrap();
-        let tree = tree_from_events(&events).unwrap();
+        let tree = tree_from_events("t.jsonl", &events).unwrap().unwrap();
         assert_eq!(tree.name, "engine");
         assert_eq!(tree.total_ns, 110_000); // root = sum of children
         let eval = tree.find("evaluate").unwrap();
@@ -153,7 +162,7 @@ mod tests {
     fn unprofiled_trace_yields_no_tree() {
         let text = "{\"seq\":0,\"level\":\"info\",\"target\":\"t\",\"event\":\"a\",\"fields\":{}}";
         let events = parse_events("t.jsonl", text).unwrap();
-        assert!(tree_from_events(&events).is_none());
+        assert!(tree_from_events("t.jsonl", &events).unwrap().is_none());
     }
 
     #[test]

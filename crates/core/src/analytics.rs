@@ -852,8 +852,8 @@ pub fn observatory(obs: &Obs, status: &StatusCell) -> rt::http::Server {
 }
 
 /// The `/workers` JSON document: one entry per remote worker with its
-/// lifecycle state and freshness (health cells), the counters absorbed
-/// from its latest `Stats` frame (its labeled gauges), and the
+/// lifecycle state and freshness (health cells), the tallies of its
+/// accepted `evaluated` replies (its labeled gauges), and the
 /// coordinator-side exchange-latency quantiles from its labeled
 /// histogram. Reads only side-channel registries (health cells,
 /// metrics), so scraping never perturbs a seeded run.
@@ -870,9 +870,9 @@ pub fn workers_json(obs: &Obs, health: &crate::cluster::ClusterHealth) -> Json {
                     "last_seen_s",
                     w.last_seen_s.map_or(Json::Null, Json::Number),
                 );
-            let counters = crate::cluster::stats_gauges(obs, &w.addr);
-            for (field, gauge) in crate::cluster::STATS_COUNTERS.into_iter().zip(counters) {
-                entry = entry.insert(field, gauge.get());
+            let tallies = crate::cluster::tally_gauges(obs, &w.addr);
+            for (tally, gauge) in crate::cluster::WORKER_TALLIES.into_iter().zip(tallies) {
+                entry = entry.insert(tally, gauge.get());
             }
             entry
                 .insert("eval_count", lat.count())
@@ -1321,9 +1321,9 @@ mod tests {
         ]));
         health.set_state(0, WorkerState::Connected);
         health.mark_seen(0);
-        let counters = crate::cluster::stats_gauges(&obs, "10.0.0.1:7000");
-        for (gauge, value) in counters.iter().zip([7.0, 1.5, 0.5, 1.0, 2.0]) {
-            gauge.set(value);
+        let tallies = crate::cluster::tally_gauges(&obs, "10.0.0.1:7000");
+        for (gauge, value) in tallies.iter().zip([7.0, 1.5, 0.5, 1.0, 2.0]) {
+            gauge.add(value);
         }
         health.set_state(1, WorkerState::Lost);
         health.set_degraded();

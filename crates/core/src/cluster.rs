@@ -22,8 +22,9 @@
 //!   ◀───────────────── Ready {stamp} ──
 //!   ── Evaluate {id, stamp, genome} ───▶
 //!   ◀── Evaluated {id, stamp, m, ev} ──     (repeated)
-//!   ── Purge / KillAll ────────────────▶
-//!   ◀───────────── Purged / Bye ───────
+//!   ◀──────────── Profile {tree} ──────     (profiled sessions only)
+//!   ── KillAll ────────────────────────▶
+//!   ◀──────────────────────────── Bye ──
 //! ```
 //!
 //! [`SetupPayload`] ships everything an evaluation needs — the
@@ -34,6 +35,12 @@
 //! it, and the coordinator drops responses whose stamp (or job id)
 //! does not match the current session — stale-result fencing one layer
 //! below the ledger's own id fencing.
+//!
+//! Each fact crosses the wire once. The coordinator tallies a worker's
+//! jobs, train and hardware-model seconds, panics and migrants from the
+//! `Evaluated` replies it accepts; a `Profile` frame carries only the
+//! worker's profile subtree, and only when the setup names a profile
+//! clock: after every fourth job and before `Bye`.
 //!
 //! ## Determinism
 //!
@@ -101,10 +108,6 @@ pub struct ClusterOptions {
     pub island_k: usize,
     /// Frame-size ceiling for every connection.
     pub max_frame: usize,
-    /// Workers piggyback a `Stats` telemetry frame after every N
-    /// `Evaluated` responses (`0` disables periodic stats; a final
-    /// frame still precedes `Bye` so profiles survive short runs).
-    pub stats_every: usize,
 }
 
 impl Default for ClusterOptions {
@@ -117,7 +120,6 @@ impl Default for ClusterOptions {
             island_every: 0,
             island_k: 2,
             max_frame: rt::net::DEFAULT_MAX_FRAME,
-            stats_every: 4,
         }
     }
 }
@@ -184,8 +186,8 @@ impl WorkerState {
 }
 
 /// A point-in-time view of one worker's lifecycle, as served by
-/// `/workers` (which reads the worker's absorbed `Stats` counters from
-/// the labeled `cluster.worker_*` gauges).
+/// `/workers` (which reads the worker's tallies from the labeled
+/// `cluster.worker_*` gauges).
 #[derive(Debug, Clone)]
 pub struct WorkerHealthSnapshot {
     /// Worker address (`host:port`).
@@ -320,11 +322,9 @@ pub struct SetupPayload {
     pub island_k: usize,
     /// When set (`"wall"` / `"ticks"`), the worker profiles each
     /// evaluation under a session-local `rt::prof` profiler with this
-    /// clock and ships its subtree in `Stats` frames. The ticks clock
+    /// clock and ships its subtree in `Profile` frames. The ticks clock
     /// makes the subtree deterministic for a fixed job stream.
     pub profile_clock: Option<String>,
-    /// `Stats` cadence in jobs (`0` = final frame only).
-    pub stats_every: usize,
 }
 
 impl SetupPayload {
@@ -339,8 +339,7 @@ impl SetupPayload {
             .insert("space", &self.space)
             .insert("objectives", &self.objectives)
             .insert("island_every", self.island_every)
-            .insert("island_k", self.island_k)
-            .insert("stats_every", self.stats_every);
+            .insert("island_k", self.island_k);
         Ok(match &self.profile_clock {
             Some(clock) => j.insert("profile_clock", clock.as_str()),
             None => j,
@@ -359,10 +358,8 @@ impl SetupPayload {
             objectives: j.get("objectives")?,
             island_every: j.get("island_every")?,
             island_k: j.get("island_k")?,
-            // Optional so a newer worker accepts an older coordinator's
-            // setup frame (absent = telemetry off).
+            // Absent when the coordinator does not profile.
             profile_clock: j.opt("profile_clock")?,
-            stats_every: j.opt("stats_every")?.unwrap_or(0),
         };
         Ok((payload, j.hex("stamp")?))
     }
@@ -383,9 +380,6 @@ pub enum CoordinatorRequest {
         /// The candidate to score.
         genome: CandidateGenome,
     },
-    /// Drop island/elite state but keep serving (sent on reconnect so
-    /// a new session never inherits a stale island).
-    Purge,
     /// Stop serving entirely: the worker replies `Bye` and its process
     /// exits the listen loop.
     KillAll,
@@ -408,7 +402,6 @@ impl CoordinatorRequest {
                 .insert("id", *id)
                 .insert("stamp", format!("{stamp:016x}"))
                 .insert("genome", genome),
-            CoordinatorRequest::Purge => Json::object().insert("req", "purge"),
             CoordinatorRequest::KillAll => Json::object().insert("req", "kill_all"),
         })
     }
@@ -427,7 +420,6 @@ impl FromJson for CoordinatorRequest {
                 stamp: j.hex("stamp")?,
                 genome: j.get("genome")?,
             },
-            "purge" => CoordinatorRequest::Purge,
             "kill_all" => CoordinatorRequest::KillAll,
             other => return Err(req.error(format!("unknown request {other:?}"))),
         })
@@ -460,28 +452,11 @@ pub enum WorkerResponse {
         /// islands are on and this job crossed a migration boundary).
         migrants: Vec<(CandidateGenome, Measurement)>,
     },
-    /// Island/elite state dropped.
-    Purged,
-    /// Periodic telemetry piggybacked on the session: cumulative
-    /// session counters plus an optional `rt::prof` subtree export.
-    /// Sent after every `stats_every`-th `Evaluated` and once more
-    /// immediately before `Bye`; snapshots are cumulative, so the
-    /// coordinator keeps only the latest per worker.
-    Stats {
-        /// Jobs evaluated this session.
-        jobs: u64,
-        /// Cumulative candidate-training wall seconds.
-        train_s: f64,
-        /// Cumulative hardware-model wall seconds.
-        hw_s: f64,
-        /// Evaluations that panicked worker-side.
-        panics: u64,
-        /// Island migrants shipped so far.
-        migrants: u64,
-        /// Profile subtree (`ProfileNode::to_json`) when the setup
-        /// requested a profile clock.
-        profile: Option<Json>,
-    },
+    /// The session's cumulative `rt::prof` subtree, sent only when the
+    /// setup named a profile clock: after every fourth `Evaluated` and
+    /// once more immediately before `Bye`. Each frame supersedes the
+    /// last, so the coordinator keeps only the latest per worker.
+    Profile(rt::prof::ProfileNode),
     /// Acknowledges `KillAll`; the worker is exiting.
     Bye,
 }
@@ -508,33 +483,15 @@ impl WorkerResponse {
                 .insert("panicked", *panicked)
                 .insert(
                     "events",
-                    Json::Array(events.iter().map(Event::to_wire_json).collect()),
+                    Json::Array(events.iter().map(|e| e.to_json(None, true)).collect()),
                 )
                 .insert(
                     "migrants",
                     Json::Array(migrants.iter().map(pair_to_json).collect()),
                 ),
-            WorkerResponse::Purged => Json::object().insert("resp", "purged"),
-            WorkerResponse::Stats {
-                jobs,
-                train_s,
-                hw_s,
-                panics,
-                migrants,
-                profile,
-            } => {
-                let j = Json::object()
-                    .insert("resp", "stats")
-                    .insert("jobs", *jobs)
-                    .insert("train_s", *train_s)
-                    .insert("hw_s", *hw_s)
-                    .insert("panics", *panics)
-                    .insert("migrants", *migrants);
-                match profile {
-                    Some(p) => j.insert("profile", p.clone()),
-                    None => j,
-                }
-            }
+            WorkerResponse::Profile(tree) => Json::object()
+                .insert("resp", "profile")
+                .insert("profile", tree.to_json()),
             WorkerResponse::Bye => Json::object().insert("resp", "bye"),
         }
     }
@@ -551,19 +508,11 @@ impl FromJson for WorkerResponse {
                 id: j.get("id")?,
                 stamp: j.hex("stamp")?,
                 measurement: j.get("measurement")?,
-                panicked: j.opt("panicked")?.unwrap_or(false),
+                panicked: j.get("panicked")?,
                 events: j.get("events")?,
                 migrants: j.field("migrants")?.list(pair_from_json)?,
             },
-            "purged" => WorkerResponse::Purged,
-            "stats" => WorkerResponse::Stats {
-                jobs: j.get("jobs")?,
-                train_s: j.get("train_s")?,
-                hw_s: j.get("hw_s")?,
-                panics: j.get("panics")?,
-                migrants: j.get("migrants")?,
-                profile: j.json().get("profile").cloned(),
-            },
+            "profile" => WorkerResponse::Profile(j.get("profile")?),
             "bye" => WorkerResponse::Bye,
             other => return Err(resp.error(format!("unknown response {other:?}"))),
         })
@@ -582,7 +531,7 @@ struct RemoteSession {
 
 /// Out-of-band telemetry context for one remote slot: labeled metric
 /// handles, the shared health registry, and the coordinator profiler
-/// that worker subtrees graft into. Everything absorbed here lands in
+/// that worker subtrees graft into. Everything recorded here lands in
 /// read-only side channels (metrics registry, health cells, profile
 /// grafts) — never the trace, the RNG streams, or the ledger — so the
 /// byte-identity contracts are untouched.
@@ -591,26 +540,27 @@ struct SlotTelemetry {
     index: usize,
     health: Option<Arc<ClusterHealth>>,
     profiler: Option<rt::prof::Profiler>,
-    /// [`stats_gauges`], in `Stats` field order.
-    gauges: [rt::obs::Gauge; 5],
+    /// [`tally_gauges`], in [`WORKER_TALLIES`] order.
+    tallies: [rt::obs::Gauge; 5],
     latency: rt::obs::HistogramHandle,
 }
 
-/// The counters of a `Stats` frame, in field order.
-pub(crate) const STATS_COUNTERS: [&str; 5] = ["jobs", "train_s", "hw_s", "panics", "migrants"];
+/// What the coordinator tallies per worker from the `Evaluated` replies
+/// it accepts.
+pub(crate) const WORKER_TALLIES: [&str; 5] = ["jobs", "train_s", "hw_s", "panics", "migrants"];
 
-/// The labeled gauges `cluster.worker_<counter>{worker="<addr>"}` —
-/// the one store of a worker's absorbed [`STATS_COUNTERS`], which the
-/// coordinator's slot writes and `/workers` reads.
-pub(crate) fn stats_gauges(obs: &Obs, addr: &str) -> [rt::obs::Gauge; 5] {
-    STATS_COUNTERS
-        .map(|field| obs.gauge_with(&format!("cluster.worker_{field}"), &[("worker", addr)]))
+/// The labeled gauges `cluster.worker_<tally>{worker="<addr>"}` — the
+/// one store of a worker's [`WORKER_TALLIES`], which the coordinator's
+/// slots add to and `/workers` reads. They add up across sessions.
+pub(crate) fn tally_gauges(obs: &Obs, addr: &str) -> [rt::obs::Gauge; 5] {
+    WORKER_TALLIES
+        .map(|tally| obs.gauge_with(&format!("cluster.worker_{tally}"), &[("worker", addr)]))
 }
 
 impl SlotTelemetry {
     fn new(addr: String, index: usize, health: Option<Arc<ClusterHealth>>, obs: &Obs) -> Self {
         Self {
-            gauges: stats_gauges(obs, &addr),
+            tallies: tally_gauges(obs, &addr),
             latency: obs.histogram_with("cluster.worker_eval_s", &[("worker", addr.as_str())]),
             profiler: obs.profiler(),
             addr,
@@ -631,32 +581,23 @@ impl SlotTelemetry {
         }
     }
 
-    /// Folds one absorbed `Stats` frame into the telemetry plane:
-    /// labeled gauges (the only store of its counters), the health
-    /// cell's freshness, and (when both sides profile) a
-    /// replace-by-name graft of the worker's subtree under
-    /// `worker:<addr>` in the master tree.
-    fn absorb(&self, resp: &WorkerResponse) {
-        let WorkerResponse::Stats {
-            jobs,
-            train_s,
-            hw_s,
-            panics,
-            migrants,
-            profile,
-        } = resp
-        else {
-            return;
-        };
-        let values = [*jobs as f64, *train_s, *hw_s, *panics as f64, *migrants as f64];
-        for (gauge, value) in self.gauges.iter().zip(values) {
-            gauge.set(value);
+    /// Adds one accepted `Evaluated` reply to the worker's tallies. The
+    /// adds are atomic: an abandoned slot thread and its replacement
+    /// can both report for one worker.
+    fn tally(&self, m: &Measurement, panicked: bool, migrants: usize) {
+        let panics = f64::from(u8::from(panicked));
+        let values = [1.0, m.train_time_s, m.hw_time_s, panics, migrants as f64];
+        for (gauge, value) in self.tallies.iter().zip(values) {
+            gauge.add(value);
         }
+    }
+
+    /// Grafts a worker's profile subtree under `worker:<addr>` in the
+    /// master tree (replace-by-name) when the coordinator profiles.
+    fn graft(&self, tree: rt::prof::ProfileNode) {
         self.mark_seen();
-        if let (Some(profiler), Some(p)) = (&self.profiler, profile) {
-            if let Ok(node) = rt::prof::ProfileNode::from_json(p) {
-                profiler.attach_subtree(&format!("worker:{}", self.addr), node);
-            }
+        if let Some(profiler) = &self.profiler {
+            profiler.attach_subtree(&format!("worker:{}", self.addr), tree);
         }
     }
 }
@@ -806,12 +747,12 @@ impl<'a> RemoteSlot<'a> {
             genome: genome.clone(),
         };
         session.conn.send(&request.to_json()?)?;
-        // Workers piggyback cumulative `Stats` frames on the session;
-        // absorb any that precede the answer (telemetry is out-of-band, so
-        // this never changes what the ledger sees).
+        // A profiled worker's `Profile` frames ride the session; graft
+        // any that precede the answer (out-of-band, so this never
+        // changes what the ledger sees).
         let response = loop {
             match WorkerResponse::from_json(&session.conn.recv()?).map_err(NetError::from)? {
-                stats @ WorkerResponse::Stats { .. } => self.telemetry.absorb(&stats),
+                WorkerResponse::Profile(tree) => self.telemetry.graft(tree),
                 other => break other,
             }
         };
@@ -837,6 +778,7 @@ impl<'a> RemoteSlot<'a> {
                     )));
                 }
                 self.telemetry.mark_seen();
+                self.telemetry.tally(&measurement, panicked, migrants.len());
                 // Replay the worker's captured evaluation events inside
                 // the slot's span, so the coordinator's JSONL is
                 // byte-identical to a local run's.
@@ -899,10 +841,10 @@ impl<'a> RemoteSlot<'a> {
     }
 
     /// Best-effort `kill_all` on the open session, if any: the worker's
-    /// listen loop exits once the coordinator is done with it. The
-    /// worker sends a final cumulative `Stats` frame (its complete
-    /// profile subtree) before `Bye`; absorb it so short runs still
-    /// graft every worker's tree into the master profile.
+    /// listen loop exits once the coordinator is done with it. A
+    /// profiled worker sends a final `Profile` frame (its complete
+    /// subtree) before `Bye`; graft it so short runs still graft every
+    /// worker's tree into the master profile.
     pub(crate) fn close(&mut self) {
         let Some(mut session) = self.session.take() else {
             return;
@@ -917,7 +859,7 @@ impl<'a> RemoteSlot<'a> {
         for _ in 0..8 {
             let Ok(frame) = session.conn.recv() else { break };
             match WorkerResponse::from_json(&frame) {
-                Ok(stats @ WorkerResponse::Stats { .. }) => self.telemetry.absorb(&stats),
+                Ok(WorkerResponse::Profile(tree)) => self.telemetry.graft(tree),
                 Ok(WorkerResponse::Bye) | Err(_) => break,
                 Ok(_) => {} // stale frame; keep draining
             }
@@ -1042,6 +984,9 @@ impl Island {
     }
 }
 
+/// Jobs between two `Profile` frames of a profiled session.
+const PROFILE_EVERY: usize = 4;
+
 /// One established session's evaluation context.
 struct WorkerSession {
     evaluator: CodesignEvaluator,
@@ -1050,15 +995,9 @@ struct WorkerSession {
     island: Option<Island>,
     /// Session-local profiler (own tick domain, never attached to the
     /// capture `Obs`, so replayed events are unaffected); its subtree
-    /// ships in `Stats` frames.
+    /// ships in `Profile` frames.
     profiler: Option<rt::prof::Profiler>,
-    stats_every: usize,
-    jobs_since_stats: usize,
-    jobs: u64,
-    train_s: f64,
-    hw_s: f64,
-    panics: u64,
-    migrants_sent: u64,
+    jobs_since_profile: usize,
 }
 
 impl WorkerSession {
@@ -1085,13 +1024,7 @@ impl WorkerSession {
             stamp,
             island,
             profiler,
-            stats_every: setup.stats_every,
-            jobs_since_stats: 0,
-            jobs: 0,
-            train_s: 0.0,
-            hw_s: 0.0,
-            panics: 0,
-            migrants_sent: 0,
+            jobs_since_profile: 0,
         }
     }
 
@@ -1117,12 +1050,7 @@ impl WorkerSession {
             None => Vec::new(),
         };
         drop(install);
-        self.jobs += 1;
-        self.jobs_since_stats += 1;
-        self.train_s += measurement.train_time_s;
-        self.hw_s += measurement.hw_time_s;
-        self.panics += u64::from(panicked);
-        self.migrants_sent += migrants.len() as u64;
+        self.jobs_since_profile += 1;
         WorkerResponse::Evaluated {
             id,
             stamp,
@@ -1133,29 +1061,20 @@ impl WorkerSession {
         }
     }
 
-    /// The cumulative telemetry frame for this session.
-    fn stats(&self) -> WorkerResponse {
-        WorkerResponse::Stats {
-            jobs: self.jobs,
-            train_s: self.train_s,
-            hw_s: self.hw_s,
-            panics: self.panics,
-            migrants: self.migrants_sent,
-            profile: self
-                .profiler
-                .as_ref()
-                .map(|p| p.report().to_json()),
-        }
+    /// The session's `Profile` frame, when it profiles.
+    fn profile(&self) -> Option<WorkerResponse> {
+        self.profiler
+            .as_ref()
+            .map(|p| WorkerResponse::Profile(p.report()))
     }
 
-    /// A `Stats` frame when the periodic cadence is due (resets the
-    /// cadence counter).
-    fn periodic_stats(&mut self) -> Option<WorkerResponse> {
-        if self.stats_every == 0 || self.jobs_since_stats < self.stats_every {
+    /// A `Profile` frame when the cadence is due (resets the cadence).
+    fn periodic_profile(&mut self) -> Option<WorkerResponse> {
+        if self.jobs_since_profile < PROFILE_EVERY {
             return None;
         }
-        self.jobs_since_stats = 0;
-        Some(self.stats())
+        self.jobs_since_profile = 0;
+        self.profile()
     }
 }
 
@@ -1298,8 +1217,8 @@ impl WorkerServer {
                     {
                         self.obs.counter("worker.jobs").inc();
                         self.obs.histogram("worker.eval_s").record(measurement.eval_time_s);
-                        self.obs.gauge("worker.train_wall_s").set(s.train_s);
-                        self.obs.gauge("worker.hw_wall_s").set(s.hw_s);
+                        self.obs.gauge("worker.train_wall_s").add(measurement.train_time_s);
+                        self.obs.gauge("worker.hw_wall_s").add(measurement.hw_time_s);
                         if *panicked {
                             self.obs.counter("worker.panics").inc();
                         }
@@ -1308,26 +1227,19 @@ impl WorkerServer {
                         }
                     }
                     conn.send(&response.to_json())?;
-                    // Piggyback cumulative telemetry every N jobs; the
-                    // coordinator absorbs it while draining replies.
-                    if let Some(stats) = s.periodic_stats() {
-                        conn.send(&stats.to_json())?;
+                    // A profiled session's subtree rides along every few
+                    // jobs; the coordinator grafts it while draining
+                    // replies.
+                    if let Some(profile) = s.periodic_profile() {
+                        conn.send(&profile.to_json())?;
                     }
-                }
-                CoordinatorRequest::Purge => {
-                    if let Some(island) = session.as_mut().and_then(|s| s.island.as_mut()) {
-                        island.elites.clear();
-                        island.jobs_since = 0;
-                    }
-                    rt::info!(self.obs, "session_purge");
-                    conn.send(&WorkerResponse::Purged.to_json())?;
                 }
                 CoordinatorRequest::KillAll => {
-                    // Final cumulative stats precede the goodbye so the
+                    // A final profile precedes the goodbye so the
                     // coordinator's master profile always includes this
                     // worker's full subtree, even on short runs.
-                    if let Some(s) = session.as_ref() {
-                        conn.send(&s.stats().to_json())?;
+                    if let Some(profile) = session.as_ref().and_then(WorkerSession::profile) {
+                        conn.send(&profile.to_json())?;
                     }
                     conn.send(&WorkerResponse::Bye.to_json())?;
                     return Ok(SessionEnd::Killed);
@@ -1375,7 +1287,6 @@ mod tests {
             island_every,
             island_k: 2,
             profile_clock: None,
-            stats_every: 0,
         }
     }
 
@@ -1395,7 +1306,6 @@ mod tests {
     fn setup_round_trips() {
         let mut setup = setup_payload(3);
         setup.profile_clock = Some("ticks".to_string());
-        setup.stats_every = 5;
         let wire = setup.to_json(0xDEAD_BEEF).unwrap();
         let reparsed = Json::parse(&wire.to_string()).unwrap();
         let (back, stamp) = SetupPayload::decode(Cursor::root(&reparsed)).unwrap();
@@ -1405,22 +1315,19 @@ mod tests {
         assert_eq!(back.space, setup.space);
         assert_eq!(back.island_every, 3);
         assert_eq!(back.profile_clock.as_deref(), Some("ticks"));
-        assert_eq!(back.stats_every, 5);
         assert_eq!(back.target.device_name(), setup.target.device_name());
         assert_eq!(
             back.objectives.objectives().len(),
             setup.objectives.objectives().len()
         );
 
-        // Telemetry fields are optional on the wire: a frame without
-        // them (older coordinator) still parses with telemetry off.
-        let stripped = setup_payload(0).to_json(0x1).unwrap();
-        let text = stripped.to_string().replace(",\"stats_every\":0", "");
-        assert!(!text.contains("stats_every"), "field stripped: {text}");
-        let legacy_frame = Json::parse(&text).unwrap();
-        let (legacy, _) = SetupPayload::decode(Cursor::root(&legacy_frame)).unwrap();
-        assert_eq!(legacy.profile_clock, None);
-        assert_eq!(legacy.stats_every, 0);
+        // A coordinator that does not profile sends no clock, and the
+        // frame parses with profiling off.
+        let text = setup_payload(0).to_json(0x1).unwrap().to_string();
+        assert!(!text.contains("profile_clock"), "{text}");
+        let unprofiled = Json::parse(&text).unwrap();
+        let (unprofiled, _) = SetupPayload::decode(Cursor::root(&unprofiled)).unwrap();
+        assert_eq!(unprofiled.profile_clock, None);
     }
 
     #[test]
@@ -1440,14 +1347,12 @@ mod tests {
             }
             other => panic!("wrong variant {other:?}"),
         }
-        for (req, name) in [
-            (CoordinatorRequest::Purge, "purge"),
-            (CoordinatorRequest::KillAll, "kill_all"),
-        ] {
-            let wire = req.to_json().unwrap();
-            assert_eq!(wire.get("req").and_then(Json::as_str), Some(name));
-            assert!(CoordinatorRequest::from_json(&wire).is_ok());
-        }
+        let wire = CoordinatorRequest::KillAll.to_json().unwrap();
+        assert_eq!(wire.get("req").and_then(Json::as_str), Some("kill_all"));
+        assert!(matches!(
+            CoordinatorRequest::from_json(&wire),
+            Ok(CoordinatorRequest::KillAll)
+        ));
 
         let m = Measurement::infeasible(InfeasibleReason::Transient("net".into()));
         let resp = WorkerResponse::Evaluated {
@@ -1493,44 +1398,10 @@ mod tests {
             calls: 2,
             children: Vec::new(),
         };
-        let stats = WorkerResponse::Stats {
-            jobs: 8,
-            train_s: 1.5,
-            hw_s: 0.25,
-            panics: 1,
-            migrants: 4,
-            profile: Some(profile.to_json()),
-        };
-        let wire = Json::parse(&stats.to_json().to_string()).unwrap();
-        match WorkerResponse::from_json(&wire).unwrap() {
-            WorkerResponse::Stats {
-                jobs,
-                train_s,
-                hw_s,
-                panics,
-                migrants,
-                profile,
-            } => {
-                assert_eq!((jobs, panics, migrants), (8, 1, 4));
-                assert_eq!((train_s, hw_s), (1.5, 0.25));
-                let node = rt::prof::ProfileNode::from_json(&profile.expect("profile"))
-                    .expect("profile parses");
-                assert_eq!((node.name.as_str(), node.total_ns), ("worker", 3000));
-            }
-            other => panic!("wrong variant {other:?}"),
-        }
-        // Profile-less stats (no profiler requested) round-trip too.
-        let bare = WorkerResponse::Stats {
-            jobs: 0,
-            train_s: 0.0,
-            hw_s: 0.0,
-            panics: 0,
-            migrants: 0,
-            profile: None,
-        };
-        let wire = Json::parse(&bare.to_json().to_string()).unwrap();
-        match WorkerResponse::from_json(&wire).unwrap() {
-            WorkerResponse::Stats { profile, .. } => assert!(profile.is_none()),
+        let wire = WorkerResponse::Profile(profile.clone()).to_json();
+        assert_eq!(wire.get("resp").and_then(Json::as_str), Some("profile"));
+        match WorkerResponse::from_json(&Json::parse(&wire.to_string()).unwrap()).unwrap() {
+            WorkerResponse::Profile(tree) => assert_eq!(tree, profile),
             other => panic!("wrong variant {other:?}"),
         }
     }
@@ -1794,6 +1665,57 @@ mod tests {
             other => panic!("expected bye, got {other:?}"),
         }
         handle.join().unwrap();
+    }
+
+    /// The frames one worker session sends, in order: without a
+    /// profile clock only `ready`, `evaluated` and `bye`; with one, also
+    /// a `profile` frame after every fourth job and before `bye`.
+    #[test]
+    fn worker_sends_profile_frames_only_when_the_setup_names_a_clock() {
+        let frames = |clock: Option<&str>| -> Vec<String> {
+            let server =
+                WorkerServer::bind("127.0.0.1:0", WorkerOptions::default(), Obs::disabled())
+                    .unwrap();
+            let addr = server.local_addr().unwrap().to_string();
+            let handle = std::thread::spawn(move || server.run().unwrap());
+            let mut conn =
+                Conn::connect(&addr, Duration::from_secs(10), rt::net::DEFAULT_MAX_FRAME).unwrap();
+            conn.handshake_client(COORDINATOR_ROLE, Some(WORKER_ROLE)).unwrap();
+            let mut setup = setup_payload(0);
+            setup.profile_clock = clock.map(str::to_string);
+            setup.space = SearchSpace::fpga_default()
+                .with_neurons(4, 12)
+                .with_layers(1, 1);
+            let (stamp, rng) = (0x5, &mut StdRng::seed_from_u64(4));
+            let mut requests = vec![CoordinatorRequest::Setup(Box::new(setup.clone()), stamp)];
+            for id in 0..5 {
+                let genome = setup.space.sample(rng);
+                requests.push(CoordinatorRequest::Evaluate { id, stamp, genome });
+            }
+            requests.push(CoordinatorRequest::KillAll);
+            for request in &requests {
+                conn.send(&request.to_json().unwrap()).unwrap();
+            }
+            let mut kinds = Vec::new();
+            while kinds.last().is_none_or(|k| k != "bye") {
+                let frame = conn.recv().unwrap();
+                kinds.push(
+                    frame
+                        .get("resp")
+                        .and_then(Json::as_str)
+                        .unwrap()
+                        .to_string(),
+                );
+            }
+            handle.join().unwrap();
+            kinds
+        };
+        let e = "evaluated";
+        assert_eq!(frames(None), ["ready", e, e, e, e, e, "bye"]);
+        assert_eq!(
+            frames(Some("ticks")),
+            ["ready", e, e, e, e, "profile", e, "profile", "bye"]
+        );
     }
 
     #[test]

@@ -402,7 +402,7 @@ impl Pool {
 
     /// Spawns the remote slot for worker `index`. Its thread never
     /// installs the profiler, so its `evaluate` span records no frame:
-    /// the worker's own tick domain (grafted via `Stats` frames) stays
+    /// the worker's own tick domain (grafted via `Profile` frames) stays
     /// the only profile this slot contributes, and the close event
     /// stays byte-identical to a local slot's.
     fn spawn_remote(
@@ -607,6 +607,16 @@ impl<'e> Run<'e> {
         self.cache = state.cache.into_iter().collect();
         self.seeds = state.seeds_remaining;
         self.counters = state.counters;
+        // The registry's engine counters cover the whole run, like
+        // `/status` and the run's stats; migrants and the eval-time
+        // histogram are not in the checkpoint and count this process.
+        let (c, m) = (&self.counters, &self.meters);
+        m.evaluated.add(self.trace.len() as u64);
+        m.cache_hits.add(c.cache_hits as u64);
+        m.infeasible.add(c.infeasible_count as u64);
+        m.retries.add(c.retry_count as u64);
+        m.timeouts.add(c.timeout_count as u64);
+        m.respawns.add(c.respawn_count as u64);
         self.prior_wall = state.wall_time_s;
         self.restored = state.pending.into();
         // Trace level on purpose: the resumed run's Debug-level JSONL
@@ -1121,8 +1131,8 @@ impl Engine {
     }
 
     /// Attaches a shared per-worker health registry: remote slots
-    /// record connect/reconnect/lost transitions and absorbed worker
-    /// `Stats` into it, for the `/workers` endpoint. Like the status
+    /// record connect/reconnect/lost transitions and frame arrivals
+    /// into it, for the `/workers` endpoint. Like the status
     /// cell, the engine only writes; readers never perturb the search.
     pub fn with_cluster_health(mut self, health: Arc<ClusterHealth>) -> Self {
         self.cluster_health = Some(health);
@@ -1710,7 +1720,7 @@ mod tests {
             events
                 .iter()
                 .filter(|e| e.name == "epoch")
-                .map(|e| e.to_json(0, false).to_string())
+                .map(|e| e.to_json(Some(0), false).to_string())
                 .collect()
         };
 
@@ -2148,6 +2158,40 @@ mod tests {
             .unwrap();
         assert_eq!(resumed.stats.models_evaluated, 12);
         assert_eq!(resumed.stats.retry_count, 2);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// A resumed run's registry counts the whole run, as its stats do:
+    /// the counters restart from the checkpoint's totals, not from zero.
+    #[test]
+    fn resumed_run_meters_count_the_whole_run() {
+        let schedule = FaultSchedule::new()
+            .at(1, FaultKind::Transient)
+            .at(6, FaultKind::Transient);
+        let path = tmp_path("metered-resume.json");
+        let first = faulty_engine(schedule, fault_cfg(24, 51))
+            .with_checkpoint(CheckpointPolicy::new(&path, 1))
+            .with_halt_after(10)
+            .run();
+        assert!(first.halted && first.stats.retry_count == 2);
+        let state = CheckpointState::load(&path).unwrap();
+        let obs = Obs::builder().build();
+        let resumed = faulty_engine(FaultSchedule::new(), fault_cfg(24, 51))
+            .with_obs(obs.clone())
+            .resume(state)
+            .unwrap();
+        let counter = |name: &str| match obs.snapshot().into_iter().find(|(n, _)| n == name) {
+            Some((_, rt::obs::MetricValue::Counter(c))) => c as usize,
+            other => panic!("{name}: {other:?}"),
+        };
+        let s = &resumed.stats;
+        assert_eq!(s.models_evaluated, 24);
+        assert_eq!(counter("engine.models_evaluated"), s.models_evaluated);
+        assert_eq!(counter("engine.cache_hits"), s.cache_hits);
+        assert_eq!(counter("engine.infeasible"), s.infeasible_count);
+        assert_eq!(counter("engine.retries"), 2);
+        assert_eq!(counter("engine.timeouts"), s.timeout_count);
+        assert_eq!(counter("engine.respawns"), s.respawn_count);
         std::fs::remove_file(&path).unwrap();
     }
 

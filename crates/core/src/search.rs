@@ -488,7 +488,6 @@ impl Search {
                         .obs
                         .profiler()
                         .map(|p| p.clock().name().to_string()),
-                    stats_every: o.stats_every,
                 },
             });
         let evaluator = CodesignEvaluator::new(

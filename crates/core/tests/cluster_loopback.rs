@@ -192,7 +192,6 @@ fn served_cluster_run_exposes_worker_telemetry_and_keeps_trace_bytes() {
     let result = base_search(&ds, obs.clone())
         .cluster(ClusterOptions {
             workers: vec![addr.clone()],
-            stats_every: 2,
             net_timeout: Duration::from_secs(30),
             ..ClusterOptions::default()
         })
@@ -215,8 +214,8 @@ fn served_cluster_run_exposes_worker_telemetry_and_keeps_trace_bytes() {
         Some(1)
     );
 
-    // Post-run the picture is deterministic: the final pre-Bye Stats
-    // frame carries the worker's complete counters.
+    // Post-run the picture is deterministic: the coordinator tallied
+    // every accepted reply.
     let final_workers =
         rt::json::Json::parse(&http_get(http_addr, "/workers")).expect("/workers is json");
     let w = &final_workers
@@ -278,7 +277,6 @@ fn two_worker_profiles_graft_deterministically_under_ticks() {
             .obs(obs)
             .cluster(ClusterOptions {
                 workers: addrs.to_vec(),
-                stats_every: 2,
                 net_timeout: Duration::from_secs(30),
                 ..ClusterOptions::default()
             })
@@ -452,6 +450,68 @@ fn worker_killed_mid_search_costs_retries_but_not_the_result() {
     let (ff, got) = (fault_free.best().unwrap(), result.best().unwrap());
     assert_eq!(ff.genome.cache_key(), got.genome.cache_key());
     assert_same_measurement(&ff.measurement, &got.measurement);
+}
+
+/// A worker restarted mid-search is still one worker to the
+/// coordinator: it tallies the replies it accepts from both sessions,
+/// so `/workers` `jobs` ends equal to the budget and to `eval_count`,
+/// and `cluster_worker_jobs` reads the budget.
+#[test]
+fn restarted_worker_tallies_add_up_across_sessions() {
+    let ds = dataset();
+    let (addr, worker, stop) = spawn_worker();
+    let health = Arc::new(ecad_core::cluster::ClusterHealth::new(std::slice::from_ref(
+        &addr,
+    )));
+    let obs = Obs::builder().build(); // metrics registry only
+    let models = obs.counter("engine.models_evaluated");
+    // Stop the first server after a few jobs, then serve the rest from
+    // a fresh one on the same port.
+    let restarter = {
+        let addr = addr.clone();
+        std::thread::spawn(move || {
+            while models.get() < 4 {
+                std::thread::sleep(Duration::from_millis(5));
+            }
+            stop.store(true, Ordering::Release);
+            worker.join().expect("stopped worker exits");
+            let server = WorkerServer::bind(&addr, WorkerOptions::default(), Obs::disabled())
+                .expect("rebind the same port");
+            std::thread::spawn(move || server.run().expect("worker serve loop"))
+        })
+    };
+    let result = base_search(&ds, obs.clone())
+        .cluster(ClusterOptions {
+            workers: vec![addr.clone()],
+            connect_retries: 50,
+            reconnect_backoff: Duration::from_millis(10),
+            ..ClusterOptions::default()
+        })
+        .cluster_health(Arc::clone(&health))
+        .run();
+    restarter
+        .join()
+        .expect("restarter")
+        .join()
+        .expect("restarted worker exits after kill_all");
+
+    assert_eq!(result.stats().models_evaluated, 14);
+    assert!(result.stats().retry_count >= 1, "the restart cost a retry");
+    let workers = ecad_core::analytics::workers_json(&obs, &health);
+    let w = &workers
+        .get("workers")
+        .and_then(rt::json::Json::as_array)
+        .unwrap()[0];
+    assert_eq!(w.get("jobs").and_then(rt::json::Json::as_f64), Some(14.0));
+    assert_eq!(
+        w.get("eval_count").and_then(rt::json::Json::as_f64),
+        Some(14.0)
+    );
+    let metrics = rt::http::prometheus_text(&obs.snapshot());
+    assert!(
+        metrics.contains(&format!("cluster_worker_jobs{{worker=\"{addr}\"}} 14\n")),
+        "the jobs gauge must read the budget:\n{metrics}"
+    );
 }
 
 #[test]

@@ -48,15 +48,7 @@ fn hostile_values() -> Vec<Json> {
 }
 
 /// Keys a decoder may default when absent.
-const OPTIONAL: &[&str] = &[
-    "gemm_threads",
-    "stats_every",
-    "profile_clock",
-    "panicked",
-    "text",
-    "profile",
-    "elapsed_s",
-];
+const OPTIONAL: &[&str] = &["gemm_threads", "profile_clock", "text"];
 
 /// Keys holding `f32` values (or arrays of them).
 const F32_FIELDS: &[&str] = &[
@@ -343,25 +335,28 @@ fn setup(rng: &mut StdRng) -> SetupPayload {
         island_k: rng.gen_range(0..4),
         profile_clock: [None, Some("ticks"), Some("wall")][rng.gen_range(0..3usize)]
             .map(str::to_string),
-        stats_every: rng.gen_range(0..4),
     }
 }
 
 fn event(rng: &mut StdRng) -> Event {
+    let elapsed_us = rng.gen_range(0..1u64 << 40);
     Event {
         level: [Level::Trace, Level::Debug, Level::Info, Level::Warn][rng.gen_range(0..4usize)],
         target: "ecad_core::workers",
         name: "train",
-        // Canonical variants only: the wire keeps the number, not the
-        // variant (see `Event::from_wire_json`).
+        // Canonical variants only: JSON keeps the number, not the
+        // variant, and `null` comes back as NaN (see `Event`'s decoder).
+        // Field order and the duplicate `stage` key must survive.
         fields: vec![
             ("stage", Value::Str("train".to_string())),
             ("epochs", Value::U64(rng.gen_range(0..100))),
             ("delta", Value::I64(-rng.gen_range(1..100i64))),
             ("loss", Value::F64(rng.gen_range(0.0..1.0) + 0.5)),
+            ("fitness", Value::F64(f64::NAN)),
             ("ok", Value::Bool(rng.gen_range(0..2) == 1)),
+            ("stage", Value::Str("hw".to_string())),
         ],
-        elapsed_s: [None, Some(0.25)][rng.gen_range(0..2usize)],
+        elapsed_s: [None, Some(elapsed_us as f64 / 1e6)][rng.gen_range(0..2usize)],
     }
 }
 
@@ -419,7 +414,6 @@ fn requests(rng: &mut StdRng) -> Vec<CoordinatorRequest> {
             stamp: rng.gen_range(0..u64::MAX),
             genome: genome(rng),
         },
-        CoordinatorRequest::Purge,
         CoordinatorRequest::KillAll,
     ]
 }
@@ -444,15 +438,7 @@ fn responses(rng: &mut StdRng) -> Vec<WorkerResponse> {
             events: vec![event(rng), event(rng)],
             migrants: vec![(genome(rng), measurement(rng))],
         },
-        WorkerResponse::Purged,
-        WorkerResponse::Stats {
-            jobs: rng.gen_range(0..100),
-            train_s: rng.gen_range(0.0..10.0),
-            hw_s: rng.gen_range(0.0..1.0),
-            panics: rng.gen_range(0..3),
-            migrants: rng.gen_range(0..3),
-            profile: [None, Some(profile.to_json())][rng.gen_range(0..2usize)].clone(),
-        },
+        WorkerResponse::Profile(profile),
         WorkerResponse::Bye,
     ]
 }
@@ -533,6 +519,22 @@ rt::prop! {
         let back = CheckpointState::from_json(&reparse(&s.to_json())).expect("valid checkpoint");
         rt::prop_assert_eq!(back, s.clone());
         fuzz(&s.to_json(), &|doc| CheckpointState::from_json(doc).ok().map(|s| s.to_json()));
+    }
+
+    /// An event's one JSON form: the trace line (`seq` first, timing
+    /// optional) and the wire form (no `seq`, always timed) decode with
+    /// the one decoder; the wire form is mutation-fuzzed.
+    fn events_round_trip(seed in 0u64..u64::MAX) {
+        let rng = &mut StdRng::seed_from_u64(seed);
+        let e = event(rng);
+        for (seq, timing) in [(None, true), (Some(rng.gen_range(0..1u64 << 53)), false), (Some(7), true)] {
+            let line = e.to_json(seq, timing);
+            let back = decode::<Event>(&line);
+            let want = Event { elapsed_s: e.elapsed_s.filter(|_| timing), ..e.clone() };
+            rt::prop_assert_eq!(format!("{back:?}"), format!("{want:?}"));
+            rt::prop_assert_eq!(back.to_json(seq, timing).to_string(), line.to_string());
+        }
+        fuzz(&e.to_json(None, true), &|doc| Event::from_json(doc).ok().map(|e| e.to_json(None, true)));
     }
 
     fn frames_round_trip(seed in 0u64..u64::MAX) {

@@ -773,6 +773,21 @@ impl<'a> Cursor<'a> {
             .collect()
     }
 
+    /// Decodes every `(key, value)` entry of the object under the
+    /// cursor with `entry`, in document order, duplicate keys included.
+    pub(crate) fn entries<T>(
+        &self,
+        mut entry: impl FnMut(&'a str, Cursor<'_>) -> Result<T, DecodeError>,
+    ) -> Result<Vec<T>, DecodeError> {
+        let Json::Object(pairs) = self.value else {
+            return Err(self.expected("an object"));
+        };
+        pairs
+            .iter()
+            .map(|(key, value)| entry(key, self.child(Step::Key(key), value)))
+            .collect()
+    }
+
     fn child<'b>(&'b self, step: Step<'b>, value: &'b Json) -> Cursor<'b> {
         Cursor {
             value,
@@ -892,6 +907,30 @@ mod tests {
             u32::decode(root).unwrap_err().message,
             "expected an integer in 0..=4294967295, got an object"
         );
+    }
+
+    #[test]
+    fn entries_keep_order_and_duplicates_and_name_the_key() {
+        let doc = Json::parse(r#"{"b":1,"a":2,"b":3}"#).unwrap();
+        let entries = Cursor::root(&doc).entries(|k, v| Ok((k, u32::decode(v)?)));
+        assert_eq!(entries, Ok(vec![("b", 1), ("a", 2), ("b", 3)]));
+        let doc = Json::parse(r#"{"o":{"k":"x"},"n":1}"#).unwrap();
+        let root = Cursor::root(&doc);
+        let err = root
+            .field("o")
+            .unwrap()
+            .entries(|_, v| u32::decode(v))
+            .unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "o.k: expected an integer in 0..=4294967295, got a string"
+        );
+        let err = root
+            .field("n")
+            .unwrap()
+            .entries(|_, v| u32::decode(v))
+            .unwrap_err();
+        assert_eq!(err.to_string(), "n: expected an object, got 1");
     }
 
     #[test]

@@ -29,11 +29,11 @@ use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
-use crate::json::{self, Json};
+use crate::json::{self, Cursor, Json};
 
 /// Wire protocol version carried in every hello frame. Bump on any
 /// incompatible message-shape change.
-pub const PROTOCOL_VERSION: u64 = 1;
+pub const PROTOCOL_VERSION: u64 = 2;
 
 /// Default ceiling on a single frame's payload, generous enough for a
 /// dataset-bearing setup message but far below anything that could
@@ -213,32 +213,29 @@ pub fn hello_frame(role: &str) -> Json {
         .insert("role", role)
 }
 
-/// Validates a received hello frame, returning the peer's role.
+/// Validates a received hello frame, returning the peer's role. The
+/// frame decodes strictly: `net` is `"hello"`, `version` an integer and
+/// `role` a string.
 ///
 /// # Errors
 ///
-/// [`NetError::Protocol`] when the frame is not a hello or announces
-/// an unexpected role; [`NetError::VersionMismatch`] on version skew.
+/// [`NetError::Protocol`], naming the field, when the frame is not a
+/// well-formed hello or announces an unexpected role;
+/// [`NetError::VersionMismatch`] when a well-formed hello announces
+/// another version.
 pub fn check_hello(frame: &Json, expect_role: Option<&str>) -> Result<String, NetError> {
-    if frame.get("net").and_then(Json::as_str) != Some("hello") {
-        return Err(NetError::Protocol("expected a hello frame".to_string()));
+    let j = Cursor::root(frame);
+    let net = j.field("net")?;
+    if net.str()? != "hello" {
+        return Err(net.expected("\"hello\"").into());
     }
-    let theirs = frame
-        .get("version")
-        .and_then(Json::as_f64)
-        .ok_or_else(|| NetError::Protocol("hello frame has no version".to_string()))?
-        as u64;
-    if theirs != PROTOCOL_VERSION {
+    let (version, role): (u64, String) = (j.get("version")?, j.get("role")?);
+    if version != PROTOCOL_VERSION {
         return Err(NetError::VersionMismatch {
             ours: PROTOCOL_VERSION,
-            theirs,
+            theirs: version,
         });
     }
-    let role = frame
-        .get("role")
-        .and_then(Json::as_str)
-        .ok_or_else(|| NetError::Protocol("hello frame has no role".to_string()))?
-        .to_string();
     if let Some(expected) = expect_role {
         if role != expected {
             return Err(NetError::Protocol(format!(
@@ -517,6 +514,63 @@ mod tests {
             check_hello(&Json::object().insert("net", "goodbye"), None).unwrap_err(),
             NetError::Protocol(_)
         ));
+    }
+
+    /// A hello decodes strictly: a fractional or negative version, or a
+    /// mistyped field, is a protocol error naming the field, never a
+    /// version the peer did not announce.
+    #[test]
+    fn malformed_hellos_are_protocol_errors_naming_the_field() {
+        let hello = |version: Json| {
+            Json::object()
+                .insert("net", "hello")
+                .insert("version", version)
+                .insert("role", "worker")
+        };
+        let version = "version: expected an integer in 0..=9007199254740992";
+        for (frame, want) in [
+            (hello(Json::Number(1.5)), format!("{version}, got 1.5")),
+            (hello(Json::Number(1.9)), format!("{version}, got 1.9")),
+            (hello(Json::Number(2.5)), format!("{version}, got 2.5")),
+            (hello(Json::Number(-1.0)), format!("{version}, got -1")),
+            (
+                hello(Json::String("2".into())),
+                format!("{version}, got a string"),
+            ),
+            (
+                Json::object()
+                    .insert("net", "hello")
+                    .insert("version", PROTOCOL_VERSION)
+                    .insert("role", 7),
+                "role: expected a string, got 7".to_string(),
+            ),
+            (
+                Json::object()
+                    .insert("net", "hello")
+                    .insert("role", "worker"),
+                "missing field \"version\"".to_string(),
+            ),
+            (
+                Json::object().insert("net", "goodbye"),
+                "net: expected \"hello\", got a string".to_string(),
+            ),
+            (
+                Json::object().insert("net", 1).insert("version", 2),
+                "net: expected a string, got 1".to_string(),
+            ),
+        ] {
+            match check_hello(&frame, None) {
+                Err(NetError::Protocol(msg)) => assert_eq!(msg, want, "{frame}"),
+                other => panic!("{frame}: expected a protocol error, got {other:?}"),
+            }
+        }
+        // A well-formed hello from another version is version skew.
+        for theirs in [0, 1, 3] {
+            match check_hello(&hello(Json::Number(theirs as f64)), None) {
+                Err(NetError::VersionMismatch { ours: 2, theirs: t }) => assert_eq!(t, theirs),
+                other => panic!("v{theirs}: expected a version mismatch, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -16,9 +16,10 @@
 //!   stderr pretty-printer ([`StderrSink`]), a JSONL writer built on
 //!   [`crate::json`] ([`JsonlSink`]), and a drainable in-memory buffer
 //!   ([`CaptureSink`]) that tests read and the cluster mode uses to
-//!   ship evaluation-time events across the wire
-//!   ([`Event::to_wire_json`]) for replay on the coordinator
-//!   ([`Obs::emit_event`]).
+//!   ship evaluation-time events across the wire for replay on the
+//!   coordinator ([`Obs::emit_event`]). An event has one JSON form,
+//!   the trace line ([`Event::to_json`]), and one decoder (its
+//!   [`FromJson`]), for the JSONL file and the wire alike.
 //! * **Spans** — [`crate::span!`] returns a guard that measures the
 //!   enclosed scope with a monotonic clock; on drop it records the
 //!   duration into a log-scale histogram named `span.<name>_s` and
@@ -44,10 +45,11 @@
 //!
 //! `seq` is a per-sink monotonic sequence number assigned under the
 //! writer lock, so line order always matches `seq` order. `fields`
-//! preserves emission order. Timing (`elapsed_us`, an integer count of
-//! microseconds) appears only when the sink was built
-//! [`JsonlSink::with_timing`], because wall-clock values are inherently
-//! non-deterministic.
+//! preserves emission order (and duplicate keys). Timing (`elapsed_us`,
+//! an integer count of microseconds) appears only when the sink was
+//! built [`JsonlSink::with_timing`], because wall-clock values are
+//! inherently non-deterministic. The cluster wire carries the same form
+//! without `seq` and always with `elapsed_us`.
 //!
 //! ## Profiling
 //!
@@ -145,7 +147,8 @@ pub enum Value {
 
 impl Value {
     /// Converts to a JSON value. Integers above 2^53 would lose
-    /// precision as JSON numbers, so they degrade to decimal strings.
+    /// precision as JSON numbers, so they degrade to decimal strings;
+    /// non-finite floats have no JSON number and become `null`.
     pub fn to_json(&self) -> Json {
         const EXACT: u64 = 1 << 53;
         match self {
@@ -154,7 +157,8 @@ impl Value {
             Value::U64(x) => Json::String(x.to_string()),
             Value::I64(x) if x.unsigned_abs() <= EXACT => Json::Number(*x as f64),
             Value::I64(x) => Json::String(x.to_string()),
-            Value::F64(x) => Json::Number(*x),
+            Value::F64(x) if x.is_finite() => Json::Number(*x),
+            Value::F64(_) => Json::Null,
             Value::Str(s) => Json::String(s.clone()),
         }
     }
@@ -230,27 +234,28 @@ pub struct Event {
 }
 
 impl Event {
-    /// The JSONL representation. `seq` is the sink's line number;
-    /// timing is included only when `include_timing` is set.
-    pub fn to_json(&self, seq: u64, include_timing: bool) -> Json {
+    /// The event's one JSON form, the trace line:
+    /// `{"seq":N,"level":L,"target":T,"event":E,"fields":{...},"elapsed_us":U}`.
+    /// `seq` (a JSONL sink's line number) leads when given; the cluster
+    /// wire ships events without it. `elapsed_us` appears when `timing`
+    /// is set and the event carries a duration.
+    pub fn to_json(&self, seq: Option<u64>, timing: bool) -> Json {
         let mut fields = Json::object();
         for (k, v) in &self.fields {
             fields = fields.insert(k, v.to_json());
         }
-        let mut obj = Json::object()
-            .insert("seq", seq)
+        let obj = seq
+            .map_or_else(Json::object, |seq| Json::object().insert("seq", seq))
             .insert("level", self.level.as_str())
             .insert("target", self.target)
             .insert("event", self.name)
             .insert("fields", fields);
-        if include_timing {
-            if let Some(s) = self.elapsed_s {
-                // Whole microseconds: rt::json renders integral f64s
-                // without a fraction, so the field is a JSON integer.
-                obj = obj.insert("elapsed_us", (s * 1e6).round());
-            }
+        match self.elapsed_s.filter(|_| timing) {
+            // Whole microseconds: rt::json renders integral f64s
+            // without a fraction, so the field is a JSON integer.
+            Some(s) => obj.insert("elapsed_us", (s * 1e6).round()),
+            None => obj,
         }
-        obj
     }
 
     /// A human-oriented single-line rendering for the stderr sink.
@@ -267,77 +272,46 @@ impl Event {
         }
         out
     }
+}
 
-    /// The self-contained wire representation the cluster mode uses to
-    /// ship evaluation-time events from a worker to the coordinator.
-    /// Unlike [`Event::to_json`] it carries no sink `seq`, encodes
-    /// fields as an ordered `[key, value]` list (duplicates and order
-    /// survive), and always includes `elapsed_s` when present so the
-    /// receiving side decides what to surface.
-    pub fn to_wire_json(&self) -> Json {
-        let fields = Json::Array(
-            self.fields
-                .iter()
-                .map(|(k, v)| Json::Array(vec![Json::String((*k).to_string()), v.to_json()]))
-                .collect(),
-        );
-        let mut obj = Json::object()
-            .insert("level", self.level.as_str())
-            .insert("target", self.target)
-            .insert("event", self.name)
-            .insert("fields", fields);
-        if let Some(s) = self.elapsed_s {
-            obj = obj.insert("elapsed_s", s);
-        }
-        obj
-    }
-
-    /// Decodes a [`Event::to_wire_json`] document. `target`, `name`,
-    /// and field keys are interned ([`intern`]) to recover the
-    /// `&'static str` lifetimes.
+impl FromJson for Event {
+    /// Either form [`Event::to_json`] writes; a `seq` is the sink's, not
+    /// the event's, and is left to the caller. `target`, `event` and
+    /// field keys are interned ([`intern`]) to recover the
+    /// `&'static str` lifetimes, and `elapsed_us` comes back as seconds
+    /// (exactly below 2^51 µs, about 71 years).
     ///
     /// JSON numbers do not distinguish the integer [`Value`] variants,
     /// so integral in-range numbers decode canonically (non-negative →
     /// [`Value::U64`], negative → [`Value::I64`], everything else →
-    /// [`Value::F64`]). The canonical variant renders byte-identically
-    /// through [`Value::to_json`] and `Display`, so JSONL traces and
-    /// stderr lines are unaffected by a wire round trip.
-    ///
-    /// # Errors
-    ///
-    /// A [`DecodeError`] naming the first malformed field.
-    pub fn from_wire_json(doc: &Json) -> Result<Event, DecodeError> {
-        Event::from_json(doc)
-    }
-}
-
-impl FromJson for Event {
-    /// The wire form; see [`Event::from_wire_json`].
+    /// [`Value::F64`]), and `null`, the rendering of a non-finite float,
+    /// decodes as a NaN [`Value::F64`]. Each canonical variant renders
+    /// byte-identically through [`Value::to_json`] and `Display`, so
+    /// JSONL traces and stderr lines are unaffected by a round trip.
     fn decode(j: Cursor<'_>) -> Result<Event, DecodeError> {
         let level = j.field("level")?;
         let level_name = level.str()?;
-        let fields = j.field("fields")?.list(|pair| {
-            match <[Value; 2]>::try_from(Vec::<Value>::decode(pair)?) {
-                Ok([Value::Str(key), value]) => Ok((intern(&key), value)),
-                _ => Err(pair.expected("a [key, value] pair")),
-            }
-        })?;
         Ok(Event {
+            // Only the names the encoder writes (no `warning` alias).
             level: Level::parse(level_name)
+                .filter(|l| l.as_str() == level_name)
                 .ok_or_else(|| level.error(format!("unknown level {level_name:?}")))?,
             target: intern(j.field("target")?.str()?),
             name: intern(j.field("event")?.str()?),
-            fields,
-            elapsed_s: j.opt("elapsed_s")?,
+            fields: j
+                .field("fields")?
+                .entries(|key, value| Ok((intern(key), Value::decode(value)?)))?,
+            elapsed_s: j.opt::<u64>("elapsed_us")?.map(|us| us as f64 / 1e6),
         })
     }
 }
 
 impl FromJson for Value {
-    /// A wire field value; see [`Event::from_wire_json`] for the
-    /// canonicalization rules.
+    /// A field value; see [`Event`]'s decoder for the canonicalization
+    /// rules.
     fn decode(at: Cursor<'_>) -> Result<Value, DecodeError> {
         match at.json() {
+            Json::Null => Ok(Value::F64(f64::NAN)),
             Json::Bool(b) => Ok(Value::Bool(*b)),
             Json::String(s) => Ok(Value::Str(s.clone())),
             Json::Number(x) if x.fract() == 0.0 && x.abs() <= EXACT => {
@@ -348,7 +322,7 @@ impl FromJson for Value {
                 }
             }
             Json::Number(x) => Ok(Value::F64(*x)),
-            _ => Err(at.expected("a boolean, number or string")),
+            _ => Err(at.expected("a boolean, number, string or null")),
         }
     }
 }
@@ -356,8 +330,8 @@ impl FromJson for Value {
 /// Interns a string, returning a `&'static str` that compares equal to
 /// every other interning of the same text. Used to reconstruct
 /// [`Event`]s (whose `target`/`name`/keys are `&'static str`) from
-/// their wire form; the backing memory is deliberately leaked, which is
-/// fine for the small closed set of event names a protocol uses.
+/// their JSON form; the backing memory is deliberately leaked, which is
+/// fine for the small closed set of names a trace or protocol uses.
 pub fn intern(s: &str) -> &'static str {
     static POOL: OnceLock<Mutex<HashSet<&'static str>>> = OnceLock::new();
     let pool = POOL.get_or_init(|| Mutex::new(HashSet::new()));
@@ -509,7 +483,7 @@ impl Sink for JsonlSink {
         let mut inner = self.inner.lock().expect("jsonl sink poisoned");
         let seq = inner.seq;
         inner.seq += 1;
-        let line = event.to_json(seq, self.include_timing).to_string();
+        let line = event.to_json(Some(seq), self.include_timing).to_string();
         let _ = writeln!(inner.out, "{line}");
     }
 
@@ -622,7 +596,7 @@ impl Counter {
     }
 }
 
-/// A last-write-wins floating-point gauge.
+/// A floating-point gauge: set (last write wins) or added to.
 #[derive(Clone)]
 pub struct Gauge(Option<Arc<AtomicU64>>);
 
@@ -631,6 +605,13 @@ impl Gauge {
     pub fn set(&self, v: f64) {
         if let Some(cell) = &self.0 {
             cell.store(v.to_bits(), Ordering::Relaxed);
+        }
+    }
+
+    /// Adds `v` atomically, so concurrent writers never lose an update.
+    pub fn add(&self, v: f64) {
+        if let Some(cell) = &self.0 {
+            atomic_f64_add(cell, v);
         }
     }
 
@@ -1007,7 +988,7 @@ impl Obs {
 
     /// Dispatches a fully-formed event, `elapsed_s` included — the
     /// replay path for events that crossed the wire from a cluster
-    /// worker ([`Event::from_wire_json`]). Replay feeds sinks only: it
+    /// worker (decoded by [`Event`]'s `FromJson`). Replay feeds sinks only: it
     /// does not touch span histograms or the profiler, so metrics
     /// describe local work while traces describe the whole search.
     pub fn emit_event(&self, event: Event) {
@@ -1441,13 +1422,13 @@ mod tests {
             fields: vec![("k", Value::U64(big))],
             elapsed_s: None,
         };
-        let json = e.to_json(0, false);
+        let json = e.to_json(Some(0), false);
         let field = json.get("fields").and_then(|f| f.get("k")).unwrap();
         assert_eq!(field.as_str(), Some(big.to_string().as_str()));
     }
 
     #[test]
-    fn wire_codec_round_trips_and_canonicalizes() {
+    fn event_codec_round_trips_and_canonicalizes() {
         let e = Event {
             level: Level::Warn,
             target: "ecad_core::workers",
@@ -1460,51 +1441,71 @@ mod tests {
                 ("ok", Value::Bool(false)),
                 ("big", Value::U64(u64::MAX)),
                 ("whole", Value::F64(2.0)),
+                ("fitness", Value::F64(f64::NEG_INFINITY)),
+                ("count", Value::U64(8)),
             ],
             elapsed_s: Some(0.125),
         };
-        let wire = e.to_wire_json();
-        // The wire form itself survives a JSON text round trip.
-        let reparsed = Json::parse(&wire.to_string()).unwrap();
-        let back = Event::from_wire_json(&reparsed).unwrap();
-        assert_eq!(back.level, e.level);
-        assert_eq!(back.target, e.target);
-        assert_eq!(back.name, e.name);
-        assert_eq!(back.elapsed_s, e.elapsed_s);
-        // Interning recovers pointer-stable statics.
-        assert_eq!(back.fields.len(), e.fields.len());
-        // Variants may canonicalize (F64(2.0) → U64(2), big U64 →
-        // Str), but the rendered JSONL bytes must be unchanged.
-        assert_eq!(
-            back.to_json(9, false).to_string(),
-            e.to_json(9, false).to_string()
-        );
-        assert_eq!(back.pretty(), e.pretty());
+        // The wire form (no `seq`, always timed) and the trace line
+        // (`seq` first, untimed) decode with the one decoder.
+        for (seq, timing) in [(None, true), (Some(9), false), (Some(3), true)] {
+            let line = e.to_json(seq, timing).to_string();
+            let back = Event::from_json(&Json::parse(&line).unwrap()).unwrap();
+            assert_eq!(
+                (back.level, back.target, back.name),
+                (e.level, e.target, e.name)
+            );
+            assert_eq!(back.elapsed_s, e.elapsed_s.filter(|_| timing));
+            // Order and the duplicate `count` survive; variants may
+            // canonicalize (F64(2.0) → U64(2), big U64 → Str, -inf →
+            // NaN), but the rendered bytes must be unchanged.
+            let keys: Vec<&str> = back.fields.iter().map(|(k, _)| *k).collect();
+            assert_eq!(keys, e.fields.iter().map(|(k, _)| *k).collect::<Vec<_>>());
+            assert_eq!(back.to_json(seq, timing).to_string(), line);
+            let sent = Event {
+                elapsed_s: back.elapsed_s,
+                ..e.clone()
+            };
+            assert_eq!(back.pretty().replace("NaN", "-inf"), sent.pretty());
+        }
     }
 
     #[test]
-    fn wire_codec_rejects_malformed_documents() {
-        for bad in [
-            Json::object(),
-            Json::object().insert("level", "nope").insert("target", "t"),
+    fn event_codec_rejects_malformed_documents() {
+        let event = |fields: Json| {
             Json::object()
                 .insert("level", "info")
                 .insert("target", "t")
                 .insert("event", "e")
-                .insert("fields", Json::Array(vec![Json::Number(1.0)])),
-            Json::object()
-                .insert("level", "info")
-                .insert("target", "t")
-                .insert("event", "e")
-                .insert(
-                    "fields",
-                    Json::Array(vec![Json::Array(vec![
-                        Json::String("k".to_string()),
-                        Json::Array(vec![]),
-                    ])]),
-                ),
+                .insert("fields", fields)
+        };
+        for (bad, why) in [
+            (Json::object(), "missing field \"level\""),
+            (
+                Json::object().insert("level", "nope").insert("target", "t"),
+                "level: unknown level \"nope\"",
+            ),
+            (
+                Json::object()
+                    .insert("level", "warning")
+                    .insert("target", "t"),
+                "level: unknown level \"warning\"",
+            ),
+            (
+                event(Json::Array(vec![Json::Number(1.0)])),
+                "fields: expected an object, got an array",
+            ),
+            (
+                event(Json::object().insert("k", Json::Array(vec![]))),
+                "fields.k: expected a boolean, number, string or null, got an array",
+            ),
+            (
+                event(Json::object()).insert("elapsed_us", 0.5),
+                "elapsed_us: expected an integer in 0..=9007199254740992, got 0.5",
+            ),
         ] {
-            assert!(Event::from_wire_json(&bad).is_err(), "accepted {bad}");
+            let err = Event::from_json(&bad).expect_err(&bad.to_string());
+            assert_eq!(err.to_string(), why);
         }
     }
 
@@ -1585,14 +1586,14 @@ mod tests {
             fields: vec![],
             elapsed_s: Some(0.0015004),
         };
-        let line = e.to_json(0, true).to_string();
+        let line = e.to_json(Some(0), true).to_string();
         assert!(
             line.contains("\"elapsed_us\":1500"),
             "expected integer elapsed_us in {line}"
         );
         assert!(!line.contains("1500."), "float leaked into {line}");
         // Timing stays out entirely when the sink excludes it.
-        assert!(!e.to_json(0, false).to_string().contains("elapsed_us"));
+        assert!(!e.to_json(Some(0), false).to_string().contains("elapsed_us"));
     }
 
     #[test]

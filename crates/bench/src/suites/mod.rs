@@ -9,23 +9,11 @@
 
 use rt::bench::Criterion;
 
-pub mod ablations;
-pub mod engine;
-pub mod experiments;
 pub mod kernels;
-pub mod models;
-pub mod obs;
 
 /// Every suite, in (name, registration) form — the registry behind
 /// `ecad bench run --suite NAME` and `--suite all`.
-pub const ALL: &[(&str, fn(&mut Criterion))] = &[
-    ("ablations", ablations::register),
-    ("engine", engine::register),
-    ("experiments", experiments::register),
-    ("kernels", kernels::register),
-    ("models", models::register),
-    ("obs", obs::register),
-];
+pub const ALL: &[(&str, fn(&mut Criterion))] = &[("kernels", kernels::register)];
 
 /// The registered suite names, in registry (sorted) order.
 pub fn names() -> Vec<&'static str> {

@@ -339,6 +339,13 @@ fn cmd_search(p: &Parsed) -> Result<String, CliError> {
         })?;
         let state = CheckpointState::load(path)
             .map_err(|e| CliError::Domain(format!("{}: {e}", path.display())))?;
+        if let Some(line) = state.torn_line {
+            eprintln!(
+                "warning: {}:{line}: dropped a torn last line (an interrupted write); \
+                 its work runs again",
+                path.display()
+            );
+        }
         search = search.resume_from(state);
     }
     if let Some(n) = p.get("halt-after") {

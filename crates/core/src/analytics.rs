@@ -110,11 +110,6 @@ impl OperatorKind {
         }
     }
 
-    /// Parses a name produced by [`OperatorKind::name`].
-    pub fn parse(text: &str) -> Option<Self> {
-        Self::ALL.into_iter().find(|op| op.name() == text)
-    }
-
     fn index(self) -> usize {
         match self {
             OperatorKind::Seed => 0,
@@ -141,16 +136,6 @@ impl OperatorStats {
         if entered {
             slot.1 += 1;
         }
-    }
-
-    /// Raw counters in [`OperatorKind::ALL`] order, for checkpointing.
-    pub fn totals(&self) -> [(u64, u64); 4] {
-        self.counts
-    }
-
-    /// Restores counters saved by [`OperatorStats::totals`].
-    pub fn set_totals(&mut self, totals: [(u64, u64); 4]) {
-        self.counts = totals;
     }
 
     /// Offspring produced by `op`.
@@ -535,8 +520,8 @@ impl ToJson for PopulationSnapshot {
 
 /// Accumulates per-evaluation observations and produces a
 /// [`PopulationSnapshot`] at every epoch boundary, including the stall
-/// verdict. The engine owns one per run; on resume it is rebuilt by
-/// [`EpochTracker::replay`]ing the restored trace so a continued run
+/// verdict. The engine owns one per run; a resumed run rebuilds it by
+/// replaying its checkpoint journal through the same calls, so it
 /// reports bit-identical epochs.
 #[derive(Debug, Clone)]
 pub struct EpochTracker {
@@ -598,49 +583,9 @@ impl EpochTracker {
         self.ops.record(op, entered);
     }
 
-    /// Raw operator counters, for checkpointing.
-    pub fn operator_totals(&self) -> [(u64, u64); 4] {
-        self.ops.totals()
-    }
-
-    /// Restores operator counters from a checkpoint (call before
-    /// [`EpochTracker::replay`]).
-    pub fn set_operator_totals(&mut self, totals: [(u64, u64); 4]) {
-        self.ops.set_totals(totals);
-    }
-
     /// Whether `trace_len` unique evaluations complete an epoch.
     pub fn should_snapshot(&self, trace_len: usize) -> bool {
         trace_len > 0 && trace_len % self.epoch_size == 0
-    }
-
-    /// Rebuilds archive/best/epoch history from a restored trace by
-    /// replaying it in epoch-sized chunks — the silent counterpart of
-    /// the live `observe`/`snapshot` cycle, so a resumed run's next
-    /// epoch event is bit-identical to the uninterrupted run's.
-    pub fn replay<I>(&mut self, evals: I)
-    where
-        I: IntoIterator<Item = (Vec<f64>, f64)>,
-    {
-        for (i, (oriented, fitness)) in evals.into_iter().enumerate() {
-            self.observe(&oriented, fitness);
-            if (i + 1) % self.epoch_size == 0 {
-                self.push_epoch();
-            }
-        }
-    }
-
-    /// Records the epoch boundary into the history and refreshes the
-    /// stall state. Returns the values recorded.
-    fn push_epoch(&mut self) -> (f64, f64) {
-        let hv = self.archive.hypervolume();
-        // The archive's dominated region only grows, so this max is a
-        // mathematical no-op; it additionally shields the *reported*
-        // column from any floating-point wobble in the recomputation.
-        self.hv_reported = self.hv_reported.max(hv);
-        self.history.push((self.hv_reported, self.best));
-        self.stalled = self.is_stalled();
-        (self.hv_reported, self.best)
     }
 
     /// Flat iff both hypervolume and best fitness moved less than
@@ -669,7 +614,13 @@ impl EpochTracker {
         cache_hits: usize,
     ) -> (PopulationSnapshot, bool) {
         let was_stalled = self.stalled;
-        let (hv, best) = self.push_epoch();
+        // The archive's dominated region only grows, so this max is a
+        // mathematical no-op; it additionally shields the *reported*
+        // column from any floating-point wobble in the recomputation.
+        self.hv_reported = self.hv_reported.max(self.archive.hypervolume());
+        let (hv, best) = (self.hv_reported, self.best);
+        self.history.push((hv, best));
+        self.stalled = self.is_stalled();
         let fired = self.stalled && !was_stalled;
 
         let fitnesses: Vec<f64> = population.iter().map(|e| e.fitness).collect();
@@ -1095,17 +1046,6 @@ mod tests {
         assert_eq!(ops.entered(OperatorKind::Mutate), 1);
         assert!((ops.rate(OperatorKind::Mutate) - 0.5).abs() < 1e-12);
         assert_eq!(ops.rate(OperatorKind::Seed), 0.0);
-        let mut restored = OperatorStats::default();
-        restored.set_totals(ops.totals());
-        assert_eq!(restored, ops);
-    }
-
-    #[test]
-    fn operator_kind_names_round_trip() {
-        for op in OperatorKind::ALL {
-            assert_eq!(OperatorKind::parse(op.name()), Some(op));
-        }
-        assert_eq!(OperatorKind::parse("nope"), None);
     }
 
     #[test]
@@ -1183,48 +1123,6 @@ mod tests {
             assert!(!snap.has_best);
             assert_eq!(snap.best_fitness, 0.0);
         }
-    }
-
-    #[test]
-    fn replay_matches_live_tracking() {
-        let cfg = AnalyticsConfig {
-            epoch_size: 3,
-            ..AnalyticsConfig::default()
-        };
-        let evals: Vec<(Vec<f64>, f64)> = (0..10)
-            .map(|i| {
-                let f = (i as f64 * 0.37).sin();
-                (vec![f, -f], f)
-            })
-            .collect();
-        let pop: Vec<Evaluated> = (0..4).map(|i| evaluated(16 << i, 0.1 * i as f64)).collect();
-
-        // Live: observe all, snapshotting at each boundary.
-        let mut live = EpochTracker::new(cfg, 4);
-        let mut live_snaps = Vec::new();
-        for (i, (oriented, fitness)) in evals.iter().enumerate() {
-            live.observe(oriented, *fitness);
-            if live.should_snapshot(i + 1) {
-                live_snaps.push(live.snapshot(i + 1, &pop, 1).0);
-            }
-        }
-
-        // Resumed: restore nothing, replay the first 7 (a non-boundary
-        // cut), then continue live for the rest.
-        let mut resumed = EpochTracker::new(cfg, 4);
-        resumed.replay(evals[..7].to_vec());
-        let mut resumed_snaps: Vec<PopulationSnapshot> = live_snaps
-            .iter()
-            .take(7 / cfg.epoch_size)
-            .cloned()
-            .collect();
-        for (i, (oriented, fitness)) in evals.iter().enumerate().skip(7) {
-            resumed.observe(oriented, *fitness);
-            if resumed.should_snapshot(i + 1) {
-                resumed_snaps.push(resumed.snapshot(i + 1, &pop, 1).0);
-            }
-        }
-        assert_eq!(live_snaps, resumed_snaps);
     }
 
     #[test]

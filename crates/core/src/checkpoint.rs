@@ -1,56 +1,45 @@
-//! Search checkpoint/resume: serialize the engine's full master state
-//! to JSON and restore it for a byte-identical continuation.
+//! Search checkpoint/resume: an append-only journal of the master's
+//! inputs, resumed by replaying it through the engine's own code.
 //!
 //! A long co-design run is only as durable as its last checkpoint — the
-//! paper's MNIST searches evaluate tens of thousands of models over
-//! hours, and the predecessor system (arXiv:1903.02130) distributes
-//! work precisely so failures do not lose the search. A
-//! [`CheckpointState`] captures everything the steady-state loop needs
-//! to continue *exactly* where it left off:
-//!
-//! * the population and unique-evaluation trace (genome + raw
-//!   measurement; scalar fitness is **recomputed** on load because the
-//!   JSON layer maps non-finite numbers — infeasible candidates carry
-//!   `-inf` fitness — to `null`);
-//! * the master RNG's raw PCG64 state, as hex strings (the 128-bit
-//!   state does not survive an `f64` JSON number);
-//! * the dedup cache (keys as 16-digit hex, for the same reason);
-//! * the run counters behind `EngineStats`;
-//! * unsampled initial seeds and in-flight/retry work (`pending`), so
-//!   multi-threaded runs lose nothing either.
-//!
-//! For a seeded single-thread run, resuming from a checkpoint written
-//! after evaluation *M* replays the identical decision sequence the
-//! uninterrupted run would have made from *M* on — same children, same
-//! cache hits, same trace events. DESIGN.md §12 gives the argument.
-//!
-//! [`CheckpointState::save`] writes atomically (temp file + rename) so
-//! a crash mid-write never corrupts the previous checkpoint.
+//! paper's searches evaluate thousands of models over hours, and the
+//! predecessor system (arXiv:1903.02130) distributes work precisely so
+//! failures do not lose the search. The file is a header line (version,
+//! seed, budget, population), then one [`JournalLine`] per event the
+//! master acted on: a final verdict, a transient verdict sent back for
+//! another attempt, or a folded island migrant. Each records the
+//! master's position in the breed stream and the wall clock, the one
+//! value replay cannot recompute. [`Engine::resume`](crate::engine::Engine::resume)
+//! rebuilds everything else — population, cache, RNG, counters,
+//! analytics, meters — by replaying the lines through the live loop's
+//! code (DESIGN.md §12). The engine writes the header atomically, then
+//! only appends; a crash mid-append leaves a torn last line, which
+//! [`CheckpointState::parse`] drops, and that one event is redone.
 
+use std::ffi::OsString;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
-use rt::json::{Cursor, DecodeError, Json, ToJson};
+use rt::json::{Cursor, DecodeError, FromJson, Json, ToJson};
 
-use crate::analytics::OperatorKind;
+use crate::cluster::Migrant;
 use crate::engine::EvolutionConfig;
-use crate::genome::{pair_from_json, pair_to_json, CandidateGenome};
-use crate::measurement::Measurement;
+use crate::genome::CandidateGenome;
+use crate::measurement::{InfeasibleReason, Measurement};
 
-/// Schema version stamped into every checkpoint file; bump on any
-/// incompatible layout change. Version 2 added the per-operator
-/// admission counters and the `op` provenance tag on pending jobs
-/// (both feed the epoch analytics, whose resumed events must be
-/// bit-identical to an uninterrupted run's).
-pub const FORMAT_VERSION: u64 = 2;
+/// Schema version stamped into every checkpoint header; bump on any
+/// incompatible layout change. Version 3 replaced the whole-state
+/// snapshot of version 2 with the journal.
+pub const FORMAT_VERSION: u64 = 3;
 
 /// When and where the engine writes checkpoints.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CheckpointPolicy {
-    /// Destination file (written atomically, overwritten each time).
+    /// The journal file.
     pub path: PathBuf,
-    /// Write after every `every` unique evaluations (and always on a
-    /// halt or shutdown request).
+    /// Write the buffered journal lines after every `every` unique
+    /// evaluations (and always on a halt or shutdown request, and at
+    /// the end of the run).
     pub every: usize,
 }
 
@@ -70,7 +59,7 @@ impl CheckpointPolicy {
 }
 
 /// The master loop's running counters. The engine mutates this struct
-/// in place, checkpoints carry it, and `/status` publishes it.
+/// in place and `/status` publishes it.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct RunCounters {
     /// Unique candidates submitted so far (including pending ones).
@@ -98,57 +87,155 @@ pub struct RunCounters {
     pub hw_time_s: f64,
 }
 
-/// A unit of work that was dispatched (or scheduled for retry) but not
-/// yet finally admitted when the checkpoint was written. Its unique
-/// budget is already consumed, so resume re-dispatches it without
-/// re-counting.
+/// How one evaluation attempt ended.
 #[derive(Debug, Clone, PartialEq)]
-pub struct PendingJob {
-    /// Attempt number (0 = first try, k = k-th retry).
-    pub attempt: usize,
-    /// The candidate to evaluate.
-    pub genome: CandidateGenome,
-    /// Which operator produced the candidate (epoch analytics
-    /// provenance; survives the checkpoint so per-operator admission
-    /// rates stay exact across a resume).
-    pub op: OperatorKind,
+pub enum Outcome {
+    /// The worker answered with this measurement.
+    Measured(Measurement),
+    /// The attempt's deadline passed first.
+    Deadline {
+        /// Seconds from dispatch to the deadline.
+        after_s: f64,
+        /// Whether the slot wedged in the attempt was relaunched.
+        respawned: bool,
+    },
 }
 
-/// Everything the engine needs to continue a run. See the module docs
-/// for the field-by-field rationale.
+impl Outcome {
+    /// The measurement a final verdict admits: the worker's, or for a
+    /// deadline an infeasible `EvalTimeout` charged with the wait.
+    pub fn into_measurement(self) -> Measurement {
+        match self {
+            Outcome::Measured(m) => m,
+            Outcome::Deadline { after_s, .. } => Measurement {
+                eval_time_s: after_s,
+                ..Measurement::infeasible(InfeasibleReason::EvalTimeout)
+            },
+        }
+    }
+}
+
+/// What one journal line records.
+#[derive(Debug, Clone, PartialEq)]
+pub enum JournalEvent {
+    /// A verdict on a unique submission: final (`last`) and in the
+    /// trace, or transient and sent back for another attempt.
+    Verdict {
+        /// The submission's 0-based index in submission order.
+        index: usize,
+        /// The candidate.
+        genome: CandidateGenome,
+        /// How the attempt ended.
+        outcome: Outcome,
+        /// Whether the verdict is final.
+        last: bool,
+    },
+    /// An island migrant folded into the population.
+    Migrant(Migrant),
+}
+
+/// One journal line after the header: an event the master acted on.
+#[derive(Debug, Clone, PartialEq)]
+pub struct JournalLine {
+    /// The master's `attempts` counter when it acted: its position in
+    /// the breed stream, which replay breeds up to.
+    pub attempts: usize,
+    /// Wall-clock seconds the run had used when it acted.
+    pub wall_s: f64,
+    /// The event.
+    pub event: JournalEvent,
+}
+
+impl ToJson for JournalLine {
+    fn to_json(&self) -> Json {
+        let line = |kind: &str| {
+            Json::object()
+                .insert("kind", kind)
+                .insert("attempts", self.attempts)
+                .insert("wall_s", self.wall_s)
+        };
+        match &self.event {
+            JournalEvent::Verdict {
+                index,
+                genome,
+                outcome,
+                last,
+            } => {
+                let line = line(if *last { "final" } else { "retry" })
+                    .insert("index", *index)
+                    .insert("genome", genome);
+                match outcome {
+                    Outcome::Measured(m) => line.insert("measurement", m),
+                    Outcome::Deadline { after_s, respawned } => line.insert(
+                        "deadline",
+                        Json::object()
+                            .insert("after_s", *after_s)
+                            .insert("respawned", *respawned),
+                    ),
+                }
+            }
+            JournalEvent::Migrant(m) => line("migrant")
+                .insert("slot", m.slot)
+                .insert("genome", &m.genome)
+                .insert("measurement", &m.measurement),
+        }
+    }
+}
+
+impl FromJson for JournalLine {
+    fn decode(j: Cursor<'_>) -> Result<Self, DecodeError> {
+        let (attempts, wall_s) = (j.get("attempts")?, j.get("wall_s")?);
+        let kind = j.field("kind")?;
+        let event = match kind.str()? {
+            "migrant" => JournalEvent::Migrant(Migrant {
+                slot: j.get("slot")?,
+                genome: j.get("genome")?,
+                measurement: j.get("measurement")?,
+            }),
+            name @ ("final" | "retry") => JournalEvent::Verdict {
+                index: j.get("index")?,
+                genome: j.get("genome")?,
+                outcome: match j.opt("measurement")? {
+                    Some(m) => Outcome::Measured(m),
+                    None => {
+                        let d = j.field("deadline")?;
+                        Outcome::Deadline {
+                            after_s: d.get("after_s")?,
+                            respawned: d.get("respawned")?,
+                        }
+                    }
+                },
+                last: name == "final",
+            },
+            other => return Err(kind.error(format!("unknown journal line kind {other:?}"))),
+        };
+        Ok(Self {
+            attempts,
+            wall_s,
+            event,
+        })
+    }
+}
+
+/// A checkpoint journal: the header's fields and the lines after it.
+/// The header's version is always [`FORMAT_VERSION`]: `parse` refuses
+/// any other.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CheckpointState {
-    /// Schema version ([`FORMAT_VERSION`]).
-    pub version: u64,
     /// Search seed, echoed for validation at resume time.
     pub seed: u64,
     /// Unique-evaluation budget, echoed for validation.
     pub evaluations: usize,
     /// Population capacity, echoed for validation.
     pub population_cap: usize,
-    /// Master RNG raw state (PCG64 `state`).
-    pub rng_state: u128,
-    /// Master RNG raw stream selector (PCG64 `inc`, always odd).
-    pub rng_inc: u128,
-    /// The run counters behind `EngineStats`, as the loop left them.
-    pub counters: RunCounters,
-    /// Per-operator `(produced, entered population)` admission
-    /// counters, in [`OperatorKind::ALL`] order.
-    pub op_counters: [(u64, u64); 4],
-    /// Wall-clock seconds consumed before this checkpoint.
-    pub wall_time_s: f64,
-    /// Unsampled initial seed genomes, in pop order (next-to-submit
-    /// last) — nonempty only when interrupted during initial seeding.
-    pub seeds_remaining: Vec<CandidateGenome>,
-    /// Current population, in insertion order (order matters: the
-    /// steady-state replacement draws indices from the RNG).
-    pub population: Vec<(CandidateGenome, Measurement)>,
-    /// Unique evaluations in completion order.
+    /// The lines after the header, in the order the master acted.
+    pub journal: Vec<JournalLine>,
+    /// The final verdicts in admission order: the run's trace, derived
+    /// from the journal by [`CheckpointState::push`] and not written.
     pub trace: Vec<(CandidateGenome, Measurement)>,
-    /// Dedup cache entries, sorted by key for stable bytes.
-    pub cache: Vec<(u64, Measurement)>,
-    /// Work dispatched or awaiting retry at checkpoint time.
-    pub pending: Vec<PendingJob>,
+    /// The 1-based line number of a torn last line that
+    /// [`CheckpointState::parse`] dropped: an append a crash cut short.
+    pub torn_line: Option<usize>,
 }
 
 /// Why a checkpoint could not be read or applied.
@@ -156,10 +243,10 @@ pub struct CheckpointState {
 pub enum CheckpointError {
     /// File-system failure, stringified.
     Io(String),
-    /// The file is not valid JSON: `line:column: message`.
+    /// A line is not valid JSON: `line:column: message`.
     Parse(String),
-    /// The JSON does not match the checkpoint schema.
-    Schema(DecodeError),
+    /// Line `.0` (1-based) does not match the journal schema.
+    Schema(usize, DecodeError),
     /// The checkpoint disagrees with the run configuration.
     Mismatch(String),
 }
@@ -169,7 +256,9 @@ impl std::fmt::Display for CheckpointError {
         match self {
             CheckpointError::Io(e) => write!(f, "checkpoint I/O error: {e}"),
             CheckpointError::Parse(e) => write!(f, "checkpoint is not valid JSON: {e}"),
-            CheckpointError::Schema(e) => write!(f, "checkpoint schema error: {e}"),
+            CheckpointError::Schema(line, e) => {
+                write!(f, "checkpoint schema error at line {line}: {e}")
+            }
             CheckpointError::Mismatch(e) => write!(f, "checkpoint/config mismatch: {e}"),
         }
     }
@@ -177,181 +266,119 @@ impl std::fmt::Display for CheckpointError {
 
 impl std::error::Error for CheckpointError {}
 
-impl ToJson for CheckpointState {
-    fn to_json(&self) -> Json {
-        // Format version 2 fixes the counter keys' order, `operators`
-        // included; the bytes of a checkpoint depend on it.
-        let c = &self.counters;
-        Json::object()
-            .insert("version", self.version)
+impl CheckpointState {
+    /// The empty journal of a run with `config`: a header and no lines.
+    pub fn new(config: &EvolutionConfig) -> Self {
+        Self {
+            seed: config.seed,
+            evaluations: config.evaluations,
+            population_cap: config.population,
+            journal: Vec::new(),
+            trace: Vec::new(),
+            torn_line: None,
+        }
+    }
+
+    /// Appends a line; a final verdict also joins [`CheckpointState::trace`].
+    pub fn push(&mut self, line: JournalLine) {
+        if let JournalEvent::Verdict {
+            genome,
+            outcome,
+            last: true,
+            ..
+        } = &line.event
+        {
+            let m = outcome.clone().into_measurement();
+            self.trace.push((genome.clone(), m));
+        }
+        self.journal.push(line);
+    }
+
+    /// The file's text: the header, then one compact JSON object per
+    /// line, each ending in a newline.
+    pub fn to_text(&self) -> String {
+        let header = Json::object()
+            .insert("version", FORMAT_VERSION)
             .insert("seed", format!("{:016x}", self.seed))
             .insert("evaluations", self.evaluations)
-            .insert("population_cap", self.population_cap)
-            .insert("rng_state", format!("{:032x}", self.rng_state))
-            .insert("rng_inc", format!("{:032x}", self.rng_inc))
-            .insert("submitted_unique", c.submitted_unique)
-            .insert("attempts", c.attempts)
-            .insert("next_id", c.next_id)
-            .insert("cache_hits", c.cache_hits)
-            .insert("infeasible_count", c.infeasible_count)
-            .insert("retry_count", c.retry_count)
-            .insert("timeout_count", c.timeout_count)
-            .insert("respawn_count", c.respawn_count)
-            .insert("operators", {
-                let mut ops = Json::object();
-                for (op, (total, entered)) in
-                    OperatorKind::ALL.into_iter().zip(self.op_counters)
-                {
-                    ops = ops.insert(
-                        op.name(),
-                        Json::object()
-                            .insert("total", total)
-                            .insert("entered", entered),
-                    );
-                }
-                ops
-            })
-            .insert("total_eval_time_s", c.total_eval_time_s)
-            .insert("train_time_s", c.train_time_s)
-            .insert("hw_time_s", c.hw_time_s)
-            .insert("wall_time_s", self.wall_time_s)
-            .insert("seeds_remaining", &self.seeds_remaining)
-            .insert(
-                "population",
-                self.population.iter().map(pair_to_json).collect::<Vec<_>>(),
-            )
-            .insert(
-                "trace",
-                self.trace.iter().map(pair_to_json).collect::<Vec<_>>(),
-            )
-            .insert(
-                "cache",
-                self.cache
-                    .iter()
-                    .map(|(k, m)| {
-                        Json::object()
-                            .insert("key", format!("{k:016x}"))
-                            .insert("measurement", m)
-                    })
-                    .collect::<Vec<_>>(),
-            )
-            .insert(
-                "pending",
-                self.pending
-                    .iter()
-                    .map(|p| {
-                        Json::object()
-                            .insert("attempt", p.attempt)
-                            .insert("op", p.op.name())
-                            .insert("genome", &p.genome)
-                    })
-                    .collect::<Vec<_>>(),
-            )
+            .insert("population_cap", self.population_cap);
+        let mut text = format!("{header}\n");
+        for line in &self.journal {
+            push_line(&mut text, line);
+        }
+        text
     }
-}
 
-impl CheckpointState {
-    /// Rebuilds a state from parsed checkpoint JSON.
+    /// Reads a journal. A last line without its newline, or that is not
+    /// JSON, is torn — an append a crash cut short — and is dropped and
+    /// recorded in [`CheckpointState::torn_line`].
     ///
     /// # Errors
     ///
-    /// Returns [`CheckpointError::Schema`] when a field is missing,
-    /// mistyped or out of range, or the format version is unsupported.
-    pub fn from_json(j: &Json) -> Result<Self, CheckpointError> {
-        Self::decode(Cursor::root(j)).map_err(CheckpointError::Schema)
+    /// [`CheckpointError::Parse`] (`line:column`) for any other line
+    /// that is not JSON, [`CheckpointError::Schema`] for one off schema.
+    pub fn parse(text: &str) -> Result<Self, CheckpointError> {
+        let mut lines: Vec<&str> = text.split_inclusive('\n').collect();
+        let torn = lines.len() > 1
+            && lines
+                .last()
+                .is_some_and(|last| !last.ends_with('\n') || Json::parse(last).is_err());
+        let torn_line = torn.then(|| {
+            lines.pop();
+            lines.len() + 1
+        });
+        // A version-2 checkpoint is one pretty-printed document: read it
+        // whole, so the version check names what it is.
+        let header = parse_line(1, lines.first().unwrap_or(&""))
+            .or_else(|e| Json::parse(text).map_err(|_| e))?;
+        let mut state = Self::decode_header(Cursor::root(&header))
+            .map_err(|e| CheckpointError::Schema(1, e))?;
+        state.torn_line = torn_line;
+        for (i, text) in lines.iter().enumerate().skip(1) {
+            let line = JournalLine::from_json(&parse_line(i + 1, text)?)
+                .map_err(|e| CheckpointError::Schema(i + 1, e))?;
+            state.push(line);
+        }
+        Ok(state)
     }
 
-    fn decode(j: Cursor<'_>) -> Result<Self, DecodeError> {
-        let version = j.get("version")?;
+    fn decode_header(j: Cursor<'_>) -> Result<Self, DecodeError> {
+        let version: u64 = j.get("version")?;
         if version != FORMAT_VERSION {
             return Err(j.field("version")?.error(format!(
                 "unsupported checkpoint version {version} (expected {FORMAT_VERSION})"
             )));
         }
-        let rng_inc: u128 = j.hex("rng_inc")?;
-        if rng_inc & 1 == 0 {
-            return Err(j
-                .field("rng_inc")?
-                .error("must be odd (corrupted checkpoint?)"));
-        }
-        let ops = j.field("operators")?;
-        let mut op_counters = [(0, 0); 4];
-        for (op, slot) in OperatorKind::ALL.into_iter().zip(&mut op_counters) {
-            let entry = ops.field(op.name())?;
-            *slot = (entry.get("total")?, entry.get("entered")?);
-        }
         Ok(Self {
-            version,
             seed: j.hex("seed")?,
             evaluations: j.get("evaluations")?,
             population_cap: j.get("population_cap")?,
-            rng_state: j.hex("rng_state")?,
-            rng_inc,
-            counters: RunCounters {
-                submitted_unique: j.get("submitted_unique")?,
-                attempts: j.get("attempts")?,
-                next_id: j.get("next_id")?,
-                cache_hits: j.get("cache_hits")?,
-                infeasible_count: j.get("infeasible_count")?,
-                retry_count: j.get("retry_count")?,
-                timeout_count: j.get("timeout_count")?,
-                respawn_count: j.get("respawn_count")?,
-                total_eval_time_s: j.get("total_eval_time_s")?,
-                train_time_s: j.get("train_time_s")?,
-                hw_time_s: j.get("hw_time_s")?,
-            },
-            op_counters,
-            wall_time_s: j.get("wall_time_s")?,
-            seeds_remaining: j.get("seeds_remaining")?,
-            population: j.field("population")?.list(pair_from_json)?,
-            trace: j.field("trace")?.list(pair_from_json)?,
-            cache: j
-                .field("cache")?
-                .list(|e| Ok((e.hex("key")?, e.get("measurement")?)))?,
-            pending: j.field("pending")?.list(|p| {
-                let op = p.field("op")?;
-                let name = op.str()?;
-                Ok(PendingJob {
-                    attempt: p.get("attempt")?,
-                    op: OperatorKind::parse(name)
-                        .ok_or_else(|| op.error(format!("unknown operator {name:?}")))?,
-                    genome: p.get("genome")?,
-                })
-            })?,
+            journal: Vec::new(),
+            trace: Vec::new(),
+            torn_line: None,
         })
     }
 
-    /// Writes the checkpoint atomically: serialize to `<path>.tmp`,
-    /// fsync, then rename over `path`. A crash mid-write leaves the
-    /// previous checkpoint intact.
+    /// Writes the journal atomically: the whole text to `<path>.tmp`
+    /// (the file name with `.tmp` appended), fsync, rename over `path`,
+    /// fsync the directory. A crash mid-write leaves the previous file
+    /// intact.
     ///
     /// # Errors
     ///
     /// Returns the underlying I/O error, stringified.
     pub fn save(&self, path: &Path) -> Result<(), CheckpointError> {
-        let io = |e: std::io::Error| CheckpointError::Io(e.to_string());
-        let tmp = path.with_extension("tmp");
-        {
-            let mut f = std::fs::File::create(&tmp).map_err(io)?;
-            f.write_all(self.to_json().pretty().as_bytes()).map_err(io)?;
-            f.write_all(b"\n").map_err(io)?;
-            f.sync_all().map_err(io)?;
-        }
-        std::fs::rename(&tmp, path).map_err(io)
+        write_atomic(path, &self.to_text())
     }
 
-    /// Loads and validates a checkpoint file.
+    /// Loads a journal file; see [`CheckpointState::parse`].
     ///
     /// # Errors
     ///
-    /// Returns [`CheckpointError::Io`] if the file cannot be read,
-    /// [`CheckpointError::Parse`] if it is not JSON, or
-    /// [`CheckpointError::Schema`] if it does not match the schema.
+    /// Returns [`CheckpointError::Io`] if the file cannot be read, else
+    /// what [`CheckpointState::parse`] returns.
     pub fn load(path: &Path) -> Result<Self, CheckpointError> {
-        let text =
-            std::fs::read_to_string(path).map_err(|e| CheckpointError::Io(e.to_string()))?;
-        let json = Json::parse(&text).map_err(|e| CheckpointError::Parse(e.to_string()))?;
-        Self::from_json(&json)
+        Self::parse(&std::fs::read_to_string(path).map_err(io)?)
     }
 
     /// Checks the checkpoint against the run configuration it is about
@@ -391,11 +418,87 @@ impl CheckpointState {
     }
 }
 
+fn io(e: std::io::Error) -> CheckpointError {
+    CheckpointError::Io(e.to_string())
+}
+
+fn push_line(text: &mut String, line: &JournalLine) {
+    use std::fmt::Write as _;
+    let _ = writeln!(text, "{}", line.to_json());
+}
+
+/// Parses line `n` of a journal, locating a failure at `n:column`.
+fn parse_line(n: usize, text: &str) -> Result<Json, CheckpointError> {
+    Json::parse(text)
+        .map_err(|e| CheckpointError::Parse(format!("{n}:{}: {}", e.column, e.message)))
+}
+
+fn append(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+    let mut f = std::fs::OpenOptions::new().append(true).open(path)?;
+    f.write_all(bytes)?;
+    f.sync_data()
+}
+
+fn write_atomic(path: &Path, text: &str) -> Result<(), CheckpointError> {
+    let mut tmp = OsString::from(path.as_os_str());
+    tmp.push(".tmp");
+    let tmp = PathBuf::from(tmp);
+    {
+        let mut f = std::fs::File::create(&tmp).map_err(io)?;
+        f.write_all(text.as_bytes()).map_err(io)?;
+        f.sync_all().map_err(io)?;
+    }
+    std::fs::rename(&tmp, path).map_err(io)?;
+    // The rename is durable once the directory entry is.
+    let dir = path.parent().filter(|d| !d.as_os_str().is_empty());
+    std::fs::File::open(dir.unwrap_or(Path::new(".")))
+        .and_then(|d| d.sync_all())
+        .map_err(io)
+}
+
+/// The journal file as a run writes it. `text` holds the header and
+/// every line so far; the file holds its first `durable` bytes, or is in
+/// an unknown state (`None`) before the first write and after a failed
+/// one, when the next flush rewrites it whole and atomically rather than
+/// append after a torn line.
+pub(crate) struct JournalFile {
+    pub(crate) path: PathBuf,
+    text: String,
+    durable: Option<usize>,
+}
+
+impl JournalFile {
+    pub(crate) fn new(path: &Path, state: &CheckpointState) -> Self {
+        Self {
+            path: path.to_path_buf(),
+            text: state.to_text(),
+            durable: None,
+        }
+    }
+
+    pub(crate) fn push(&mut self, line: &JournalLine) {
+        push_line(&mut self.text, line);
+    }
+
+    /// Writes what is buffered: one append plus fsync, or the whole file
+    /// atomically while its state is unknown. Returns whether anything
+    /// was written.
+    pub(crate) fn flush(&mut self) -> Result<bool, CheckpointError> {
+        let written = match self.durable {
+            Some(n) if n == self.text.len() => return Ok(false),
+            Some(n) => append(&self.path, &self.text.as_bytes()[n..]).map_err(io),
+            None => write_atomic(&self.path, &self.text),
+        };
+        self.durable = written.is_ok().then_some(self.text.len());
+        written.map(|()| true)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::genome::{HwGenome, LayerGene, NnaGenome};
-    use crate::measurement::{HwMetrics, InfeasibleReason};
+    use crate::measurement::HwMetrics;
     use ecad_mlp::Activation;
 
     fn genome() -> CandidateGenome {
@@ -448,91 +551,129 @@ mod tests {
         }
     }
 
-    fn state() -> CheckpointState {
-        CheckpointState {
-            version: FORMAT_VERSION,
-            seed: 0xdead_beef_0123_4567,
-            evaluations: 100,
-            population_cap: 16,
-            rng_state: 0x0123_4567_89ab_cdef_fedc_ba98_7654_3210,
-            rng_inc: 0x1111_2222_3333_4444_5555_6666_7777_8889,
-            counters: RunCounters {
-                submitted_unique: 40,
-                attempts: 55,
-                next_id: 42,
-                cache_hits: 15,
-                infeasible_count: 3,
-                retry_count: 2,
-                timeout_count: 1,
-                respawn_count: 1,
-                total_eval_time_s: 31.25,
-                train_time_s: 28.5,
-                hw_time_s: 2.5,
-            },
-            op_counters: [(12, 12), (3, 2), (10, 4), (15, 7)],
-            wall_time_s: 35.0,
-            seeds_remaining: vec![genome()],
-            population: vec![(genome(), measurement())],
-            trace: vec![
-                (genome(), measurement()),
-                (
-                    genome(),
-                    Measurement::infeasible(InfeasibleReason::EvalTimeout),
-                ),
-                (
-                    genome(),
-                    Measurement::infeasible(InfeasibleReason::Transient("io".into())),
-                ),
-            ],
-            cache: vec![(genome().cache_key(), measurement())],
-            pending: vec![PendingJob {
-                attempt: 1,
+    fn verdict(attempts: usize, index: usize, outcome: Outcome, last: bool) -> JournalLine {
+        JournalLine {
+            attempts,
+            wall_s: 0.25 * attempts as f64,
+            event: JournalEvent::Verdict {
+                index,
                 genome: genome(),
-                op: OperatorKind::Mutate,
-            }],
+                outcome,
+                last,
+            },
         }
     }
 
-    #[test]
-    fn json_round_trip_is_exact() {
-        let s = state();
-        let json = s.to_json();
-        let back = CheckpointState::from_json(&json).unwrap();
-        assert_eq!(s, back);
-        // And through the serializer: text -> parse -> decode.
-        let reparsed = Json::parse(&json.to_string()).unwrap();
-        assert_eq!(CheckpointState::from_json(&reparsed).unwrap(), s);
+    /// A journal with every line kind: a final verdict, a transient one
+    /// (the worker's answer, then a deadline), a migrant, and a final
+    /// deadline.
+    fn state() -> CheckpointState {
+        let mut cfg = EvolutionConfig::small();
+        cfg.seed = 0xdead_beef_0123_4567;
+        cfg.evaluations = 100;
+        let mut s = CheckpointState::new(&cfg);
+        let transient = Measurement::infeasible(InfeasibleReason::Transient("io".into()));
+        let deadline = |respawned| Outcome::Deadline {
+            after_s: 0.05,
+            respawned,
+        };
+        s.push(verdict(1, 0, Outcome::Measured(measurement()), true));
+        s.push(verdict(2, 1, Outcome::Measured(transient), false));
+        s.push(verdict(2, 1, deadline(true), false));
+        s.push(JournalLine {
+            attempts: 2,
+            wall_s: 0.6,
+            event: JournalEvent::Migrant(Migrant {
+                slot: 1,
+                genome: genome(),
+                measurement: measurement(),
+            }),
+        });
+        s.push(verdict(3, 1, deadline(false), true));
+        s
     }
 
     #[test]
-    fn hex_fields_survive_beyond_f64_precision() {
+    fn text_round_trip_is_exact_and_derives_the_trace() {
         let s = state();
-        let back =
-            CheckpointState::from_json(&Json::parse(&s.to_json().pretty()).unwrap()).unwrap();
-        // 128-bit RNG state and 64-bit FNV keys exceed f64's 2^53
-        // integer range; hex strings carry them exactly.
-        assert_eq!(back.rng_state, s.rng_state);
-        assert_eq!(back.rng_inc, s.rng_inc);
-        assert_eq!(back.cache[0].0, s.cache[0].0);
-        assert_eq!(back.seed, s.seed);
+        let text = s.to_text();
+        assert_eq!(text.lines().count(), 6);
+        assert_eq!(CheckpointState::parse(&text).unwrap(), s);
+        // The trace holds the final verdicts only; a deadline is
+        // charged as an infeasible timeout.
+        assert_eq!(s.trace.len(), 2);
+        assert_eq!(s.trace[0], (genome(), measurement()));
+        let timed_out = &s.trace[1].1;
+        assert_eq!(
+            timed_out.infeasible_reason(),
+            Some(&InfeasibleReason::EvalTimeout)
+        );
+        assert_eq!(timed_out.eval_time_s, 0.05);
+        // The seed is hex: 64 bits exceed f64's 2^53 integer range.
+        assert!(text.starts_with("{\"version\":3,\"seed\":\"deadbeef01234567\","));
     }
 
     #[test]
     fn save_load_round_trip_and_atomicity() {
-        let dir = std::env::temp_dir().join("ecad-checkpoint-test");
+        let dir = std::env::temp_dir().join(format!("ecad-checkpoint-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("cp.json");
         let s = state();
         s.save(&path).unwrap();
         assert_eq!(CheckpointState::load(&path).unwrap(), s);
         // The temp file never survives a successful save.
-        assert!(!path.with_extension("tmp").exists());
+        assert!(!dir.join("cp.json.tmp").exists());
         // Overwriting is atomic: a second save replaces the first.
         let mut s2 = s.clone();
-        s2.counters.next_id = 99;
+        s2.journal.truncate(1);
         s2.save(&path).unwrap();
-        assert_eq!(CheckpointState::load(&path).unwrap().counters.next_id, 99);
+        assert_eq!(CheckpointState::load(&path).unwrap().journal.len(), 1);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The temp file is `<file name>.tmp`: an unrelated `a.tmp` next to
+    /// `a.json` survives, and a checkpoint named `a.tmp` is replaced,
+    /// not truncated in place.
+    #[test]
+    fn save_temp_file_is_private_to_its_target() {
+        let dir = std::env::temp_dir().join(format!("ecad-checkpoint-tmp-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let bystander = dir.join("a.tmp");
+        std::fs::write(&bystander, "unrelated").unwrap();
+        state().save(&dir.join("a.json")).unwrap();
+        assert_eq!(std::fs::read_to_string(&bystander).unwrap(), "unrelated");
+        state().save(&bystander).unwrap();
+        assert_eq!(CheckpointState::load(&bystander).unwrap(), state());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn journal_file_appends_and_rewrites_after_a_failure() {
+        let dir =
+            std::env::temp_dir().join(format!("ecad-checkpoint-journal-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("j.json");
+        let s = state();
+        let mut header = s.clone();
+        header.journal.clear();
+        header.trace.clear();
+        let mut file = JournalFile::new(&path, &header);
+        assert_eq!(file.flush(), Ok(true));
+        assert_eq!(file.flush(), Ok(false), "nothing new to write");
+        file.push(&s.journal[0]);
+        assert_eq!(file.flush(), Ok(true));
+        // An append onto a vanished file fails; the next flush rewrites
+        // the whole journal instead of appending after a torn line.
         std::fs::remove_file(&path).unwrap();
+        file.push(&s.journal[1]);
+        assert!(file.flush().is_err());
+        std::fs::write(&path, "torn").unwrap();
+        for line in &s.journal[2..] {
+            file.push(line);
+        }
+        assert_eq!(file.flush(), Ok(true));
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), s.to_text());
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -550,81 +691,96 @@ mod tests {
         ));
     }
 
+    /// A torn last line — no newline, or not JSON — is dropped and
+    /// recorded; a bad line anywhere else is an error at its line.
     #[test]
-    fn schema_errors_name_the_field() {
-        let mut json = state().to_json();
-        // Corrupt the version.
-        json = match json {
-            Json::Object(mut fields) => {
-                for (k, v) in fields.iter_mut() {
-                    if k == "rng_inc" {
-                        *v = Json::String("2".into()); // even => invalid
-                    }
-                }
-                Json::Object(fields)
-            }
-            _ => unreachable!(),
-        };
-        let err = CheckpointState::from_json(&json).unwrap_err();
-        assert!(matches!(err, CheckpointError::Schema(_)));
-        assert!(err.to_string().contains("rng_inc"));
-    }
+    fn torn_last_line_is_dropped_and_a_bad_middle_line_is_located() {
+        let s = state();
+        let text = s.to_text();
+        let cut = text.len() - 40;
+        let torn = CheckpointState::parse(&text[..cut]).unwrap();
+        assert_eq!(torn.torn_line, Some(6));
+        assert_eq!(torn.journal, s.journal[..4]);
+        let garbled = CheckpointState::parse(&format!("{}\u{0}\u{0}\n", &text[..cut])).unwrap();
+        assert_eq!(garbled.torn_line, Some(6));
+        // Without its newline, even a complete last line is torn.
+        let unterminated = CheckpointState::parse(text.trim_end()).unwrap();
+        assert_eq!(unterminated.journal.len(), 4);
 
-    /// Decodes `state()` with the first `from` in its compact text
-    /// replaced by `to`.
-    fn decode_edited(
-        state: &CheckpointState,
-        from: &str,
-        to: &str,
-    ) -> Result<CheckpointState, CheckpointError> {
-        let text = state.to_json().to_string();
-        assert!(text.contains(from), "{from} not in {text}");
-        CheckpointState::from_json(&Json::parse(&text.replacen(from, to, 1)).unwrap())
-    }
-
-    #[test]
-    fn out_of_range_genome_gene_is_rejected_at_its_path() {
-        let mut s = state();
-        s.seeds_remaining.clear();
-        let err = decode_edited(&s, "\"rows\":8,", "\"rows\":4294967297,").unwrap_err();
-        assert!(
-            err.to_string()
-                .contains("population[0].genome.hw.rows: expected an integer"),
-            "{err}"
+        let mut lines: Vec<&str> = text.lines().collect();
+        lines[2] = "{\"kind\":\"retry\",\"attempts\":2,oops}";
+        let err = CheckpointState::parse(&(lines.join("\n") + "\n")).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "checkpoint is not valid JSON: 3:30: expected '\"'"
+        );
+        lines[2] = "{\"kind\":\"retry\",\"attempts\":2}";
+        let err = CheckpointState::parse(&(lines.join("\n") + "\n")).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "checkpoint schema error at line 3: missing field \"wall_s\""
         );
     }
 
     #[test]
-    fn accuracy_beyond_f32_range_is_rejected_at_its_path() {
-        let from = format!("\"accuracy\":{}", measurement().accuracy as f64);
-        let err = decode_edited(&state(), &from, "\"accuracy\":1e300").unwrap_err();
+    fn schema_errors_name_the_line_and_field() {
+        let text = state().to_text();
+        let edited = text.replacen("\"rows\":8,", "\"rows\":4294967297,", 2);
+        let err = CheckpointState::parse(&edited).unwrap_err();
         assert!(
             err.to_string()
-                .contains("population[0].measurement.accuracy"),
+                .contains("line 2: genome.hw.rows: expected an integer"),
+            "{err}"
+        );
+        let from = format!("\"accuracy\":{}", measurement().accuracy as f64);
+        let err =
+            CheckpointState::parse(&text.replacen(&from, "\"accuracy\":1e300", 1)).unwrap_err();
+        assert!(
+            err.to_string().contains("line 2: measurement.accuracy"),
+            "{err}"
+        );
+        let err = CheckpointState::parse(&text.replacen("\"final\"", "\"done\"", 1)).unwrap_err();
+        assert!(
+            err.to_string()
+                .contains("line 2: kind: unknown journal line kind"),
             "{err}"
         );
     }
 
     #[test]
     fn mistyped_optional_reason_text_is_rejected_at_its_path() {
-        let err = decode_edited(&state(), "\"text\":\"io\"", "\"text\":5").unwrap_err();
+        let text = state().to_text();
+        let err =
+            CheckpointState::parse(&text.replacen("\"text\":\"io\"", "\"text\":5", 1)).unwrap_err();
         assert!(
             err.to_string()
-                .contains("trace[2].measurement.hw.reason.text"),
+                .contains("line 3: measurement.hw.reason.text"),
             "{err}"
         );
         // Absent, it still reads as empty.
-        let back = decode_edited(&state(), ",\"text\":\"io\"", "").unwrap();
+        let back = CheckpointState::parse(&text.replacen(",\"text\":\"io\"", "", 1)).unwrap();
+        let JournalEvent::Verdict {
+            outcome: Outcome::Measured(m),
+            ..
+        } = &back.journal[1].event
+        else {
+            panic!("line 3 is a measured verdict: {:?}", back.journal[1]);
+        };
         assert_eq!(
-            back.trace[2].1.infeasible_reason(),
+            m.infeasible_reason(),
             Some(&InfeasibleReason::Transient(String::new()))
         );
     }
 
     #[test]
     fn version_guard() {
-        let json = Json::object().insert("version", 999);
-        let err = CheckpointState::from_json(&json).unwrap_err();
-        assert!(err.to_string().contains("version"));
+        let err = CheckpointState::parse("{\n  \"version\": 2\n}\n").unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "checkpoint schema error at line 1: version: unsupported checkpoint version 2 \
+             (expected 3)"
+        );
+        let err = CheckpointState::parse("").unwrap_err();
+        assert!(matches!(err, CheckpointError::Parse(_)), "{err}");
     }
 }

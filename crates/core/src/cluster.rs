@@ -282,7 +282,7 @@ impl ClusterHealth {
 }
 
 /// A migrant an island shipped to the coordinator.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Migrant {
     /// Remote slot index that produced the migrant.
     pub slot: usize,

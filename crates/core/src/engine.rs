@@ -26,16 +26,16 @@
 //! * **worker supervision**: workers run in `rt::supervise` slots, so a
 //!   slot whose evaluation stalls past its deadline is abandoned and
 //!   respawned, and its late result (if any) is dropped as stale;
-//! * **checkpoint/resume**: with a [`CheckpointPolicy`] attached, the
-//!   full master state is snapshotted every N unique evaluations and on
-//!   halt, and [`Engine::resume`] continues a seeded single-thread run
-//!   byte-identically (DESIGN.md §12).
+//! * **checkpoint/resume**: with a [`CheckpointPolicy`] attached, every
+//!   verdict and migrant the master acts on is appended to a journal,
+//!   and [`Engine::resume`] replays it through the loop's own code, so
+//!   a seeded single-thread run continues byte-identically (§12).
 //!
 //! With `threads = 1` the whole search is deterministic for a fixed
 //! seed; more threads trade determinism for wall-clock speed (result
 //! arrival order feeds back into breeding).
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -50,13 +50,14 @@ use crate::analytics::{
     register_epoch_metrics, AnalyticsConfig, EpochTracker, OperatorKind, StatusCell,
 };
 use crate::checkpoint::{
-    CheckpointError, CheckpointPolicy, CheckpointState, PendingJob, RunCounters,
+    CheckpointError, CheckpointPolicy, CheckpointState, JournalEvent, JournalFile, JournalLine,
+    Outcome, RunCounters,
 };
 use crate::cluster::{ClusterHealth, ClusterPlan, Migrant, RemoteSlot};
 use crate::fitness::ObjectiveSet;
 use crate::genome::CandidateGenome;
 use crate::measurement::{FailureKind, InfeasibleReason, Measurement};
-use crate::protocol::{DispatchLedger, ResultClass};
+use crate::protocol::{self, DispatchLedger, ResultClass};
 use crate::space::SearchSpace;
 use crate::workers::{evaluate_caught, Evaluator};
 
@@ -234,6 +235,7 @@ fn by_fitness(a: &Evaluated, b: &Evaluated) -> std::cmp::Ordering {
 }
 
 /// The steady-state evolutionary engine.
+#[derive(Clone)]
 pub struct Engine {
     evaluator: Arc<dyn Evaluator>,
     space: SearchSpace,
@@ -248,14 +250,21 @@ pub struct Engine {
     cluster_health: Option<Arc<ClusterHealth>>,
 }
 
-/// The ledger payload: what travels with each dispatched evaluation
-/// besides the attempt counter the protocol itself tracks.
-type JobPayload = (CandidateGenome, OperatorKind);
+/// The ledger payload: a unique submission's index (its journal key),
+/// candidate, and the operator that bred it.
+struct Submission {
+    index: usize,
+    genome: CandidateGenome,
+    op: OperatorKind,
+}
+
+/// A submission with its attempt number (0 = first try).
+type Attempt = protocol::Job<Submission>;
 
 /// The engine's concrete ledger: wall-clock deadlines over the shared
 /// protocol state machine (model checks instantiate the same machine
 /// with virtual-time ticks).
-type EngineLedger = DispatchLedger<JobPayload, Instant>;
+type EngineLedger = DispatchLedger<Submission, Instant>;
 
 /// A job on a slot queue: dispatch id and candidate.
 type Job = (usize, CandidateGenome);
@@ -329,7 +338,9 @@ struct Pool {
     shared_rx: Receiver<Job>,
     results_tx: Sender<Reply>,
     results: Receiver<Reply>,
+    migrants_tx: Sender<Migrant>,
     migrants: Receiver<Migrant>,
+    acks_tx: Sender<()>,
     acks: Receiver<()>,
     remotes: Vec<Sender<Job>>,
     /// Per-remote routing flags; a slot clears its own when its worker
@@ -341,34 +352,43 @@ struct Pool {
 }
 
 impl Pool {
+    /// The channels, with no slot yet: a resumed run replays its journal
+    /// before any slot, or remote session, starts.
     fn new(engine: &Engine) -> Self {
         let (shared_tx, shared_rx) = channel::unbounded();
         let (results_tx, results) = channel::unbounded();
         let (migrants_tx, migrants) = channel::unbounded();
         let (acks_tx, acks) = channel::unbounded();
         let workers = engine.cluster.as_ref().map_or(0, |p| p.options.workers.len());
-        let mut pool = Self {
+        Self {
             supervisor: Supervisor::new(),
             shared_tx,
             shared_rx,
             results_tx,
             results,
+            migrants_tx,
             migrants,
+            acks_tx,
             acks,
             remotes: Vec::new(),
             alive: Arc::new((0..workers).map(|_| AtomicBool::new(true)).collect()),
-            depth: workers,
+            depth: 0,
             degraded: false,
-        };
+        }
+    }
+
+    /// Spawns the slots: one remote slot per cluster worker, else
+    /// `threads` local ones.
+    fn spawn(&mut self, engine: &Engine) {
         match &engine.cluster {
             Some(plan) => {
-                for index in 0..workers {
-                    pool.spawn_remote(engine, plan, index, &migrants_tx, &acks_tx);
+                for index in 0..self.alive.len() {
+                    self.spawn_remote(engine, plan, index);
                 }
+                self.depth = self.alive.len();
             }
-            None => pool.spawn_local(engine),
+            None => self.spawn_local(engine),
         }
-        pool
     }
 
     fn is_cluster(&self) -> bool {
@@ -405,18 +425,11 @@ impl Pool {
     /// the worker's own tick domain (grafted via `Profile` frames) stays
     /// the only profile this slot contributes, and the close event
     /// stays byte-identical to a local slot's.
-    fn spawn_remote(
-        &mut self,
-        engine: &Engine,
-        plan: &ClusterPlan,
-        index: usize,
-        migrants: &Sender<Migrant>,
-        acks: &Sender<()>,
-    ) {
+    fn spawn_remote(&mut self, engine: &Engine, plan: &ClusterPlan, index: usize) {
         let (tx, jobs) = channel::unbounded::<Job>();
         self.remotes.push(tx);
         let (results, forward) = (self.results_tx.clone(), self.shared_tx.clone());
-        let (migrants, acks) = (migrants.clone(), acks.clone());
+        let (migrants, acks) = (self.migrants_tx.clone(), self.acks_tx.clone());
         let alive = Arc::clone(&self.alive);
         let (plan, seed) = (plan.clone(), engine.config.seed);
         let (health, obs) = (engine.cluster_health.clone(), engine.obs.clone());
@@ -520,10 +533,12 @@ impl Meters {
 /// One run of the master loop. Its methods are the loop's phases:
 /// [`Run::tend_cluster`], [`Run::fill`], [`Run::wait`],
 /// [`Run::on_result`], [`Run::on_deadline`] and [`Run::finish`].
+/// [`Run::replay`] drives the same code from a checkpoint journal.
 struct Run<'e> {
+    /// The engine; during replay, a copy of it without event sinks.
     engine: &'e Engine,
     start: Instant,
-    /// Wall-clock seconds a restored checkpoint had already used.
+    /// Wall-clock seconds a resumed journal had already used.
     prior_wall: f64,
     rng: StdRng,
     population: Vec<Evaluated>,
@@ -534,21 +549,28 @@ struct Run<'e> {
     counters: RunCounters,
     tracker: EpochTracker,
     ledger: EngineLedger,
-    /// Jobs a checkpoint held in flight or awaiting retry, re-dispatched
-    /// before any fresh candidate (their unique budget is already
-    /// counted).
-    restored: VecDeque<PendingJob>,
+    /// The checkpoint journal, when a policy is attached (after replay).
+    journal: Option<JournalFile>,
     meters: Meters,
     pool: Pool,
     halted: bool,
 }
 
 impl<'e> Run<'e> {
-    fn start(engine: &'e Engine, restored: Option<CheckpointState>) -> Self {
+    /// Starts a run from its seed and, when resuming, replays the journal
+    /// silently on `quiet`, a copy of `engine` with a disabled `Obs`. Only
+    /// then does the run count as started and its slots spawn, so a
+    /// refused journal costs nothing. Then writes the header and replayed
+    /// lines atomically, which drops a torn tail and covers resuming into
+    /// another path.
+    fn start(
+        engine: &'e Engine,
+        quiet: &'e Engine,
+        resumed: Option<CheckpointState>,
+    ) -> Result<Self, CheckpointError> {
         let cfg = engine.config;
-        engine.status.note_started();
         let mut run = Run {
-            engine,
+            engine: quiet,
             start: Instant::now(),
             prior_wall: 0.0,
             rng: StdRng::seed_from_u64(cfg.seed),
@@ -559,70 +581,107 @@ impl<'e> Run<'e> {
             counters: RunCounters::default(),
             tracker: EpochTracker::new(cfg.analytics, cfg.population),
             ledger: EngineLedger::new(),
-            restored: VecDeque::new(),
+            journal: None,
             meters: Meters::register(&engine.obs),
             pool: Pool::new(engine),
             halted: false,
         };
-        match restored {
-            Some(state) => run.restore(state),
-            None => {
-                rt::info!(
-                    engine.obs,
-                    "search_start",
-                    target = engine.evaluator.target_name(),
-                    population = cfg.population,
-                    evaluations = cfg.evaluations,
-                    tournament = cfg.tournament,
-                    seed = cfg.seed,
-                    threads = cfg.threads,
-                    selection = match cfg.selection {
-                        SelectionMode::WeightedScalar => "weighted-scalar",
-                        SelectionMode::Nsga2 => "nsga2",
-                    },
-                );
-                run.seeds = (0..cfg.population.min(cfg.evaluations))
-                    .map(|_| engine.space.sample(&mut run.rng))
-                    .collect();
-                run.seeds.reverse(); // pop() takes them in creation order
-            }
+        if resumed.is_none() {
+            rt::info!(
+                engine.obs,
+                "search_start",
+                target = engine.evaluator.target_name(),
+                population = cfg.population,
+                evaluations = cfg.evaluations,
+                tournament = cfg.tournament,
+                seed = cfg.seed,
+                threads = cfg.threads,
+                selection = match cfg.selection {
+                    SelectionMode::WeightedScalar => "weighted-scalar",
+                    SelectionMode::Nsga2 => "nsga2",
+                },
+            );
         }
-        run
+        run.seeds = (0..cfg.population.min(cfg.evaluations))
+            .map(|_| engine.space.sample(&mut run.rng))
+            .collect();
+        run.seeds.reverse(); // pop() takes them in creation order
+        let state = match resumed {
+            Some(state) => {
+                run.replay(&state)?;
+                // Trace level on purpose: the resumed run's Debug-level
+                // JSONL must continue the interrupted file byte-for-byte,
+                // so no extra Debug+ event may appear here (and no second
+                // search_start).
+                rt::trace!(engine.obs, "resume", evaluations_done = run.trace.len());
+                state
+            }
+            None => CheckpointState::new(&cfg),
+        };
+        run.engine = engine;
+        engine.status.note_started();
+        run.pool.spawn(engine);
+        if let Some(policy) = &engine.checkpoint {
+            run.journal = Some(JournalFile::new(&policy.path, &state));
+            run.flush_journal();
+        }
+        Ok(run)
     }
 
-    fn restore(&mut self, state: CheckpointState) {
-        let engine = self.engine;
-        // Fitness is recomputed rather than serialized: infeasible
-        // candidates carry -inf, which JSON cannot represent.
-        let revive = |(genome, measurement)| engine.score(genome, measurement);
-        self.rng = StdRng::from_raw_state(state.rng_state, state.rng_inc);
-        self.population = state.population.into_iter().map(revive).collect();
-        self.trace = state.trace.into_iter().map(revive).collect();
-        // Rebuild the epoch tracker by silently replaying the restored
-        // trace in epoch-sized chunks: archive, best, and stall history
-        // end up exactly as the uninterrupted run's, so the next epoch
-        // event is bit-identical.
-        self.tracker.set_operator_totals(state.op_counters);
-        self.tracker.replay(self.trace.iter().map(|e| engine.tracker_point(e)));
-        self.cache = state.cache.into_iter().collect();
-        self.seeds = state.seeds_remaining;
-        self.counters = state.counters;
-        // The registry's engine counters cover the whole run, like
-        // `/status` and the run's stats; migrants and the eval-time
-        // histogram are not in the checkpoint and count this process.
-        let (c, m) = (&self.counters, &self.meters);
-        m.evaluated.add(self.trace.len() as u64);
-        m.cache_hits.add(c.cache_hits as u64);
-        m.infeasible.add(c.infeasible_count as u64);
-        m.retries.add(c.retry_count as u64);
-        m.timeouts.add(c.timeout_count as u64);
-        m.respawns.add(c.respawn_count as u64);
-        self.prior_wall = state.wall_time_s;
-        self.restored = state.pending.into();
-        // Trace level on purpose: the resumed run's Debug-level JSONL
-        // must continue the interrupted file byte-for-byte, so no extra
-        // Debug+ event may appear here (and no second search_start).
-        rt::trace!(engine.obs, "resume", evaluations_done = self.trace.len());
+    /// Rebuilds the run from a checkpoint journal with the live loop's
+    /// own code: for each line, breeds up to the position it records,
+    /// then applies it. Submissions bred without a final verdict become
+    /// the first dispatches, at the attempt their retry lines reached.
+    /// Refuses ([`CheckpointError::Mismatch`]) the first line this run
+    /// would not have written: a verdict on another candidate than it
+    /// bred, a position it never reaches, or another retry decision.
+    fn replay(&mut self, state: &CheckpointState) -> Result<(), CheckpointError> {
+        let mut open: BTreeMap<usize, Attempt> = BTreeMap::new();
+        for (i, line) in state.journal.iter().enumerate() {
+            let refuse = |why: String| {
+                CheckpointError::Mismatch(format!("journal line {}: {why}", i + 2))
+            };
+            while self.counters.attempts < line.attempts && self.can_breed() {
+                if let Some(payload) = self.breed_next() {
+                    open.insert(payload.index, Attempt { payload, attempt: 0 });
+                }
+            }
+            if self.counters.attempts != line.attempts {
+                let at = line.attempts;
+                return Err(refuse(format!("this run never reaches breed position {at}")));
+            }
+            match &line.event {
+                JournalEvent::Verdict {
+                    index,
+                    genome,
+                    outcome,
+                    last,
+                } => {
+                    let job = open
+                        .remove(index)
+                        .filter(|job| job.payload.genome == *genome)
+                        .ok_or_else(|| {
+                            refuse(format!("this run bred another candidate as submission {index}"))
+                        })?;
+                    let id = self.counters.next_id;
+                    self.counters.next_id += 1;
+                    match (self.settle(id, job, outcome.clone()), last) {
+                        (Some(job), false) => {
+                            open.insert(*index, job);
+                        }
+                        (None, true) => {}
+                        _ => return Err(refuse("this run decides its retry otherwise".into())),
+                    }
+                }
+                JournalEvent::Migrant(migrant) => self.fold_migrant(migrant.clone()),
+            }
+            self.prior_wall = line.wall_s;
+        }
+        let now = Instant::now();
+        for job in open.into_values() {
+            self.ledger.schedule_retry(now, job.attempt, job.payload);
+        }
+        Ok(())
     }
 
     /// Cluster phase: folds island migrants into the population, hands
@@ -664,6 +723,7 @@ impl<'e> Run<'e> {
         if self.cache.contains_key(&key) {
             return;
         }
+        self.record(|| JournalEvent::Migrant(migrant.clone()));
         self.cache.insert(key, migrant.measurement.clone());
         let eval = self.engine.score(migrant.genome, migrant.measurement);
         self.meters.migrants.inc();
@@ -691,56 +751,65 @@ impl<'e> Run<'e> {
     }
 
     /// Fill phase: keeps one dispatch in flight per slot, taking retries
-    /// whose backoff has elapsed first, then work restored from a
-    /// checkpoint, then fresh candidates.
+    /// whose backoff has elapsed first (a resumed run's open
+    /// submissions among them), then fresh candidates.
     fn fill(&mut self) {
         let now = Instant::now();
         while self.ledger.in_flight_len() < self.pool.depth {
-            let job = match self.ledger.pop_ready_retry(now) {
-                Some((attempt, (genome, op))) => PendingJob { attempt, genome, op },
-                None => match self.restored.pop_front() {
-                    Some(job) => job,
-                    None => break,
-                },
+            let Some((attempt, payload)) = self.ledger.pop_ready_retry(now) else {
+                break;
             };
-            self.dispatch(job);
+            self.dispatch(Attempt { payload, attempt });
         }
-        let cfg = &self.engine.config;
-        while self.ledger.in_flight_len() < self.pool.depth
-            && self.counters.submitted_unique < cfg.evaluations
-            && self.counters.attempts < cfg.evaluations * Engine::MAX_ATTEMPT_FACTOR
-        {
-            let (genome, op) = {
-                // Scoped to candidate selection only: the span must
-                // close before the job is handed to the pool, so
-                // master-side clock reads never overlap a running worker
-                // (which would make ticks-clock profiles depend on thread
-                // interleaving).
-                let _prof = rt::prof_span!("dispatch");
-                match self.seeds.pop() {
-                    Some(g) => (g, OperatorKind::Seed),
-                    None => self.engine.breed(&self.population, &mut self.rng),
-                }
-            };
-            self.counters.attempts += 1;
-            let key = genome.cache_key();
-            if let Some(cached) = self.cache.get(&key) {
-                // Duplicate: serve from cache, no budget, no worker
-                // round-trip. Cached repeats are not re-appended to the
-                // trace (Table III counts unique models), but still say
-                // something about their operator's usefulness.
-                self.counters.cache_hits += 1;
-                self.meters.cache_hits.inc();
-                rt::debug!(self.engine.obs, "cache_hit", key = format!("{key:016x}"));
-                let m = cached.clone();
-                let (_, entered) =
-                    self.engine.admit(genome, m, &mut self.population, &mut self.rng);
-                self.tracker.record_op(op, entered);
-                continue;
+        while self.ledger.in_flight_len() < self.pool.depth && self.can_breed() {
+            if let Some(payload) = self.breed_next() {
+                self.dispatch(Attempt { payload, attempt: 0 });
             }
-            self.counters.submitted_unique += 1;
-            self.dispatch(PendingJob { attempt: 0, genome, op });
         }
+    }
+
+    /// Whether another candidate may be bred: unique budget left, and
+    /// the duplicate-breeding safety valve not yet tripped.
+    fn can_breed(&self) -> bool {
+        let cfg = &self.engine.config;
+        self.counters.submitted_unique < cfg.evaluations
+            && self.counters.attempts < cfg.evaluations * Engine::MAX_ATTEMPT_FACTOR
+    }
+
+    /// Breeds the next candidate: the next initial seed, else a child of
+    /// the population. A duplicate is served from the cache and admitted
+    /// on the spot (no budget, no worker round-trip); a new genome
+    /// becomes the next unique submission.
+    fn breed_next(&mut self) -> Option<Submission> {
+        let (genome, op) = {
+            // Scoped to candidate selection only: the span must close
+            // before the job is handed to the pool, so master-side clock
+            // reads never overlap a running worker (which would make
+            // ticks-clock profiles depend on thread interleaving).
+            let _prof = rt::prof_span!("dispatch");
+            match self.seeds.pop() {
+                Some(g) => (g, OperatorKind::Seed),
+                None => self.engine.breed(&self.population, &mut self.rng),
+            }
+        };
+        self.counters.attempts += 1;
+        let key = genome.cache_key();
+        if let Some(cached) = self.cache.get(&key) {
+            // Cached repeats are not re-appended to the trace (Table III
+            // counts unique models), but still say something about their
+            // operator's usefulness.
+            self.counters.cache_hits += 1;
+            self.meters.cache_hits.inc();
+            rt::debug!(self.engine.obs, "cache_hit", key = format!("{key:016x}"));
+            let m = cached.clone();
+            let (_, entered) =
+                self.engine.admit(genome, m, &mut self.population, &mut self.rng);
+            self.tracker.record_op(op, entered);
+            return None;
+        }
+        let index = self.counters.submitted_unique;
+        self.counters.submitted_unique += 1;
+        Some(Submission { index, genome, op })
     }
 
     /// Hands one job to the pool under the next dispatch id. The
@@ -748,10 +817,10 @@ impl<'e> Run<'e> {
     /// one thread the master then blocks on the result, so the worker's
     /// own events always land after it — the property that makes seeded
     /// traces replayable.
-    fn dispatch(&mut self, PendingJob { attempt, genome, op }: PendingJob) {
+    fn dispatch(&mut self, Attempt { payload, attempt }: Attempt) {
         let id = self.counters.next_id;
         self.counters.next_id += 1;
-        let key = genome.cache_key();
+        let key = payload.genome.cache_key();
         if attempt == 0 {
             rt::debug!(self.engine.obs, "submit", id = id, key = format!("{key:016x}"));
         } else {
@@ -764,7 +833,8 @@ impl<'e> Run<'e> {
             );
         }
         let deadline = self.engine.config.eval_timeout.map(|t| Instant::now() + t);
-        self.ledger.dispatch(id as u64, (genome.clone(), op), attempt, deadline);
+        let genome = payload.genome.clone();
+        self.ledger.dispatch(id as u64, payload, attempt, deadline);
         self.pool.route(id, genome);
     }
 
@@ -787,8 +857,7 @@ impl<'e> Run<'e> {
         }
     }
 
-    /// Result phase: accounts the attempt's time, then retries a
-    /// transient failure or admits the final verdict.
+    /// Result phase: settles a fresh result; a stale one is dropped.
     fn on_result(&mut self, (id, m): Reply) {
         let job = match self.ledger.take_result(id as u64) {
             ResultClass::Fresh(job) => job,
@@ -800,15 +869,8 @@ impl<'e> Run<'e> {
             }
             ResultClass::Unknown => unreachable!("result for in-flight id"),
         };
-        let c = &mut self.counters;
-        c.total_eval_time_s += m.eval_time_s;
-        c.train_time_s += m.train_time_s;
-        c.hw_time_s += m.hw_time_s;
-        self.meters.eval_time.record(m.eval_time_s);
-        let transient = m.failure_kind() == Some(FailureKind::Transient);
-        let now = Instant::now();
-        if let Some((genome, op)) = self.retry(transient, (job.payload, job.attempt), now) {
-            self.finalize(id, genome, m, op);
+        if let Some(job) = self.settle(id, job, Outcome::Measured(m)) {
+            self.schedule_retry(job);
         }
     }
 
@@ -818,56 +880,85 @@ impl<'e> Run<'e> {
     /// until the budget runs out.
     fn on_deadline(&mut self) {
         let engine = self.engine;
-        let now = Instant::now();
-        for (id, job) in self.ledger.expire(now) {
+        let after_s = engine.config.eval_timeout.map_or(0.0, |t| t.as_secs_f64());
+        for (id, job) in self.ledger.expire(Instant::now()) {
             let id = id as usize;
-            self.counters.timeout_count += 1;
-            self.meters.timeouts.inc();
             rt::warn!(engine.obs, "eval_timeout", id = id, attempt = job.attempt);
             let supervisor = &self.pool.supervisor;
-            if let Some(slot) = supervisor.claimed_slot(id as u64) {
+            let slot = supervisor.claimed_slot(id as u64);
+            if let Some(slot) = slot {
                 // The slot is wedged inside this job: abandon its thread
                 // and start a fresh one.
                 supervisor.respawn(slot);
-                self.counters.respawn_count += 1;
-                self.meters.respawns.inc();
                 rt::warn!(engine.obs, "worker_respawn", slot = slot, id = id);
             }
-            if let Some((genome, op)) = self.retry(true, (job.payload, job.attempt), now) {
-                let mut m = Measurement::infeasible(InfeasibleReason::EvalTimeout);
-                // The wait itself is wall clock spent on this candidate.
-                m.eval_time_s = engine.config.eval_timeout.map_or(0.0, |t| t.as_secs_f64());
-                self.counters.total_eval_time_s += m.eval_time_s;
-                self.finalize(id, genome, m, op);
+            let respawned = slot.is_some();
+            if let Some(job) = self.settle(id, job, Outcome::Deadline { after_s, respawned }) {
+                self.schedule_retry(job);
             }
         }
     }
 
-    /// Retry or final verdict, for both the result and the deadline
-    /// path: a transient failure goes back on the ledger's retry queue,
-    /// ready after its backoff, while attempts remain. Otherwise the
-    /// job comes back for its final verdict.
-    fn retry(
-        &mut self,
-        transient: bool,
-        ((genome, op), attempt): (JobPayload, usize),
-        now: Instant,
-    ) -> Option<JobPayload> {
-        let cfg = &self.engine.config;
-        if !transient || attempt >= cfg.max_retries {
-            return Some((genome, op));
+    /// Applies one attempt's verdict, live or replayed: accounts the
+    /// attempt and journals the verdict. A transient failure with
+    /// attempts left comes back for another attempt; otherwise the
+    /// verdict is final and admitted.
+    fn settle(&mut self, id: usize, job: Attempt, outcome: Outcome) -> Option<Attempt> {
+        let c = &mut self.counters;
+        let transient = match &outcome {
+            Outcome::Measured(m) => {
+                c.total_eval_time_s += m.eval_time_s;
+                c.train_time_s += m.train_time_s;
+                c.hw_time_s += m.hw_time_s;
+                self.meters.eval_time.record(m.eval_time_s);
+                m.failure_kind() == Some(FailureKind::Transient)
+            }
+            Outcome::Deadline { respawned, .. } => {
+                c.timeout_count += 1;
+                self.meters.timeouts.inc();
+                if *respawned {
+                    c.respawn_count += 1;
+                    self.meters.respawns.inc();
+                }
+                true
+            }
+        };
+        let last = !transient || job.attempt >= self.engine.config.max_retries;
+        let Submission { index, genome, op } = job.payload;
+        self.record(|| JournalEvent::Verdict {
+            index,
+            genome: genome.clone(),
+            outcome: outcome.clone(),
+            last,
+        });
+        if !last {
+            self.counters.retry_count += 1;
+            self.meters.retries.inc();
+            let payload = Submission { index, genome, op };
+            return Some(Attempt {
+                payload,
+                attempt: job.attempt + 1,
+            });
         }
-        let attempt = attempt + 1;
-        self.counters.retry_count += 1;
-        self.meters.retries.inc();
-        let ready = now + backoff_delay(cfg, genome.cache_key(), attempt);
-        self.ledger.schedule_retry(ready, attempt, (genome, op));
+        if let Outcome::Deadline { after_s, .. } = outcome {
+            // The wait itself is wall clock spent on this candidate.
+            self.counters.total_eval_time_s += after_s;
+        }
+        self.finalize(id, genome, outcome.into_measurement(), op);
         None
+    }
+
+    /// Puts a transiently failed job back on the ledger's retry queue,
+    /// ready after its backoff.
+    fn schedule_retry(&mut self, job: Attempt) {
+        let key = job.payload.genome.cache_key();
+        let ready = Instant::now() + backoff_delay(&self.engine.config, key, job.attempt);
+        self.ledger.schedule_retry(ready, job.attempt, job.payload);
     }
 
     /// Admits a final verdict: counts it, caches it, scores and admits
     /// it, appends it to the trace, then publishes epoch analytics,
-    /// status and the periodic checkpoint.
+    /// status and the periodic journal write.
     fn finalize(&mut self, id: usize, genome: CandidateGenome, m: Measurement, op: OperatorKind) {
         let engine = self.engine;
         self.meters.evaluated.inc();
@@ -883,8 +974,13 @@ impl<'e> Run<'e> {
         }
         let (eval, entered) = engine.admit(genome, m, &mut self.population, &mut self.rng);
         self.tracker.record_op(op, entered);
-        let (oriented, fitness) = engine.tracker_point(&eval);
-        self.tracker.observe(&oriented, fitness);
+        // The tracker ignores an infeasible candidate's objectives.
+        let oriented = if eval.fitness.is_finite() {
+            engine.objectives.oriented_values(&eval.measurement)
+        } else {
+            Vec::new()
+        };
+        self.tracker.observe(&oriented, eval.fitness);
         rt::info!(
             engine.obs,
             "evaluated",
@@ -904,7 +1000,7 @@ impl<'e> Run<'e> {
         }
         engine.status.note_counters(done, self.counters);
         if engine.checkpoint.as_ref().is_some_and(|p| done.is_multiple_of(p.every)) {
-            self.save_checkpoint();
+            self.flush_journal();
         }
     }
 
@@ -912,75 +1008,40 @@ impl<'e> Run<'e> {
         self.prior_wall + self.start.elapsed().as_secs_f64()
     }
 
-    /// The run as a serializable [`CheckpointState`]. In-flight and
-    /// retry-queued work, and restored jobs not yet re-dispatched, land
-    /// in `pending`, so nothing is lost. At `threads = 1` nothing is in
-    /// flight at an admit boundary, but a retry can be pending there: a
-    /// fresh candidate may finish while the retry waits out a nonzero
-    /// backoff.
-    fn snapshot(&self) -> CheckpointState {
-        let cfg = &self.engine.config;
-        let (rng_state, rng_inc) = self.rng.raw_state();
-        let pairs = |v: &[Evaluated]| {
-            v.iter()
-                .map(|e| (e.genome.clone(), e.measurement.clone()))
-                .collect()
-        };
-        let mut cache: Vec<(u64, Measurement)> =
-            self.cache.iter().map(|(&k, m)| (k, m.clone())).collect();
-        cache.sort_by_key(|&(k, _)| k);
-        // The ledger yields in-flight jobs in id order, then queued
-        // retries in FIFO order.
-        let pending = self
-            .ledger
-            .pending_jobs()
-            .into_iter()
-            .map(|(attempt, (genome, op))| PendingJob {
-                attempt,
-                genome: genome.clone(),
-                op: *op,
-            })
-            .chain(self.restored.iter().cloned())
-            .collect();
-        CheckpointState {
-            version: crate::checkpoint::FORMAT_VERSION,
-            seed: cfg.seed,
-            evaluations: cfg.evaluations,
-            population_cap: cfg.population,
-            rng_state,
-            rng_inc,
-            counters: self.counters,
-            op_counters: self.tracker.operator_totals(),
-            wall_time_s: self.wall_time_s(),
-            seeds_remaining: self.seeds.clone(),
-            population: pairs(&self.population),
-            trace: pairs(&self.trace),
-            cache,
-            pending,
+    /// Buffers the journal line for `event` at the current breed
+    /// position, when a journal is attached.
+    fn record(&mut self, event: impl FnOnce() -> JournalEvent) {
+        let wall_s = self.wall_time_s();
+        if let Some(journal) = &mut self.journal {
+            journal.push(&JournalLine {
+                attempts: self.counters.attempts,
+                wall_s,
+                event: event(),
+            });
         }
     }
 
-    /// Writes a checkpoint when a policy is attached, downgrading
-    /// failure to a warning event — a full disk must not kill a search
-    /// that is otherwise healthy. The status cell learns about
-    /// successful writes so `/status` can report checkpoint age.
-    fn save_checkpoint(&self) {
-        let Some(policy) = &self.engine.checkpoint else {
+    /// Writes the journal's buffered lines, downgrading failure to a
+    /// warning event — a full disk must not kill a search that is
+    /// otherwise healthy, and the lines stay buffered for the next
+    /// write. The status cell learns about successful writes so
+    /// `/status` can report checkpoint age.
+    fn flush_journal(&mut self) {
+        let Some(journal) = &mut self.journal else {
             return;
         };
-        let obs = &self.engine.obs;
-        let state = self.snapshot();
-        match state.save(&policy.path) {
-            Ok(()) => {
+        match journal.flush() {
+            Ok(false) => {}
+            Ok(true) => {
                 self.engine.status.note_checkpoint();
                 rt::trace!(
-                    obs,
+                    self.engine.obs,
                     "checkpoint",
-                    evaluations_done = state.trace.len(),
-                    path = policy.path.display().to_string(),
+                    evaluations_done = self.trace.len(),
+                    path = journal.path.display().to_string(),
                 );
             }
-            Err(e) => rt::warn!(obs, "checkpoint_error", error = e.to_string()),
+            Err(e) => rt::warn!(self.engine.obs, "checkpoint_error", error = e.to_string()),
         }
     }
 
@@ -998,7 +1059,7 @@ impl<'e> Run<'e> {
                 cache_hits = c.cache_hits,
                 infeasible = c.infeasible_count,
             );
-            self.save_checkpoint();
+            self.flush_journal();
         }
         engine.status.note_counters(models_evaluated, c);
         engine.status.note_done();
@@ -1080,9 +1141,10 @@ impl Engine {
         self
     }
 
-    /// Attaches a checkpoint policy: the full master state is written
-    /// (atomically) to the policy's path every `every` unique
-    /// evaluations, on any halt, and at natural completion.
+    /// Attaches a checkpoint policy: the run journals every verdict and
+    /// migrant it acts on to the policy's path, writing the buffered
+    /// lines every `every` unique evaluations, on any halt, and at
+    /// natural completion.
     pub fn with_checkpoint(mut self, policy: CheckpointPolicy) -> Self {
         self.checkpoint = Some(policy);
         self
@@ -1141,30 +1203,41 @@ impl Engine {
 
     /// Runs the search to budget exhaustion (or until halted).
     pub fn run(&self) -> EngineOutcome {
-        self.run_inner(None)
+        self.run_inner(None).expect("a fresh run replays no journal")
     }
 
-    /// Continues a run from a checkpoint. For a seeded single-thread
-    /// search the continuation is byte-identical to the uninterrupted
-    /// run: same candidates, same trace suffix, same final population.
+    /// Continues a run from its checkpoint journal by replaying it (see
+    /// [`crate::checkpoint`]). For a seeded single-thread search the
+    /// continuation is byte-identical to the uninterrupted run: same
+    /// candidates, same trace suffix, same final population.
     ///
     /// # Errors
     ///
     /// Returns [`CheckpointError::Mismatch`] when the checkpoint's
     /// seed, budget, or population capacity disagree with this engine's
-    /// configuration.
+    /// configuration, or at the first journal line this engine would
+    /// not have written — as under another tournament size, crossover
+    /// rate or search space.
     pub fn resume(&self, state: CheckpointState) -> Result<EngineOutcome, CheckpointError> {
         state.validate(&self.config)?;
-        Ok(self.run_inner(Some(state)))
+        self.run_inner(Some(state))
     }
 
     /// The master loop (§III-A) as a sequence of named phases over the
     /// dispatch ledger; [`Run`] holds its state.
-    fn run_inner(&self, restored: Option<CheckpointState>) -> EngineOutcome {
+    fn run_inner(
+        &self,
+        resumed: Option<CheckpointState>,
+    ) -> Result<EngineOutcome, CheckpointError> {
         // Master-side prof_span! sites (dispatch/breed/replace) record
         // under the engine's profile tree when one is attached.
         let _prof_install = self.obs.profiler().map(|p| p.install());
-        let mut run = Run::start(self, restored);
+        // Replay runs on a copy of the engine whose `Obs` is disabled.
+        let quiet = resumed.is_some().then(|| Engine {
+            obs: Obs::disabled(),
+            ..self.clone()
+        });
+        let mut run = Run::start(self, quiet.as_ref().unwrap_or(self), resumed)?;
         loop {
             let halt = self.shutdown.is_requested()
                 || self.halt_after.is_some_and(|n| run.trace.len() >= n);
@@ -1177,11 +1250,11 @@ impl Engine {
                 // Debug-level JSONL.
                 rt::trace!(self.obs, "halt", evaluations_done = run.trace.len());
                 run.halted = true;
-                run.save_checkpoint();
+                run.flush_journal();
                 break;
             }
             run.fill();
-            if run.ledger.quiescent() && run.restored.is_empty() {
+            if run.ledger.quiescent() {
                 break;
             }
             match run.wait() {
@@ -1189,7 +1262,7 @@ impl Engine {
                 None => run.on_deadline(),
             }
         }
-        run.finish()
+        Ok(run.finish())
     }
 
     /// Emits the structured `epoch` trace event (and the `stall`
@@ -1236,17 +1309,6 @@ impl Engine {
                 best_fitness = snap.best_fitness,
             );
         }
-    }
-
-    /// What the epoch tracker observes of `e`: its oriented objectives
-    /// (left empty, and ignored, when it is infeasible) and fitness.
-    fn tracker_point(&self, e: &Evaluated) -> (Vec<f64>, f64) {
-        let oriented = if e.fitness.is_finite() {
-            self.objectives.oriented_values(&e.measurement)
-        } else {
-            Vec::new()
-        };
-        (oriented, e.fitness)
     }
 
     fn score(&self, genome: CandidateGenome, measurement: Measurement) -> Evaluated {
@@ -2124,7 +2186,11 @@ mod tests {
             .run();
         let state = CheckpointState::load(&path).unwrap();
         assert_eq!(state.trace.len(), out.stats.models_evaluated);
-        assert!(state.pending.is_empty());
+        // Every verdict is final: nothing is left to re-dispatch.
+        assert!(state
+            .journal
+            .iter()
+            .all(|l| matches!(l.event, JournalEvent::Verdict { last: true, .. })));
         // Resuming a completed run is a no-op that returns the same
         // final population.
         let resumed = engine(30, 49, 1).resume(state).unwrap();
@@ -2192,6 +2258,32 @@ mod tests {
         assert_eq!(counter("engine.retries"), 2);
         assert_eq!(counter("engine.timeouts"), s.timeout_count);
         assert_eq!(counter("engine.respawns"), s.respawn_count);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// Replay feeds the eval-time histogram too: after a resume it holds
+    /// one sample per measured attempt of the whole run, the replayed
+    /// retries included.
+    #[test]
+    fn resumed_run_eval_time_histogram_counts_the_whole_run() {
+        let schedule = FaultSchedule::new().at(2, FaultKind::Transient);
+        let path = tmp_path("histogram-resume.json");
+        let _ = faulty_engine(schedule, fault_cfg(16, 52))
+            .with_checkpoint(CheckpointPolicy::new(&path, 1))
+            .with_halt_after(8)
+            .run();
+        let obs = Obs::builder().build();
+        let resumed = faulty_engine(FaultSchedule::new(), fault_cfg(16, 52))
+            .with_obs(obs.clone())
+            .resume(CheckpointState::load(&path).unwrap())
+            .unwrap();
+        let samples = obs.snapshot().into_iter().find_map(|(n, v)| match v {
+            rt::obs::MetricValue::Histogram(h) if n == "engine.eval_time_s" => Some(h.count),
+            _ => None,
+        });
+        let s = &resumed.stats;
+        assert_eq!(s.retry_count, 1);
+        assert_eq!(samples, Some((s.models_evaluated + s.retry_count) as u64));
         std::fs::remove_file(&path).unwrap();
     }
 

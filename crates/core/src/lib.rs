@@ -28,8 +28,8 @@
 //!   bookkeeping as a pure, clock-generic state machine, shared between
 //!   the engine (wall clock) and the `rt::sched` model checks (virtual
 //!   time).
-//! * [`checkpoint`] — periodic JSON snapshots of the full master state
-//!   so an interrupted search resumes byte-identically.
+//! * [`checkpoint`] — an append-only journal of the master's inputs,
+//!   replayed so an interrupted search resumes byte-identically.
 //! * [`cluster`] — distributed coordinator/worker evaluation over TCP
 //!   (`rt::net` framed messages): a worker server that evaluates
 //!   genomes shipped with a full setup payload, stale-result fencing by

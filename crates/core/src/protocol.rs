@@ -16,7 +16,7 @@
 //!   [`std::time::Instant`] — the exact same transition code in both.
 //!
 //! The model checks' deliberately broken variants (a stale result read
-//! as unknown, a checkpoint that drops queued retries) live in the
+//! as unknown, a journal recovery that loses retried jobs) live in the
 //! tests, applied at the call site: the ledger itself has one behavior.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
@@ -177,17 +177,6 @@ impl<P, T: Ord + Copy> DispatchLedger<P, T> {
     pub fn quiescent(&self) -> bool {
         self.in_flight.is_empty() && self.retry_q.is_empty()
     }
-
-    /// Every job a checkpoint must preserve: in-flight jobs in
-    /// ascending id order, then queued retries in FIFO order, as
-    /// `(attempt, payload)` pairs.
-    pub fn pending_jobs(&self) -> Vec<(usize, &P)> {
-        self.in_flight
-            .values()
-            .map(|e| (e.attempt, &e.payload))
-            .chain(self.retry_q.iter().map(|(_, attempt, p)| (*attempt, p)))
-            .collect()
-    }
 }
 
 impl<P, T: Ord + Copy> Default for DispatchLedger<P, T> {
@@ -253,20 +242,6 @@ mod tests {
         assert_eq!(ledger.next_wake(), Some(300));
         ledger.schedule_retry(120, 1, "r");
         assert_eq!(ledger.next_wake(), Some(120));
-    }
-
-    #[test]
-    fn pending_jobs_cover_in_flight_and_retries() {
-        let mut ledger: DispatchLedger<&str, u64> = DispatchLedger::new();
-        ledger.dispatch(5, "b", 0, None);
-        ledger.dispatch(3, "a", 1, None);
-        ledger.schedule_retry(10, 2, "r");
-        let pending: Vec<(usize, &str)> = ledger
-            .pending_jobs()
-            .into_iter()
-            .map(|(attempt, p)| (attempt, *p))
-            .collect();
-        assert_eq!(pending, vec![(1, "a"), (0, "b"), (2, "r")]);
     }
 
     #[test]

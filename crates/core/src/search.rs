@@ -354,7 +354,7 @@ impl Search {
         self
     }
 
-    /// Attaches a checkpoint policy: run state is written to the
+    /// Attaches a checkpoint policy: the run's journal is written to the
     /// policy's path every `every` unique evaluations and on halt.
     pub fn checkpoint(mut self, policy: CheckpointPolicy) -> Self {
         self.checkpoint = Some(policy);
@@ -370,7 +370,8 @@ impl Search {
 
     /// Resumes from a previously saved checkpoint instead of starting
     /// fresh. The checkpoint must match this search's seed, budget, and
-    /// population capacity; [`Search::try_run`] reports a mismatch as
+    /// population capacity, and its journal must replay under this
+    /// search's configuration; [`Search::try_run`] reports a mismatch as
     /// [`CheckpointError::Mismatch`].
     pub fn resume_from(mut self, state: CheckpointState) -> Self {
         self.resume_from = Some(state);
@@ -435,7 +436,8 @@ impl Search {
     ///
     /// Returns [`CheckpointError::Mismatch`] when a checkpoint attached
     /// via [`Search::resume_from`] disagrees with this search's seed,
-    /// evaluation budget, or population capacity.
+    /// evaluation budget, or population capacity, or has a journal line
+    /// this search would not have written.
     pub fn try_run(self) -> Result<SearchResult, CheckpointError> {
         let (mut train, mut test) = if self.presplit {
             (self.train.clone(), self.test.clone())

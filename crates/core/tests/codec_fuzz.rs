@@ -13,9 +13,9 @@
 //!
 //! Failures replay through the printed `RT_CHECK_SEED`.
 
-use ecad_core::analytics::OperatorKind;
-use ecad_core::checkpoint::{CheckpointState, PendingJob, RunCounters, FORMAT_VERSION};
-use ecad_core::cluster::{CoordinatorRequest, SetupPayload, WorkerResponse};
+use ecad_core::checkpoint::{CheckpointError, CheckpointState, JournalEvent, JournalLine, Outcome};
+use ecad_core::cluster::{CoordinatorRequest, Migrant, SetupPayload, WorkerResponse};
+use ecad_core::engine::EvolutionConfig;
 use ecad_core::fitness::{FitnessRegistry, Objective, ObjectiveSet};
 use ecad_core::genome::CandidateGenome;
 use ecad_core::measurement::{HwMetrics, InfeasibleReason, Measurement};
@@ -360,50 +360,43 @@ fn event(rng: &mut StdRng) -> Event {
     }
 }
 
+/// A journal with every line kind: transient and final verdicts, each
+/// with a measurement and with a deadline, and a migrant.
 fn checkpoint(rng: &mut StdRng) -> CheckpointState {
-    let pairs = |rng: &mut StdRng, n| (0..n).map(|_| (genome(rng), measurement(rng))).collect();
-    let mut counter = || rng.gen_range(0..1_000usize);
-    let counters = RunCounters {
-        submitted_unique: counter(),
-        attempts: counter(),
-        next_id: counter(),
-        cache_hits: counter(),
-        infeasible_count: counter(),
-        retry_count: counter(),
-        timeout_count: counter(),
-        respawn_count: counter(),
-        total_eval_time_s: rng.gen_range(0.0..1e3),
-        train_time_s: rng.gen_range(0.0..1e3),
-        hw_time_s: rng.gen_range(0.0..1e3),
-    };
-    CheckpointState {
-        version: FORMAT_VERSION,
+    let mut s = CheckpointState::new(&EvolutionConfig {
         seed: rng.gen_range(0..u64::MAX),
         evaluations: rng.gen_range(1..1000),
-        population_cap: rng.gen_range(1..64),
-        rng_state: (u128::from(rng.gen_range(0..u64::MAX)) << 64)
-            | u128::from(rng.gen_range(0..u64::MAX)),
-        rng_inc: (u128::from(rng.gen_range(0..u64::MAX)) << 64) | 1,
-        counters,
-        op_counters: [
-            (1, 1),
-            (5, 2),
-            (9, 4),
-            (u64::from(rng.gen_range(0..99u32)), 0),
-        ],
-        wall_time_s: rng.gen_range(0.0..1e4),
-        seeds_remaining: (0..rng.gen_range(0..2)).map(|_| genome(rng)).collect(),
-        population: pairs(rng, 2),
-        trace: pairs(rng, 2),
-        cache: (0..2)
-            .map(|_| (rng.gen_range(0..u64::MAX), measurement(rng)))
-            .collect(),
-        pending: vec![PendingJob {
-            attempt: rng.gen_range(0..3),
+        population: rng.gen_range(1..64),
+        ..EvolutionConfig::small()
+    });
+    let mut attempts = 0;
+    for (last, deadline) in [(false, false), (false, true), (true, false), (true, true)] {
+        attempts += rng.gen_range(0..3usize);
+        let outcome = if deadline {
+            Outcome::Deadline {
+                after_s: rng.gen_range(0.0..10.0),
+                respawned: rng.gen_range(0..2) == 1,
+            }
+        } else {
+            Outcome::Measured(measurement(rng))
+        };
+        let event = JournalEvent::Verdict {
+            index: rng.gen_range(0..1000),
             genome: genome(rng),
-            op: OperatorKind::ALL[rng.gen_range(0..4usize)],
-        }],
+            outcome,
+            last,
+        };
+        let wall_s = rng.gen_range(0.0..1e4);
+        s.push(JournalLine { attempts, wall_s, event });
     }
+    let event = JournalEvent::Migrant(Migrant {
+        slot: rng.gen_range(0..8),
+        genome: genome(rng),
+        measurement: measurement(rng),
+    });
+    let wall_s = rng.gen_range(0.0..1e4);
+    s.push(JournalLine { attempts, wall_s, event });
+    s
 }
 
 fn requests(rng: &mut StdRng) -> Vec<CoordinatorRequest> {
@@ -514,11 +507,27 @@ rt::prop! {
         fuzz(&d.to_json(), &recode::<Dataset>);
     }
 
+    /// The journal's text round-trips. Each of its lines — the header
+    /// and every line kind — is mutation-fuzzed in place: the file as a
+    /// whole decodes to the mutated line, or is refused with an error
+    /// at that line.
     fn checkpoints_round_trip(seed in 0u64..u64::MAX) {
         let s = checkpoint(&mut StdRng::seed_from_u64(seed));
-        let back = CheckpointState::from_json(&reparse(&s.to_json())).expect("valid checkpoint");
-        rt::prop_assert_eq!(back, s.clone());
-        fuzz(&s.to_json(), &|doc| CheckpointState::from_json(doc).ok().map(|s| s.to_json()));
+        let text = s.to_text();
+        rt::prop_assert_eq!(CheckpointState::parse(&text).expect("valid checkpoint"), s.clone());
+        let lines: Vec<String> = text.lines().map(str::to_string).collect();
+        for (i, line) in lines.iter().enumerate() {
+            let lines = lines.clone();
+            fuzz(&Json::parse(line).unwrap(), &move |doc| {
+                let mut edited = lines.clone();
+                edited[i] = doc.to_string();
+                match CheckpointState::parse(&(edited.join("\n") + "\n")) {
+                    Ok(back) => back.to_text().lines().nth(i).map(|l| Json::parse(l).unwrap()),
+                    Err(CheckpointError::Schema(line, _)) if line == i + 1 => None,
+                    Err(e) => panic!("line {} mutated, but the error is {e}", i + 1),
+                }
+            });
+        }
     }
 
     /// An event's one JSON form: the trace line (`seq` first, timing

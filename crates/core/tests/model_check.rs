@@ -12,7 +12,7 @@
 //! * the **shipped** protocol, which must pass across the whole
 //!   explored schedule space, and
 //! * a **deliberately broken** variant (a seeded mutation: a dropped
-//!   stale-check, a skipped generation fence, a lossy checkpoint),
+//!   stale-check, a skipped generation fence, a lossy journal recovery),
 //!   which the checker must *catch* within the same budget — proof
 //!   that a pass over the shipped protocol means something. Each
 //!   mutant is a flag of its model, applied where the model calls the
@@ -294,22 +294,24 @@ fn checker_catches_missing_generation_fence() {
 }
 
 // ---------------------------------------------------------------------------
-// Suite 3: shutdown request → halt → checkpoint quiescence.
+// Suite 3: shutdown request → halt → journal recovery.
 // ---------------------------------------------------------------------------
 
 /// A shutdown racing a two-job search with transient failures. A
 /// killer thread flips the [`ShutdownFlag`] at an arbitrary point;
 /// the master checks it each iteration (like `Engine::run_inner`) and
-/// on halt snapshots a checkpoint: completed verdicts, the ledger's
-/// pending jobs (in-flight + queued retries), and never-submitted
-/// work.
+/// journals every verdict it applies, as the engine's checkpoint does:
+/// a transient one it sends back for another attempt, or a final one.
+/// On halt it recovers from the journal the way resume does: the jobs
+/// with a final line are done, and every other submitted job is
+/// re-dispatched at the attempt its transient lines reached.
 ///
 /// Invariant: wherever the shutdown lands — before submission, mid
-/// flight, or during a retry backoff — the checkpoint covers every
-/// job exactly once. The `drop_retries` mutant truncates the ledger's
-/// pending jobs to the in-flight ones, losing jobs waiting out a
-/// backoff.
-fn shutdown_checkpoint_model(drop_retries: bool) {
+/// flight, or during a retry backoff — recovery covers every job
+/// exactly once, and a job comes back at the attempt it had reached.
+/// The `lose_retries` mutant treats a job with any line as settled,
+/// losing jobs that are waiting out a backoff.
+fn shutdown_recovery_model(lose_retries: bool) {
     const BACKOFF_TICKS: u64 = 500;
     const MAX_RETRIES: usize = 1;
 
@@ -332,8 +334,12 @@ fn shutdown_checkpoint_model(drop_retries: bool) {
 
     let mut ledger: DispatchLedger<u32, u64> = DispatchLedger::new();
     let mut to_submit = vec![8u32, 7u32];
+    let mut submitted: Vec<u32> = Vec::new();
     let mut next_id = 0u64;
-    let mut completed: Vec<u32> = Vec::new();
+    // The attempt each unfinished job would be dispatched at next.
+    let mut next_attempt: Vec<(u32, usize)> = Vec::new();
+    // (job, final) per applied verdict, in order.
+    let mut journal: Vec<(u32, bool)> = Vec::new();
 
     loop {
         let halt = shutdown.is_requested();
@@ -343,6 +349,8 @@ fn shutdown_checkpoint_model(drop_retries: bool) {
                     if let Some((attempt, job)) = ledger.pop_ready_retry(sched::now()) {
                         (job, attempt)
                     } else if let Some(job) = to_submit.pop() {
+                        submitted.push(job);
+                        next_attempt.push((job, 0));
                         (job, 0)
                     } else {
                         break;
@@ -371,14 +379,16 @@ fn shutdown_checkpoint_model(drop_retries: bool) {
         if let Some((id, job, ok)) = received {
             match ledger.take_result(id) {
                 ResultClass::Fresh(done) => {
-                    if !ok && done.attempt < MAX_RETRIES {
+                    let last = ok || done.attempt >= MAX_RETRIES;
+                    journal.push((job, last));
+                    next_attempt.retain(|&(j, _)| j != job);
+                    if !last {
+                        next_attempt.push((job, done.attempt + 1));
                         ledger.schedule_retry(
                             sched::now() + BACKOFF_TICKS,
                             done.attempt + 1,
                             done.payload,
                         );
-                    } else {
-                        completed.push(job);
                     }
                 }
                 ResultClass::Stale => {}
@@ -387,16 +397,22 @@ fn shutdown_checkpoint_model(drop_retries: bool) {
         }
     }
 
-    // The halt-time checkpoint. No job may be lost or duplicated.
-    let mut snapshot: Vec<u32> = completed.clone();
-    let mut pending = ledger.pending_jobs();
-    if drop_retries {
-        pending.truncate(ledger.in_flight_len());
-    }
-    snapshot.extend(pending.into_iter().map(|(_, &job)| job));
-    snapshot.extend(to_submit.iter().copied());
-    snapshot.sort_unstable();
-    assert_eq!(snapshot, vec![7, 8], "checkpoint lost or duplicated work");
+    // Recovery from the journal alone. No job may be lost or
+    // duplicated, and each comes back at the attempt it reached.
+    let settled = |job: u32| journal.iter().any(|&(j, last)| j == job && (last || lose_retries));
+    let mut recovered: Vec<(u32, usize)> = submitted
+        .iter()
+        .filter(|&&job| !settled(job))
+        .map(|&job| (job, journal.iter().filter(|&&(j, _)| j == job).count()))
+        .collect();
+    let mut covered: Vec<u32> = journal.iter().filter(|(_, last)| *last).map(|&(j, _)| j).collect();
+    covered.extend(recovered.iter().map(|&(job, _)| job));
+    covered.extend(to_submit.iter().copied());
+    covered.sort_unstable();
+    assert_eq!(covered, vec![7, 8], "journal recovery lost or duplicated work");
+    recovered.sort_unstable();
+    next_attempt.sort_unstable();
+    assert_eq!(recovered, next_attempt, "journal recovery resumed a job at the wrong attempt");
 
     drop(req_tx);
     worker.join();
@@ -404,18 +420,18 @@ fn shutdown_checkpoint_model(drop_retries: bool) {
 }
 
 #[test]
-fn shutdown_checkpoint_quiescence_holds_across_interleavings() {
-    sched::check(budget(), || shutdown_checkpoint_model(false)).assert_pass();
+fn shutdown_recovery_holds_across_interleavings() {
+    sched::check(budget(), || shutdown_recovery_model(false)).assert_pass();
 }
 
 #[test]
-fn checker_catches_checkpoint_that_drops_retries() {
-    let report = sched::check(budget(), || shutdown_checkpoint_model(true));
+fn checker_catches_recovery_that_loses_retries() {
+    let report = sched::check(budget(), || shutdown_recovery_model(true));
     let failure = report
         .failure
-        .expect("checkpoint-losing mutant must be caught");
+        .expect("recovery-losing mutant must be caught");
     assert!(
-        failure.message.contains("checkpoint lost or duplicated"),
+        failure.message.contains("journal recovery lost or duplicated"),
         "caught the wrong bug: {}",
         failure.message
     );

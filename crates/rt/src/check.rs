@@ -16,7 +16,7 @@
 //! ```
 //!
 //! Generators are values implementing [`Gen`]: integer and float
-//! ranges work directly, and [`vec`], [`select`], [`ascii_string`],
+//! ranges work directly, and [`vec`](fn@vec), [`select`], [`ascii_string`],
 //! [`from_fn`], and [`map`] compose the rest. A failing case is
 //! replayed with `RT_CHECK_SEED=<seed> cargo test <name>`.
 //!
@@ -277,7 +277,7 @@ impl Gen for Range<char> {
     }
 }
 
-/// Length constraint for [`vec`] and [`ascii_string`]; build one from a
+/// Length constraint for [`vec`](fn@vec) and [`ascii_string`]; build one from a
 /// `usize` (exact length), `Range<usize>`, or `RangeInclusive<usize>`.
 #[derive(Debug, Clone, Copy)]
 pub struct SizeRange {
@@ -326,7 +326,7 @@ pub fn vec<G: Gen>(element: G, size: impl Into<SizeRange>) -> VecGen<G> {
     }
 }
 
-/// See [`vec`].
+/// See [`vec`](fn@vec).
 pub struct VecGen<G> {
     element: G,
     size: SizeRange,

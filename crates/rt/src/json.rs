@@ -460,13 +460,17 @@ impl<'a> Parser<'a> {
                     return Err(self.error("unescaped control character in string"))
                 }
                 Some(_) => {
-                    // Consume one whole UTF-8 scalar; input is a &str so
-                    // boundaries are valid.
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).expect("input was a str");
-                    let c = s.chars().next().expect("peeked non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run of plain bytes up to the next quote,
+                    // backslash or control byte as one slice. Those
+                    // three are ASCII and the input is a &str, so the
+                    // run is whole UTF-8.
+                    let start = self.pos;
+                    while matches!(self.peek(), Some(b) if b >= 0x20 && b != b'"' && b != b'\\')
+                    {
+                        self.pos += 1;
+                    }
+                    let run = std::str::from_utf8(&self.bytes[start..self.pos]);
+                    out.push_str(run.expect("input was a str"));
                 }
             }
         }
@@ -1041,5 +1045,41 @@ mod tests {
         assert_eq!(true.to_json().to_string(), "true");
         assert_eq!(None::<u8>.to_json(), Json::Null);
         assert_eq!(vec![1u8, 2].to_json().to_string(), "[1,2]");
+    }
+
+    #[test]
+    fn strings_mix_plain_runs_escapes_and_multibyte_text() {
+        let text = "plain é\u{1F600}\"quoted\"\\\n\ttab\u{7f}end";
+        let doc = Json::String(text.to_string()).to_string();
+        assert_eq!(Json::parse(&doc), Ok(Json::String(text.to_string())));
+        let err = Json::parse("\"ab\u{1}\"").unwrap_err();
+        assert_eq!(err.to_string(), "1:4: unescaped control character in string");
+    }
+
+    /// Parsing a string is linear in its length. The test compares
+    /// growth, not absolute speed: with the fastest of five parses at
+    /// each size, an 8× longer string takes about 8× longer when the
+    /// parser is linear and about 64× when it is quadratic.
+    #[test]
+    fn string_parse_time_grows_linearly() {
+        let fastest = |len: usize| {
+            let doc = format!("\"{}\"", "x".repeat(len));
+            (0..5)
+                .map(|_| {
+                    let t = std::time::Instant::now();
+                    let parsed = Json::parse(&doc).unwrap();
+                    let spent = t.elapsed();
+                    assert_eq!(parsed.as_str().map(str::len), Some(len));
+                    spent
+                })
+                .min()
+                .unwrap()
+        };
+        let (short, long) = (fastest(16 << 10), fastest(128 << 10));
+        let growth = long.as_secs_f64() / short.as_secs_f64().max(1e-9);
+        assert!(
+            growth < 24.0,
+            "8x the length took {growth:.1}x the time ({short:?} -> {long:?})"
+        );
     }
 }

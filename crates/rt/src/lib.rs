@@ -18,7 +18,7 @@
 //! * [`check`] — a property-testing harness: the [`prop!`] macro runs a
 //!   body over generated inputs, shrinks failures, and prints the seed
 //!   so any failure replays exactly.
-//! * [`bench`] — a minimal wall-clock benchmark runner with the
+//! * [`bench`](mod@bench) — a minimal wall-clock benchmark runner with the
 //!   criterion surface the benchmark suites register against; it
 //!   measures and summarizes, and writes no report.
 //! * [`prof`] — a hierarchical profiler: spans open under the profiler

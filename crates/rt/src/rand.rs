@@ -97,25 +97,6 @@ fn splitmix64(x: &mut u64) -> u64 {
 }
 
 impl Pcg64 {
-    /// The raw generator state as `(state, inc)`, for checkpointing.
-    /// Feed the pair back through [`Pcg64::from_raw_state`] to resume
-    /// the exact output stream.
-    pub fn raw_state(&self) -> (u128, u128) {
-        (self.state, self.inc)
-    }
-
-    /// Rebuilds a generator from a [`Pcg64::raw_state`] pair. The `inc`
-    /// stream selector must be odd (every constructor makes it so); an
-    /// even value is rejected to catch corrupted checkpoints.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `inc` is even.
-    pub fn from_raw_state(state: u128, inc: u128) -> Self {
-        assert!(inc & 1 == 1, "Pcg64 stream selector must be odd");
-        Self { state, inc }
-    }
-
     fn step(&mut self) {
         self.state = self.state.wrapping_mul(PCG_MUL).wrapping_add(self.inc);
     }

@@ -171,11 +171,14 @@ impl rt::json::ToJson for ScatterSummary {
     fn to_json(&self) -> rt::json::Json {
         rt::json::Json::object()
             .insert("platform", &self.platform)
-            .insert("top_accuracy", &self.top_accuracy)
-            .insert("throughput_at_top", &self.throughput_at_top)
-            .insert("throughput_one_notch_down", &self.throughput_one_notch_down)
-            .insert("step_down_gain", &self.step_down_gain)
-            .insert("neurons_throughput_correlation", &self.neurons_throughput_correlation)
+            .insert("top_accuracy", self.top_accuracy)
+            .insert("throughput_at_top", self.throughput_at_top)
+            .insert("throughput_one_notch_down", self.throughput_one_notch_down)
+            .insert("step_down_gain", self.step_down_gain)
+            .insert(
+                "neurons_throughput_correlation",
+                self.neurons_throughput_correlation,
+            )
     }
 }
 

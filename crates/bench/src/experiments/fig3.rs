@@ -223,22 +223,22 @@ pub fn run(ctx: &ExperimentContext) -> Fig3 {
 impl rt::json::ToJson for BankPoint {
     fn to_json(&self) -> rt::json::Json {
         rt::json::Json::object()
-            .insert("banks", &self.banks)
+            .insert("banks", self.banks)
             .insert("grid", &self.grid)
-            .insert("outputs_per_s", &self.outputs_per_s)
-            .insert("efficiency", &self.efficiency)
-            .insert("bandwidth_bound", &self.bandwidth_bound)
+            .insert("outputs_per_s", self.outputs_per_s)
+            .insert("efficiency", self.efficiency)
+            .insert("bandwidth_bound", self.bandwidth_bound)
     }
 }
 
 impl rt::json::ToJson for BankSummary {
     fn to_json(&self) -> rt::json::Json {
         rt::json::Json::object()
-            .insert("banks", &self.banks)
-            .insert("max_outputs_per_s", &self.max_outputs_per_s)
-            .insert("mean_outputs_per_s", &self.mean_outputs_per_s)
-            .insert("mean_efficiency", &self.mean_efficiency)
-            .insert("bandwidth_bound_fraction", &self.bandwidth_bound_fraction)
+            .insert("banks", self.banks)
+            .insert("max_outputs_per_s", self.max_outputs_per_s)
+            .insert("mean_outputs_per_s", self.mean_outputs_per_s)
+            .insert("mean_efficiency", self.mean_efficiency)
+            .insert("bandwidth_bound_fraction", self.bandwidth_bound_fraction)
     }
 }
 

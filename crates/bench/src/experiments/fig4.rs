@@ -159,11 +159,11 @@ impl rt::json::ToJson for EfficiencySummary {
     fn to_json(&self) -> rt::json::Json {
         rt::json::Json::object()
             .insert("platform", &self.platform)
-            .insert("top_accuracy", &self.top_accuracy)
-            .insert("throughput_at_top", &self.throughput_at_top)
-            .insert("efficiency_at_top", &self.efficiency_at_top)
-            .insert("mean_efficiency", &self.mean_efficiency)
-            .insert("max_efficiency", &self.max_efficiency)
+            .insert("top_accuracy", self.top_accuracy)
+            .insert("throughput_at_top", self.throughput_at_top)
+            .insert("efficiency_at_top", self.efficiency_at_top)
+            .insert("mean_efficiency", self.mean_efficiency)
+            .insert("max_efficiency", self.max_efficiency)
     }
 }
 

@@ -205,14 +205,14 @@ impl rt::json::ToJson for Table1Row {
     fn to_json(&self) -> rt::json::Json {
         rt::json::Json::object()
             .insert("dataset", &self.dataset)
-            .insert("best_any_accuracy", &self.best_any_accuracy)
+            .insert("best_any_accuracy", self.best_any_accuracy)
             .insert("best_any_method", &self.best_any_method)
-            .insert("mlp_baseline_accuracy", &self.mlp_baseline_accuracy)
-            .insert("ecad_accuracy", &self.ecad_accuracy)
+            .insert("mlp_baseline_accuracy", self.mlp_baseline_accuracy)
+            .insert("ecad_accuracy", self.ecad_accuracy)
             .insert("ecad_topology", &self.ecad_topology)
-            .insert("paper_best_any", &self.paper_best_any)
-            .insert("paper_mlp", &self.paper_mlp)
-            .insert("paper_ecad", &self.paper_ecad)
+            .insert("paper_best_any", self.paper_best_any)
+            .insert("paper_mlp", self.paper_mlp)
+            .insert("paper_ecad", self.paper_ecad)
     }
 }
 

@@ -175,9 +175,9 @@ pub fn run(ctx: &ExperimentContext) -> Table3 {
 impl rt::json::ToJson for PaperRuntime {
     fn to_json(&self) -> rt::json::Json {
         rt::json::Json::object()
-            .insert("models", &self.models)
-            .insert("avg_s", &self.avg_s)
-            .insert("total_s", &self.total_s)
+            .insert("models", self.models)
+            .insert("avg_s", self.avg_s)
+            .insert("total_s", self.total_s)
     }
 }
 
@@ -185,17 +185,17 @@ impl rt::json::ToJson for Table3Row {
     fn to_json(&self) -> rt::json::Json {
         rt::json::Json::object()
             .insert("dataset", &self.dataset)
-            .insert("models_evaluated", &self.models_evaluated)
-            .insert("cache_hits", &self.cache_hits)
-            .insert("infeasible", &self.infeasible)
-            .insert("retries", &self.retries)
-            .insert("timeouts", &self.timeouts)
-            .insert("respawns", &self.respawns)
-            .insert("avg_eval_s", &self.avg_eval_s)
-            .insert("total_eval_s", &self.total_eval_s)
-            .insert("train_s", &self.train_s)
-            .insert("hw_s", &self.hw_s)
-            .insert("paper", &self.paper)
+            .insert("models_evaluated", self.models_evaluated)
+            .insert("cache_hits", self.cache_hits)
+            .insert("infeasible", self.infeasible)
+            .insert("retries", self.retries)
+            .insert("timeouts", self.timeouts)
+            .insert("respawns", self.respawns)
+            .insert("avg_eval_s", self.avg_eval_s)
+            .insert("total_eval_s", self.total_eval_s)
+            .insert("train_s", self.train_s)
+            .insert("hw_s", self.hw_s)
+            .insert("paper", self.paper)
     }
 }
 

@@ -12,7 +12,7 @@
 
 use ecad_core::prelude::*;
 use ecad_dataset::benchmarks::Benchmark;
-use ecad_hw::gpu::{GpuDevice, GpuModel};
+use ecad_hw::gpu::GpuDevice;
 
 use crate::context::ExperimentContext;
 use crate::report::{acc, sci, TextTable};
@@ -168,7 +168,7 @@ pub fn run(ctx: &ExperimentContext) -> Table4 {
             let mut biases: Vec<bool> =
                 candidate.genome.nna.layers.iter().map(|l| l.bias).collect();
             biases.push(true);
-            let tx = GpuModel::new(GpuDevice::titan_x()).evaluate(&shapes, &biases);
+            let tx = GpuDevice::titan_x().roofline().evaluate(&shapes, &biases);
             rows.push(Table4Row {
                 dataset: b.name().to_string(),
                 accuracy: candidate.measurement.accuracy,
@@ -186,9 +186,9 @@ impl rt::json::ToJson for Table4Row {
     fn to_json(&self) -> rt::json::Json {
         rt::json::Json::object()
             .insert("dataset", &self.dataset)
-            .insert("accuracy", &self.accuracy)
-            .insert("s10_outputs_per_s", &self.s10_outputs_per_s)
-            .insert("tx_outputs_per_s", &self.tx_outputs_per_s)
+            .insert("accuracy", self.accuracy)
+            .insert("s10_outputs_per_s", self.s10_outputs_per_s)
+            .insert("tx_outputs_per_s", self.tx_outputs_per_s)
             .insert("genome", &self.genome)
     }
 }
@@ -196,8 +196,8 @@ impl rt::json::ToJson for Table4Row {
 impl rt::json::ToJson for PaperPareto {
     fn to_json(&self) -> rt::json::Json {
         rt::json::Json::object()
-            .insert("top", &self.top)
-            .insert("fast", &self.fast)
+            .insert("top", self.top)
+            .insert("fast", self.fast)
     }
 }
 

@@ -11,9 +11,12 @@ use rt::bench::Criterion;
 
 pub mod kernels;
 
+/// A suite's registration function.
+pub type Register = fn(&mut Criterion);
+
 /// Every suite, in (name, registration) form — the registry behind
 /// `ecad bench run --suite NAME` and `--suite all`.
-pub const ALL: &[(&str, fn(&mut Criterion))] = &[("kernels", kernels::register)];
+pub const ALL: &[(&str, Register)] = &[("kernels", kernels::register)];
 
 /// The registered suite names, in registry (sorted) order.
 pub fn names() -> Vec<&'static str> {

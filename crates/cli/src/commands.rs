@@ -5,11 +5,12 @@ use std::fmt;
 
 use ecad_core::config::FlowConfig;
 use ecad_core::prelude::*;
+use ecad_core::workers::CatalogError;
 use ecad_dataset::benchmarks::{self, Benchmark};
 use ecad_dataset::csv;
-use ecad_hw::cpu::{CpuDevice, CpuModel};
+use ecad_hw::cpu::CpuDevice;
 use ecad_hw::fpga::{FpgaDevice, FpgaModel, GridConfig, PhysicalModel};
-use ecad_hw::gpu::{GpuDevice, GpuModel};
+use ecad_hw::gpu::GpuDevice;
 
 use crate::args::{parse_grid, parse_usize_list, ArgError, Parsed};
 
@@ -728,12 +729,15 @@ fn cmd_estimate(p: &Parsed) -> Result<String, CliError> {
         shapes.len(),
         ecad_hw::total_flops(&shapes) / 1e6
     );
-    let target = HwTarget::catalog(device, banks).ok_or_else(|| {
-        CliError::Domain(format!(
-            "unknown device {device:?}; run `ecad devices` for the catalog"
-        ))
+    let target = HwTarget::catalog(device, banks).map_err(|e| {
+        CliError::Domain(match e {
+            CatalogError::UnknownDevice => {
+                format!("unknown device {device:?}; run `ecad devices` for the catalog")
+            }
+            CatalogError::NoDdrBanks => format!("--banks must be at least 1 for {device}"),
+        })
     })?;
-    match target {
+    let (roofline, dispatches) = match &target {
         HwTarget::Fpga(dev) => {
             let (r, c, v, im, inn) = parse_grid(p.get("grid").unwrap_or("8x8x4"))?;
             let grid =
@@ -761,32 +765,21 @@ fn cmd_estimate(p: &Parsed) -> Result<String, CliError> {
                 100.0 * phys.resources.m20k_util,
                 100.0 * phys.resources.alm_util,
             ));
+            return Ok(out);
         }
-        HwTarget::Gpu(dev) => {
-            let perf = GpuModel::new(dev.clone()).evaluate(&shapes, &biases);
-            out.push_str(&format!(
-                "{}\n  outputs/s   {:.3e}\n  latency     {:.2e} s\n  effective   {:.1} GFLOP/s (efficiency {:.2}%)\n  kernels     {}\n",
-                dev.name,
-                perf.outputs_per_s,
-                perf.latency_s,
-                perf.effective_gflops,
-                100.0 * perf.efficiency,
-                perf.kernels,
-            ));
-        }
-        HwTarget::Cpu(dev) => {
-            let perf = CpuModel::new(dev.clone()).evaluate(&shapes, &biases);
-            out.push_str(&format!(
-                "{}\n  outputs/s   {:.3e}\n  latency     {:.2e} s\n  effective   {:.1} GFLOP/s (efficiency {:.2}%)\n  BLAS calls  {}\n",
-                dev.name,
-                perf.outputs_per_s,
-                perf.latency_s,
-                perf.effective_gflops,
-                100.0 * perf.efficiency,
-                perf.calls,
-            ));
-        }
-    }
+        HwTarget::Gpu(dev) => (dev.roofline(), "kernels"),
+        HwTarget::Cpu(dev) => (dev.roofline(), "BLAS calls"),
+    };
+    let perf = roofline.evaluate(&shapes, &biases);
+    out.push_str(&format!(
+        "{}\n  outputs/s   {:.3e}\n  latency     {:.2e} s\n  effective   {:.1} GFLOP/s (efficiency {:.2}%)\n  {dispatches:<12}{}\n",
+        target.device_name(),
+        perf.outputs_per_s,
+        perf.total_time_s,
+        perf.effective_gflops,
+        100.0 * perf.efficiency,
+        perf.dispatches,
+    ));
     Ok(out)
 }
 
@@ -875,6 +868,15 @@ mod tests {
             run(argv("estimate --layers 784")),
             Err(CliError::Domain(_))
         ));
+    }
+
+    #[test]
+    fn estimate_refuses_an_fpga_without_ddr_banks() {
+        let err = run(argv("estimate --layers 8,4 --device stratix10 --banks 0")).unwrap_err();
+        assert!(matches!(err, CliError::Domain(_)));
+        assert_eq!(err.to_string(), "--banks must be at least 1 for stratix10");
+        // Only FPGAs have banks; other devices ignore the count.
+        assert!(run(argv("estimate --layers 8,4 --device titanx --banks 0")).is_ok());
     }
 
     #[test]

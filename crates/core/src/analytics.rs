@@ -585,7 +585,7 @@ impl EpochTracker {
 
     /// Whether `trace_len` unique evaluations complete an epoch.
     pub fn should_snapshot(&self, trace_len: usize) -> bool {
-        trace_len > 0 && trace_len % self.epoch_size == 0
+        trace_len > 0 && trace_len.is_multiple_of(self.epoch_size)
     }
 
     /// Flat iff both hypervolume and best fitness moved less than

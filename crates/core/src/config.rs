@@ -15,8 +15,8 @@
 //! max_neurons = 512
 //!
 //! [hardware]
-//! target = fpga          ; fpga | gpu
-//! device = arria10       ; arria10 | stratix10 | m5000 | titanx | radeonvii
+//! target = fpga          ; fpga | gpu | cpu
+//! device = arria10       ; a `workers::CATALOG` name
 //! ddr_banks = 1
 //!
 //! [optimization]
@@ -28,7 +28,8 @@
 //! ```
 //!
 //! Unspecified keys fall back to defaults, so the minimal configuration
-//! is an empty file.
+//! is an empty file. A section or key the format does not define (see
+//! [`SCHEMA`]) is an error, so a typo never runs silently on defaults.
 
 use std::collections::HashMap;
 use std::error::Error;
@@ -40,7 +41,7 @@ use ecad_mlp::{OptimizerKind, TrainConfig};
 use crate::engine::EvolutionConfig;
 use crate::fitness::Objective;
 use crate::space::{HwFamily, SearchSpace};
-use crate::workers::HwTarget;
+use crate::workers::{CatalogError, HwTarget, CATALOG};
 
 /// Error produced while parsing a configuration file.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -70,8 +71,30 @@ pub enum ConfigError {
         /// 1-based line number.
         line: usize,
     },
-    /// An unknown device name.
-    UnknownDevice(String),
+    /// A device name outside [`CATALOG`].
+    UnknownDevice {
+        /// The raw value.
+        value: String,
+        /// 1-based line number.
+        line: usize,
+    },
+    /// A section header [`SCHEMA`] does not define.
+    UnknownSection {
+        /// The section name, lowercased.
+        section: String,
+        /// 1-based line number of the header.
+        line: usize,
+    },
+    /// A key [`SCHEMA`] does not define in its section (`""` above the
+    /// first header, where no key is defined).
+    UnknownKey {
+        /// The section, lowercased.
+        section: String,
+        /// The key, lowercased.
+        key: String,
+        /// 1-based line number.
+        line: usize,
+    },
     /// Objectives and weights lists have different lengths.
     ObjectiveWeightMismatch {
         /// Number of objectives listed.
@@ -100,10 +123,26 @@ impl fmt::Display for ConfigError {
                     "line {line}: unknown target {value:?} (expected fpga, gpu, or cpu)"
                 )
             }
-            ConfigError::UnknownDevice(d) => write!(
+            ConfigError::UnknownDevice { value, line } => write!(
                 f,
-                "unknown device {d:?} (expected arria10, stratix10, m5000, titanx, radeonvii, xeon, or desktop)"
+                "line {line}: unknown device {value:?} (expected one of {})",
+                CATALOG.map(|(name, _)| name).join(", ")
             ),
+            ConfigError::UnknownSection { section, line } => write!(
+                f,
+                "line {line}: unknown section [{section}] (expected one of {})",
+                SCHEMA.map(|(name, _)| name).join(", ")
+            ),
+            ConfigError::UnknownKey { section, key, line } => {
+                match SCHEMA.iter().find(|(name, _)| name == section) {
+                    Some((_, keys)) => write!(
+                        f,
+                        "line {line}: unknown key {key:?} in [{section}] (expected one of {})",
+                        keys.join(", ")
+                    ),
+                    None => write!(f, "line {line}: key {key:?} is outside any section"),
+                }
+            }
             ConfigError::ObjectiveWeightMismatch { objectives, weights } => {
                 write!(f, "{objectives} objectives but {weights} weights")
             }
@@ -113,14 +152,48 @@ impl fmt::Display for ConfigError {
 
 impl Error for ConfigError {}
 
+/// Every section the configuration format defines, with its keys.
+pub const SCHEMA: [(&str, &[&str]); 3] = [
+    (
+        "nna",
+        &["min_layers", "max_layers", "min_neurons", "max_neurons"],
+    ),
+    ("hardware", &["target", "device", "ddr_banks"]),
+    (
+        "optimization",
+        &[
+            "objectives",
+            "weights",
+            "evaluations",
+            "population",
+            "tournament",
+            "crossover_rate",
+            "seed",
+            "threads",
+            "selection",
+            "eval_timeout_s",
+            "max_retries",
+            "retry_backoff_ms",
+            "epoch_size",
+            "stall_window",
+            "stall_epsilon",
+            "epochs",
+            "batch_size",
+            "gemm_threads",
+            "learning_rate",
+        ],
+    ),
+];
+
 /// A parsed value plus the 1-based line it was set on, so downstream
 /// validation errors can point back into the file.
 type SpannedSection = HashMap<String, (String, usize)>;
 
-/// Parses INI text into `section -> key -> (value, line)`. Keys before
-/// any section header land in the `""` section.
-fn parse_ini_spanned(text: &str) -> Result<HashMap<String, SpannedSection>, ConfigError> {
-    let mut out: HashMap<String, SpannedSection> = HashMap::new();
+/// Parses INI text into `section -> (header line, key -> (value,
+/// line))`. Keys before any section header land in the `""` section,
+/// whose header line is 0.
+fn parse_ini_spanned(text: &str) -> Result<HashMap<String, (usize, SpannedSection)>, ConfigError> {
+    let mut out: HashMap<String, (usize, SpannedSection)> = HashMap::new();
     let mut section = String::new();
     for (i, raw) in text.lines().enumerate() {
         let line = raw.trim();
@@ -129,13 +202,15 @@ fn parse_ini_spanned(text: &str) -> Result<HashMap<String, SpannedSection>, Conf
         }
         if let Some(name) = line.strip_prefix('[').and_then(|s| s.strip_suffix(']')) {
             section = name.trim().to_ascii_lowercase();
-            out.entry(section.clone()).or_default();
+            out.entry(section.clone())
+                .or_insert_with(|| (i + 1, SpannedSection::new()));
             continue;
         }
         match line.split_once('=') {
             Some((k, v)) => {
                 out.entry(section.clone())
                     .or_default()
+                    .1
                     .insert(k.trim().to_ascii_lowercase(), (v.trim().to_string(), i + 1));
             }
             None => {
@@ -158,13 +233,37 @@ fn parse_ini_spanned(text: &str) -> Result<HashMap<String, SpannedSection>, Conf
 pub fn parse_ini(text: &str) -> Result<HashMap<String, HashMap<String, String>>, ConfigError> {
     Ok(parse_ini_spanned(text)?
         .into_iter()
-        .map(|(section, kv)| {
-            (
-                section,
-                kv.into_iter().map(|(k, (v, _))| (k, v)).collect(),
-            )
-        })
+        .map(|(section, (_, kv))| (section, kv.into_iter().map(|(k, (v, _))| (k, v)).collect()))
         .collect())
+}
+
+/// Rejects the first line, in file order, that opens a section or sets
+/// a key [`SCHEMA`] does not define.
+fn reject_unknown(ini: &HashMap<String, (usize, SpannedSection)>) -> Result<(), ConfigError> {
+    let mut unknown = Vec::new();
+    for (section, (header, keys)) in ini {
+        let known = SCHEMA.iter().find(|(name, _)| name == section);
+        if known.is_none() && *header > 0 {
+            let e = ConfigError::UnknownSection {
+                section: section.clone(),
+                line: *header,
+            };
+            unknown.push((*header, e));
+            continue;
+        }
+        let known: &[&str] = known.map_or(&[], |(_, keys)| keys);
+        for (key, &(_, line)) in keys
+            .iter()
+            .filter(|(key, _)| !known.contains(&key.as_str()))
+        {
+            let (section, key) = (section.clone(), key.clone());
+            unknown.push((line, ConfigError::UnknownKey { section, key, line }));
+        }
+    }
+    unknown
+        .into_iter()
+        .min_by_key(|(line, _)| *line)
+        .map_or(Ok(()), |(_, e)| Err(e))
 }
 
 /// A fully resolved flow configuration.
@@ -201,11 +300,7 @@ fn get_parse<T: std::str::FromStr>(
 ) -> Result<T, ConfigError> {
     match section.get(key) {
         None => Ok(default),
-        Some((v, line)) => v.parse().map_err(|_| ConfigError::BadValue {
-            key: key.to_string(),
-            value: v.clone(),
-            line: *line,
-        }),
+        Some((v, _)) => v.parse().map_err(|_| bad_value(section, key)),
     }
 }
 
@@ -218,12 +313,18 @@ fn get_checked<T: std::str::FromStr>(
 ) -> Result<T, ConfigError> {
     let value = get_parse(section, key, default)?;
     match section.get(key) {
-        Some((raw, line)) if !ok(&value) => Err(ConfigError::BadValue {
-            key: key.to_string(),
-            value: raw.clone(),
-            line: *line,
-        }),
+        Some(_) if !ok(&value) => Err(bad_value(section, key)),
         _ => Ok(value),
+    }
+}
+
+/// A [`ConfigError::BadValue`] for `key` as the file set it.
+fn bad_value(section: &SpannedSection, key: &str) -> ConfigError {
+    let (value, line) = section.get(key).cloned().unwrap_or_default();
+    ConfigError::BadValue {
+        key: key.to_string(),
+        value,
+        line,
     }
 }
 
@@ -238,16 +339,12 @@ fn check_bounds(
     if lo <= hi {
         return Ok(());
     }
-    let (key, (value, line)) = [lo_key, hi_key]
+    let key = [lo_key, hi_key]
         .into_iter()
-        .filter_map(|k| section.get(k).map(|v| (k, v)))
-        .max_by_key(|(_, (_, line))| *line)
+        .filter(|k| section.contains_key(*k))
+        .max_by_key(|k| section[*k].1)
         .expect("default bounds are ordered");
-    Err(ConfigError::BadValue {
-        key: key.to_string(),
-        value: value.clone(),
-        line: *line,
-    })
+    Err(bad_value(section, key))
 }
 
 impl FlowConfig {
@@ -255,16 +352,16 @@ impl FlowConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`ConfigError`] on syntax errors, unparseable or
-    /// out-of-range values, unknown devices, or mismatched
-    /// objective/weight lists. Every accepted configuration can build
-    /// an engine and sample its search space.
+    /// Returns [`ConfigError`] on syntax errors, unknown sections or
+    /// keys, unparseable or out-of-range values, unknown devices, or
+    /// mismatched objective/weight lists. Every accepted configuration
+    /// can build an engine and sample its search space.
     pub fn from_ini(text: &str) -> Result<Self, ConfigError> {
         let ini = parse_ini_spanned(text)?;
+        reject_unknown(&ini)?;
         let empty = SpannedSection::new();
-        let nna = ini.get("nna").unwrap_or(&empty);
-        let hw = ini.get("hardware").unwrap_or(&empty);
-        let opt = ini.get("optimization").unwrap_or(&empty);
+        let section = |name| ini.get(name).map_or(&empty, |(_, keys)| keys);
+        let (nna, hw, opt) = (section("nna"), section("hardware"), section("optimization"));
 
         // Hardware target first: it decides the space family. An
         // unrecognized kind is an error, not a silent FPGA default.
@@ -289,8 +386,15 @@ impl FlowConfig {
                 "cpu" => "xeon",
                 _ => "arria10",
             });
-        let target = HwTarget::catalog(device_name, ddr_banks)
-            .ok_or_else(|| ConfigError::UnknownDevice(device_name.to_string()))?;
+        // The defaults are a catalog name and one bank, so the file set
+        // whatever the catalog refuses.
+        let target = HwTarget::catalog(device_name, ddr_banks).map_err(|e| match e {
+            CatalogError::NoDdrBanks => bad_value(hw, "ddr_banks"),
+            CatalogError::UnknownDevice => {
+                let (value, line) = hw.get("device").cloned().unwrap_or_default();
+                ConfigError::UnknownDevice { value, line }
+            }
+        })?;
         let family = match target {
             HwTarget::Fpga(_) => HwFamily::Fpga,
             HwTarget::Gpu(_) | HwTarget::Cpu(_) => HwFamily::Gpu,
@@ -316,17 +420,11 @@ impl FlowConfig {
         })?;
         evolution.seed = get_parse(opt, "seed", evolution.seed)?;
         evolution.threads = get_checked(opt, "threads", evolution.threads, positive)?;
-        if let Some((sel, line)) = opt.get("selection") {
+        if let Some((sel, _)) = opt.get("selection") {
             evolution.selection = match sel.as_str() {
                 "scalar" | "weighted" => crate::engine::SelectionMode::WeightedScalar,
                 "nsga2" => crate::engine::SelectionMode::Nsga2,
-                other => {
-                    return Err(ConfigError::BadValue {
-                        key: "selection".to_string(),
-                        value: other.to_string(),
-                        line: *line,
-                    })
-                }
+                _ => return Err(bad_value(opt, "selection")),
             };
         }
 
@@ -362,12 +460,8 @@ impl FlowConfig {
         trainer.epochs = get_parse(opt, "epochs", trainer.epochs)?;
         trainer.batch_size = get_parse(opt, "batch_size", trainer.batch_size)?;
         trainer.gemm_threads = get_parse(opt, "gemm_threads", trainer.gemm_threads)?;
-        if let Some((lr, line)) = opt.get("learning_rate") {
-            let lr: f32 = lr.parse().map_err(|_| ConfigError::BadValue {
-                key: "learning_rate".to_string(),
-                value: lr.clone(),
-                line: *line,
-            })?;
+        if let Some((lr, _)) = opt.get("learning_rate") {
+            let lr: f32 = lr.parse().map_err(|_| bad_value(opt, "learning_rate"))?;
             trainer.optimizer = OptimizerKind::Adam { lr };
         }
 
@@ -468,6 +562,7 @@ population = 9
 seed = 123
 threads = 2
 epochs = 10
+batch_size = 8
 gemm_threads = 4
 ";
         let c = FlowConfig::from_ini(text).unwrap();
@@ -484,6 +579,7 @@ gemm_threads = 4
         assert_eq!(c.evolution.population, 9);
         assert_eq!(c.evolution.seed, 123);
         assert_eq!(c.trainer.epochs, 10);
+        assert_eq!(c.trainer.batch_size, 8);
         assert_eq!(c.trainer.gemm_threads, 4);
         assert_eq!(c.objectives.len(), 2);
         assert_eq!(c.objectives[1].name, "log_throughput");
@@ -527,9 +623,72 @@ gemm_threads = 4
     }
 
     #[test]
-    fn unknown_device_is_error() {
-        let err = FlowConfig::from_ini("[hardware]\ndevice = tpu\n").unwrap_err();
-        assert_eq!(err, ConfigError::UnknownDevice("tpu".to_string()));
+    fn unknown_device_is_located_and_lists_the_catalog() {
+        let err = FlowConfig::from_ini("[hardware]\n\ndevice = tpu\n").unwrap_err();
+        assert_eq!(
+            err,
+            ConfigError::UnknownDevice {
+                value: "tpu".to_string(),
+                line: 3,
+            }
+        );
+        let message = err.to_string();
+        assert!(
+            message.starts_with("line 3: unknown device \"tpu\""),
+            "{message}"
+        );
+        for (name, _) in CATALOG {
+            assert!(message.contains(name), "{message} lacks {name}");
+        }
+    }
+
+    #[test]
+    fn unknown_sections_and_keys_are_located_errors() {
+        // (file text, the error it must give)
+        let unknown_key = |section: &str, key: &str, line| ConfigError::UnknownKey {
+            section: section.to_string(),
+            key: key.to_string(),
+            line,
+        };
+        let cases = [
+            (
+                "[optimization]\nseed = 1\nevaluation = 500\n",
+                unknown_key("optimization", "evaluation", 3),
+            ),
+            ("[nna]\nlayers = 3\n", unknown_key("nna", "layers", 2)),
+            ("seed = 1\n[optimization]\n", unknown_key("", "seed", 1)),
+            (
+                "[nna]\nmax_layers = 2\n\n[optimisation]\nevaluations = 500\n",
+                ConfigError::UnknownSection {
+                    section: "optimisation".to_string(),
+                    line: 4,
+                },
+            ),
+            // The first offending line wins, whatever the section order.
+            (
+                "[hardware]\nbanks = 2\n[nna]\nlayers = 3\n",
+                unknown_key("hardware", "banks", 2),
+            ),
+            (
+                "[nna]\nlayers = 3\n[hardware]\nbanks = 2\n",
+                unknown_key("nna", "layers", 2),
+            ),
+            // Unknown names are reported before values are read.
+            (
+                "[optimization]\npopulation = many\nevaluation = 5\n",
+                unknown_key("optimization", "evaluation", 3),
+            ),
+        ];
+        for (text, want) in &cases {
+            assert_eq!(&FlowConfig::from_ini(text).unwrap_err(), want, "{text:?}");
+        }
+        let message = cases[0].1.to_string();
+        assert!(message.starts_with("line 3: unknown key \"evaluation\" in [optimization]"));
+        assert!(message.contains("evaluations"), "{message}");
+        assert!(cases[3]
+            .1
+            .to_string()
+            .starts_with("line 4: unknown section [optimisation]"));
     }
 
     #[test]
@@ -629,6 +788,7 @@ gemm_threads = 4
             ("[nna]\nmin_neurons = 600\n", "min_neurons", 2),
             ("[nna]\nmax_layers = 0\n", "max_layers", 2),
             ("[nna]\nmin_neurons = 0\n", "min_neurons", 2),
+            ("[hardware]\nddr_banks = 0\n", "ddr_banks", 2),
         ];
         for (text, key, line) in cases {
             match FlowConfig::from_ini(text) {

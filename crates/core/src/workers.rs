@@ -4,7 +4,8 @@
 //! the fitness of various hardware platforms" (§III-B):
 //!
 //! * the **simulation worker** trains the candidate MLP and, for GPU
-//!   targets, times it on the analytical GPU model;
+//!   and CPU targets, times it on the dispatch roofline
+//!   (`ecad_hw::roofline`);
 //! * the **hardware database worker** scores FPGA targets through the
 //!   overlay model "in a relatively swift manner compared to running
 //!   through synthesis tools";
@@ -21,9 +22,9 @@ use std::mem::discriminant;
 use std::time::Instant;
 
 use ecad_dataset::Dataset;
-use ecad_hw::cpu::{CpuDevice, CpuModel};
-use ecad_hw::fpga::{FpgaDevice, FpgaModel, GridConfig, PhysicalModel};
-use ecad_hw::gpu::{GpuDevice, GpuModel};
+use ecad_hw::cpu::CpuDevice;
+use ecad_hw::fpga::{FpgaDevice, FpgaModel, GridConfig, GridError, PhysicalModel};
+use ecad_hw::gpu::GpuDevice;
 use ecad_mlp::{TrainConfig, Trainer};
 use rt::json::{Cursor, DecodeError, FromJson, Json};
 use rt::rand::rngs::StdRng;
@@ -68,6 +69,15 @@ pub const CATALOG: [(&str, MakeTarget); 7] = [
     ("desktop", |_| HwTarget::Cpu(CpuDevice::desktop_8c())),
 ];
 
+/// Why [`HwTarget::catalog`] built no device.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CatalogError {
+    /// The name is not in [`CATALOG`].
+    UnknownDevice,
+    /// An FPGA without a DDR bank, whose memory would have no bandwidth.
+    NoDdrBanks,
+}
+
 impl HwTarget {
     /// Display name of the underlying device.
     pub fn device_name(&self) -> &str {
@@ -79,12 +89,19 @@ impl HwTarget {
     }
 
     /// The [`CATALOG`] device called `name`, with `ddr_banks` DDR banks
-    /// if it is an FPGA; `None` for a name outside the catalog.
-    pub fn catalog(name: &str, ddr_banks: u32) -> Option<HwTarget> {
-        CATALOG
-            .iter()
-            .find(|(n, _)| *n == name)
-            .map(|(_, make)| make(ddr_banks))
+    /// if it is an FPGA (other devices ignore the count).
+    ///
+    /// # Errors
+    ///
+    /// An unknown name, or an FPGA without a bank. Every front end (INI,
+    /// `ecad estimate`, the cluster wire) builds its device here.
+    pub fn catalog(name: &str, ddr_banks: u32) -> Result<HwTarget, CatalogError> {
+        let found = CATALOG.iter().find(|(n, _)| *n == name);
+        match found.map(|(_, make)| make(ddr_banks)) {
+            None => Err(CatalogError::UnknownDevice),
+            Some(HwTarget::Fpga(_)) if ddr_banks == 0 => Err(CatalogError::NoDdrBanks),
+            Some(target) => Ok(target),
+        }
     }
 
     /// The wire form `{"device": <catalog name>, "ddr_banks": n}`, `n`
@@ -117,13 +134,14 @@ impl FromJson for HwTarget {
         let name = device.str()?;
         let banks = j.field("ddr_banks")?;
         let n = u32::decode(banks)?;
-        let target = HwTarget::catalog(name, n)
-            .ok_or_else(|| device.error(format!("unknown device {name:?}")))?;
-        // As the encoder writes them: an FPGA has DDR banks, nothing else.
-        if matches!(target, HwTarget::Fpga(_)) != (n > 0) {
-            return Err(banks.expected("at least 1 for an FPGA, 0 for other devices"));
+        match HwTarget::catalog(name, n) {
+            Err(CatalogError::UnknownDevice) => {
+                Err(device.error(format!("unknown device {name:?}")))
+            }
+            // As the encoder writes them: an FPGA has DDR banks, nothing else.
+            Ok(target) if matches!(target, HwTarget::Fpga(_)) == (n > 0) => Ok(target),
+            _ => Err(banks.expected("at least 1 for an FPGA, 0 for other devices")),
         }
-        Ok(target)
     }
 }
 
@@ -203,16 +221,14 @@ impl CodesignEvaluator {
         self
     }
 
-    /// The train split.
-    pub fn train_set(&self) -> &Dataset {
-        &self.train
-    }
-
-    /// The test split.
-    pub fn test_set(&self) -> &Dataset {
-        &self.test
-    }
-
+    /// Scores `genome`'s hardware genes on the target. The hardware
+    /// models only compute; this is the one place that narrates their
+    /// verdicts: a warn `fpga_unfit` for a design that does not fit its
+    /// device, a debug `bandwidth_bound` with the worst per-layer stall
+    /// factor, and a debug `gpu_model`/`cpu_model` with the dispatch
+    /// count and efficiency (the paper's 0.3 % GPU-efficiency
+    /// observation, visible per candidate). Each model call runs in a
+    /// profile span named after it.
     fn hw_metrics(
         &self,
         genome: &CandidateGenome,
@@ -231,52 +247,64 @@ impl CodesignEvaluator {
                     ..
                 },
             ) => {
-                let grid = match GridConfig::new(*rows, *cols, *interleave_m, *interleave_n, *vec) {
-                    Ok(g) => g,
-                    Err(e) => {
-                        rt::warn!(self.obs, "fpga_unfit", detail = e.to_string());
-                        return HwMetrics::Infeasible {
-                            reason: InfeasibleReason::DeviceFit,
-                        };
+                let score = || -> Result<HwMetrics, GridError> {
+                    let grid = GridConfig::new(*rows, *cols, *interleave_m, *interleave_n, *vec)?;
+                    let model = FpgaModel::new(device.clone());
+                    let perf = {
+                        let _prof = rt::prof_span!("fpga_model");
+                        model.evaluate(&grid, shapes)?
+                    };
+                    if perf.bandwidth_bound {
+                        let worst_stall = perf.layers.iter().map(|l| l.stall).fold(1.0, f64::max);
+                        rt::debug!(
+                            self.obs,
+                            "bandwidth_bound",
+                            device = device.name.as_str(),
+                            worst_stall = worst_stall,
+                            efficiency = perf.efficiency,
+                        );
                     }
+                    let physical = PhysicalModel::new(device.clone()).report(&grid)?;
+                    Ok(HwMetrics::Fpga {
+                        outputs_per_s: perf.outputs_per_s,
+                        efficiency: perf.efficiency,
+                        latency_s: perf.latency_s,
+                        potential_gflops: perf.potential_gflops,
+                        effective_gflops: perf.effective_gflops,
+                        bandwidth_bound: perf.bandwidth_bound,
+                        power_w: physical.power_w,
+                        fmax_mhz: physical.fmax_mhz,
+                        dsp_util: physical.resources.dsp_util,
+                    })
                 };
-                let model = FpgaModel::new(device.clone());
-                let perf = match model.evaluate_observed(&grid, shapes, &self.obs) {
-                    Ok(p) => p,
-                    Err(_) => {
-                        // evaluate_observed already narrated the error.
-                        return HwMetrics::Infeasible {
-                            reason: InfeasibleReason::DeviceFit,
-                        };
+                score().unwrap_or_else(|e| {
+                    rt::warn!(
+                        self.obs,
+                        "fpga_unfit",
+                        device = device.name.as_str(),
+                        detail = e.to_string(),
+                    );
+                    HwMetrics::Infeasible {
+                        reason: InfeasibleReason::DeviceFit,
                     }
-                };
-                let physical = match PhysicalModel::new(device.clone()).report(&grid) {
-                    Ok(r) => r,
-                    Err(e) => {
-                        rt::warn!(self.obs, "fpga_unfit", detail = e.to_string());
-                        return HwMetrics::Infeasible {
-                            reason: InfeasibleReason::DeviceFit,
-                        };
-                    }
-                };
-                HwMetrics::Fpga {
-                    outputs_per_s: perf.outputs_per_s,
-                    efficiency: perf.efficiency,
-                    latency_s: perf.latency_s,
-                    potential_gflops: perf.potential_gflops,
-                    effective_gflops: perf.effective_gflops,
-                    bandwidth_bound: perf.bandwidth_bound,
-                    power_w: physical.power_w,
-                    fmax_mhz: physical.fmax_mhz,
-                    dsp_util: physical.resources.dsp_util,
-                }
+                })
             }
             (HwTarget::Gpu(device), HwGenome::GpuBatch { .. }) => {
-                let perf = GpuModel::new(device.clone()).evaluate_observed(shapes, biases, &self.obs);
+                let perf = {
+                    let _prof = rt::prof_span!("gpu_model");
+                    device.roofline().evaluate(shapes, biases)
+                };
+                rt::debug!(
+                    self.obs,
+                    "gpu_model",
+                    device = device.name.as_str(),
+                    kernels = perf.dispatches,
+                    efficiency = perf.efficiency,
+                );
                 HwMetrics::Gpu {
                     outputs_per_s: perf.outputs_per_s,
                     efficiency: perf.efficiency,
-                    latency_s: perf.latency_s,
+                    latency_s: perf.total_time_s,
                     effective_gflops: perf.effective_gflops,
                     // The paper measured ~50 W average under MLP load on
                     // a 150 W-class board; scale that observation by
@@ -286,11 +314,21 @@ impl CodesignEvaluator {
                 }
             }
             (HwTarget::Cpu(device), HwGenome::GpuBatch { .. }) => {
-                let perf = CpuModel::new(device.clone()).evaluate_observed(shapes, biases, &self.obs);
+                let perf = {
+                    let _prof = rt::prof_span!("cpu_model");
+                    device.roofline().evaluate(shapes, biases)
+                };
+                rt::debug!(
+                    self.obs,
+                    "cpu_model",
+                    device = device.name.as_str(),
+                    calls = perf.dispatches,
+                    efficiency = perf.efficiency,
+                );
                 HwMetrics::Cpu {
                     outputs_per_s: perf.outputs_per_s,
                     efficiency: perf.efficiency,
-                    latency_s: perf.latency_s,
+                    latency_s: perf.total_time_s,
                     effective_gflops: perf.effective_gflops,
                     power_w: 0.35 * device.tdp_w + 0.65 * device.tdp_w * perf.efficiency.min(1.0),
                 }
@@ -495,6 +533,38 @@ mod tests {
     }
 
     #[test]
+    fn every_unfit_verdict_names_its_device() {
+        let sink = rt::obs::CaptureSink::new(rt::obs::Level::Debug);
+        let eval = fpga_evaluator().with_obs(Obs::builder().sink(sink.clone()).build());
+        // A zero-row grid fails `GridConfig::new`; 4096 DSPs fail the
+        // model's fit check.
+        for (rows, vec) in [(0, 4), (16, 16)] {
+            let mut g = fpga_genome();
+            g.hw = HwGenome::FpgaGrid {
+                rows,
+                cols: 16,
+                interleave_m: 2,
+                interleave_n: 2,
+                vec,
+                batch: 8,
+            };
+            assert!(!eval.evaluate(&g).hw.is_feasible());
+        }
+        let unfit: Vec<_> = sink
+            .take()
+            .into_iter()
+            .filter(|e| e.name == "fpga_unfit")
+            .collect();
+        assert_eq!(unfit.len(), 2);
+        for e in unfit {
+            assert_eq!(e.target, "ecad_core::workers");
+            let keys: Vec<&str> = e.fields.iter().map(|(k, _)| *k).collect();
+            assert_eq!(keys, ["device", "detail"]);
+            assert_eq!(e.fields[0].1, rt::obs::Value::from("Arria 10 GX 1150"));
+        }
+    }
+
+    #[test]
     fn cross_family_genome_is_infeasible() {
         let mut g = fpga_genome();
         g.hw = HwGenome::GpuBatch { batch: 64 };
@@ -515,5 +585,20 @@ mod tests {
     #[test]
     fn target_name_reports_device() {
         assert_eq!(fpga_evaluator().target_name(), "Arria 10 GX 1150");
+    }
+
+    #[test]
+    fn catalog_refuses_unknown_names_and_bankless_fpgas() {
+        assert!(matches!(
+            HwTarget::catalog("tpu", 1),
+            Err(CatalogError::UnknownDevice)
+        ));
+        for (name, make) in CATALOG {
+            match (make(1), HwTarget::catalog(name, 0)) {
+                (HwTarget::Fpga(_), Err(CatalogError::NoDdrBanks)) => {}
+                (HwTarget::Gpu(_) | HwTarget::Cpu(_), Ok(_)) => {}
+                (_, got) => panic!("{name} with 0 banks: {got:?}"),
+            }
+        }
     }
 }

@@ -38,22 +38,28 @@ rt::prop! {
     }
 
     /// INI-shaped line soup: section headers, half-headers, comments,
-    /// bare keys, duplicate sections, and values the typed getters
-    /// must refuse gracefully (bad numbers, unknown devices,
-    /// mismatched objective/weight lists, out-of-range settings). Every
-    /// configuration it accepts must build an engine, sample its space
-    /// into trainable genomes, and breed from them.
+    /// unknown keys, a known key outside its section, duplicate
+    /// sections, and values the typed getters must refuse gracefully
+    /// (bad numbers, unknown devices, mismatched objective/weight
+    /// lists, out-of-range settings). Every configuration it accepts
+    /// must build an engine, sample its space into trainable genomes,
+    /// and breed from them. The settings carry their section header:
+    /// a key outside its section is an error, so bare settings would
+    /// leave almost no accepted file that sets anything.
     fn ini_parser_survives_line_soup(lines in vec(select(std::vec::Vec::from([
         "[nna]", "[hardware]", "[optimization]", "[", "]", "[]", "[nna",
-        "layers = 3", "layers = banana", "layers =", "= 3", "layers",
-        "target = fpga", "target = abacus", "device = arria10_gx1150",
-        "objectives = accuracy, throughput", "weights = 0.5",
-        "weights = not,numbers", "; comment", "# comment", "", " ",
-        "max_neurons = 99999999999999999999", "seed = -1", "\u{0}=\u{0}",
-        "crossover_rate = 1.5", "crossover_rate = nan", "crossover_rate = 1",
-        "population = 0", "evaluations = 0", "tournament = 0", "threads = 0",
-        "min_layers = 3", "max_layers = 1", "max_layers = 0",
-        "min_neurons = 50", "max_neurons = 4", "min_neurons = 0",
+        "layers = 3", "layers = banana", "layers =", "= 3", "layers", "crossover_rate = 1",
+        "[hardware]\ntarget = fpga", "[hardware]\ntarget = abacus",
+        "[hardware]\ndevice = arria10_gx1150", "[hardware]\nddr_banks = 0",
+        "[optimization]\nobjectives = accuracy, throughput", "[optimization]\nweights = 0.5",
+        "[optimization]\nweights = not,numbers", "; comment", "# comment", "", " ",
+        "[nna]\nmax_neurons = 99999999999999999999", "[optimization]\nseed = -1",
+        "\u{0}=\u{0}", "[optimization]\ncrossover_rate = 1.5",
+        "[optimization]\ncrossover_rate = nan", "[optimization]\ncrossover_rate = 1",
+        "[optimization]\npopulation = 0", "[optimization]\nevaluations = 0",
+        "[optimization]\ntournament = 0", "[optimization]\nthreads = 0",
+        "[nna]\nmin_layers = 3", "[nna]\nmax_layers = 1", "[nna]\nmax_layers = 0",
+        "[nna]\nmin_neurons = 50", "[nna]\nmax_neurons = 4", "[nna]\nmin_neurons = 0",
     ])), 0..16)) {
         let text = lines.join("\n");
         let _ = parse_ini(&text);

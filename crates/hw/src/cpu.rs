@@ -1,5 +1,12 @@
-//! CPU device catalog.
+//! CPU targets: the other instruction-set architecture the paper's
+//! simulation worker covers ("CPU and GPU", §III-B). The device catalog
+//! is timed by the same dispatch roofline as the GPUs
+//! ([`crate::roofline`]) with CPU-shaped parameters: far fewer FLOP/s,
+//! far lower per-call overhead (an `sgemm` call, not a device launch),
+//! and a fixed parallel-efficiency factor for the multicore fork/join
+//! in place of GPU occupancy.
 
+use crate::roofline::{GemmRate, Roofline};
 
 /// A CPU's roofline attributes for the simulation worker.
 #[derive(Debug, Clone, PartialEq)]
@@ -60,14 +67,22 @@ impl CpuDevice {
         self.cores as f64 * self.flops_per_core_per_cycle as f64 * self.clock_ghz * 1e9
     }
 
-    /// Sustained GEMM throughput in FLOP/s.
-    pub fn sustained_flops(&self) -> f64 {
-        self.peak_flops() * self.gemm_efficiency
-    }
-
     /// Peak memory bandwidth in bytes/s.
     pub fn mem_bytes_per_s(&self) -> f64 {
         self.mem_gb_per_s * 1e9
+    }
+
+    /// The roofline that times this CPU: one BLAS call per dispatch,
+    /// GEMMs at `gemm_efficiency` of peak.
+    pub fn roofline(&self) -> Roofline {
+        Roofline {
+            peak_flops: self.peak_flops(),
+            mem_bytes_per_s: self.mem_bytes_per_s(),
+            dispatch_s: self.call_overhead_s,
+            gemm: GemmRate::Sustained {
+                efficiency: self.gemm_efficiency,
+            },
+        }
     }
 }
 
@@ -79,7 +94,11 @@ mod tests {
     fn xeon_peak_is_teraflop_class() {
         let d = CpuDevice::xeon_22c();
         assert!((d.peak_flops() / 1e12 - 1.5488).abs() < 1e-3);
-        assert!(d.sustained_flops() < d.peak_flops());
+        // The threaded GEMM sustains less than peak.
+        match d.roofline().gemm {
+            GemmRate::Sustained { efficiency } => assert!(efficiency < 1.0),
+            other => panic!("a CPU GEMM runs at a sustained fraction of peak, got {other:?}"),
+        }
     }
 
     #[test]

@@ -22,7 +22,6 @@
 //!    partial edge blocks costing full-block cycles (this is where small
 //!    batches on big grids lose efficiency, the co-design signal).
 
-
 use crate::{total_flops, F32_BYTES};
 
 use super::{FpgaDevice, GridConfig, GridError};
@@ -184,43 +183,6 @@ impl FpgaModel {
             bandwidth_bound,
             layers: layer_perfs,
         })
-    }
-
-    /// Like [`FpgaModel::evaluate`], narrating the outcome through
-    /// `obs`: a failed device-fit check emits a warn `fpga_unfit`
-    /// event, and a bandwidth-stalled design emits a debug
-    /// `bandwidth_bound` event with the worst per-layer stall factor —
-    /// the roofline signals a search operator wants to see live.
-    pub fn evaluate_observed(
-        &self,
-        grid: &GridConfig,
-        layers: &[(usize, usize, usize)],
-        obs: &rt::obs::Obs,
-    ) -> Result<FpgaPerf, GridError> {
-        let _prof = rt::prof_span!("fpga_model");
-        let result = self.evaluate(grid, layers);
-        match &result {
-            Err(e) => {
-                rt::warn!(
-                    obs,
-                    "fpga_unfit",
-                    device = self.device.name.as_str(),
-                    detail = e.to_string(),
-                );
-            }
-            Ok(perf) if perf.bandwidth_bound => {
-                let worst_stall = perf.layers.iter().map(|l| l.stall).fold(1.0, f64::max);
-                rt::debug!(
-                    obs,
-                    "bandwidth_bound",
-                    device = self.device.name.as_str(),
-                    worst_stall = worst_stall,
-                    efficiency = perf.efficiency,
-                );
-            }
-            Ok(_) => {}
-        }
-        result
     }
 }
 

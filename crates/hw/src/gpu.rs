@@ -1,5 +1,9 @@
-//! GPU device catalog (§IV): Quadro M5000, Titan X, Radeon VII.
+//! GPU comparators (§IV): the device catalog — Quadro M5000, Titan X,
+//! Radeon VII — timed by the dispatch roofline
+//! ([`crate::roofline`]) with occupancy-scaled GEMMs, matching the
+//! paper's TensorFlow-trace methodology.
 
+use crate::roofline::{GemmRate, Roofline};
 
 /// A GPU device's roofline attributes.
 #[derive(Debug, Clone, PartialEq)]
@@ -71,6 +75,19 @@ impl GpuDevice {
     /// Peak memory bandwidth in bytes/s.
     pub fn mem_bytes_per_s(&self) -> f64 {
         self.mem_gb_per_s * 1e9
+    }
+
+    /// The roofline that times this GPU: one kernel launch per
+    /// dispatch, GEMMs scaled by occupancy.
+    pub fn roofline(&self) -> Roofline {
+        Roofline {
+            peak_flops: self.peak_flops(),
+            mem_bytes_per_s: self.mem_bytes_per_s(),
+            dispatch_s: self.kernel_overhead_s,
+            gemm: GemmRate::Occupancy {
+                full_outputs: self.full_occupancy_outputs,
+            },
+        }
     }
 }
 

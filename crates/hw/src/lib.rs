@@ -13,16 +13,18 @@
 //!   effective GFLOP/s, outputs/s, latency), and the analytical
 //!   synthesis model (ALM/M20K/DSP utilization, Fmax, power) used by the
 //!   physical worker.
-//! * [`gpu`] — the fixed-architecture comparators (Quadro M5000,
-//!   Titan X, Radeon VII): per-kernel roofline with launch overhead,
-//!   matching the paper's TensorFlow-trace timing methodology (DRAM
-//!   transfers excluded).
-//! * [`cpu`] — the other instruction-set target the paper's simulation
-//!   worker supports: a BLAS-call roofline for server/desktop CPUs.
+//! * [`roofline`] — one per-layer dispatch roofline for the
+//!   instruction-set targets, matching the paper's TensorFlow-trace
+//!   timing methodology (DRAM transfers excluded), built by the
+//!   [`gpu`] comparators (Quadro M5000, Titan X, Radeon VII) and the
+//!   [`cpu`] catalog (server/desktop CPUs).
 //!
-//! Both models consume the MLP's GEMM decomposition — a slice of
-//! `(m, k, n)` layer shapes — and return throughput metrics in the
+//! Every model consumes the MLP's GEMM decomposition — a slice of
+//! `(m, k, n)` layer shapes — and returns throughput metrics in the
 //! paper's units (GFLOP/s, outputs per second, seconds of latency).
+//! The models are pure functions: the crate depends on nothing, and
+//! the evaluator that calls them (`ecad_core::workers`) narrates their
+//! verdicts.
 //!
 //! These are *models*, not cycle-accurate simulators: the paper itself
 //! scores nearly every candidate through its "hardware database worker",
@@ -48,6 +50,7 @@
 pub mod cpu;
 pub mod fpga;
 pub mod gpu;
+pub mod roofline;
 
 /// Bytes per FP32 element; the whole flow is single-precision, matching
 /// the paper ("All data is 32-bit floating-point").

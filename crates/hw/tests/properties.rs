@@ -2,7 +2,7 @@
 //! monotonicity, and bandwidth behaviour. Runs on `rt::check`.
 
 use ecad_hw::fpga::{FpgaDevice, FpgaModel, GridConfig, PhysicalModel};
-use ecad_hw::gpu::{GpuDevice, GpuModel};
+use ecad_hw::gpu::GpuDevice;
 use ecad_hw::total_flops;
 use rt::check::{map, select, vec, Gen};
 use rt::prop_assert;
@@ -104,7 +104,7 @@ rt::prop! {
     /// GPU timing: time is additive over layers (running layers
     /// separately sums to running them together).
     fn gpu_time_additivity(layers in arb_layers()) {
-        let model = GpuModel::new(GpuDevice::titan_x());
+        let model = GpuDevice::titan_x().roofline();
         let biases = vec![true; layers.len()];
         let whole = model.evaluate(&layers, &biases);
         let sum: f64 = layers
@@ -117,7 +117,7 @@ rt::prop! {
     /// GPU efficiency is bounded and decreases (weakly) when layers
     /// shrink to launch-overhead-dominated sizes.
     fn gpu_efficiency_bounds(m in 1usize..512, k in 1usize..512, n in 2usize..256) {
-        let model = GpuModel::new(GpuDevice::quadro_m5000());
+        let model = GpuDevice::quadro_m5000().roofline();
         let perf = model.evaluate(&[(m, k, n)], &[true]);
         prop_assert!((0.0..=1.0).contains(&perf.efficiency));
         let tiny = model.evaluate(&[(1, 1, 2)], &[true]);

@@ -414,8 +414,10 @@ mod tests {
 
     #[test]
     fn filter_matches_substring() {
-        let mut c = Criterion::default();
-        c.filter = Some("gemm".to_string());
+        let mut c = Criterion {
+            filter: Some("gemm".to_string()),
+            ..Criterion::default()
+        };
         assert!(c.matches("group/gemm/64"));
         assert!(!c.matches("group/softmax"));
         c.filter = None;

@@ -464,14 +464,15 @@ pub fn parse_exposition(text: &str) -> Result<Vec<Sample>, String> {
     Ok(samples)
 }
 
+/// Decoded `(name, value)` label pairs and the text after the block's
+/// closing `}`.
+type LabelBlock<'a> = (Vec<(String, String)>, &'a str);
+
 /// Parses a label block body (after the opening `{`) handling the
 /// text-format escapes in quoted values — `\\`, `\"`, and `\n` — so a
 /// value may contain `}`, `,`, or `"` without breaking the line apart.
 /// Returns the decoded pairs and the remainder after the closing `}`.
-fn parse_label_block<'a>(
-    body: &'a str,
-    line: &str,
-) -> Result<(Vec<(String, String)>, &'a str), String> {
+fn parse_label_block<'a>(body: &'a str, line: &str) -> Result<LabelBlock<'a>, String> {
     let mut labels = Vec::new();
     let mut rest = body.trim_start();
     loop {

@@ -1,10 +1,11 @@
 //! # ecad-rt
 //!
-//! The workspace's self-contained runtime substrate. Every other crate
-//! builds on the modules here instead of crates.io packages, so the
+//! The workspace's self-contained runtime substrate. The other crates
+//! build on the modules here instead of crates.io packages, so the
 //! whole reproduction compiles with `cargo build --offline` against an
 //! empty registry — the same spirit in which `ecad_core::config` hand-
-//! rolls its INI parser.
+//! rolls its INI parser. The exception is `ecad-hw`, whose models are
+//! pure arithmetic: it uses [`check`] in its tests only.
 //!
 //! * [`rand`] — a deterministic PCG64 generator behind the familiar
 //!   `Rng` / `SeedableRng` / `SliceRandom` surface, so genome mutation,

@@ -651,6 +651,10 @@ impl Histogram {
         }
     }
 
+    // The negation takes NaN here on purpose, into bucket 0 with the
+    // small values; under `v <= HIST_MIN` NaN would reach bucket 0 only
+    // through `log2` and the saturating `as usize` cast.
+    #[allow(clippy::neg_cmp_op_on_partial_ord)]
     fn bucket_index(v: f64) -> usize {
         if !(v > HIST_MIN) {
             return 0;
@@ -819,7 +823,7 @@ pub fn labeled_key(name: &str, labels: &[(&str, &str)]) -> String {
         out.push_str(k);
         out.push_str("=\"");
         out.push_str(&escape_label_value(v));
-        out.push_str("\"");
+        out.push('"');
     }
     out.push('}');
     out

@@ -219,8 +219,9 @@ impl Pool {
         // SAFETY: the erased reference escapes only into lanes that
         // arrive at a latch (or a joined vthread), and both paths below
         // wait for all of them before returning or unwinding.
-        let job_static: JobRef =
-            JobRef(unsafe { std::mem::transmute::<&(dyn Fn(usize) + Sync), _>(job) });
+        let job_static = JobRef(unsafe {
+            std::mem::transmute::<&(dyn Fn(usize) + Sync), &'static (dyn Fn(usize) + Sync)>(job)
+        });
         if sched::active() {
             run_under_model(job_static, lanes, tasks);
             return;
@@ -309,8 +310,7 @@ fn default_threads() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(4)
-        .max(8)
-        .min(64)
+        .clamp(8, 64)
 }
 
 #[cfg(test)]

@@ -411,7 +411,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         for _ in 0..2000 {
             let x: f32 = rng.gen_range(f32::EPSILON..1.0);
-            assert!(x >= f32::EPSILON && x < 1.0, "{x}");
+            assert!((f32::EPSILON..1.0).contains(&x), "{x}");
             let y: f64 = rng.gen_range(-2.0..3.0);
             assert!((-2.0..3.0).contains(&y));
             let z: f32 = rng.gen_range(-1.0..=1.0);

@@ -420,7 +420,7 @@ fn compute_panels<const MR: usize>(ops: &Operands<'_>, panels: Range<usize>) {
             let w = NR.min(n - j0);
             let bp = &bpack[jp * k * NR..(jp + 1) * k * NR];
             microkernel(&apack, bp, &mut acc);
-            for i in 0..h {
+            for (i, acc_row) in acc.iter().enumerate().take(h) {
                 // SAFETY: rows i0..i0+h belong exclusively to this
                 // panel, and panel ranges are disjoint across lanes.
                 let row =
@@ -428,10 +428,10 @@ fn compute_panels<const MR: usize>(ops: &Operands<'_>, panels: Range<usize>) {
                 match bias {
                     Some(bv) => {
                         for j in 0..w {
-                            row[j] = acc[i][j] + bv[j0 + j];
+                            row[j] = acc_row[j] + bv[j0 + j];
                         }
                     }
-                    None => row.copy_from_slice(&acc[i][..w]),
+                    None => row.copy_from_slice(&acc_row[..w]),
                 }
             }
         }

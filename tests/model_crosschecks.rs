@@ -2,7 +2,7 @@
 //! MLP crate, the hardware models, and the engine must agree.
 
 use ecad_repro::hw::fpga::{FpgaDevice, FpgaModel, GridConfig};
-use ecad_repro::hw::gpu::{GpuDevice, GpuModel};
+use ecad_repro::hw::gpu::GpuDevice;
 use ecad_repro::hw::total_flops;
 use ecad_repro::mlp::{Activation, MlpTopology};
 
@@ -48,7 +48,7 @@ fn gpu_and_fpga_score_the_same_workload() {
     let grid = GridConfig::new(8, 8, 4, 4, 8).unwrap();
     let fpga_perf = fpga.evaluate(&grid, &topo.gemm_shapes(32)).unwrap();
 
-    let gpu = GpuModel::new(GpuDevice::titan_x());
+    let gpu = GpuDevice::titan_x().roofline();
     let gpu_perf = gpu.evaluate(&topo.gemm_shapes(1024), &[true, false, true]);
 
     assert!(fpga_perf.outputs_per_s > 0.0);
@@ -67,13 +67,13 @@ fn batch_one_latency_ordering_favours_fpga() {
     let fpga = FpgaModel::new(FpgaDevice::arria10_gx1150(4));
     let grid = GridConfig::new(8, 8, 1, 1, 8).unwrap();
     let fpga_perf = fpga.evaluate(&grid, &topo.gemm_shapes(1)).unwrap();
-    let gpu = GpuModel::new(GpuDevice::titan_x());
+    let gpu = GpuDevice::titan_x().roofline();
     let gpu_perf = gpu.evaluate(&topo.gemm_shapes(1), &[true, true, true]);
     assert!(
-        fpga_perf.latency_s < gpu_perf.latency_s,
+        fpga_perf.latency_s < gpu_perf.total_time_s,
         "fpga {} vs gpu {}",
         fpga_perf.latency_s,
-        gpu_perf.latency_s
+        gpu_perf.total_time_s
     );
 }
 

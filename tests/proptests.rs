@@ -6,7 +6,7 @@ use ecad_repro::core::pareto;
 use ecad_repro::core::space::SearchSpace;
 use ecad_repro::dataset::{csv, folds, synth::SyntheticSpec};
 use ecad_repro::hw::fpga::{FpgaDevice, FpgaModel, GridConfig};
-use ecad_repro::hw::gpu::{GpuDevice, GpuModel};
+use ecad_repro::hw::gpu::GpuDevice;
 use ecad_repro::tensor::{gemm, init, ops, Matrix};
 use rt::check::{ascii_string, vec};
 use rt::rand::rngs::StdRng;
@@ -154,7 +154,7 @@ rt::prop! {
             prop_assert!(hv > 0.0); // finite points always dominate some volume
             prev = hv;
         }
-        prop_assert!(archive.len() >= 1 && archive.len() <= rect.len());
+        prop_assert!(!archive.is_empty() && archive.len() <= rect.len());
     }
 
     /// FPGA model monotonicity: adding DDR banks never lowers
@@ -182,7 +182,7 @@ rt::prop! {
     /// GPU model: more batch never increases per-output cost; efficiency
     /// stays a fraction.
     fn gpu_batching_monotonicity(k in 1usize..1024, n in 1usize..512) {
-        let model = GpuModel::new(GpuDevice::titan_x());
+        let model = GpuDevice::titan_x().roofline();
         let mut prev = 0.0f64;
         for batch in [1usize, 16, 256, 4096] {
             let perf = model.evaluate(&[(batch, k, n)], &[true]);

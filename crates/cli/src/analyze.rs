@@ -339,9 +339,9 @@ pub fn cmd_analyze(p: &Parsed) -> Result<String, CliError> {
     }
 }
 
-/// Per-kind census with sequence spans, shared by `ecad trace
-/// --summary`: for each event kind, the count and the first/last
-/// sequence number it occurs at, plus the overall span.
+/// Per-kind census with sequence spans, printed by `ecad trace`: for
+/// each event kind, the count and the first/last sequence number it
+/// occurs at, plus the overall span.
 pub fn kind_summary(events: &[TraceEvent]) -> String {
     let mut kinds: Vec<(&str, usize, u64, u64)> = Vec::new();
     for e in events {

@@ -57,7 +57,7 @@ const USAGE: &str = "usage:
                 [--halt-after N] [--eval-timeout SECS] [--max-retries N]
                 [--profile-out OUT.json [--profile-clock wall|ticks]]
   ecad analyze  --file TRACE.jsonl [--format text|json|csv]
-  ecad trace    --file TRACE.jsonl [--require EVENT1,EVENT2,...] [--summary]
+  ecad trace    --file TRACE.jsonl [--require EVENT1,EVENT2,...]
   ecad profile  --file PROFILE.json [--format text|json|collapsed]
   ecad datasets [--generate NAME --out FILE [--samples N] [--seed N]]
   ecad devices
@@ -564,56 +564,36 @@ fn cmd_cluster_worker(p: &Parsed) -> Result<String, CliError> {
 /// `ecad trace`: validates a JSONL event trace written by
 /// `--trace-out`. Every line must decode as a
 /// [`crate::analyze::TraceEvent`] (the `ecad analyze` reader) and the
-/// sequence numbers must be consecutive; prints a per-event-kind
-/// census. With `--summary`, appends the per-kind sequence-span table
-/// from the analyze machinery.
+/// sequence numbers must be consecutive; prints the per-kind census of
+/// [`crate::analyze::kind_summary`]. `--require` fails on a kind that
+/// census would not list.
 fn cmd_trace(p: &Parsed) -> Result<String, CliError> {
-    p.check_allowed(&["file", "require", "summary"])?;
+    p.check_allowed(&["file", "require"])?;
     let path = p.require("file")?;
     let text = std::fs::read_to_string(path).map_err(|e| CliError::Io(format!("{path}: {e}")))?;
 
     let events = crate::analyze::parse_events(path, &text)?;
-    let mut counts: Vec<(&str, usize)> = Vec::new();
-    for (i, e) in events.iter().enumerate() {
-        if e.seq != i as u64 {
-            return Err(CliError::Domain(format!(
-                "{path}:{}: seq: {} out of order (expected {i})",
-                i + 1,
-                e.seq
-            )));
-        }
-        match counts.iter_mut().find(|(name, _)| *name == e.event) {
-            Some((_, n)) => *n += 1,
-            None => counts.push((e.event, 1)),
-        }
+    if let Some((i, e)) = events.iter().enumerate().find(|(i, e)| e.seq != *i as u64) {
+        return Err(CliError::Domain(format!(
+            "{path}:{}: seq: {} out of order (expected {i})",
+            i + 1,
+            e.seq
+        )));
     }
-
     if let Some(required) = p.get("require") {
         for want in required.split(',').map(str::trim).filter(|w| !w.is_empty()) {
-            if !counts.iter().any(|(name, _)| *name == want) {
+            if !events.iter().any(|e| e.event == want) {
                 return Err(CliError::Domain(format!(
                     "{path}: required event kind {want:?} never occurs"
                 )));
             }
         }
     }
-
-    let mut out = format!("{path}: {} events, all lines parse\n\n", events.len());
-    counts.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(b.0)));
-    for (name, n) in &counts {
-        out.push_str(&format!("  {n:>6}  {name}\n"));
-    }
-    if p.is_set("summary") {
-        out.push('\n');
-        out.push_str(&crate::analyze::kind_summary(&events));
-        // Traces recorded with a tick-clock profiler attached carry
-        // path/span_us on span closes; rebuild the attribution tree.
-        if let Some(tree) = crate::profile::tree_from_events(path, &events)? {
-            out.push_str("\nspan attribution (rebuilt from profiled span closes):\n");
-            out.push_str(&tree.render_table());
-        }
-    }
-    Ok(out)
+    Ok(format!(
+        "{path}: {} events, all lines parse\n\n{}",
+        events.len(),
+        crate::analyze::kind_summary(&events)
+    ))
 }
 
 fn cmd_datasets(p: &Parsed) -> Result<String, CliError> {
@@ -646,7 +626,7 @@ fn cmd_datasets(p: &Parsed) -> Result<String, CliError> {
                 ))
             })?;
             let out_path = p.require("out")?;
-            let samples = p.get_parse("samples", benchmarks::default_samples(b))?;
+            let samples = positive_flag(p, "samples", benchmarks::default_samples(b))?;
             let seed = p.get_parse("seed", 0u64)?;
             let ds = benchmarks::load(b)
                 .with_samples(samples)
@@ -712,7 +692,7 @@ fn cmd_estimate(p: &Parsed) -> Result<String, CliError> {
             "--layers needs at least input and output widths (e.g. 784,256,10)".to_string(),
         ));
     }
-    let batch: usize = p.get_parse("batch", 16usize)?;
+    let batch = positive_flag(p, "batch", 16)?;
     let shapes: Vec<(usize, usize, usize)> =
         widths.windows(2).map(|w| (batch, w[0], w[1])).collect();
     let biases = vec![true; shapes.len()];
@@ -868,6 +848,24 @@ mod tests {
             run(argv("estimate --layers 784")),
             Err(CliError::Domain(_))
         ));
+    }
+
+    /// A zero batch or sample count is a usage error naming the flag,
+    /// not a panic in the hardware models or the generator.
+    #[test]
+    fn estimate_and_datasets_reject_zero_counts() {
+        for cmd in [
+            "estimate --layers 784,256,10 --batch 0",
+            "estimate --layers 784,256,10 --device titanx --batch 0",
+            "datasets --generate credit-g --out unused.csv --samples 0",
+        ] {
+            let flag = if cmd.contains("--batch") { "--batch" } else { "--samples" };
+            let err = run(argv(cmd)).unwrap_err();
+            assert!(
+                matches!(&err, CliError::Args(ArgError::BadValue { flag: f, .. }) if f == flag),
+                "{cmd}: {err}"
+            );
+        }
     }
 
     #[test]
@@ -1154,11 +1152,10 @@ mod tests {
     }
 
     /// Event fields are read strictly too: a mistyped epoch field fails
-    /// `ecad analyze` instead of printing a row of NaNs, and a mistyped
-    /// `span_us` fails `ecad trace --summary` instead of dropping the
-    /// span from its profile table; both name the line and the field.
+    /// `ecad analyze` instead of printing a row of NaNs, naming the line
+    /// and the field.
     #[test]
-    fn analyze_and_trace_summary_refuse_mistyped_fields() {
+    fn analyze_refuses_mistyped_epoch_fields() {
         let dir = std::env::temp_dir().join("ecad_cli_fields_strict");
         std::fs::create_dir_all(&dir).unwrap();
         let bad = dir.join("bad.jsonl");
@@ -1172,15 +1169,6 @@ mod tests {
             let want = format!("{}:1: fields.epoch: {integer}", bad.display());
             assert_eq!(err.to_string(), want, "{format}");
         }
-        let close = "{\"seq\":0,\"level\":\"debug\",\"target\":\"t\",\"event\":\"train\",\
-                     \"fields\":{\"path\":\"engine;train\",\"span_us\":12}}";
-        let mistyped = close
-            .replace("\"seq\":0", "\"seq\":1")
-            .replace(":12}", ":\"12\"}");
-        std::fs::write(&bad, format!("{close}\n{mistyped}\n")).unwrap();
-        let err = run(argv(&format!("trace --file {} --summary", bad.display()))).unwrap_err();
-        let want = format!("{}:2: fields.span_us: {integer}", bad.display());
-        assert_eq!(err.to_string(), want);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1333,9 +1321,18 @@ mod tests {
              {\"seq\":2,\"level\":\"info\",\"target\":\"t\",\"event\":\"a\",\"fields\":{}}\n",
         )
         .unwrap();
-        let out = run(argv(&format!("trace --file {} --summary", path.display()))).unwrap();
+        let out = run(argv(&format!("trace --file {}", path.display()))).unwrap();
         assert!(out.contains("all lines parse"));
         assert!(out.contains("3 events spanning seq 0..2"), "got: {out}");
+        assert!(
+            out.contains("       2         0         2  a"),
+            "got: {out}"
+        );
+        let err = run(argv(&format!("trace --file {} --summary", path.display()))).unwrap_err();
+        assert!(
+            matches!(&err, CliError::Args(ArgError::UnknownFlag(f)) if f == "--summary"),
+            "{err}"
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1382,8 +1379,8 @@ mod tests {
     /// search with `--profile-out --profile-clock ticks` writes a
     /// byte-identical profile across two runs, the attribution table
     /// puts `gemm` under `train`, `ecad profile` renders the file in
-    /// all three formats, and `ecad trace --summary` rebuilds the tree
-    /// from the profiled trace.
+    /// all three formats, and profiling under either clock leaves the
+    /// trace byte-identical to an unprofiled run's.
     #[test]
     fn search_profile_out_deterministic_with_gemm_under_train() {
         let dir = std::env::temp_dir().join("ecad_cli_profile_test");
@@ -1447,21 +1444,23 @@ mod tests {
         );
         run(argv(&format!("profile --file {} --format json", p1.display()))).unwrap();
 
-        // A profiled trace feeds the same table via `trace --summary`.
-        let jsonl = dir.join("events.jsonl");
-        run(argv(&format!(
-            "{} --trace-out {}",
-            base(&p1),
-            jsonl.display()
-        )))
-        .unwrap();
-        let summary = run(argv(&format!(
-            "trace --file {} --summary",
-            jsonl.display()
-        )))
-        .unwrap();
-        assert!(summary.contains("span attribution"), "got: {summary}");
-        assert!(summary.contains("train"), "got: {summary}");
+        // The trace does not depend on the profiler or its clock.
+        let traced = |profile: &str| {
+            let jsonl = dir.join("events.jsonl");
+            run(argv(&format!(
+                "search --data {} --config {} --seed 5 --threads 1 {profile} --trace-out {}",
+                data.display(),
+                cfg.display(),
+                jsonl.display()
+            )))
+            .unwrap();
+            std::fs::read_to_string(&jsonl).unwrap()
+        };
+        let plain = traced("");
+        for clock in ["ticks", "wall"] {
+            let profile = format!("--profile-out {} --profile-clock {clock}", p1.display());
+            assert!(traced(&profile) == plain, "{profile} changed the trace");
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

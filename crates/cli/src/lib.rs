@@ -14,7 +14,7 @@
 //!               [--serve ADDR] [--trace-out out.jsonl]
 //!               [--profile-out out.json [--profile-clock wall|ticks]]
 //! ecad analyze  --file trace.jsonl [--format text|json|csv]
-//! ecad trace    --file trace.jsonl [--require E1,E2] [--summary]
+//! ecad trace    --file trace.jsonl [--require E1,E2]
 //! ecad profile  --file profile.json [--format text|json|collapsed]
 //! ecad datasets [--generate NAME --out FILE [--samples N] [--seed N]]
 //! ecad devices

@@ -50,7 +50,7 @@
 //! response and are replayed verbatim on the coordinator inside its
 //! own `evaluate` span. A seeded single-worker cluster run therefore
 //! produces a Debug-level JSONL trace byte-identical to the local
-//! engine's (absent an attached profiler, and with islands off).
+//! engine's, with or without an attached profiler (islands off).
 //!
 //! ## Islands
 //!
@@ -106,8 +106,6 @@ pub struct ClusterOptions {
     pub island_every: usize,
     /// Children each island breeds and evaluates per migration.
     pub island_k: usize,
-    /// Frame-size ceiling for every connection.
-    pub max_frame: usize,
 }
 
 impl Default for ClusterOptions {
@@ -119,7 +117,6 @@ impl Default for ClusterOptions {
             reconnect_backoff: Duration::from_millis(50),
             island_every: 0,
             island_k: 2,
-            max_frame: rt::net::DEFAULT_MAX_FRAME,
         }
     }
 }
@@ -629,7 +626,9 @@ fn connect_session(
     stamp: u64,
 ) -> Result<RemoteSession, NetError> {
     let opts = &plan.options;
-    let mut conn = Conn::connect(addr, opts.net_timeout, opts.max_frame)?;
+    // The ceiling bounds the worker's replies; the worker's own ceiling
+    // decides whether it takes the setup frame.
+    let mut conn = Conn::connect(addr, opts.net_timeout, rt::net::DEFAULT_MAX_FRAME)?;
     conn.set_io_timeout(Some(opts.net_timeout))?;
     conn.handshake_client(COORDINATOR_ROLE, Some(WORKER_ROLE))?;
     conn.send(&CoordinatorRequest::Setup(Box::new(plan.setup.clone()), stamp).to_json()?)?;
@@ -874,7 +873,8 @@ impl<'a> RemoteSlot<'a> {
 /// Worker-side knobs.
 #[derive(Debug, Clone)]
 pub struct WorkerOptions {
-    /// Frame-size ceiling (must cover the dataset-bearing setup frame).
+    /// Ceiling on received frames (must cover the dataset-bearing setup
+    /// frame; the coordinator sends whatever size its dataset needs).
     pub max_frame: usize,
     /// Socket write deadline and connect-phase read deadline.
     pub io_timeout: Duration,

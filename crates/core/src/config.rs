@@ -39,7 +39,7 @@ use ecad_hw::fpga::FpgaDevice;
 use ecad_mlp::{OptimizerKind, TrainConfig};
 
 use crate::engine::EvolutionConfig;
-use crate::fitness::Objective;
+use crate::fitness::{FitnessRegistry, Objective, ObjectiveError, ObjectiveSet};
 use crate::space::{HwFamily, SearchSpace};
 use crate::workers::{CatalogError, HwTarget, CATALOG};
 
@@ -278,7 +278,7 @@ pub struct FlowConfig {
     /// Per-candidate training configuration.
     pub trainer: TrainConfig,
     /// Optimization objectives.
-    pub objectives: Vec<Objective>,
+    pub objectives: ObjectiveSet,
 }
 
 impl Default for FlowConfig {
@@ -288,7 +288,7 @@ impl Default for FlowConfig {
             target: HwTarget::Fpga(FpgaDevice::arria10_gx1150(1)),
             evolution: EvolutionConfig::small(),
             trainer: TrainConfig::fast(),
-            objectives: vec![Objective::maximize("accuracy")],
+            objectives: ObjectiveSet::accuracy_only(),
         }
     }
 }
@@ -353,9 +353,11 @@ impl FlowConfig {
     /// # Errors
     ///
     /// Returns [`ConfigError`] on syntax errors, unknown sections or
-    /// keys, unparseable or out-of-range values, unknown devices, or
-    /// mismatched objective/weight lists. Every accepted configuration
-    /// can build an engine and sample its search space.
+    /// keys, unparseable or out-of-range values (an unknown objective,
+    /// a non-finite weight, a learning rate that is not finite and
+    /// positive), unknown devices, or mismatched objective/weight lists.
+    /// Every accepted configuration can build an engine and sample its
+    /// search space.
     pub fn from_ini(text: &str) -> Result<Self, ConfigError> {
         let ini = parse_ini_spanned(text)?;
         reject_unknown(&ini)?;
@@ -460,8 +462,10 @@ impl FlowConfig {
         trainer.epochs = get_parse(opt, "epochs", trainer.epochs)?;
         trainer.batch_size = get_parse(opt, "batch_size", trainer.batch_size)?;
         trainer.gemm_threads = get_parse(opt, "gemm_threads", trainer.gemm_threads)?;
-        if let Some((lr, _)) = opt.get("learning_rate") {
-            let lr: f32 = lr.parse().map_err(|_| bad_value(opt, "learning_rate"))?;
+        if opt.contains_key("learning_rate") {
+            let lr = get_checked(opt, "learning_rate", 0.0, |lr: &f32| {
+                lr.is_finite() && *lr > 0.0
+            })?;
             trainer.optimizer = OptimizerKind::Adam { lr };
         }
 
@@ -476,11 +480,15 @@ impl FlowConfig {
             Some((w, line)) => w
                 .split(',')
                 .map(|x| {
-                    x.trim().parse().map_err(|_| ConfigError::BadValue {
-                        key: "weights".to_string(),
-                        value: x.trim().to_string(),
-                        line: *line,
-                    })
+                    let x = x.trim();
+                    x.parse()
+                        .ok()
+                        .filter(|w: &f64| w.is_finite())
+                        .ok_or_else(|| ConfigError::BadValue {
+                            key: "weights".to_string(),
+                            value: x.to_string(),
+                            line: *line,
+                        })
                 })
                 .collect::<Result<_, _>>()?,
         };
@@ -505,6 +513,15 @@ impl FlowConfig {
                 }
             })
             .collect();
+        let set = ObjectiveSet::try_with_registry(objectives, FitnessRegistry::with_builtins());
+        let objectives = set.map_err(|e| match e {
+            ObjectiveError::UnknownMetric { index, .. } => ConfigError::BadValue {
+                key: "objectives".to_string(),
+                value: names[index].clone(),
+                line: opt.get("objectives").map_or(0, |(_, line)| *line),
+            },
+            ObjectiveError::Empty => bad_value(opt, "objectives"),
+        })?;
 
         Ok(Self {
             space,
@@ -525,8 +542,8 @@ mod tests {
         let c = FlowConfig::from_ini("").unwrap();
         assert!(matches!(c.target, HwTarget::Fpga(_)));
         assert_eq!(c.evolution.population, EvolutionConfig::small().population);
-        assert_eq!(c.objectives.len(), 1);
-        assert_eq!(c.objectives[0].name, "accuracy");
+        assert_eq!(c.objectives.objectives().len(), 1);
+        assert_eq!(c.objectives.objectives()[0].name, "accuracy");
     }
 
     #[test]
@@ -581,9 +598,10 @@ gemm_threads = 4
         assert_eq!(c.trainer.epochs, 10);
         assert_eq!(c.trainer.batch_size, 8);
         assert_eq!(c.trainer.gemm_threads, 4);
-        assert_eq!(c.objectives.len(), 2);
-        assert_eq!(c.objectives[1].name, "log_throughput");
-        assert!((c.objectives[1].weight - 0.08).abs() < 1e-12);
+        let objectives = c.objectives.objectives();
+        assert_eq!(objectives.len(), 2);
+        assert_eq!(objectives[1].name, "log_throughput");
+        assert!((objectives[1].weight - 0.08).abs() < 1e-12);
     }
 
     #[test]
@@ -605,9 +623,10 @@ gemm_threads = 4
     #[test]
     fn minimization_prefix() {
         let c = FlowConfig::from_ini("[optimization]\nobjectives = accuracy, -latency\n").unwrap();
-        assert!(c.objectives[0].maximize);
-        assert!(!c.objectives[1].maximize);
-        assert_eq!(c.objectives[1].name, "latency");
+        let objectives = c.objectives.objectives();
+        assert!(objectives[0].maximize);
+        assert!(!objectives[1].maximize);
+        assert_eq!(objectives[1].name, "latency");
     }
 
     #[test]
@@ -789,6 +808,13 @@ gemm_threads = 4
             ("[nna]\nmax_layers = 0\n", "max_layers", 2),
             ("[nna]\nmin_neurons = 0\n", "min_neurons", 2),
             ("[hardware]\nddr_banks = 0\n", "ddr_banks", 2),
+            ("[optimization]\nobjectives = accurcy\n", "objectives", 2),
+            ("[optimization]\nobjectives = accuracy, -latncy\n", "objectives", 2),
+            ("[optimization]\nweights = nan\n", "weights", 2),
+            ("[optimization]\nobjectives = accuracy, latency\nweights = 1, inf\n", "weights", 3),
+            ("[optimization]\nlearning_rate = -1\n", "learning_rate", 2),
+            ("[optimization]\nlearning_rate = 0\n", "learning_rate", 2),
+            ("[optimization]\nlearning_rate = nan\n", "learning_rate", 2),
         ];
         for (text, key, line) in cases {
             match FlowConfig::from_ini(text) {

@@ -146,6 +146,31 @@ impl fmt::Debug for FitnessRegistry {
     }
 }
 
+/// Why [`ObjectiveSet::try_with_registry`] refused an objective list.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ObjectiveError {
+    /// The list is empty.
+    Empty,
+    /// The objective at `index` names no registered metric.
+    UnknownMetric {
+        /// Position of the objective in the list.
+        index: usize,
+        /// The unregistered name.
+        name: String,
+    },
+}
+
+impl fmt::Display for ObjectiveError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ObjectiveError::Empty => f.write_str("need at least one objective"),
+            ObjectiveError::UnknownMetric { name, .. } => {
+                write!(f, "unknown fitness metric {name:?}")
+            }
+        }
+    }
+}
+
 /// A weighted set of objectives evaluated against a registry.
 #[derive(Debug, Clone)]
 pub struct ObjectiveSet {
@@ -169,19 +194,34 @@ impl ObjectiveSet {
     ///
     /// Panics if `objectives` is empty or references an unknown metric.
     pub fn with_registry(objectives: Vec<Objective>, registry: FitnessRegistry) -> Self {
-        assert!(!objectives.is_empty(), "need at least one objective");
-        for o in &objectives {
-            assert!(
-                registry.get(&o.name).is_some(),
-                "unknown fitness metric {:?}; registered: {:?}",
-                o.name,
-                registry.names()
-            );
+        Self::try_with_registry(objectives, registry).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Builds a set over `registry`, or says why the list cannot be
+    /// one: the check every front end (code, INI, wire) shares.
+    ///
+    /// # Errors
+    ///
+    /// [`ObjectiveError`] when `objectives` is empty or references an
+    /// unknown metric.
+    pub fn try_with_registry(
+        objectives: Vec<Objective>,
+        registry: FitnessRegistry,
+    ) -> Result<Self, ObjectiveError> {
+        if objectives.is_empty() {
+            return Err(ObjectiveError::Empty);
         }
-        Self {
+        if let Some(index) = objectives
+            .iter()
+            .position(|o| registry.get(&o.name).is_none())
+        {
+            let name = objectives[index].name.clone();
+            return Err(ObjectiveError::UnknownMetric { index, name });
+        }
+        Ok(Self {
             objectives,
             registry,
-        }
+        })
     }
 
     /// Accuracy only — the Table I/II search.
@@ -257,26 +297,26 @@ impl ToJson for ObjectiveSet {
 
 impl FromJson for ObjectiveSet {
     /// Rebuilds the set over the built-in registry: custom registered
-    /// fitness functions cannot cross a process boundary. Checks what
-    /// [`ObjectiveSet::with_registry`] would otherwise panic on.
+    /// fitness functions cannot cross a process boundary.
     fn decode(at: Cursor<'_>) -> Result<ObjectiveSet, DecodeError> {
-        let registry = FitnessRegistry::with_builtins();
         let objectives = at.list(|o| {
-            let name = o.field("name")?;
-            let text = name.str()?;
-            if registry.get(text).is_none() {
-                return Err(name.error(format!("unknown fitness metric {text:?}")));
-            }
             Ok(Objective {
-                name: text.to_string(),
+                name: o.get("name")?,
                 weight: o.get("weight")?,
                 maximize: o.get("maximize")?,
             })
         })?;
-        if objectives.is_empty() {
-            return Err(at.expected("at least one objective"));
-        }
-        Ok(ObjectiveSet::with_registry(objectives, registry))
+        ObjectiveSet::try_with_registry(objectives, FitnessRegistry::with_builtins()).map_err(|e| {
+            match e {
+                ObjectiveError::Empty => at.expected("at least one objective"),
+                ObjectiveError::UnknownMetric { index, .. } => {
+                    // Located at the refused name, as a field error is.
+                    let mut err = at.error(e.to_string());
+                    err.path.push_str(&format!("[{index}].name"));
+                    err
+                }
+            }
+        })
     }
 }
 

@@ -257,7 +257,7 @@ impl Search {
         let mut s = Self::on_dataset(dataset);
         s.space = Some(config.space.clone());
         s.target = config.target.clone();
-        s.objectives = ObjectiveSet::new(config.objectives.clone());
+        s.objectives = config.objectives.clone();
         s.evolution = config.evolution;
         s.trainer = config.trainer;
         s

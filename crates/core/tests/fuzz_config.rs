@@ -7,7 +7,6 @@ use std::sync::Arc;
 
 use ecad_core::config::{parse_ini, FlowConfig};
 use ecad_core::engine::Engine;
-use ecad_core::fitness::ObjectiveSet;
 use ecad_core::genome::CandidateGenome;
 use ecad_core::measurement::Measurement;
 use ecad_core::workers::Evaluator;
@@ -41,8 +40,9 @@ rt::prop! {
     /// unknown keys, a known key outside its section, duplicate
     /// sections, and values the typed getters must refuse gracefully
     /// (bad numbers, unknown devices, mismatched objective/weight
-    /// lists, out-of-range settings). Every configuration it accepts
-    /// must build an engine, sample its space into trainable genomes,
+    /// lists, unknown objectives, non-finite weights, out-of-range
+    /// settings). Every configuration it accepts must build an engine
+    /// with its own objectives, sample its space into trainable genomes,
     /// and breed from them. The settings carry their section header:
     /// a key outside its section is an error, so bare settings would
     /// leave almost no accepted file that sets anything.
@@ -52,7 +52,8 @@ rt::prop! {
         "[hardware]\ntarget = fpga", "[hardware]\ntarget = abacus",
         "[hardware]\ndevice = arria10_gx1150", "[hardware]\nddr_banks = 0",
         "[optimization]\nobjectives = accuracy, throughput", "[optimization]\nweights = 0.5",
-        "[optimization]\nweights = not,numbers", "; comment", "# comment", "", " ",
+        "[optimization]\nweights = not,numbers", "[optimization]\nobjectives = accurcy",
+        "[optimization]\nweights = nan", "; comment", "# comment", "", " ",
         "[nna]\nmax_neurons = 99999999999999999999", "[optimization]\nseed = -1",
         "\u{0}=\u{0}", "[optimization]\ncrossover_rate = 1.5",
         "[optimization]\ncrossover_rate = nan", "[optimization]\ncrossover_rate = 1",
@@ -64,13 +65,9 @@ rt::prop! {
         let text = lines.join("\n");
         let _ = parse_ini(&text);
         if let Ok(config) = FlowConfig::from_ini(&text) {
+            rt::prop_assert!(config.objectives.objectives().iter().all(|o| o.weight.is_finite()));
             let (space, evolution) = (config.space, config.evolution);
-            let engine = Engine::new(
-                Arc::new(Unused),
-                space.clone(),
-                ObjectiveSet::accuracy_only(),
-                evolution,
-            );
+            let engine = Engine::new(Arc::new(Unused), space.clone(), config.objectives, evolution);
             drop(engine);
             let mut rng = StdRng::seed_from_u64(evolution.seed);
             let (a, b) = (space.sample(&mut rng), space.sample(&mut rng));

@@ -8,9 +8,12 @@
 //!
 //! Design points, all of which the adversarial fuzz suite leans on:
 //!
-//! * **Bounded frames** — a length prefix larger than the connection's
-//!   `max_frame` is rejected *before* any allocation, so a hostile or
-//!   corrupt peer cannot OOM the process with a 4 GiB announcement.
+//! * **Bounded frames** — a length prefix larger than the reading
+//!   connection's `max_frame` is rejected *before* any allocation, so a
+//!   hostile or corrupt peer cannot OOM the process with a 4 GiB
+//!   announcement. The ceiling is the reader's alone: a writer checks
+//!   only that the length fits the prefix, so a worker started with a
+//!   larger ceiling receives frames above the default one.
 //! * **Read/write deadlines** — both directions run under socket
 //!   timeouts ([`Conn::set_io_timeout`]), so a stalled peer surfaces
 //!   as [`io::ErrorKind::WouldBlock`]/`TimedOut` instead of pinning a
@@ -54,7 +57,8 @@ pub enum NetError {
     Io(io::Error),
     /// The peer closed the connection cleanly at a frame boundary.
     Closed,
-    /// A frame announced a length above the connection's ceiling.
+    /// A frame announced a length above the reader's ceiling, or a
+    /// payload to write is longer than the 4-byte prefix can announce.
     FrameTooLarge {
         /// Announced payload length.
         len: usize,
@@ -139,23 +143,21 @@ impl NetError {
 }
 
 /// Writes one frame: 4-byte big-endian payload length, then the
-/// compact JSON bytes.
+/// compact JSON bytes. Whether the frame is too large is the reader's
+/// call ([`read_frame`]'s `max_frame`).
 ///
 /// # Errors
 ///
-/// [`NetError::FrameTooLarge`] when the serialized payload exceeds
-/// `max_frame`; otherwise any underlying I/O error.
-pub fn write_frame(w: &mut impl Write, value: &Json, max_frame: usize) -> Result<(), NetError> {
+/// [`NetError::FrameTooLarge`] when the serialized payload does not fit
+/// the 4-byte length prefix; otherwise any underlying I/O error.
+pub fn write_frame(w: &mut impl Write, value: &Json) -> Result<(), NetError> {
     let payload = value.to_string();
     let bytes = payload.as_bytes();
-    if bytes.len() > max_frame {
-        return Err(NetError::FrameTooLarge {
-            len: bytes.len(),
-            max: max_frame,
-        });
-    }
-    let len = (bytes.len() as u32).to_be_bytes();
-    w.write_all(&len)?;
+    let len = u32::try_from(bytes.len()).map_err(|_| NetError::FrameTooLarge {
+        len: bytes.len(),
+        max: u32::MAX as usize,
+    })?;
+    w.write_all(&len.to_be_bytes())?;
     w.write_all(bytes)?;
     w.flush()?;
     Ok(())
@@ -246,7 +248,8 @@ pub fn check_hello(frame: &Json, expect_role: Option<&str>) -> Result<String, Ne
     Ok(role)
 }
 
-/// A framed TCP connection: a socket plus its frame-size ceiling.
+/// A framed TCP connection: a socket plus the ceiling on the frames it
+/// reads.
 #[derive(Debug)]
 pub struct Conn {
     stream: TcpStream,
@@ -255,8 +258,8 @@ pub struct Conn {
 
 impl Conn {
     /// Connects to `addr` with a connect deadline, applying `timeout`
-    /// as the socket read/write deadline and `max_frame` as the frame
-    /// ceiling.
+    /// as the socket read/write deadline and `max_frame` as the ceiling
+    /// on received frames.
     ///
     /// # Errors
     ///
@@ -323,7 +326,7 @@ impl Conn {
     ///
     /// See [`write_frame`].
     pub fn send(&mut self, value: &Json) -> Result<(), NetError> {
-        write_frame(&mut self.stream, value, self.max_frame)
+        write_frame(&mut self.stream, value)
     }
 
     /// Receives one framed message.
@@ -444,7 +447,7 @@ mod tests {
     fn frame_round_trip() {
         let msg = Json::object().insert("kind", "evaluate").insert("id", 7);
         let mut buf = Vec::new();
-        write_frame(&mut buf, &msg, DEFAULT_MAX_FRAME).unwrap();
+        write_frame(&mut buf, &msg).unwrap();
         let got = read_frame(&mut Cursor::new(&buf), DEFAULT_MAX_FRAME).unwrap();
         assert_eq!(got.to_string(), msg.to_string());
         // Prefix is big-endian payload length.
@@ -466,20 +469,33 @@ mod tests {
         assert!(!err.is_transient());
     }
 
+    /// The ceiling is the reader's: a frame above the default ceiling
+    /// is written, a reader with a larger ceiling takes it, and one with
+    /// a smaller ceiling refuses it.
     #[test]
-    fn oversized_payload_rejected_on_write() {
-        let msg = Json::String("x".repeat(64));
+    fn the_reader_decides_whether_a_frame_is_too_large() {
+        let msg = Json::String("x".repeat(DEFAULT_MAX_FRAME));
         let mut buf = Vec::new();
-        let err = write_frame(&mut buf, &msg, 16).unwrap_err();
-        assert!(matches!(err, NetError::FrameTooLarge { .. }));
-        assert!(buf.is_empty(), "nothing written for a rejected frame");
+        write_frame(&mut buf, &msg).unwrap();
+        let len = buf.len() - 4;
+        assert!(len > DEFAULT_MAX_FRAME);
+        let got = read_frame(&mut Cursor::new(&buf), len).unwrap();
+        assert_eq!(got.as_str().map(str::len), Some(DEFAULT_MAX_FRAME));
+        let err = read_frame(&mut Cursor::new(&buf), DEFAULT_MAX_FRAME).unwrap_err();
+        assert!(matches!(
+            err,
+            NetError::FrameTooLarge {
+                max: DEFAULT_MAX_FRAME,
+                ..
+            }
+        ));
     }
 
     #[test]
     fn truncated_frame_is_unexpected_eof() {
         let msg = Json::object().insert("k", 1);
         let mut buf = Vec::new();
-        write_frame(&mut buf, &msg, DEFAULT_MAX_FRAME).unwrap();
+        write_frame(&mut buf, &msg).unwrap();
         buf.truncate(buf.len() - 2);
         let err = read_frame(&mut Cursor::new(&buf), DEFAULT_MAX_FRAME).unwrap_err();
         match err {

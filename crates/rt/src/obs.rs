@@ -63,12 +63,10 @@
 //! [`crate::prof_span!`] sites use. Threads that only wait on remote
 //! work never install a profiler, so their spans stay out of the tree.
 //!
-//! A profiled span's close event gains a deterministic `path` field
-//! (the semicolon-joined ancestry, e.g. `engine;evaluate;train`). When
-//! the frame's profiler reads the deterministic `ticks` clock it also
-//! gains `span_us` (integer microseconds, byte-stable); the wall clock
-//! keeps durations out of the trace — for the same reason `elapsed_us`
-//! is opt-in — so profiled runs stay reproducible.
+//! Profiling never changes a close event: it carries the span's own
+//! fields whether or not a frame opened, and whatever the profiler's
+//! clock. The profile document is the one store of span attribution,
+//! so a seeded run writes the same trace with or without a profiler.
 
 use std::collections::{HashMap, HashSet};
 use std::fmt;
@@ -78,7 +76,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 use crate::json::{Cursor, DecodeError, FromJson, Json, EXACT};
-use crate::prof::{ClockKind, ProfGuard, Profiler};
+use crate::prof::{ProfGuard, Profiler};
 
 // ---------------------------------------------------------------------------
 // Levels
@@ -1156,9 +1154,8 @@ impl ObsBuilder {
     }
 
     /// Attaches a hierarchical profiler: spans on threads that install
-    /// it enter it, and their close events carry a `path` field (plus
-    /// `span_us` under the deterministic ticks clock — see the module
-    /// docs' Profiling section).
+    /// it open frames in it (see the module docs' Profiling section).
+    /// Their close events stay the same, so the trace does not change.
     pub fn profiler(mut self, profiler: Profiler) -> Self {
         self.profiler = Some(profiler);
         self
@@ -1207,34 +1204,15 @@ impl Drop for Span {
         if let Some(state) = self.state.take() {
             let elapsed = state.start.elapsed().as_secs_f64();
             state.hist.record(elapsed);
-            let enabled = state.obs.is_enabled(state.level);
-            // Close the profiler span either way; build the path only
-            // when a close event will carry it.
-            let prof_close = match state.prof {
-                Some(guard) if enabled => {
-                    let clock = guard.clock();
-                    guard.finish().map(|close| (clock, close))
-                }
-                _ => None,
-            };
-            if enabled {
-                let mut fields = state.fields;
-                if let Some((clock, (ns, path))) = prof_close {
-                    fields.push(("path", Value::Str(path)));
-                    // Wall-clock durations would make the JSONL trace
-                    // non-reproducible (the sink strips `elapsed_us`
-                    // for the same reason), so only the deterministic
-                    // ticks clock of the frame's profiler puts timings
-                    // into the trace.
-                    if clock == ClockKind::Ticks {
-                        fields.push(("span_us", Value::U64(ns / 1_000)));
-                    }
-                }
+            // Close the frame before the sinks write, so the profile
+            // charges the span's own work and not the trace's I/O.
+            drop(state.prof);
+            if state.obs.is_enabled(state.level) {
                 state.obs.dispatch(Event {
                     level: state.level,
                     target: state.target,
                     name: state.name,
-                    fields,
+                    fields: state.fields,
                     elapsed_s: Some(elapsed),
                 });
             }
@@ -1615,71 +1593,42 @@ mod tests {
         }
     }
 
+    /// A trace does not depend on profiling: a span's close events are
+    /// the same with no profiler, a tick-clock one and a wall-clock one,
+    /// while the profiled runs still build the tree.
     #[test]
-    fn span_with_profiler_emits_path_and_builds_tree() {
-        use crate::prof::{ClockKind, TICK_NS};
-        let sink = CaptureSink::new(Level::Debug);
-        let p = Profiler::new(ClockKind::Ticks);
-        let obs = Obs::builder()
-            .sink(Arc::clone(&sink))
-            .profiler(p.clone())
-            .build();
-        {
-            let _install = p.install();
-            let _outer = crate::span!(obs, "evaluate");
-            let _inner = crate::span!(obs, "train");
-        }
-        let events = sink.take();
-        let close = events.iter().find(|e| e.name == "train").unwrap();
-        let field = |k: &str| {
-            close
-                .fields
-                .iter()
-                .find(|(n, _)| *n == k)
-                .map(|(_, v)| v.clone())
-        };
-        assert_eq!(
-            field("path"),
-            Some(Value::Str("engine;evaluate;train".into()))
-        );
-        assert_eq!(field("span_us"), Some(Value::U64(TICK_NS / 1_000)));
-        let root = p.report();
-        let train = root.find("train").unwrap();
-        assert_eq!(train.calls, 1);
-        assert!(root.find("evaluate").unwrap().total_ns >= train.total_ns);
-    }
-
-    #[test]
-    fn wall_clock_profiler_emits_path_but_no_span_us() {
+    fn span_close_events_do_not_depend_on_the_profiler() {
         use crate::prof::ClockKind;
-        let sink = CaptureSink::new(Level::Debug);
-        let p = Profiler::new(ClockKind::Wall);
-        let obs = Obs::builder()
-            .sink(Arc::clone(&sink))
-            .profiler(p.clone())
-            .build();
-        {
-            let _install = p.install();
-            let _s = crate::span!(obs, "train");
+        let run = |clock: Option<ClockKind>| {
+            let sink = CaptureSink::new(Level::Debug);
+            let profiler = clock.map(Profiler::new);
+            let mut builder = Obs::builder().sink(Arc::clone(&sink));
+            if let Some(p) = &profiler {
+                builder = builder.profiler(p.clone());
+            }
+            let obs = builder.build();
+            {
+                let _install = profiler.as_ref().map(Profiler::install);
+                let _outer = crate::span!(obs, "evaluate", id = 7u64);
+                let _inner = crate::span!(obs, "train");
+            }
+            let lines: Vec<String> = sink
+                .take()
+                .iter()
+                .map(|e| e.to_json(None, false).to_string())
+                .collect();
+            (lines, profiler.map(|p| p.report()))
+        };
+        let (plain, _) = run(None);
+        assert_eq!(plain.len(), 2);
+        for clock in [ClockKind::Ticks, ClockKind::Wall] {
+            let (lines, root) = run(Some(clock));
+            assert_eq!(lines, plain, "{clock:?}");
+            let root = root.unwrap();
+            let evaluate = root.find("evaluate").unwrap();
+            let train = evaluate.find("train");
+            assert_eq!(train.map(|n| n.calls), Some(1), "{clock:?}");
         }
-        let close = sink.take().pop().unwrap();
-        assert!(close.fields.iter().any(|(k, _)| *k == "path"));
-        // Wall durations must not leak into the trace; the profile
-        // report still carries them.
-        assert!(close.fields.iter().all(|(k, _)| *k != "span_us"));
-        assert_eq!(p.report().find("train").unwrap().calls, 1);
-    }
-
-    #[test]
-    fn span_without_profiler_has_no_path_field() {
-        let sink = CaptureSink::new(Level::Debug);
-        let obs = Obs::builder().sink(Arc::clone(&sink)).build();
-        {
-            let _s = crate::span!(obs, "train");
-        }
-        let close = sink.take().pop().unwrap();
-        assert!(close.fields.iter().all(|(k, _)| *k != "path"));
-        assert!(close.fields.iter().all(|(k, _)| *k != "span_us"));
     }
 
     /// The one profiling rule: a span opens a frame when its handle
@@ -1687,40 +1636,27 @@ mod tests {
     #[test]
     fn span_is_profiled_only_when_handle_and_thread_both_have_a_profiler() {
         use crate::prof::ClockKind;
-        let has_path = |sink: &CaptureSink| {
-            sink.take()
-                .iter()
-                .any(|e| e.fields.iter().any(|(k, _)| *k == "path"))
-        };
         let p = Profiler::new(ClockKind::Ticks);
-        let sink = CaptureSink::new(Level::Debug);
-        let obs = Obs::builder()
-            .sink(Arc::clone(&sink))
-            .profiler(p.clone())
-            .build();
+        let obs = Obs::builder().profiler(p.clone()).build();
         // Handle with a profiler, thread with none installed (a remote
-        // slot's proxy thread): no frame, no path.
+        // slot's proxy thread): no frame.
         {
             let _s = crate::span!(obs, "evaluate");
         }
-        assert!(!has_path(&sink));
         assert!(p.report().find("evaluate").is_none());
         // The same handle on the same thread after `install()`.
         {
             let _install = p.install();
             let _s = crate::span!(obs, "evaluate");
         }
-        assert!(has_path(&sink));
         assert_eq!(p.report().find("evaluate").map(|n| n.calls), Some(1));
         // Handle without a profiler, thread with one installed (the
-        // cluster worker's capture handle): no frame, no path.
-        let capture = CaptureSink::new(Level::Debug);
-        let plain = Obs::builder().sink(Arc::clone(&capture)).build();
+        // cluster worker's capture handle): no frame.
+        let plain = Obs::builder().build();
         {
             let _install = p.install();
             let _s = crate::span!(plain, "train");
         }
-        assert!(!has_path(&capture));
         assert!(p.report().find("train").is_none());
     }
 

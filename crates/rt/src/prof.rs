@@ -317,9 +317,8 @@ struct LocalTree {
     next_span: u64,
 }
 
+#[derive(Default)]
 struct LocalNode {
-    name: &'static str,
-    parent: usize,
     total_ns: u64,
     calls: u64,
     children: Vec<(&'static str, usize)>,
@@ -336,13 +335,7 @@ impl LocalTree {
         LocalTree {
             profiler_id: shared.id,
             shared: shared.clone(),
-            nodes: vec![LocalNode {
-                name: shared.root,
-                parent: 0,
-                total_ns: 0,
-                calls: 0,
-                children: Vec::new(),
-            }],
+            nodes: vec![LocalNode::default()],
             stack: Vec::new(),
             next_span: 1,
         }
@@ -353,28 +346,9 @@ impl LocalTree {
             return idx;
         }
         let idx = self.nodes.len();
-        self.nodes.push(LocalNode {
-            name,
-            parent,
-            total_ns: 0,
-            calls: 0,
-            children: Vec::new(),
-        });
+        self.nodes.push(LocalNode::default());
         self.nodes[parent].children.push((name, idx));
         idx
-    }
-
-    fn path_of(&self, mut node: usize) -> String {
-        let mut parts = Vec::new();
-        loop {
-            parts.push(self.nodes[node].name);
-            if node == 0 {
-                break;
-            }
-            node = self.nodes[node].parent;
-        }
-        parts.reverse();
-        parts.join(";")
     }
 
     /// Merges accumulated totals into the shared master tree and resets
@@ -425,74 +399,41 @@ fn enter_in(shared: &Arc<Shared>, name: &'static str) -> ProfGuard {
         span
     });
     ProfGuard {
-        shared: Some(shared.clone()),
+        shared: shared.clone(),
         span,
     }
 }
 
 /// Closes span `span`, plus any younger spans still open above it (all
-/// charged up to the same instant). Returns `None` if the span was
-/// already closed. `want_path` additionally returns the node's
-/// semicolon-joined path from the root.
-fn exit_in(shared: &Arc<Shared>, span: u64, want_path: bool) -> Option<(u64, Option<String>)> {
+/// charged up to the same instant). A span an enclosing close already
+/// closed is left alone, without a clock read.
+fn exit_in(shared: &Arc<Shared>, span: u64) {
     STATE.with(|s| {
         let mut st = s.borrow_mut();
-        let tree = st.trees.iter_mut().find(|t| t.profiler_id == shared.id)?;
-        let pos = tree.stack.iter().rposition(|f| f.span == span)?;
+        let Some(tree) = st.trees.iter_mut().find(|t| t.profiler_id == shared.id) else {
+            return;
+        };
+        let Some(pos) = tree.stack.iter().rposition(|f| f.span == span) else {
+            return;
+        };
         let now = tree.shared.now();
-        let mut out = None;
-        while tree.stack.len() > pos {
-            let f = tree.stack.pop().expect("stack len checked");
-            let elapsed = now.saturating_sub(f.start_ns);
-            tree.nodes[f.node].total_ns += elapsed;
-            if f.span == span {
-                let path = if want_path {
-                    Some(tree.path_of(f.node))
-                } else {
-                    None
-                };
-                out = Some((elapsed, path));
-            }
+        for f in tree.stack.drain(pos..) {
+            tree.nodes[f.node].total_ns += now.saturating_sub(f.start_ns);
         }
         tree.flush_if_idle();
-        out
-    })
+    });
 }
 
 /// An open span; closes on drop. Returned by [`span`] and
 /// [`Profiler::enter`].
 pub struct ProfGuard {
-    shared: Option<Arc<Shared>>,
+    shared: Arc<Shared>,
     span: u64,
-}
-
-impl ProfGuard {
-    /// The clock of the profiler this span was opened in.
-    pub fn clock(&self) -> ClockKind {
-        // Only `finish` and `drop`, which consume the guard, take it.
-        self.shared
-            .as_ref()
-            .expect("a live guard holds its profiler")
-            .clock
-    }
-
-    /// Closes the span now, returning its elapsed nanoseconds and its
-    /// semicolon-joined path from the root — `None` if an enclosing
-    /// span already closed it.
-    pub fn finish(mut self) -> Option<(u64, String)> {
-        let shared = self.shared.take()?;
-        match exit_in(&shared, self.span, true) {
-            Some((ns, Some(path))) => Some((ns, path)),
-            _ => None,
-        }
-    }
 }
 
 impl Drop for ProfGuard {
     fn drop(&mut self) {
-        if let Some(shared) = self.shared.take() {
-            let _ = exit_in(&shared, self.span, false);
-        }
+        exit_in(&self.shared, self.span);
     }
 }
 
@@ -742,38 +683,21 @@ mod tests {
         let outer = span("outer").unwrap();
         let inner = span("inner").unwrap();
         // Parent closed before child: the child is force-closed at the
-        // same instant, and the child's later drop is a no-op.
+        // same instant, and the child's later drop is a no-op. It reads
+        // no clock and closes nothing, so the span open around it is
+        // charged only its own two reads.
         drop(outer);
+        let later = span("later").unwrap();
         drop(inner);
+        drop(later);
         drop(_i);
         let root = p.report();
         let outer_n = root.find("outer").unwrap();
         let inner_n = outer_n.find("inner").unwrap();
-        assert!(inner_n.total_ns <= outer_n.total_ns);
-        assert_eq!(outer_n.calls, 1);
-        assert_eq!(inner_n.calls, 1);
-    }
-
-    #[test]
-    fn finish_returns_path_and_elapsed() {
-        let p = ticks();
-        let _i = p.install();
-        let outer = span("evaluate").unwrap();
-        let inner = span("train").unwrap();
-        let (ns, path) = inner.finish().unwrap();
-        assert_eq!(path, "engine;evaluate;train");
-        assert_eq!(ns, TICK_NS);
-        drop(outer);
-    }
-
-    #[test]
-    fn finish_after_forced_close_is_none() {
-        let p = ticks();
-        let _i = p.install();
-        let outer = span("outer").unwrap();
-        let inner = span("inner").unwrap();
-        drop(outer); // force-closes inner
-        assert!(inner.finish().is_none());
+        assert_eq!((outer_n.total_ns, outer_n.calls), (2 * TICK_NS, 1));
+        assert_eq!((inner_n.total_ns, inner_n.calls), (TICK_NS, 1));
+        let later_n = root.children.iter().find(|c| c.name == "later").unwrap();
+        assert_eq!((later_n.total_ns, later_n.calls), (TICK_NS, 1));
     }
 
     #[test]
@@ -1000,10 +924,11 @@ mod tests {
         // `enter` opens a frame in a profiler directly, without it
         // being installed on the thread.
         let p = ticks();
-        let g = p.enter("train");
-        let (ns, path) = g.finish().unwrap();
-        assert_eq!(path, "engine;train");
-        assert_eq!(ns, TICK_NS);
-        assert_eq!(p.report().find("train").unwrap().calls, 1);
+        drop(p.enter("train"));
+        let root = p.report();
+        assert_eq!(root.children.len(), 1);
+        let train = &root.children[0];
+        assert_eq!(train.name, "train");
+        assert_eq!((train.total_ns, train.calls), (TICK_NS, 1));
     }
 }

@@ -52,7 +52,7 @@ rt::prop! {
     fn truncated_frames_error_cleanly(doc in from_fn(|rng| arbitrary_json(rng, 0)),
                                       frac in 0u32..1000) {
         let mut buf = Vec::new();
-        write_frame(&mut buf, &doc, MAX_FRAME).expect("generated doc fits");
+        write_frame(&mut buf, &doc).expect("generated doc fits");
         let cut = (buf.len() - 1) * frac as usize / 1000;
         let err = read_frame(&mut Cursor::new(&buf[..cut]), MAX_FRAME)
             .expect_err("truncated frame must not parse");
@@ -124,7 +124,7 @@ rt::prop! {
     fn frame_stream_round_trips(docs in vec(from_fn(|rng| arbitrary_json(rng, 0)), 0..6)) {
         let mut buf = Vec::new();
         for doc in &docs {
-            write_frame(&mut buf, doc, MAX_FRAME).expect("generated doc fits");
+            write_frame(&mut buf, doc).expect("generated doc fits");
         }
         let mut cursor = Cursor::new(&buf);
         for doc in &docs {

@@ -14,7 +14,8 @@
 //! file that `ecad trace --file OUT.jsonl` can validate. With
 //! `--profile-out` a tick-clock profiler is attached: the run writes a
 //! schema-pinned profile JSON (`ecad profile --file OUT.json` renders
-//! it) that is byte-identical across runs with the same seed. With
+//! it) that is byte-identical across runs with the same seed; the
+//! `--trace-out` file stays byte-identical to an unprofiled run's. With
 //! `--faults` the evaluator is wrapped in a deterministic
 //! fault-injection harness (worker panic, stalled evaluation, transient
 //! failure) to demonstrate the engine's retry/deadline/respawn

@@ -22,6 +22,15 @@ pub enum ArgError {
         /// Offending value.
         value: String,
     },
+    /// A value parsed but the flag refuses it.
+    OutOfRange {
+        /// Flag name.
+        flag: String,
+        /// Offending value.
+        value: String,
+        /// What the flag takes, e.g. `"at least 1"`.
+        expected: &'static str,
+    },
 }
 
 impl fmt::Display for ArgError {
@@ -39,6 +48,11 @@ impl fmt::Display for ArgError {
             ArgError::BadValue { flag, value } => {
                 write!(f, "cannot parse {value:?} for {flag}")
             }
+            ArgError::OutOfRange {
+                flag,
+                value,
+                expected,
+            } => write!(f, "invalid value {value:?} for {flag}: expected {expected}"),
         }
     }
 }
@@ -109,13 +123,25 @@ impl Parsed {
     ///
     /// Returns [`ArgError::BadValue`] when present but unparseable.
     pub fn get_parse<T: std::str::FromStr>(&self, flag: &str, default: T) -> Result<T, ArgError> {
-        match self.get(flag) {
-            None => Ok(default),
-            Some(v) => v.parse().map_err(|_| ArgError::BadValue {
-                flag: flag.to_string(),
-                value: v.to_string(),
-            }),
-        }
+        Ok(self.get_in(flag, |_| true, "")?.unwrap_or(default))
+    }
+
+    /// A parsed optional flag that `accept` must take; `expected` says
+    /// what it takes in the refusal.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ArgError::BadValue`] when present but unparseable, and
+    /// [`ArgError::OutOfRange`] when it parses but `accept` refuses it.
+    pub fn get_in<T: std::str::FromStr>(
+        &self,
+        flag: &str,
+        accept: impl Fn(&T) -> bool,
+        expected: &'static str,
+    ) -> Result<Option<T>, ArgError> {
+        self.get(flag)
+            .map(|text| parse_checked(format!("--{flag}"), text, accept, expected))
+            .transpose()
     }
 
     /// Validates that every provided flag is in `allowed`.
@@ -138,20 +164,33 @@ impl Parsed {
 ///
 /// # Errors
 ///
-/// Returns [`ArgError::BadValue`] on any non-integer or zero entry.
+/// Returns [`ArgError::BadValue`] on a non-integer entry and
+/// [`ArgError::OutOfRange`] on a zero one.
 pub fn parse_usize_list(flag: &str, text: &str) -> Result<Vec<usize>, ArgError> {
     text.split(',')
-        .map(|t| {
-            t.trim()
-                .parse::<usize>()
-                .ok()
-                .filter(|&v| v > 0)
-                .ok_or_else(|| ArgError::BadValue {
-                    flag: flag.to_string(),
-                    value: t.trim().to_string(),
-                })
-        })
+        .map(|t| parse_checked(flag.to_string(), t.trim(), |&v: &usize| v > 0, "at least 1"))
         .collect()
+}
+
+/// Parses `text`, the value of `flag`, and checks it with `accept`: a
+/// parse failure is [`ArgError::BadValue`], a refusal
+/// [`ArgError::OutOfRange`].
+fn parse_checked<T: std::str::FromStr>(
+    flag: String,
+    text: &str,
+    accept: impl Fn(&T) -> bool,
+    expected: &'static str,
+) -> Result<T, ArgError> {
+    let value = text.to_string();
+    match text.parse() {
+        Err(_) => Err(ArgError::BadValue { flag, value }),
+        Ok(v) if accept(&v) => Ok(v),
+        Ok(_) => Err(ArgError::OutOfRange {
+            flag,
+            value,
+            expected,
+        }),
+    }
 }
 
 /// Parses a grid spec `RxCxV` or `RxCxV,IMxIN`

@@ -44,20 +44,8 @@ fn history_dir(p: &Parsed) -> PathBuf {
 }
 
 fn non_negative_flag(p: &Parsed, flag: &str) -> Result<Option<f64>, CliError> {
-    match p.get(flag) {
-        None => Ok(None),
-        Some(text) => text
-            .parse::<f64>()
-            .ok()
-            .filter(|v| v.is_finite() && *v >= 0.0)
-            .map(Some)
-            .ok_or_else(|| {
-                CliError::Args(ArgError::BadValue {
-                    flag: format!("--{flag}"),
-                    value: text.to_string(),
-                })
-            }),
-    }
+    let non_negative = |v: &f64| v.is_finite() && *v >= 0.0;
+    Ok(p.get_in(flag, non_negative, "a finite number, at least 0")?)
 }
 
 /// `text` (default) or `json`.

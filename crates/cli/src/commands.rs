@@ -180,13 +180,8 @@ fn build_obs(
 
 /// `--name N` as a positive count, or `default` when absent.
 fn positive_flag(p: &Parsed, name: &str, default: usize) -> Result<usize, CliError> {
-    match p.get_parse(name, default)? {
-        0 => Err(CliError::Args(ArgError::BadValue {
-            flag: format!("--{name}"),
-            value: "0".to_string(),
-        })),
-        n => Ok(n),
-    }
+    Ok(p.get_in(name, |&n: &usize| n > 0, "at least 1")?
+        .unwrap_or(default))
 }
 
 fn cmd_search(p: &Parsed) -> Result<String, CliError> {
@@ -307,13 +302,8 @@ fn cmd_search(p: &Parsed) -> Result<String, CliError> {
     config.trainer.gemm_threads = p.get_parse("gemm-threads", config.trainer.gemm_threads)?;
     config.evolution.evaluations =
         positive_flag(p, "evaluations", config.evolution.evaluations)?;
-    if let Some(secs) = p.get("eval-timeout") {
-        let secs = secs.parse::<f64>().ok().filter(|s| s.is_finite() && *s >= 0.0).ok_or_else(|| {
-            CliError::Args(ArgError::BadValue {
-                flag: "--eval-timeout".to_string(),
-                value: secs.to_string(),
-            })
-        })?;
+    let non_negative = |s: &f64| s.is_finite() && *s >= 0.0;
+    if let Some(secs) = p.get_in("eval-timeout", non_negative, "finite seconds, at least 0")? {
         config.evolution.eval_timeout = if secs > 0.0 {
             Some(std::time::Duration::from_secs_f64(secs))
         } else {
@@ -451,8 +441,9 @@ fn cmd_search(p: &Parsed) -> Result<String, CliError> {
         out.push_str(&format!("trace written to {path}\n"));
     }
     if p.is_set("metrics") {
-        out.push_str("\nrun metrics (per-stage timing from the span histograms):\n");
-        out.push_str(&rt::obs::summary_table(&obs.snapshot()));
+        out.push_str("\nrun metrics (the /metrics exposition, seconds):\n");
+        out.push_str(&rt::http::prometheus_text(&obs.snapshot()));
+        out.push('\n');
     }
     if let Some(path) = p.get("trace-out") {
         obs.flush();
@@ -482,21 +473,9 @@ fn cmd_search(p: &Parsed) -> Result<String, CliError> {
 /// Parses a `--flag SECS` duration given as (possibly fractional)
 /// seconds; `None` when the flag is absent.
 fn parse_seconds(p: &Parsed, flag: &str) -> Result<Option<std::time::Duration>, CliError> {
-    match p.get(flag) {
-        None => Ok(None),
-        Some(text) => text
-            .parse::<f64>()
-            .ok()
-            .filter(|s| s.is_finite() && *s > 0.0)
-            .map(std::time::Duration::from_secs_f64)
-            .map(Some)
-            .ok_or_else(|| {
-                CliError::Args(ArgError::BadValue {
-                    flag: format!("--{flag}"),
-                    value: text.to_string(),
-                })
-            }),
-    }
+    let positive = |s: &f64| s.is_finite() && *s > 0.0;
+    Ok(p.get_in(flag, positive, "finite seconds above 0")?
+        .map(std::time::Duration::from_secs_f64))
 }
 
 /// `ecad cluster worker`: serves genome-evaluation jobs to a remote
@@ -850,8 +829,9 @@ mod tests {
         ));
     }
 
-    /// A zero batch or sample count is a usage error naming the flag,
-    /// not a panic in the hardware models or the generator.
+    /// A zero batch or sample count is a range refusal naming the
+    /// flag, not a panic in the hardware models or the generator, and
+    /// not a parse failure: `0` parses.
     #[test]
     fn estimate_and_datasets_reject_zero_counts() {
         for cmd in [
@@ -860,12 +840,30 @@ mod tests {
             "datasets --generate credit-g --out unused.csv --samples 0",
         ] {
             let flag = if cmd.contains("--batch") { "--batch" } else { "--samples" };
-            let err = run(argv(cmd)).unwrap_err();
-            assert!(
-                matches!(&err, CliError::Args(ArgError::BadValue { flag: f, .. }) if f == flag),
-                "{cmd}: {err}"
+            let Err(CliError::Args(err)) = run(argv(cmd)) else {
+                panic!("{cmd}: expected a usage error");
+            };
+            assert_eq!(
+                err,
+                ArgError::OutOfRange {
+                    flag: flag.to_string(),
+                    value: "0".to_string(),
+                    expected: "at least 1",
+                },
+                "{cmd}"
+            );
+            assert_eq!(
+                err.to_string(),
+                format!("invalid value \"0\" for {flag}: expected at least 1")
             );
         }
+        // A value that does not parse is still a parse failure.
+        let Err(CliError::Args(err)) = run(argv("estimate --layers 784,256,10 --batch many"))
+        else {
+            panic!("expected a usage error");
+        };
+        assert!(matches!(err, ArgError::BadValue { .. }), "{err}");
+        assert_eq!(err.to_string(), "cannot parse \"many\" for --batch");
     }
 
     #[test]
@@ -925,7 +923,8 @@ mod tests {
 
     /// End-to-end observability path: a seeded search with
     /// `--trace-out` and `--metrics` writes a JSONL event stream the
-    /// `trace` subcommand accepts, and prints the metrics table.
+    /// `trace` subcommand accepts, and prints the registry as the
+    /// `/metrics` exposition text.
     #[test]
     fn search_emits_jsonl_trace_and_metrics() {
         let dir = std::env::temp_dir().join("ecad_cli_obs_test");
@@ -949,10 +948,17 @@ mod tests {
             jsonl.display()
         )))
         .unwrap();
-        assert!(out.contains("run metrics"));
-        assert!(out.contains("span.train_s"));
-        assert!(out.contains("engine.models_evaluated"));
         assert!(out.contains("event trace written"));
+        // The section under the header is exposition text, up to the
+        // blank line that ends it.
+        let (_, section) = out.split_once("run metrics").expect("metrics header");
+        let section = section.split_once('\n').unwrap().1;
+        let section = section.split_once("\n\n").unwrap().0;
+        let samples = rt::http::parse_exposition(section).expect("exposition parses");
+        let sample = |name: &str| samples.iter().find(|s| s.name == name).map(|s| s.value);
+        assert!(sample("span_train_s_count").is_some_and(|n| n > 0.0));
+        assert_eq!(sample("engine_models_evaluated"), Some(6.0));
+        assert_eq!(sample("search_evaluations"), Some(4.0));
 
         // The emitted stream satisfies the validator, including the
         // lifecycle kinds the engine promises.
@@ -1491,13 +1497,30 @@ mod tests {
             .generate();
         csv::write_dataset_file(&ds, &data).unwrap();
         for flag in ["--threads", "--evaluations"] {
-            let err = run(argv(&format!("search --data {} {flag} 0", data.display())))
-                .unwrap_err();
+            let Err(CliError::Args(err)) =
+                run(argv(&format!("search --data {} {flag} 0", data.display())))
+            else {
+                panic!("{flag}: expected a usage error");
+            };
             assert!(
-                matches!(&err, CliError::Args(ArgError::BadValue { flag: f, .. }) if f == flag),
+                matches!(&err, ArgError::OutOfRange { flag: f, .. } if f == flag),
                 "{flag}: {err}"
             );
+            assert_eq!(
+                err.to_string(),
+                format!("invalid value \"0\" for {flag}: expected at least 1")
+            );
         }
+        let Err(CliError::Args(err)) = run(argv(&format!(
+            "search --data {} --eval-timeout -1",
+            data.display()
+        ))) else {
+            panic!("expected a usage error");
+        };
+        assert_eq!(
+            err.to_string(),
+            "invalid value \"-1\" for --eval-timeout: expected finite seconds, at least 0"
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 

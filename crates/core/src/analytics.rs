@@ -18,24 +18,27 @@
 //! * **genome diversity**: mean per-gene Shannon entropy and mean
 //!   pairwise normalized Hamming distance over the population's gene
 //!   tokens;
-//! * dedup-cache hit rate and per-operator admission rates (which of
-//!   seed/sample/crossover/mutate offspring actually entered the
-//!   population);
+//! * dedup-cache hit rate and per-operator admission counts (how many
+//!   seed/sample/crossover/mutate offspring were produced and how many
+//!   entered the population);
 //! * a **stall** verdict: hypervolume *and* best fitness flat for
 //!   `stall_window` consecutive epochs.
 //!
-//! Snapshots are emitted as structured `epoch` events and metric
-//! gauges; [`StatusCell`] + [`observatory`] expose the latest one over
-//! HTTP for live scraping. Everything here is deterministic: no clocks,
-//! no hash-map iteration orders, no RNG — a `--serve`d run's trace is
-//! byte-identical to an unserved one, and a resumed run replays to the
-//! same epoch values.
+//! A snapshot has one encoding, [`PopulationSnapshot::fields`], and
+//! every view reads it: the `epoch` trace event carries the fields,
+//! [`StatusCell`] + [`observatory`] serve them as `/status`'s `epoch`,
+//! and one `search.<field>` gauge per field (booleans as 0/1) shows
+//! them on `/metrics`. A new observed fact is a new field, so it
+//! reaches every view under one name. Everything here is
+//! deterministic: no clocks, no hash-map iteration orders, no RNG — a
+//! `--serve`d run's trace is byte-identical to an unserved one, and a
+//! resumed run replays to the same epoch values.
 
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use rt::json::{Json, ToJson};
-use rt::obs::Obs;
+use rt::json::Json;
+use rt::obs::{Obs, Value};
 
 use crate::checkpoint::RunCounters;
 use crate::engine::Evaluated;
@@ -91,37 +94,9 @@ pub enum OperatorKind {
     Mutate,
 }
 
-impl OperatorKind {
-    /// All operators, in stable report order.
-    pub const ALL: [OperatorKind; 4] = [
-        OperatorKind::Seed,
-        OperatorKind::Sample,
-        OperatorKind::Crossover,
-        OperatorKind::Mutate,
-    ];
-
-    /// Stable lowercase name.
-    pub fn name(self) -> &'static str {
-        match self {
-            OperatorKind::Seed => "seed",
-            OperatorKind::Sample => "sample",
-            OperatorKind::Crossover => "crossover",
-            OperatorKind::Mutate => "mutate",
-        }
-    }
-
-    fn index(self) -> usize {
-        match self {
-            OperatorKind::Seed => 0,
-            OperatorKind::Sample => 1,
-            OperatorKind::Crossover => 2,
-            OperatorKind::Mutate => 3,
-        }
-    }
-}
-
 /// Per-operator `(offspring produced, offspring that entered the
-/// population)` counters, indexed by [`OperatorKind::ALL`] order.
+/// population)` counters, indexed by [`OperatorKind`] declaration
+/// order.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct OperatorStats {
     counts: [(u64, u64); 4],
@@ -131,7 +106,7 @@ impl OperatorStats {
     /// Records one admitted candidate: `entered` says whether it
     /// displaced (or filled) a population slot.
     pub fn record(&mut self, op: OperatorKind, entered: bool) {
-        let slot = &mut self.counts[op.index()];
+        let slot = &mut self.counts[op as usize];
         slot.0 += 1;
         if entered {
             slot.1 += 1;
@@ -140,22 +115,12 @@ impl OperatorStats {
 
     /// Offspring produced by `op`.
     pub fn total(&self, op: OperatorKind) -> u64 {
-        self.counts[op.index()].0
+        self.counts[op as usize].0
     }
 
     /// Offspring by `op` that entered the population.
     pub fn entered(&self, op: OperatorKind) -> u64 {
-        self.counts[op.index()].1
-    }
-
-    /// Admission rate for `op` (`0.0` before it produced anything).
-    pub fn rate(&self, op: OperatorKind) -> f64 {
-        let (total, entered) = self.counts[op.index()];
-        if total == 0 {
-            0.0
-        } else {
-            entered as f64 / total as f64
-        }
+        self.counts[op as usize].1
     }
 }
 
@@ -442,9 +407,9 @@ pub fn fitness_summary(fitnesses: &[f64]) -> FitnessSummary {
 // Snapshots
 // ---------------------------------------------------------------------------
 
-/// One epoch's analytics, the payload of the `epoch` trace event and
-/// the `/status` endpoint.
-#[derive(Debug, Clone, PartialEq)]
+/// One epoch's analytics; [`PopulationSnapshot::fields`] is its one
+/// encoding.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct PopulationSnapshot {
     /// Completed epoch number (1-based).
     pub epoch: usize,
@@ -475,42 +440,68 @@ pub struct PopulationSnapshot {
     pub stalled: bool,
 }
 
-impl ToJson for PopulationSnapshot {
-    fn to_json(&self) -> Json {
-        let mut ops = Json::object();
-        for op in OperatorKind::ALL {
-            ops = ops.insert(
-                op.name(),
-                Json::object()
-                    .insert("total", self.operators.total(op))
-                    .insert("entered", self.operators.entered(op))
-                    .insert("rate", self.operators.rate(op)),
-            );
+impl PopulationSnapshot {
+    /// The epoch record: `(field, value)` pairs in the `epoch` trace
+    /// event's order. The trace event, `/status`'s `epoch` and the
+    /// `search.<field>` gauges all read this list, so a fact has one
+    /// name in every view; operator admission appears as
+    /// `<op>_total` and `<op>_entered`, whose ratio is the rate.
+    pub fn fields(&self) -> Vec<(&'static str, Value)> {
+        use OperatorKind::{Crossover, Mutate, Sample, Seed};
+        let (f, ops) = (&self.fitness, &self.operators);
+        vec![
+            ("epoch", self.epoch.into()),
+            ("evaluations", self.evaluations.into()),
+            ("population", self.population.into()),
+            ("has_best", self.has_best.into()),
+            ("best_fitness", self.best_fitness.into()),
+            ("fitness_finite", f.finite.into()),
+            ("fitness_min", f.min.into()),
+            ("fitness_p25", f.p25.into()),
+            ("fitness_p50", f.p50.into()),
+            ("fitness_p75", f.p75.into()),
+            ("fitness_max", f.max.into()),
+            ("fitness_mean", f.mean.into()),
+            ("hypervolume", self.hypervolume.into()),
+            ("archive_size", self.archive_size.into()),
+            ("gene_entropy_bits", self.gene_entropy_bits.into()),
+            ("mean_distance", self.mean_distance.into()),
+            ("cache_hit_rate", self.cache_hit_rate.into()),
+            ("seed_total", ops.total(Seed).into()),
+            ("seed_entered", ops.entered(Seed).into()),
+            ("sample_total", ops.total(Sample).into()),
+            ("sample_entered", ops.entered(Sample).into()),
+            ("crossover_total", ops.total(Crossover).into()),
+            ("crossover_entered", ops.entered(Crossover).into()),
+            ("mutate_total", ops.total(Mutate).into()),
+            ("mutate_entered", ops.entered(Mutate).into()),
+            ("stalled", self.stalled.into()),
+        ]
+    }
+
+    /// Sets the `search.<field>` gauge of every field (booleans as
+    /// 0/1). Also mirrors per-phase profile seconds (top-level spans of
+    /// the attached profiler) into gauges, so the `/metrics` exposition
+    /// carries the time breakdown of a live search.
+    pub(crate) fn publish(&self, obs: &Obs) {
+        for (name, value) in self.fields() {
+            if let Some(x) = value.as_f64() {
+                obs.gauge(&format!("search.{name}")).set(x);
+            }
         }
-        Json::object()
-            .insert("epoch", self.epoch)
-            .insert("evaluations", self.evaluations)
-            .insert("population", self.population)
-            .insert("has_best", self.has_best)
-            .insert("best_fitness", self.best_fitness)
-            .insert(
-                "fitness",
-                Json::object()
-                    .insert("finite", self.fitness.finite)
-                    .insert("min", self.fitness.min)
-                    .insert("p25", self.fitness.p25)
-                    .insert("p50", self.fitness.p50)
-                    .insert("p75", self.fitness.p75)
-                    .insert("max", self.fitness.max)
-                    .insert("mean", self.fitness.mean),
-            )
-            .insert("hypervolume", self.hypervolume)
-            .insert("archive_size", self.archive_size)
-            .insert("gene_entropy_bits", self.gene_entropy_bits)
-            .insert("mean_distance", self.mean_distance)
-            .insert("cache_hit_rate", self.cache_hit_rate)
-            .insert("operators", ops)
-            .insert("stalled", self.stalled)
+        if let Some(profiler) = obs.profiler() {
+            for (phase, secs) in profiler.phase_seconds() {
+                obs.gauge(&format!("profile.phase.{phase}_s")).set(secs);
+            }
+        }
+    }
+}
+
+/// Registers the `search.<field>` gauges when a run starts, so
+/// `/metrics` lists them from the first scrape.
+pub(crate) fn register_epoch_metrics(obs: &Obs) {
+    for (name, _) in PopulationSnapshot::default().fields() {
+        obs.gauge(&format!("search.{name}"));
     }
 }
 
@@ -650,58 +641,6 @@ impl EpochTracker {
     }
 }
 
-/// A gauge name and the snapshot field it shows.
-type EpochGauge = (&'static str, fn(&PopulationSnapshot) -> f64);
-
-/// The `search.*` gauges an epoch snapshot refreshes.
-const EPOCH_GAUGES: [EpochGauge; 8] = [
-    ("search.epoch", |s| s.epoch as f64),
-    ("search.best_fitness", |s| s.best_fitness),
-    ("search.hypervolume", |s| s.hypervolume),
-    ("search.archive_size", |s| s.archive_size as f64),
-    ("search.gene_entropy_bits", |s| s.gene_entropy_bits),
-    ("search.mean_distance", |s| s.mean_distance),
-    ("search.cache_hit_rate", |s| s.cache_hit_rate),
-    ("search.fitness_p50", |s| s.fitness.p50),
-];
-
-fn operator_gauge(obs: &Obs, op: OperatorKind) -> rt::obs::Gauge {
-    obs.gauge(&format!("search.op_{}_rate", op.name()))
-}
-
-/// Registers the epoch gauges and the per-epoch hypervolume histogram
-/// when a run starts, so `/metrics` lists them from the first scrape.
-pub(crate) fn register_epoch_metrics(obs: &Obs) {
-    for (name, _) in EPOCH_GAUGES {
-        obs.gauge(name);
-    }
-    for op in OperatorKind::ALL {
-        operator_gauge(obs, op);
-    }
-    obs.histogram("search.epoch_hypervolume");
-}
-
-impl PopulationSnapshot {
-    /// Refreshes the epoch metrics from this snapshot. Also mirrors
-    /// per-phase profile seconds (top-level spans of the attached
-    /// profiler) into gauges, so the `/metrics` exposition carries the
-    /// time breakdown of a live search.
-    pub(crate) fn publish(&self, obs: &Obs) {
-        for (name, field) in EPOCH_GAUGES {
-            obs.gauge(name).set(field(self));
-        }
-        for op in OperatorKind::ALL {
-            operator_gauge(obs, op).set(self.operators.rate(op));
-        }
-        obs.histogram("search.epoch_hypervolume").record(self.hypervolume);
-        if let Some(profiler) = obs.profiler() {
-            for (phase, secs) in profiler.phase_seconds() {
-                obs.gauge(&format!("profile.phase.{phase}_s")).set(secs);
-            }
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Live status
 // ---------------------------------------------------------------------------
@@ -761,7 +700,9 @@ impl StatusCell {
         self.inner.lock().expect("status cell").done = true;
     }
 
-    /// The `/status` JSON document.
+    /// The `/status` JSON document. Its `epoch` is the latest
+    /// snapshot's [`PopulationSnapshot::fields`], the object the
+    /// `epoch` trace event carries (`null` before the first epoch).
     pub fn to_json(&self) -> Json {
         let s = self.inner.lock().expect("status cell");
         let now = Instant::now();
@@ -778,7 +719,12 @@ impl StatusCell {
             .insert("retries", s.counters.retry_count)
             .insert("timeouts", s.counters.timeout_count)
             .insert("respawns", s.counters.respawn_count)
-            .insert("epoch", s.snapshot.as_ref().map_or(Json::Null, ToJson::to_json))
+            .insert(
+                "epoch",
+                s.snapshot
+                    .as_ref()
+                    .map_or(Json::Null, |snap| rt::obs::fields_to_json(&snap.fields())),
+            )
     }
 }
 
@@ -1036,6 +982,7 @@ mod tests {
         assert_eq!(fitness_summary(&[f64::NEG_INFINITY]), FitnessSummary::default());
     }
 
+    /// A rate is `entered / total`; the record carries both counts.
     #[test]
     fn operator_stats_rates() {
         let mut ops = OperatorStats::default();
@@ -1044,8 +991,24 @@ mod tests {
         ops.record(OperatorKind::Crossover, true);
         assert_eq!(ops.total(OperatorKind::Mutate), 2);
         assert_eq!(ops.entered(OperatorKind::Mutate), 1);
-        assert!((ops.rate(OperatorKind::Mutate) - 0.5).abs() < 1e-12);
-        assert_eq!(ops.rate(OperatorKind::Seed), 0.0);
+        assert_eq!(ops.total(OperatorKind::Crossover), 1);
+        assert_eq!(ops.entered(OperatorKind::Crossover), 1);
+        assert_eq!(ops.total(OperatorKind::Seed), 0);
+        assert_eq!(ops.entered(OperatorKind::Seed), 0);
+        let snap = PopulationSnapshot {
+            operators: ops,
+            ..PopulationSnapshot::default()
+        };
+        let fields = snap.fields();
+        let field = |name: &str| {
+            fields
+                .iter()
+                .find(|(k, _)| *k == name)
+                .map(|(_, v)| v.clone())
+        };
+        assert_eq!(field("mutate_total"), Some(Value::U64(2)));
+        assert_eq!(field("mutate_entered"), Some(Value::U64(1)));
+        assert_eq!(field("seed_total"), Some(Value::U64(0)));
     }
 
     #[test]
@@ -1152,8 +1115,24 @@ mod tests {
         assert_eq!(live.get("models_evaluated").and_then(Json::as_f64), Some(10.0));
         assert!(live.get("uptime_s").and_then(Json::as_f64).is_some());
         assert!(live.get("checkpoint_age_s").and_then(Json::as_f64).is_some());
+        // `epoch` is the flat record, the trace event's fields.
         let epoch = live.get("epoch").expect("epoch present");
         assert_eq!(epoch.get("evaluations").and_then(Json::as_f64), Some(2.0));
+        assert_eq!(
+            epoch.get("fitness_finite").and_then(Json::as_f64),
+            Some(2.0)
+        );
+        let p50 = epoch.get("fitness_p50").and_then(Json::as_f64).unwrap();
+        assert!((p50 - 0.6).abs() < 1e-12, "{p50}");
+        assert_eq!(epoch.get("seed_total").and_then(Json::as_f64), Some(0.0));
+        assert_eq!(epoch.get("fitness"), None);
+        assert_eq!(epoch.get("operators"), None);
+        let snap = t.snapshot(4, &pop, 2).0;
+        cell.note_snapshot(snap.clone());
+        assert_eq!(
+            cell.to_json().get("epoch"),
+            Some(&rt::obs::fields_to_json(&snap.fields()))
+        );
         // The document round-trips through the serializer.
         let text = live.to_string();
         assert!(Json::parse(&text).is_ok());
@@ -1168,10 +1147,18 @@ mod tests {
 
         let obs = Obs::builder().build();
         obs.counter("engine.models_evaluated").add(5);
-        obs.gauge("search.hypervolume").set(0.25);
+        register_epoch_metrics(&obs);
+        let snap = PopulationSnapshot {
+            epoch: 1,
+            has_best: true,
+            hypervolume: 0.25,
+            ..PopulationSnapshot::default()
+        };
+        snap.publish(&obs);
         let cell = StatusCell::new();
         cell.note_started();
         cell.note_counters(5, RunCounters::default());
+        cell.note_snapshot(snap);
 
         let handle = observatory(&obs, &cell)
             .bind("127.0.0.1:0")
@@ -1192,15 +1179,27 @@ mod tests {
         assert!(samples
             .iter()
             .any(|s| s.name == "engine_models_evaluated" && s.value == 5.0));
-        assert!(samples
-            .iter()
-            .any(|s| s.name == "search_hypervolume" && s.value == 0.25));
+        let gauge = |name: &str| samples.iter().find(|s| s.name == name).map(|s| s.value);
+        assert_eq!(gauge("search_hypervolume"), Some(0.25));
+        assert_eq!(gauge("search_has_best"), Some(1.0));
+        assert_eq!(gauge("search_stalled"), Some(0.0));
+        assert_eq!(gauge("search_fitness_finite"), Some(0.0));
+        assert_eq!(
+            samples
+                .iter()
+                .filter(|s| s.name.starts_with("search_"))
+                .count(),
+            PopulationSnapshot::default().fields().len()
+        );
 
         let (code, body) = get("/status");
         assert_eq!(code, 200);
         let json = Json::parse(&body).expect("status is json");
         assert_eq!(json.get("models_evaluated").and_then(Json::as_f64), Some(5.0));
         assert_eq!(json.get("running"), Some(&Json::Bool(true)));
+        let epoch = json.get("epoch").expect("epoch present");
+        assert_eq!(epoch.get("hypervolume").and_then(Json::as_f64), Some(0.25));
+        assert_eq!(epoch.get("has_best"), Some(&Json::Bool(true)));
 
         assert_eq!(get("/healthz"), (200, "ok\n".to_string()));
         handle.stop();

@@ -16,8 +16,8 @@
 //!
 //! ```text
 //! coordinator                         worker
-//!   ── hello {version, role} ──────────▶
-//!   ◀───────── hello {version, role} ──
+//!   ── hello {version,role,max_frame} ─▶
+//!   ◀─ hello {version,role,max_frame} ──
 //!   ── Setup {datasets, trainer, …} ───▶
 //!   ◀───────────────── Ready {stamp} ──
 //!   ── Evaluate {id, stamp, genome} ───▶
@@ -626,8 +626,10 @@ fn connect_session(
     stamp: u64,
 ) -> Result<RemoteSession, NetError> {
     let opts = &plan.options;
-    // The ceiling bounds the worker's replies; the worker's own ceiling
-    // decides whether it takes the setup frame.
+    // The ceiling bounds the worker's replies. The worker announces its
+    // own in its hello, and a setup frame above it fails `send`
+    // permanently, before a byte is written, instead of being dropped
+    // by the worker and resent on every reconnect.
     let mut conn = Conn::connect(addr, opts.net_timeout, rt::net::DEFAULT_MAX_FRAME)?;
     conn.set_io_timeout(Some(opts.net_timeout))?;
     conn.handshake_client(COORDINATOR_ROLE, Some(WORKER_ROLE))?;
@@ -873,8 +875,9 @@ impl<'a> RemoteSlot<'a> {
 /// Worker-side knobs.
 #[derive(Debug, Clone)]
 pub struct WorkerOptions {
-    /// Ceiling on received frames (must cover the dataset-bearing setup
-    /// frame; the coordinator sends whatever size its dataset needs).
+    /// Ceiling on received frames, announced in the worker's hello. A
+    /// coordinator whose setup frame is above it does not send it and
+    /// counts the worker lost.
     pub max_frame: usize,
     /// Socket write deadline and connect-phase read deadline.
     pub io_timeout: Duration,

@@ -1265,40 +1265,16 @@ impl Engine {
         Ok(run.finish())
     }
 
-    /// Emits the structured `epoch` trace event (and the `stall`
-    /// warning on a detector rising edge). Every field is derived from
-    /// deterministic engine state — no clocks — so seeded traces stay
-    /// byte-reproducible with analytics on.
+    /// Emits the `epoch` trace event, whose fields are the record's
+    /// [`PopulationSnapshot::fields`](crate::analytics::PopulationSnapshot::fields),
+    /// and the `stall` warning on a detector rising edge. Every field
+    /// is derived from deterministic engine state — no clocks — so
+    /// seeded traces stay byte-reproducible with analytics on.
     fn emit_epoch(&self, snap: &crate::analytics::PopulationSnapshot, stall_fired: bool) {
-        rt::info!(
-            self.obs,
-            "epoch",
-            epoch = snap.epoch,
-            evaluations = snap.evaluations,
-            population = snap.population,
-            has_best = snap.has_best,
-            best_fitness = snap.best_fitness,
-            fitness_min = snap.fitness.min,
-            fitness_p25 = snap.fitness.p25,
-            fitness_p50 = snap.fitness.p50,
-            fitness_p75 = snap.fitness.p75,
-            fitness_max = snap.fitness.max,
-            fitness_mean = snap.fitness.mean,
-            hypervolume = snap.hypervolume,
-            archive_size = snap.archive_size,
-            gene_entropy_bits = snap.gene_entropy_bits,
-            mean_distance = snap.mean_distance,
-            cache_hit_rate = snap.cache_hit_rate,
-            seed_total = snap.operators.total(OperatorKind::Seed),
-            seed_entered = snap.operators.entered(OperatorKind::Seed),
-            sample_total = snap.operators.total(OperatorKind::Sample),
-            sample_entered = snap.operators.entered(OperatorKind::Sample),
-            crossover_total = snap.operators.total(OperatorKind::Crossover),
-            crossover_entered = snap.operators.entered(OperatorKind::Crossover),
-            mutate_total = snap.operators.total(OperatorKind::Mutate),
-            mutate_entered = snap.operators.entered(OperatorKind::Mutate),
-            stalled = snap.stalled,
-        );
+        if self.obs.is_enabled(rt::obs::Level::Info) {
+            self.obs
+                .emit(rt::obs::Level::Info, module_path!(), "epoch", snap.fields());
+        }
         if stall_fired {
             rt::warn!(
                 self.obs,
@@ -1761,9 +1737,12 @@ mod tests {
             .sum::<usize>();
         assert_eq!(produced, out.stats.models_evaluated + out.stats.cache_hits);
 
-        // The metrics registry carries the epoch gauges.
+        // Every field of the last epoch has its `search.<field>` gauge,
+        // holding the same number (booleans as 0/1), and the registry
+        // has no other `search.*` metric.
+        let metrics = obs.snapshot();
         let gauge = |name: &str| {
-            obs.snapshot()
+            metrics
                 .iter()
                 .find_map(|(n, v)| match (n == name, v) {
                     (true, rt::obs::MetricValue::Gauge(g)) => Some(*g),
@@ -1771,8 +1750,21 @@ mod tests {
                 })
                 .unwrap_or_else(|| panic!("no gauge {name:?}"))
         };
+        for (key, value) in &last.fields {
+            let want = match value {
+                rt::obs::Value::Bool(b) => f64::from(u8::from(*b)),
+                _ => numeric_field(last, key),
+            };
+            assert_eq!(gauge(&format!("search.{key}")), want, "{key}");
+        }
+        assert_eq!(
+            metrics
+                .iter()
+                .filter(|(n, _)| n.starts_with("search."))
+                .count(),
+            last.fields.len()
+        );
         assert_eq!(gauge("search.epoch"), 5.0);
-        assert!((gauge("search.hypervolume") - prev_hv).abs() < 1e-15);
         assert!(gauge("search.best_fitness") > 0.0);
     }
 
@@ -1820,12 +1812,19 @@ mod tests {
         std::fs::remove_file(&path).unwrap();
     }
 
+    /// `/status`'s `epoch` is the `fields` object of the run's last
+    /// `epoch` trace line.
     #[test]
     fn status_cell_tracks_run_lifecycle() {
         use rt::json::Json;
+        let sink = rt::obs::CaptureSink::new(rt::obs::Level::Trace);
+        let obs = rt::obs::Obs::builder().sink(Arc::clone(&sink)).build();
         let status = crate::analytics::StatusCell::new();
-        let out = engine(24, 9, 1).with_status(status.clone()).run();
-        let json = status.to_json();
+        let out = engine(24, 9, 1)
+            .with_obs(obs)
+            .with_status(status.clone())
+            .run();
+        let json = Json::parse(&status.to_json().to_string()).unwrap();
         assert_eq!(json.get("running"), Some(&Json::Bool(false)));
         assert_eq!(json.get("done"), Some(&Json::Bool(true)));
         assert_eq!(
@@ -1834,6 +1833,13 @@ mod tests {
         );
         let epoch = json.get("epoch").expect("epoch snapshot present");
         assert_eq!(epoch.get("evaluations").and_then(Json::as_f64), Some(24.0));
+        let last = sink
+            .take()
+            .into_iter()
+            .rfind(|e| e.name == "epoch")
+            .expect("an epoch event");
+        let line = Json::parse(&last.to_json(Some(0), false).to_string()).unwrap();
+        assert_eq!(Some(epoch), line.get("fields"));
     }
 
     #[test]

@@ -410,6 +410,70 @@ fn coordinator_degrades_to_local_when_no_worker_is_reachable() {
     assert!(trace.contains("\"event\":\"search_end\""));
 }
 
+/// A worker whose frame ceiling is below the setup frame is never sent
+/// it: its hello announces the ceiling, the coordinator's send fails
+/// once, permanently, naming both sizes, and the run finishes its
+/// budget locally with the local result. The worker sees one session
+/// that ends in a disconnect, never an oversized frame.
+#[test]
+fn setup_frame_above_the_workers_ceiling_is_never_sent() {
+    let ds = dataset();
+    let (_, local) = traced(|obs| base_search(&ds, obs).run());
+
+    let worker_log = rt::obs::CaptureSink::new(Level::Info);
+    let server = WorkerServer::bind(
+        "127.0.0.1:0",
+        WorkerOptions {
+            max_frame: 1024,
+            ..WorkerOptions::default()
+        },
+        Obs::builder().sink(Arc::clone(&worker_log)).build(),
+    )
+    .expect("bind loopback worker");
+    let addr = server.local_addr().expect("bound addr").to_string();
+    let stop = server.stop_handle();
+    let worker = std::thread::spawn(move || server.run().expect("worker serve loop"));
+    let (trace, result) = traced(|obs| {
+        base_search(&ds, obs)
+            .cluster(ClusterOptions {
+                workers: vec![addr.clone()],
+                connect_retries: 3,
+                reconnect_backoff: Duration::from_millis(5),
+                ..ClusterOptions::default()
+            })
+            .run()
+    });
+    // No session ever sends this worker `kill_all`.
+    stop.store(true, Ordering::Release);
+    worker.join().expect("stopped worker exits");
+
+    assert_eq!(result.stats().models_evaluated, 14);
+    let lost: Vec<&str> = trace
+        .lines()
+        .filter(|l| l.contains("\"event\":\"worker_lost\""))
+        .collect();
+    assert_eq!(lost.len(), 1, "{trace}");
+    assert!(
+        lost[0].contains("bytes exceeds the 1024-byte ceiling"),
+        "{}",
+        lost[0]
+    );
+    assert_eq!(
+        trace.matches("\"event\":\"worker_connect_failed\"").count(),
+        1,
+        "a refused frame is not retried"
+    );
+    assert!(trace.contains("\"event\":\"cluster_degraded\""));
+    let (want, got) = (local.best().unwrap(), result.best().unwrap());
+    assert_eq!(want.genome.cache_key(), got.genome.cache_key());
+    assert_same_measurement(&want.measurement, &got.measurement);
+
+    let events = worker_log.take();
+    let count = |name: &str| events.iter().filter(|e| e.name == name).count();
+    assert_eq!(count("session_error"), 0, "{events:?}");
+    assert_eq!(count("session_accept"), 1);
+}
+
 #[test]
 fn worker_killed_mid_search_costs_retries_but_not_the_result() {
     let ds = dataset();

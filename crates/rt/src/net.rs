@@ -11,17 +11,21 @@
 //! * **Bounded frames** — a length prefix larger than the reading
 //!   connection's `max_frame` is rejected *before* any allocation, so a
 //!   hostile or corrupt peer cannot OOM the process with a 4 GiB
-//!   announcement. The ceiling is the reader's alone: a writer checks
-//!   only that the length fits the prefix, so a worker started with a
-//!   larger ceiling receives frames above the default one.
+//!   announcement. The ceiling is the reader's: each side announces
+//!   its own in its hello, and [`Conn::send`] refuses a payload above
+//!   the peer's before writing a byte, as a permanent error — the peer
+//!   would drop the connection on the prefix, and every resend would
+//!   fail the same way. So a worker started with a larger ceiling
+//!   receives frames above the default one, and a smaller one is
+//!   never sent what it would drop.
 //! * **Read/write deadlines** — both directions run under socket
 //!   timeouts ([`Conn::set_io_timeout`]), so a stalled peer surfaces
 //!   as [`io::ErrorKind::WouldBlock`]/`TimedOut` instead of pinning a
 //!   thread forever.
 //! * **Versioned hello** — each side opens with a
-//!   `{"net":"hello","version":N,"role":R}` frame; a version mismatch
-//!   is a permanent, clearly-worded error rather than a cryptic parse
-//!   failure halfway into the session.
+//!   `{"net":"hello","version":N,"role":R,"max_frame":M}` frame; a
+//!   version mismatch is a permanent, clearly-worded error rather than
+//!   a cryptic parse failure halfway into the session.
 //! * **Failure classification** — [`NetError::is_transient`] splits
 //!   environmental failures (resets, refusals, timeouts: reconnect and
 //!   retry) from protocol failures (oversized frames, bad JSON, version
@@ -36,7 +40,7 @@ use crate::json::{self, Cursor, Json};
 
 /// Wire protocol version carried in every hello frame. Bump on any
 /// incompatible message-shape change.
-pub const PROTOCOL_VERSION: u64 = 2;
+pub const PROTOCOL_VERSION: u64 = 3;
 
 /// Default ceiling on a single frame's payload, generous enough for a
 /// dataset-bearing setup message but far below anything that could
@@ -58,11 +62,12 @@ pub enum NetError {
     /// The peer closed the connection cleanly at a frame boundary.
     Closed,
     /// A frame announced a length above the reader's ceiling, or a
-    /// payload to write is longer than the 4-byte prefix can announce.
+    /// payload to write is longer than the peer's announced ceiling or
+    /// than the 4-byte prefix can announce.
     FrameTooLarge {
-        /// Announced payload length.
+        /// Payload length.
         len: usize,
-        /// This connection's ceiling.
+        /// The ceiling it exceeds.
         max: usize,
     },
     /// The frame payload was not valid JSON.
@@ -144,15 +149,18 @@ impl NetError {
 
 /// Writes one frame: 4-byte big-endian payload length, then the
 /// compact JSON bytes. Whether the frame is too large is the reader's
-/// call ([`read_frame`]'s `max_frame`).
+/// call ([`read_frame`]'s `max_frame`, which [`Conn::send`] checks
+/// against the peer's hello before writing).
 ///
 /// # Errors
 ///
 /// [`NetError::FrameTooLarge`] when the serialized payload does not fit
 /// the 4-byte length prefix; otherwise any underlying I/O error.
 pub fn write_frame(w: &mut impl Write, value: &Json) -> Result<(), NetError> {
-    let payload = value.to_string();
-    let bytes = payload.as_bytes();
+    write_payload(w, value.to_string().as_bytes())
+}
+
+fn write_payload(w: &mut impl Write, bytes: &[u8]) -> Result<(), NetError> {
     let len = u32::try_from(bytes.len()).map_err(|_| NetError::FrameTooLarge {
         len: bytes.len(),
         max: u32::MAX as usize,
@@ -206,18 +214,22 @@ pub fn read_frame(r: &mut impl Read, max_frame: usize) -> Result<Json, NetError>
     Json::parse(text).map_err(NetError::Parse)
 }
 
-/// The opening frame each side sends: protocol version plus a role
-/// label the peer can sanity-check.
-pub fn hello_frame(role: &str) -> Json {
+/// The opening frame each side sends: protocol version, a role label
+/// the peer can sanity-check, and the sender's ceiling on the frames it
+/// reads.
+pub fn hello_frame(role: &str, max_frame: usize) -> Json {
     Json::object()
         .insert("net", "hello")
         .insert("version", PROTOCOL_VERSION)
         .insert("role", role)
+        .insert("max_frame", max_frame)
 }
 
-/// Validates a received hello frame, returning the peer's role. The
-/// frame decodes strictly: `net` is `"hello"`, `version` an integer and
-/// `role` a string.
+/// Validates a received hello frame, returning the peer's role and
+/// frame ceiling. The frame decodes strictly: `net` is `"hello"`,
+/// `version` an integer, `role` a string and `max_frame` an integer;
+/// the version is compared before `max_frame` is read, so an older
+/// peer is told about the version skew.
 ///
 /// # Errors
 ///
@@ -225,7 +237,7 @@ pub fn hello_frame(role: &str) -> Json {
 /// well-formed hello or announces an unexpected role;
 /// [`NetError::VersionMismatch`] when a well-formed hello announces
 /// another version.
-pub fn check_hello(frame: &Json, expect_role: Option<&str>) -> Result<String, NetError> {
+pub fn check_hello(frame: &Json, expect_role: Option<&str>) -> Result<(String, usize), NetError> {
     let j = Cursor::root(frame);
     let net = j.field("net")?;
     if net.str()? != "hello" {
@@ -238,6 +250,7 @@ pub fn check_hello(frame: &Json, expect_role: Option<&str>) -> Result<String, Ne
             theirs: version,
         });
     }
+    let max_frame = j.get("max_frame")?;
     if let Some(expected) = expect_role {
         if role != expected {
             return Err(NetError::Protocol(format!(
@@ -245,15 +258,18 @@ pub fn check_hello(frame: &Json, expect_role: Option<&str>) -> Result<String, Ne
             )));
         }
     }
-    Ok(role)
+    Ok((role, max_frame))
 }
 
-/// A framed TCP connection: a socket plus the ceiling on the frames it
-/// reads.
+/// A framed TCP connection: a socket, the ceiling on the frames it
+/// reads, and the ceiling the peer announced for the frames it sends.
 #[derive(Debug)]
 pub struct Conn {
     stream: TcpStream,
     max_frame: usize,
+    /// The peer's hello `max_frame`; before the handshake, the most a
+    /// length prefix can announce.
+    peer_max_frame: usize,
 }
 
 impl Conn {
@@ -294,7 +310,11 @@ impl Conn {
         timeout: Option<Duration>,
     ) -> Result<Self, NetError> {
         stream.set_nodelay(true)?;
-        let conn = Self { stream, max_frame };
+        let conn = Self {
+            stream,
+            max_frame,
+            peer_max_frame: u32::MAX as usize,
+        };
         conn.set_io_timeout(timeout)?;
         Ok(conn)
     }
@@ -320,13 +340,23 @@ impl Conn {
         self.stream.peer_addr()
     }
 
-    /// Sends one framed message.
+    /// Sends one framed message, unless its payload is above the
+    /// ceiling the peer announced in its hello: the peer would drop the
+    /// connection on the prefix, so nothing is written.
     ///
     /// # Errors
     ///
-    /// See [`write_frame`].
+    /// [`NetError::FrameTooLarge`] (permanent) for a payload above the
+    /// peer's ceiling; otherwise see [`write_frame`].
     pub fn send(&mut self, value: &Json) -> Result<(), NetError> {
-        write_frame(&mut self.stream, value)
+        let payload = value.to_string();
+        if payload.len() > self.peer_max_frame {
+            return Err(NetError::FrameTooLarge {
+                len: payload.len(),
+                max: self.peer_max_frame,
+            });
+        }
+        write_payload(&mut self.stream, payload.as_bytes())
     }
 
     /// Receives one framed message.
@@ -339,7 +369,8 @@ impl Conn {
     }
 
     /// Client side of the versioned handshake: send our hello, read and
-    /// validate the peer's. Returns the peer's role.
+    /// validate the peer's, and keep its frame ceiling. Returns the
+    /// peer's role.
     ///
     /// # Errors
     ///
@@ -350,13 +381,16 @@ impl Conn {
         role: &str,
         expect_peer_role: Option<&str>,
     ) -> Result<String, NetError> {
-        self.send(&hello_frame(role))?;
+        self.send(&hello_frame(role, self.max_frame))?;
         let reply = self.recv()?;
-        check_hello(&reply, expect_peer_role)
+        let (peer_role, peer_max_frame) = check_hello(&reply, expect_peer_role)?;
+        self.peer_max_frame = peer_max_frame;
+        Ok(peer_role)
     }
 
     /// Server side of the versioned handshake: read and validate the
-    /// peer's hello, then send ours. Returns the peer's role.
+    /// peer's hello, then send ours, and keep the peer's frame ceiling.
+    /// Returns the peer's role.
     ///
     /// # Errors
     ///
@@ -372,8 +406,10 @@ impl Conn {
         let theirs = self.recv()?;
         let checked = check_hello(&theirs, expect_peer_role);
         // Always answer: a mismatched client deserves to know why.
-        self.send(&hello_frame(role))?;
-        checked
+        self.send(&hello_frame(role, self.max_frame))?;
+        let (peer_role, peer_max_frame) = checked?;
+        self.peer_max_frame = peer_max_frame;
+        Ok(peer_role)
     }
 }
 
@@ -513,8 +549,11 @@ mod tests {
 
     #[test]
     fn hello_validation() {
-        let ok = hello_frame("worker");
-        assert_eq!(check_hello(&ok, Some("worker")).unwrap(), "worker");
+        let ok = hello_frame("worker", 4096);
+        assert_eq!(
+            check_hello(&ok, Some("worker")).unwrap(),
+            ("worker".to_string(), 4096)
+        );
         assert!(matches!(
             check_hello(&ok, Some("coordinator")).unwrap_err(),
             NetError::Protocol(_)
@@ -543,6 +582,7 @@ mod tests {
                 .insert("version", version)
                 .insert("role", "worker")
         };
+        let current = || hello(Json::Number(PROTOCOL_VERSION as f64));
         let version = "version: expected an integer in 0..=9007199254740992";
         for (frame, want) in [
             (hello(Json::Number(1.5)), format!("{version}, got 1.5")),
@@ -567,6 +607,15 @@ mod tests {
                 "missing field \"version\"".to_string(),
             ),
             (
+                current().insert("max_frame", "65536"),
+                "max_frame: expected an integer in 0..=9007199254740992, got a string".to_string(),
+            ),
+            (
+                current().insert("max_frame", -1),
+                "max_frame: expected an integer in 0..=9007199254740992, got -1".to_string(),
+            ),
+            (current(), "missing field \"max_frame\"".to_string()),
+            (
                 Json::object().insert("net", "goodbye"),
                 "net: expected \"hello\", got a string".to_string(),
             ),
@@ -580,10 +629,11 @@ mod tests {
                 other => panic!("{frame}: expected a protocol error, got {other:?}"),
             }
         }
-        // A well-formed hello from another version is version skew.
-        for theirs in [0, 1, 3] {
+        // A well-formed hello from another version is version skew,
+        // even from a v2 peer, whose hello has no `max_frame`.
+        for theirs in [0, 1, 2, 4] {
             match check_hello(&hello(Json::Number(theirs as f64)), None) {
-                Err(NetError::VersionMismatch { ours: 2, theirs: t }) => assert_eq!(t, theirs),
+                Err(NetError::VersionMismatch { ours: 3, theirs: t }) => assert_eq!(t, theirs),
                 other => panic!("v{theirs}: expected a version mismatch, got {other:?}"),
             }
         }
@@ -619,6 +669,46 @@ mod tests {
         let reply = conn.recv().unwrap();
         assert_eq!(reply.get("echo").and_then(Json::as_f64), Some(42.0));
         server.join().unwrap();
+    }
+
+    /// A send above the ceiling the peer announced writes nothing and
+    /// fails permanently: the next frame is the first the peer reads.
+    #[test]
+    fn send_above_the_peers_ceiling_writes_nothing() {
+        let listener = Listener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let server = std::thread::spawn(move || {
+            let (stream, _) = listener
+                .accept_timeout(Duration::from_secs(10))
+                .unwrap()
+                .expect("client connects");
+            let mut conn = Conn::from_stream(stream, 128, Some(Duration::from_secs(10))).unwrap();
+            conn.handshake_server("worker", Some("coordinator"))
+                .unwrap();
+            conn.recv().unwrap()
+        });
+        let mut conn = Conn::connect(
+            &addr.to_string(),
+            Duration::from_secs(10),
+            DEFAULT_MAX_FRAME,
+        )
+        .unwrap();
+        conn.handshake_client("coordinator", Some("worker"))
+            .unwrap();
+        let big = Json::String("x".repeat(200));
+        match conn.send(&big).unwrap_err() {
+            err @ NetError::FrameTooLarge { len: 202, max: 128 } => {
+                assert!(!err.is_transient());
+                assert_eq!(
+                    err.to_string(),
+                    "frame of 202 bytes exceeds the 128-byte ceiling"
+                );
+            }
+            other => panic!("expected a refusal, got {other:?}"),
+        }
+        let small = Json::object().insert("id", 1);
+        conn.send(&small).unwrap();
+        assert_eq!(server.join().unwrap().to_string(), small.to_string());
     }
 
     #[test]

@@ -29,7 +29,10 @@
 //! * **Metrics** — a registry of named counters, gauges, and log-scale
 //!   histograms (p50/p90/p99) whose hot paths are single atomic
 //!   operations, safe across the engine's `std::thread::scope` worker
-//!   pool.
+//!   pool. The registry has one rendering,
+//!   [`crate::http::prometheus_text`]: a `/metrics` scrape and the
+//!   CLI's `--metrics` print are the same text, one name and one unit
+//!   per number.
 //!
 //! The [`Obs`] handle ties the three together. A disabled handle
 //! ([`Obs::disabled`]) costs one branch per call site, so library code
@@ -160,6 +163,26 @@ impl Value {
             Value::Str(s) => Json::String(s.clone()),
         }
     }
+
+    /// The value as a gauge reading: a number as itself, a boolean as
+    /// 0 or 1, and `None` for a string.
+    pub fn as_f64(&self) -> Option<f64> {
+        match self {
+            Value::Bool(b) => Some(f64::from(u8::from(*b))),
+            Value::U64(x) => Some(*x as f64),
+            Value::I64(x) => Some(*x as f64),
+            Value::F64(x) => Some(*x),
+            Value::Str(_) => None,
+        }
+    }
+}
+
+/// A field list's JSON object, the `fields` of a trace line: keys in
+/// order, values through [`Value::to_json`].
+pub fn fields_to_json(fields: &[(&str, Value)]) -> Json {
+    fields
+        .iter()
+        .fold(Json::object(), |obj, (k, v)| obj.insert(k, v.to_json()))
 }
 
 impl fmt::Display for Value {
@@ -238,16 +261,12 @@ impl Event {
     /// wire ships events without it. `elapsed_us` appears when `timing`
     /// is set and the event carries a duration.
     pub fn to_json(&self, seq: Option<u64>, timing: bool) -> Json {
-        let mut fields = Json::object();
-        for (k, v) in &self.fields {
-            fields = fields.insert(k, v.to_json());
-        }
         let obj = seq
             .map_or_else(Json::object, |seq| Json::object().insert("seq", seq))
             .insert("level", self.level.as_str())
             .insert("target", self.target)
             .insert("event", self.name)
-            .insert("fields", fields);
+            .insert("fields", fields_to_json(&self.fields));
         match self.elapsed_s.filter(|_| timing) {
             // Whole microseconds: rt::json renders integral f64s
             // without a fraction, so the field is a JSON integer.
@@ -727,17 +746,6 @@ pub struct HistogramSummary {
     pub p90: f64,
     /// 99th percentile.
     pub p99: f64,
-}
-
-impl HistogramSummary {
-    /// Arithmetic mean (exact, from the true sum).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum / self.count as f64
-        }
-    }
 }
 
 /// A histogram handle, cheap to clone and record through.
@@ -1221,84 +1229,6 @@ impl Drop for Span {
 }
 
 // ---------------------------------------------------------------------------
-// Summary rendering
-// ---------------------------------------------------------------------------
-
-/// Renders a metrics snapshot as an aligned text table — the CLI's
-/// `--metrics` end-of-run summary. Histogram quantiles print in
-/// milliseconds.
-pub fn summary_table(entries: &[(String, MetricValue)]) -> String {
-    let mut rows: Vec<[String; 6]> = vec![[
-        "metric".into(),
-        "count".into(),
-        "total".into(),
-        "p50 (ms)".into(),
-        "p90 (ms)".into(),
-        "p99 (ms)".into(),
-    ]];
-    let ms = |s: f64| format!("{:.3}", s * 1e3);
-    for (name, value) in entries {
-        rows.push(match value {
-            MetricValue::Counter(c) => [
-                name.clone(),
-                c.to_string(),
-                String::new(),
-                String::new(),
-                String::new(),
-                String::new(),
-            ],
-            MetricValue::Gauge(g) => [
-                name.clone(),
-                String::new(),
-                format!("{g}"),
-                String::new(),
-                String::new(),
-                String::new(),
-            ],
-            MetricValue::Histogram(h) => [
-                name.clone(),
-                h.count.to_string(),
-                format!("{:.3}s", h.sum),
-                ms(h.p50),
-                ms(h.p90),
-                ms(h.p99),
-            ],
-        });
-    }
-    let mut widths = [0usize; 6];
-    for row in &rows {
-        for (w, cell) in widths.iter_mut().zip(row) {
-            *w = (*w).max(cell.len());
-        }
-    }
-    let mut out = String::new();
-    for (r, row) in rows.iter().enumerate() {
-        let mut line = String::new();
-        for (i, (cell, w)) in row.iter().zip(&widths).enumerate() {
-            if i > 0 {
-                line.push_str("  ");
-            }
-            // Right-align numeric columns, left-align names.
-            if i == 0 {
-                line.push_str(cell);
-                line.extend(std::iter::repeat_n(' ', w - cell.len()));
-            } else {
-                line.extend(std::iter::repeat_n(' ', w - cell.len()));
-                line.push_str(cell);
-            }
-        }
-        out.push_str(line.trim_end());
-        out.push('\n');
-        if r == 0 {
-            let total: usize = widths.iter().sum::<usize>() + 2 * (widths.len() - 1);
-            out.extend(std::iter::repeat_n('-', total));
-            out.push('\n');
-        }
-    }
-    out
-}
-
-// ---------------------------------------------------------------------------
 // Macros
 // ---------------------------------------------------------------------------
 
@@ -1675,30 +1605,5 @@ mod tests {
         let obs = Obs::builder().build();
         let _ = obs.gauge("x");
         let _ = obs.counter("x");
-    }
-
-    #[test]
-    fn summary_table_renders_all_kinds() {
-        let entries = vec![
-            ("engine.cache_hits".to_string(), MetricValue::Counter(7)),
-            ("pool.occupancy".to_string(), MetricValue::Gauge(0.5)),
-            (
-                "span.train_s".to_string(),
-                MetricValue::Histogram(HistogramSummary {
-                    count: 3,
-                    sum: 0.006,
-                    p50: 0.002,
-                    p90: 0.002,
-                    p99: 0.002,
-                }),
-            ),
-        ];
-        let table = summary_table(&entries);
-        assert!(table.contains("engine.cache_hits"));
-        assert!(table.contains("p99 (ms)"));
-        assert!(table.contains("2.000"));
-        for line in table.lines() {
-            assert_eq!(line.trim_end(), line);
-        }
     }
 }

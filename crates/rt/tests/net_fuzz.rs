@@ -95,19 +95,25 @@ rt::prop! {
     /// the fields a real hello carries, with wrong types and versions.
     fn check_hello_survives_near_miss_hellos(
         net in select(std::vec::Vec::from(["hello", "goodbye", "", "HELLO"])),
-        version in select(std::vec::Vec::from([-1i64, 0, 1, 2, 255, 1 << 40])),
+        version in select(std::vec::Vec::from([-1i64, 0, 1, 2, 3, 255, 1 << 40])),
         role in select(std::vec::Vec::from(["worker", "coordinator", "", "wörker"])),
+        max_frame in select(std::vec::Vec::from([-1i64, 0, 4096, 1 << 40])),
         drop_version in select(std::vec::Vec::from([false, true])),
+        drop_max_frame in select(std::vec::Vec::from([false, true])),
     ) {
         let mut doc = Json::object().insert("net", net).insert("role", role);
         if !drop_version {
             doc = doc.insert("version", version);
         }
+        if !drop_max_frame {
+            doc = doc.insert("max_frame", max_frame);
+        }
         match check_hello(&doc, Some("worker")) {
-            Ok(got) => {
+            Ok((got, ceiling)) => {
                 rt::prop_assert_eq!(net, "hello");
                 rt::prop_assert_eq!(version, PROTOCOL_VERSION as i64);
                 rt::prop_assert_eq!(got.as_str(), "worker");
+                rt::prop_assert_eq!(ceiling as i64, max_frame);
             }
             Err(NetError::VersionMismatch { ours, theirs }) => {
                 rt::prop_assert_eq!(ours, PROTOCOL_VERSION);
@@ -155,7 +161,10 @@ fn version_mismatch_is_permanent_and_descriptive() {
 
 #[test]
 fn hello_frame_passes_its_own_validator() {
-    let frame = hello_frame("coordinator");
+    let frame = hello_frame("coordinator", MAX_FRAME);
     let reparsed = Json::parse(&frame.to_string()).unwrap();
-    assert_eq!(check_hello(&reparsed, Some("coordinator")).unwrap(), "coordinator");
+    assert_eq!(
+        check_hello(&reparsed, Some("coordinator")).unwrap(),
+        ("coordinator".to_string(), MAX_FRAME)
+    );
 }

@@ -180,7 +180,6 @@ fn histogram_quantiles_track_known_distribution() {
     assert!(within(s.p50, 0.050), "p50 {} vs 50ms", s.p50);
     assert!(within(s.p90, 0.090), "p90 {} vs 90ms", s.p90);
     assert!(within(s.p99, 0.099), "p99 {} vs 99ms", s.p99);
-    assert!((s.mean() - 0.0505).abs() < 1e-9);
 }
 
 #[test]

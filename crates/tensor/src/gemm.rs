@@ -82,6 +82,20 @@ const MR_AVX2: usize = 8;
 /// single-threaded; pool dispatch costs more than it saves there.
 const PAR_MIN_MACS: usize = 128 * 1024;
 
+/// Extra floats a pack buffer allocates so it can start on a 64-byte
+/// boundary wherever the allocator put it (see [`aligned`]).
+const ALIGN_PAD: usize = 64 / std::mem::size_of::<f32>() - 1;
+
+/// The `len`-float window of `store` that starts on a 64-byte
+/// boundary. With `store` [`ALIGN_PAD`] floats longer than `len`, every
+/// packed `B` panel (`k * NR` floats) then starts on a multiple of 32
+/// bytes, so the AVX2 tile's row loads never split a cache line, and
+/// the kernel's timing does not depend on heap state outside it.
+fn aligned(store: &mut [f32], len: usize) -> &mut [f32] {
+    let offset = store.as_ptr().align_offset(64);
+    &mut store[offset..offset + len]
+}
+
 /// Requested lane count.
 static THREADS: AtomicUsize = AtomicUsize::new(1);
 
@@ -342,7 +356,8 @@ fn gemm_driver<const MR: usize>(
 
     // Pack every column panel of B once per call; freshly zeroed, so a
     // ragged final panel keeps zero padding in lanes >= w.
-    let mut bpack = vec![0.0f32; np * k * NR];
+    let mut bstore = vec![0.0f32; np * k * NR + ALIGN_PAD];
+    let bpack = aligned(&mut bstore, np * k * NR);
     for jp in 0..np {
         pack_b(
             b,
@@ -358,7 +373,7 @@ fn gemm_driver<const MR: usize>(
     let ops = Operands {
         a,
         a_trans,
-        bpack: &bpack,
+        bpack,
         bias,
         out: SharedOut(c.as_mut_slice().as_mut_ptr()),
         m,
@@ -409,17 +424,18 @@ fn compute_panels<const MR: usize>(ops: &Operands<'_>, panels: Range<usize>) {
         n,
     } = ops;
     let np = n.div_ceil(NR);
-    let mut apack = vec![0.0f32; k * MR];
+    let mut astore = vec![0.0f32; k * MR + ALIGN_PAD];
+    let apack = aligned(&mut astore, k * MR);
     let mut acc = [[0.0f32; NR]; MR];
     for ip in panels {
         let i0 = ip * MR;
         let h = MR.min(m - i0);
-        pack_a::<MR>(a, a_trans, k, i0, h, &mut apack);
+        pack_a::<MR>(a, a_trans, k, i0, h, apack);
         for jp in 0..np {
             let j0 = jp * NR;
             let w = NR.min(n - j0);
             let bp = &bpack[jp * k * NR..(jp + 1) * k * NR];
-            microkernel(&apack, bp, &mut acc);
+            microkernel(apack, bp, &mut acc);
             for (i, acc_row) in acc.iter().enumerate().take(h) {
                 // SAFETY: rows i0..i0+h belong exclusively to this
                 // panel, and panel ranges are disjoint across lanes.
@@ -561,6 +577,18 @@ mod tests {
     use crate::init;
     use rt::rand::rngs::StdRng;
     use rt::rand::SeedableRng;
+
+    /// Whatever offset the allocator hands out, the pack window starts
+    /// on a 64-byte boundary and has the asked length.
+    #[test]
+    fn pack_windows_start_on_a_cache_line() {
+        let mut store = vec![0.0f32; 64 + 2 * ALIGN_PAD];
+        for skew in 0..=ALIGN_PAD {
+            let window = aligned(&mut store[skew..], 64);
+            assert_eq!(window.as_ptr() as usize % 64, 0, "skew {skew}");
+            assert_eq!(window.len(), 64);
+        }
+    }
 
     fn assert_close(a: &Matrix, b: &Matrix, tol: f32) {
         assert_eq!(a.shape(), b.shape());

@@ -113,9 +113,11 @@ pub struct Report {
     /// Host core count, when the report records one (reports written
     /// before the header carried `nproc` do not).
     pub nproc: Option<usize>,
-    /// GEMM register tile the kernels ran (`avx2-8x8`,
-    /// `portable-4x8`), when the report records one (reports written
-    /// before the header carried `gemm_kernel` do not).
+    /// GEMM register tile the kernels ran for outputs wider than 8
+    /// (`avx512-8x16`, `avx2-8x8`, `portable-4x8`; see
+    /// `ecad_tensor::gemm::kernel`), when the report records one
+    /// (reports written before the header carried `gemm_kernel` do
+    /// not).
     pub gemm_kernel: Option<String>,
     /// Benchmarks; decoded reports hold them sorted by `(suite, id)`,
     /// and the encoder writes them in that order.

@@ -17,6 +17,7 @@ pub fn register(c: &mut Criterion) {
     bench_gemm_variants_256(c);
     bench_gemm_threaded(c);
     bench_gemm_mlp_shapes(c);
+    bench_gemm_head(c);
     bench_backprop_kernels(c);
     bench_softmax_and_loss(c);
     bench_tanh_layer(c);
@@ -92,6 +93,19 @@ fn bench_gemm_mlp_shapes(c: &mut Criterion) {
     let bias = vec![0.1f32; 128];
     c.bench_function("gemm/mnist_layer_32x784x128", |b| {
         b.iter(|| gemm::matmul_bias(black_box(&x), black_box(&w), black_box(&bias)))
+    });
+}
+
+/// A har output head: 6 classes behind a 150-wide layer at batch 32.
+/// An output at most 8 wide runs the 8×8 tile even on AVX-512F CPUs,
+/// so this is where that rule is measured.
+fn bench_gemm_head(c: &mut Criterion) {
+    let mut rng = StdRng::seed_from_u64(8);
+    let h = init::uniform(&mut rng, 32, 150, 1.0);
+    let w = init::uniform(&mut rng, 150, 6, 1.0);
+    let bias = vec![0.1f32; 6];
+    c.bench_function("gemm/head_32x150x6", |b| {
+        b.iter(|| gemm::matmul_bias(black_box(&h), black_box(&w), black_box(&bias)))
     });
 }
 

@@ -244,7 +244,7 @@ fn reports_record_the_gemm_kernel() {
     assert!(files.iter().any(|f| f.report.gemm_kernel.is_none()));
 
     let kernel = ecad_tensor::gemm::kernel();
-    assert!(["avx2-8x8", "portable-4x8"].contains(&kernel));
+    assert!(["avx512-8x16", "avx2-8x8", "portable-4x8"].contains(&kernel));
     let dir = tmp_dir("gemm_kernel");
     let path = dir.join("BENCH_kernel.json");
     Report {

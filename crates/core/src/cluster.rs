@@ -899,6 +899,9 @@ impl Default for WorkerOptions {
 
 /// How a worker session ended.
 enum SessionEnd {
+    /// The peer closed the connection before its hello, as a readiness
+    /// probe does; go back to accepting.
+    ClosedBeforeHello,
     /// Connection dropped or errored; go back to accepting.
     Disconnected,
     /// The coordinator sent `kill_all`; stop serving entirely.
@@ -1124,7 +1127,10 @@ impl WorkerServer {
     /// Serves sessions until a coordinator sends `kill_all` or the
     /// stop handle trips. Connection-level failures (disconnects,
     /// malformed frames, version skew) drop the session and return to
-    /// accepting — a worker outlives its coordinators.
+    /// accepting — a worker outlives its coordinators. A connection
+    /// closed before its hello, as by a readiness probe, ends as a
+    /// `session_end` with reason `closed_before_hello`, not as an
+    /// error.
     ///
     /// # Errors
     ///
@@ -1154,6 +1160,9 @@ impl WorkerServer {
                     rt::info!(self.obs, "worker_killed");
                     return Ok(());
                 }
+                Ok(SessionEnd::ClosedBeforeHello) => {
+                    rt::info!(self.obs, "session_end", reason = "closed_before_hello");
+                }
                 Ok(SessionEnd::Disconnected) => {
                     rt::info!(self.obs, "session_end", reason = "disconnect");
                 }
@@ -1170,7 +1179,10 @@ impl WorkerServer {
     }
 
     fn serve_session(&self, conn: &mut Conn) -> Result<SessionEnd, NetError> {
-        conn.handshake_server(WORKER_ROLE, Some(COORDINATOR_ROLE))?;
+        match conn.handshake_server(WORKER_ROLE, Some(COORDINATOR_ROLE)) {
+            Err(NetError::Closed) => return Ok(SessionEnd::ClosedBeforeHello),
+            hello => hello?,
+        };
         let mut session: Option<WorkerSession> = None;
         loop {
             if self.stop.load(Ordering::Acquire) {

@@ -5,7 +5,7 @@
 //! mid-search must cost only retries — never the result.
 
 use std::io::Write;
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -16,7 +16,7 @@ use ecad_core::space::SearchSpace;
 use ecad_dataset::synth::SyntheticSpec;
 use ecad_dataset::Dataset;
 use ecad_mlp::TrainConfig;
-use rt::obs::{JsonlSink, Level, MetricValue, Obs};
+use rt::obs::{Event, JsonlSink, Level, MetricValue, Obs, Sink, Value};
 use rt::prof::{ClockKind, Profiler};
 
 /// A `Write` target shared with the test so the sink's output can be
@@ -84,9 +84,16 @@ fn base_search(ds: &Dataset, obs: Obs) -> Search {
         .obs(obs)
 }
 
-fn spawn_worker() -> (String, std::thread::JoinHandle<()>, Arc<std::sync::atomic::AtomicBool>) {
-    let server = WorkerServer::bind("127.0.0.1:0", WorkerOptions::default(), Obs::disabled())
-        .expect("bind loopback worker");
+fn spawn_worker() -> (String, std::thread::JoinHandle<()>, Arc<AtomicBool>) {
+    spawn_worker_with(WorkerOptions::default(), Obs::disabled())
+}
+
+/// [`spawn_worker`] with the given options and observer.
+fn spawn_worker_with(
+    options: WorkerOptions,
+    obs: Obs,
+) -> (String, std::thread::JoinHandle<()>, Arc<AtomicBool>) {
+    let server = WorkerServer::bind("127.0.0.1:0", options, obs).expect("bind loopback worker");
     let addr = server.local_addr().expect("bound addr").to_string();
     let stop = server.stop_handle();
     let handle = std::thread::spawn(move || server.run().expect("worker serve loop"));
@@ -421,18 +428,13 @@ fn setup_frame_above_the_workers_ceiling_is_never_sent() {
     let (_, local) = traced(|obs| base_search(&ds, obs).run());
 
     let worker_log = rt::obs::CaptureSink::new(Level::Info);
-    let server = WorkerServer::bind(
-        "127.0.0.1:0",
+    let (addr, worker, stop) = spawn_worker_with(
         WorkerOptions {
             max_frame: 1024,
             ..WorkerOptions::default()
         },
         Obs::builder().sink(Arc::clone(&worker_log)).build(),
-    )
-    .expect("bind loopback worker");
-    let addr = server.local_addr().expect("bound addr").to_string();
-    let stop = server.stop_handle();
-    let worker = std::thread::spawn(move || server.run().expect("worker serve loop"));
+    );
     let (trace, result) = traced(|obs| {
         base_search(&ds, obs)
             .cluster(ClusterOptions {
@@ -474,6 +476,29 @@ fn setup_frame_above_the_workers_ceiling_is_never_sent() {
     assert_eq!(count("session_accept"), 1);
 }
 
+/// Trips a worker's stop flag when the coordinator records its
+/// `after`-th `evaluated` event. The sink runs on the master thread
+/// before it breeds the next candidate, so the stop lands mid-search
+/// however fast the candidates train, where a thread polling a counter
+/// can be outrun by the whole search.
+struct StopAfterEvaluated {
+    after: usize,
+    seen: AtomicUsize,
+    stop: Arc<AtomicBool>,
+}
+
+impl Sink for StopAfterEvaluated {
+    fn min_level(&self) -> Level {
+        Level::Info
+    }
+
+    fn record(&self, event: &Event) {
+        if event.name == "evaluated" && self.seen.fetch_add(1, Ordering::AcqRel) + 1 == self.after {
+            self.stop.store(true, Ordering::Release);
+        }
+    }
+}
+
 #[test]
 fn worker_killed_mid_search_costs_retries_but_not_the_result() {
     let ds = dataset();
@@ -486,17 +511,16 @@ fn worker_killed_mid_search_costs_retries_but_not_the_result() {
         reconnect_backoff: Duration::from_millis(5),
         ..ClusterOptions::default()
     };
-    let obs = Obs::builder().build(); // metrics registry only
-    let models = obs.counter("engine.models_evaluated");
-    // Kill the worker once the search is demonstrably mid-flight.
-    let killer = std::thread::spawn(move || {
-        while models.get() < 4 {
-            std::thread::sleep(Duration::from_millis(10));
-        }
-        stop.store(true, Ordering::Release);
-    });
+    // Kill the worker once the search is demonstrably mid-flight: the
+    // worker serves at most one more job, and the one after it fails.
+    let obs = Obs::builder()
+        .sink(StopAfterEvaluated {
+            after: 4,
+            seen: AtomicUsize::new(0),
+            stop,
+        })
+        .build();
     let result = base_search(&ds, obs.clone()).cluster(options).obs(obs.clone()).run();
-    killer.join().unwrap();
     worker.join().expect("stopped worker exits");
 
     assert_eq!(result.stats().models_evaluated, 14);
@@ -518,6 +542,53 @@ fn worker_killed_mid_search_costs_retries_but_not_the_result() {
     let (ff, got) = (fault_free.best().unwrap(), result.best().unwrap());
     assert_eq!(ff.genome.cache_key(), got.genome.cache_key());
     assert_same_measurement(&ff.measurement, &got.measurement);
+}
+
+/// A readiness probe, a connection closed before its hello, ends as an
+/// info-level `session_end`, not as a failed session, and costs the
+/// search that follows nothing: its trace equals the local one.
+#[test]
+fn readiness_probe_ends_its_session_without_an_error() {
+    let ds = dataset();
+    let (local_trace, local) = traced(|obs| base_search(&ds, obs).run());
+
+    let worker_log = rt::obs::CaptureSink::new(Level::Info);
+    let (addr, worker, _stop) = spawn_worker_with(
+        WorkerOptions::default(),
+        Obs::builder().sink(Arc::clone(&worker_log)).build(),
+    );
+    drop(std::net::TcpStream::connect(&addr).expect("probe connects"));
+    let (cluster_trace, cluster) = traced(|obs| {
+        base_search(&ds, obs)
+            .cluster(ClusterOptions {
+                workers: vec![addr.clone()],
+                ..ClusterOptions::default()
+            })
+            .run()
+    });
+    worker.join().expect("worker exits after kill_all");
+
+    assert_eq!(local_trace, cluster_trace);
+    let (want, got) = (local.best().unwrap(), cluster.best().unwrap());
+    assert_eq!(want.genome.cache_key(), got.genome.cache_key());
+    assert_same_measurement(&want.measurement, &got.measurement);
+    assert_eq!(cluster.stats().retry_count, 0);
+
+    let events = worker_log.take();
+    let count = |name: &str| events.iter().filter(|e| e.name == name).count();
+    assert_eq!(count("session_error"), 0, "{events:?}");
+    assert_eq!(count("session_accept"), 2, "{events:?}");
+    let ends: Vec<&Event> = events.iter().filter(|e| e.name == "session_end").collect();
+    assert_eq!(ends.len(), 1, "{events:?}");
+    assert_eq!(ends[0].level, Level::Info);
+    assert!(
+        ends[0]
+            .fields
+            .iter()
+            .any(|(k, v)| *k == "reason" && *v == Value::Str("closed_before_hello".into())),
+        "{:?}",
+        ends[0]
+    );
 }
 
 /// A worker restarted mid-search is still one worker to the

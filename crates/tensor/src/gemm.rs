@@ -14,32 +14,41 @@
 //!
 //! Each call packs the operands once: logical `A` (`m×k`) into row
 //! panels of `MR` rows stored k-major (`apack[p*MR + i] = A[i0+i, p]`)
-//! and logical `B` (`k×n`) into column panels of [`NR`] columns stored
+//! and logical `B` (`k×n`) into column panels of `NR` columns stored
 //! k-major (`bpack[p*NR + j] = B[p, j0+j]`). An `MR×NR` microkernel then
-//! walks both panels contiguously, carrying the full tile of `C` in a
-//! register accumulator array. The fixed-shape inner loops are plain
-//! mul/add chains over independent accumulators, which LLVM
-//! auto-vectorizes without reordering any single chain (no fast-math is
-//! enabled anywhere in the workspace). Edge tiles are zero-padded in
-//! the packed buffers and only the valid `h×w` region is copied out, so
-//! padding lanes never touch a real output element.
+//! walks both panels contiguously, carrying the full tile of `C` in
+//! registers. Edge tiles are zero-padded in the packed buffers and only
+//! the valid `h×w` region is copied out, so padding lanes never touch a
+//! real output element.
 //!
 //! # Tile per instruction set
 //!
-//! The driver is generic over the tile height and compiled twice; each
-//! call picks one with a single CPU check (see [`kernel`]):
+//! The driver is generic over the tile's height, width and
+//! microkernel, and compiled three times; each call picks one tile from
+//! the CPU and the output width `n` (see [`kernel`]):
 //!
-//! * `avx2-8x8` — on x86-64 hosts with AVX2, an 8×8 tile: eight 8-wide
-//!   YMM accumulators, leaving room in the 16-register file for one row
-//!   of `B` and the broadcasts of `A`. Only the `avx2` target feature is
-//!   enabled, never `fma`, so every multiply and add still rounds
-//!   separately.
-//! * `portable-4x8` — everywhere else, a 4×8 tile ([`MR`] rows) that
+//! * `avx512-8x16` — on x86-64 CPUs with AVX-512F, for `n > 8`: eight
+//!   16-wide ZMM accumulators. Its microkernel is written with explicit
+//!   AVX-512F multiplies and adds; left to the compiler, the same tile
+//!   ran several times slower than the AVX2 one. An output at most 8
+//!   wide fits one AVX2 panel, where a 16-wide panel would be at least
+//!   half padding, so such calls take the 8×8 tile.
+//! * `avx2-8x8` — on x86-64 CPUs with AVX2: eight 8-wide YMM
+//!   accumulators, leaving room in the 16-register file for one row of
+//!   `B` and the broadcasts of `A`.
+//! * `portable-4x8` — everywhere else, a 4×8 tile ([`MR`]×[`NR`]) that
 //!   fits the baseline x86-64 (SSE2) register file, which 8×8
 //!   overflows.
 //!
-//! Both tiles produce the same bits (see below), so the choice moves
-//! only time.
+//! The two smaller tiles share one microkernel: plain mul/add chains
+//! over independent accumulators, which LLVM auto-vectorizes without
+//! reordering any single chain (no fast-math is enabled anywhere in the
+//! workspace). No tile fuses a multiply with an add: `fma` is never
+//! enabled on its own, nothing calls `mul_add`, and the compiler does
+//! not contract a separate multiply and add, so every product and sum
+//! rounds separately even where `avx512f` makes FMA encodable. All
+//! three tiles therefore produce the same bits (see below), so the
+//! choice moves only time.
 //!
 //! # Determinism contract
 //!
@@ -54,29 +63,38 @@
 //!   fused variants),
 //! * across repeated runs in one process,
 //! * across any thread count (1 vs N), on hosts with any core count,
-//! * across the two tiles, so on hosts with and without AVX2.
+//! * across the three tiles, so on hosts with and without AVX2 or
+//!   AVX-512F.
+//!
+//! The one exception is a NaN's sign and payload: a NaN output is NaN
+//! in the oracle too, but which NaN operand an operation returns is
+//! left open (by IEEE 754 and by Rust), and even `matmul_naive`'s own
+//! vectorized body and scalar tail choose differently.
 //!
 //! `crates/tensor/tests/gemm_oracle.rs` pins the first property over an
 //! exhaustive shape grid and `tests/gemm_determinism.rs` pins the rest,
 //! including a test-local reversed-`k` mutant that the bitwise check
-//! must catch; a unit test here runs both tiles against the oracle
-//! directly, so the portable tile stays covered on AVX2 hosts.
+//! must catch; a unit test here runs every tile against the oracle
+//! directly, so the tiles the host does not pick stay covered too.
 
-use crate::{avx2, Matrix};
+use crate::{avx2, avx512f, Matrix};
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Tile height of the portable microkernel: rows of `C` carried per
-/// register tile on hosts without AVX2. The AVX2 tile carries 8 rows;
+/// register tile on hosts without AVX2. The x86-64 tiles carry 8 rows;
 /// [`kernel`] names the tile this host runs.
 pub const MR: usize = 4;
-/// Microkernel tile width: columns of `C` carried per register tile,
-/// shared by both tiles (and so is the packed-`B` layout).
+/// Tile width of the portable and AVX2 microkernels: columns of `C`
+/// carried per register tile. The AVX-512F tile carries 16.
 pub const NR: usize = 8;
 
-/// Tile height of the AVX2 microkernel.
+/// Tile height of the AVX2 and AVX-512F microkernels.
 #[cfg(target_arch = "x86_64")]
-const MR_AVX2: usize = 8;
+const MR_X86: usize = 8;
+/// Tile width of the AVX-512F microkernel: one ZMM register of `f32`.
+#[cfg(target_arch = "x86_64")]
+const NR_AVX512: usize = 16;
 
 /// Calls below this many multiply-accumulates (`m*k*n`) always run
 /// single-threaded; pool dispatch costs more than it saves there.
@@ -89,8 +107,9 @@ const ALIGN_PAD: usize = 64 / std::mem::size_of::<f32>() - 1;
 /// The `len`-float window of `store` that starts on a 64-byte
 /// boundary. With `store` [`ALIGN_PAD`] floats longer than `len`, every
 /// packed `B` panel (`k * NR` floats) then starts on a multiple of 32
-/// bytes, so the AVX2 tile's row loads never split a cache line, and
-/// the kernel's timing does not depend on heap state outside it.
+/// bytes, and of 64 for the 16-wide tile, so no B row a tile loads
+/// splits a cache line, and the kernel's timing does not depend on heap
+/// state outside it.
 fn aligned(store: &mut [f32], len: usize) -> &mut [f32] {
     let offset = store.as_ptr().align_offset(64);
     &mut store[offset..offset + len]
@@ -114,16 +133,79 @@ pub fn threads() -> usize {
     THREADS.load(Ordering::Relaxed)
 }
 
-/// Names the register tile this host's GEMM calls run: `"avx2-8x8"`
-/// on x86-64 CPUs with AVX2, else `"portable-4x8"`. Kernel timings
-/// depend on it, so benchmark reports record it; the output bits do
-/// not.
-pub fn kernel() -> &'static str {
-    if avx2() {
-        "avx2-8x8"
-    } else {
-        "portable-4x8"
+/// The register tiles, one per instruction set. Off x86-64 the CPU
+/// checks are false, so only `Portable` is ever picked.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Tile {
+    Portable,
+    Avx2,
+    Avx512,
+}
+
+impl Tile {
+    /// The tile a call with output width `n` runs on this CPU.
+    fn for_width(n: usize) -> Tile {
+        if n > NR && avx512f() {
+            Tile::Avx512
+        } else if avx2() {
+            Tile::Avx2
+        } else {
+            Tile::Portable
+        }
     }
+
+    /// The name [`kernel`] reports for this tile.
+    fn name(self) -> &'static str {
+        match self {
+            Tile::Portable => "portable-4x8",
+            Tile::Avx2 => "avx2-8x8",
+            Tile::Avx512 => "avx512-8x16",
+        }
+    }
+
+    /// Runs one call on this tile. `a_trans` / `b_trans` select which
+    /// operand layout gets packed; dimension agreement is asserted by
+    /// the public kernels.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must have the tile's instruction set: AVX-512F for
+    /// `Avx512`, AVX2 for `Avx2` (what [`Tile::for_width`] checks).
+    unsafe fn run(
+        self,
+        a: &Matrix,
+        a_trans: bool,
+        b: &Matrix,
+        b_trans: bool,
+        bias: Option<&[f32]>,
+    ) -> Matrix {
+        match self {
+            // SAFETY: the caller guarantees AVX-512F, the only target
+            // feature `gemm_avx512` enables (every such CPU also has the
+            // AVX2, FMA and F16C that it implies).
+            #[cfg(target_arch = "x86_64")]
+            Tile::Avx512 => unsafe { gemm_avx512(a, a_trans, b, b_trans, bias) },
+            // SAFETY: the caller guarantees AVX2, the only target
+            // feature `gemm_avx2` enables.
+            #[cfg(target_arch = "x86_64")]
+            Tile::Avx2 => unsafe { gemm_avx2(a, a_trans, b, b_trans, bias) },
+            _ => gemm_driver::<MR, NR>(a, a_trans, b, b_trans, bias, |ops, panels| {
+                compute_panels(ops, panels, |apack, bpack, acc| {
+                    microkernel::<MR, NR>(apack, bpack, acc)
+                })
+            }),
+        }
+    }
+}
+
+/// Names the register tile this host's GEMM calls run when the output
+/// is wider than 8 columns: `"avx512-8x16"` on x86-64 CPUs with
+/// AVX-512F, else `"avx2-8x8"` on ones with AVX2, else
+/// `"portable-4x8"`. (On AVX-512F CPUs, outputs at most 8 wide run the
+/// 8×8 tile.) Kernel timings depend on it, so benchmark reports record
+/// it; the output bits do not.
+pub fn kernel() -> &'static str {
+    Tile::for_width(usize::MAX).name()
 }
 
 /// Multiplies `a * b` with the textbook triple loop.
@@ -279,17 +361,13 @@ struct Operands<'a> {
     n: usize,
 }
 
-/// Runs one call on the tile [`kernel`] names. `a_trans` / `b_trans`
-/// select which operand layout gets packed; dimension agreement is
-/// asserted by the callers.
+/// Runs one call on the tile [`Tile::for_width`] picks for its output
+/// width.
 fn dispatch(a: &Matrix, a_trans: bool, b: &Matrix, b_trans: bool, bias: Option<&[f32]>) -> Matrix {
-    #[cfg(target_arch = "x86_64")]
-    if avx2() {
-        // SAFETY: `avx2()` just confirmed that this CPU supports AVX2,
-        // the only target feature `gemm_avx2` enables.
-        return unsafe { gemm_avx2(a, a_trans, b, b_trans, bias) };
-    }
-    gemm_driver::<MR>(a, a_trans, b, b_trans, bias, compute_panels::<MR>)
+    let n = if b_trans { b.rows() } else { b.cols() };
+    // SAFETY: `for_width` picks a tile only after the crate's CPU check
+    // confirmed its instruction set.
+    unsafe { Tile::for_width(n).run(a, a_trans, b, b_trans, bias) }
 }
 
 /// The 8×8 instantiation of [`gemm_driver`], compiled for AVX2.
@@ -303,25 +381,60 @@ fn gemm_avx2(a: &Matrix, a_trans: bool, b: &Matrix, b_trans: bool, bias: Option<
     // without AVX2 even when inlined here; computing the tile there
     // gives the spilling SSE2 8×8 tile (DESIGN.md §19). Every lane
     // therefore enters the tile through `panels_avx2`.
-    gemm_driver::<MR_AVX2>(a, a_trans, b, b_trans, bias, |ops, panels| {
+    gemm_driver::<MR_X86, NR>(a, a_trans, b, b_trans, bias, |ops, panels| {
         panels_avx2(ops, panels)
     })
 }
 
-/// [`compute_panels`] with the 8×8 tile, compiled for AVX2.
+/// [`compute_panels`] with the 8×8 tile, compiled for AVX2. The
+/// microkernel is passed as a closure written here, so it is compiled
+/// with AVX2 too: passed as the function item `microkernel::<8, 8>`,
+/// it is called through a shim without target features that LLVM does
+/// not inline, and the tile runs as baseline SSE2 code.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 fn panels_avx2(ops: &Operands<'_>, panels: Range<usize>) {
-    compute_panels::<MR_AVX2>(ops, panels);
+    compute_panels(ops, panels, |apack, bpack, acc| {
+        microkernel::<MR_X86, NR>(apack, bpack, acc)
+    });
+}
+
+/// The 8×16 instantiation of [`gemm_driver`], compiled for AVX-512F.
+/// Calling it is `unsafe` outside AVX-512F code: check first that the
+/// CPU has AVX-512F.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn gemm_avx512(
+    a: &Matrix,
+    a_trans: bool,
+    b: &Matrix,
+    b_trans: bool,
+    bias: Option<&[f32]>,
+) -> Matrix {
+    // Every lane enters the tile through `panels_avx512`, for the
+    // reason `gemm_avx2` gives.
+    gemm_driver::<MR_X86, NR_AVX512>(a, a_trans, b, b_trans, bias, |ops, panels| {
+        panels_avx512(ops, panels)
+    })
+}
+
+/// [`compute_panels`] with the 8×16 tile, compiled for AVX-512F.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn panels_avx512(ops: &Operands<'_>, panels: Range<usize>) {
+    compute_panels(ops, panels, |apack, bpack, acc| {
+        microkernel_avx512(apack, bpack, acc)
+    });
 }
 
 /// The one driver behind all four public kernels, generic over the
-/// tile height `MR`: it packs `B`, splits the `MR`-row panels of `C`
-/// across lanes, and has `lane` compute each lane's panel range.
-/// Inlined into its two callers, so `gemm_avx2` packs `B` with AVX2
-/// code too.
+/// tile's height `MR` and width `NR`: it packs `B` into `NR`-wide
+/// panels, splits the `MR`-row panels of `C` across lanes, and has
+/// `lane` compute each lane's panel range. Inlined into its three
+/// callers, so the x86-64 tiles pack `B` with their own instruction
+/// set too.
 #[inline(always)]
-fn gemm_driver<const MR: usize>(
+fn gemm_driver<const MR: usize, const NR: usize>(
     a: &Matrix,
     a_trans: bool,
     b: &Matrix,
@@ -359,7 +472,7 @@ fn gemm_driver<const MR: usize>(
     let mut bstore = vec![0.0f32; np * k * NR + ALIGN_PAD];
     let bpack = aligned(&mut bstore, np * k * NR);
     for jp in 0..np {
-        pack_b(
+        pack_b::<NR>(
             b,
             b_trans,
             k,
@@ -408,11 +521,18 @@ fn lane_count(m: usize, k: usize, n: usize, mp: usize) -> usize {
     requested.min(mp).min(rt::pool::global().threads())
 }
 
-/// Computes the given range of `MR`-row panels against every column
-/// panel. Each lane runs this once over its own disjoint range; it is
-/// inlined so the AVX2 lane compiles the tile with AVX2.
+/// Computes the given range of `MR`-row panels against every `NR`-wide
+/// column panel, one `microkernel` call per tile. Each lane runs this
+/// once over its own disjoint range; it is inlined so each x86-64 lane
+/// compiles the tile with its own instruction set, and `microkernel` is
+/// a closure written in the lane's function for the same reason (see
+/// [`panels_avx2`]).
 #[inline(always)]
-fn compute_panels<const MR: usize>(ops: &Operands<'_>, panels: Range<usize>) {
+fn compute_panels<const MR: usize, const NR: usize>(
+    ops: &Operands<'_>,
+    panels: Range<usize>,
+    microkernel: impl Fn(&[f32], &[f32], &mut [[f32; NR]; MR]),
+) {
     let &Operands {
         a,
         a_trans,
@@ -456,9 +576,12 @@ fn compute_panels<const MR: usize>(ops: &Operands<'_>, panels: Range<usize>) {
 
 /// Packs `MR` logical rows of `A` starting at `i0`, k-major:
 /// `apack[p*MR + i] = A[i0+i, p]`. Rows past `h` are zero padding.
-/// Inlined, like the microkernel, so the AVX2 lane packs with AVX2
-/// code.
-#[inline(always)]
+/// Never inlined, so every tile packs with the same baseline code:
+/// compiled into the AVX-512F lane, the strided stores become
+/// `vscatterqps`, which made the 8×16 tile up to 14% slower on a
+/// 32×561×16 forward call, while the AVX2 lane read the same either
+/// way.
+#[inline(never)]
 fn pack_a<const MR: usize>(
     a: &Matrix,
     a_trans: bool,
@@ -489,7 +612,14 @@ fn pack_a<const MR: usize>(
 /// Packs `NR` logical columns of `B` starting at `jp*NR`, k-major:
 /// `dst[p*NR + j] = B[p, j0+j]`. `dst` arrives zeroed, so a ragged
 /// panel keeps zero padding in lanes past `w`.
-fn pack_b(b: &Matrix, b_trans: bool, k: usize, n: usize, jp: usize, dst: &mut [f32]) {
+fn pack_b<const NR: usize>(
+    b: &Matrix,
+    b_trans: bool,
+    k: usize,
+    n: usize,
+    jp: usize,
+    dst: &mut [f32],
+) {
     let j0 = jp * NR;
     let w = NR.min(n - j0);
     if b_trans {
@@ -513,7 +643,11 @@ fn pack_b(b: &Matrix, b_trans: bool, k: usize, n: usize, jp: usize, dst: &mut [f
 /// chain; the compiler vectorizes *across* the independent chains,
 /// which cannot reorder any one of them.
 #[inline(always)]
-fn microkernel<const MR: usize>(apack: &[f32], bpack: &[f32], acc: &mut [[f32; NR]; MR]) {
+fn microkernel<const MR: usize, const NR: usize>(
+    apack: &[f32],
+    bpack: &[f32],
+    acc: &mut [[f32; NR]; MR],
+) {
     *acc = [[0.0; NR]; MR];
     for (av, bv) in apack.chunks_exact(MR).zip(bpack.chunks_exact(NR)) {
         let av: &[f32; MR] = av.try_into().expect("packed A stride");
@@ -527,41 +661,41 @@ fn microkernel<const MR: usize>(apack: &[f32], bpack: &[f32], acc: &mut [[f32; N
     }
 }
 
-/// Dot product of two equal-length slices.
-///
-/// Written with a 4-way unrolled accumulator so LLVM vectorizes it.
-/// (The GEMM kernels no longer route through this, but it remains the
-/// building block for standalone vector math.)
-///
-/// # Panics
-///
-/// Panics if the lengths differ — in every build profile. This used to
-/// be a `debug_assert`, which let release builds silently truncate to
-/// the shorter operand.
+/// The 8×16 register tile in explicit AVX-512F intrinsics, the same
+/// sums as [`microkernel`]: per k step one 16-wide load of the `B` row
+/// and, for each of the 8 rows, a multiply by the broadcast `A` value
+/// and a separate add, so every accumulator lane takes the steps
+/// `acc + a·b`, `p` ascending, each rounded on its own.
+#[cfg(target_arch = "x86_64")]
 #[inline]
-pub fn dot(x: &[f32], y: &[f32]) -> f32 {
-    assert_eq!(
-        x.len(),
-        y.len(),
-        "dot: length mismatch ({} vs {})",
-        x.len(),
-        y.len()
+#[target_feature(enable = "avx512f")]
+fn microkernel_avx512(apack: &[f32], bpack: &[f32], acc: &mut [[f32; NR_AVX512]; MR_X86]) {
+    use std::arch::x86_64::{
+        _mm512_add_ps, _mm512_loadu_ps, _mm512_mul_ps, _mm512_set1_ps, _mm512_setzero_ps,
+        _mm512_storeu_ps,
+    };
+    let (arows, atail) = apack.as_chunks::<MR_X86>();
+    let (brows, btail) = bpack.as_chunks::<NR_AVX512>();
+    assert!(
+        atail.is_empty() && btail.is_empty() && arows.len() == brows.len(),
+        "packed panel lengths: A {} and B {} floats",
+        apack.len(),
+        bpack.len()
     );
-    let mut acc = [0.0f32; 4];
-    let chunks = x.len() / 4;
-    for c in 0..chunks {
-        let xb = &x[c * 4..c * 4 + 4];
-        let yb = &y[c * 4..c * 4 + 4];
-        acc[0] += xb[0] * yb[0];
-        acc[1] += xb[1] * yb[1];
-        acc[2] += xb[2] * yb[2];
-        acc[3] += xb[3] * yb[3];
+    let mut c = [_mm512_setzero_ps(); MR_X86];
+    for (av, bv) in arows.iter().zip(brows) {
+        // SAFETY: `bv` is 16 contiguous floats, exactly the 64 bytes
+        // the unaligned load reads.
+        let b = unsafe { _mm512_loadu_ps(bv.as_ptr()) };
+        for (ci, &ai) in c.iter_mut().zip(av) {
+            *ci = _mm512_add_ps(*ci, _mm512_mul_ps(_mm512_set1_ps(ai), b));
+        }
     }
-    let mut s = acc[0] + acc[1] + acc[2] + acc[3];
-    for i in chunks * 4..x.len() {
-        s += x[i] * y[i];
+    for (row, ci) in acc.iter_mut().zip(c) {
+        // SAFETY: `row` is 16 contiguous floats, exactly the 64 bytes
+        // the unaligned store writes.
+        unsafe { _mm512_storeu_ps(row.as_mut_ptr(), ci) };
     }
-    s
 }
 
 /// Number of floating-point operations a GEMM of these dimensions performs
@@ -684,71 +818,65 @@ mod tests {
     }
 
     #[test]
-    fn dot_handles_remainder_lengths() {
-        for n in 0..10 {
-            let x: Vec<f32> = (0..n).map(|i| i as f32).collect();
-            let y = vec![2.0f32; n];
-            let expect: f32 = x.iter().sum::<f32>() * 2.0;
-            assert!((dot(&x, &y) - expect).abs() < 1e-5);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "dot: length mismatch")]
-    fn dot_length_mismatch_panics_in_every_profile() {
-        let _ = dot(&[1.0], &[1.0, 2.0]);
-    }
-
-    #[test]
     fn flops_count() {
         assert_eq!(gemm_flops(2, 3, 4), 48);
         assert_eq!(gemm_flops(0, 3, 4), 0);
     }
 
-    type Tile = fn(&Matrix, bool, &Matrix, bool, Option<&[f32]>) -> Matrix;
-
-    fn portable(a: &Matrix, at: bool, b: &Matrix, bt: bool, bias: Option<&[f32]>) -> Matrix {
-        gemm_driver::<MR>(a, at, b, bt, bias, compute_panels::<MR>)
+    /// Every tile this CPU can run, narrowest instruction set first.
+    fn tiles() -> Vec<Tile> {
+        [
+            (Tile::Portable, true),
+            (Tile::Avx2, avx2()),
+            (Tile::Avx512, avx512f()),
+        ]
+        .into_iter()
+        .filter_map(|(tile, runs)| runs.then_some(tile))
+        .collect()
     }
 
-    /// Every tile this host can run, by its [`kernel`] name.
-    fn tiles() -> Vec<(&'static str, Tile)> {
-        #[cfg(target_arch = "x86_64")]
-        if avx2() {
-            fn avx2_tile(
-                a: &Matrix,
-                at: bool,
-                b: &Matrix,
-                bt: bool,
-                bias: Option<&[f32]>,
-            ) -> Matrix {
-                // SAFETY: `tiles` lists this function only after
-                // `avx2()` confirmed that the CPU supports AVX2.
-                unsafe { gemm_avx2(a, at, b, bt, bias) }
-            }
-            return vec![("portable-4x8", portable), ("avx2-8x8", avx2_tile)];
+    /// The choice of tile: the widest one the CPU has for outputs over
+    /// 8 columns, and on AVX-512F CPUs the 8×8 tile for outputs at most
+    /// 8 wide, which one AVX2 panel holds without padding.
+    #[test]
+    fn narrow_outputs_take_the_8_wide_tile() {
+        for n in [9, 16, 17, 561, usize::MAX] {
+            assert_eq!(Tile::for_width(n).name(), kernel(), "n={n}");
         }
-        vec![("portable-4x8", portable)]
+        let narrow = if kernel() == "avx512-8x16" {
+            "avx2-8x8"
+        } else {
+            kernel()
+        };
+        for n in [0, 1, 2, 6, 8] {
+            assert_eq!(Tile::for_width(n).name(), narrow, "n={n}");
+        }
     }
 
-    /// Both tiles, driven directly rather than through the dispatch
-    /// (which on AVX2 hosts never runs the portable one), against the
-    /// naive oracle bitwise: all four kernel shapes over the oracle's
-    /// `{0,1,2,3,5,7,8,9}³` grid and its 64/128 boundary shapes.
+    /// Every tile, driven directly rather than through the dispatch
+    /// (which never runs the portable tile on AVX2 hosts, nor the 8×8
+    /// one on AVX-512F hosts for outputs over 8 wide), against the
+    /// naive oracle bitwise: all four kernel shapes over `m` in the
+    /// oracle's `{0,1,2,3,5,7,8,9}`, `k` and `n` in that set plus the
+    /// 16-wide panel's edges `{15,16,17,31,32,33}`, and the oracle's
+    /// 64/128 boundary shapes.
     #[test]
     fn every_tile_matches_naive_bitwise() {
         const DIMS: [usize; 8] = [0, 1, 2, 3, 5, 7, 8, 9];
+        const WIDE: [usize; 14] = [0, 1, 2, 3, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33];
         let mut shapes: Vec<(usize, usize, usize)> = Vec::new();
         for m in DIMS {
-            for k in DIMS {
-                shapes.extend(DIMS.map(|n| (m, k, n)));
+            for k in WIDE {
+                shapes.extend(WIDE.map(|n| (m, k, n)));
             }
         }
         for (x, y, z) in [(63, 64, 65), (127, 128, 129)] {
             shapes.extend([(x, y, z), (y, z, x), (z, x, y), (y, y, y)]);
         }
         let tiles = tiles();
-        assert_eq!(tiles.last().map(|t| t.0), Some(kernel()));
+        let names: Vec<&str> = tiles.iter().map(|t| t.name()).collect();
+        assert_eq!(names.last(), Some(&kernel()));
+        println!("tiles driven: {}", names.join(", "));
         for (m, k, n) in shapes {
             let mut rng = StdRng::seed_from_u64((m as u64) << 32 | (k as u64) << 16 | n as u64);
             let a = init::uniform(&mut rng, m, k, 1.0);
@@ -769,16 +897,19 @@ mod tests {
                 matmul_naive(&at.transposed(), &b),
                 matmul_naive(&a, &bt.transposed()),
             ];
-            for &(name, tile) in &tiles {
+            for &tile in &tiles {
+                // SAFETY: `tiles` lists only the tiles whose instruction
+                // set the CPU check confirmed.
+                let run = |a, at, b, bt, bias| unsafe { tile.run(a, at, b, bt, bias) };
                 let got = [
-                    tile(&a, false, &b, false, None),
-                    tile(&a, false, &b, false, Some(&bias)),
-                    tile(&at, true, &b, false, None),
-                    tile(&a, false, &bt, true, None),
+                    run(&a, false, &b, false, None),
+                    run(&a, false, &b, false, Some(&bias)),
+                    run(&at, true, &b, false, None),
+                    run(&a, false, &bt, true, None),
                 ];
                 let ops = ["matmul", "matmul_bias", "matmul_at_b", "matmul_a_bt"];
                 for ((op, got), want) in ops.iter().zip(&got).zip(&want) {
-                    let ctx = format!("{name} {op} m={m} k={k} n={n}");
+                    let ctx = format!("{} {op} m={m} k={k} n={n}", tile.name());
                     assert_eq!(got.shape(), want.shape(), "{ctx}");
                     for (e, (x, y)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
                         let (i, j) = (e / n, e % n);

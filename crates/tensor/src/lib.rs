@@ -36,13 +36,27 @@ pub mod stats;
 pub use error::ShapeError;
 pub use matrix::Matrix;
 
-/// Whether this CPU runs the AVX2 kernels: the one CPU check behind
-/// both [`gemm`]'s tile choice and [`ops::tanh_inplace`] (the standard
-/// library caches the CPUID result, so each call costs a load).
+/// Whether this CPU runs the AVX2 kernels: the CPU check behind
+/// [`ops::tanh_inplace`] and, with [`avx512f`], [`gemm`]'s tile choice
+/// (the standard library caches the CPUID result, so each call costs a
+/// load).
 pub(crate) fn avx2() -> bool {
     #[cfg(target_arch = "x86_64")]
     {
         std::arch::is_x86_feature_detected!("avx2")
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
+    }
+}
+
+/// Whether this CPU runs [`gemm`]'s AVX-512F tile; a cached load, like
+/// [`avx2`].
+pub(crate) fn avx512f() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        std::arch::is_x86_feature_detected!("avx512f")
     }
     #[cfg(not(target_arch = "x86_64"))]
     {

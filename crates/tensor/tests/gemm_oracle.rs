@@ -17,7 +17,7 @@ use rt::rand::SeedableRng;
 /// register tile edges.
 const DIMS: [usize; 8] = [0, 1, 2, 3, 5, 7, 8, 9];
 
-/// Shapes straddling the register tiles (4 or 8 rows, 8 columns) and
+/// Shapes straddling the register tiles (4 or 8 rows, 8 or 16 columns) and
 /// multi-panel row ranges; cyclic permutations keep the count
 /// debug-build friendly while still hitting every dimension at every
 /// boundary value.

@@ -18,6 +18,7 @@ pub fn register(c: &mut Criterion) {
     bench_gemm_threaded(c);
     bench_gemm_mlp_shapes(c);
     bench_gemm_head(c);
+    bench_gemm_creditg(c);
     bench_backprop_kernels(c);
     bench_softmax_and_loss(c);
     bench_tanh_layer(c);
@@ -97,8 +98,8 @@ fn bench_gemm_mlp_shapes(c: &mut Criterion) {
 }
 
 /// A har output head: 6 classes behind a 150-wide layer at batch 32.
-/// An output at most 8 wide runs the 8×8 tile even on AVX-512F CPUs,
-/// so this is where that rule is measured.
+/// An output 5 to 8 wide runs the 8×8 tile even on AVX-512F CPUs, so
+/// this is where that rule is measured.
 fn bench_gemm_head(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(8);
     let h = init::uniform(&mut rng, 32, 150, 1.0);
@@ -106,6 +107,30 @@ fn bench_gemm_head(c: &mut Criterion) {
     let bias = vec![0.1f32; 6];
     c.bench_function("gemm/head_32x150x6", |b| {
         b.iter(|| gemm::matmul_bias(black_box(&h), black_box(&w), black_box(&bias)))
+    });
+}
+
+/// `creditg-fpga`'s calls at batch 32, where fixed per-call costs
+/// weigh most: a hidden layer's forward, the 2-class head's forward and
+/// its weight gradient (`at_b`, output 2 wide). On AVX-512F CPUs the
+/// two head calls run the 8×16 tile transposed.
+fn bench_gemm_creditg(c: &mut Criterion) {
+    let mut rng = StdRng::seed_from_u64(9);
+    let x = init::uniform(&mut rng, 32, 37, 1.0);
+    let w = init::uniform(&mut rng, 37, 30, 1.0);
+    let bias = vec![0.1f32; 30];
+    c.bench_function("gemm/creditg_layer_32x37x30", |b| {
+        b.iter(|| gemm::matmul_bias(black_box(&x), black_box(&w), black_box(&bias)))
+    });
+    let h = init::uniform(&mut rng, 32, 64, 1.0);
+    let w = init::uniform(&mut rng, 64, 2, 1.0);
+    let bias = vec![0.1f32; 2];
+    c.bench_function("gemm/creditg_head_32x64x2", |b| {
+        b.iter(|| gemm::matmul_bias(black_box(&h), black_box(&w), black_box(&bias)))
+    });
+    let dy = init::uniform(&mut rng, 32, 2, 1.0);
+    c.bench_function("gemm/creditg_head_grad_64x32x2", |b| {
+        b.iter(|| gemm::matmul_at_b(black_box(&h), black_box(&dy)))
     });
 }
 
@@ -119,6 +144,13 @@ fn bench_backprop_kernels(c: &mut Criterion) {
     });
     c.bench_function("gemm/a_bt_delta", |b| {
         b.iter(|| gemm::matmul_a_bt(black_box(&dy), black_box(&w)))
+    });
+    // A 561-deep `a_bt` reduction, where the transposed B pack writes
+    // each packed row a tile width apart (ROADMAP's smaller items).
+    let a = init::uniform(&mut rng, 32, 561, 1.0);
+    let b = init::uniform(&mut rng, 100, 561, 1.0);
+    c.bench_function("gemm/a_bt_32x561x100", |bench| {
+        bench.iter(|| gemm::matmul_a_bt(black_box(&a), black_box(&b)))
     });
 }
 
@@ -165,6 +197,20 @@ fn bench_mlp_train_step(c: &mut Criterion) {
         b.iter(|| net.forward(black_box(&x)))
     });
     c.bench_function("mlp/har_backprop_batch32", |b| {
+        b.iter(|| net.backprop(black_box(&x), black_box(&t)))
+    });
+
+    // A credit-g candidate of the benchmark's shape: 20 features, two
+    // hidden layers, 2 classes.
+    let topo = MlpTopology::builder(20, 2)
+        .hidden(37, Activation::Tanh, true)
+        .hidden(30, Activation::Relu, true)
+        .build();
+    let net = Mlp::from_topology(&topo, &mut rng);
+    let x = init::uniform(&mut rng, 32, 20, 1.0);
+    let labels: Vec<usize> = (0..32).map(|i| i % 2).collect();
+    let t = ops::one_hot(&labels, 2);
+    c.bench_function("mlp/creditg_backprop_batch32", |b| {
         b.iter(|| net.backprop(black_box(&x), black_box(&t)))
     });
 }

@@ -182,6 +182,15 @@ impl SyntheticSpec {
     /// same dataset, which the engine's dedup cache and the reproducible
     /// experiment harness rely on.
     pub fn generate(&self) -> Dataset {
+        self.generate_with(lift)
+    }
+
+    /// [`generate`](Self::generate) with the lift step passed in, so a
+    /// test can run a reference order.
+    fn generate_with(
+        &self,
+        lift: impl Fn(&[f32], &Matrix, &Matrix, &mut [f32], &mut [f32]),
+    ) -> Dataset {
         let mut rng = StdRng::seed_from_u64(self.seed ^ fnv1a(self.name.as_bytes()));
         let d = self.n_informative;
 
@@ -215,16 +224,7 @@ impl SyntheticSpec {
             // The linear part goes into the row and the nonlinear part
             // into `nl`, whose tanh then runs as one slice pass.
             let row = features.row_mut(s);
-            for (j, (x, n)) in row.iter_mut().zip(&mut nl).enumerate() {
-                let mut lin = 0.0f32;
-                let mut acc = 0.0f32;
-                for (i, &zi) in z.iter().enumerate() {
-                    lin += zi * lift_a[(i, j)];
-                    acc += zi * lift_b[(i, j)];
-                }
-                *x = lin;
-                *n = acc;
-            }
+            lift(&z, &lift_a, &lift_b, row, &mut nl);
             ops::tanh_inplace(&mut nl);
             for (x, &t) in row.iter_mut().zip(&nl) {
                 *x = *x
@@ -243,6 +243,24 @@ impl SyntheticSpec {
 
         Dataset::new(self.name.clone(), features, labels, self.n_classes)
             .expect("generator invariants guarantee a valid dataset")
+    }
+}
+
+/// Lifts the latent point `z` through both maps: `lin[j] = Σ_i z[i] *
+/// lift_a[i, j]` and `nl[j]` likewise through `lift_b`, each sum
+/// starting at 0.0 and adding its terms for `i` ascending. The terms
+/// are added a row of the map at a time, so every pass reads a map row
+/// and a feature row contiguously.
+fn lift(z: &[f32], lift_a: &Matrix, lift_b: &Matrix, lin: &mut [f32], nl: &mut [f32]) {
+    lin.fill(0.0);
+    nl.fill(0.0);
+    for (i, &zi) in z.iter().enumerate() {
+        for (x, &a) in lin.iter_mut().zip(lift_a.row(i)) {
+            *x += zi * a;
+        }
+        for (n, &b) in nl.iter_mut().zip(lift_b.row(i)) {
+            *n += zi * b;
+        }
     }
 }
 
@@ -268,6 +286,52 @@ mod tests {
         assert_eq!(ds.n_features(), 12);
         assert_eq!(ds.n_classes(), 4);
         assert!(ds.features().all_finite());
+    }
+
+    /// The lift as it was first written: each feature a dot product
+    /// down a column of the maps.
+    fn column_lift(z: &[f32], lift_a: &Matrix, lift_b: &Matrix, lin: &mut [f32], nl: &mut [f32]) {
+        for (j, (x, n)) in lin.iter_mut().zip(nl).enumerate() {
+            let mut lin = 0.0f32;
+            let mut acc = 0.0f32;
+            for (i, &zi) in z.iter().enumerate() {
+                lin += zi * lift_a[(i, j)];
+                acc += zi * lift_b[(i, j)];
+            }
+            *x = lin;
+            *n = acc;
+        }
+    }
+
+    /// The row-at-a-time lift adds each feature's terms in the column
+    /// loop's order, so every dataset keeps its bits.
+    #[test]
+    fn row_lift_matches_the_column_lift_bitwise() {
+        for features in [1, 2, 20, 64, 600] {
+            for informative in [1, 7, 20] {
+                for clusters in 1..=3 {
+                    for noise in [0.0, 0.2] {
+                        for seed in [1, 7, 42] {
+                            let spec = SyntheticSpec::new("lift", 40, features, 3)
+                                .with_informative(informative)
+                                .with_clusters_per_class(clusters)
+                                .with_label_noise(noise)
+                                .with_seed(seed);
+                            let (got, want) = (spec.generate(), spec.generate_with(column_lift));
+                            let bits = |ds: &Dataset| -> Vec<u32> {
+                                ds.features()
+                                    .as_slice()
+                                    .iter()
+                                    .map(|x| x.to_bits())
+                                    .collect()
+                            };
+                            assert_eq!(bits(&got), bits(&want), "{spec:?}");
+                            assert_eq!(got.labels(), want.labels(), "{spec:?}");
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

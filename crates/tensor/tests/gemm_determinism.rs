@@ -27,7 +27,7 @@ fn kernel_globals() -> MutexGuard<'static, ()> {
 }
 
 /// Same small grid as `gemm_oracle.rs`.
-const DIMS: [usize; 8] = [0, 1, 2, 3, 5, 7, 8, 9];
+const DIMS: [usize; 10] = [0, 1, 2, 3, 4, 5, 6, 7, 8, 9];
 
 /// Boundary shapes that actually take the parallel path (the small grid
 /// stays under the parallel threshold, where bit-identity across thread
@@ -177,73 +177,92 @@ fn broken_accumulation_order_mutant_is_caught() {
     assert_bits("packed kernel", &gemm::matmul(&a, &b), &naive);
 }
 
-rt::prop! {
-    #![cases(96)]
-
-    /// Fuzz: random shapes (including 0-dims, and outputs up to 34
-    /// wide, so 16-wide panels and their ragged tails are hit) with
-    /// sprinkled special values. Kernels must never panic; every output
-    /// that is not NaN in the strict naive oracle must equal it bitwise
-    /// (±0 and ±inf included), a NaN must meet a NaN, and NaN rows must
-    /// propagate like the oracle (no zero-skip may swallow them).
-    ///
-    /// A NaN's sign and payload are not compared. Which NaN operand an
-    /// add returns is left open, and `matmul_naive`'s own vectorized
-    /// body and scalar tail choose differently when both addends are
-    /// NaN (the default NaN of ∞·0 and an input NaN, say).
-    fn fuzz_shapes_and_special_values(
-        m in 0usize..10, k in 0usize..10, n in 0usize..35, seed in 0u64..100_000
-    ) {
-        let _g = kernel_globals();
-        gemm::set_threads(1);
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut a = init::uniform(&mut rng, m, k, 1.0);
-        let mut b = init::uniform(&mut rng, k, n, 1.0);
-        let specials = [
-            f32::NAN,
-            f32::from_bits(0xffc0_0000), // -NaN
-            f32::from_bits(0x7fc0_1234), // a NaN with a payload
-            f32::INFINITY,
-            f32::NEG_INFINITY,
-            0.0,
-            -0.0,
-        ];
-        for _ in 0..3 {
-            if m * k > 0 {
-                let idx = rng.gen_range(0..m * k);
-                a.as_mut_slice()[idx] = specials[rng.gen_range(0..specials.len())];
-            }
-            if k * n > 0 {
-                let idx = rng.gen_range(0..k * n);
-                b.as_mut_slice()[idx] = specials[rng.gen_range(0..specials.len())];
-            }
+/// One fuzz case: an `m×k` by `k×n` product with sprinkled special
+/// values. Kernels must never panic; every output that is not NaN in
+/// the strict naive oracle must equal it bitwise (±0 and ±inf
+/// included), a NaN must meet a NaN, and NaN rows must propagate like
+/// the oracle (no zero-skip may swallow them).
+///
+/// A NaN's sign and payload are not compared. Which NaN operand an add
+/// returns is left open, and `matmul_naive`'s own vectorized body and
+/// scalar tail choose differently when both addends are NaN (the
+/// default NaN of ∞·0 and an input NaN, say).
+fn check_special_values(m: usize, k: usize, n: usize, seed: u64) {
+    let _g = kernel_globals();
+    gemm::set_threads(1);
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut a = init::uniform(&mut rng, m, k, 1.0);
+    let mut b = init::uniform(&mut rng, k, n, 1.0);
+    let specials = [
+        f32::NAN,
+        f32::from_bits(0xffc0_0000), // -NaN
+        f32::from_bits(0x7fc0_1234), // a NaN with a payload
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        0.0,
+        -0.0,
+    ];
+    for _ in 0..3 {
+        if m * k > 0 {
+            let idx = rng.gen_range(0..m * k);
+            a.as_mut_slice()[idx] = specials[rng.gen_range(0..specials.len())];
         }
-        let naive = gemm::matmul_naive(&a, &b);
-        let packed = gemm::matmul(&a, &b);
-        prop_assert!(packed.shape() == (m, n));
+        if k * n > 0 {
+            let idx = rng.gen_range(0..k * n);
+            b.as_mut_slice()[idx] = specials[rng.gen_range(0..specials.len())];
+        }
+    }
+    let naive = gemm::matmul_naive(&a, &b);
+    let packed = gemm::matmul(&a, &b);
+    prop_assert!(packed.shape() == (m, n));
+    for i in 0..m {
+        for j in 0..n {
+            let (x, y) = (packed[(i, j)], naive[(i, j)]);
+            let same = if y.is_nan() {
+                x.is_nan()
+            } else {
+                x.to_bits() == y.to_bits()
+            };
+            prop_assert!(
+                same,
+                "m={m} k={k} n={n} i={i} j={j}: {x:?} ({:#010x}) vs {y:?} ({:#010x})",
+                x.to_bits(),
+                y.to_bits()
+            );
+        }
+    }
+    // NaN propagation: a NaN anywhere in row i of A taints the whole
+    // output row (every element's chain crosses every p).
+    if n > 0 {
         for i in 0..m {
-            for j in 0..n {
-                let (x, y) = (packed[(i, j)], naive[(i, j)]);
-                let same = if y.is_nan() { x.is_nan() } else { x.to_bits() == y.to_bits() };
+            if a.row(i).iter().any(|v| v.is_nan()) {
                 prop_assert!(
-                    same,
-                    "m={m} k={k} n={n} i={i} j={j}: {x:?} ({:#010x}) vs {y:?} ({:#010x})",
-                    x.to_bits(),
-                    y.to_bits()
+                    packed.row(i).iter().all(|v| v.is_nan()),
+                    "row {i} lost its NaN taint"
                 );
             }
         }
-        // NaN propagation: a NaN anywhere in row i of A taints the
-        // whole output row (every element's chain crosses every p).
-        if n > 0 {
-            for i in 0..m {
-                if a.row(i).iter().any(|v| v.is_nan()) {
-                    prop_assert!(
-                        packed.row(i).iter().all(|v| v.is_nan()),
-                        "row {i} lost its NaN taint"
-                    );
-                }
-            }
-        }
+    }
+}
+
+rt::prop! {
+    #![cases(96)]
+
+    /// Fuzz: random shapes, including 0-dims, and outputs up to 34
+    /// wide, so 16-wide panels and their ragged tails are hit (see
+    /// [`check_special_values`]).
+    fn fuzz_shapes_and_special_values(
+        m in 0usize..10, k in 0usize..10, n in 0usize..35, seed in 0u64..100_000
+    ) {
+        check_special_values(m, k, n, seed);
+    }
+
+    /// Fuzz: outputs at most 4 wide over `m` from 17 up, which run
+    /// transposed on AVX-512F CPUs, so `m` fills 16-wide panels and
+    /// their ragged tails.
+    fn fuzz_narrow_outputs_and_special_values(
+        m in 17usize..80, k in 0usize..10, n in 1usize..5, seed in 0u64..100_000
+    ) {
+        check_special_values(m, k, n, seed);
     }
 }

@@ -2,9 +2,10 @@
 //!
 //! Every kernel (`matmul`, `matmul_bias`, `matmul_at_b`, `matmul_a_bt`)
 //! is compared against the strict-order [`gemm::matmul_naive`]
-//! reference over the full shape grid `{0,1,2,3,5,7,8,9}³` plus
-//! register-tile and panel boundary shapes around 63/64/65 and
-//! 127/128/129. The kernels share the naive oracle's accumulation
+//! reference over the full shape grid `{0,…,9}³`, register-tile and
+//! panel boundary shapes around 63/64/65 and 127/128/129, and outputs
+//! at most 4 wide over tall `m` (the shapes that run transposed on
+//! AVX-512F CPUs). The kernels share the naive oracle's accumulation
 //! order, so the comparison is **bitwise**; on failure the report names
 //! the `(kernel, m, k, n, i, j)` coordinate and the relative error so a
 //! tolerance-level drift is distinguishable from a hard bug.
@@ -14,8 +15,16 @@ use rt::rand::rngs::StdRng;
 use rt::rand::SeedableRng;
 
 /// Small dims exercising empty, unit, sub-tile, off-by-one-around-8
-/// register tile edges.
-const DIMS: [usize; 8] = [0, 1, 2, 3, 5, 7, 8, 9];
+/// register tile edges; as `m`, every live-row count from 1 to 8 ends
+/// a panel.
+const DIMS: [usize; 10] = [0, 1, 2, 3, 4, 5, 6, 7, 8, 9];
+
+/// Narrow outputs over tall `m`: on AVX-512F CPUs these run transposed
+/// while the transposed `B` pack stays small (all but the 750-row
+/// ones at `k ≥ 20`), so `m` crosses the 16-wide panel's edges.
+const NARROW_N: [usize; 4] = [1, 2, 3, 4];
+const NARROW_M: [usize; 6] = [16, 17, 31, 33, 64, 750];
+const NARROW_K: [usize; 4] = [1, 2, 20, 64];
 
 /// Shapes straddling the register tiles (4 or 8 rows, 8 or 16 columns) and
 /// multi-panel row ranges; cyclic permutations keep the count
@@ -136,6 +145,17 @@ fn every_kernel_matches_naive_over_the_full_small_grid() {
 fn every_kernel_matches_naive_at_tile_boundaries() {
     for &(m, k, n) in &BOUNDARY {
         check_shape(m, k, n);
+    }
+}
+
+#[test]
+fn every_kernel_matches_naive_on_narrow_outputs() {
+    for &n in &NARROW_N {
+        for &m in &NARROW_M {
+            for &k in &NARROW_K {
+                check_shape(m, k, n);
+            }
+        }
     }
 }
 

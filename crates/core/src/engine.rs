@@ -28,6 +28,7 @@
 //!   respawned, and its late result (if any) is dropped as stale;
 //! * **checkpoint/resume**: with a [`CheckpointPolicy`] attached, every
 //!   verdict and migrant the master acts on is appended to a journal,
+//!   written (with its fsync) after the next candidate is dispatched,
 //!   and [`Engine::resume`] replays it through the loop's own code, so
 //!   a seeded single-thread run continues byte-identically (§12).
 //!
@@ -551,6 +552,9 @@ struct Run<'e> {
     ledger: EngineLedger,
     /// The checkpoint journal, when a policy is attached (after replay).
     journal: Option<JournalFile>,
+    /// A periodic journal write is due, to be made once the next
+    /// candidate is dispatched (see the loop in `Engine::run_inner`).
+    journal_due: bool,
     meters: Meters,
     pool: Pool,
     halted: bool,
@@ -582,6 +586,7 @@ impl<'e> Run<'e> {
             tracker: EpochTracker::new(cfg.analytics, cfg.population),
             ledger: EngineLedger::new(),
             journal: None,
+            journal_due: false,
             meters: Meters::register(&engine.obs),
             pool: Pool::new(engine),
             halted: false,
@@ -957,8 +962,8 @@ impl<'e> Run<'e> {
     }
 
     /// Admits a final verdict: counts it, caches it, scores and admits
-    /// it, appends it to the trace, then publishes epoch analytics,
-    /// status and the periodic journal write.
+    /// it, appends it to the trace, then publishes epoch analytics and
+    /// status, and marks the periodic journal write due.
     fn finalize(&mut self, id: usize, genome: CandidateGenome, m: Measurement, op: OperatorKind) {
         let engine = self.engine;
         self.meters.evaluated.inc();
@@ -1000,7 +1005,7 @@ impl<'e> Run<'e> {
         }
         engine.status.note_counters(done, self.counters);
         if engine.checkpoint.as_ref().is_some_and(|p| done.is_multiple_of(p.every)) {
-            self.flush_journal();
+            self.journal_due = true;
         }
     }
 
@@ -1025,8 +1030,10 @@ impl<'e> Run<'e> {
     /// warning event — a full disk must not kill a search that is
     /// otherwise healthy, and the lines stay buffered for the next
     /// write. The status cell learns about successful writes so
-    /// `/status` can report checkpoint age.
+    /// `/status` can report checkpoint age. Any write clears the due
+    /// mark, so replay's marks end with `start`'s atomic write.
     fn flush_journal(&mut self) {
+        self.journal_due = false;
         let Some(journal) = &mut self.journal else {
             return;
         };
@@ -1143,8 +1150,8 @@ impl Engine {
 
     /// Attaches a checkpoint policy: the run journals every verdict and
     /// migrant it acts on to the policy's path, writing the buffered
-    /// lines every `every` unique evaluations, on any halt, and at
-    /// natural completion.
+    /// lines every `every` unique evaluations (once the next candidate
+    /// is dispatched), on any halt, and at natural completion.
     pub fn with_checkpoint(mut self, policy: CheckpointPolicy) -> Self {
         self.checkpoint = Some(policy);
         self
@@ -1254,6 +1261,12 @@ impl Engine {
                 break;
             }
             run.fill();
+            // The periodic journal write waits until the next candidate
+            // is out, so its fsync overlaps that evaluation instead of
+            // idling the worker.
+            if run.journal_due {
+                run.flush_journal();
+            }
             if run.ledger.quiescent() {
                 break;
             }

@@ -162,8 +162,10 @@ rt::prop! {
 }
 
 /// Scores like [`ToyEvaluator`], and first records the checkpoint
-/// file's bytes. At `threads = 1` the master waits on every
-/// evaluation, so each read sees a state the file was left in.
+/// file's bytes. The master makes its periodic write after dispatching
+/// the next candidate, so a read can overlap an append and see part of
+/// it; since the file only grows, each read is still a byte prefix of
+/// every later one.
 struct Snooping {
     path: PathBuf,
     seen: Mutex<Vec<Vec<u8>>>,
@@ -216,6 +218,47 @@ fn checkpoint_file_only_ever_grows() {
         );
     }
     assert!(seen[0].len() < seen[seen.len() - 1].len());
+    std::fs::remove_file(&path).ok();
+}
+
+/// The periodic write waits for the next dispatch, so its fsync
+/// overlaps that evaluation: at `threads = 1` the write after verdict
+/// `k` (`0 < k < EVALS`) follows the `submit` of candidate `k + 1`. The
+/// header write precedes the first `submit`, and the last write follows
+/// the last verdict.
+#[test]
+fn periodic_checkpoint_follows_the_next_submit() {
+    let path = tmp_path("after-submit.json");
+    let capture = rt::obs::CaptureSink::new(rt::obs::Level::Trace);
+    let obs = rt::obs::Obs::builder().sink(Arc::clone(&capture)).build();
+    let outcome = engine(51)
+        .with_obs(obs)
+        .with_checkpoint(CheckpointPolicy::new(&path, 1))
+        .run();
+    assert_eq!(outcome.stats.models_evaluated, EVALS);
+    let mut submits = 0;
+    let mut writes = Vec::new();
+    for event in capture.take() {
+        match event.name {
+            "submit" => submits += 1,
+            "checkpoint" => {
+                let done = event
+                    .fields
+                    .iter()
+                    .find_map(|(k, v)| match v {
+                        rt::obs::Value::U64(n) if *k == "evaluations_done" => Some(*n as usize),
+                        _ => None,
+                    })
+                    .expect("checkpoint event names its evaluations");
+                writes.push((done, submits));
+            }
+            _ => {}
+        }
+    }
+    let want: Vec<(usize, usize)> = (0..=EVALS)
+        .map(|done| (done, if done == 0 || done == EVALS { done } else { done + 1 }))
+        .collect();
+    assert_eq!(writes, want, "(evaluations done, submits before the write)");
     std::fs::remove_file(&path).ok();
 }
 

@@ -602,21 +602,27 @@ fn restarted_worker_tallies_add_up_across_sessions() {
     let health = Arc::new(ecad_core::cluster::ClusterHealth::new(std::slice::from_ref(
         &addr,
     )));
-    let obs = Obs::builder().build(); // metrics registry only
-    let models = obs.counter("engine.models_evaluated");
-    // Stop the first server after a few jobs, then serve the rest from
-    // a fresh one on the same port.
+    // Stop the first server at the 4th evaluation, then serve the rest
+    // from a fresh one on the same port.
+    let obs = Obs::builder()
+        .sink(StopAfterEvaluated {
+            after: 4,
+            seen: AtomicUsize::new(0),
+            stop: Arc::clone(&stop),
+        })
+        .build();
     let restarter = {
         let addr = addr.clone();
         std::thread::spawn(move || {
-            while models.get() < 4 {
-                std::thread::sleep(Duration::from_millis(5));
+            while !stop.load(Ordering::Acquire) {
+                std::thread::sleep(Duration::from_millis(1));
             }
-            stop.store(true, Ordering::Release);
             worker.join().expect("stopped worker exits");
             let server = WorkerServer::bind(&addr, WorkerOptions::default(), Obs::disabled())
                 .expect("rebind the same port");
-            std::thread::spawn(move || server.run().expect("worker serve loop"))
+            let stop = server.stop_handle();
+            let handle = std::thread::spawn(move || server.run().expect("worker serve loop"));
+            (handle, stop)
         })
     };
     let result = base_search(&ds, obs.clone())
@@ -628,11 +634,19 @@ fn restarted_worker_tallies_add_up_across_sessions() {
         })
         .cluster_health(Arc::clone(&health))
         .run();
-    restarter
-        .join()
-        .expect("restarter")
-        .join()
-        .expect("restarted worker exits after kill_all");
+    // The search tripped the flag, so the restarter has returned or
+    // soon will.
+    let (restarted, restarted_stop) = restarter.join().expect("restarter");
+    // The coordinator's kill_all ends the restarted worker. A search
+    // that outran the restart never sends it one: stop it and fail.
+    let deadline = std::time::Instant::now() + Duration::from_secs(30);
+    while !restarted.is_finished() && std::time::Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let killed = restarted.is_finished();
+    restarted_stop.store(true, Ordering::Release);
+    restarted.join().expect("restarted worker exits");
+    assert!(killed, "the restarted worker never got kill_all");
 
     assert_eq!(result.stats().models_evaluated, 14);
     assert!(result.stats().retry_count >= 1, "the restart cost a retry");

@@ -2,7 +2,7 @@
 //! search observatory's `/metrics`, `/status`, and `/healthz` endpoints.
 //!
 //! Like the rest of `rt` this is dependency-free: the server is a
-//! [`std::net::TcpListener`] accept loop on a pair of supervised worker
+//! [`crate::net::Listener`] accept loop on a pair of supervised worker
 //! slots ([`crate::supervise::Supervisor`]), and the exposition writer/
 //! parser speak the Prometheus text format directly. The surface is
 //! deliberately tiny — `GET`-only, `Connection: close`, no keep-alive,
@@ -26,11 +26,12 @@
 //! an unserved one.
 
 use std::io::{ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+use crate::net::Listener;
 use crate::obs::MetricValue;
 use crate::supervise::Supervisor;
 
@@ -40,8 +41,9 @@ use crate::supervise::Supervisor;
 const ACCEPT_SLOTS: usize = 2;
 /// Largest request head we will buffer before answering 431.
 const MAX_HEAD: usize = 8 * 1024;
-/// Poll interval of the non-blocking accept loop.
-const ACCEPT_POLL: Duration = Duration::from_millis(10);
+/// How often an idle accept slot checks the stop flag, and how long it
+/// backs off after an accept error.
+const STOP_POLL: Duration = Duration::from_millis(10);
 /// Per-read socket deadline, so a stalled client cannot pin an accept
 /// slot for long.
 const READ_TIMEOUT: Duration = Duration::from_secs(2);
@@ -159,10 +161,8 @@ impl Server {
     ///
     /// Returns the underlying I/O error if the address cannot be bound.
     pub fn bind(self, addr: &str) -> std::io::Result<ServerHandle> {
-        let listener = TcpListener::bind(addr)?;
+        let listener = Listener::bind(addr)?;
         let local = listener.local_addr()?;
-        // Non-blocking accept so the loop can observe the stop flag.
-        listener.set_nonblocking(true)?;
         let listener = Arc::new(listener);
         let stop = Arc::new(AtomicBool::new(false));
         let routes = Arc::new(self.routes);
@@ -174,16 +174,14 @@ impl Server {
             let routes = Arc::clone(&routes);
             supervisor.spawn(move |ctx| {
                 while ctx.is_current() && !stop.load(Ordering::Acquire) {
-                    match listener.accept() {
-                        Ok((stream, _peer)) => {
+                    match listener.accept_timeout(STOP_POLL) {
+                        Ok(Some((stream, _peer))) => {
                             serve_connection(stream, &routes, DEFAULT_LIMITS)
                         }
-                        Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                            std::thread::sleep(ACCEPT_POLL);
-                        }
+                        Ok(None) => {}
                         // Transient accept errors (ECONNABORTED etc.):
                         // back off briefly and keep serving.
-                        Err(_) => std::thread::sleep(ACCEPT_POLL),
+                        Err(_) => std::thread::sleep(STOP_POLL),
                     }
                 }
             });
@@ -228,7 +226,6 @@ impl Drop for ServerHandle {
 /// writes one response. Any protocol violation gets a plain 4xx; a
 /// client still dribbling its head at the total deadline gets a 408.
 fn serve_connection(mut stream: TcpStream, routes: &[(String, Handler)], limits: ConnLimits) {
-    let _ = stream.set_nonblocking(false);
     let _ = stream.set_write_timeout(Some(limits.write_timeout));
     let deadline = std::time::Instant::now() + limits.head_deadline;
 
@@ -567,6 +564,7 @@ fn parse_sample(line: &str) -> Result<Sample, String> {
 mod tests {
     use super::*;
     use crate::obs::HistogramSummary;
+    use std::net::TcpListener;
 
     fn get(addr: SocketAddr, target: &str) -> (u16, String) {
         let mut stream = TcpStream::connect(addr).expect("connect");

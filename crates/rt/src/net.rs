@@ -34,7 +34,7 @@
 use std::fmt;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use crate::json::{self, Cursor, Json};
 
@@ -49,10 +49,6 @@ pub const DEFAULT_MAX_FRAME: usize = 16 * 1024 * 1024;
 
 /// Default socket read/write deadline for a connection.
 pub const DEFAULT_IO_TIMEOUT: Duration = Duration::from_secs(30);
-
-/// How long [`Listener::accept_timeout`] sleeps between polls of its
-/// non-blocking accept.
-const ACCEPT_POLL: Duration = Duration::from_millis(10);
 
 /// Everything that can go wrong on a framed connection.
 #[derive(Debug)]
@@ -413,9 +409,9 @@ impl Conn {
     }
 }
 
-/// A non-blocking accept loop over a bound TCP listener, polled with a
-/// deadline so serving threads can observe a stop flag between polls —
-/// the same shape [`crate::http`]'s accept slots use.
+/// A non-blocking TCP listener whose accept waits with a deadline, so
+/// serving threads can observe a stop flag between waits — the cluster
+/// worker's loop and [`crate::http`]'s accept slots both use it.
 #[derive(Debug)]
 pub struct Listener {
     inner: TcpListener,
@@ -444,34 +440,106 @@ impl Listener {
         self.inner.local_addr()
     }
 
-    /// Waits up to `timeout` for one connection. Returns `Ok(None)` on
-    /// timeout, so callers can interleave accepts with stop-flag checks.
+    /// Waits up to `timeout` for one connection and accepts it as a
+    /// blocking stream. On unix the wait is `poll(2)` on the listener,
+    /// so it returns as soon as a connection is pending. Returns
+    /// `Ok(None)` on timeout, so callers can interleave accepts with
+    /// stop-flag checks.
     ///
     /// # Errors
     ///
-    /// Any accept failure other than `WouldBlock`.
+    /// Any accept or wait failure other than `WouldBlock` and `EINTR`.
     pub fn accept_timeout(
         &self,
         timeout: Duration,
     ) -> io::Result<Option<(TcpStream, SocketAddr)>> {
-        let deadline = std::time::Instant::now() + timeout;
+        let deadline = Instant::now() + timeout;
         loop {
             match self.inner.accept() {
                 Ok((stream, addr)) => {
                     stream.set_nonblocking(false)?;
                     return Ok(Some((stream, addr)));
                 }
+                // A wake-up with nothing to accept (EINTR, or another
+                // thread took the connection) just waits again.
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    if std::time::Instant::now() >= deadline {
+                    let left = deadline.saturating_duration_since(Instant::now());
+                    if left.is_zero() {
                         return Ok(None);
                     }
-                    std::thread::sleep(ACCEPT_POLL.min(timeout));
+                    wait_readable(&self.inner, left)?;
                 }
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(e) => return Err(e),
             }
         }
     }
+}
+
+/// Blocks until `listener` has a pending connection or `timeout`
+/// passes (rounded up to whole milliseconds). An interrupted wait
+/// returns early; the caller's accept loop then waits again.
+#[cfg(unix)]
+fn wait_readable(listener: &TcpListener, timeout: Duration) -> io::Result<()> {
+    use std::ffi::{c_int, c_short};
+    use std::os::unix::io::AsRawFd;
+
+    /// libc's `struct pollfd`.
+    #[repr(C)]
+    struct PollFd {
+        fd: c_int,
+        events: c_short,
+        revents: c_short,
+    }
+    /// libc's `nfds_t`: `unsigned int` on Apple targets and the BSDs,
+    /// `unsigned long` elsewhere (Linux, Android, illumos).
+    #[cfg(any(
+        target_vendor = "apple",
+        target_os = "dragonfly",
+        target_os = "freebsd",
+        target_os = "netbsd",
+        target_os = "openbsd"
+    ))]
+    type Nfds = std::ffi::c_uint;
+    #[cfg(not(any(
+        target_vendor = "apple",
+        target_os = "dragonfly",
+        target_os = "freebsd",
+        target_os = "netbsd",
+        target_os = "openbsd"
+    )))]
+    type Nfds = std::ffi::c_ulong;
+    extern "C" {
+        /// libc's `poll(2)`; std already links libc on unix, so the
+        /// symbol resolves without a crates.io dependency.
+        fn poll(fds: *mut PollFd, nfds: Nfds, timeout_ms: c_int) -> c_int;
+    }
+    const POLLIN: c_short = 0x1;
+
+    let mut fd = PollFd {
+        fd: listener.as_raw_fd(),
+        events: POLLIN,
+        revents: 0,
+    };
+    let ms = timeout.as_micros().div_ceil(1000).min(c_int::MAX as u128) as c_int;
+    // SAFETY: `fd` is one initialized `pollfd` that outlives the call,
+    // matching `nfds = 1`, and its descriptor is the borrowed
+    // listener's, open for the whole call.
+    if unsafe { poll(&mut fd, 1, ms) } < 0 {
+        let e = io::Error::last_os_error();
+        if e.kind() != io::ErrorKind::Interrupted {
+            return Err(e);
+        }
+    }
+    Ok(())
+}
+
+/// Without `poll(2)`, sleeps a tick of at most 10 ms; the caller's
+/// accept loop then tries again.
+#[cfg(not(unix))]
+fn wait_readable(_listener: &TcpListener, timeout: Duration) -> io::Result<()> {
+    std::thread::sleep(timeout.min(Duration::from_millis(10)));
+    Ok(())
 }
 
 #[cfg(test)]
@@ -709,6 +777,41 @@ mod tests {
         let small = Json::object().insert("id", 1);
         conn.send(&small).unwrap();
         assert_eq!(server.join().unwrap().to_string(), small.to_string());
+    }
+
+    /// A connection made while `accept_timeout` waits is returned then,
+    /// long before the timeout, as a blocking stream.
+    #[test]
+    fn accept_timeout_returns_a_connection_made_while_it_waits() {
+        let listener = Listener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let client = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(50));
+            let mut stream = TcpStream::connect(addr).unwrap();
+            std::thread::sleep(Duration::from_millis(20));
+            stream.write_all(b"x").unwrap();
+            stream
+        });
+        let start = Instant::now();
+        let (mut stream, _) = listener
+            .accept_timeout(Duration::from_secs(60))
+            .unwrap()
+            .expect("the client's connection");
+        let waited = start.elapsed();
+        assert!(waited < Duration::from_secs(30), "waited {waited:?}");
+        let mut byte = [0u8; 1];
+        stream.read_exact(&mut byte).unwrap();
+        assert_eq!(&byte, b"x");
+        client.join().unwrap();
+    }
+
+    #[test]
+    fn accept_timeout_returns_none_once_the_timeout_passes() {
+        let listener = Listener::bind("127.0.0.1:0").unwrap();
+        let timeout = Duration::from_millis(30);
+        let start = Instant::now();
+        assert!(listener.accept_timeout(timeout).unwrap().is_none());
+        assert!(start.elapsed() >= timeout);
     }
 
     #[test]

@@ -162,8 +162,6 @@ pub struct FaultSummary {
     /// `cluster_degraded` warnings (every remote slot retired; the
     /// run fell back to local evaluation).
     pub degraded: usize,
-    /// `migration` events (island elites folded into the archive).
-    pub migrations: usize,
 }
 
 impl FaultSummary {
@@ -180,7 +178,6 @@ impl FaultSummary {
                 "checkpoint" => s.checkpoints += 1,
                 "worker_lost" => s.workers_lost += 1,
                 "cluster_degraded" => s.degraded += 1,
-                "migration" => s.migrations += 1,
                 _ => {}
             }
         }
@@ -246,10 +243,10 @@ fn render_text(path: &str, rows: &[EpochRow], faults: &FaultSummary) -> String {
             faults.checkpoints, faults.resumes
         ));
     }
-    if faults.workers_lost > 0 || faults.degraded > 0 || faults.migrations > 0 {
+    if faults.workers_lost > 0 || faults.degraded > 0 {
         out.push_str(&format!(
-            "cluster: {} worker(s) lost, {} degradation(s), {} migration(s)\n",
-            faults.workers_lost, faults.degraded, faults.migrations
+            "cluster: {} worker(s) lost, {} degradation(s)\n",
+            faults.workers_lost, faults.degraded
         ));
     }
     out
@@ -269,8 +266,7 @@ fn render_json(rows: &[EpochRow], faults: &FaultSummary) -> String {
         .insert("checkpoints", faults.checkpoints)
         .insert("resumes", faults.resumes)
         .insert("workers_lost", faults.workers_lost)
-        .insert("cluster_degraded", faults.degraded)
-        .insert("migrations", faults.migrations);
+        .insert("cluster_degraded", faults.degraded);
     let mut report = Json::object().insert("epochs", epochs);
     report = report.insert("summary", summary);
     let mut text = report.pretty();
@@ -441,17 +437,13 @@ mod tests {
             warn_line(1, "worker_lost"),
             warn_line(2, "worker_lost"),
             warn_line(3, "cluster_degraded"),
-            warn_line(4, "migration"),
         ]
         .join("\n");
         let events = parse_events("t.jsonl", &text).unwrap();
         let faults = FaultSummary::count(&events);
-        assert_eq!(
-            (faults.workers_lost, faults.degraded, faults.migrations),
-            (2, 1, 1)
-        );
+        assert_eq!((faults.workers_lost, faults.degraded), (2, 1));
         let report = render_text("t", &[], &faults);
-        assert!(report.contains("cluster: 2 worker(s) lost, 1 degradation(s), 1 migration(s)"));
+        assert!(report.contains("cluster: 2 worker(s) lost, 1 degradation(s)\n"));
         let json = Json::parse(&render_json(&[], &faults)).unwrap();
         let summary = json.get("summary").unwrap();
         assert_eq!(
@@ -462,7 +454,6 @@ mod tests {
             summary.get("cluster_degraded").and_then(Json::as_f64),
             Some(1.0)
         );
-        assert_eq!(summary.get("migrations").and_then(Json::as_f64), Some(1.0));
         // A fault-free trace stays silent about the cluster line.
         let clean = render_text("t", &[], &FaultSummary::default());
         assert!(!clean.contains("cluster:"));

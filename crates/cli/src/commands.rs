@@ -76,7 +76,7 @@ const USAGE: &str = "usage:
                    [--max-frame BYTES] [--io-timeout SECS] [--idle-timeout SECS]
   ecad cluster search --workers HOST:PORT,... [all `ecad search` flags]
                    [--net-timeout SECS] [--connect-retries N]
-                   [--reconnect-backoff-ms MS] [--island-every N] [--island-k N]
+                   [--reconnect-backoff-ms MS]
                    (--serve ADDR also exposes per-worker /workers JSON)";
 
 /// Runs the CLI against `argv` (program name excluded), returning the
@@ -209,8 +209,6 @@ fn cmd_search(p: &Parsed) -> Result<String, CliError> {
         "net-timeout",
         "connect-retries",
         "reconnect-backoff-ms",
-        "island-every",
-        "island-k",
     ])?;
     if p.is_set("resume") && p.get("checkpoint").is_none() {
         return Err(CliError::Domain(
@@ -262,18 +260,10 @@ fn cmd_search(p: &Parsed) -> Result<String, CliError> {
                 "reconnect-backoff-ms",
                 options.reconnect_backoff.as_millis() as u64,
             )?);
-            options.island_every = p.get_parse("island-every", options.island_every)?;
-            options.island_k = p.get_parse("island-k", options.island_k)?;
             Some(options)
         }
         None => {
-            for flag in [
-                "net-timeout",
-                "connect-retries",
-                "reconnect-backoff-ms",
-                "island-every",
-                "island-k",
-            ] {
+            for flag in ["net-timeout", "connect-retries", "reconnect-backoff-ms"] {
                 if p.get(flag).is_some() {
                     return Err(CliError::Domain(format!(
                         "--{flag} requires --workers <host:port,...>"
@@ -321,23 +311,29 @@ fn cmd_search(p: &Parsed) -> Result<String, CliError> {
     }
     let checkpoint_path = p.get("checkpoint").map(std::path::PathBuf::from);
     if let Some(path) = &checkpoint_path {
-        let every = positive_flag(p, "checkpoint-every", 25)?;
+        // `--resume` was checked to come with `--checkpoint` above.
+        let resumed = if p.is_set("resume") {
+            let state = CheckpointState::load(path)
+                .map_err(|e| CliError::Domain(format!("{}: {e}", path.display())))?;
+            if let Some(line) = state.torn_line {
+                eprintln!(
+                    "warning: {}:{line}: dropped a torn last line (an interrupted write); \
+                     its work runs again",
+                    path.display()
+                );
+            }
+            Some(state)
+        } else {
+            None
+        };
+        // A resumed run keeps the cadence its journal's header records
+        // unless the flag names another.
+        let every = resumed.as_ref().map_or(25, |state| state.every);
+        let every = positive_flag(p, "checkpoint-every", every)?;
         search = search.checkpoint(CheckpointPolicy::new(path.clone(), every));
-    }
-    if p.is_set("resume") {
-        let path = checkpoint_path.as_ref().ok_or_else(|| {
-            CliError::Domain("--resume requires --checkpoint <path>".to_string())
-        })?;
-        let state = CheckpointState::load(path)
-            .map_err(|e| CliError::Domain(format!("{}: {e}", path.display())))?;
-        if let Some(line) = state.torn_line {
-            eprintln!(
-                "warning: {}:{line}: dropped a torn last line (an interrupted write); \
-                 its work runs again",
-                path.display()
-            );
+        if let Some(state) = resumed {
+            search = search.resume_from(state);
         }
-        search = search.resume_from(state);
     }
     if let Some(n) = p.get("halt-after") {
         let n: usize = n.parse().map_err(|_| {
@@ -1014,8 +1010,7 @@ mod tests {
     /// End-to-end cluster path through the CLI: `ecad cluster worker`
     /// serves a seeded `ecad cluster search`, the coordinator's JSONL
     /// trace is byte-identical to the plain local run's, and the
-    /// `trace` validator pins the lifecycle kinds. A second run with
-    /// islands enabled pins the `migration` event kind.
+    /// `trace` validator pins the lifecycle kinds.
     #[test]
     fn cluster_search_loopback_matches_local_and_pins_trace_kinds() {
         let dir = std::env::temp_dir().join("ecad_cli_cluster_test");
@@ -1067,24 +1062,6 @@ mod tests {
         )))
         .unwrap();
         assert!(report.contains("all lines parse"));
-
-        // Islands on: elite migrants fold into the coordinator and the
-        // validator sees the `migration` kind.
-        let (port, worker) = spawn_cli_worker();
-        let island_jsonl = dir.join("island.jsonl");
-        run(argv(&format!(
-            "cluster search {base} --workers 127.0.0.1:{port} --connect-retries 6 \
-             --island-every 2 --island-k 1 --trace-out {}",
-            island_jsonl.display()
-        )))
-        .unwrap();
-        worker.join().unwrap().unwrap();
-        let report = run(argv(&format!(
-            "trace --file {} --require migration",
-            island_jsonl.display()
-        )))
-        .unwrap();
-        assert!(report.contains("migration"));
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1099,8 +1076,19 @@ mod tests {
             Err(CliError::Args(ArgError::UnknownCommand(_)))
         ));
         // Cluster tuning flags are meaningless without workers.
-        let err = run(argv("search --data nowhere.csv --island-every 2")).unwrap_err();
-        assert!(err.to_string().contains("requires --workers"));
+        let err = run(argv("search --data nowhere.csv --net-timeout 2")).unwrap_err();
+        assert!(err.to_string().contains("--net-timeout requires --workers"), "{err}");
+        // A flag with no feature behind it is refused, not ignored: both
+        // commands reject these as unknown before any search work.
+        for command in ["search", "cluster search --workers 127.0.0.1:1"] {
+            for flag in ["--island-every", "--island-k"] {
+                let err = run(argv(&format!("{command} --data nowhere.csv {flag} 2"))).unwrap_err();
+                assert!(
+                    matches!(&err, CliError::Args(ArgError::UnknownFlag(f)) if f == flag),
+                    "{command} {flag}: {err}"
+                );
+            }
+        }
         // An empty worker list is rejected before any search work.
         let err = run(argv("cluster search --data nowhere.csv --workers ,")).unwrap_err();
         assert!(matches!(err, CliError::Args(ArgError::BadValue { .. })));
@@ -1181,7 +1169,8 @@ mod tests {
     /// Interrupted-run → `--resume` round trip: a run halted mid-budget
     /// with a checkpoint, then resumed, must produce the same final
     /// trace CSV and a byte-identical JSONL event stream as one
-    /// uninterrupted run with the same seed.
+    /// uninterrupted run with the same seed, and keeps the journal's
+    /// write cadence unless told otherwise.
     #[test]
     fn search_checkpoint_resume_round_trip() {
         let dir = std::env::temp_dir().join("ecad_cli_resume_test");
@@ -1241,6 +1230,19 @@ mod tests {
             std::fs::read_to_string(&full_csv).unwrap(),
             std::fs::read_to_string(&part_csv).unwrap()
         );
+        // The resume named no cadence, so it kept the header's; an
+        // explicit flag wins, and the header records the one in force.
+        let every = || CheckpointState::load(&ck).unwrap().every;
+        assert_eq!(every(), 3);
+        run(argv(&format!(
+            "search --data {} --config {} --seed 5 --threads 1 --checkpoint {} --resume \
+             --checkpoint-every 5",
+            data.display(),
+            cfg.display(),
+            ck.display()
+        )))
+        .unwrap();
+        assert_eq!(every(), 5);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -1219,7 +1219,7 @@ mod tests {
         health.set_state(0, WorkerState::Connected);
         health.mark_seen(0);
         let tallies = crate::cluster::tally_gauges(&obs, "10.0.0.1:7000");
-        for (gauge, value) in tallies.iter().zip([7.0, 1.5, 0.5, 1.0, 2.0]) {
+        for (gauge, value) in tallies.iter().zip([7.0, 1.5, 0.5, 1.0]) {
             gauge.add(value);
         }
         health.set_state(1, WorkerState::Lost);
@@ -1244,8 +1244,27 @@ mod tests {
         assert_eq!(w0.get("state").and_then(Json::as_str), Some("connected"));
         assert!(w0.get("last_seen_s").and_then(Json::as_f64).is_some());
         assert_eq!(w0.get("jobs").and_then(Json::as_f64), Some(7.0));
+        assert_eq!(w0.get("hw_s").and_then(Json::as_f64), Some(0.5));
         assert_eq!(w0.get("panics").and_then(Json::as_f64), Some(1.0));
-        assert_eq!(w0.get("migrants").and_then(Json::as_f64), Some(2.0));
+        let Json::Object(fields) = w0 else {
+            panic!("a worker entry is an object: {w0}");
+        };
+        let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(
+            keys,
+            [
+                "addr",
+                "state",
+                "last_seen_s",
+                "jobs",
+                "train_s",
+                "hw_s",
+                "panics",
+                "eval_count",
+                "eval_p50_s",
+                "eval_p95_s"
+            ]
+        );
         assert_eq!(w0.get("eval_count").and_then(Json::as_f64), Some(1.0));
         let p50 = w0.get("eval_p50_s").and_then(Json::as_f64).unwrap();
         assert!((p50 - 0.25).abs() < 0.05, "bucketed p50 near 0.25, got {p50}");

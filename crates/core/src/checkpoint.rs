@@ -5,11 +5,11 @@
 //! paper's searches evaluate thousands of models over hours, and the
 //! predecessor system (arXiv:1903.02130) distributes work precisely so
 //! failures do not lose the search. The file is a header line (version,
-//! seed, budget, population), then one [`JournalLine`] per event the
-//! master acted on: a final verdict, a transient verdict sent back for
-//! another attempt, or a folded island migrant. Each records the
-//! master's position in the breed stream and the wall clock, the one
-//! value replay cannot recompute. [`Engine::resume`](crate::engine::Engine::resume)
+//! seed, budget, population, write cadence), then one [`JournalLine`]
+//! per verdict the master acted on: a final one, or a transient one
+//! sent back for another attempt. Each records the master's position in
+//! the breed stream and the wall clock, the one value replay cannot
+//! recompute. [`Engine::resume`](crate::engine::Engine::resume)
 //! rebuilds everything else — population, cache, RNG, counters,
 //! analytics, meters — by replaying the lines through the live loop's
 //! code (DESIGN.md §12). The engine writes the header atomically, then
@@ -22,15 +22,15 @@ use std::path::{Path, PathBuf};
 
 use rt::json::{Cursor, DecodeError, FromJson, Json, ToJson};
 
-use crate::cluster::Migrant;
 use crate::engine::EvolutionConfig;
 use crate::genome::CandidateGenome;
 use crate::measurement::{InfeasibleReason, Measurement};
 
 /// Schema version stamped into every checkpoint header; bump on any
 /// incompatible layout change. Version 3 replaced the whole-state
-/// snapshot of version 2 with the journal.
-pub const FORMAT_VERSION: u64 = 3;
+/// snapshot of version 2 with the journal; version 4 holds verdicts
+/// only and records the write cadence in the header.
+pub const FORMAT_VERSION: u64 = 4;
 
 /// When and where the engine writes checkpoints.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -115,26 +115,9 @@ impl Outcome {
     }
 }
 
-/// What one journal line records.
-#[derive(Debug, Clone, PartialEq)]
-pub enum JournalEvent {
-    /// A verdict on a unique submission: final (`last`) and in the
-    /// trace, or transient and sent back for another attempt.
-    Verdict {
-        /// The submission's 0-based index in submission order.
-        index: usize,
-        /// The candidate.
-        genome: CandidateGenome,
-        /// How the attempt ended.
-        outcome: Outcome,
-        /// Whether the verdict is final.
-        last: bool,
-    },
-    /// An island migrant folded into the population.
-    Migrant(Migrant),
-}
-
-/// One journal line after the header: an event the master acted on.
+/// One journal line after the header: a verdict on a unique
+/// submission, final (`last`) and in the trace, or transient and sent
+/// back for another attempt.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JournalLine {
     /// The master's `attempts` counter when it acted: its position in
@@ -142,42 +125,32 @@ pub struct JournalLine {
     pub attempts: usize,
     /// Wall-clock seconds the run had used when it acted.
     pub wall_s: f64,
-    /// The event.
-    pub event: JournalEvent,
+    /// The submission's 0-based index in submission order.
+    pub index: usize,
+    /// The candidate.
+    pub genome: CandidateGenome,
+    /// How the attempt ended.
+    pub outcome: Outcome,
+    /// Whether the verdict is final.
+    pub last: bool,
 }
 
 impl ToJson for JournalLine {
     fn to_json(&self) -> Json {
-        let line = |kind: &str| {
-            Json::object()
-                .insert("kind", kind)
-                .insert("attempts", self.attempts)
-                .insert("wall_s", self.wall_s)
-        };
-        match &self.event {
-            JournalEvent::Verdict {
-                index,
-                genome,
-                outcome,
-                last,
-            } => {
-                let line = line(if *last { "final" } else { "retry" })
-                    .insert("index", *index)
-                    .insert("genome", genome);
-                match outcome {
-                    Outcome::Measured(m) => line.insert("measurement", m),
-                    Outcome::Deadline { after_s, respawned } => line.insert(
-                        "deadline",
-                        Json::object()
-                            .insert("after_s", *after_s)
-                            .insert("respawned", *respawned),
-                    ),
-                }
-            }
-            JournalEvent::Migrant(m) => line("migrant")
-                .insert("slot", m.slot)
-                .insert("genome", &m.genome)
-                .insert("measurement", &m.measurement),
+        let line = Json::object()
+            .insert("kind", if self.last { "final" } else { "retry" })
+            .insert("attempts", self.attempts)
+            .insert("wall_s", self.wall_s)
+            .insert("index", self.index)
+            .insert("genome", &self.genome);
+        match &self.outcome {
+            Outcome::Measured(m) => line.insert("measurement", m),
+            Outcome::Deadline { after_s, respawned } => line.insert(
+                "deadline",
+                Json::object()
+                    .insert("after_s", *after_s)
+                    .insert("respawned", *respawned),
+            ),
         }
     }
 }
@@ -186,33 +159,27 @@ impl FromJson for JournalLine {
     fn decode(j: Cursor<'_>) -> Result<Self, DecodeError> {
         let (attempts, wall_s) = (j.get("attempts")?, j.get("wall_s")?);
         let kind = j.field("kind")?;
-        let event = match kind.str()? {
-            "migrant" => JournalEvent::Migrant(Migrant {
-                slot: j.get("slot")?,
-                genome: j.get("genome")?,
-                measurement: j.get("measurement")?,
-            }),
-            name @ ("final" | "retry") => JournalEvent::Verdict {
-                index: j.get("index")?,
-                genome: j.get("genome")?,
-                outcome: match j.opt("measurement")? {
-                    Some(m) => Outcome::Measured(m),
-                    None => {
-                        let d = j.field("deadline")?;
-                        Outcome::Deadline {
-                            after_s: d.get("after_s")?,
-                            respawned: d.get("respawned")?,
-                        }
-                    }
-                },
-                last: name == "final",
-            },
+        let last = match kind.str()? {
+            "final" => true,
+            "retry" => false,
             other => return Err(kind.error(format!("unknown journal line kind {other:?}"))),
         };
         Ok(Self {
             attempts,
             wall_s,
-            event,
+            index: j.get("index")?,
+            genome: j.get("genome")?,
+            outcome: match j.opt("measurement")? {
+                Some(m) => Outcome::Measured(m),
+                None => {
+                    let d = j.field("deadline")?;
+                    Outcome::Deadline {
+                        after_s: d.get("after_s")?,
+                        respawned: d.get("respawned")?,
+                    }
+                }
+            },
+            last,
         })
     }
 }
@@ -228,6 +195,10 @@ pub struct CheckpointState {
     pub evaluations: usize,
     /// Population capacity, echoed for validation.
     pub population_cap: usize,
+    /// The cadence the run wrote at: its policy's `every`. A resume
+    /// that names none keeps it; validation ignores it, since it never
+    /// changes results.
+    pub every: usize,
     /// The lines after the header, in the order the master acted.
     pub journal: Vec<JournalLine>,
     /// The final verdicts in admission order: the run's trace, derived
@@ -267,12 +238,17 @@ impl std::fmt::Display for CheckpointError {
 impl std::error::Error for CheckpointError {}
 
 impl CheckpointState {
-    /// The empty journal of a run with `config`: a header and no lines.
-    pub fn new(config: &EvolutionConfig) -> Self {
+    /// The empty journal of a run with `config` written every `every`
+    /// unique evaluations: a header and no lines. The header's numbers
+    /// are exact up to 2^53, so a larger cadence is recorded as 2^53; no
+    /// run reaches that many evaluations, so it writes at the same ones.
+    pub fn new(config: &EvolutionConfig, every: usize) -> Self {
         Self {
             seed: config.seed,
             evaluations: config.evaluations,
             population_cap: config.population,
+            // No larger than `every`, so it fits a `usize` on any target.
+            every: (every as u64).min(1 << 53) as usize,
             journal: Vec::new(),
             trace: Vec::new(),
             torn_line: None,
@@ -281,15 +257,9 @@ impl CheckpointState {
 
     /// Appends a line; a final verdict also joins [`CheckpointState::trace`].
     pub fn push(&mut self, line: JournalLine) {
-        if let JournalEvent::Verdict {
-            genome,
-            outcome,
-            last: true,
-            ..
-        } = &line.event
-        {
-            let m = outcome.clone().into_measurement();
-            self.trace.push((genome.clone(), m));
+        if line.last {
+            let m = line.outcome.clone().into_measurement();
+            self.trace.push((line.genome.clone(), m));
         }
         self.journal.push(line);
     }
@@ -301,7 +271,8 @@ impl CheckpointState {
             .insert("version", FORMAT_VERSION)
             .insert("seed", format!("{:016x}", self.seed))
             .insert("evaluations", self.evaluations)
-            .insert("population_cap", self.population_cap);
+            .insert("population_cap", self.population_cap)
+            .insert("every", self.every);
         let mut text = format!("{header}\n");
         for line in &self.journal {
             push_line(&mut text, line);
@@ -349,14 +320,19 @@ impl CheckpointState {
                 "unsupported checkpoint version {version} (expected {FORMAT_VERSION})"
             )));
         }
-        Ok(Self {
+        let state = Self {
             seed: j.hex("seed")?,
             evaluations: j.get("evaluations")?,
             population_cap: j.get("population_cap")?,
+            every: j.get("every")?,
             journal: Vec::new(),
             trace: Vec::new(),
             torn_line: None,
-        })
+        };
+        if state.every == 0 {
+            return Err(j.field("every")?.expected("a positive integer"));
+        }
+        Ok(state)
     }
 
     /// Writes the journal atomically: the whole text to `<path>.tmp`
@@ -468,10 +444,20 @@ pub(crate) struct JournalFile {
 }
 
 impl JournalFile {
-    pub(crate) fn new(path: &Path, state: &CheckpointState) -> Self {
+    /// The journal of a run with `config` under `policy`: the header,
+    /// which records the policy's cadence, then `lines`.
+    pub(crate) fn new(
+        policy: &CheckpointPolicy,
+        config: &EvolutionConfig,
+        lines: &[JournalLine],
+    ) -> Self {
+        let mut text = CheckpointState::new(config, policy.every).to_text();
+        for line in lines {
+            push_line(&mut text, line);
+        }
         Self {
-            path: path.to_path_buf(),
-            text: state.to_text(),
+            path: policy.path.clone(),
+            text,
             durable: None,
         }
     }
@@ -555,23 +541,25 @@ mod tests {
         JournalLine {
             attempts,
             wall_s: 0.25 * attempts as f64,
-            event: JournalEvent::Verdict {
-                index,
-                genome: genome(),
-                outcome,
-                last,
-            },
+            index,
+            genome: genome(),
+            outcome,
+            last,
+        }
+    }
+
+    fn config() -> EvolutionConfig {
+        EvolutionConfig {
+            seed: 0xdead_beef_0123_4567,
+            evaluations: 100,
+            ..EvolutionConfig::small()
         }
     }
 
     /// A journal with every line kind: a final verdict, a transient one
-    /// (the worker's answer, then a deadline), a migrant, and a final
-    /// deadline.
+    /// (the worker's answer, then a deadline), and a final deadline.
     fn state() -> CheckpointState {
-        let mut cfg = EvolutionConfig::small();
-        cfg.seed = 0xdead_beef_0123_4567;
-        cfg.evaluations = 100;
-        let mut s = CheckpointState::new(&cfg);
+        let mut s = CheckpointState::new(&config(), 7);
         let transient = Measurement::infeasible(InfeasibleReason::Transient("io".into()));
         let deadline = |respawned| Outcome::Deadline {
             after_s: 0.05,
@@ -580,15 +568,6 @@ mod tests {
         s.push(verdict(1, 0, Outcome::Measured(measurement()), true));
         s.push(verdict(2, 1, Outcome::Measured(transient), false));
         s.push(verdict(2, 1, deadline(true), false));
-        s.push(JournalLine {
-            attempts: 2,
-            wall_s: 0.6,
-            event: JournalEvent::Migrant(Migrant {
-                slot: 1,
-                genome: genome(),
-                measurement: measurement(),
-            }),
-        });
         s.push(verdict(3, 1, deadline(false), true));
         s
     }
@@ -597,7 +576,7 @@ mod tests {
     fn text_round_trip_is_exact_and_derives_the_trace() {
         let s = state();
         let text = s.to_text();
-        assert_eq!(text.lines().count(), 6);
+        assert_eq!(text.lines().count(), 5);
         assert_eq!(CheckpointState::parse(&text).unwrap(), s);
         // The trace holds the final verdicts only; a deadline is
         // charged as an infeasible timeout.
@@ -610,7 +589,35 @@ mod tests {
         );
         assert_eq!(timed_out.eval_time_s, 0.05);
         // The seed is hex: 64 bits exceed f64's 2^53 integer range.
-        assert!(text.starts_with("{\"version\":3,\"seed\":\"deadbeef01234567\","));
+        assert!(text.starts_with("{\"version\":4,\"seed\":\"deadbeef01234567\","));
+    }
+
+    /// The header records the cadence the run wrote at, and a header
+    /// that would stop every write is refused at its field.
+    #[test]
+    fn header_round_trips_its_cadence() {
+        let text = state().to_text();
+        let header = text.lines().next().unwrap();
+        assert!(
+            header.ends_with(",\"population_cap\":16,\"every\":7}"),
+            "{header}"
+        );
+        assert_eq!(CheckpointState::parse(&text).unwrap().every, 7);
+        let once = CheckpointState::new(&config(), 1).to_text();
+        assert_eq!(CheckpointState::parse(&once).unwrap().every, 1);
+        // A cadence no run reaches stays readable.
+        let never = CheckpointState::new(&config(), usize::MAX);
+        assert_eq!(CheckpointState::parse(&never.to_text()).unwrap(), never);
+        let err = CheckpointState::parse(&text.replacen("\"every\":7", "\"every\":0", 1));
+        assert_eq!(
+            err.unwrap_err().to_string(),
+            "checkpoint schema error at line 1: every: expected a positive integer, got 0"
+        );
+        let err = CheckpointState::parse(&text.replacen(",\"every\":7", "", 1));
+        assert_eq!(
+            err.unwrap_err().to_string(),
+            "checkpoint schema error at line 1: missing field \"every\""
+        );
     }
 
     #[test]
@@ -654,10 +661,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("j.json");
         let s = state();
-        let mut header = s.clone();
-        header.journal.clear();
-        header.trace.clear();
-        let mut file = JournalFile::new(&path, &header);
+        let mut file = JournalFile::new(&CheckpointPolicy::new(&path, s.every), &config(), &[]);
         assert_eq!(file.flush(), Ok(true));
         assert_eq!(file.flush(), Ok(false), "nothing new to write");
         file.push(&s.journal[0]);
@@ -699,13 +703,13 @@ mod tests {
         let text = s.to_text();
         let cut = text.len() - 40;
         let torn = CheckpointState::parse(&text[..cut]).unwrap();
-        assert_eq!(torn.torn_line, Some(6));
-        assert_eq!(torn.journal, s.journal[..4]);
+        assert_eq!(torn.torn_line, Some(5));
+        assert_eq!(torn.journal, s.journal[..3]);
         let garbled = CheckpointState::parse(&format!("{}\u{0}\u{0}\n", &text[..cut])).unwrap();
-        assert_eq!(garbled.torn_line, Some(6));
+        assert_eq!(garbled.torn_line, Some(5));
         // Without its newline, even a complete last line is torn.
         let unterminated = CheckpointState::parse(text.trim_end()).unwrap();
-        assert_eq!(unterminated.journal.len(), 4);
+        assert_eq!(unterminated.journal.len(), 3);
 
         let mut lines: Vec<&str> = text.lines().collect();
         lines[2] = "{\"kind\":\"retry\",\"attempts\":2,oops}";
@@ -759,11 +763,7 @@ mod tests {
         );
         // Absent, it still reads as empty.
         let back = CheckpointState::parse(&text.replacen(",\"text\":\"io\"", "", 1)).unwrap();
-        let JournalEvent::Verdict {
-            outcome: Outcome::Measured(m),
-            ..
-        } = &back.journal[1].event
-        else {
+        let Outcome::Measured(m) = &back.journal[1].outcome else {
             panic!("line 3 is a measured verdict: {:?}", back.journal[1]);
         };
         assert_eq!(
@@ -778,7 +778,16 @@ mod tests {
         assert_eq!(
             err.to_string(),
             "checkpoint schema error at line 1: version: unsupported checkpoint version 2 \
-             (expected 3)"
+             (expected 4)"
+        );
+        // A version-3 journal is refused at its header.
+        let v3 = state()
+            .to_text()
+            .replacen("\"version\":4", "\"version\":3", 1);
+        assert_eq!(
+            CheckpointState::parse(&v3).unwrap_err().to_string(),
+            "checkpoint schema error at line 1: version: unsupported checkpoint version 3 \
+             (expected 4)"
         );
         let err = CheckpointState::parse("").unwrap_err();
         assert!(matches!(err, CheckpointError::Parse(_)), "{err}");

@@ -27,17 +27,16 @@
 //!   ◀──────────────────────────── Bye ──
 //! ```
 //!
-//! [`SetupPayload`] ships everything an evaluation needs — the
+//! [`SetupPayload`] ships everything an evaluation reads — the
 //! standardized train/test split, trainer hyperparameters, the catalog
-//! device, the search space, and the objective set — so the worker
-//! process needs no filesystem or configuration of its own. The
-//! `stamp` is a per-session generation nonce: every `Evaluated` echoes
-//! it, and the coordinator drops responses whose stamp (or job id)
-//! does not match the current session — stale-result fencing one layer
-//! below the ledger's own id fencing.
+//! device and the seed — so the worker process needs no filesystem or
+//! configuration of its own. The `stamp` is a per-session generation
+//! nonce: every `Evaluated` echoes it, and the coordinator drops
+//! responses whose stamp (or job id) does not match the current session
+//! — stale-result fencing one layer below the ledger's own id fencing.
 //!
 //! Each fact crosses the wire once. The coordinator tallies a worker's
-//! jobs, train and hardware-model seconds, panics and migrants from the
+//! jobs, train and hardware-model seconds and panics from the
 //! `Evaluated` replies it accepts; a `Profile` frame carries only the
 //! worker's profile subtree, and only when the setup names a profile
 //! clock: after every fourth job and before `Bye`.
@@ -50,16 +49,7 @@
 //! response and are replayed verbatim on the coordinator inside its
 //! own `evaluate` span. A seeded single-worker cluster run therefore
 //! produces a Debug-level JSONL trace byte-identical to the local
-//! engine's, with or without an attached profiler (islands off).
-//!
-//! ## Islands
-//!
-//! With `island_every = N > 0`, each worker hosts an island: an elite
-//! pool fed by the jobs it evaluates plus its own seeded local
-//! evolution. Every N jobs it breeds and evaluates `island_k` children
-//! and migrates the feasible ones to the coordinator, which folds them
-//! into the population (never spending coordinator budget) and emits
-//! `migration` trace events.
+//! engine's, with or without an attached profiler.
 
 use std::io;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -73,13 +63,10 @@ use rt::net::{Conn, Listener, NetError};
 use rt::obs::{CaptureSink, Event, Level, Obs};
 use rt::rand::rngs::StdRng;
 use rt::rand::{Rng, SeedableRng};
-use rt::sync::channel::Sender;
 
 use crate::engine::WorkerLatency;
-use crate::fitness::ObjectiveSet;
-use crate::genome::{pair_from_json, pair_to_json, CandidateGenome};
+use crate::genome::CandidateGenome;
 use crate::measurement::{InfeasibleReason, Measurement};
-use crate::space::SearchSpace;
 use crate::workers::{evaluate_caught, CodesignEvaluator, HwTarget};
 
 /// Role string the coordinator announces in its hello.
@@ -101,11 +88,6 @@ pub struct ClusterOptions {
     pub connect_retries: usize,
     /// Base reconnect backoff; doubles per attempt with seeded jitter.
     pub reconnect_backoff: Duration,
-    /// Migrate worker-island elites every N jobs (`0` disables islands
-    /// and preserves byte-identical traces).
-    pub island_every: usize,
-    /// Children each island breeds and evaluates per migration.
-    pub island_k: usize,
 }
 
 impl Default for ClusterOptions {
@@ -115,8 +97,6 @@ impl Default for ClusterOptions {
             net_timeout: Duration::from_secs(30),
             connect_retries: 3,
             reconnect_backoff: Duration::from_millis(50),
-            island_every: 0,
-            island_k: 2,
         }
     }
 }
@@ -127,8 +107,8 @@ impl Default for ClusterOptions {
 pub struct ClusterPlan {
     /// Coordinator-side knobs.
     pub options: ClusterOptions,
-    /// The session-opening payload (datasets, trainer, device, space,
-    /// objectives, seed, island config).
+    /// The session-opening payload (datasets, trainer, device, seed,
+    /// profile clock).
     pub setup: SetupPayload,
 }
 
@@ -278,17 +258,6 @@ impl ClusterHealth {
     }
 }
 
-/// A migrant an island shipped to the coordinator.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Migrant {
-    /// Remote slot index that produced the migrant.
-    pub slot: usize,
-    /// The migrant's genes.
-    pub genome: CandidateGenome,
-    /// Its worker-side measurement.
-    pub measurement: Measurement,
-}
-
 // ---------------------------------------------------------------------------
 // Wire codecs
 // ---------------------------------------------------------------------------
@@ -309,14 +278,6 @@ pub struct SetupPayload {
     pub trainer: TrainConfig,
     /// The catalog hardware target.
     pub target: HwTarget,
-    /// The search space (used by worker islands to breed).
-    pub space: SearchSpace,
-    /// The objective set (used by worker islands to rank elites).
-    pub objectives: ObjectiveSet,
-    /// Island cadence (`0` = islands off).
-    pub island_every: usize,
-    /// Island brood size per migration.
-    pub island_k: usize,
     /// When set (`"wall"` / `"ticks"`), the worker profiles each
     /// evaluation under a session-local `rt::prof` profiler with this
     /// clock and ships its subtree in `Profile` frames. The ticks clock
@@ -332,11 +293,7 @@ impl SetupPayload {
             .insert("train", &self.train)
             .insert("test", &self.test)
             .insert("trainer", self.trainer)
-            .insert("target", self.target.to_json().map_err(NetError::Protocol)?)
-            .insert("space", &self.space)
-            .insert("objectives", &self.objectives)
-            .insert("island_every", self.island_every)
-            .insert("island_k", self.island_k);
+            .insert("target", self.target.to_json().map_err(NetError::Protocol)?);
         Ok(match &self.profile_clock {
             Some(clock) => j.insert("profile_clock", clock.as_str()),
             None => j,
@@ -351,10 +308,6 @@ impl SetupPayload {
             test: j.get("test")?,
             trainer: j.get("trainer")?,
             target: j.get("target")?,
-            space: j.get("space")?,
-            objectives: j.get("objectives")?,
-            island_every: j.get("island_every")?,
-            island_k: j.get("island_k")?,
             // Absent when the coordinator does not profile.
             profile_clock: j.opt("profile_clock")?,
         };
@@ -445,9 +398,6 @@ pub enum WorkerResponse {
         panicked: bool,
         /// Evaluation-time events captured worker-side, for replay.
         events: Vec<Event>,
-        /// Island elites migrating to the coordinator (empty unless
-        /// islands are on and this job crossed a migration boundary).
-        migrants: Vec<(CandidateGenome, Measurement)>,
     },
     /// The session's cumulative `rt::prof` subtree, sent only when the
     /// setup named a profile clock: after every fourth `Evaluated` and
@@ -471,7 +421,6 @@ impl WorkerResponse {
                 measurement,
                 panicked,
                 events,
-                migrants,
             } => Json::object()
                 .insert("resp", "evaluated")
                 .insert("id", *id)
@@ -481,10 +430,6 @@ impl WorkerResponse {
                 .insert(
                     "events",
                     Json::Array(events.iter().map(|e| e.to_json(None, true)).collect()),
-                )
-                .insert(
-                    "migrants",
-                    Json::Array(migrants.iter().map(pair_to_json).collect()),
                 ),
             WorkerResponse::Profile(tree) => Json::object()
                 .insert("resp", "profile")
@@ -507,7 +452,6 @@ impl FromJson for WorkerResponse {
                 measurement: j.get("measurement")?,
                 panicked: j.get("panicked")?,
                 events: j.get("events")?,
-                migrants: j.field("migrants")?.list(pair_from_json)?,
             },
             "profile" => WorkerResponse::Profile(j.get("profile")?),
             "bye" => WorkerResponse::Bye,
@@ -538,18 +482,18 @@ struct SlotTelemetry {
     health: Option<Arc<ClusterHealth>>,
     profiler: Option<rt::prof::Profiler>,
     /// [`tally_gauges`], in [`WORKER_TALLIES`] order.
-    tallies: [rt::obs::Gauge; 5],
+    tallies: [rt::obs::Gauge; 4],
     latency: rt::obs::HistogramHandle,
 }
 
 /// What the coordinator tallies per worker from the `Evaluated` replies
 /// it accepts.
-pub(crate) const WORKER_TALLIES: [&str; 5] = ["jobs", "train_s", "hw_s", "panics", "migrants"];
+pub(crate) const WORKER_TALLIES: [&str; 4] = ["jobs", "train_s", "hw_s", "panics"];
 
 /// The labeled gauges `cluster.worker_<tally>{worker="<addr>"}` — the
 /// one store of a worker's [`WORKER_TALLIES`], which the coordinator's
 /// slots add to and `/workers` reads. They add up across sessions.
-pub(crate) fn tally_gauges(obs: &Obs, addr: &str) -> [rt::obs::Gauge; 5] {
+pub(crate) fn tally_gauges(obs: &Obs, addr: &str) -> [rt::obs::Gauge; 4] {
     WORKER_TALLIES
         .map(|tally| obs.gauge_with(&format!("cluster.worker_{tally}"), &[("worker", addr)]))
 }
@@ -581,9 +525,9 @@ impl SlotTelemetry {
     /// Adds one accepted `Evaluated` reply to the worker's tallies. The
     /// adds are atomic: an abandoned slot thread and its replacement
     /// can both report for one worker.
-    fn tally(&self, m: &Measurement, panicked: bool, migrants: usize) {
+    fn tally(&self, m: &Measurement, panicked: bool) {
         let panics = f64::from(u8::from(panicked));
-        let values = [1.0, m.train_time_s, m.hw_time_s, panics, migrants as f64];
+        let values = [1.0, m.train_time_s, m.hw_time_s, panics];
         for (gauge, value) in self.tallies.iter().zip(values) {
             gauge.add(value);
         }
@@ -651,7 +595,6 @@ fn connect_session(
 pub(crate) struct RemoteSlot<'a> {
     plan: &'a ClusterPlan,
     obs: &'a Obs,
-    migrants: &'a Sender<Migrant>,
     telemetry: SlotTelemetry,
     session: Option<RemoteSession>,
     connects: u64,
@@ -665,7 +608,6 @@ impl<'a> RemoteSlot<'a> {
         index: usize,
         seed: u64,
         health: Option<Arc<ClusterHealth>>,
-        migrants: &'a Sender<Migrant>,
         obs: &'a Obs,
     ) -> Self {
         let addr = plan.options.workers[index].clone();
@@ -677,7 +619,6 @@ impl<'a> RemoteSlot<'a> {
             telemetry: SlotTelemetry::new(addr, index, health, obs),
             plan,
             obs,
-            migrants,
             session: None,
             connects: 0,
         }
@@ -764,7 +705,6 @@ impl<'a> RemoteSlot<'a> {
                 measurement,
                 panicked,
                 events,
-                migrants,
             } => {
                 if rid != id as u64 || stamp != session.stamp {
                     rt::warn!(
@@ -779,19 +719,12 @@ impl<'a> RemoteSlot<'a> {
                     )));
                 }
                 self.telemetry.mark_seen();
-                self.telemetry.tally(&measurement, panicked, migrants.len());
+                self.telemetry.tally(&measurement, panicked);
                 // Replay the worker's captured evaluation events inside
                 // the slot's span, so the coordinator's JSONL is
                 // byte-identical to a local run's.
                 for event in events {
                     self.obs.emit_event(event);
-                }
-                for (genome, measurement) in migrants {
-                    let _ = self.migrants.send(Migrant {
-                        slot,
-                        genome,
-                        measurement,
-                    });
                 }
                 Ok((measurement, panicked))
             }
@@ -908,88 +841,6 @@ enum SessionEnd {
     Killed,
 }
 
-/// Worker-island state: an elite pool plus seeded local evolution.
-struct Island {
-    space: SearchSpace,
-    objectives: ObjectiveSet,
-    rng: StdRng,
-    /// `(genome, measurement, fitness)` sorted best-first; keys
-    /// deduplicated.
-    elites: Vec<(CandidateGenome, Measurement, f64)>,
-    every: usize,
-    k: usize,
-    pool: usize,
-    jobs_since: usize,
-}
-
-impl Island {
-    fn new(setup: &SetupPayload, stamp: u64) -> Option<Self> {
-        if setup.island_every == 0 || setup.island_k == 0 {
-            return None;
-        }
-        Some(Self {
-            space: setup.space.clone(),
-            objectives: setup.objectives.clone(),
-            // Stamp-salted: a re-established session explores a fresh
-            // island trajectory instead of replaying the lost one.
-            rng: StdRng::seed_from_u64(setup.seed ^ stamp ^ 0x15_1A_4D),
-            elites: Vec::new(),
-            every: setup.island_every,
-            k: setup.island_k,
-            pool: (2 * setup.island_k).max(8),
-            jobs_since: 0,
-        })
-    }
-
-    fn observe(&mut self, genome: &CandidateGenome, m: &Measurement) {
-        let fitness = self.objectives.scalar(m);
-        if !fitness.is_finite() {
-            return;
-        }
-        let key = genome.cache_key();
-        if self.elites.iter().any(|(g, _, _)| g.cache_key() == key) {
-            return;
-        }
-        let at = self
-            .elites
-            .partition_point(|(_, _, f)| *f >= fitness);
-        self.elites.insert(at, (genome.clone(), m.clone(), fitness));
-        self.elites.truncate(self.pool);
-    }
-
-    /// Advances the island by one coordinator job; on a migration
-    /// boundary, breeds and evaluates `k` children and returns the
-    /// feasible ones.
-    fn step(&mut self, evaluator: &CodesignEvaluator) -> Vec<(CandidateGenome, Measurement)> {
-        self.jobs_since += 1;
-        if self.jobs_since < self.every || self.elites.is_empty() {
-            return Vec::new();
-        }
-        self.jobs_since = 0;
-        let mut migrants = Vec::new();
-        for _ in 0..self.k {
-            let child = self.breed();
-            let (m, _) = evaluate_caught(evaluator, &child);
-            self.observe(&child, &m);
-            if m.hw.is_feasible() {
-                migrants.push((child, m));
-            }
-        }
-        migrants
-    }
-
-    fn breed(&mut self) -> CandidateGenome {
-        let a = &self.elites[self.rng.gen_range(0..self.elites.len())].0.clone();
-        let child = if self.elites.len() >= 2 && self.rng.gen_range(0.0..1.0) < 0.5 {
-            let b = &self.elites[self.rng.gen_range(0..self.elites.len())].0.clone();
-            self.space.crossover(a, b, &mut self.rng)
-        } else {
-            a.clone()
-        };
-        self.space.mutate(&child, &mut self.rng)
-    }
-}
-
 /// Jobs between two `Profile` frames of a profiled session.
 const PROFILE_EVERY: usize = 4;
 
@@ -998,7 +849,6 @@ struct WorkerSession {
     evaluator: CodesignEvaluator,
     capture: Arc<CaptureSink>,
     stamp: u64,
-    island: Option<Island>,
     /// Session-local profiler (own tick domain, never attached to the
     /// capture `Obs`, so replayed events are unaffected); its subtree
     /// ships in `Profile` frames.
@@ -1018,7 +868,6 @@ impl WorkerSession {
             setup.seed,
         )
         .with_obs(capture_obs);
-        let island = Island::new(setup, stamp);
         let profiler = setup
             .profile_clock
             .as_deref()
@@ -1028,7 +877,6 @@ impl WorkerSession {
             evaluator,
             capture,
             stamp,
-            island,
             profiler,
             jobs_since_profile: 0,
         }
@@ -1041,20 +889,6 @@ impl WorkerSession {
         let eval_span = rt::prof_span!("evaluate");
         let (measurement, panicked) = evaluate_caught(&self.evaluator, genome);
         drop(eval_span);
-        // The job's own events, drained before any island work so
-        // island-local evaluations never leak into the replay stream.
-        let events = self.capture.take();
-        let migrants = match &mut self.island {
-            Some(island) => {
-                let island_span = rt::prof_span!("island");
-                island.observe(genome, &measurement);
-                let migrants = island.step(&self.evaluator);
-                drop(island_span);
-                self.capture.take(); // discard island-local events
-                migrants
-            }
-            None => Vec::new(),
-        };
         drop(install);
         self.jobs_since_profile += 1;
         WorkerResponse::Evaluated {
@@ -1062,8 +896,7 @@ impl WorkerSession {
             stamp,
             measurement,
             panicked,
-            events,
-            migrants,
+            events: self.capture.take(),
         }
     }
 
@@ -1206,7 +1039,6 @@ impl WorkerServer {
                         train_rows = payload.train.len(),
                         test_rows = payload.test.len(),
                         device = payload.target.device_name(),
-                        island_every = payload.island_every,
                     );
                     session = Some(WorkerSession::from_setup(&payload, stamp));
                     conn.send(&WorkerResponse::Ready { stamp }.to_json())?;
@@ -1226,7 +1058,6 @@ impl WorkerServer {
                     if let WorkerResponse::Evaluated {
                         measurement,
                         panicked,
-                        migrants,
                         ..
                     } = &response
                     {
@@ -1236,9 +1067,6 @@ impl WorkerServer {
                         self.obs.gauge("worker.hw_wall_s").add(measurement.hw_time_s);
                         if *panicked {
                             self.obs.counter("worker.panics").inc();
-                        }
-                        if !migrants.is_empty() {
-                            self.obs.counter("worker.migrants").add(migrants.len() as u64);
                         }
                     }
                     conn.send(&response.to_json())?;
@@ -1290,17 +1118,13 @@ mod tests {
         SyntheticSpec::new("tiny", 24, 4, 3).with_seed(seed).generate()
     }
 
-    fn setup_payload(island_every: usize) -> SetupPayload {
+    fn setup_payload() -> SetupPayload {
         SetupPayload {
             seed: 7,
             train: tiny_dataset(1),
             test: tiny_dataset(2),
             trainer: TrainConfig::fast(),
             target: HwTarget::Fpga(FpgaDevice::arria10_gx1150(1)),
-            space: SearchSpace::fpga_default(),
-            objectives: ObjectiveSet::accuracy_only(),
-            island_every,
-            island_k: 2,
             profile_clock: None,
         }
     }
@@ -1319,7 +1143,7 @@ mod tests {
 
     #[test]
     fn setup_round_trips() {
-        let mut setup = setup_payload(3);
+        let mut setup = setup_payload();
         setup.profile_clock = Some("ticks".to_string());
         let wire = setup.to_json(0xDEAD_BEEF).unwrap();
         let reparsed = Json::parse(&wire.to_string()).unwrap();
@@ -1327,18 +1151,13 @@ mod tests {
         assert_eq!(stamp, 0xDEAD_BEEF);
         assert_eq!(back.seed, setup.seed);
         assert_eq!(back.trainer, setup.trainer);
-        assert_eq!(back.space, setup.space);
-        assert_eq!(back.island_every, 3);
         assert_eq!(back.profile_clock.as_deref(), Some("ticks"));
         assert_eq!(back.target.device_name(), setup.target.device_name());
-        assert_eq!(
-            back.objectives.objectives().len(),
-            setup.objectives.objectives().len()
-        );
+        assert_eq!(back.train.labels(), setup.train.labels());
 
         // A coordinator that does not profile sends no clock, and the
         // frame parses with profiling off.
-        let text = setup_payload(0).to_json(0x1).unwrap().to_string();
+        let text = setup_payload().to_json(0x1).unwrap().to_string();
         assert!(!text.contains("profile_clock"), "{text}");
         let unprofiled = Json::parse(&text).unwrap();
         let (unprofiled, _) = SetupPayload::decode(Cursor::root(&unprofiled)).unwrap();
@@ -1382,7 +1201,6 @@ mod tests {
                 fields: vec![("stage", rt::obs::Value::Str("train".into()))],
                 elapsed_s: None,
             }],
-            migrants: vec![(genome, Measurement::infeasible(InfeasibleReason::DeviceFit))],
         };
         let wire = Json::parse(&resp.to_json().to_string()).unwrap();
         match WorkerResponse::from_json(&wire).unwrap() {
@@ -1391,13 +1209,11 @@ mod tests {
                 stamp,
                 panicked,
                 events,
-                migrants,
                 measurement,
             } => {
                 assert_eq!((id, stamp, panicked), (9, 1, true));
                 assert_eq!(events.len(), 1);
                 assert_eq!(events[0].name, "infeasible");
-                assert_eq!(migrants.len(), 1);
                 assert!(matches!(
                     measurement.failure_kind(),
                     Some(crate::measurement::FailureKind::Transient)
@@ -1466,7 +1282,7 @@ mod tests {
 
     #[test]
     fn setup_frame_with_huge_row_count_is_rejected_at_its_path() {
-        let setup = CoordinatorRequest::Setup(Box::new(setup_payload(0)), 1);
+        let setup = CoordinatorRequest::Setup(Box::new(setup_payload()), 1);
         let err = request_error(setup, "\"rows\":24,", "\"rows\":1e300,");
         assert!(err.contains("train.rows: expected an integer"), "{err}");
         assert!(!err.contains("checkpoint"), "{err}");
@@ -1474,7 +1290,7 @@ mod tests {
 
     #[test]
     fn setup_frame_whose_shape_overflows_is_rejected_at_its_path() {
-        let setup = CoordinatorRequest::Setup(Box::new(setup_payload(0)), 1);
+        let setup = CoordinatorRequest::Setup(Box::new(setup_payload()), 1);
         let shape = "\"rows\":8589934592,\"cols\":8589934592,";
         let err = request_error(setup, "\"rows\":24,\"cols\":4,", shape);
         assert!(err.contains("train.features: holds 96 values"), "{err}");
@@ -1498,7 +1314,7 @@ mod tests {
 
     #[test]
     fn mistyped_optional_fields_are_rejected_at_their_path() {
-        let mut setup = setup_payload(0);
+        let mut setup = setup_payload();
         setup.profile_clock = Some("ticks".to_string());
         let setup = CoordinatorRequest::Setup(Box::new(setup), 1);
         let err = request_error(setup, "\"profile_clock\":\"ticks\"", "\"profile_clock\":7");
@@ -1510,7 +1326,6 @@ mod tests {
             measurement: Measurement::infeasible(InfeasibleReason::DeviceFit),
             panicked: true,
             events: Vec::new(),
-            migrants: Vec::new(),
         };
         let text = evaluated
             .to_json()
@@ -1549,41 +1364,6 @@ mod tests {
     }
 
     #[test]
-    fn island_migrates_on_cadence_and_dedups_elites() {
-        let setup = setup_payload(2);
-        let mut island = Island::new(&setup, 0x5).expect("islands on");
-        let evaluator = CodesignEvaluator::new(
-            setup.train.clone(),
-            setup.test.clone(),
-            setup.trainer,
-            setup.target.clone(),
-            setup.seed,
-        );
-        let mut rng = StdRng::seed_from_u64(9);
-        let g1 = setup.space.sample(&mut rng);
-        let m1 = evaluator.evaluate(&g1);
-        island.observe(&g1, &m1);
-        island.observe(&g1, &m1); // duplicate key must not double up
-        let observed = island.elites.len();
-        assert!(observed <= 1);
-
-        assert!(island.step(&evaluator).is_empty(), "below cadence");
-        let migrants = island.step(&evaluator);
-        if !island.elites.is_empty() {
-            assert!(migrants.len() <= setup.island_k);
-            for (_, m) in &migrants {
-                assert!(m.hw.is_feasible(), "only feasible migrants ship");
-            }
-        }
-        assert_eq!(island.jobs_since, 0, "cadence counter reset");
-    }
-
-    #[test]
-    fn islands_off_when_cadence_zero() {
-        assert!(Island::new(&setup_payload(0), 0x5).is_none());
-    }
-
-    #[test]
     fn worker_session_serves_evaluate_loopback() {
         let server = WorkerServer::bind(
             "127.0.0.1:0",
@@ -1597,7 +1377,7 @@ mod tests {
         let mut conn = Conn::connect(&addr, Duration::from_secs(10), rt::net::DEFAULT_MAX_FRAME)
             .unwrap();
         conn.handshake_client(COORDINATOR_ROLE, Some(WORKER_ROLE)).unwrap();
-        let setup = setup_payload(0);
+        let setup = setup_payload();
         let stamp = 0x77;
         conn.send(
             &CoordinatorRequest::Setup(Box::new(setup.clone()), stamp)
@@ -1610,7 +1390,7 @@ mod tests {
             other => panic!("expected ready, got {other:?}"),
         }
 
-        let genome = setup.space.sample(&mut StdRng::seed_from_u64(1));
+        let genome = SearchSpace::fpga_default().sample(&mut StdRng::seed_from_u64(1));
         conn.send(
             &CoordinatorRequest::Evaluate {
                 id: 0,
@@ -1696,15 +1476,15 @@ mod tests {
             let mut conn =
                 Conn::connect(&addr, Duration::from_secs(10), rt::net::DEFAULT_MAX_FRAME).unwrap();
             conn.handshake_client(COORDINATOR_ROLE, Some(WORKER_ROLE)).unwrap();
-            let mut setup = setup_payload(0);
+            let mut setup = setup_payload();
             setup.profile_clock = clock.map(str::to_string);
-            setup.space = SearchSpace::fpga_default()
+            let space = SearchSpace::fpga_default()
                 .with_neurons(4, 12)
                 .with_layers(1, 1);
             let (stamp, rng) = (0x5, &mut StdRng::seed_from_u64(4));
-            let mut requests = vec![CoordinatorRequest::Setup(Box::new(setup.clone()), stamp)];
+            let mut requests = vec![CoordinatorRequest::Setup(Box::new(setup), stamp)];
             for id in 0..5 {
-                let genome = setup.space.sample(rng);
+                let genome = space.sample(rng);
                 requests.push(CoordinatorRequest::Evaluate { id, stamp, genome });
             }
             requests.push(CoordinatorRequest::KillAll);

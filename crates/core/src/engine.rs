@@ -27,10 +27,13 @@
 //!   slot whose evaluation stalls past its deadline is abandoned and
 //!   respawned, and its late result (if any) is dropped as stale;
 //! * **checkpoint/resume**: with a [`CheckpointPolicy`] attached, every
-//!   verdict and migrant the master acts on is appended to a journal,
-//!   written (with its fsync) after the next candidate is dispatched,
-//!   and [`Engine::resume`] replays it through the loop's own code, so
-//!   a seeded single-thread run continues byte-identically (§12).
+//!   verdict the master acts on is appended to a journal, written (with
+//!   its fsync) after the next candidate is dispatched, and
+//!   [`Engine::resume`] replays it through the loop's own code, so a
+//!   seeded single-thread run continues byte-identically (§12);
+//! * **one input stream**: the master acts only on verdicts — the
+//!   results its slots, local or remote, return on one channel, and the
+//!   deadlines it sets itself.
 //!
 //! With `threads = 1` the whole search is deterministic for a fixed
 //! seed; more threads trade determinism for wall-clock speed (result
@@ -51,10 +54,10 @@ use crate::analytics::{
     register_epoch_metrics, AnalyticsConfig, EpochTracker, OperatorKind, StatusCell,
 };
 use crate::checkpoint::{
-    CheckpointError, CheckpointPolicy, CheckpointState, JournalEvent, JournalFile, JournalLine,
-    Outcome, RunCounters,
+    CheckpointError, CheckpointPolicy, CheckpointState, JournalFile, JournalLine, Outcome,
+    RunCounters,
 };
-use crate::cluster::{ClusterHealth, ClusterPlan, Migrant, RemoteSlot};
+use crate::cluster::{ClusterHealth, ClusterPlan, RemoteSlot};
 use crate::fitness::ObjectiveSet;
 use crate::genome::CandidateGenome;
 use crate::measurement::{FailureKind, InfeasibleReason, Measurement};
@@ -339,8 +342,6 @@ struct Pool {
     shared_rx: Receiver<Job>,
     results_tx: Sender<Reply>,
     results: Receiver<Reply>,
-    migrants_tx: Sender<Migrant>,
-    migrants: Receiver<Migrant>,
     acks_tx: Sender<()>,
     acks: Receiver<()>,
     remotes: Vec<Sender<Job>>,
@@ -358,7 +359,6 @@ impl Pool {
     fn new(engine: &Engine) -> Self {
         let (shared_tx, shared_rx) = channel::unbounded();
         let (results_tx, results) = channel::unbounded();
-        let (migrants_tx, migrants) = channel::unbounded();
         let (acks_tx, acks) = channel::unbounded();
         let workers = engine.cluster.as_ref().map_or(0, |p| p.options.workers.len());
         Self {
@@ -367,8 +367,6 @@ impl Pool {
             shared_rx,
             results_tx,
             results,
-            migrants_tx,
-            migrants,
             acks_tx,
             acks,
             remotes: Vec::new(),
@@ -430,12 +428,12 @@ impl Pool {
         let (tx, jobs) = channel::unbounded::<Job>();
         self.remotes.push(tx);
         let (results, forward) = (self.results_tx.clone(), self.shared_tx.clone());
-        let (migrants, acks) = (self.migrants_tx.clone(), self.acks_tx.clone());
+        let acks = self.acks_tx.clone();
         let alive = Arc::clone(&self.alive);
         let (plan, seed) = (plan.clone(), engine.config.seed);
         let (health, obs) = (engine.cluster_health.clone(), engine.obs.clone());
         self.supervisor.spawn(move |ctx| {
-            let mut remote = RemoteSlot::new(&plan, index, seed, health.clone(), &migrants, &obs);
+            let mut remote = RemoteSlot::new(&plan, index, seed, health.clone(), &obs);
             let retired = slot_loop(ctx, &jobs, &results, &obs, |id, genome| {
                 let (m, panicked, lost) = remote.evaluate(ctx.slot(), id, genome);
                 if lost {
@@ -511,7 +509,6 @@ struct Meters {
     retries: Counter,
     timeouts: Counter,
     respawns: Counter,
-    migrants: Counter,
     eval_time: HistogramHandle,
 }
 
@@ -525,7 +522,6 @@ impl Meters {
             retries: obs.counter("engine.retries"),
             timeouts: obs.counter("engine.timeouts"),
             respawns: obs.counter("engine.respawns"),
-            migrants: obs.counter("engine.migrants"),
             eval_time: obs.histogram("engine.eval_time_s"),
         }
     }
@@ -564,8 +560,9 @@ impl<'e> Run<'e> {
     /// Starts a run from its seed and, when resuming, replays the journal
     /// silently on `quiet`, a copy of `engine` with a disabled `Obs`. Only
     /// then does the run count as started and its slots spawn, so a
-    /// refused journal costs nothing. Then writes the header and replayed
-    /// lines atomically, which drops a torn tail and covers resuming into
+    /// refused journal costs nothing. Then writes the header, which
+    /// records the running policy's cadence, and the replayed lines
+    /// atomically, which drops a torn tail and covers resuming into
     /// another path.
     fn start(
         engine: &'e Engine,
@@ -611,7 +608,7 @@ impl<'e> Run<'e> {
             .map(|_| engine.space.sample(&mut run.rng))
             .collect();
         run.seeds.reverse(); // pop() takes them in creation order
-        let state = match resumed {
+        let lines = match resumed {
             Some(state) => {
                 run.replay(&state)?;
                 // Trace level on purpose: the resumed run's Debug-level
@@ -619,15 +616,15 @@ impl<'e> Run<'e> {
                 // so no extra Debug+ event may appear here (and no second
                 // search_start).
                 rt::trace!(engine.obs, "resume", evaluations_done = run.trace.len());
-                state
+                state.journal
             }
-            None => CheckpointState::new(&cfg),
+            None => Vec::new(),
         };
         run.engine = engine;
         engine.status.note_started();
         run.pool.spawn(engine);
         if let Some(policy) = &engine.checkpoint {
-            run.journal = Some(JournalFile::new(&policy.path, &state));
+            run.journal = Some(JournalFile::new(policy, &cfg, &lines));
             run.flush_journal();
         }
         Ok(run)
@@ -655,30 +652,21 @@ impl<'e> Run<'e> {
                 let at = line.attempts;
                 return Err(refuse(format!("this run never reaches breed position {at}")));
             }
-            match &line.event {
-                JournalEvent::Verdict {
-                    index,
-                    genome,
-                    outcome,
-                    last,
-                } => {
-                    let job = open
-                        .remove(index)
-                        .filter(|job| job.payload.genome == *genome)
-                        .ok_or_else(|| {
-                            refuse(format!("this run bred another candidate as submission {index}"))
-                        })?;
-                    let id = self.counters.next_id;
-                    self.counters.next_id += 1;
-                    match (self.settle(id, job, outcome.clone()), last) {
-                        (Some(job), false) => {
-                            open.insert(*index, job);
-                        }
-                        (None, true) => {}
-                        _ => return Err(refuse("this run decides its retry otherwise".into())),
-                    }
+            let index = line.index;
+            let job = open
+                .remove(&index)
+                .filter(|job| job.payload.genome == line.genome)
+                .ok_or_else(|| {
+                    refuse(format!("this run bred another candidate as submission {index}"))
+                })?;
+            let id = self.counters.next_id;
+            self.counters.next_id += 1;
+            match (self.settle(id, job, line.outcome.clone()), line.last) {
+                (Some(job), false) => {
+                    open.insert(index, job);
                 }
-                JournalEvent::Migrant(migrant) => self.fold_migrant(migrant.clone()),
+                (None, true) => {}
+                _ => return Err(refuse("this run decides its retry otherwise".into())),
             }
             self.prior_wall = line.wall_s;
         }
@@ -689,13 +677,10 @@ impl<'e> Run<'e> {
         Ok(())
     }
 
-    /// Cluster phase: folds island migrants into the population, hands
-    /// jobs a retired slot forwarded back to routing, and degrades to
-    /// local slots once the last remote worker is lost.
+    /// Cluster phase: hands jobs a retired slot forwarded back to
+    /// routing, and degrades to local slots once the last remote worker
+    /// is lost.
     fn tend_cluster(&mut self) {
-        while let Ok(migrant) = self.pool.migrants.try_recv() {
-            self.fold_migrant(migrant);
-        }
         // Forwarded jobs land on the shared queue; while remotes
         // survive, route them again (once none do, the degradation
         // path's local slots consume the queue instead).
@@ -715,43 +700,6 @@ impl<'e> Run<'e> {
                 health.set_degraded();
             }
             self.pool.spawn_local(engine);
-        }
-    }
-
-    /// Folds one island migrant into the population. Deliberately
-    /// outside the trace/budget/rng streams: migrants spend worker-side
-    /// compute only, replace the current worst member
-    /// deterministically, and seed the dedup cache so the coordinator
-    /// never re-evaluates one.
-    fn fold_migrant(&mut self, migrant: Migrant) {
-        let key = migrant.genome.cache_key();
-        if self.cache.contains_key(&key) {
-            return;
-        }
-        self.record(|| JournalEvent::Migrant(migrant.clone()));
-        self.cache.insert(key, migrant.measurement.clone());
-        let eval = self.engine.score(migrant.genome, migrant.measurement);
-        self.meters.migrants.inc();
-        rt::info!(
-            self.engine.obs,
-            "migration",
-            slot = migrant.slot,
-            key = format!("{key:016x}"),
-            fitness = eval.fitness,
-            accuracy = eval.measurement.accuracy,
-        );
-        if !eval.fitness.is_finite() {
-            return;
-        }
-        let population = &mut self.population;
-        if population.len() < self.engine.config.population {
-            population.push(eval);
-        } else if let Some(worst) =
-            (0..population.len()).min_by(|&a, &b| by_fitness(&population[a], &population[b]))
-        {
-            if population[worst].fitness < eval.fitness {
-                population[worst] = eval;
-            }
         }
     }
 
@@ -846,8 +794,9 @@ impl<'e> Run<'e> {
     /// Wait phase: sleeps until a result arrives (`Some`) or the
     /// earliest deadline or retry-ready time passes (`None`). Before a
     /// cluster run has degraded the sleep is capped, so the master
-    /// observes migrants and lost workers even when no result will ever
-    /// arrive (e.g. every remote unreachable from the start).
+    /// re-routes jobs a retiring slot forwarded and observes lost
+    /// workers even when no result will ever arrive (e.g. every remote
+    /// unreachable from the start).
     fn wait(&self) -> Option<Reply> {
         let mut wake = self.ledger.next_wake();
         if self.pool.is_cluster() && !self.pool.degraded {
@@ -930,12 +879,17 @@ impl<'e> Run<'e> {
         };
         let last = !transient || job.attempt >= self.engine.config.max_retries;
         let Submission { index, genome, op } = job.payload;
-        self.record(|| JournalEvent::Verdict {
-            index,
-            genome: genome.clone(),
-            outcome: outcome.clone(),
-            last,
-        });
+        let wall_s = self.wall_time_s();
+        if let Some(journal) = &mut self.journal {
+            journal.push(&JournalLine {
+                attempts: self.counters.attempts,
+                wall_s,
+                index,
+                genome: genome.clone(),
+                outcome: outcome.clone(),
+                last,
+            });
+        }
         if !last {
             self.counters.retry_count += 1;
             self.meters.retries.inc();
@@ -1011,19 +965,6 @@ impl<'e> Run<'e> {
 
     fn wall_time_s(&self) -> f64 {
         self.prior_wall + self.start.elapsed().as_secs_f64()
-    }
-
-    /// Buffers the journal line for `event` at the current breed
-    /// position, when a journal is attached.
-    fn record(&mut self, event: impl FnOnce() -> JournalEvent) {
-        let wall_s = self.wall_time_s();
-        if let Some(journal) = &mut self.journal {
-            journal.push(&JournalLine {
-                attempts: self.counters.attempts,
-                wall_s,
-                event: event(),
-            });
-        }
     }
 
     /// Writes the journal's buffered lines, downgrading failure to a
@@ -1148,10 +1089,11 @@ impl Engine {
         self
     }
 
-    /// Attaches a checkpoint policy: the run journals every verdict and
-    /// migrant it acts on to the policy's path, writing the buffered
-    /// lines every `every` unique evaluations (once the next candidate
-    /// is dispatched), on any halt, and at natural completion.
+    /// Attaches a checkpoint policy: the run journals every verdict it
+    /// acts on to the policy's path under a header that records
+    /// `every`, writing the buffered lines every `every` unique
+    /// evaluations (once the next candidate is dispatched), on any
+    /// halt, and at natural completion.
     pub fn with_checkpoint(mut self, policy: CheckpointPolicy) -> Self {
         self.checkpoint = Some(policy);
         self
@@ -2206,10 +2148,7 @@ mod tests {
         let state = CheckpointState::load(&path).unwrap();
         assert_eq!(state.trace.len(), out.stats.models_evaluated);
         // Every verdict is final: nothing is left to re-dispatch.
-        assert!(state
-            .journal
-            .iter()
-            .all(|l| matches!(l.event, JournalEvent::Verdict { last: true, .. })));
+        assert!(state.journal.iter().all(|l| l.last));
         // Resuming a completed run is a no-op that returns the same
         // final population.
         let resumed = engine(30, 49, 1).resume(state).unwrap();

@@ -16,8 +16,6 @@ use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
-use rt::json::{Cursor, DecodeError, FromJson, Json, ToJson};
-
 use crate::measurement::Measurement;
 
 /// Extracts one scalar from a measurement.
@@ -198,7 +196,7 @@ impl ObjectiveSet {
     }
 
     /// Builds a set over `registry`, or says why the list cannot be
-    /// one: the check every front end (code, INI, wire) shares.
+    /// one: the check every front end (code, INI) shares.
     ///
     /// # Errors
     ///
@@ -276,47 +274,6 @@ impl ObjectiveSet {
             .zip(self.oriented_values(m))
             .map(|(o, v)| o.weight * v)
             .sum()
-    }
-}
-
-impl ToJson for ObjectiveSet {
-    fn to_json(&self) -> Json {
-        Json::Array(
-            self.objectives
-                .iter()
-                .map(|o| {
-                    Json::object()
-                        .insert("name", o.name.as_str())
-                        .insert("weight", o.weight)
-                        .insert("maximize", o.maximize)
-                })
-                .collect(),
-        )
-    }
-}
-
-impl FromJson for ObjectiveSet {
-    /// Rebuilds the set over the built-in registry: custom registered
-    /// fitness functions cannot cross a process boundary.
-    fn decode(at: Cursor<'_>) -> Result<ObjectiveSet, DecodeError> {
-        let objectives = at.list(|o| {
-            Ok(Objective {
-                name: o.get("name")?,
-                weight: o.get("weight")?,
-                maximize: o.get("maximize")?,
-            })
-        })?;
-        ObjectiveSet::try_with_registry(objectives, FitnessRegistry::with_builtins()).map_err(|e| {
-            match e {
-                ObjectiveError::Empty => at.expected("at least one objective"),
-                ObjectiveError::UnknownMetric { index, .. } => {
-                    // Located at the refused name, as a field error is.
-                    let mut err = at.error(e.to_string());
-                    err.path.push_str(&format!("[{index}].name"));
-                    err
-                }
-            }
-        })
     }
 }
 
@@ -418,21 +375,6 @@ mod tests {
         assert!((r.get("outputs_per_joule").unwrap()(&m) - 2e4).abs() < 1e-6);
         let set = ObjectiveSet::new(vec![Objective::maximize("log_outputs_per_joule")]);
         assert!(set.scalar(&m) > 0.0);
-    }
-
-    #[test]
-    fn decoding_refuses_what_the_constructor_would_panic_on() {
-        let set = ObjectiveSet::accuracy_and_throughput();
-        let back = ObjectiveSet::from_json(&set.to_json()).unwrap();
-        assert_eq!(back.objectives().len(), set.objectives().len());
-        let err = ObjectiveSet::from_json(&Json::Array(Vec::new())).unwrap_err();
-        assert_eq!(err.message, "expected at least one objective, got an array");
-        let unknown = Json::Array(vec![Json::object()
-            .insert("name", "zz")
-            .insert("weight", 1.0)
-            .insert("maximize", true)]);
-        let err = ObjectiveSet::from_json(&unknown).unwrap_err();
-        assert_eq!(err.to_string(), "[0].name: unknown fitness metric \"zz\"");
     }
 
     #[test]

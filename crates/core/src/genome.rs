@@ -10,8 +10,6 @@
 use ecad_mlp::{Activation, LayerSpec, MlpTopology};
 use rt::json::{Cursor, DecodeError, FromJson, Json, ToJson};
 
-use crate::measurement::Measurement;
-
 /// The network half of a candidate: an ordered list of hidden-layer
 /// genes. Input width and class count come from the dataset, so they are
 /// not part of the genome.
@@ -235,18 +233,6 @@ impl FromJson for CandidateGenome {
             hw: j.get("hw")?,
         })
     }
-}
-
-/// A genome with its measurement, as populations, traces and island
-/// migrants carry them: `{"genome": .., "measurement": ..}`.
-pub(crate) fn pair_to_json(pair: &(CandidateGenome, Measurement)) -> Json {
-    Json::object()
-        .insert("genome", &pair.0)
-        .insert("measurement", &pair.1)
-}
-
-pub(crate) fn pair_from_json(j: Cursor<'_>) -> Result<(CandidateGenome, Measurement), DecodeError> {
-    Ok((j.get("genome")?, j.get("measurement")?))
 }
 
 #[cfg(test)]

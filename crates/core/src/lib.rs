@@ -28,12 +28,12 @@
 //!   bookkeeping as a pure, clock-generic state machine, shared between
 //!   the engine (wall clock) and the `rt::sched` model checks (virtual
 //!   time).
-//! * [`checkpoint`] — an append-only journal of the master's inputs,
+//! * [`checkpoint`] — an append-only journal of the master's verdicts,
 //!   replayed so an interrupted search resumes byte-identically.
 //! * [`cluster`] — distributed coordinator/worker evaluation over TCP
 //!   (`rt::net` framed messages): a worker server that evaluates
-//!   genomes shipped with a full setup payload, stale-result fencing by
-//!   session stamp, and optional per-worker island subpopulations.
+//!   genomes under a setup payload holding what evaluation reads, and
+//!   stale-result fencing by session stamp.
 //! * [`faults`] — a deterministic fault-injecting evaluator wrapper for
 //!   exercising the engine's retry/timeout/respawn machinery in tests.
 //! * [`analytics`] — the search observatory: per-epoch population

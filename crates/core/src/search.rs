@@ -398,9 +398,9 @@ impl Search {
 
     /// Routes evaluation to remote cluster workers
     /// ([`crate::cluster`]): one engine slot per address in
-    /// `options.workers`, each shipping this search's standardized
-    /// split, trainer, device, space, and objectives in its session
-    /// setup. Requires a catalog device (the wire protocol identifies
+    /// `options.workers`, each shipping what an evaluation reads — this
+    /// search's standardized split, trainer, device and seed — in its
+    /// session setup. Requires a catalog device (the wire protocol identifies
     /// targets by name). With an empty worker list the options are
     /// ignored and the search runs locally.
     pub fn cluster(mut self, options: ClusterOptions) -> Self {
@@ -479,10 +479,6 @@ impl Search {
                     test: test.clone(),
                     trainer: self.trainer,
                     target: self.target.clone(),
-                    space: space.clone(),
-                    objectives: self.objectives.clone(),
-                    island_every: o.island_every,
-                    island_k: o.island_k,
                     // Workers profile each evaluation under the same
                     // clock the coordinator's profiler uses, so their
                     // subtrees graft into one coherent master tree.

@@ -8,7 +8,6 @@
 //! space, which a property test pins down.
 
 use ecad_mlp::Activation;
-use rt::json::{Cursor, DecodeError, FromJson, Json, ToJson};
 use rt::rand::seq::SliceRandom;
 use rt::rand::Rng;
 
@@ -301,48 +300,6 @@ impl SearchSpace {
             }
         };
         depth_ok && layers_ok && hw_ok
-    }
-}
-
-impl ToJson for SearchSpace {
-    fn to_json(&self) -> Json {
-        let family = match self.family {
-            HwFamily::Fpga => "fpga",
-            HwFamily::Gpu => "gpu",
-        };
-        Json::object()
-            .insert("family", family)
-            .insert("min_layers", self.min_layers)
-            .insert("max_layers", self.max_layers)
-            .insert("min_neurons", self.min_neurons)
-            .insert("max_neurons", self.max_neurons)
-            .insert("activations", &self.activations)
-            .insert("grid_dims", &self.grid_dims)
-            .insert("interleaves", &self.interleaves)
-            .insert("vec_widths", &self.vec_widths)
-            .insert("batches", &self.batches)
-    }
-}
-
-impl FromJson for SearchSpace {
-    fn decode(j: Cursor<'_>) -> Result<SearchSpace, DecodeError> {
-        let family = j.field("family")?;
-        Ok(SearchSpace {
-            family: match family.str()? {
-                "fpga" => HwFamily::Fpga,
-                "gpu" => HwFamily::Gpu,
-                other => return Err(family.error(format!("unknown hw family {other:?}"))),
-            },
-            min_layers: j.get("min_layers")?,
-            max_layers: j.get("max_layers")?,
-            min_neurons: j.get("min_neurons")?,
-            max_neurons: j.get("max_neurons")?,
-            activations: j.get("activations")?,
-            grid_dims: j.get("grid_dims")?,
-            interleaves: j.get("interleaves")?,
-            vec_widths: j.get("vec_widths")?,
-            batches: j.get("batches")?,
-        })
     }
 }
 

@@ -13,7 +13,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use ecad_core::analytics::StatusCell;
-use ecad_core::checkpoint::{CheckpointError, CheckpointPolicy, CheckpointState, JournalEvent};
+use ecad_core::checkpoint::{CheckpointError, CheckpointPolicy, CheckpointState};
 use ecad_core::engine::{Engine, EngineOutcome, EvolutionConfig, SelectionMode};
 use ecad_core::faults::{FaultKind, FaultSchedule, FaultyEvaluator};
 use ecad_core::fitness::ObjectiveSet;
@@ -359,7 +359,7 @@ fn journal_from_another_tournament_is_refused_at_its_first_diverging_line() {
     let first_bred = state
         .journal
         .iter()
-        .position(|l| matches!(l.event, JournalEvent::Verdict { index, .. } if index >= population))
+        .position(|l| l.index >= population)
         .expect("a bred child was judged");
     let cfg = EvolutionConfig {
         tournament: 3,

@@ -713,30 +713,3 @@ fn checkpointed_cluster_run_resumes_to_the_uninterrupted_result() {
     assert_same_measurement(&fb.measurement, &rb.measurement);
     std::fs::remove_dir_all(&dir).ok();
 }
-
-#[test]
-fn island_migration_folds_elites_without_spending_budget() {
-    let ds = dataset();
-    let (addr, worker, _stop) = spawn_worker();
-    let (trace, result) = traced(|obs| {
-        base_search(&ds, obs)
-            .cluster(ClusterOptions {
-                workers: vec![addr.clone()],
-                island_every: 3,
-                island_k: 1,
-                ..ClusterOptions::default()
-            })
-            .run()
-    });
-    worker.join().expect("worker exits after kill_all");
-
-    assert_eq!(
-        result.stats().models_evaluated,
-        14,
-        "migrants never consume coordinator budget"
-    );
-    assert!(
-        trace.contains("\"event\":\"migration\""),
-        "island elites must migrate into the coordinator trace"
-    );
-}

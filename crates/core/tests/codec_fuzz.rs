@@ -13,17 +13,16 @@
 //!
 //! Failures replay through the printed `RT_CHECK_SEED`.
 
-use ecad_core::checkpoint::{CheckpointError, CheckpointState, JournalEvent, JournalLine, Outcome};
-use ecad_core::cluster::{CoordinatorRequest, Migrant, SetupPayload, WorkerResponse};
+use ecad_core::checkpoint::{CheckpointError, CheckpointState, JournalLine, Outcome};
+use ecad_core::cluster::{CoordinatorRequest, SetupPayload, WorkerResponse};
 use ecad_core::engine::EvolutionConfig;
-use ecad_core::fitness::{FitnessRegistry, Objective, ObjectiveSet};
 use ecad_core::genome::CandidateGenome;
 use ecad_core::measurement::{HwMetrics, InfeasibleReason, Measurement};
-use ecad_core::space::{HwFamily, SearchSpace};
+use ecad_core::space::SearchSpace;
 use ecad_core::workers::{HwTarget, CATALOG};
 use ecad_dataset::synth::SyntheticSpec;
 use ecad_dataset::Dataset;
-use ecad_mlp::{Activation, OptimizerKind, TrainConfig};
+use ecad_mlp::{OptimizerKind, TrainConfig};
 use rt::json::{FromJson, Json, ToJson};
 use rt::obs::{Event, Level, Value};
 use rt::prof::ProfileNode;
@@ -282,34 +281,6 @@ fn trainer(rng: &mut StdRng) -> TrainConfig {
     }
 }
 
-fn space(rng: &mut StdRng) -> SearchSpace {
-    let mut s = if rng.gen_range(0..2) == 0 {
-        SearchSpace::fpga_default()
-    } else {
-        SearchSpace::gpu_default()
-    };
-    s.max_layers = rng.gen_range(s.min_layers..8);
-    s.activations
-        .truncate(rng.gen_range(1..=Activation::ALL.len()));
-    s.grid_dims.push(rng.gen_range(0..=u32::MAX));
-    s
-}
-
-fn objectives(rng: &mut StdRng) -> ObjectiveSet {
-    let names = FitnessRegistry::with_builtins().names();
-    let n = rng.gen_range(1..=names.len().min(3));
-    ObjectiveSet::new(
-        names[..n]
-            .iter()
-            .map(|name| Objective {
-                name: name.clone(),
-                weight: rng.gen_range(-2.0..2.0),
-                maximize: rng.gen_range(0..2) == 1,
-            })
-            .collect(),
-    )
-}
-
 fn target(rng: &mut StdRng) -> HwTarget {
     let (name, _) = CATALOG[rng.gen_range(0..CATALOG.len())];
     HwTarget::catalog(name, rng.gen_range(1..8)).unwrap()
@@ -329,10 +300,6 @@ fn setup(rng: &mut StdRng) -> SetupPayload {
         test: dataset(rng),
         trainer: trainer(rng),
         target: target(rng),
-        space: space(rng),
-        objectives: objectives(rng),
-        island_every: rng.gen_range(0..4),
-        island_k: rng.gen_range(0..4),
         profile_clock: [None, Some("ticks"), Some("wall")][rng.gen_range(0..3usize)]
             .map(str::to_string),
     }
@@ -361,14 +328,15 @@ fn event(rng: &mut StdRng) -> Event {
 }
 
 /// A journal with every line kind: transient and final verdicts, each
-/// with a measurement and with a deadline, and a migrant.
+/// with a measurement and with a deadline.
 fn checkpoint(rng: &mut StdRng) -> CheckpointState {
-    let mut s = CheckpointState::new(&EvolutionConfig {
+    let config = EvolutionConfig {
         seed: rng.gen_range(0..u64::MAX),
         evaluations: rng.gen_range(1..1000),
         population: rng.gen_range(1..64),
         ..EvolutionConfig::small()
-    });
+    };
+    let mut s = CheckpointState::new(&config, rng.gen_range(1..100));
     let mut attempts = 0;
     for (last, deadline) in [(false, false), (false, true), (true, false), (true, true)] {
         attempts += rng.gen_range(0..3usize);
@@ -380,22 +348,15 @@ fn checkpoint(rng: &mut StdRng) -> CheckpointState {
         } else {
             Outcome::Measured(measurement(rng))
         };
-        let event = JournalEvent::Verdict {
+        s.push(JournalLine {
+            attempts,
+            wall_s: rng.gen_range(0.0..1e4),
             index: rng.gen_range(0..1000),
             genome: genome(rng),
             outcome,
             last,
-        };
-        let wall_s = rng.gen_range(0.0..1e4);
-        s.push(JournalLine { attempts, wall_s, event });
+        });
     }
-    let event = JournalEvent::Migrant(Migrant {
-        slot: rng.gen_range(0..8),
-        genome: genome(rng),
-        measurement: measurement(rng),
-    });
-    let wall_s = rng.gen_range(0.0..1e4);
-    s.push(JournalLine { attempts, wall_s, event });
     s
 }
 
@@ -429,7 +390,6 @@ fn responses(rng: &mut StdRng) -> Vec<WorkerResponse> {
             measurement: measurement(rng),
             panicked: rng.gen_range(0..2) == 1,
             events: vec![event(rng), event(rng)],
-            migrants: vec![(genome(rng), measurement(rng))],
         },
         WorkerResponse::Profile(profile),
         WorkerResponse::Bye,
@@ -465,8 +425,8 @@ rt::prop! {
         }
     }
 
-    /// `TrainConfig` with each optimizer, `SearchSpace`, `ObjectiveSet`.
-    fn trainers_spaces_and_objectives_round_trip(seed in 0u64..u64::MAX) {
+    /// `TrainConfig` with each optimizer.
+    fn trainers_round_trip(seed in 0u64..u64::MAX) {
         let rng = &mut StdRng::seed_from_u64(seed);
         // One with SGD, one with Adam.
         let mut sgd = trainer(rng);
@@ -478,16 +438,6 @@ rt::prop! {
             rt::prop_assert_eq!(decode::<TrainConfig>(&t.to_json()), t);
             fuzz(&t.to_json(), &recode::<TrainConfig>);
         }
-        let s = space(rng);
-        rt::prop_assert_eq!(decode::<SearchSpace>(&s.to_json()), s.clone());
-        rt::prop_assert!(matches!(s.family, HwFamily::Fpga | HwFamily::Gpu));
-        fuzz(&s.to_json(), &recode::<SearchSpace>);
-        let o = objectives(rng);
-        let fields = |o: &ObjectiveSet| -> Vec<(String, u64, bool)> {
-            o.objectives().iter().map(|x| (x.name.clone(), x.weight.to_bits(), x.maximize)).collect()
-        };
-        rt::prop_assert_eq!(fields(&decode::<ObjectiveSet>(&o.to_json())), fields(&o));
-        fuzz(&o.to_json(), &recode::<ObjectiveSet>);
     }
 
     fn targets_and_datasets_round_trip(seed in 0u64..u64::MAX) {

@@ -40,7 +40,7 @@ use crate::json::{self, Cursor, Json};
 
 /// Wire protocol version carried in every hello frame. Bump on any
 /// incompatible message-shape change.
-pub const PROTOCOL_VERSION: u64 = 3;
+pub const PROTOCOL_VERSION: u64 = 4;
 
 /// Default ceiling on a single frame's payload, generous enough for a
 /// dataset-bearing setup message but far below anything that could
@@ -626,13 +626,22 @@ mod tests {
             check_hello(&ok, Some("coordinator")).unwrap_err(),
             NetError::Protocol(_)
         ));
-        let skew = Json::object()
-            .insert("net", "hello")
-            .insert("version", PROTOCOL_VERSION + 1)
-            .insert("role", "worker");
-        let err = check_hello(&skew, None).unwrap_err();
-        assert!(matches!(err, NetError::VersionMismatch { .. }));
-        assert!(!err.is_transient());
+        // A newer peer and the previous version are both refused by
+        // version, at the hello, before any frame of theirs is decoded.
+        for theirs in [PROTOCOL_VERSION + 1, PROTOCOL_VERSION - 1] {
+            let skew = Json::object()
+                .insert("net", "hello")
+                .insert("version", theirs)
+                .insert("role", "worker")
+                .insert("max_frame", 4096);
+            match check_hello(&skew, None) {
+                Err(err @ NetError::VersionMismatch { ours, theirs: t }) => {
+                    assert_eq!((ours, t), (PROTOCOL_VERSION, theirs));
+                    assert!(!err.is_transient());
+                }
+                other => panic!("v{theirs}: expected a version mismatch, got {other:?}"),
+            }
+        }
         assert!(matches!(
             check_hello(&Json::object().insert("net", "goodbye"), None).unwrap_err(),
             NetError::Protocol(_)
@@ -699,9 +708,9 @@ mod tests {
         }
         // A well-formed hello from another version is version skew,
         // even from a v2 peer, whose hello has no `max_frame`.
-        for theirs in [0, 1, 2, 4] {
+        for theirs in [0, 1, 2, 3, 5] {
             match check_hello(&hello(Json::Number(theirs as f64)), None) {
-                Err(NetError::VersionMismatch { ours: 3, theirs: t }) => assert_eq!(t, theirs),
+                Err(NetError::VersionMismatch { ours: 4, theirs: t }) => assert_eq!(t, theirs),
                 other => panic!("v{theirs}: expected a version mismatch, got {other:?}"),
             }
         }

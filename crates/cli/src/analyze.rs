@@ -157,10 +157,10 @@ pub struct FaultSummary {
     /// `checkpoint` events.
     pub checkpoints: usize,
     /// `worker_lost` warnings (a remote slot exhausted its reconnect
-    /// budget and retired).
+    /// budget or met a permanent error).
     pub workers_lost: usize,
-    /// `cluster_degraded` warnings (every remote slot retired; the
-    /// run fell back to local evaluation).
+    /// `cluster_degraded` warnings (every worker was lost; the run
+    /// fell back to local evaluation).
     pub degraded: usize,
 }
 

@@ -84,7 +84,7 @@ pub struct ClusterOptions {
     /// `Evaluated` response before classifying the exchange transient.
     pub net_timeout: Duration,
     /// Consecutive failed (re)connect attempts before a worker is
-    /// declared lost and its slot retires.
+    /// declared lost.
     pub connect_retries: usize,
     /// Base reconnect backoff; doubles per attempt with seeded jitter.
     pub reconnect_backoff: Duration,
@@ -101,8 +101,9 @@ impl Default for ClusterOptions {
     }
 }
 
-/// Everything the engine needs to run its slots remotely: the options
-/// plus the prebuilt setup payload each session opens with.
+/// Everything the engine needs to run its slots remotely: the options,
+/// the prebuilt setup payload each session opens with, and the health
+/// record that holds each worker's state.
 #[derive(Debug, Clone)]
 pub struct ClusterPlan {
     /// Coordinator-side knobs.
@@ -110,6 +111,10 @@ pub struct ClusterPlan {
     /// The session-opening payload (datasets, trainer, device, seed,
     /// profile clock).
     pub setup: SetupPayload,
+    /// One cell per address of `options.workers`, in order: the one
+    /// record of whether a worker is lost, which the remote slots write
+    /// and the engine routes and degrades by.
+    pub health: Arc<ClusterHealth>,
 }
 
 impl ClusterPlan {
@@ -146,7 +151,9 @@ pub enum WorkerState {
     Connected,
     /// Connection dropped; the slot is retrying with backoff.
     Reconnecting,
-    /// Retries exhausted; the slot retired.
+    /// Reconnect budget exhausted, or the worker speaks a protocol
+    /// this coordinator cannot: routing skips it, and its slot
+    /// evaluates what its queue still holds in process.
     Lost,
 }
 
@@ -184,10 +191,12 @@ struct WorkerHealthCell {
     last_seen: Option<Instant>,
 }
 
-/// Shared per-worker health registry: the engine's remote slots write
-/// state transitions and frame arrivals; the `/workers` endpoint reads
-/// snapshots. Read-only on the serving side, so `--serve`
-/// keeps the byte-identity trace contract.
+/// Shared per-worker health registry, the one record of each worker's
+/// state: the engine's remote slots write state transitions and frame
+/// arrivals, the engine routes jobs past `Lost` workers and degrades
+/// once every worker is, and the `/workers` endpoint reads snapshots.
+/// Read-only on the serving side, so `--serve` keeps the byte-identity
+/// trace contract.
 #[derive(Debug)]
 pub struct ClusterHealth {
     cells: std::sync::Mutex<Vec<WorkerHealthCell>>,
@@ -233,6 +242,23 @@ impl ClusterHealth {
     /// Marks a frame received from `slot` now.
     pub fn mark_seen(&self, slot: usize) {
         self.with_cell(slot, |c| c.last_seen = Some(Instant::now()));
+    }
+
+    /// Whether worker `slot`'s cell reads `Lost`.
+    pub(crate) fn is_lost(&self, slot: usize) -> bool {
+        self.cells()
+            .get(slot)
+            .is_some_and(|c| c.view.state == WorkerState::Lost)
+    }
+
+    /// The first worker, counting cyclically from `from`, whose cell
+    /// does not read `Lost`; `None` once every cell does.
+    pub(crate) fn next_live(&self, from: usize) -> Option<usize> {
+        let cells = self.cells();
+        let n = cells.len();
+        (0..n)
+            .map(|k| (from + k) % n)
+            .find(|&i| cells[i].view.state != WorkerState::Lost)
     }
 
     /// Flags that every remote is gone and the engine fell back to
@@ -479,7 +505,7 @@ struct RemoteSession {
 struct SlotTelemetry {
     addr: String,
     index: usize,
-    health: Option<Arc<ClusterHealth>>,
+    health: Arc<ClusterHealth>,
     profiler: Option<rt::prof::Profiler>,
     /// [`tally_gauges`], in [`WORKER_TALLIES`] order.
     tallies: [rt::obs::Gauge; 4],
@@ -499,7 +525,7 @@ pub(crate) fn tally_gauges(obs: &Obs, addr: &str) -> [rt::obs::Gauge; 4] {
 }
 
 impl SlotTelemetry {
-    fn new(addr: String, index: usize, health: Option<Arc<ClusterHealth>>, obs: &Obs) -> Self {
+    fn new(addr: String, index: usize, health: Arc<ClusterHealth>, obs: &Obs) -> Self {
         Self {
             tallies: tally_gauges(obs, &addr),
             latency: obs.histogram_with("cluster.worker_eval_s", &[("worker", addr.as_str())]),
@@ -511,15 +537,11 @@ impl SlotTelemetry {
     }
 
     fn set_state(&self, state: WorkerState) {
-        if let Some(h) = &self.health {
-            h.set_state(self.index, state);
-        }
+        self.health.set_state(self.index, state);
     }
 
     fn mark_seen(&self) {
-        if let Some(h) = &self.health {
-            h.mark_seen(self.index);
-        }
+        self.health.mark_seen(self.index);
     }
 
     /// Adds one accepted `Evaluated` reply to the worker's tallies. The
@@ -548,8 +570,8 @@ enum RemoteFailure {
     /// Environment trouble (disconnect, deadline, stale response): the
     /// job retries through the ledger, the slot reconnects.
     Transient(String),
-    /// Protocol/version trouble: the worker is unusable; its slot
-    /// retires after reporting the current job transient.
+    /// Protocol/version trouble: the worker is unusable; it is lost
+    /// once the current job is reported transient.
     Permanent(String),
 }
 
@@ -603,20 +625,14 @@ pub(crate) struct RemoteSlot<'a> {
 
 impl<'a> RemoteSlot<'a> {
     /// A disconnected slot for worker `index` of `plan`.
-    pub(crate) fn new(
-        plan: &'a ClusterPlan,
-        index: usize,
-        seed: u64,
-        health: Option<Arc<ClusterHealth>>,
-        obs: &'a Obs,
-    ) -> Self {
+    pub(crate) fn new(plan: &'a ClusterPlan, index: usize, seed: u64, obs: &'a Obs) -> Self {
         let addr = plan.options.workers[index].clone();
         Self {
             // Seeded jitter so a cluster's reconnect storms de-correlate
             // deterministically, per worker (same scheme as the engine's
             // retry backoff).
             jitter: StdRng::seed_from_u64(seed ^ addr_salt(&addr) ^ 0xBAC_0FF),
-            telemetry: SlotTelemetry::new(addr, index, health, obs),
+            telemetry: SlotTelemetry::new(addr, index, Arc::clone(&plan.health), obs),
             plan,
             obs,
             session: None,
@@ -735,22 +751,24 @@ impl<'a> RemoteSlot<'a> {
     }
 
     /// Evaluates job `id` on the worker from supervisor slot `slot`.
-    /// Returns the verdict, whether it panicked worker-side, and whether
-    /// the worker is gone for good: its reconnect budget ran out, or it
-    /// spoke a protocol this coordinator cannot.
+    /// Returns the verdict and whether it panicked worker-side. A worker
+    /// gone for good — its reconnect budget ran out, or it spoke a
+    /// protocol this coordinator cannot — has its health cell read
+    /// `Lost` before the transient verdict returns, so the retry that
+    /// verdict triggers routes past it.
     pub(crate) fn evaluate(
         &mut self,
         slot: usize,
         id: usize,
         genome: &CandidateGenome,
-    ) -> (Measurement, bool, bool) {
+    ) -> (Measurement, bool) {
         let started = Instant::now();
         let outcome = self.exchange(slot, id, genome);
         let addr = self.telemetry.addr.as_str();
-        let (reason, lost) = match outcome {
+        let reason = match outcome {
             Ok((m, panicked)) => {
                 self.telemetry.latency.record(started.elapsed().as_secs_f64());
-                return (m, panicked, false);
+                return (m, panicked);
             }
             Err(RemoteFailure::Transient(reason)) => {
                 rt::trace!(
@@ -760,18 +778,18 @@ impl<'a> RemoteSlot<'a> {
                     error = reason.as_str(),
                 );
                 self.telemetry.set_state(WorkerState::Reconnecting);
-                (format!("net: {reason}"), false)
+                format!("net: {reason}")
             }
             Err(RemoteFailure::Permanent(reason)) => {
                 rt::warn!(self.obs, "worker_lost", addr = addr, error = reason.as_str());
                 self.telemetry.set_state(WorkerState::Lost);
-                (format!("worker lost: {reason}"), true)
+                format!("worker lost: {reason}")
             }
         };
         self.session = None;
         let mut m = Measurement::infeasible(InfeasibleReason::Transient(reason));
         m.eval_time_s = started.elapsed().as_secs_f64();
-        (m, false, lost)
+        (m, false)
     }
 
     /// Best-effort `kill_all` on the open session, if any: the worker's

@@ -33,14 +33,16 @@
 //!   seeded single-thread run continues byte-identically (§12);
 //! * **one input stream**: the master acts only on verdicts — the
 //!   results its slots, local or remote, return on one channel, and the
-//!   deadlines it sets itself.
+//!   deadlines it sets itself. Every job a slot receives comes back as
+//!   a verdict: a remote slot whose worker is lost evaluates what its
+//!   queue still holds in process, so a job never takes a second route
+//!   and the master never polls.
 //!
 //! With `threads = 1` the whole search is deterministic for a fixed
 //! seed; more threads trade determinism for wall-clock speed (result
 //! arrival order feeds back into breeding).
 
 use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -251,7 +253,6 @@ pub struct Engine {
     shutdown: ShutdownFlag,
     status: StatusCell,
     cluster: Option<ClusterPlan>,
-    cluster_health: Option<Arc<ClusterHealth>>,
 }
 
 /// The ledger payload: a unique submission's index (its journal key),
@@ -293,23 +294,22 @@ fn backoff_delay(cfg: &EvolutionConfig, key: u64, attempt: usize) -> Duration {
 }
 
 /// The job loop every evaluation slot runs, local or remote: receive,
-/// claim, evaluate inside an `evaluate` span, release, send. `evaluate`
-/// returns the verdict, whether the evaluation panicked, and whether
-/// the slot must retire once the verdict is sent. The span enters the
-/// profile only on a thread that installed the profiler. Returns
-/// `true` when the slot retired; `false` when its queue closed, the
-/// master hung up, or its generation went stale.
+/// claim, evaluate inside an `evaluate` span, release, send, until its
+/// queue closes, the master hangs up, or its generation goes stale.
+/// `evaluate` returns the verdict and whether the evaluation panicked.
+/// The span enters the profile only on a thread that installed the
+/// profiler.
 fn slot_loop(
     ctx: &SlotCtx,
     jobs: &Receiver<Job>,
     results: &Sender<Reply>,
     obs: &Obs,
-    mut evaluate: impl FnMut(usize, &CandidateGenome) -> (Measurement, bool, bool),
-) -> bool {
+    mut evaluate: impl FnMut(usize, &CandidateGenome) -> (Measurement, bool),
+) {
     while let Ok((id, genome)) = jobs.recv() {
         ctx.claim(id as u64);
         let span = rt::span!(obs, "evaluate", worker = ctx.slot(), id = id);
-        let (m, panicked, retire) = evaluate(id, &genome);
+        let (m, panicked) = evaluate(id, &genome);
         if panicked {
             let reason = InfeasibleReason::WorkerPanic.kind();
             rt::warn!(obs, "infeasible", stage = "worker", reason = reason);
@@ -317,13 +317,9 @@ fn slot_loop(
         drop(span);
         ctx.release(id as u64);
         if results.send((id, m)).is_err() || !ctx.is_current() {
-            return false;
-        }
-        if retire {
-            return true;
+            return;
         }
     }
-    false
 }
 
 /// The evaluation slots and the channels the master drives them
@@ -333,9 +329,10 @@ fn slot_loop(
 /// queue. A cluster run has one remote slot per worker, each on its
 /// own queue so jobs route deterministically (`id % workers`), giving
 /// every worker a reproducible job stream — the property that makes
-/// cross-wire profile subtrees byte-stable under the ticks clock. It
-/// falls back to local slots on the shared queue once every remote is
-/// lost.
+/// cross-wire profile subtrees byte-stable under the ticks clock. Every
+/// job a slot receives comes back as a verdict: a slot whose worker is
+/// lost evaluates what its queue still holds in process. Once every
+/// worker is lost the run adds local slots on the shared queue.
 struct Pool {
     supervisor: Supervisor,
     shared_tx: Sender<Job>,
@@ -345,12 +342,11 @@ struct Pool {
     acks_tx: Sender<()>,
     acks: Receiver<()>,
     remotes: Vec<Sender<Job>>,
-    /// Per-remote routing flags; a slot clears its own when its worker
-    /// is lost.
-    alive: Arc<Vec<AtomicBool>>,
+    /// The cluster's worker states, which routing and *tend cluster*
+    /// read (`None` on a local run).
+    health: Option<Arc<ClusterHealth>>,
     /// Dispatches the fill phase keeps in flight: one per slot.
     depth: usize,
-    degraded: bool,
 }
 
 impl Pool {
@@ -360,7 +356,6 @@ impl Pool {
         let (shared_tx, shared_rx) = channel::unbounded();
         let (results_tx, results) = channel::unbounded();
         let (acks_tx, acks) = channel::unbounded();
-        let workers = engine.cluster.as_ref().map_or(0, |p| p.options.workers.len());
         Self {
             supervisor: Supervisor::new(),
             shared_tx,
@@ -370,9 +365,8 @@ impl Pool {
             acks_tx,
             acks,
             remotes: Vec::new(),
-            alive: Arc::new((0..workers).map(|_| AtomicBool::new(true)).collect()),
+            health: engine.cluster.as_ref().map(|p| Arc::clone(&p.health)),
             depth: 0,
-            degraded: false,
         }
     }
 
@@ -381,21 +375,13 @@ impl Pool {
     fn spawn(&mut self, engine: &Engine) {
         match &engine.cluster {
             Some(plan) => {
-                for index in 0..self.alive.len() {
+                for index in 0..plan.options.workers.len() {
                     self.spawn_remote(engine, plan, index);
                 }
-                self.depth = self.alive.len();
+                self.depth = self.remotes.len();
             }
             None => self.spawn_local(engine),
         }
-    }
-
-    fn is_cluster(&self) -> bool {
-        !self.alive.is_empty()
-    }
-
-    fn any_alive(&self) -> bool {
-        self.alive.iter().any(|a| a.load(Ordering::Acquire))
     }
 
     /// Spawns `threads` local in-process slots on the shared queue: a
@@ -411,73 +397,58 @@ impl Pool {
                 // …) record under the engine's tree.
                 let _prof_install = obs.profiler().map(|p| p.install());
                 slot_loop(ctx, &jobs, &results, &obs, |_, genome| {
-                    let (m, panicked) = evaluate_caught(&*evaluator, genome);
-                    (m, panicked, false)
+                    evaluate_caught(&*evaluator, genome)
                 });
             });
         }
         self.depth = engine.config.threads;
     }
 
-    /// Spawns the remote slot for worker `index`. Its thread never
-    /// installs the profiler, so its `evaluate` span records no frame:
-    /// the worker's own tick domain (grafted via `Profile` frames) stays
-    /// the only profile this slot contributes, and the close event
-    /// stays byte-identical to a local slot's.
+    /// Spawns the remote slot for worker `index`. Until its worker is
+    /// lost the thread installs no profiler, so its `evaluate` span
+    /// records no frame: the worker's own tick domain (grafted via
+    /// `Profile` frames) stays the only profile this slot contributes,
+    /// and the close event stays byte-identical to a local slot's. Once
+    /// the worker's health cell reads `Lost` — a respawned slot may find
+    /// it so — the slot evaluates what its queue still holds in process,
+    /// profiled as a local slot is.
     fn spawn_remote(&mut self, engine: &Engine, plan: &ClusterPlan, index: usize) {
         let (tx, jobs) = channel::unbounded::<Job>();
         self.remotes.push(tx);
-        let (results, forward) = (self.results_tx.clone(), self.shared_tx.clone());
-        let acks = self.acks_tx.clone();
-        let alive = Arc::clone(&self.alive);
+        let (results, acks) = (self.results_tx.clone(), self.acks_tx.clone());
+        let (evaluator, obs) = (Arc::clone(&engine.evaluator), engine.obs.clone());
         let (plan, seed) = (plan.clone(), engine.config.seed);
-        let (health, obs) = (engine.cluster_health.clone(), engine.obs.clone());
         self.supervisor.spawn(move |ctx| {
-            let mut remote = RemoteSlot::new(&plan, index, seed, health.clone(), &obs);
-            let retired = slot_loop(ctx, &jobs, &results, &obs, |id, genome| {
-                let (m, panicked, lost) = remote.evaluate(ctx.slot(), id, genome);
+            let mut remote = RemoteSlot::new(&plan, index, seed, &obs);
+            let install = || obs.profiler().map(|p| p.install());
+            let mut lost = plan.health.is_lost(index);
+            let mut _prof_install = if lost { install() } else { None };
+            slot_loop(ctx, &jobs, &results, &obs, |id, genome| {
                 if lost {
-                    // Retire the routing flag *before* the transient
-                    // result reaches the master: the retry it triggers
-                    // must route to a surviving slot (or the shared
-                    // queue), never back here, or it would burn a third
-                    // strike of the retry budget.
-                    alive[index].store(false, Ordering::Release);
+                    return evaluate_caught(&*evaluator, genome);
                 }
-                (m, panicked, lost)
+                let verdict = remote.evaluate(ctx.slot(), id, genome);
+                lost = plan.health.is_lost(index);
+                if lost {
+                    _prof_install = install();
+                }
+                verdict
             });
-            if retired {
-                // New jobs avoid this queue since the flag flipped;
-                // forward any that raced the flip to the shared queue,
-                // where the degradation path's local slots (or
-                // surviving remote fallback) evaluate them properly.
-                while let Ok(job) = jobs.recv() {
-                    let _ = forward.send(job);
-                }
-            }
             // The ack waits for the master to drop this slot's queue.
             remote.close();
             let _ = acks.send(());
         });
     }
 
-    /// Routes one dispatched job. Cluster jobs go to slot `id % n`,
-    /// falling back to the next alive slot once one retires. Retired
-    /// slots keep draining their queue and forward jobs back to the
-    /// shared queue, so nothing is lost in the race between routing and
-    /// retirement. Jobs fall through to the shared queue when no remote
-    /// slot remains (the degradation path's local slots consume it).
+    /// Routes one dispatched job. A cluster job goes to remote slot
+    /// `id % n`, or the next one whose worker is not lost. A job of a
+    /// local run, or of a cluster run whose every worker is lost, goes
+    /// to the shared queue, which the degraded run's local slots
+    /// consume.
     fn route(&self, id: usize, genome: CandidateGenome) {
-        let n = self.remotes.len();
-        for k in 0..n {
-            let slot = (id + k) % n;
-            if self.alive[slot].load(Ordering::Acquire)
-                && self.remotes[slot].send((id, genome.clone())).is_ok()
-            {
-                return;
-            }
-        }
-        self.shared_tx.send((id, genome)).expect("workers alive");
+        let slot = self.health.as_ref().and_then(|h| h.next_live(id));
+        let queue = slot.map_or(&self.shared_tx, |slot| &self.remotes[slot]);
+        queue.send((id, genome)).expect("slots alive");
     }
 
     /// Drops every remote queue and waits (briefly, bounded) for each
@@ -485,13 +456,14 @@ impl Pool {
     /// their sessions — a best-effort `kill_all` so workers wind down
     /// now instead of waiting out their idle timeout — and without the
     /// wait a coordinator process can exit before that reaches the wire.
-    /// Slots retired earlier (lost workers, stale generations) have
-    /// already acknowledged. Idle local slots exit once the pool, and
-    /// with it the shared queue, drops.
+    /// A slot whose worker is lost has no session left and acknowledges
+    /// at once. Idle local slots exit once the pool, and with it the
+    /// shared queue, drops.
     fn hang_up(&mut self) {
+        let slots = self.remotes.len();
         self.remotes.clear();
         let grace = Instant::now() + Duration::from_secs(2);
-        for _ in 0..self.alive.len() {
+        for _ in 0..slots {
             if self.acks.recv_deadline(grace).is_err() {
                 break;
             }
@@ -677,30 +649,20 @@ impl<'e> Run<'e> {
         Ok(())
     }
 
-    /// Cluster phase: hands jobs a retired slot forwarded back to
-    /// routing, and degrades to local slots once the last remote worker
-    /// is lost.
+    /// Cluster phase: degrades to `threads` local slots on the shared
+    /// queue once every worker is lost — a warning, not a dead search
+    /// with jobs in flight.
     fn tend_cluster(&mut self) {
-        // Forwarded jobs land on the shared queue; while remotes
-        // survive, route them again (once none do, the degradation
-        // path's local slots consume the queue instead).
-        while self.pool.any_alive() {
-            let Ok((id, genome)) = self.pool.shared_rx.try_recv() else {
-                break;
-            };
-            self.pool.route(id, genome);
+        let Some(health) = &self.pool.health else {
+            return;
+        };
+        if health.degraded() || health.next_live(0).is_some() {
+            return;
         }
-        // Graceful degradation: warn and fall back to local in-process
-        // evaluation rather than dying with jobs in flight.
-        if !self.pool.degraded && !self.pool.any_alive() {
-            let engine = self.engine;
-            self.pool.degraded = true;
-            rt::warn!(engine.obs, "cluster_degraded", local_slots = engine.config.threads);
-            if let Some(health) = &engine.cluster_health {
-                health.set_degraded();
-            }
-            self.pool.spawn_local(engine);
-        }
+        let engine = self.engine;
+        rt::warn!(engine.obs, "cluster_degraded", local_slots = engine.config.threads);
+        health.set_degraded();
+        self.pool.spawn_local(engine);
     }
 
     /// Fill phase: keeps one dispatch in flight per slot, taking retries
@@ -792,20 +754,15 @@ impl<'e> Run<'e> {
     }
 
     /// Wait phase: sleeps until a result arrives (`Some`) or the
-    /// earliest deadline or retry-ready time passes (`None`). Before a
-    /// cluster run has degraded the sleep is capped, so the master
-    /// re-routes jobs a retiring slot forwarded and observes lost
-    /// workers even when no result will ever arrive (e.g. every remote
-    /// unreachable from the start).
+    /// earliest deadline or retry-ready time passes (`None`). Every job
+    /// a slot receives comes back as a verdict, so the master needs no
+    /// other wake-up: a worker turns `Lost` before the verdict that
+    /// reports it is sent, and *tend cluster* reads it on the next turn
+    /// of the loop.
     fn wait(&self) -> Option<Reply> {
-        let mut wake = self.ledger.next_wake();
-        if self.pool.is_cluster() && !self.pool.degraded {
-            let poll = Instant::now() + Duration::from_millis(100);
-            wake = Some(wake.map_or(poll, |w| w.min(poll)));
-        }
         // The pool holds a result sender, so neither call can see a
         // disconnected channel: `None` always means a timeout.
-        match wake {
+        match self.ledger.next_wake() {
             None => self.pool.results.recv().ok(),
             Some(deadline) => self.pool.results.recv_deadline(deadline).ok(),
         }
@@ -1075,7 +1032,6 @@ impl Engine {
             shutdown: ShutdownFlag::new(),
             status: StatusCell::new(),
             cluster: None,
-            cluster_health: None,
         }
     }
 
@@ -1120,11 +1076,13 @@ impl Engine {
     /// threads: one supervised slot per worker address, each holding a
     /// framed TCP session ([`crate::cluster`]). Network failures are
     /// classified transient (the job retries through the ordinary
-    /// ledger machinery, possibly on another worker); a worker whose
-    /// reconnect budget is exhausted retires its slot; and when every
-    /// remote is lost the engine degrades to `config.threads` local
-    /// in-process slots with a warning rather than dying. With an empty
-    /// worker list the plan is ignored.
+    /// ledger machinery, possibly on another worker). A worker whose
+    /// reconnect budget is exhausted reads `Lost` in the plan's
+    /// [`ClusterHealth`]: routing skips it, and its slot evaluates the
+    /// jobs already queued on it in process. When every worker is lost
+    /// the engine degrades to `config.threads` local in-process slots
+    /// with a warning rather than dying. With an empty worker list the
+    /// plan is ignored.
     pub fn with_cluster(mut self, plan: ClusterPlan) -> Self {
         if !plan.options.workers.is_empty() {
             self.cluster = Some(plan);
@@ -1138,15 +1096,6 @@ impl Engine {
     /// engine state, so a live observer cannot perturb the search.
     pub fn with_status(mut self, status: StatusCell) -> Self {
         self.status = status;
-        self
-    }
-
-    /// Attaches a shared per-worker health registry: remote slots
-    /// record connect/reconnect/lost transitions and frame arrivals
-    /// into it, for the `/workers` endpoint. Like the status
-    /// cell, the engine only writes; readers never perturb the search.
-    pub fn with_cluster_health(mut self, health: Arc<ClusterHealth>) -> Self {
-        self.cluster_health = Some(health);
         self
     }
 
@@ -1190,9 +1139,7 @@ impl Engine {
         loop {
             let halt = self.shutdown.is_requested()
                 || self.halt_after.is_some_and(|n| run.trace.len() >= n);
-            if run.pool.is_cluster() {
-                run.tend_cluster();
-            }
+            run.tend_cluster();
             if halt {
                 // Trace level for the same reason as `resume`: the halted
                 // file must be a byte-prefix of the uninterrupted run's

@@ -409,10 +409,13 @@ impl Search {
     }
 
     /// Attaches a shared per-worker health registry
-    /// ([`ClusterHealth`]): the engine's remote slots record state
-    /// transitions and absorbed worker stats into it, and the
-    /// `/workers` endpoint serves snapshots. Only meaningful together
-    /// with [`Search::cluster`].
+    /// ([`ClusterHealth`]), which must list exactly the workers of
+    /// [`Search::cluster`]'s options, in order. It is the run's one
+    /// record of each worker's state: the engine's remote slots record
+    /// their transitions into it, the engine routes and degrades by it,
+    /// and the `/workers` endpoint serves snapshots of it. Without one
+    /// a cluster run keeps a fresh record of its own. Only meaningful
+    /// together with [`Search::cluster`].
     pub fn cluster_health(mut self, health: Arc<ClusterHealth>) -> Self {
         self.cluster_health = Some(health);
         self
@@ -424,13 +427,22 @@ impl Search {
     ///
     /// Panics if a checkpoint attached via [`Search::resume_from`] does
     /// not match this search's configuration; use [`Search::try_run`]
-    /// to handle that case gracefully.
+    /// to handle that case gracefully. Panics as [`Search::try_run`]
+    /// does on a mismatched cluster health record.
     pub fn run(self) -> SearchResult {
         self.try_run().expect("checkpoint matches search config")
     }
 
     /// Runs the search, reporting checkpoint mismatches as errors
     /// instead of panicking.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a [`ClusterHealth`] attached via
+    /// [`Search::cluster_health`] does not list exactly the workers of
+    /// [`Search::cluster`]'s options, in order: routing reads its
+    /// cells by position, and an empty record would read "every worker
+    /// lost" at once.
     ///
     /// # Errors
     ///
@@ -472,6 +484,19 @@ impl Search {
             .as_ref()
             .filter(|o| !o.workers.is_empty())
             .map(|o| ClusterPlan {
+                health: match &self.cluster_health {
+                    Some(health) => {
+                        let listed: Vec<String> =
+                            health.snapshot().into_iter().map(|w| w.addr).collect();
+                        assert!(
+                            listed == o.workers,
+                            "the cluster health record lists {listed:?}, not the workers {:?}",
+                            o.workers
+                        );
+                        Arc::clone(health)
+                    }
+                    None => Arc::new(ClusterHealth::new(&o.workers)),
+                },
                 options: o.clone(),
                 setup: SetupPayload {
                     seed: self.evolution.seed,
@@ -517,9 +542,6 @@ impl Search {
         }
         if let Some(plan) = cluster_plan {
             engine = engine.with_cluster(plan);
-        }
-        if let Some(health) = self.cluster_health.clone() {
-            engine = engine.with_cluster_health(health);
         }
         let outcome = match self.resume_from {
             Some(state) => engine.resume(state)?,
@@ -714,5 +736,31 @@ mod tests {
             .trainer(trainer)
             .run();
         assert_eq!(result.stats().models_evaluated, 8);
+    }
+
+    /// A search whose attached health record lists `listed` against the
+    /// workers `127.0.0.1:9` and `127.0.0.1:10`, where nothing listens:
+    /// the record is refused before any connection is made.
+    fn search_with_health(listed: &[&str]) -> Search {
+        let workers = vec!["127.0.0.1:9".to_string(), "127.0.0.1:10".to_string()];
+        let listed: Vec<String> = listed.iter().map(|a| a.to_string()).collect();
+        tiny_search(&small_dataset())
+            .cluster(ClusterOptions {
+                workers,
+                ..ClusterOptions::default()
+            })
+            .cluster_health(Arc::new(ClusterHealth::new(&listed)))
+    }
+
+    #[test]
+    #[should_panic(expected = "cluster health record lists [], not the workers")]
+    fn empty_cluster_health_record_is_refused() {
+        let _ = search_with_health(&[]).try_run();
+    }
+
+    #[test]
+    #[should_panic(expected = "cluster health record lists [\"127.0.0.1:10\", \"127.0.0.1:9\"]")]
+    fn reordered_cluster_health_record_is_refused() {
+        let _ = search_with_health(&["127.0.0.1:10", "127.0.0.1:9"]).try_run();
     }
 }

@@ -1,7 +1,8 @@
 //! End-to-end cluster tests over loopback TCP: a seeded single-worker
 //! cluster run must be byte-identical to the local engine (the event
 //! capture/replay contract), a coordinator that loses every worker must
-//! degrade to local evaluation and still finish, and a worker killed
+//! degrade to local evaluation and still finish, a job queued behind a
+//! lost worker must still come back as a verdict, and a worker killed
 //! mid-search must cost only retries — never the result.
 
 use std::io::Write;
@@ -9,7 +10,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use ecad_core::cluster::{ClusterOptions, WorkerOptions, WorkerServer};
+use ecad_core::cluster::{ClusterHealth, ClusterOptions, WorkerOptions, WorkerServer};
 use ecad_core::prelude::*;
 use ecad_core::search::SearchResult;
 use ecad_core::space::SearchSpace;
@@ -351,22 +352,23 @@ fn two_worker_profiles_graft_deterministically_under_ticks() {
     );
 }
 
+/// The `;`-joined path of every `evaluate` node in a profile tree.
+fn evaluate_paths(node: &rt::prof::ProfileNode, prefix: &str, out: &mut Vec<String>) {
+    let path = format!("{prefix}{}", node.name);
+    if node.name == "evaluate" {
+        out.push(path.clone());
+    }
+    for child in &node.children {
+        evaluate_paths(child, &format!("{path};"), out);
+    }
+}
+
 /// A span is profiled only on a thread that installed the profiler. The
-/// remote slot's proxy thread never does, so in a ticks-profiled
-/// single-worker search the coordinator's tree holds `evaluate` only
-/// inside the grafted `worker:<addr>` subtree.
+/// remote slot's proxy thread does not until its worker is lost, so in
+/// a ticks-profiled single-worker search the coordinator's tree holds
+/// `evaluate` only inside the grafted `worker:<addr>` subtree.
 #[test]
 fn profiled_cluster_run_keeps_evaluate_frames_under_the_worker_graft() {
-    fn evaluate_paths(node: &rt::prof::ProfileNode, prefix: &str, out: &mut Vec<String>) {
-        let path = format!("{prefix}{}", node.name);
-        if node.name == "evaluate" {
-            out.push(path.clone());
-        }
-        for child in &node.children {
-            evaluate_paths(child, &format!("{path};"), out);
-        }
-    }
-
     let ds = dataset();
     let (addr, worker, _stop) = spawn_worker();
     let profiler = Profiler::new(ClockKind::Ticks);
@@ -390,7 +392,7 @@ fn profiled_cluster_run_keeps_evaluate_frames_under_the_worker_graft() {
 fn coordinator_degrades_to_local_when_no_worker_is_reachable() {
     let ds = dataset();
     // Nothing listens here: every connect refuses, the reconnect budget
-    // exhausts, the slot retires, and the engine must fall back to
+    // exhausts, the worker is lost, and the engine must fall back to
     // local evaluation instead of dying.
     let (trace, result) = traced(|obs| {
         base_search(&ds, obs)
@@ -415,6 +417,57 @@ fn coordinator_degrades_to_local_when_no_worker_is_reachable() {
     );
     assert!(trace.contains("\"event\":\"worker_lost\""));
     assert!(trace.contains("\"event\":\"search_end\""));
+}
+
+/// A job that `id % 2` routing queues behind a worker about to be lost
+/// still comes back as a verdict while the other worker survives. The
+/// second address refuses every connection, so its slot spends its
+/// reconnect budget while the live worker answers jobs 0 and 2, and job
+/// 3 usually lands on the dying slot's queue; that slot then evaluates
+/// it in process, under `engine;evaluate`. No assertion depends on
+/// whether that race happened.
+#[test]
+fn job_queued_behind_a_lost_worker_is_evaluated_while_another_survives() {
+    let ds = dataset();
+    let (live, worker, _stop) = spawn_worker();
+    let workers = vec![live.clone(), "127.0.0.1:9".to_string()];
+    let health = Arc::new(ClusterHealth::new(&workers));
+    let profiler = Profiler::new(ClockKind::Ticks);
+    let buf = SharedBuf::default();
+    let obs = Obs::builder()
+        .sink(JsonlSink::to_writer(Level::Debug, Box::new(buf.clone())))
+        .profiler(profiler.clone())
+        .build();
+    let result = base_search(&ds, obs.clone())
+        .cluster(ClusterOptions {
+            workers,
+            connect_retries: 4,
+            reconnect_backoff: Duration::from_millis(20),
+            ..ClusterOptions::default()
+        })
+        .cluster_health(Arc::clone(&health))
+        .run();
+    obs.flush();
+    worker.join().expect("the live worker exits after kill_all");
+
+    let trace = buf.contents();
+    assert_eq!(result.stats().models_evaluated, 14);
+    assert_eq!(
+        trace.matches("\"event\":\"worker_lost\"").count(),
+        1,
+        "{trace}"
+    );
+    assert!(!trace.contains("\"event\":\"cluster_degraded\""), "{trace}");
+    let states: Vec<&str> = health.snapshot().iter().map(|w| w.state.as_str()).collect();
+    assert_eq!(states, ["connected", "lost"]);
+    assert!(!health.degraded());
+    let mut paths = Vec::new();
+    evaluate_paths(&profiler.report(), "", &mut paths);
+    let graft = format!("engine;worker:{live};evaluate");
+    assert!(
+        paths.iter().all(|p| *p == graft || p == "engine;evaluate"),
+        "{paths:?}"
+    );
 }
 
 /// A worker whose frame ceiling is below the setup frame is never sent

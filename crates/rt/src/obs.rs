@@ -1099,19 +1099,9 @@ impl Obs {
         HistogramHandle(self.inner.as_ref().map(|i| i.metrics.histogram(name)))
     }
 
-    /// A counter handle for `name` with a label set (e.g.
+    /// A gauge handle for `name` with a label set (e.g.
     /// `worker="host:port"`). Each distinct label-value combination is
     /// its own time series; see [`labeled_key`] for the key encoding.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the labeled key is already registered as a different
-    /// kind.
-    pub fn counter_with(&self, name: &str, labels: &[(&str, &str)]) -> Counter {
-        self.counter(&labeled_key(name, labels))
-    }
-
-    /// A gauge handle for `name` with a label set.
     ///
     /// # Panics
     ///

@@ -147,11 +147,6 @@ impl Matrix {
         &mut self.data
     }
 
-    /// Consumes the matrix, returning the backing storage.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Borrows row `r` as a contiguous slice.
     ///
     /// # Panics
